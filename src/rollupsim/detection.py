@@ -9,7 +9,9 @@ the budget, and candidates not yet executable, are deferred to the next
 round in their original order.
 
 The scheduler is a pure function of its inputs: worker count never changes
-the outcome, only how the isolated runs are scheduled.
+the outcome, only how the isolated runs are scheduled. Its outcome also
+carries the fold's final state (the tip with every benign candidate applied
+in order), so the caller never re-executes the block it just classified.
 """
 from __future__ import annotations
 
@@ -180,6 +182,7 @@ class DetectionOutcome:
     malicious: List[Tuple[AnyTransaction, Verdict, SimulationResult]] = field(default_factory=list)
     deferred: List[AnyTransaction] = field(default_factory=list)
     stats: DetectionStats = field(default_factory=DetectionStats)
+    final_state: Optional[WorldState] = None  # tip with `benign` applied in order
 
 
 @dataclass
@@ -197,6 +200,18 @@ def _isolated_run(state: WorldState, tx: AnyTransaction, ctx: BlockContext):
         return execute_transaction(state, tx, ctx)
     except PreconditionFailed as exc:
         return exc.reason
+
+
+def _fold(state: WorldState, txs: Sequence[AnyTransaction], ctx: BlockContext) -> WorldState:
+    """Apply candidates already judged uninfluenced, in order, in block context."""
+    for tx in txs:
+        try:
+            state = execute_transaction(state, tx, ctx).post_state
+        except PreconditionFailed as exc:
+            # Cannot happen for a candidate already judged uninfluenced;
+            # if it does, the access tracking is broken somewhere.
+            raise RuntimeError("uninfluenced candidate diverged in block context") from exc
+    return state
 
 
 def _precondition_reads(tx: AnyTransaction, reason: str) -> FrozenSet[AccessKey]:
@@ -225,7 +240,7 @@ def hybrid_detect(
     dependency analysis. The benign list preserves candidate order; nothing
     is ever reordered.
     """
-    outcome = DetectionOutcome()
+    outcome = DetectionOutcome(final_state=cset.tip_state)
     stats = outcome.stats
     txs = list(cset.txs)
     if not txs:
@@ -270,18 +285,11 @@ def hybrid_detect(
 
     def materialize() -> WorldState:
         nonlocal fold_state
-        while fold_queue:
-            tx = fold_queue.pop(0)
-            try:
-                result = execute_transaction(fold_state, tx, ctx)
-            except PreconditionFailed as exc:
-                # Cannot happen for a candidate already judged uninfluenced;
-                # if it does, the access tracking is broken somewhere.
-                raise RuntimeError("uninfluenced candidate diverged in block context") from exc
-            stats.contextual_sims += 1
-            if meter is not None:
-                meter.contextual += 1
-            fold_state = result.post_state
+        fold_state = _fold(fold_state, fold_queue, ctx)
+        stats.contextual_sims += len(fold_queue)
+        if meter is not None:
+            meter.contextual += len(fold_queue)
+        fold_queue.clear()
         return fold_state
 
     for slot in slots:
@@ -332,4 +340,7 @@ def hybrid_detect(
             else:
                 fold_queue.append(slot.tx)
 
+    # Draining the rest of the queue is block application, not
+    # classification, so it is not counted as a contextual simulation.
+    outcome.final_state = _fold(fold_state, fold_queue, ctx)
     return outcome

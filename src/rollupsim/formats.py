@@ -334,43 +334,10 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
             continue
 
         if head == "genesis":
-            if len(fields) < 3:
-                raise ScenarioError("genesis line needs a kind and an address/id", line=lineno)
-            kind = fields[1]
-            if kind == "account":
-                addr = _parse_address(fields[2], lineno)
-                kv = _kv(fields[3:], lineno)
-                accounts[addr] = Account(
-                    balance=_parse_int(kv.pop("balance", "0"), lineno),
-                    nonce=_parse_int(kv.pop("nonce", "0"), lineno),
-                )
-                if kv:
-                    raise ScenarioError(f"unknown account field {sorted(kv)[0]!r}", line=lineno)
-            elif kind == "contract":
-                addr = _parse_address(fields[2], lineno)
-                kv = _kv(fields[3:], lineno)
-                admin = _parse_address(kv.pop("admin"), lineno) if "admin" in kv else None
-                if admin is None:
-                    raise ScenarioError("contract needs admin=", line=lineno)
-                code = ContractCode(admin=admin, statements=parse_statements(_unbrace(kv.pop("code", "{}")), lineno))
-                storage: Dict[bytes, bytes] = {}
-                for pair in _parse_list(kv.pop("storage", "-")):
-                    if "=" not in pair:
-                        raise ScenarioError(f"bad storage pair {pair!r}", line=lineno)
-                    k, v = pair.split("=", 1)
-                    storage[vm.slot_bytes(_atom_value(k, lineno))] = vm.slot_bytes(_atom_value(v, lineno))
-                accounts[addr] = Account(
-                    balance=_parse_int(kv.pop("balance", "0"), lineno),
-                    nonce=0,
-                    code=code,
-                    storage=storage,
-                )
-                if kv:
-                    raise ScenarioError(f"unknown contract field {sorted(kv)[0]!r}", line=lineno)
-            elif kind == "invariant":
+            if fields[1:2] == ["invariant"] and len(fields) >= 3:
                 invariant_decls.append((lineno, _kv(fields[2:], lineno)))
             else:
-                raise ScenarioError(f"unknown genesis kind {kind!r}", line=lineno)
+                _parse_state_line(fields, lineno, accounts)
             continue
 
         if head == "run":
@@ -715,29 +682,34 @@ def render_state(state: WorldState) -> List[str]:
 
 
 def _parse_state_line(fields: List[str], lineno: int, accounts: Dict[Address, Account]) -> None:
+    """One `genesis account|contract` line, as scenarios and L1 histories write it."""
+    if len(fields) < 3:
+        raise ScenarioError("genesis line needs a kind and an address/id", line=lineno)
     kind = fields[1]
+    if kind not in ("account", "contract"):
+        raise ScenarioError(f"unknown genesis kind {kind!r}", line=lineno)
     addr = _parse_address(fields[2], lineno)
     kv = _kv(fields[3:], lineno)
     if kind == "account":
-        accounts[addr] = Account(
-            balance=_parse_int(kv.get("balance", "0"), lineno), nonce=_parse_int(kv.get("nonce", "0"), lineno)
-        )
-    elif kind == "contract":
-        storage: Dict[bytes, bytes] = {}
-        for pair in _parse_list(kv.get("storage", "-")):
-            k, v = pair.split("=", 1)
-            storage[vm.slot_bytes(_atom_value(k, lineno))] = vm.slot_bytes(_atom_value(v, lineno))
-        accounts[addr] = Account(
-            balance=_parse_int(kv.get("balance", "0"), lineno),
-            nonce=0,
-            code=ContractCode(
-                admin=_parse_address(kv["admin"], lineno),
-                statements=parse_statements(_unbrace(kv.get("code", "{}")), lineno),
-            ),
-            storage=storage,
+        acct = Account(
+            balance=_parse_int(kv.pop("balance", "0"), lineno),
+            nonce=_parse_int(kv.pop("nonce", "0"), lineno),
         )
     else:
-        raise ScenarioError(f"unknown genesis kind {kind!r}", line=lineno)
+        if "admin" not in kv:
+            raise ScenarioError("contract needs admin=", line=lineno)
+        admin = _parse_address(kv.pop("admin"), lineno)
+        code = ContractCode(admin=admin, statements=parse_statements(_unbrace(kv.pop("code", "{}")), lineno))
+        storage: Dict[bytes, bytes] = {}
+        for pair in _parse_list(kv.pop("storage", "-")):
+            if "=" not in pair:
+                raise ScenarioError(f"bad storage pair {pair!r}", line=lineno)
+            k, v = pair.split("=", 1)
+            storage[vm.slot_bytes(_atom_value(k, lineno))] = vm.slot_bytes(_atom_value(v, lineno))
+        acct = Account(balance=_parse_int(kv.pop("balance", "0"), lineno), nonce=0, code=code, storage=storage)
+    if kv:
+        raise ScenarioError(f"unknown {kind} field {sorted(kv)[0]!r}", line=lineno)
+    accounts[addr] = acct
 
 
 # ---------------------------------------------------------------------------
@@ -765,6 +737,13 @@ def render_history(history: L1History) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _history_int(kv: Dict[str, str], key: str, lineno: int, minimum: int = 0) -> int:
+    value = int(kv[key])
+    if value < minimum:
+        raise ScenarioError(f"{key} must be at least {minimum}, got {value}", line=lineno)
+    return value
+
+
 def parse_history(text: str) -> L1History:
     fee_recipient: Optional[Address] = None
     blocks_per_epoch = 4
@@ -787,7 +766,7 @@ def parse_history(text: str) -> L1History:
         if head == "config":
             kv = _kv(fields[1:], lineno)
             fee_recipient = _parse_address(kv["fee_recipient"], lineno)
-            blocks_per_epoch = int(kv["blocks_per_epoch"])
+            blocks_per_epoch = _history_int(kv, "blocks_per_epoch", lineno, minimum=1)
         elif head == "genesis":
             _parse_state_line(fields, lineno, accounts)
         elif head == "l1block":
@@ -801,10 +780,10 @@ def parse_history(text: str) -> L1History:
             bitmap = tuple(int(w, 0) for w in _parse_list(kv.get("bitmap", "-")))
             inbox.append(
                 L1Record(
-                    epoch=int(kv["epoch"]),
-                    l2_number=int(kv["l2_number"]),
-                    l2_timestamp=int(kv["l2_time"]),
-                    l2_base_fee=int(kv["l2_base_fee"]),
+                    epoch=_history_int(kv, "epoch", lineno),
+                    l2_number=_history_int(kv, "l2_number", lineno),
+                    l2_timestamp=_history_int(kv, "l2_time", lineno),
+                    l2_base_fee=_history_int(kv, "l2_base_fee", lineno),
                     batch=batch,
                     deposit_count=count,
                     bitmap=bitmap,

@@ -11,7 +11,6 @@ the L1 inbox.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -34,7 +33,7 @@ from .detection import CandidateSet, InvariantDetector, InvariantSet, Verdict, h
 from .l1da import EscrowStatus, L1Chain, L1History, L1Record, encode_bitmap, snapshot_history
 from .mempool import Mempool, PoolConfig
 from .quarantine import CollateralLedger, QuarantineConfig, QuarantineEntry, QuarantineStore
-from .vm import BlockContext, WorldState, apply_block, state_root
+from .vm import BlockContext, WorldState, state_root
 
 
 class ScenarioError(Exception):
@@ -309,17 +308,7 @@ class Sequencer:
                 self._admit(dep, verdict, tip, now, number)
             accepted_deposits = tuple(d for d in epoch_deposits if deposit_id(d) in accepted)
             deposit_flags = [deposit_id(d) in accepted for d in epoch_deposits]
-            provisional = Block(
-                number=number,
-                parent_hash=self.chain.tip_hash,
-                timestamp=now,
-                base_fee=self.base_fee,
-                epoch=epoch,
-                deposits=accepted_deposits,
-                transactions=(),
-                state_root=StateRoot(bytes(32)),
-            )
-            state_after_deposits = apply_block(tip, provisional, self.config.fee_recipient)
+            state_after_deposits = outcome.final_state
 
         # Regular candidates: pending, affordable, not currently held; txs
         # duplicating an already-released one skip detection entirely.
@@ -347,6 +336,9 @@ class Sequencer:
         self.counters.parallel_verdicts += outcome.stats.parallel_verdicts
         self.counters.sequential_verdicts += outcome.stats.sequential_verdicts
 
+        # The classifier's fold already executed the block: deposits, then the
+        # benign candidates in order.
+        final_state = outcome.final_state
         block = Block(
             number=number,
             parent_hash=self.chain.tip_hash,
@@ -355,10 +347,8 @@ class Sequencer:
             epoch=epoch,
             deposits=accepted_deposits,
             transactions=tuple(outcome.benign),
-            state_root=StateRoot(bytes(32)),
+            state_root=state_root(final_state),
         )
-        final_state = apply_block(tip, block, self.config.fee_recipient)
-        block = dataclasses.replace(block, state_root=state_root(final_state))
 
         # Batcher: one record per block; the epoch head carries the bitmap.
         is_epoch_head = number % self.config.blocks_per_epoch == 0

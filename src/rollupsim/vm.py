@@ -10,6 +10,11 @@ callers can do dependency analysis between transactions.
 Cost model: 21 gas intrinsic plus 1 gas per executed statement. The base-fee
 share of the fee is burned; the priority share goes to the block's fee
 recipient. Deposits mint their value and pay no fee.
+
+World states are copy-on-write: a post-state shares every untouched `Account`
+object with the state it came from, and each account memoizes its digest for
+the state root. Nothing may therefore mutate an `Account` or its `storage` in
+place; build a new `Account` instead.
 """
 from __future__ import annotations
 
@@ -175,12 +180,17 @@ class ContractCode:
     statements: Tuple[Statement, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Account:
     balance: int = 0
     nonce: int = 0
     code: Optional[ContractCode] = None
     storage: Mapping[bytes, bytes] = field(default_factory=dict)
+    # Memo of this account's last state-root digest and the address it was
+    # hashed under: the digest covers the address, so it is valid only there.
+    # State roots are computed on one thread; worker threads only execute.
+    _digest_addr: Optional[Address] = field(default=None, init=False, repr=False, compare=False)
+    _digest: bytes = field(default=b"", init=False, repr=False, compare=False)
 
     def is_empty(self) -> bool:
         return self.balance == 0 and self.nonce == 0 and self.code is None and not self.storage
@@ -205,11 +215,14 @@ class WorldState:
         return self.account(addr).nonce
 
 
+ZERO_SLOT = bytes(32)
+
+
 def make_state(accounts: Mapping[Address, Account]) -> WorldState:
     """Build a canonical WorldState, dropping empty accounts and zero slots."""
     pruned: Dict[Address, Account] = {}
     for addr, acct in accounts.items():
-        storage = {k: v for k, v in acct.storage.items() if v != bytes(32)}
+        storage = {k: v for k, v in acct.storage.items() if v != ZERO_SLOT}
         acct = Account(balance=acct.balance, nonce=acct.nonce, code=acct.code, storage=storage)
         if not acct.is_empty():
             pruned[addr] = acct
@@ -360,12 +373,15 @@ class _Execution:
 
     def read_slot(self, addr: Address, key: bytes) -> bytes:
         self.reads.add(AccessKey.storage(addr, key))
-        return self._slots(addr).get(key, bytes(32))
+        slots = self.storage.get(addr)
+        if slots is None:
+            slots = self.base.account(addr).storage
+        return slots.get(key, ZERO_SLOT)
 
     def write_slot(self, addr: Address, key: bytes, value: bytes) -> None:
         self.writes.add(AccessKey.storage(addr, key))
         slots = self._slots(addr)
-        if value == bytes(32):
+        if value == ZERO_SLOT:
             slots.pop(key, None)
         else:
             slots[key] = value
@@ -379,17 +395,23 @@ class _Execution:
         self.write_balance(dst, self.read_balance(dst) + amount)
 
     def post_state(self) -> WorldState:
+        """Copy-on-write snapshot: share every account whose contents did not
+        change, rebuild (and prune, if now empty) only the ones that did."""
         accounts: Dict[Address, Account] = dict(self.base.accounts)
-        touched = set(self.balances) | set(self.nonces) | set(self.storage)
-        for addr in touched:
+        for addr in self.balances.keys() | self.nonces.keys() | self.storage.keys():
             prev = self.base.account(addr)
-            accounts[addr] = Account(
-                balance=self.balances.get(addr, prev.balance),
-                nonce=self.nonces.get(addr, prev.nonce),
-                code=prev.code,
-                storage=self.storage.get(addr, prev.storage),
-            )
-        return make_state(accounts)
+            balance = self.balances.get(addr, prev.balance)
+            nonce = self.nonces.get(addr, prev.nonce)
+            storage = self.storage.get(addr, prev.storage)
+            unchanged = storage is prev.storage or storage == prev.storage
+            if unchanged and balance == prev.balance and nonce == prev.nonce:
+                continue
+            acct = Account(balance=balance, nonce=nonce, code=prev.code, storage=storage)
+            if acct.is_empty():
+                accounts.pop(addr, None)
+            else:
+                accounts[addr] = acct
+        return WorldState(accounts)
 
 
 class _CallEnv:
@@ -613,25 +635,35 @@ def code_hash(code: Optional[ContractCode]) -> bytes:
     return hashlib.sha256(bytes(code.admin) + code_text(code).encode("utf-8")).digest()
 
 
+def _account_digest(addr: Address, acct: Account) -> bytes:
+    if acct._digest_addr == addr:
+        return acct._digest
+    ah = hashlib.sha256()
+    ah.update(bytes(addr))
+    ah.update(acct.balance.to_bytes(16, "big"))
+    ah.update(acct.nonce.to_bytes(8, "big"))
+    ah.update(code_hash(acct.code))
+    for key in sorted(acct.storage):
+        ah.update(key)
+        ah.update(acct.storage[key])
+    digest = ah.digest()
+    object.__setattr__(acct, "_digest", digest)
+    object.__setattr__(acct, "_digest_addr", addr)
+    return digest
+
+
 def state_root(state: WorldState) -> StateRoot:
     """Flat commitment: SHA-256 over per-account digests sorted by address.
 
     Account digest = SHA-256(address | balance 16 BE | nonce 8 BE | code hash
     | sorted storage pairs). Insertion order never matters; the empty state
-    hashes the empty string.
+    hashes the empty string. Each account memoizes its digest, so a root costs
+    hashing only the accounts that are new since the last one.
     """
     h = hashlib.sha256()
-    for addr in sorted(state.accounts):
-        acct = state.accounts[addr]
-        ah = hashlib.sha256()
-        ah.update(bytes(addr))
-        ah.update(acct.balance.to_bytes(16, "big"))
-        ah.update(acct.nonce.to_bytes(8, "big"))
-        ah.update(code_hash(acct.code))
-        for key in sorted(acct.storage):
-            ah.update(key)
-            ah.update(acct.storage[key])
-        h.update(ah.digest())
+    accounts = state.accounts
+    for addr in sorted(accounts):
+        h.update(_account_digest(addr, accounts[addr]))
     return StateRoot(h.digest())
 
 

@@ -1,0 +1,70 @@
+"""Reference oracle for the copy-on-write world state.
+
+These are the original full-copy implementations the fast path replaced:
+every execution rebuilds and re-canonicalizes every account through
+`make_state`, and the state root re-hashes every account from scratch. They
+are slow but obviously right, and the differential tests hold the shipped VM
+to them.
+"""
+from __future__ import annotations
+
+import hashlib
+from typing import Dict
+
+from rollupsim.core import AnyTransaction, StateRoot
+from rollupsim.vm import (
+    Account,
+    BlockContext,
+    SimulationResult,
+    WorldState,
+    _Execution,
+    code_hash,
+    execute_transaction,
+    make_state,
+)
+
+
+def full_copy_post_state(exe: _Execution) -> WorldState:
+    """Copy every account, overlay the touched ones, re-canonicalize all."""
+    accounts: Dict = dict(exe.base.accounts)
+    touched = set(exe.balances) | set(exe.nonces) | set(exe.storage)
+    for addr in touched:
+        prev = exe.base.account(addr)
+        accounts[addr] = Account(
+            balance=exe.balances.get(addr, prev.balance),
+            nonce=exe.nonces.get(addr, prev.nonce),
+            code=prev.code,
+            storage=exe.storage.get(addr, prev.storage),
+        )
+    return make_state(accounts)
+
+
+def full_state_root(state: WorldState) -> StateRoot:
+    """SHA-256 over per-account digests sorted by address, all recomputed."""
+    h = hashlib.sha256()
+    for addr in sorted(state.accounts):
+        acct = state.accounts[addr]
+        ah = hashlib.sha256()
+        ah.update(bytes(addr))
+        ah.update(acct.balance.to_bytes(16, "big"))
+        ah.update(acct.nonce.to_bytes(8, "big"))
+        ah.update(code_hash(acct.code))
+        for key in sorted(acct.storage):
+            ah.update(key)
+            ah.update(acct.storage[key])
+        h.update(ah.digest())
+    return StateRoot(h.digest())
+
+
+def reference_execute(state: WorldState, tx: AnyTransaction, ctx: BlockContext) -> SimulationResult:
+    """Execute with the full-copy snapshot in place of the copy-on-write one.
+
+    The interpreter itself is shared; only how the post-state is assembled
+    differs, which is exactly what the differential test compares.
+    """
+    original = _Execution.post_state
+    _Execution.post_state = full_copy_post_state
+    try:
+        return execute_transaction(state, tx, ctx)
+    finally:
+        _Execution.post_state = original

@@ -124,3 +124,48 @@ class TestQuarantineInspector:
     def test_show_without_hash_exits_5(self, tmp_path):
         _, report_path, _ = run_cli(tmp_path, "pause_exploit")
         assert main(["quarantine", str(report_path), "show"]) == 5
+
+
+class TestDeriveRejectsMalformedHistory:
+    """Bad history lines exit 4 with a line-numbered message, never a traceback."""
+
+    @staticmethod
+    def edited_history(tmp_path, edit):
+        _, _, l1_path = run_cli(tmp_path, "single_transfer")
+        lines = l1_path.read_text().splitlines()
+        bad = tmp_path / "bad.l1"
+        bad.write_text("\n".join(edit(lines)) + "\n")
+        return bad
+
+    def derive_exit(self, tmp_path, capsys, edit):
+        bad = self.edited_history(tmp_path, edit)
+        capsys.readouterr()
+        code = main(["derive", "--l1", str(bad)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_genesis_line_without_address(self, tmp_path, capsys):
+        code, err = self.derive_exit(tmp_path, capsys, lambda lines: lines[:2] + ["genesis account"] + lines[2:])
+        assert code == 4
+        assert "line 3" in err
+
+    def test_zero_blocks_per_epoch(self, tmp_path, capsys):
+        def edit(lines):
+            return [l.replace("blocks_per_epoch=4", "blocks_per_epoch=0") for l in lines]
+
+        code, err = self.derive_exit(tmp_path, capsys, edit)
+        assert code == 4
+        assert "line 2" in err and "blocks_per_epoch" in err
+
+    @pytest.mark.parametrize("field", ["epoch", "l2_number", "l2_time", "l2_base_fee"])
+    def test_negative_record_field(self, tmp_path, capsys, field):
+        def edit(lines):
+            head = lines.index(next(l for l in lines if l.startswith("record ")))
+            fields = lines[head].split(" ")
+            fields = [f"{field}=-1" if f.startswith(f"{field}=") else f for f in fields]
+            return lines[:head] + [" ".join(fields)] + lines[head + 1 :]
+
+        code, err = self.derive_exit(tmp_path, capsys, edit)
+        assert code == 4
+        assert "line 4" in err and field in err

@@ -215,6 +215,7 @@ class TestThroughputNeutrality:
                     continue
                 outcome.benign.append(tx)
                 state = sim.post_state
+            outcome.final_state = state
             return outcome
 
         import rollupsim.sequencer as seq_mod
