@@ -7,7 +7,7 @@ when they agree on these bytes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 U32_MAX = 2**32 - 1
@@ -92,6 +92,8 @@ class SignedTransaction:
     max_fee: int
     priority_fee: int
     gas_limit: int
+    # Memo of tx_hash; frozen fields make it valid for the object's lifetime.
+    _hash: Optional[TxHash] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_range("nonce", self.nonce, U64_MAX)
@@ -116,6 +118,8 @@ class DepositTransaction:
     value: int
     data: bytes
     gas_limit: int
+    # Memo of deposit_id, as SignedTransaction memoizes tx_hash.
+    _id: Optional[TxHash] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_range("l1_block", self.l1_block, U64_MAX)
@@ -243,8 +247,13 @@ def decode_deposit(blob: bytes) -> DepositTransaction:
 
 
 def tx_hash(tx: SignedTransaction) -> TxHash:
-    """SHA-256 of the canonical encoding; any field change changes the hash."""
-    return TxHash(hashlib.sha256(canonical_encode(tx)).digest())
+    """SHA-256 of the canonical encoding; any field change changes the hash.
+    Computed once per transaction object and memoized on it."""
+    h = tx._hash
+    if h is None:
+        h = TxHash(hashlib.sha256(canonical_encode(tx)).digest())
+        object.__setattr__(tx, "_hash", h)
+    return h
 
 
 # Deposits are identified in a separate hash domain so a deposit id can never
@@ -253,7 +262,11 @@ _DEPOSIT_DOMAIN = b"\x01"
 
 
 def deposit_id(dep: DepositTransaction) -> TxHash:
-    return TxHash(hashlib.sha256(_DEPOSIT_DOMAIN + encode_deposit(dep)).digest())
+    h = dep._id
+    if h is None:
+        h = TxHash(hashlib.sha256(_DEPOSIT_DOMAIN + encode_deposit(dep)).digest())
+        object.__setattr__(dep, "_id", h)
+    return h
 
 
 def tx_id(tx: AnyTransaction) -> TxHash:

@@ -3,7 +3,8 @@
 Derivation trusts the posted acceptance bitmaps (classification is sequencer
 policy; replay is consensus), decodes the batched transactions, re-executes
 every block, and recomputes every state root. A replica without any detector
-must land on exactly the sequencer's bytes.
+must land on exactly the sequencer's bytes. Records the sequencer could not
+have posted (wrong block number or epoch, time going backwards) are gaps.
 """
 from __future__ import annotations
 
@@ -40,6 +41,14 @@ def derive(history: L1History) -> DerivedChain:
         number = len(blocks)
         if record.l2_number != number:
             raise DerivationGap(record.epoch, f"expected block {number}, record carries {record.l2_number}")
+        if record.epoch != number // history.blocks_per_epoch:
+            raise DerivationGap(
+                record.epoch, f"block {number} belongs to epoch {number // history.blocks_per_epoch}"
+            )
+        if blocks and record.l2_timestamp < blocks[-1].timestamp:
+            raise DerivationGap(
+                record.epoch, f"block {number} time {record.l2_timestamp} is before {blocks[-1].timestamp}"
+            )
         is_epoch_head = number % history.blocks_per_epoch == 0
 
         deposits: Tuple[DepositTransaction, ...] = ()

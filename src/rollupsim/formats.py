@@ -277,28 +277,47 @@ def parse_statements(text: str, lineno: int = 0) -> Tuple[Statement, ...]:
 # scenario files
 # ---------------------------------------------------------------------------
 
+# Scenario config key -> (section it sets, field there, least value of an
+# integer key). Integers are read like Python literals (`0x10` or `16`).
 _CONFIG_KEYS = {
-    "block_time",
-    "blocks_per_epoch",
-    "base_fee",
-    "detection_budget",
-    "fee_recipient",
-    "workers",
-    "genesis_timestamp",
-    "quarantine_period",
-    "operators",
-    "escape_timeout",
-    "max_queued",
-    "max_pending",
-    "replacement_bump",
-    "tx_lifetime",
+    "block_time": ("seq", "block_time", 1),
+    "blocks_per_epoch": ("seq", "blocks_per_epoch", 1),
+    "base_fee": ("seq", "base_fee", 0),
+    "detection_budget": ("seq", "detection_budget", 0),  # or "unlimited"
+    "fee_recipient": ("seq", "fee_recipient", None),
+    "workers": ("seq", "workers", 1),
+    "genesis_timestamp": ("seq", "genesis_timestamp", 0),
+    "quarantine_period": ("quarantine", "time_criterion_period", 1),
+    "operators": ("quarantine", "operators", None),
+    "escape_timeout": ("scenario", "escape_timeout", 0),
+    "max_queued": ("pool", "max_queued", 1),
+    "max_pending": ("pool", "max_pending", 1),
+    "replacement_bump": ("pool", "min_replacement_bump_percent", 1),
+    "tx_lifetime": ("pool", "tx_lifetime", 1),
 }
+
+
+def _config_value(key: str, value: str, lineno: int):
+    if key == "fee_recipient":
+        return _parse_address(value, lineno)
+    if key == "operators":
+        return frozenset(_parse_address(a, lineno) for a in value.split(",") if a)
+    if key == "detection_budget" and value == "unlimited":
+        return None
+    try:
+        number = int(value, 0)
+    except ValueError:
+        raise ScenarioError(f"config {key} must be an integer, got {value!r}", line=lineno) from None
+    minimum = _CONFIG_KEYS[key][2]
+    if number < minimum:
+        raise ScenarioError(f"config {key} must be at least {minimum}, got {number}", line=lineno)
+    return number
 
 
 def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
     lines = text.splitlines()
     name = default_name
-    config: Dict[str, str] = {}
+    sections: Dict[str, Dict[str, object]] = {"seq": {}, "pool": {}, "quarantine": {}, "scenario": {}}
     accounts: Dict[Address, Account] = {}
     invariant_decls: List[Tuple[int, Dict[str, str]]] = []
     run_blocks: Optional[int] = None
@@ -330,7 +349,8 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
             for key, value in _kv(fields[1:], lineno).items():
                 if key not in _CONFIG_KEYS:
                     raise ScenarioError(f"unknown config key {key!r}", line=lineno)
-                config[key] = value
+                section, field_name, _ = _CONFIG_KEYS[key]
+                sections[section][field_name] = _config_value(key, value, lineno)
             continue
 
         if head == "genesis":
@@ -374,10 +394,10 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
     invariants = [_build_invariant(kv, lineno) for lineno, kv in invariant_decls]
     scenario = Scenario(
         name=name,
-        seq_config=_seq_config(config),
-        pool_config=_pool_config(config),
-        quarantine_config=_quarantine_config(config),
-        escape_timeout=int(config.get("escape_timeout", 7 * 86400)),
+        seq_config=SequencerConfig(**sections["seq"]),
+        pool_config=PoolConfig(**sections["pool"]),
+        quarantine_config=QuarantineConfig(**sections["quarantine"]),
+        **sections["scenario"],
         genesis=genesis,
         invariants=invariants,
         run_blocks=run_blocks,
@@ -496,41 +516,6 @@ def _build_invariant(kv: Dict[str, str], lineno: int) -> Invariant:
         )
     except KeyError as exc:
         raise ScenarioError(f"invariant missing field {exc.args[0]!r}", line=lineno) from None
-
-
-def _seq_config(config: Dict[str, str]) -> SequencerConfig:
-    budget_raw = config.get("detection_budget", "16")
-    budget = None if budget_raw == "unlimited" else int(budget_raw, 0)
-    kwargs = dict(
-        block_time=int(config.get("block_time", "2"), 0),
-        blocks_per_epoch=int(config.get("blocks_per_epoch", "4"), 0),
-        base_fee=int(config.get("base_fee", "1"), 0),
-        detection_budget=budget,
-        workers=int(config.get("workers", "1"), 0),
-        genesis_timestamp=int(config.get("genesis_timestamp", "0"), 0),
-    )
-    if "fee_recipient" in config:
-        kwargs["fee_recipient"] = _parse_address(config["fee_recipient"], 0)
-    return SequencerConfig(**kwargs)
-
-
-def _pool_config(config: Dict[str, str]) -> PoolConfig:
-    return PoolConfig(
-        max_queued=int(config.get("max_queued", "4096"), 0),
-        max_pending=int(config.get("max_pending", "1024"), 0),
-        min_replacement_bump_percent=int(config.get("replacement_bump", "10"), 0),
-        tx_lifetime=int(config.get("tx_lifetime", "10800"), 0),
-    )
-
-
-def _quarantine_config(config: Dict[str, str]) -> QuarantineConfig:
-    operators = frozenset(
-        _parse_address(a, 0) for a in config.get("operators", "").split(",") if a
-    )
-    return QuarantineConfig(
-        time_criterion_period=int(config.get("quarantine_period", "86400"), 0),
-        operators=operators,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,23 @@
 Single-writer: one owner serializes all mutations. Ordering of candidates is
 fully deterministic (effective tip desc, then arrival time, then hash) so the
 whole pipeline replays bit-identically.
+
+Status upkeep and retirement cost what changed, not what the pool holds: the
+pool keeps a running pending count and each sender's contiguous-run length,
+and re-evaluates only senders whose slots changed or whose `Account` object
+is not the one it last checked (copy-on-write states share unchanged
+accounts). Lifetime expiry pops a heap keyed on arrival time. Transaction
+ids are memoized on the transaction, so candidates never re-hash.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from .core import Address, SignedTransaction, TxHash, tx_hash
-from .vm import WorldState
+from .vm import Account, WorldState
 
 
 class PoolStatus(Enum):
@@ -64,6 +72,14 @@ class Mempool:
         self.config = config
         self.entries: Dict[TxHash, PoolEntry] = {}
         self.by_sender: Dict[Address, Dict[int, TxHash]] = {}
+        self._pending = 0  # entries whose status is PENDING
+        self._runs: Dict[Address, int] = {}  # nonzero contiguous-run lengths
+        self._run_total = 0
+        # Per sender, the account its statuses were computed from and every
+        # entry was checked against (nonce and balance); absent = recheck.
+        self._checked: Dict[Address, Account] = {}
+        self._state: Optional[WorldState] = None  # state of the last refresh
+        self._arrivals: List[Tuple[int, TxHash]] = []  # heap; stale items skipped
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -88,7 +104,7 @@ class Mempool:
             return SubmitResult("rejected", reason=RejectReason.INSUFFICIENT_BALANCE)
 
         replaced_hash: Optional[TxHash] = None
-        sender_slots = self.by_sender.setdefault(tx.sender, {})
+        sender_slots = self.by_sender.get(tx.sender, {})
         if tx.nonce in sender_slots:
             old_hash = sender_slots[tx.nonce]
             old_fee = self.entries[old_hash].tx.max_fee
@@ -99,57 +115,77 @@ class Mempool:
             replaced_hash = old_hash
 
         h = tx_hash(tx)
+        if tx.sender not in self.by_sender:
+            self._checked[tx.sender] = account  # its only entry was just checked
         self.entries[h] = PoolEntry(tx=tx, received_at=now, status=PoolStatus.QUEUED)
         self.by_sender.setdefault(tx.sender, {})[tx.nonce] = h
-        self._refresh_statuses(state)
+        heapq.heappush(self._arrivals, (now, h))
+        changed = {tx.sender}
+        if state is not self._state:
+            changed.update(self._stale_senders(state))
+        self._refresh_statuses(state, changed)
 
-        if self._count(PoolStatus.QUEUED) > self.config.max_queued:
+        if len(self.entries) - self._pending > self.config.max_queued:
             evicted = self._evict_lowest_queued()
             if evicted == h:
-                self._refresh_statuses(state)
+                self._refresh_statuses(state, [tx.sender])
                 return SubmitResult("rejected", reason=RejectReason.POOL_FULL)
         if replaced_hash is not None:
             return SubmitResult("replaced", replaced=replaced_hash)
         return ACCEPTED
 
-    def pending_candidates(self, base_fee: int, state: WorldState) -> List[SignedTransaction]:
+    def pending_candidates(
+        self, base_fee: int, state: WorldState, held: Collection[TxHash] = ()
+    ) -> List[SignedTransaction]:
         """Pending txs that bid at least the base fee, most generous tip first.
 
         Per sender, only the nonce-contiguous prefix starting at the account
         nonce is eligible (a fee-filtered middle nonce cuts off the rest).
+        Entries in `held` are skipped without cutting off later nonces.
         Ties break by arrival time, then hash.
         """
-        eligible: List[PoolEntry] = []
+        eligible: List[Tuple[int, int, TxHash, SignedTransaction]] = []
         for sender, slots in self.by_sender.items():
             nonce = state.nonce_of(sender)
             while nonce in slots:
-                entry = self.entries[slots[nonce]]
+                h = slots[nonce]
+                entry = self.entries[h]
                 if entry.status is not PoolStatus.PENDING or entry.tx.max_fee < base_fee:
                     break
-                eligible.append(entry)
+                if h not in held:
+                    tip = min(entry.tx.priority_fee, entry.tx.max_fee - base_fee)
+                    eligible.append((-tip, entry.received_at, tx_hash(entry.tx), entry.tx))
                 nonce += 1
-
-        def sort_key(entry: PoolEntry):
-            tip = min(entry.tx.priority_fee, entry.tx.max_fee - base_fee)
-            return (-tip, entry.received_at, tx_hash(entry.tx))
-
-        return [entry.tx for entry in sorted(eligible, key=sort_key)]
+        eligible.sort()  # hashes are unique, so transactions are never compared
+        return [item[3] for item in eligible]
 
     def retire(self, now: int, state: WorldState) -> List[TxHash]:
-        """Drop stale entries: dead nonce, expired lifetime, or unaffordable."""
-        removed: List[TxHash] = []
-        for h in sorted(self.entries):
-            entry = self.entries[h]
-            account = state.account(entry.tx.sender)
-            if (
-                entry.tx.nonce < account.nonce
-                or entry.received_at + self.config.tx_lifetime < now
-                or account.balance < _cost(entry.tx)
-            ):
-                removed.append(h)
+        """Drop stale entries: dead nonce, expired lifetime, or unaffordable.
+
+        Nonce and balance are rechecked only for senders whose account is not
+        the one last checked; lifetimes come off the arrival heap."""
+        stale = self._stale_senders(state)
+        doomed: Set[TxHash] = set()
+        for sender in stale:
+            account = self._checked[sender] = state.account(sender)
+            for nonce, h in self.by_sender[sender].items():
+                if nonce < account.nonce or account.balance < _cost(self.entries[h].tx):
+                    doomed.add(h)
+        senders = set(stale)
+        deadline = now - self.config.tx_lifetime  # expired: received_at < deadline
+        while self._arrivals and self._arrivals[0][0] < deadline:
+            received_at, h = heapq.heappop(self._arrivals)
+            entry = self.entries.get(h)
+            if entry is not None and entry.received_at == received_at:
+                doomed.add(h)
+                senders.add(entry.tx.sender)
+        removed = sorted(doomed)
         for h in removed:
             self._drop(h)
-        self._refresh_statuses(state)
+        self._refresh_statuses(state, senders)
+        if len(self._arrivals) > 2 * len(self.entries) + 64:
+            self._arrivals = [(e.received_at, h) for h, e in self.entries.items()]
+            heapq.heapify(self._arrivals)
         return removed
 
     # -- internals --
@@ -158,32 +194,61 @@ class Mempool:
         entry = self.entries.pop(h, None)
         if entry is None:
             return
+        if entry.status is PoolStatus.PENDING:
+            self._pending -= 1
         slots = self.by_sender.get(entry.tx.sender)
         if slots and slots.get(entry.tx.nonce) == h:
             del slots[entry.tx.nonce]
             if not slots:
                 del self.by_sender[entry.tx.sender]
+                self._checked.pop(entry.tx.sender, None)
 
-    def _count(self, status: PoolStatus) -> int:
-        return sum(1 for e in self.entries.values() if e.status is status)
+    def _stale_senders(self, state: WorldState) -> List[Address]:
+        checked = self._checked
+        return [s for s in self.by_sender if state.account(s) is not checked.get(s)]
 
-    def _refresh_statuses(self, state: WorldState) -> None:
-        # Pending = nonce-contiguous from the account nonce, capped by max_pending.
-        pending_total = 0
-        for sender in sorted(self.by_sender):
-            slots = self.by_sender[sender]
-            nonce = state.nonce_of(sender)
-            contiguous = set()
-            while nonce in slots:
-                contiguous.add(nonce)
-                nonce += 1
-            for tx_nonce in sorted(slots):
-                entry = self.entries[slots[tx_nonce]]
-                if tx_nonce in contiguous and pending_total < self.config.max_pending:
-                    entry.status = PoolStatus.PENDING
-                    pending_total += 1
-                else:
-                    entry.status = PoolStatus.QUEUED
+    def _measure_run(self, state: WorldState, sender: Address) -> None:
+        slots = self.by_sender.get(sender, ())
+        start = state.nonce_of(sender)
+        run = 0
+        while start + run in slots:
+            run += 1
+        self._run_total += run - self._runs.pop(sender, 0)
+        if run:
+            self._runs[sender] = run
+
+    def _refresh_statuses(self, state: WorldState, senders: Collection[Address]) -> None:
+        # Pending = nonce-contiguous from the account nonce, capped by
+        # max_pending over senders in address order. Unless the cap binds
+        # before or after, only `senders` can change; otherwise every sender
+        # is re-evaluated.
+        cap = self.config.max_pending
+        binds = self._run_total > cap
+        for sender in senders:
+            self._measure_run(state, sender)
+        if binds or self._run_total > cap:
+            self._runs, self._run_total = {}, 0
+            senders = sorted(self.by_sender)
+            for sender in senders:
+                self._measure_run(state, sender)
+        room = cap
+        for sender in senders:
+            slots = self.by_sender.get(sender)
+            if slots is None:
+                continue
+            account = state.account(sender)
+            if self._checked.get(sender) is not account:
+                self._checked.pop(sender, None)
+            start = account.nonce
+            end = start + min(self._runs.get(sender, 0), room)
+            room -= end - start
+            for nonce, h in slots.items():
+                entry = self.entries[h]
+                status = PoolStatus.PENDING if start <= nonce < end else PoolStatus.QUEUED
+                if entry.status is not status:
+                    self._pending += 1 if status is PoolStatus.PENDING else -1
+                    entry.status = status
+        self._state = state
 
     def _evict_lowest_queued(self) -> Optional[TxHash]:
         queued = [(e.tx.max_fee, -e.received_at, h) for h, e in self.entries.items() if e.status is PoolStatus.QUEUED]

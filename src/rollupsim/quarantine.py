@@ -5,10 +5,15 @@ drop) or is released (re-simulation fails, administrative approval, staked
 collateral exceeding the damage bound, or the configured time limit).
 Per-block maintenance touches only nonces and timestamps — it never
 simulates, which is what keeps a quarantine flood from slowing the chain.
+Its cost follows what changed, not what is held: held non-deposit keys are
+indexed per sender and rechecked only when the sender's `Account` object is
+not the one last checked, and time-criterion deadlines sit on a heap. The due
+set is processed in admission order, so the audit trail matches a full walk.
 Deposit entries never leave through any release path.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
@@ -23,7 +28,7 @@ from .core import (
     tx_id,
 )
 from .detection import Verdict
-from .vm import BlockContext, PreconditionFailed, TxStatus, WorldState, execute_transaction
+from .vm import Account, BlockContext, PreconditionFailed, TxStatus, WorldState, execute_transaction
 
 
 class QuarantineError(Exception):
@@ -157,7 +162,13 @@ class QuarantineStore:
         self.active: Dict[TxHash, QuarantineEntry] = {}
         self.registry = registry if registry is not None else ReleasedRegistry()
         self.audit: List[AuditEvent] = []
-        self.admission_order: List[TxHash] = []
+        self._admissions = 0
+        # Every admission position of every key ever admitted, in order: a
+        # readmitted key keeps its first position and gains another.
+        self._positions: Dict[TxHash, List[int]] = {}
+        self._by_sender: Dict[Address, List[TxHash]] = {}  # held non-deposit keys
+        self._checked: Dict[Address, Account] = {}  # account each sender's keys were checked against
+        self._deadlines: List[Tuple[int, TxHash]] = []  # time-criterion heap; stale items skipped
 
     # -- admission --
 
@@ -183,7 +194,12 @@ class QuarantineStore:
             victim_admins=dict(victim_admins or {}),
         )
         self.active[key] = entry
-        self.admission_order.append(key)
+        self._positions.setdefault(key, []).append(self._admissions)
+        self._admissions += 1
+        if not entry.is_deposit:
+            self._by_sender.setdefault(tx.sender, []).append(key)
+            self._checked.pop(tx.sender, None)
+            heapq.heappush(self._deadlines, (now + self.config.time_criterion_period, key))
         self.audit.append(AuditEvent(key, now, "admitted", detail=f"block={block_no}"))
         return entry
 
@@ -204,26 +220,42 @@ class QuarantineStore:
         criterion: they stay until their nonce-free existence ends the run.
         """
         report = MaintenanceReport()
-        for key in list(self.admission_order):
+        dead: Set[TxHash] = set()
+        for sender, keys in self._by_sender.items():
+            account = chain_state.account(sender)
+            if self._checked.get(sender) is not account:
+                self._checked[sender] = account
+                dead.update(key for key in keys if self.active[key].tx.nonce < account.nonce)
+        due: Set[TxHash] = set()
+        while self._deadlines and self._deadlines[0][0] <= now:
+            deadline, key = heapq.heappop(self._deadlines)
             entry = self.active.get(key)
-            if entry is None:
-                continue
-            if not entry.is_deposit and entry.tx.nonce < chain_state.nonce_of(entry.tx.sender):
-                del self.active[key]
+            if entry is not None and entry.quarantined_at + self.config.time_criterion_period == deadline:
+                due.add(key)
+        for key in sorted(dead | due, key=lambda k: self._positions[k][0]):
+            if key in dead:
+                self._remove(key)
                 report.retired.append(key)
                 self.audit.append(AuditEvent(key, now, "retired", detail="criterion=nonce"))
-                continue
-            if not entry.is_deposit and now >= entry.quarantined_at + self.config.time_criterion_period:
-                self._release(entry, now, "time", "-")
+            else:
+                self._release(self.active[key], now, "time", "-")
                 report.time_released.append(key)
         return report
+
+    def on_stake(self, ledger: CollateralLedger, sender: Address, now: int) -> None:
+        """After `sender` staked: try the economic criterion on each of its held
+        entries in admission order (a readmitted key once per admission)."""
+        held = self._by_sender.get(sender, ())
+        for _, key in sorted((pos, key) for key in held for pos in self._positions[key]):
+            if key in self.active:
+                self.try_economic_release(ledger, key, now)
 
     def on_mempool_retired(self, keys: Sequence[TxHash], now: int) -> List[TxHash]:
         """Drop entries whose transaction left the mempool: as if never admitted."""
         dropped = []
         for key in keys:
             if key in self.active and not self.active[key].is_deposit:
-                del self.active[key]
+                self._remove(key)
                 dropped.append(key)
                 self.audit.append(AuditEvent(key, now, "retired", detail="criterion=mempool"))
         return dropped
@@ -302,8 +334,17 @@ class QuarantineStore:
             raise DepositPermanence(key.hex0x())
         return entry
 
+    def _remove(self, key: TxHash) -> None:
+        entry = self.active.pop(key)
+        if not entry.is_deposit:
+            keys = self._by_sender[entry.tx.sender]
+            keys.remove(key)
+            if not keys:
+                del self._by_sender[entry.tx.sender]
+                self._checked.pop(entry.tx.sender, None)
+
     def _release(self, entry: QuarantineEntry, now: int, criterion: str, actor: str) -> None:
-        del self.active[entry.key]
+        self._remove(entry.key)
         if isinstance(entry.tx, SignedTransaction):
             self.registry.note(entry.tx)
         self.audit.append(AuditEvent(entry.key, now, "released", actor=actor, detail=f"criterion={criterion}"))

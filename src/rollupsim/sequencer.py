@@ -12,7 +12,7 @@ the L1 inbox.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .core import (
     Address,
@@ -260,6 +260,7 @@ class Sequencer:
         self.base_fee = self.config.base_fee
         self.records: List[QuarantineEntry] = []
         self.counters = Counters()
+        self.minted: Set[TxHash] = set()  # ids of deposits included in any block
 
     # ------------------------------------------------------------------
     def _ctx(self, now: int) -> BlockContext:
@@ -312,12 +313,7 @@ class Sequencer:
 
         # Regular candidates: pending, affordable, not currently held; txs
         # duplicating an already-released one skip detection entirely.
-        held = set(self.store.active)
-        candidates = [
-            tx
-            for tx in self.mempool.pending_candidates(self.base_fee, state_after_deposits)
-            if tx_hash(tx) not in held
-        ]
+        candidates = self.mempool.pending_candidates(self.base_fee, state_after_deposits, held=self.store.active)
         preapproved = frozenset(
             tx_hash(tx) for tx in candidates if self.store.registry.is_released_duplicate(tx)
         )
@@ -380,14 +376,14 @@ class Sequencer:
         self.store.per_block_maintenance(final_state, now)
         self.counters.maintenance_sims += self.meter.total() - before
 
+        self.minted.update(deposit_id(d) for d in block.deposits)
         self._check_deposit_conservation()
         return block
 
     def _check_deposit_conservation(self) -> None:
         """Each deposit is exactly one of: minted on L2, refunded on L1, escrowed."""
-        included = {deposit_id(d) for b in self.chain.blocks for d in b.deposits}
         for dep_key, escrow in self.l1.escrow.items():
-            minted = dep_key in included
+            minted = dep_key in self.minted
             if escrow.status is EscrowStatus.ACCEPTED and not minted:
                 raise RuntimeError(f"accepted deposit {dep_key.hex0x()} never minted")
             if escrow.status is not EscrowStatus.ACCEPTED and minted:
@@ -471,10 +467,7 @@ class Sequencer:
             self.store.approve_release(event.key, event.approver, event.at)
         elif isinstance(event, StakeEvent):
             self.ledger.stake(event.account, event.amount)
-            for key in list(self.store.admission_order):
-                entry = self.store.active.get(key)
-                if entry is not None and not entry.is_deposit and entry.tx.sender == event.account:
-                    self.store.try_economic_release(self.ledger, key, event.at)
+            self.store.on_stake(self.ledger, event.account, event.at)
         elif isinstance(event, FailureReleaseEvent):
             self.store.request_failure_release(
                 event.key, self.chain.tip_state, self._ctx(event.at), event.at, meter=self.meter

@@ -169,3 +169,54 @@ class TestDeriveRejectsMalformedHistory:
         code, err = self.derive_exit(tmp_path, capsys, edit)
         assert code == 4
         assert "line 4" in err and field in err
+
+
+class TestScenarioConfigErrors:
+    """Bad config values exit 2 with the config line's number, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "setting, needle",
+        [
+            ("block_time=x", "block_time"),
+            ("blocks_per_epoch=0", "blocks_per_epoch"),
+            ("max_pending=-1", "max_pending"),
+            ("escape_timeout=soon", "escape_timeout"),
+            ("detection_budget=lots", "detection_budget"),
+            ("genesis_timestamp=-5", "genesis_timestamp"),
+            ("fee_recipient=0xzz", "address"),
+        ],
+    )
+    def test_bad_value_names_the_line(self, tmp_path, capsys, setting, needle):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(f"scenario v1\nconfig fee_recipient=0xfe\nconfig {setting}\nrun blocks=1\n")
+        code = main(["run", "--scenario", str(bad), "--report", str(tmp_path / "r"), "--l1-out", str(tmp_path / "l")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "line 3" in err and needle in err
+
+
+class TestDeriveRejectsImpossibleHistory:
+    """Histories the sequencer could not have emitted are derivation gaps (exit 4)."""
+
+    @staticmethod
+    def derive_edited(tmp_path, capsys, edit):
+        _, _, l1_path = run_cli(tmp_path, "deposits_benign")
+        lines = l1_path.read_text().splitlines()
+        records = [i for i, line in enumerate(lines) if line.startswith("record ")]
+        lines[records[1]] = edit(lines[records[1]])
+        bad = tmp_path / "bad.l1"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["derive", "--l1", str(bad)])
+        return code, capsys.readouterr().err
+
+    def test_record_in_the_wrong_epoch(self, tmp_path, capsys):
+        code, err = self.derive_edited(tmp_path, capsys, lambda line: line.replace("epoch=0 ", "epoch=7 ", 1))
+        assert code == 4
+        assert "derivation gap" in err and "belongs to epoch 0" in err
+
+    def test_block_time_going_backwards(self, tmp_path, capsys):
+        code, err = self.derive_edited(tmp_path, capsys, lambda line: line.replace("l2_time=4 ", "l2_time=1 "))
+        assert code == 4
+        assert "derivation gap" in err and "time 1 is before 2" in err

@@ -76,6 +76,14 @@ class TestMaintenance:
         assert s.per_block_maintenance(same, now=11).retired == []
         assert s.is_active(tx_hash(t))
 
+    def test_dead_entry_admitted_after_a_check_retires_on_an_unchanged_account(self):
+        s = store()
+        state = make_state({ATTACKER: Account(balance=1, nonce=1)})
+        held_exploit(s, nonce=1)
+        assert s.per_block_maintenance(state, now=11).retired == []
+        dead = held_exploit(s, now=12, nonce=0)
+        assert s.per_block_maintenance(state, now=13).retired == [tx_hash(dead)]
+
     def test_time_release_at_exact_threshold(self):
         s = store(period=100)
         t = held_exploit(s, now=10)
