@@ -4,7 +4,8 @@ Derivation trusts the posted acceptance bitmaps (classification is sequencer
 policy; replay is consensus), decodes the batched transactions, re-executes
 every block, and recomputes every state root. A replica without any detector
 must land on exactly the sequencer's bytes. Records the sequencer could not
-have posted (wrong block number or epoch, time going backwards) are gaps.
+have posted (wrong block number or epoch, time going backwards, a batch that
+cannot execute) are gaps.
 """
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .core import Block, DepositTransaction, StateRoot, block_hash, canonical_decode
-from .l1da import BitmapMismatch, L1History, WORD_BITS, decode_bitmap
-from .vm import apply_block, state_root
+from .l1da import L1History, bitmap_flags
+from .vm import InvalidBlock, apply_block, state_root
 
 
 class DerivationGap(Exception):
@@ -61,42 +62,26 @@ def derive(history: L1History) -> DerivedChain:
             declared = (
                 history.blocks[record.epoch].deposits if record.epoch < len(history.blocks) else ()
             )
-            if record.deposit_count != len(declared):
-                raise BitmapMismatch(
-                    f"bitmap covers {record.deposit_count} deposits, epoch {record.epoch} has {len(declared)}"
-                )
-            expected_words = (record.deposit_count + WORD_BITS - 1) // WORD_BITS
-            if len(record.bitmap) != expected_words:
-                raise BitmapMismatch(
-                    f"bitmap has {len(record.bitmap)} words, {record.deposit_count} deposits need {expected_words}"
-                )
-            flags = decode_bitmap(record.bitmap, record.deposit_count)
-            deposits = tuple(dep for dep, accepted in zip(declared, flags) if accepted)
+            deposits = tuple(dep for dep, accepted in zip(declared, bitmap_flags(record, declared)) if accepted)
         elif is_epoch_head and record.epoch < len(history.blocks) and history.blocks[record.epoch].deposits:
             raise DerivationGap(record.epoch, "epoch has deposits but its head record posts no bitmap")
 
-        transactions = tuple(canonical_decode(blob) for blob in record.batch)
-        block = Block(
+        # One field list for the root-less block `apply_block` executes and
+        # the sealed block (`dataclasses.replace` costs more per block).
+        header = dict(
             number=number,
             parent_hash=parent,
             timestamp=record.l2_timestamp,
             base_fee=record.l2_base_fee,
             epoch=record.epoch,
             deposits=deposits,
-            transactions=transactions,
-            state_root=StateRoot(bytes(32)),
+            transactions=tuple(canonical_decode(blob) for blob in record.batch),
         )
-        state = apply_block(state, block, history.fee_recipient)
-        block = Block(
-            number=block.number,
-            parent_hash=block.parent_hash,
-            timestamp=block.timestamp,
-            base_fee=block.base_fee,
-            epoch=block.epoch,
-            deposits=block.deposits,
-            transactions=block.transactions,
-            state_root=state_root(state),
-        )
+        try:
+            state = apply_block(state, Block(**header, state_root=StateRoot(bytes(32))), history.fee_recipient)
+        except InvalidBlock as exc:
+            raise DerivationGap(record.epoch, f"block {number} cannot execute: {exc}") from None
+        block = Block(**header, state_root=state_root(state))
         blocks.append(block)
         parent = block_hash(block)
 

@@ -30,7 +30,6 @@ from .vm import (
     WorldState,
     eval_expr,
     execute_transaction,
-    slot_bytes,
 )
 
 
@@ -144,22 +143,6 @@ class InvariantDetector:
         return Verdict(True, tuple(violated), tuple(victims), damage), frozenset(reads)
 
 
-def detect(detector, sim: SimulationResult, pre_state: WorldState, invariants: InvariantSet) -> Verdict:
-    """Judge one simulation; deterministic in all inputs."""
-    verdict, _ = detector.assess(sim, pre_state, invariants)
-    return verdict
-
-
-def dependency_edges(results: Sequence[SimulationResult]) -> Set[Tuple[int, int]]:
-    """Edges (i, j) for i < j where i's writes overlap j's reads."""
-    edges: Set[Tuple[int, int]] = set()
-    for j in range(len(results)):
-        for i in range(j):
-            if results[i].writes & results[j].reads:
-                edges.add((i, j))
-    return edges
-
-
 @dataclass(frozen=True)
 class CandidateSet:
     txs: Tuple[AnyTransaction, ...]
@@ -168,12 +151,29 @@ class CandidateSet:
 
 
 @dataclass
-class DetectionStats:
+class Counters:
+    """Simulation and verdict counts: one classification round's, or a run's
+    (the sum of its rounds plus the sequencer's release and maintenance sims)."""
+
     isolated_sims: int = 0
     contextual_sims: int = 0
-    budget_spent: int = 0
+    maintenance_sims: int = 0
+    release_sims: int = 0
+    deferred_count: int = 0
     parallel_verdicts: int = 0
     sequential_verdicts: int = 0
+
+    def add(self, other: "Counters") -> None:
+        self.isolated_sims += other.isolated_sims
+        self.contextual_sims += other.contextual_sims
+        self.maintenance_sims += other.maintenance_sims
+        self.release_sims += other.release_sims
+        self.deferred_count += other.deferred_count
+        self.parallel_verdicts += other.parallel_verdicts
+        self.sequential_verdicts += other.sequential_verdicts
+
+    def simulations(self) -> int:
+        return self.isolated_sims + self.contextual_sims + self.release_sims
 
 
 @dataclass
@@ -181,7 +181,7 @@ class DetectionOutcome:
     benign: List[AnyTransaction] = field(default_factory=list)
     malicious: List[Tuple[AnyTransaction, Verdict, SimulationResult]] = field(default_factory=list)
     deferred: List[AnyTransaction] = field(default_factory=list)
-    stats: DetectionStats = field(default_factory=DetectionStats)
+    stats: Counters = field(default_factory=Counters)
     final_state: Optional[WorldState] = None  # tip with `benign` applied in order
 
 
@@ -231,7 +231,6 @@ def hybrid_detect(
     ctx: BlockContext,
     workers: int = 1,
     preapproved: FrozenSet[TxHash] = frozenset(),
-    meter=None,
 ) -> DetectionOutcome:
     """Partition candidates into benign / malicious / deferred.
 
@@ -255,8 +254,6 @@ def hybrid_detect(
     else:
         isolated = [run_at_tip(tx) for tx in txs]
     stats.isolated_sims += len(txs)
-    if meter is not None:
-        meter.isolated += len(txs)
 
     slots: List[_Slot] = []
     for tx, result in zip(txs, isolated):
@@ -287,8 +284,6 @@ def hybrid_detect(
         nonlocal fold_state
         fold_state = _fold(fold_state, fold_queue, ctx)
         stats.contextual_sims += len(fold_queue)
-        if meter is not None:
-            meter.contextual += len(fold_queue)
         fold_queue.clear()
         return fold_state
 
@@ -309,23 +304,17 @@ def hybrid_detect(
                 continue
             if budget_left is not None:
                 budget_left -= 1
-            stats.budget_spent += 1
             state = materialize()
+            stats.contextual_sims += 1
             try:
                 sim = execute_transaction(state, slot.tx, ctx)
             except PreconditionFailed:
-                stats.contextual_sims += 1
-                if meter is not None:
-                    meter.contextual += 1
                 outcome.deferred.append(slot.tx)
                 continue
-            stats.contextual_sims += 1
-            if meter is not None:
-                meter.contextual += 1
             if slot.key in preapproved:
                 verdict = BENIGN_VERDICT
             else:
-                verdict = detect(detector, sim, state, invariants)
+                verdict, _ = detector.assess(sim, state, invariants)
             stats.sequential_verdicts += 1
 
         if verdict.malicious:
@@ -343,4 +332,5 @@ def hybrid_detect(
     # Draining the rest of the queue is block application, not
     # classification, so it is not counted as a contextual simulation.
     outcome.final_state = _fold(fold_state, fold_queue, ctx)
+    stats.deferred_count = len(outcome.deferred)
     return outcome

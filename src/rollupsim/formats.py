@@ -18,6 +18,7 @@ that transaction as `tx=@<label>`.
 """
 from __future__ import annotations
 
+import dataclasses
 import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,11 +28,13 @@ from .core import (
     SignedTransaction,
     StateRoot,
     TxHash,
+    U64_MAX,
+    U128_MAX,
     decode_deposit,
     encode_deposit,
     tx_hash,
 )
-from .detection import Invariant
+from .detection import Counters, Invariant
 from .l1da import L1Block, L1History, L1Record
 from .mempool import PoolConfig
 from .quarantine import AuditEvent, QuarantineConfig
@@ -39,7 +42,6 @@ from .sequencer import (
     AdvanceEvent,
     ApproveReleaseEvent,
     BlockSummary,
-    Counters,
     EntrySummary,
     Event,
     FailureReleaseEvent,
@@ -106,11 +108,19 @@ def _unbrace(value: str) -> str:
     return value
 
 
-def _parse_int(value: str, lineno: int, what: str = "integer") -> int:
+def _parse_int(
+    value: str, lineno: int, what: str = "integer", minimum: Optional[int] = None, maximum: Optional[int] = None
+) -> int:
+    """The one integer reader of all three formats: decimal or 0x-hex."""
     try:
-        return int(value, 16) if value.startswith("0x") else int(value)
+        number = int(value, 16) if value.startswith("0x") else int(value)
     except ValueError:
-        raise ScenarioError(f"bad {what}: {value!r}", line=lineno) from None
+        raise ScenarioError(f"{what} must be an integer, got {value!r}", line=lineno) from None
+    if minimum is not None and number < minimum:
+        raise ScenarioError(f"{what} must be at least {minimum}, got {number}", line=lineno)
+    if maximum is not None and number > maximum:
+        raise ScenarioError(f"{what} must be at most {maximum}, got {number}", line=lineno)
+    return number
 
 
 def _parse_address(value: str, lineno: int) -> Address:
@@ -178,10 +188,7 @@ def _read_form(tokens: List[str], pos: int, lineno: int):
 def _atom_value(tok: str, lineno: int) -> int:
     if tok.startswith("'") and tok.endswith("'"):
         return int.from_bytes(tok[1:-1].encode("utf-8"), "big")
-    try:
-        return int(tok, 16) if tok.startswith("0x") else int(tok)
-    except ValueError:
-        raise ScenarioError(f"bad atom {tok!r}", line=lineno) from None
+    return _parse_int(tok, lineno, "atom")
 
 
 _SUGAR = {"ge", "gt", "le", "ne"}
@@ -278,7 +285,7 @@ def parse_statements(text: str, lineno: int = 0) -> Tuple[Statement, ...]:
 # ---------------------------------------------------------------------------
 
 # Scenario config key -> (section it sets, field there, least value of an
-# integer key). Integers are read like Python literals (`0x10` or `16`).
+# integer key). Integers are decimal or 0x-hex (`16` or `0x10`).
 _CONFIG_KEYS = {
     "block_time": ("seq", "block_time", 1),
     "blocks_per_epoch": ("seq", "blocks_per_epoch", 1),
@@ -304,14 +311,7 @@ def _config_value(key: str, value: str, lineno: int):
         return frozenset(_parse_address(a, lineno) for a in value.split(",") if a)
     if key == "detection_budget" and value == "unlimited":
         return None
-    try:
-        number = int(value, 0)
-    except ValueError:
-        raise ScenarioError(f"config {key} must be an integer, got {value!r}", line=lineno) from None
-    minimum = _CONFIG_KEYS[key][2]
-    if number < minimum:
-        raise ScenarioError(f"config {key} must be at least {minimum}, got {number}", line=lineno)
-    return number
+    return _parse_int(value, lineno, f"config {key}", minimum=_CONFIG_KEYS[key][2])
 
 
 def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
@@ -486,17 +486,16 @@ def _build_event(ts: int, kind: str, kv: Dict[str, str], lineno: int, labels: Di
             )
         elif kind == "stake":
             event = StakeEvent(
-                at=ts, account=_parse_address(kv.pop("account"), lineno), amount=_parse_int(kv.pop("amount"), lineno)
+                at=ts,
+                account=_parse_address(kv.pop("account"), lineno),
+                amount=_parse_int(kv.pop("amount"), lineno, "stake amount", 0, U64_MAX),
             )
         elif kind == "request_failure_release":
             event = FailureReleaseEvent(at=ts, key=txref(kv.pop("tx")))
         elif kind == "set_base_fee":
-            event = SetBaseFeeEvent(at=ts, fee=_parse_int(kv.pop("fee"), lineno))
+            event = SetBaseFeeEvent(at=ts, fee=_parse_int(kv.pop("fee"), lineno, "fee", 0, U64_MAX))
         elif kind == "advance":
-            seconds = _parse_int(kv.pop("seconds"), lineno)
-            if seconds < 0:
-                raise ScenarioError("advance seconds must be non-negative", line=lineno)
-            event = AdvanceEvent(at=ts, seconds=seconds)
+            event = AdvanceEvent(at=ts, seconds=_parse_int(kv.pop("seconds"), lineno, "advance seconds", minimum=0))
         else:
             raise ScenarioError(f"unknown event kind {kind!r}", line=lineno)
     except KeyError as exc:
@@ -580,10 +579,10 @@ def parse_report(text: str) -> RunReport:
         if head == "block":
             report.blocks.append(
                 BlockSummary(
-                    number=int(kv["number"]),
-                    timestamp=int(kv["time"]),
-                    base_fee=int(kv["base_fee"]),
-                    epoch=int(kv["epoch"]),
+                    number=_parse_int(kv["number"], lineno, "number"),
+                    timestamp=_parse_int(kv["time"], lineno, "time"),
+                    base_fee=_parse_int(kv["base_fee"], lineno, "base_fee"),
+                    epoch=_parse_int(kv["epoch"], lineno, "epoch"),
                     parent_hash=_parse_bytes(kv["parent"], lineno),
                     deposit_ids=tuple(TxHash.from_hex(h) for h in _parse_list(kv["deposits"])),
                     tx_hashes=tuple(TxHash.from_hex(h) for h in _parse_list(kv["txs"])),
@@ -596,19 +595,19 @@ def parse_report(text: str) -> RunReport:
                     key=TxHash.from_hex(kv["key"]),
                     kind=kv["kind"],
                     sender=_parse_address(kv["sender"], lineno),
-                    sequence=int(kv["seq"]),
-                    admitted_at=int(kv["admitted_at"]),
-                    admitted_block=int(kv["admitted_block"]),
+                    sequence=_parse_int(kv["seq"], lineno, "seq"),
+                    admitted_at=_parse_int(kv["admitted_at"], lineno, "admitted_at"),
+                    admitted_block=_parse_int(kv["admitted_block"], lineno, "admitted_block"),
                     violated=tuple(_parse_list(kv["violated"])),
                     victims=tuple(_parse_address(v, lineno) for v in _parse_list(kv["victims"])),
-                    damage=int(kv["damage"]),
+                    damage=_parse_int(kv["damage"], lineno, "damage"),
                 )
             )
         elif head == "audit":
             report.audit.append(
                 AuditEvent(
                     entry=TxHash.from_hex(kv["entry"]),
-                    at=int(kv["at"]),
+                    at=_parse_int(kv["at"], lineno, "at"),
                     kind=kv["kind"],
                     actor=kv["actor"],
                     detail=_unbrace(kv["detail"]),
@@ -619,21 +618,14 @@ def parse_report(text: str) -> RunReport:
                 PoolSummary(
                     key=TxHash.from_hex(kv["key"]),
                     sender=_parse_address(kv["sender"], lineno),
-                    nonce=int(kv["nonce"]),
+                    nonce=_parse_int(kv["nonce"], lineno, "nonce"),
                     status=kv["status"],
-                    received_at=int(kv["received_at"]),
+                    received_at=_parse_int(kv["received_at"], lineno, "received_at"),
                 )
             )
         elif head == "counters":
-            report.counters = Counters(
-                isolated_sims=int(kv["isolated_sims"]),
-                contextual_sims=int(kv["contextual_sims"]),
-                maintenance_sims=int(kv["maintenance_sims"]),
-                release_sims=int(kv["release_sims"]),
-                deferred_count=int(kv["deferred_count"]),
-                parallel_verdicts=int(kv["parallel_verdicts"]),
-                sequential_verdicts=int(kv["sequential_verdicts"]),
-            )
+            names = [f.name for f in dataclasses.fields(Counters)]
+            report.counters = Counters(**{name: _parse_int(kv[name], lineno, name) for name in names})
         elif head == "l1_export":
             report.l1_export = fields[1]
         elif head == "final_root":
@@ -677,8 +669,8 @@ def _parse_state_line(fields: List[str], lineno: int, accounts: Dict[Address, Ac
     kv = _kv(fields[3:], lineno)
     if kind == "account":
         acct = Account(
-            balance=_parse_int(kv.pop("balance", "0"), lineno),
-            nonce=_parse_int(kv.pop("nonce", "0"), lineno),
+            balance=_parse_int(kv.pop("balance", "0"), lineno, "balance", 0, U128_MAX),
+            nonce=_parse_int(kv.pop("nonce", "0"), lineno, "nonce", 0, U64_MAX),
         )
     else:
         if "admin" not in kv:
@@ -691,7 +683,8 @@ def _parse_state_line(fields: List[str], lineno: int, accounts: Dict[Address, Ac
                 raise ScenarioError(f"bad storage pair {pair!r}", line=lineno)
             k, v = pair.split("=", 1)
             storage[vm.slot_bytes(_atom_value(k, lineno))] = vm.slot_bytes(_atom_value(v, lineno))
-        acct = Account(balance=_parse_int(kv.pop("balance", "0"), lineno), nonce=0, code=code, storage=storage)
+        balance = _parse_int(kv.pop("balance", "0"), lineno, "balance", 0, U128_MAX)
+        acct = Account(balance=balance, nonce=0, code=code, storage=storage)
     if kv:
         raise ScenarioError(f"unknown {kind} field {sorted(kv)[0]!r}", line=lineno)
     accounts[addr] = acct
@@ -722,13 +715,6 @@ def render_history(history: L1History) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _history_int(kv: Dict[str, str], key: str, lineno: int, minimum: int = 0) -> int:
-    value = int(kv[key])
-    if value < minimum:
-        raise ScenarioError(f"{key} must be at least {minimum}, got {value}", line=lineno)
-    return value
-
-
 def parse_history(text: str) -> L1History:
     fee_recipient: Optional[Address] = None
     blocks_per_epoch = 4
@@ -751,24 +737,30 @@ def parse_history(text: str) -> L1History:
         if head == "config":
             kv = _kv(fields[1:], lineno)
             fee_recipient = _parse_address(kv["fee_recipient"], lineno)
-            blocks_per_epoch = _history_int(kv, "blocks_per_epoch", lineno, minimum=1)
+            blocks_per_epoch = _parse_int(kv["blocks_per_epoch"], lineno, "blocks_per_epoch", 1, U64_MAX)
         elif head == "genesis":
             _parse_state_line(fields, lineno, accounts)
         elif head == "l1block":
             kv = _kv(fields[1:], lineno)
             deposits = tuple(decode_deposit(bytes.fromhex(h)) for h in _parse_list(kv["deposits"]))
-            blocks.append(L1Block(number=int(kv["number"]), timestamp=int(kv["time"]), deposits=deposits))
+            blocks.append(
+                L1Block(
+                    number=_parse_int(kv["number"], lineno, "number", 0, U64_MAX),
+                    timestamp=_parse_int(kv["time"], lineno, "time", 0, U64_MAX),
+                    deposits=deposits,
+                )
+            )
         elif head == "record":
             kv = _kv(fields[1:], lineno)
             batch = tuple(bytes.fromhex(h) for h in _parse_list(kv["batch"]))
-            count = int(kv["deposit_count"]) if "deposit_count" in kv else None
-            bitmap = tuple(int(w, 0) for w in _parse_list(kv.get("bitmap", "-")))
+            count = _parse_int(kv["deposit_count"], lineno, "deposit_count", 0) if "deposit_count" in kv else None
+            bitmap = tuple(_parse_int(w, lineno, "bitmap word", 0) for w in _parse_list(kv.get("bitmap", "-")))
             inbox.append(
                 L1Record(
-                    epoch=_history_int(kv, "epoch", lineno),
-                    l2_number=_history_int(kv, "l2_number", lineno),
-                    l2_timestamp=_history_int(kv, "l2_time", lineno),
-                    l2_base_fee=_history_int(kv, "l2_base_fee", lineno),
+                    epoch=_parse_int(kv["epoch"], lineno, "epoch", 0, U64_MAX),
+                    l2_number=_parse_int(kv["l2_number"], lineno, "l2_number", 0, U64_MAX),
+                    l2_timestamp=_parse_int(kv["l2_time"], lineno, "l2_time", 0, U64_MAX),
+                    l2_base_fee=_parse_int(kv["l2_base_fee"], lineno, "l2_base_fee", 0, U64_MAX),
                     batch=batch,
                     deposit_count=count,
                     bitmap=bitmap,

@@ -49,6 +49,19 @@ def decode_bitmap(words: Sequence[int], count: int) -> List[bool]:
     return [bool(words[i // WORD_BITS] >> (i % WORD_BITS) & 1) for i in range(count)]
 
 
+def bitmap_flags(record: L1Record, deposits: Sequence[DepositTransaction]) -> List[bool]:
+    """Check an epoch-head record's bitmap against its epoch's deposits (same
+    count, exactly the words that count needs) and decode the flags."""
+    if record.deposit_count != len(deposits):
+        raise BitmapMismatch(f"bitmap covers {record.deposit_count} deposits, epoch {record.epoch} has {len(deposits)}")
+    expected_words = (record.deposit_count + WORD_BITS - 1) // WORD_BITS
+    if len(record.bitmap) != expected_words:
+        raise BitmapMismatch(
+            f"bitmap has {len(record.bitmap)} words, {record.deposit_count} deposits need {expected_words}"
+        )
+    return decode_bitmap(record.bitmap, record.deposit_count)
+
+
 class EscrowStatus(Enum):
     PENDING = "pending"
     ACCEPTED = "accepted"
@@ -133,17 +146,7 @@ class L1Chain:
         """Append a record to the inbox; the epoch-head bitmap settles escrow."""
         if record.has_bitmap:
             deposits = self.deposits_for_epoch(record.epoch)
-            if record.deposit_count != len(deposits):
-                raise BitmapMismatch(
-                    f"bitmap covers {record.deposit_count} deposits, epoch {record.epoch} has {len(deposits)}"
-                )
-            expected_words = (record.deposit_count + WORD_BITS - 1) // WORD_BITS
-            if len(record.bitmap) != expected_words:
-                raise BitmapMismatch(
-                    f"bitmap has {len(record.bitmap)} words, {record.deposit_count} deposits need {expected_words}"
-                )
-            flags = decode_bitmap(record.bitmap, record.deposit_count)
-            for dep, accepted in zip(deposits, flags):
+            for dep, accepted in zip(deposits, bitmap_flags(record, deposits)):
                 entry = self.escrow[deposit_id(dep)]
                 entry.status = EscrowStatus.ACCEPTED if accepted else EscrowStatus.REFUSED
         self.inbox.append(record)

@@ -163,9 +163,9 @@ class QuarantineStore:
         self.registry = registry if registry is not None else ReleasedRegistry()
         self.audit: List[AuditEvent] = []
         self._admissions = 0
-        # Every admission position of every key ever admitted, in order: a
-        # readmitted key keeps its first position and gains another.
-        self._positions: Dict[TxHash, List[int]] = {}
+        # First admission position of every key ever admitted: a readmitted
+        # key keeps its place.
+        self._positions: Dict[TxHash, int] = {}
         self._by_sender: Dict[Address, List[TxHash]] = {}  # held non-deposit keys
         self._checked: Dict[Address, Account] = {}  # account each sender's keys were checked against
         self._deadlines: List[Tuple[int, TxHash]] = []  # time-criterion heap; stale items skipped
@@ -194,7 +194,7 @@ class QuarantineStore:
             victim_admins=dict(victim_admins or {}),
         )
         self.active[key] = entry
-        self._positions.setdefault(key, []).append(self._admissions)
+        self._positions.setdefault(key, self._admissions)
         self._admissions += 1
         if not entry.is_deposit:
             self._by_sender.setdefault(tx.sender, []).append(key)
@@ -232,7 +232,7 @@ class QuarantineStore:
             entry = self.active.get(key)
             if entry is not None and entry.quarantined_at + self.config.time_criterion_period == deadline:
                 due.add(key)
-        for key in sorted(dead | due, key=lambda k: self._positions[k][0]):
+        for key in sorted(dead | due, key=self._positions.__getitem__):
             if key in dead:
                 self._remove(key)
                 report.retired.append(key)
@@ -243,12 +243,10 @@ class QuarantineStore:
         return report
 
     def on_stake(self, ledger: CollateralLedger, sender: Address, now: int) -> None:
-        """After `sender` staked: try the economic criterion on each of its held
-        entries in admission order (a readmitted key once per admission)."""
-        held = self._by_sender.get(sender, ())
-        for _, key in sorted((pos, key) for key in held for pos in self._positions[key]):
-            if key in self.active:
-                self.try_economic_release(ledger, key, now)
+        """After `sender` staked: try the economic criterion once on each of its
+        held entries, in order of first admission."""
+        for key in sorted(self._by_sender.get(sender, ()), key=self._positions.__getitem__):
+            self.try_economic_release(ledger, key, now)
 
     def on_mempool_retired(self, keys: Sequence[TxHash], now: int) -> List[TxHash]:
         """Drop entries whose transaction left the mempool: as if never admitted."""
@@ -263,12 +261,10 @@ class QuarantineStore:
     # -- release triggers (pull-based; never run from maintenance) --
 
     def request_failure_release(
-        self, key: TxHash, tip_state: WorldState, ctx: BlockContext, now: int, meter=None
+        self, key: TxHash, tip_state: WorldState, ctx: BlockContext, now: int
     ) -> Union[Released, StillHeld]:
         """Re-simulate at the tip; release iff the tx now fails harmlessly."""
         entry = self._releasable(key)
-        if meter is not None:
-            meter.release += 1
         try:
             sim = execute_transaction(tip_state, entry.tx, ctx)
             failed = sim.status is TxStatus.REVERT

@@ -29,10 +29,10 @@ from .core import (
     tx_hash,
     tx_id,
 )
-from .detection import CandidateSet, InvariantDetector, InvariantSet, Verdict, hybrid_detect
+from .detection import CandidateSet, Counters, InvariantDetector, InvariantSet, Verdict, hybrid_detect
 from .l1da import EscrowStatus, L1Chain, L1History, L1Record, encode_bitmap, snapshot_history
 from .mempool import Mempool, PoolConfig
-from .quarantine import CollateralLedger, QuarantineConfig, QuarantineEntry, QuarantineStore
+from .quarantine import CollateralLedger, QuarantineConfig, QuarantineEntry, QuarantineError, QuarantineStore
 from .vm import BlockContext, WorldState, state_root
 
 
@@ -66,22 +66,8 @@ class ChainView:
     tip_state: WorldState = field(default_factory=WorldState)
 
     @property
-    def current_epoch(self) -> int:
-        return self.blocks[-1].epoch if self.blocks else 0
-
-    @property
     def tip_hash(self) -> bytes:
         return block_hash(self.blocks[-1]) if self.blocks else bytes(32)
-
-
-@dataclass
-class SimulationMeter:
-    isolated: int = 0
-    contextual: int = 0
-    release: int = 0
-
-    def total(self) -> int:
-        return self.isolated + self.contextual + self.release
 
 
 # -- scenario events (parsed form; tx references already resolved to hashes) --
@@ -176,17 +162,6 @@ class EntrySummary:
     damage: int
 
 
-@dataclass
-class Counters:
-    isolated_sims: int = 0
-    contextual_sims: int = 0
-    maintenance_sims: int = 0
-    release_sims: int = 0
-    deferred_count: int = 0
-    parallel_verdicts: int = 0
-    sequential_verdicts: int = 0
-
-
 @dataclass(frozen=True)
 class PoolSummary:
     key: TxHash
@@ -256,7 +231,6 @@ class Sequencer:
         for invariant in scenario.invariants:
             self.invariants.register(invariant, scenario.genesis)
         self.l1 = L1Chain(escape_timeout=scenario.escape_timeout)
-        self.meter = SimulationMeter()
         self.base_fee = self.config.base_fee
         self.records: List[QuarantineEntry] = []
         self.counters = Counters()
@@ -298,12 +272,10 @@ class Sequencer:
                 self.detector,
                 ctx,
                 workers=self.config.workers,
-                meter=self.meter,
             )
             if outcome.deferred:
                 raise RuntimeError("deposits can never be deferred")
-            self.counters.parallel_verdicts += outcome.stats.parallel_verdicts
-            self.counters.sequential_verdicts += outcome.stats.sequential_verdicts
+            self.counters.add(outcome.stats)
             accepted = {tx_id(d) for d in outcome.benign}
             for dep, verdict, _sim in outcome.malicious:
                 self._admit(dep, verdict, tip, now, number)
@@ -324,13 +296,10 @@ class Sequencer:
             ctx,
             workers=self.config.workers,
             preapproved=preapproved,
-            meter=self.meter,
         )
         for tx, verdict, _sim in outcome.malicious:
             self._admit(tx, verdict, state_after_deposits, now, number)
-        self.counters.deferred_count += len(outcome.deferred)
-        self.counters.parallel_verdicts += outcome.stats.parallel_verdicts
-        self.counters.sequential_verdicts += outcome.stats.sequential_verdicts
+        self.counters.add(outcome.stats)
 
         # The classifier's fold already executed the block: deposits, then the
         # benign candidates in order.
@@ -372,9 +341,9 @@ class Sequencer:
         self.store.on_mempool_retired(removed, now)
         for key in removed:
             self.ledger.refund(key)
-        before = self.meter.total()
+        before = self.counters.simulations()
         self.store.per_block_maintenance(final_state, now)
-        self.counters.maintenance_sims += self.meter.total() - before
+        self.counters.maintenance_sims += self.counters.simulations() - before
 
         self.minted.update(deposit_id(d) for d in block.deposits)
         self._check_deposit_conservation()
@@ -406,7 +375,12 @@ class Sequencer:
                 if isinstance(event, AdvanceEvent):
                     build_at += event.seconds
                     continue
-                self._apply_event(event)
+                try:
+                    self._apply_event(event)
+                except QuarantineError as exc:
+                    # A release asked of an entry that is not held, by someone
+                    # not entitled to it, or of a deposit entry.
+                    raise ScenarioError(f"{type(exc).__name__}: {exc}", at=event.at) from None
             epoch_deposits = None
             number = len(self.chain.blocks)
             if number % self.config.blocks_per_epoch == 0:
@@ -435,15 +409,7 @@ class Sequencer:
             entries=[summarize_entry(e) for e in self.records],
             audit=list(self.store.audit),
             pool=pool_dump,
-            counters=Counters(
-                isolated_sims=self.meter.isolated,
-                contextual_sims=self.meter.contextual,
-                maintenance_sims=self.counters.maintenance_sims,
-                release_sims=self.meter.release,
-                deferred_count=self.counters.deferred_count,
-                parallel_verdicts=self.counters.parallel_verdicts,
-                sequential_verdicts=self.counters.sequential_verdicts,
-            ),
+            counters=self.counters,
             final_root=state_root(self.chain.tip_state),
         )
         history = snapshot_history(
@@ -469,9 +435,8 @@ class Sequencer:
             self.ledger.stake(event.account, event.amount)
             self.store.on_stake(self.ledger, event.account, event.at)
         elif isinstance(event, FailureReleaseEvent):
-            self.store.request_failure_release(
-                event.key, self.chain.tip_state, self._ctx(event.at), event.at, meter=self.meter
-            )
+            self.store.request_failure_release(event.key, self.chain.tip_state, self._ctx(event.at), event.at)
+            self.counters.release_sims += 1
         elif isinstance(event, SetBaseFeeEvent):
             self.base_fee = event.fee
         else:

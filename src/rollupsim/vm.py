@@ -29,7 +29,6 @@ from .core import (
     AnyTransaction,
     Block,
     DepositTransaction,
-    SignedTransaction,
     StateRoot,
     TxHash,
     tx_id,
@@ -516,6 +515,14 @@ def _balance_deltas(pre: WorldState, exe: _Execution) -> Dict[Address, int]:
     return deltas
 
 
+def _lasting_effect(exe: _Execution, tx: AnyTransaction, deposit: bool) -> None:
+    """The one effect a revert keeps: a deposit's mint, a signed tx's nonce bump."""
+    if deposit:
+        exe.write_balance(tx.sender, exe.read_balance(tx.sender) + tx.value)
+    else:
+        exe.write_nonce(tx.sender, exe.read_nonce(tx.sender) + 1)
+
+
 def execute_transaction(state: WorldState, tx: AnyTransaction, ctx: BlockContext) -> SimulationResult:
     """Run one transaction against a state snapshot; never mutates the input.
 
@@ -527,30 +534,26 @@ def execute_transaction(state: WorldState, tx: AnyTransaction, ctx: BlockContext
     their value, and pay no fee; a reverted deposit keeps the mint with the
     deposit's sender.
     """
-    if isinstance(tx, DepositTransaction):
-        return _execute_deposit(state, tx, ctx)
-    return _execute_signed(state, tx, ctx)
-
-
-def _execute_signed(state: WorldState, tx: SignedTransaction, ctx: BlockContext) -> SimulationResult:
-    sender_acct = state.account(tx.sender)
-    if tx.nonce < sender_acct.nonce:
-        raise PreconditionFailed(PreconditionFailed.NONCE_TOO_LOW, f"account nonce {sender_acct.nonce}")
-    if tx.nonce > sender_acct.nonce:
-        raise PreconditionFailed(PreconditionFailed.NONCE_TOO_HIGH, f"account nonce {sender_acct.nonce}")
-    if sender_acct.balance < tx.value + tx.gas_limit * tx.max_fee:
-        raise PreconditionFailed(
-            PreconditionFailed.INSUFFICIENT_BALANCE,
-            f"balance {sender_acct.balance} < {tx.value + tx.gas_limit * tx.max_fee}",
-        )
-    if tx.max_fee < ctx.base_fee:
-        raise PreconditionFailed(PreconditionFailed.FEE_BELOW_BASE, f"base fee {ctx.base_fee}")
-
-    effective_price = ctx.base_fee + min(tx.priority_fee, tx.max_fee - ctx.base_fee)
-    recipient = tx.recipient if tx.recipient is not None else _fresh_address(tx.sender, tx.nonce)
+    deposit = isinstance(tx, DepositTransaction)
+    if deposit:
+        recipient = tx.recipient
+    else:
+        sender_acct = state.account(tx.sender)
+        if tx.nonce < sender_acct.nonce:
+            raise PreconditionFailed(PreconditionFailed.NONCE_TOO_LOW, f"account nonce {sender_acct.nonce}")
+        if tx.nonce > sender_acct.nonce:
+            raise PreconditionFailed(PreconditionFailed.NONCE_TOO_HIGH, f"account nonce {sender_acct.nonce}")
+        if sender_acct.balance < tx.value + tx.gas_limit * tx.max_fee:
+            raise PreconditionFailed(
+                PreconditionFailed.INSUFFICIENT_BALANCE,
+                f"balance {sender_acct.balance} < {tx.value + tx.gas_limit * tx.max_fee}",
+            )
+        if tx.max_fee < ctx.base_fee:
+            raise PreconditionFailed(PreconditionFailed.FEE_BELOW_BASE, f"base fee {ctx.base_fee}")
+        recipient = tx.recipient if tx.recipient is not None else _fresh_address(tx.sender, tx.nonce)
 
     exe = _Execution(state)
-    exe.write_nonce(tx.sender, exe.read_nonce(tx.sender) + 1)
+    _lasting_effect(exe, tx, deposit)
     status = TxStatus.SUCCESS
     try:
         exe.transfer(tx.sender, recipient, tx.value)
@@ -566,56 +569,22 @@ def _execute_signed(state: WorldState, tx: SignedTransaction, ctx: BlockContext)
 
     gas_used = exe.gas_used
     if status is TxStatus.REVERT:
-        # Keep the read trace, discard the effects: only the nonce bump and
-        # the gas charge survive a revert, so only they count as writes.
+        # Keep the read trace, discard the effects: only the lasting effect
+        # and the gas charge survive a revert, so only they count as writes.
         reads = exe.reads
         exe = _Execution(state)
         exe.reads = reads
-        exe.write_nonce(tx.sender, exe.read_nonce(tx.sender) + 1)
+        _lasting_effect(exe, tx, deposit)
 
-    fee = gas_used * effective_price
-    tip = gas_used * (effective_price - ctx.base_fee)
-    exe.write_balance(tx.sender, exe.read_balance(tx.sender) - fee)
-    if tip:
-        exe.write_balance(ctx.fee_recipient, exe.read_balance(ctx.fee_recipient) + tip)
+    if not deposit:
+        effective_price = ctx.base_fee + min(tx.priority_fee, tx.max_fee - ctx.base_fee)
+        exe.write_balance(tx.sender, exe.read_balance(tx.sender) - gas_used * effective_price)
+        tip = gas_used * (effective_price - ctx.base_fee)
+        if tip:
+            exe.write_balance(ctx.fee_recipient, exe.read_balance(ctx.fee_recipient) + tip)
 
     return SimulationResult(
         tx_id=tx_id(tx),
-        status=status,
-        gas_used=gas_used,
-        reads=frozenset(exe.reads),
-        writes=frozenset(exe.writes),
-        balance_deltas=_balance_deltas(state, exe),
-        post_state=exe.post_state(),
-    )
-
-
-def _execute_deposit(state: WorldState, dep: DepositTransaction, ctx: BlockContext) -> SimulationResult:
-    exe = _Execution(state)
-    status = TxStatus.SUCCESS
-    # The deposit's value is minted: it enters at the sender before the call.
-    exe.write_balance(dep.sender, exe.read_balance(dep.sender) + dep.value)
-    try:
-        exe.transfer(dep.sender, dep.recipient, dep.value)
-        code = exe.read_code(dep.recipient)
-        if code is not None:
-            env = _CallEnv(exe, dep.recipient, dep.sender, dep.value, dep.data)
-            _run_statements(env, code, dep.gas_limit)
-    except _Revert:
-        status = TxStatus.REVERT
-    except _OutOfGas:
-        status = TxStatus.REVERT
-        exe.gas_used = dep.gas_limit
-
-    gas_used = exe.gas_used
-    if status is TxStatus.REVERT:
-        reads = exe.reads
-        exe = _Execution(state)
-        exe.reads = reads
-        exe.write_balance(dep.sender, exe.read_balance(dep.sender) + dep.value)
-
-    return SimulationResult(
-        tx_id=tx_id(dep),
         status=status,
         gas_used=gas_used,
         reads=frozenset(exe.reads),

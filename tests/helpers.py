@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from rollupsim.core import Address, DepositTransaction, SignedTransaction
-from rollupsim.detection import Invariant, detect
+from rollupsim.detection import Invariant
 from rollupsim.vm import (
     Account,
     BalanceOf,
@@ -238,7 +238,7 @@ def sequential_oracle(txs, tip_state: WorldState, invariants, detector, context:
         except PreconditionFailed:
             deferred.append(t)
             continue
-        verdict = detect(detector, sim, state, invariants)
+        verdict, _ = detector.assess(sim, state, invariants)
         if verdict.malicious:
             malicious.append((t, verdict))
         else:

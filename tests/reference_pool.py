@@ -138,7 +138,7 @@ class ReferenceMempool:
 
 class ReferenceStore(QuarantineStore):
     """QuarantineStore whose maintenance and stake handling walk every key
-    ever admitted, in admission order (a readmitted key once per admission)."""
+    ever admitted, in order of first admission (a readmitted key once)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -146,7 +146,8 @@ class ReferenceStore(QuarantineStore):
 
     def admit(self, tx, verdict, now, block_no, victim_admins=None):
         entry = super().admit(tx, verdict, now, block_no, victim_admins)
-        self.admission_order.append(entry.key)
+        if entry.key not in self.admission_order:
+            self.admission_order.append(entry.key)
         return entry
 
     def per_block_maintenance(self, chain_state: WorldState, now: int) -> MaintenanceReport:

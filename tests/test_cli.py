@@ -220,3 +220,108 @@ class TestDeriveRejectsImpossibleHistory:
         code, err = self.derive_edited(tmp_path, capsys, lambda line: line.replace("l2_time=4 ", "l2_time=1 "))
         assert code == 4
         assert "derivation gap" in err and "time 1 is before 2" in err
+
+
+class TestDeriveRejectsUnexecutableHistory:
+    def test_unexecutable_batch_is_a_gap(self, tmp_path, capsys):
+        _, _, l1_path = run_cli(tmp_path, "single_transfer")
+        bad = tmp_path / "broke.l1"
+        bad.write_text(l1_path.read_text().replace("balance=1000", "balance=1"))
+        capsys.readouterr()
+        code = main(["derive", "--l1", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" not in err
+        assert "derivation gap" in err and "block 0" in err
+
+
+def run_text(tmp_path, text):
+    scn = tmp_path / "case.scn"
+    scn.write_text(text)
+    code = main(["run", "--scenario", str(scn), "--report", str(tmp_path / "r"), "--l1-out", str(tmp_path / "l")])
+    return code
+
+
+class TestBadReleaseEvents:
+    """A release event the quarantine must refuse exits 2 and names its time."""
+
+    @staticmethod
+    def held_deposit_key(tmp_path):
+        code, report_path, _ = run_cli(tmp_path, "deposit_refused")
+        assert code == 0
+        (entry,) = parse_report(report_path.read_text()).entries
+        assert entry.kind == "deposit"
+        return entry.key.hex0x()
+
+    def check(self, tmp_path, capsys, text, needle):
+        capsys.readouterr()
+        code = run_text(tmp_path, text)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "t=3" in err and needle in err
+
+    def test_release_of_an_entry_not_held(self, tmp_path, capsys):
+        text = (SCENARIOS / "single_transfer.scn").read_text().replace("event 1 submit", "event 1 submit as=T")
+        self.check(tmp_path, capsys, text + "event 3 request_failure_release tx=@T\n", "EntryNotFound")
+
+    def test_approval_by_an_unentitled_address(self, tmp_path, capsys):
+        text = (SCENARIOS / "failure_release.scn").read_text().replace("event 5 request_failure_release tx=@B\n", "")
+        self.check(tmp_path, capsys, text + "event 3 approve_release tx=@B approver=0xb2\n", "NotAuthorized")
+
+    def test_release_of_a_deposit_entry(self, tmp_path, capsys):
+        key = self.held_deposit_key(tmp_path)
+        text = (SCENARIOS / "deposit_refused.scn").read_text() + f"event 3 approve_release tx={key} approver=0xee\n"
+        self.check(tmp_path, capsys, text, "DepositPermanence")
+
+
+U64 = 2**64
+U128 = 2**128
+
+
+class TestOutOfRangeIntegers:
+    """Balances are 0..2**128-1; nonces, fees and stake amounts 0..2**64-1."""
+
+    @pytest.mark.parametrize(
+        "line, needle",
+        [
+            ("event 0 set_base_fee fee=-1", "fee"),
+            (f"event 0 set_base_fee fee={U64}", "fee"),
+            ("genesis account 0xb2 balance=-5", "balance"),
+            (f"genesis account 0xb2 balance={U128}", "balance"),
+            ("genesis account 0xb2 nonce=-1", "nonce"),
+            (f"genesis account 0xb2 nonce={hex(U64)}", "nonce"),
+            ("genesis contract 0xc3 admin=0xa1 balance=-1 code={}", "balance"),
+            ("event 0 stake account=0xb2 amount=-1", "stake amount"),
+            (f"event 0 stake account=0xb2 amount={U64}", "stake amount"),
+        ],
+    )
+    def test_scenario_value_names_the_line(self, tmp_path, capsys, line, needle):
+        capsys.readouterr()
+        code = run_text(tmp_path, f"scenario v1\nconfig fee_recipient=0xfe\n{line}\nrun blocks=1\n")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "line 3" in err and needle in err
+
+    def test_largest_values_run(self, tmp_path):
+        text = (
+            f"scenario v1\nconfig fee_recipient=0xfe\ngenesis account 0xb2 balance={U128 - 1} nonce={U64 - 1}\n"
+            f"run blocks=1\nevent 0 set_base_fee fee={U64 - 1}\nevent 0 stake account=0xb2 amount={U64 - 1}\n"
+        )
+        assert run_text(tmp_path, text) == 0
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("balance=1000", "balance=-5"), ("balance=1000", f"balance={U128}"), ("nonce=0", f"nonce={U64}")],
+    )
+    def test_history_genesis_value_names_the_line(self, tmp_path, capsys, old, new):
+        _, _, l1_path = run_cli(tmp_path, "single_transfer")
+        bad = tmp_path / "bad.l1"
+        bad.write_text(l1_path.read_text().replace(old, new, 1))
+        capsys.readouterr()
+        code = main(["derive", "--l1", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" not in err
+        assert "line 3" in err

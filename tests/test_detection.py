@@ -25,8 +25,6 @@ from rollupsim.detection import (
     InvariantDetector,
     InvariantSet,
     UnauthorizedInvariant,
-    detect,
-    dependency_edges,
     hybrid_detect,
 )
 from rollupsim.vm import Account, execute_transaction, make_state
@@ -52,13 +50,13 @@ class TestDetect:
     def test_reverted_simulation_is_benign(self, detector):
         state = vault_state(paused=True)
         sim = execute_transaction(state, exploit_tx(), ctx())
-        verdict = detect(detector, sim, state, vault_invariants(state))
+        verdict = detector.assess(sim, state, vault_invariants(state))[0]
         assert not verdict.malicious and verdict.victims == ()
 
     def test_violation_reports_victim_and_damage(self, detector):
         state = vault_state(paused=False)
         sim = execute_transaction(state, exploit_tx(), ctx())
-        verdict = detect(detector, sim, state, vault_invariants(state))
+        verdict = detector.assess(sim, state, vault_invariants(state))[0]
         assert verdict.malicious
         assert verdict.victims == (VAULT,)
         assert verdict.violated == ("vault-solvent",)
@@ -67,7 +65,7 @@ class TestDetect:
     def test_untouched_contracts_not_evaluated(self, detector):
         state = vault_state(paused=False)
         sim = execute_transaction(state, tx(ATTACKER, 0, addr(0x44), value=3), ctx())
-        verdict = detect(detector, sim, state, vault_invariants(state))
+        verdict = detector.assess(sim, state, vault_invariants(state))[0]
         assert not verdict.malicious
 
     def test_registration_requires_admin(self):
@@ -77,6 +75,12 @@ class TestDetect:
             invariant_set(state, [bogus])
 
 
+def overlap_edges(sims):
+    """Pairs (i, j), i < j, where i's writes reach j's reads: the overlap
+    `hybrid_detect` uses to decide that a candidate is influenced."""
+    return {(i, j) for j in range(len(sims)) for i in range(j) if sims[i].writes & sims[j].reads}
+
+
 class TestDependencyEdges:
     def test_pause_fixture_exact_edge(self):
         state = vault_state(paused=True)
@@ -84,12 +88,12 @@ class TestDependencyEdges:
             execute_transaction(state, unpause_tx(), ctx()),
             execute_transaction(state, exploit_tx(), ctx()),
         ]
-        assert dependency_edges(sims) == {(0, 1)}
+        assert overlap_edges(sims) == {(0, 1)}
 
     def test_disjoint_transfers_no_edges(self):
         state = make_state({addr(i): Account(balance=1000) for i in (1, 2, 3)})
         sims = [execute_transaction(state, tx(addr(i), 0, addr(10 + i), value=1), ctx()) for i in (1, 2, 3)]
-        assert dependency_edges(sims) == set()
+        assert overlap_edges(sims) == set()
 
 
 class TestHybridFixture:

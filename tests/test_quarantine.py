@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from helpers import ADMIN, ATTACKER, VAULT, addr, ctx, exploit_tx, repause_tx, tx, vault_state
@@ -16,7 +18,11 @@ from rollupsim.quarantine import (
     Released,
     StillHeld,
 )
+from rollupsim.formats import parse_scenario
+from rollupsim.sequencer import run
 from rollupsim.vm import Account, make_state, execute_transaction
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 OPERATOR = addr(0xEE)
 
@@ -140,17 +146,12 @@ class TestFailureRelease:
         with pytest.raises(EntryNotFound):
             s.request_failure_release(tx_hash(exploit_tx()), vault_state(), ctx(), now=0)
 
-    def test_meter_counts_release_simulations(self):
-        class Meter:
-            release = 0
-            isolated = 0
-            contextual = 0
-
-        s = store()
-        t = held_exploit(s)
-        meter = Meter()
-        s.request_failure_release(tx_hash(t), vault_state(paused=False), ctx(), now=0, meter=meter)
-        assert meter.release == 1
+    def test_run_counts_release_simulations(self):
+        text = (SCENARIOS / "failure_release.scn").read_text()
+        assert run(parse_scenario(text)).report.counters.release_sims == 1
+        # Without the release request nothing is re-simulated for release.
+        without = "\n".join(line for line in text.splitlines() if "request_failure_release" not in line)
+        assert run(parse_scenario(without)).report.counters.release_sims == 0
 
 
 class TestAdministrativeRelease:
@@ -199,6 +200,20 @@ class TestEconomicRelease:
         assert ledger.available(ATTACKER) == 50
         assert ledger.refund(tx_hash(t)) == 100
         assert ledger.available(ATTACKER) == 150
+
+    def test_readmitted_entry_is_tried_once_per_stake(self):
+        s = store()
+        ledger = CollateralLedger()
+        verdict = Verdict(malicious=True, violated=("vault-solvent",), victims=(VAULT,), damage_estimate=50)
+        t = exploit_tx()
+        s.admit(t, verdict, now=1, block_no=1)
+        s.on_mempool_retired([tx_hash(t)], now=2)
+        s.admit(t, verdict, now=3, block_no=2)
+        ledger.stake(ATTACKER, 10)
+        s.on_stake(ledger, ATTACKER, now=4)
+        held = [e for e in s.audit if e.kind == "held"]
+        assert [(e.at, e.detail) for e in held] == [(4, "criterion=economic threshold=50")]
+        assert s.is_active(tx_hash(t))
 
     def test_stake_by_other_account_has_no_effect(self):
         s = store()

@@ -204,7 +204,7 @@ class TestThroughputNeutrality:
     def test_blocks_match_plain_sequencer(self, name, monkeypatch):
         guarded = run_named(name)
 
-        def include_everything(cset, invariants, detector, ctx, workers=1, preapproved=frozenset(), meter=None):
+        def include_everything(cset, invariants, detector, ctx, workers=1, preapproved=frozenset()):
             outcome = DetectionOutcome()
             state = cset.tip_state
             for tx in cset.txs:
