@@ -15,7 +15,6 @@ in order), so the caller never re-executes the block it just classified.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -249,6 +248,10 @@ def hybrid_detect(
         return _isolated_run(cset.tip_state, tx, ctx)
 
     if workers > 1:
+        # Imported here: concurrent.futures pulls in logging, which would
+        # cost every process start.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             isolated = list(pool.map(run_at_tip, txs))
     else:

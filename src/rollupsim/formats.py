@@ -64,7 +64,9 @@ from .vm import Account, ContractCode, Expr, Statement, WorldState, make_state
 # ---------------------------------------------------------------------------
 
 def _split_fields(line: str, lineno: int) -> List[str]:
-    """Split a line on spaces, keeping {...} groups intact."""
+    """Split a line on whitespace, keeping {...} groups intact."""
+    if "{" not in line and "}" not in line:
+        return line.split()  # splits on exactly the characters `str.isspace` accepts
     fields: List[str] = []
     buf: List[str] = []
     depth = 0
@@ -284,23 +286,26 @@ def parse_statements(text: str, lineno: int = 0) -> Tuple[Statement, ...]:
 # scenario files
 # ---------------------------------------------------------------------------
 
-# Scenario config key -> (section it sets, field there, least value of an
-# integer key). Integers are decimal or 0x-hex (`16` or `0x10`).
+# Scenario config key -> (section it sets, field there, least and greatest
+# value of an integer key). Integers are decimal or 0x-hex (`16` or `0x10`).
+# Times, fees and block counts are hashed as 8 bytes, so nothing exceeds
+# 2^64-1; a worker count is a thread count.
+MAX_WORKERS = 256
 _CONFIG_KEYS = {
-    "block_time": ("seq", "block_time", 1),
-    "blocks_per_epoch": ("seq", "blocks_per_epoch", 1),
-    "base_fee": ("seq", "base_fee", 0),
-    "detection_budget": ("seq", "detection_budget", 0),  # or "unlimited"
-    "fee_recipient": ("seq", "fee_recipient", None),
-    "workers": ("seq", "workers", 1),
-    "genesis_timestamp": ("seq", "genesis_timestamp", 0),
-    "quarantine_period": ("quarantine", "time_criterion_period", 1),
-    "operators": ("quarantine", "operators", None),
-    "escape_timeout": ("scenario", "escape_timeout", 0),
-    "max_queued": ("pool", "max_queued", 1),
-    "max_pending": ("pool", "max_pending", 1),
-    "replacement_bump": ("pool", "min_replacement_bump_percent", 1),
-    "tx_lifetime": ("pool", "tx_lifetime", 1),
+    "block_time": ("seq", "block_time", 1, U64_MAX),
+    "blocks_per_epoch": ("seq", "blocks_per_epoch", 1, U64_MAX),
+    "base_fee": ("seq", "base_fee", 0, U64_MAX),
+    "detection_budget": ("seq", "detection_budget", 0, U64_MAX),  # or "unlimited"
+    "fee_recipient": ("seq", "fee_recipient", None, None),
+    "workers": ("seq", "workers", 1, MAX_WORKERS),
+    "genesis_timestamp": ("seq", "genesis_timestamp", 0, U64_MAX),
+    "quarantine_period": ("quarantine", "time_criterion_period", 1, U64_MAX),
+    "operators": ("quarantine", "operators", None, None),
+    "escape_timeout": ("scenario", "escape_timeout", 0, U64_MAX),
+    "max_queued": ("pool", "max_queued", 1, U64_MAX),
+    "max_pending": ("pool", "max_pending", 1, U64_MAX),
+    "replacement_bump": ("pool", "min_replacement_bump_percent", 1, U64_MAX),
+    "tx_lifetime": ("pool", "tx_lifetime", 1, U64_MAX),
 }
 
 
@@ -311,7 +316,8 @@ def _config_value(key: str, value: str, lineno: int):
         return frozenset(_parse_address(a, lineno) for a in value.split(",") if a)
     if key == "detection_budget" and value == "unlimited":
         return None
-    return _parse_int(value, lineno, f"config {key}", minimum=_CONFIG_KEYS[key][2])
+    _section, _field, minimum, maximum = _CONFIG_KEYS[key]
+    return _parse_int(value, lineno, f"config {key}", minimum, maximum)
 
 
 def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
@@ -349,7 +355,7 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
             for key, value in _kv(fields[1:], lineno).items():
                 if key not in _CONFIG_KEYS:
                     raise ScenarioError(f"unknown config key {key!r}", line=lineno)
-                section, field_name, _ = _CONFIG_KEYS[key]
+                section, field_name, _, _ = _CONFIG_KEYS[key]
                 sections[section][field_name] = _config_value(key, value, lineno)
             continue
 
@@ -473,6 +479,8 @@ def _build_event(ts: int, kind: str, kv: Dict[str, str], lineno: int, labels: Di
                 )
             except KeyError as exc:
                 raise ScenarioError(f"deposit missing field {exc.args[0]!r}", line=lineno) from None
+            except ValueError as exc:
+                raise ScenarioError(f"bad deposit: {exc}", line=lineno) from None
             if gkv:
                 raise ScenarioError(f"unknown deposit field {sorted(gkv)[0]!r}", line=lineno)
         if kv:

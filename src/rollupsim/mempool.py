@@ -4,12 +4,14 @@ Single-writer: one owner serializes all mutations. Ordering of candidates is
 fully deterministic (effective tip desc, then arrival time, then hash) so the
 whole pipeline replays bit-identically.
 
-Status upkeep and retirement cost what changed, not what the pool holds: the
-pool keeps a running pending count and each sender's contiguous-run length,
-and re-evaluates only senders whose slots changed or whose `Account` object
-is not the one it last checked (copy-on-write states share unchanged
-accounts). Lifetime expiry pops a heap keyed on arrival time. Transaction
-ids are memoized on the transaction, so candidates never re-hash.
+Status upkeep, retirement and candidate selection cost what changed, not
+what the pool holds: the pool keeps a running pending count and each
+sender's contiguous-run length, and re-evaluates only senders whose slots
+changed or whose account may differ from the state it last looked at, as
+`vm.changed_since` reports (when it cannot tell, every sender's `Account`
+object is compared with the one last checked; copy-on-write states share
+unchanged accounts). Each sender's eligible run is cached with its sort keys.
+Lifetime expiry pops a heap keyed on arrival time.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from enum import Enum
 from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from .core import Address, SignedTransaction, TxHash, tx_hash
-from .vm import Account, WorldState
+from .vm import Account, WorldState, changed_since
 
 
 class PoolStatus(Enum):
@@ -78,8 +80,18 @@ class Mempool:
         # Per sender, the account its statuses were computed from and every
         # entry was checked against (nonce and balance); absent = recheck.
         self._checked: Dict[Address, Account] = {}
+        self._unchecked: Set[Address] = set()  # pooled senders absent from _checked
         self._state: Optional[WorldState] = None  # state of the last refresh
         self._arrivals: List[Tuple[int, TxHash]] = []  # heap; stale items skipped
+        # Candidate cache: the (-tip, arrival, hash, tx) sort item of every
+        # entry in a sender's eligible run at `_eligible_state` and
+        # `_eligible_fee`, by hash, and each sender's run of hashes, except for
+        # the senders in `_dirty`, whose slots or statuses changed since.
+        self._items: Dict[TxHash, Tuple[int, int, TxHash, SignedTransaction]] = {}
+        self._eligible: Dict[Address, List[TxHash]] = {}
+        self._eligible_state: Optional[WorldState] = None
+        self._eligible_fee: Optional[int] = None
+        self._dirty: Set[Address] = set()
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -142,22 +154,40 @@ class Mempool:
         Per sender, only the nonce-contiguous prefix starting at the account
         nonce is eligible (a fee-filtered middle nonce cuts off the rest).
         Entries in `held` are skipped without cutting off later nonces.
-        Ties break by arrival time, then hash.
+        Ties break by arrival time, then hash. Runs are rebuilt only for
+        senders that changed since the last call (all of them when the base
+        fee moved or the states are unrelated).
         """
-        eligible: List[Tuple[int, int, TxHash, SignedTransaction]] = []
-        for sender, slots in self.by_sender.items():
-            nonce = state.nonce_of(sender)
+        changed = changed_since(state, self._eligible_state)
+        if changed is None or base_fee != self._eligible_fee:
+            self._items, self._eligible = {}, {}
+            senders: Collection[Address] = self.by_sender
+        else:
+            senders = self._dirty.union(self.by_sender.keys() & changed)
+        items, runs = self._items, self._eligible
+        for sender in senders:
+            for h in runs.pop(sender, ()):
+                del items[h]
+            slots = self.by_sender.get(sender)
+            if not slots:
+                continue
+            run = []
+            nonce = state.account(sender).nonce
             while nonce in slots:
                 h = slots[nonce]
                 entry = self.entries[h]
                 if entry.status is not PoolStatus.PENDING or entry.tx.max_fee < base_fee:
                     break
-                if h not in held:
-                    tip = min(entry.tx.priority_fee, entry.tx.max_fee - base_fee)
-                    eligible.append((-tip, entry.received_at, tx_hash(entry.tx), entry.tx))
+                tip = min(entry.tx.priority_fee, entry.tx.max_fee - base_fee)
+                items[h] = (-tip, entry.received_at, tx_hash(entry.tx), entry.tx)
+                run.append(h)
                 nonce += 1
-        eligible.sort()  # hashes are unique, so transactions are never compared
-        return [item[3] for item in eligible]
+            if run:
+                runs[sender] = run
+        self._dirty = set()
+        self._eligible_state, self._eligible_fee = state, base_fee
+        # Hashes are unique, so the sort never compares transactions.
+        return [item[3] for item in sorted(items[h] for h in items.keys() - held)]
 
     def retire(self, now: int, state: WorldState) -> List[TxHash]:
         """Drop stale entries: dead nonce, expired lifetime, or unaffordable.
@@ -168,6 +198,7 @@ class Mempool:
         doomed: Set[TxHash] = set()
         for sender in stale:
             account = self._checked[sender] = state.account(sender)
+            self._unchecked.discard(sender)
             for nonce, h in self.by_sender[sender].items():
                 if nonce < account.nonce or account.balance < _cost(self.entries[h].tx):
                     doomed.add(h)
@@ -196,16 +227,28 @@ class Mempool:
             return
         if entry.status is PoolStatus.PENDING:
             self._pending -= 1
-        slots = self.by_sender.get(entry.tx.sender)
+        sender = entry.tx.sender
+        self._dirty.add(sender)
+        slots = self.by_sender.get(sender)
         if slots and slots.get(entry.tx.nonce) == h:
             del slots[entry.tx.nonce]
             if not slots:
-                del self.by_sender[entry.tx.sender]
-                self._checked.pop(entry.tx.sender, None)
+                del self.by_sender[sender]
+                self._checked.pop(sender, None)
+                self._unchecked.discard(sender)
 
     def _stale_senders(self, state: WorldState) -> List[Address]:
+        """Senders whose entries were not all checked against their account in
+        `state`. Only senders whose account may differ from the last refresh's
+        state, or that a refresh left unchecked, can be; when the states are
+        unrelated, every sender is compared."""
+        changed = changed_since(state, self._state)
+        if changed is None:
+            senders: Collection[Address] = self.by_sender
+        else:
+            senders = (self.by_sender.keys() & changed) | self._unchecked
         checked = self._checked
-        return [s for s in self.by_sender if state.account(s) is not checked.get(s)]
+        return [s for s in senders if state.account(s) is not checked.get(s)]
 
     def _measure_run(self, state: WorldState, sender: Address) -> None:
         slots = self.by_sender.get(sender, ())
@@ -236,9 +279,11 @@ class Mempool:
             slots = self.by_sender.get(sender)
             if slots is None:
                 continue
+            self._dirty.add(sender)
             account = state.account(sender)
             if self._checked.get(sender) is not account:
                 self._checked.pop(sender, None)
+                self._unchecked.add(sender)
             start = account.nonce
             end = start + min(self._runs.get(sender, 0), room)
             room -= end - start

@@ -6,16 +6,19 @@ collateral exceeding the damage bound, or the configured time limit).
 Per-block maintenance touches only nonces and timestamps — it never
 simulates, which is what keeps a quarantine flood from slowing the chain.
 Its cost follows what changed, not what is held: held non-deposit keys are
-indexed per sender and rechecked only when the sender's `Account` object is
-not the one last checked, and time-criterion deadlines sit on a heap. The due
-set is processed in admission order, so the audit trail matches a full walk.
+indexed per sender, and only senders admitted since the last maintenance or
+whose account may differ from the state it last checked (`vm.changed_since`)
+are looked at; when the states are unrelated, every held sender's `Account`
+object is compared with the one last checked. Time-criterion deadlines sit
+on a heap. The due set is processed in admission order, so the audit trail
+matches a full walk.
 Deposit entries never leave through any release path.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .core import (
     Address,
@@ -28,7 +31,7 @@ from .core import (
     tx_id,
 )
 from .detection import Verdict
-from .vm import Account, BlockContext, PreconditionFailed, TxStatus, WorldState, execute_transaction
+from .vm import Account, BlockContext, PreconditionFailed, TxStatus, WorldState, changed_since, execute_transaction
 
 
 class QuarantineError(Exception):
@@ -168,6 +171,8 @@ class QuarantineStore:
         self._positions: Dict[TxHash, int] = {}
         self._by_sender: Dict[Address, List[TxHash]] = {}  # held non-deposit keys
         self._checked: Dict[Address, Account] = {}  # account each sender's keys were checked against
+        self._admitted: Set[Address] = set()  # senders admitted since the last maintenance
+        self._state: Optional[WorldState] = None  # state of the last maintenance
         self._deadlines: List[Tuple[int, TxHash]] = []  # time-criterion heap; stale items skipped
 
     # -- admission --
@@ -199,6 +204,7 @@ class QuarantineStore:
         if not entry.is_deposit:
             self._by_sender.setdefault(tx.sender, []).append(key)
             self._checked.pop(tx.sender, None)
+            self._admitted.add(tx.sender)
             heapq.heappush(self._deadlines, (now + self.config.time_criterion_period, key))
         self.audit.append(AuditEvent(key, now, "admitted", detail=f"block={block_no}"))
         return entry
@@ -221,11 +227,18 @@ class QuarantineStore:
         """
         report = MaintenanceReport()
         dead: Set[TxHash] = set()
-        for sender, keys in self._by_sender.items():
+        changed = changed_since(chain_state, self._state)
+        if changed is None:
+            senders: Collection[Address] = self._by_sender.keys()
+        else:
+            senders = self._by_sender.keys() & (changed | self._admitted)
+        for sender in senders:
             account = chain_state.account(sender)
             if self._checked.get(sender) is not account:
                 self._checked[sender] = account
-                dead.update(key for key in keys if self.active[key].tx.nonce < account.nonce)
+                dead.update(key for key in self._by_sender[sender] if self.active[key].tx.nonce < account.nonce)
+        self._admitted.clear()
+        self._state = chain_state
         due: Set[TxHash] = set()
         while self._deadlines and self._deadlines[0][0] <= now:
             deadline, key = heapq.heappop(self._deadlines)

@@ -22,6 +22,7 @@ from .core import (
     SignedTransaction,
     StateRoot,
     TxHash,
+    U64_MAX,
     ZERO_ADDRESS,
     block_hash,
     canonical_encode,
@@ -345,13 +346,19 @@ class Sequencer:
         self.store.per_block_maintenance(final_state, now)
         self.counters.maintenance_sims += self.counters.simulations() - before
 
-        self.minted.update(deposit_id(d) for d in block.deposits)
-        self._check_deposit_conservation()
+        minted_now = [deposit_id(d) for d in block.deposits]
+        self.minted.update(minted_now)
+        self._check_deposit_conservation(minted_now + [deposit_id(d) for d in epoch_deposits or ()])
         return block
 
-    def _check_deposit_conservation(self) -> None:
-        """Each deposit is exactly one of: minted on L2, refunded on L1, escrowed."""
-        for dep_key, escrow in self.l1.escrow.items():
+    def _check_deposit_conservation(self, keys: Sequence[TxHash]) -> None:
+        """Each deposit is exactly one of: minted on L2, refunded on L1, escrowed.
+
+        Escrow status moves only when an epoch head's bitmap settles its
+        deposits (the sequencer never refunds), so only the deposits settled
+        or minted in this block are checked."""
+        for dep_key in keys:
+            escrow = self.l1.escrow[dep_key]
             minted = dep_key in self.minted
             if escrow.status is EscrowStatus.ACCEPTED and not minted:
                 raise RuntimeError(f"accepted deposit {dep_key.hex0x()} never minted")
@@ -383,6 +390,8 @@ class Sequencer:
                     raise ScenarioError(f"{type(exc).__name__}: {exc}", at=event.at) from None
             epoch_deposits = None
             number = len(self.chain.blocks)
+            if build_at > U64_MAX:
+                raise ScenarioError(f"block {number} time {build_at} is past 2^64-1")
             if number % self.config.blocks_per_epoch == 0:
                 epoch_deposits = self.l1.deposits_for_epoch(number // self.config.blocks_per_epoch)
             self.build_block(build_at, epoch_deposits)

@@ -12,16 +12,22 @@ share of the fee is burned; the priority share goes to the block's fee
 recipient. Deposits mint their value and pay no fee.
 
 World states are copy-on-write: a post-state shares every untouched `Account`
-object with the state it came from, and each account memoizes its digest for
-the state root. Nothing may therefore mutate an `Account` or its `storage` in
-place; build a new `Account` instead.
+object with the state it came from. Nothing may therefore mutate an `Account`
+or its `storage` in place; build a new `Account` instead. A post-state also
+records its root lineage: the nearest ancestor whose root was computed (held
+weakly), that ancestor's sorted digest table, and the addresses changed since.
+`state_root` patches that table instead of re-sorting and re-hashing every
+account, and `changed_since` answers which accounts two related states may
+disagree on.
 """
 from __future__ import annotations
 
 import hashlib
+import weakref
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from .core import (
     BASE_TX_GAS,
@@ -185,11 +191,6 @@ class Account:
     nonce: int = 0
     code: Optional[ContractCode] = None
     storage: Mapping[bytes, bytes] = field(default_factory=dict)
-    # Memo of this account's last state-root digest and the address it was
-    # hashed under: the digest covers the address, so it is valid only there.
-    # State roots are computed on one thread; worker threads only execute.
-    _digest_addr: Optional[Address] = field(default=None, init=False, repr=False, compare=False)
-    _digest: bytes = field(default=b"", init=False, repr=False, compare=False)
 
     def is_empty(self) -> bool:
         return self.balance == 0 and self.nonce == 0 and self.code is None and not self.storage
@@ -203,6 +204,15 @@ class WorldState:
     """All accounts, stored canonically: empty accounts and zero slots are absent."""
 
     accounts: Mapping[Address, Account] = field(default_factory=dict)
+    # Root bookkeeping, not dataclass fields (equality, repr and __init__
+    # ignore them). `_table` is set once by `state_root`: (root, sorted
+    # addresses, their digests). `_lineage` is set by `_Execution.post_state`
+    # on a base with a table or a lineage: (weak ref to the nearest rooted
+    # ancestor, that ancestor's table, linked list of the address lists
+    # changed since, newest first). State roots are computed on one thread;
+    # worker threads only execute.
+    _table = None
+    _lineage = None
 
     def account(self, addr: Address) -> Account:
         return self.accounts.get(addr, EMPTY_ACCOUNT)
@@ -396,21 +406,33 @@ class _Execution:
     def post_state(self) -> WorldState:
         """Copy-on-write snapshot: share every account whose contents did not
         change, rebuild (and prune, if now empty) only the ones that did."""
-        accounts: Dict[Address, Account] = dict(self.base.accounts)
+        base = self.base
+        accounts: Dict[Address, Account] = dict(base.accounts)
+        changed: List[Address] = []
         for addr in self.balances.keys() | self.nonces.keys() | self.storage.keys():
-            prev = self.base.account(addr)
+            prev = base.account(addr)
             balance = self.balances.get(addr, prev.balance)
             nonce = self.nonces.get(addr, prev.nonce)
             storage = self.storage.get(addr, prev.storage)
             unchanged = storage is prev.storage or storage == prev.storage
             if unchanged and balance == prev.balance and nonce == prev.nonce:
                 continue
+            changed.append(addr)
             acct = Account(balance=balance, nonce=nonce, code=prev.code, storage=storage)
             if acct.is_empty():
                 accounts.pop(addr, None)
             else:
                 accounts[addr] = acct
-        return WorldState(accounts)
+        state = WorldState(accounts)
+        if base._table is not None:
+            lineage = (weakref.ref(base), base._table, (changed, None))
+        elif base._lineage is not None:
+            anchor, table, link = base._lineage
+            lineage = (anchor, table, (changed, link))
+        else:
+            return state
+        object.__setattr__(state, "_lineage", lineage)
+        return state
 
 
 class _CallEnv:
@@ -605,8 +627,6 @@ def code_hash(code: Optional[ContractCode]) -> bytes:
 
 
 def _account_digest(addr: Address, acct: Account) -> bytes:
-    if acct._digest_addr == addr:
-        return acct._digest
     ah = hashlib.sha256()
     ah.update(bytes(addr))
     ah.update(acct.balance.to_bytes(16, "big"))
@@ -615,10 +635,15 @@ def _account_digest(addr: Address, acct: Account) -> bytes:
     for key in sorted(acct.storage):
         ah.update(key)
         ah.update(acct.storage[key])
-    digest = ah.digest()
-    object.__setattr__(acct, "_digest", digest)
-    object.__setattr__(acct, "_digest_addr", addr)
-    return digest
+    return ah.digest()
+
+
+def _touched(link) -> Set[Address]:
+    touched: Set[Address] = set()
+    while link is not None:
+        touched.update(link[0])
+        link = link[1]
+    return touched
 
 
 def state_root(state: WorldState) -> StateRoot:
@@ -626,14 +651,63 @@ def state_root(state: WorldState) -> StateRoot:
 
     Account digest = SHA-256(address | balance 16 BE | nonce 8 BE | code hash
     | sorted storage pairs). Insertion order never matters; the empty state
-    hashes the empty string. Each account memoizes its digest, so a root costs
-    hashing only the accounts that are new since the last one.
+    hashes the empty string. The sorted digest table is kept on the state; a
+    state with a lineage copies its rooted ancestor's table and re-hashes only
+    the accounts changed since, and a state without one builds it in full.
     """
-    h = hashlib.sha256()
+    if state._table is not None:
+        return state._table[0]
     accounts = state.accounts
-    for addr in sorted(accounts):
-        h.update(_account_digest(addr, accounts[addr]))
-    return StateRoot(h.digest())
+    if state._lineage is None:
+        addrs = sorted(accounts)
+        digests = [_account_digest(addr, accounts[addr]) for addr in addrs]
+    else:
+        anchor, table, link = state._lineage
+        addrs, digests = list(table[1]), list(table[2])
+        touched = _touched(link)
+        # Later `changed_since` calls walk one merged address set.
+        object.__setattr__(state, "_lineage", (anchor, table, (touched, None)))
+        for addr in touched:
+            i = bisect_left(addrs, addr)
+            present = i < len(addrs) and addrs[i] == addr
+            acct = accounts.get(addr)
+            if acct is None:
+                if present:
+                    del addrs[i], digests[i]
+            elif present:
+                digests[i] = _account_digest(addr, acct)
+            else:
+                addrs.insert(i, addr)
+                digests.insert(i, _account_digest(addr, acct))
+    root = StateRoot(hashlib.sha256(b"".join(digests)).digest())
+    object.__setattr__(state, "_table", (root, addrs, digests))
+    return root
+
+
+def changed_since(state: WorldState, earlier: Optional[WorldState]) -> Optional[Set[Address]]:
+    """Addresses whose account may differ between `earlier` and `state`.
+
+    Known when `earlier` is `state` or one of its live rooted ancestors, or
+    was itself executed from one of them (anchors are compared by their weak
+    reference, which outlives the anchor); every other address then maps to
+    the very same `Account` object in both. Otherwise None: the caller must
+    compare every account it cares about.
+    """
+    if state is earlier:
+        return set()
+    other = earlier._lineage if earlier is not None else None
+    touched: Set[Address] = set()
+    lineage = state._lineage
+    while lineage is not None:
+        ref, _table, link = lineage
+        touched |= _touched(link)
+        if other is not None and other[0] is ref:
+            return touched | _touched(other[2])
+        anchor = ref()
+        if anchor is earlier:
+            return touched
+        lineage = anchor._lineage if anchor is not None else None
+    return None
 
 
 def apply_block(state: WorldState, block: Block, fee_recipient: Address) -> WorldState:

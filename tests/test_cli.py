@@ -325,3 +325,61 @@ class TestOutOfRangeIntegers:
         assert code == 4
         assert "Traceback" not in err
         assert "line 3" in err
+
+
+class TestConfigUpperBounds:
+    """Config integers have a greatest value: 2**64-1 for anything hashed as
+    8 bytes, and a thread count for workers."""
+
+    @pytest.mark.parametrize(
+        "setting, needle",
+        [
+            (f"genesis_timestamp={U64}", "genesis_timestamp"),
+            (f"block_time={U64}", "block_time"),
+            (f"base_fee={U64}", "base_fee"),
+            (f"blocks_per_epoch={hex(U64)}", "blocks_per_epoch"),
+            (f"quarantine_period={U64}", "quarantine_period"),
+            ("workers=257", "workers"),
+            (f"workers={U64}", "workers"),
+        ],
+    )
+    def test_too_large_value_names_the_line(self, tmp_path, capsys, setting, needle):
+        capsys.readouterr()
+        code = run_text(tmp_path, f"scenario v1\nconfig fee_recipient=0xfe\nconfig {setting}\nrun blocks=2\n")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "line 3" in err and needle in err and "at most" in err
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_block_time_past_u64_exits_2(self, tmp_path, capsys, blocks):
+        capsys.readouterr()
+        code = run_text(tmp_path, f"scenario v1\nconfig genesis_timestamp={U64 - 1}\nrun blocks={blocks}\n")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"block 0 time {U64 + 1} is past 2^64-1" in err
+
+    def test_last_representable_block_time_runs_and_derives(self, tmp_path, capsys):
+        assert run_text(tmp_path, f"scenario v1\nconfig genesis_timestamp={U64 - 3}\nrun blocks=1\n") == 0
+        assert main(["derive", "--l1", str(tmp_path / "l")]) == 0
+
+
+class TestDepositFieldErrors:
+    """A bad deposit field in an l1_block event names its line, like submit."""
+
+    @pytest.mark.parametrize(
+        "group, needle",
+        [
+            ("sender=0x01 recipient=0x02 value=-1", "value out of range"),
+            (f"sender=0x01 recipient=0x02 value={U128}", "value out of range"),
+            ("sender=0x01 recipient=0x02 gas_limit=20", "gas_limit"),
+        ],
+    )
+    def test_bad_deposit_exits_2_with_line(self, tmp_path, capsys, group, needle):
+        capsys.readouterr()
+        code = run_text(tmp_path, f"scenario v1\nrun blocks=1\nevent 0 l1_block deposits={{{group}}}\n")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "line 3: bad deposit:" in err and needle in err

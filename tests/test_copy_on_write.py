@@ -1,12 +1,16 @@
 """The copy-on-write VM and the classifier's fold, held to the full-copy
 reference in `reference_vm`.
 
-Three properties: the fast path produces exactly the reference's results and
+Four properties: the fast path produces exactly the reference's results and
 roots; executing never mutates an input state (its accounts are shared with
-every later snapshot); and the classifier's final fold state is the tip with
-the benign candidates applied in order.
+every later snapshot); the incremental root of any state, rooted in any
+order, equals a full rehash, and `changed_since` never misses an account
+that differs; and the classifier's final fold state is the tip with the
+benign candidates applied in order.
 """
+import gc
 import random
+import weakref
 
 from hypothesis import given, settings, strategies as st
 
@@ -33,7 +37,17 @@ from helpers import (
 from reference_vm import full_state_root, reference_execute
 from rollupsim.core import DepositTransaction
 from rollupsim.detection import CandidateSet, InvariantDetector, InvariantSet, hybrid_detect
-from rollupsim.vm import Account, PreconditionFailed, WorldState, execute_transaction, make_state, slot_bytes, state_root
+from rollupsim.vm import (
+    Account,
+    PreconditionFailed,
+    WorldState,
+    _Execution,
+    changed_since,
+    execute_transaction,
+    make_state,
+    slot_bytes,
+    state_root,
+)
 
 PARTICIPANTS = [addr(i) for i in range(1, 5)] + [ADMIN, ATTACKER]
 GUARDED = addr(0xC6)
@@ -160,6 +174,114 @@ class TestAliasing:
         state = make_state({addr(1): Account(balance=5)})
         nothing = DepositTransaction(l1_block=0, l1_index=0, sender=addr(9), recipient=addr(8), value=0, data=b"", gas_limit=21)
         assert execute_transaction(state, nothing, ctx()).post_state.accounts == state.accounts
+
+
+def draw_edit(data, base: WorldState) -> WorldState:
+    """A post-state made by writing balances, nonces and slots directly, so
+    that accounts are created, changed and pruned (an EOA set back to zero
+    balance and nonce disappears)."""
+    exe = _Execution(base)
+    for a in data.draw(st.lists(st.sampled_from(PARTICIPANTS + [addr(0x77)]), max_size=3, unique=True)):
+        exe.balances[a] = data.draw(st.sampled_from([0, 0, 1, 500]))
+        exe.nonces[a] = data.draw(st.sampled_from([0, base.nonce_of(a), base.nonce_of(a) + 1]))
+    for a in data.draw(st.lists(st.sampled_from(list(CONTRACTS)), max_size=2, unique=True)):
+        exe.write_slot(a, slot_bytes(data.draw(st.sampled_from(SLOT_KEYS))), slot_bytes(data.draw(st.sampled_from([0, 3]))))
+    return exe.post_state()
+
+
+def assert_changes_covered(state: WorldState, earlier: WorldState) -> None:
+    changed = changed_since(state, earlier)
+    if changed is None:
+        return
+    for a in state.accounts.keys() | earlier.accounts.keys():
+        if a not in changed:
+            assert state.accounts.get(a) is earlier.accounts.get(a)
+
+
+class TestIncrementalRoot:
+    @settings(max_examples=200, deadline=None)
+    @given(genesis_states(), st.data())
+    def test_roots_in_any_order_match_a_full_rehash(self, genesis, data):
+        states = [genesis]
+        if data.draw(st.booleans()):
+            state_root(genesis)
+        for index in range(data.draw(st.integers(min_value=1, max_value=12))):
+            # Extend the newest state or any earlier one: chains, siblings
+            # and isolated branches off rooted and unrooted states.
+            base = data.draw(st.sampled_from([states[-1], states[-1], *states]))
+            kind = data.draw(st.sampled_from(["execute", "execute", "edit", "detached"]))
+            if kind == "execute":
+                op = draw_operation(data, base, index)
+                result = run_or_reason(execute_transaction, base, op, ctx(base_fee=data.draw(st.integers(0, 1))))
+                if isinstance(result, str):
+                    continue
+                state = result.post_state
+            elif kind == "edit":
+                state = draw_edit(data, base)
+            else:
+                state = WorldState(dict(base.accounts))  # no lineage
+            related = kind != "detached" and (base._table is not None or base._lineage is not None)
+            assert (changed_since(state, base) is not None) == related
+            states.append(state)
+            for s in data.draw(st.lists(st.sampled_from(states), max_size=3)):
+                assert state_root(s) == full_state_root(s)
+        for s in data.draw(st.permutations(states)):
+            assert state_root(s) == full_state_root(s)
+        for s in states:
+            for e in states:
+                assert_changes_covered(s, e)
+
+    def test_successor_of_a_rooted_state_names_exactly_its_changes(self):
+        state = make_state({addr(1): Account(balance=100), addr(2): Account(balance=100)})
+        state_root(state)
+        post = execute_transaction(state, tx(addr(1), 0, addr(3), value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state
+        assert changed_since(post, state) == {addr(1), addr(3)}
+        assert changed_since(post, post) == set()
+        sibling = execute_transaction(state, tx(addr(2), 0, addr(4), value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state
+        assert changed_since(post, sibling) == {addr(1), addr(2), addr(3), addr(4)}
+        assert changed_since(state, post) is None  # an ancestor does not know its successors
+        assert changed_since(post, WorldState(dict(state.accounts))) is None  # unrelated
+
+    def test_changes_are_known_across_sealed_blocks(self):
+        # The sequencer's flow: each block's state is executed from the last
+        # sealed one; an epoch head's deposits add one more unsealed step.
+        def pay(state, sender, nonce, to):
+            return execute_transaction(state, tx(sender, nonce, to, value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state
+
+        genesis = make_state({addr(1): Account(balance=100), addr(2): Account(balance=100)})
+        state_root(genesis)
+        block0 = pay(genesis, addr(1), 0, addr(3))
+        state_root(block0)
+        head = pay(block0, addr(2), 0, addr(4))  # not sealed yet
+        assert changed_since(head, genesis) == {addr(1), addr(2), addr(3), addr(4)}
+        state_root(head)
+        after = pay(head, addr(1), 1, addr(5))
+        sibling = pay(head, addr(2), 1, addr(6))
+        anchor = weakref.ref(head)
+        del head  # their shared anchor is gone; its weak reference still names it
+        gc.collect()
+        assert anchor() is None
+        assert changed_since(after, sibling) == {addr(1), addr(2), addr(5), addr(6)}
+
+    def test_unrooted_base_gives_no_lineage(self):
+        state = make_state({addr(1): Account(balance=100)})
+        post = execute_transaction(state, tx(addr(1), 0, addr(3), value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state
+        assert changed_since(post, state) is None
+        assert state_root(post) == full_state_root(post)
+
+    def test_anchor_is_held_weakly_and_no_chain_stays_alive(self):
+        state = make_state({addr(1): Account(balance=10_000)})
+        refs = []
+        for nonce in range(5):
+            state_root(state)
+            refs.append(weakref.ref(state))
+            state = execute_transaction(state, tx(addr(1), nonce, addr(2), value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        # The anchor is gone but its digest table is not: the root is still incremental and right.
+        assert state._lineage is not None and state._lineage[0]() is None
+        assert changed_since(state, WorldState({})) is None
+        assert state_root(state) == full_state_root(state)
 
 
 class TestDigestMemo:

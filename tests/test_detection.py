@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,7 @@ from helpers import (
     unpause_tx,
     vault_state,
 )
+import rollupsim
 from rollupsim.core import tx_hash
 from rollupsim.detection import (
     CandidateSet,
@@ -276,3 +281,14 @@ class TestOracleEquivalence:
             outcome = hybrid_detect(CandidateSet(tuple(txs), state, budget=None), invs, detector, ctx())
             positions = [txs.index(t) for t in outcome.benign]
             assert positions == sorted(positions)
+
+
+class TestLazyThreadPool:
+    def test_import_leaves_the_thread_pool_unloaded(self):
+        # concurrent.futures (and the logging it pulls in) is imported only
+        # when a round actually runs with more than one worker.
+        src = Path(rollupsim.__file__).resolve().parent.parent
+        probe = "import sys, rollupsim, rollupsim.cli; print('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -2,10 +2,12 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import ADMIN, VAULT, addr, gated_vault, vault_state
 from rollupsim import vm
 from rollupsim.formats import (
+    _split_fields,
     parse_expr,
     parse_history,
     parse_report,
@@ -182,3 +184,54 @@ class TestHistoryRoundTrip:
         code = parsed.genesis.account(VAULT).code
         assert code is not None and code.admin == ADMIN
         assert code == gated_vault()
+
+
+def reference_split_fields(line: str, lineno: int):
+    """The original per-character splitter, kept as the oracle for the
+    brace-free fast path of `formats._split_fields`."""
+    fields = []
+    buf = []
+    depth = 0
+    for ch in line:
+        if ch == "{":
+            depth += 1
+            buf.append(ch)
+        elif ch == "}":
+            depth -= 1
+            if depth < 0:
+                raise ScenarioError("unbalanced '}'", line=lineno)
+            buf.append(ch)
+        elif ch.isspace() and depth == 0:
+            if buf:
+                fields.append("".join(buf))
+                buf = []
+        else:
+            buf.append(ch)
+    if depth != 0:
+        raise ScenarioError("unbalanced '{'", line=lineno)
+    if buf:
+        fields.append("".join(buf))
+    return fields
+
+
+# Braces, nesting material, ASCII and Unicode whitespace (including the
+# separators and NEL that `str.isspace` accepts), and ordinary text.
+FIELD_ALPHABET = list("ab=x0;'(){}") + [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u2028", "\u3000", "\u200b", "\xe9"]
+
+
+class TestSplitFields:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.text(alphabet=FIELD_ALPHABET, max_size=40), st.text(max_size=40)))
+    def test_matches_the_per_character_reference(self, line):
+        def outcome(split):
+            try:
+                return split(line, 7)
+            except ScenarioError as exc:
+                return ("error", str(exc))
+
+        assert outcome(_split_fields) == outcome(reference_split_fields)
+
+    def test_every_corpus_line_splits_as_before(self):
+        for path in sorted(SCENARIOS.glob("*.scn")):
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                assert _split_fields(line, lineno) == reference_split_fields(line, lineno), (path.name, lineno)

@@ -1,7 +1,9 @@
-"""The incremental pool status, indexed retirement and indexed quarantine
-maintenance against the full-walk oracle in `reference_pool`, plus a
-deterministic check that a block's hashing work does not grow with the
-number of held transactions."""
+"""The incremental pool status, indexed retirement, cached candidates and
+indexed quarantine maintenance against the full-walk oracle in
+`reference_pool`, over hand-built states (the identity-scan fallback) and
+execution-derived successors (the `changed_since` fast path), plus a
+deterministic check that a block's work does not grow with the number of
+held transactions."""
 import sys
 from typing import List
 
@@ -9,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import addr, tx
 from reference_pool import ReferenceMempool, ReferenceStore
-from rollupsim import core
+from rollupsim import core, vm
 from rollupsim.core import DepositTransaction, tx_hash
 from rollupsim.detection import Verdict
 from rollupsim.mempool import Mempool, PoolConfig
 from rollupsim.quarantine import CollateralLedger, QuarantineConfig, QuarantineStore
 from rollupsim.sequencer import Scenario, Sequencer
-from rollupsim.vm import Account, WorldState, make_state
+from rollupsim.vm import Account, BlockContext, PreconditionFailed, WorldState, execute_transaction, make_state, state_root
 
 SENDERS = [addr(n) for n in (1, 2, 3, 4)]
 OPERATOR = addr(0xEE)
@@ -23,14 +25,42 @@ SINK = addr(0x99)
 OPERATIONS = ["submit"] * 4 + ["admit"] * 2 + ["retire", "candidates", "maintain", "stake", "approve"]
 
 
+FREE = BlockContext(base_fee=0, timestamp=0, fee_recipient=SINK)
+
+
+def draw_executed(data, history: List[WorldState]) -> WorldState:
+    """Execute deposits and free transfers on the previous state or an
+    earlier one, rooted first or not, as the sequencer seals its blocks: a
+    state with a lineage whenever its base had a root or a lineage."""
+    state = history[-1] if data.draw(st.booleans()) else data.draw(st.sampled_from(history))
+    for step in range(data.draw(st.integers(min_value=1, max_value=3))):
+        if data.draw(st.booleans()):
+            state_root(state)
+        if data.draw(st.booleans()):
+            op = DepositTransaction(0, step, addr(0xD0), data.draw(st.sampled_from(SENDERS)), data.draw(st.sampled_from([10, 60, 500])), b"", 21)
+        else:
+            sender = data.draw(st.sampled_from(SENDERS))
+            to = data.draw(st.sampled_from(SENDERS + [SINK]))
+            op = tx(sender, state.nonce_of(sender), to, value=data.draw(st.sampled_from([0, 10])), max_fee=0, gas_limit=21)
+        try:
+            state = execute_transaction(state, op, FREE).post_state
+        except PreconditionFailed:
+            pass
+    history.append(state)
+    return state
+
+
 def draw_state(data, history: List[WorldState]) -> WorldState:
-    """The previous state itself, an earlier one, a copy-on-write successor
-    sharing every untouched Account object, or an unrelated state."""
-    kind = data.draw(st.sampled_from(["same", "same", "earlier", "successor", "unrelated"]))
+    """The previous state itself, an earlier one, a hand-built copy-on-write
+    successor sharing every untouched Account object, an execution-derived
+    successor, or an unrelated state."""
+    kind = data.draw(st.sampled_from(["same", "same", "earlier", "successor", "executed", "executed", "unrelated"]))
     if kind == "same" and history:
         return history[-1]
     if kind == "earlier" and history:
         return data.draw(st.sampled_from(history))
+    if kind == "executed" and history:
+        return draw_executed(data, history)
     prev = history[-1] if history else WorldState({})
     accounts = dict(prev.accounts) if kind == "successor" else {}
     for a in SENDERS:
@@ -134,10 +164,11 @@ class TestDifferentialAgainstReference:
             assert fast_store.audit == ref_store.audit
 
 
-def held_flood_block_encodes(n: int, monkeypatch) -> int:
-    """Hold `n` drains in quarantine while they stay pending in the pool,
-    then count canonical encodings while one block with one benign transfer
-    is built."""
+def held_flood_block_counts(n: int, monkeypatch) -> dict:
+    """Hold `n` drains in quarantine while they stay pending in the pool and
+    seal one block over them, then count canonical encodings, account
+    lookups and account hashes while the next block, with one benign
+    transfer, is built."""
     flooders = [addr(0x10000 + k) for k in range(n)]
     benign = addr(0x5)
     genesis = make_state({a: Account(balance=1_000) for a in flooders + [benign]})
@@ -147,32 +178,44 @@ def held_flood_block_encodes(n: int, monkeypatch) -> int:
         drain = tx(f, 0, SINK, data=b"\x00")
         assert seq.mempool.submit(drain, 0, seq.chain.tip_state).outcome == "accepted"
         seq.store.admit(drain, verdict, now=0, block_no=0)
+    assert seq.build_block(2, None).transactions == ()
     transfer = tx(benign, 0, SINK, value=7, gas_limit=21)
-    seq.mempool.submit(transfer, 1, seq.chain.tip_state)
+    seq.mempool.submit(transfer, 3, seq.chain.tip_state)
 
-    calls = []
-    original = core.canonical_encode
+    counts = {"encode": 0, "account": 0, "digest": 0}
 
-    def counted(t):
-        calls.append(t)
-        return original(t)
+    def counting(name, original):
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return counted
 
     with monkeypatch.context() as patch:
+        original = core.canonical_encode
         for name, module in list(sys.modules.items()):
             if name.startswith("rollupsim") and module.__dict__.get("canonical_encode") is original:
-                patch.setattr(module, "canonical_encode", counted)
-        block = seq.build_block(2, None)
+                patch.setattr(module, "canonical_encode", counting("encode", original))
+        patch.setattr(WorldState, "account", counting("account", WorldState.account))
+        patch.setattr(vm, "_account_digest", counting("digest", vm._account_digest))
+        block = seq.build_block(4, None)
     assert block.transactions == (transfer,)
     assert len(seq.store.active) == n and len(seq.mempool) == n
-    return len(calls)
+    return counts
 
 
 class TestHeldBacklogScaling:
     def test_block_encodings_do_not_grow_with_held_entries(self, monkeypatch):
-        small = held_flood_block_encodes(100, monkeypatch)
-        large = held_flood_block_encodes(1000, monkeypatch)
-        assert small >= 1  # the batch encodes the included transfer
-        assert small == large
+        small = held_flood_block_counts(100, monkeypatch)
+        large = held_flood_block_counts(1000, monkeypatch)
+        assert small["encode"] >= 1  # the batch encodes the included transfer
+        assert small["encode"] == large["encode"]
+
+    def test_block_lookups_and_hashes_do_not_grow_with_held_entries(self, monkeypatch):
+        small = held_flood_block_counts(100, monkeypatch)
+        large = held_flood_block_counts(1000, monkeypatch)
+        assert small["digest"] >= 1  # the root re-hashes the accounts the transfer touched
+        assert (small["account"], small["digest"]) == (large["account"], large["digest"])
 
 
 class TestMemoizedIds:
@@ -197,3 +240,61 @@ class TestMemoizedIds:
         dep = DepositTransaction(1, 2, addr(3), addr(4), 5, b"", 21)
         assert core.deposit_id(dep) is core.deposit_id(dep)
         assert core.deposit_id(dep) == core.deposit_id(DepositTransaction(1, 2, addr(3), addr(4), 5, b"", 21))
+
+
+class TestChangeDrivenUpkeep:
+    """Deterministic cases for the `changed_since` fast paths: states sealed
+    and executed the way the sequencer makes them, each step held to the
+    full-walk reference."""
+
+    A, B, C = SENDERS[0], SENDERS[1], SENDERS[2]
+
+    def sealed(self, balances) -> WorldState:
+        state = make_state({a: Account(balance=b) for a, b in balances.items()})
+        state_root(state)
+        return state
+
+    def executed(self, state, op) -> WorldState:
+        state_root(state)  # the base is a sealed block, so the result knows its lineage
+        return execute_transaction(state, op, FREE).post_state
+
+    def pools(self, **config):
+        return Mempool(PoolConfig(**config)), ReferenceMempool(PoolConfig(**config))
+
+    def test_candidates_follow_a_nonce_change_without_a_refresh(self):
+        s0 = self.sealed({self.A: 10_000})
+        fast, ref = self.pools()
+        for pool in (fast, ref):
+            for nonce in (0, 1):
+                pool.submit(tx(self.A, nonce, SINK, value=1, gas_limit=21), 0, s0)
+        assert fast.pending_candidates(1, s0) == ref.pending_candidates(1, s0)
+        s1 = self.executed(s0, tx(self.A, 0, self.B, value=1, max_fee=0, gas_limit=21))
+        assert vm.changed_since(s1, s0) is not None
+        assert fast.pending_candidates(1, s1) == ref.pending_candidates(1, s1)
+        assert [t.nonce for t in fast.pending_candidates(1, s1)] == [1]
+
+    def test_candidates_drop_a_sender_whose_entries_expired(self):
+        s0 = self.sealed({self.A: 10_000})
+        fast, ref = self.pools(tx_lifetime=5)
+        for pool in (fast, ref):
+            pool.submit(tx(self.A, 0, SINK, value=1, gas_limit=21), 0, s0)
+        assert len(fast.pending_candidates(1, s0)) == 1
+        s1 = self.executed(s0, DepositTransaction(0, 0, addr(0xD0), self.C, 5, b"", 21))
+        assert fast.retire(10, s1) == ref.retire(10, s1) != []
+        assert fast.pending_candidates(1, s1) == ref.pending_candidates(1, s1) == []
+
+    def test_sender_refreshed_by_a_submit_is_rechecked_at_retire(self):
+        s0 = self.sealed({self.A: 100, self.B: 10_000})
+        fast, ref = self.pools()
+        queued = tx(self.A, 1, SINK, value=50, gas_limit=21)  # costs 71, waits for nonce 0
+        for pool in (fast, ref):
+            pool.submit(queued, 0, s0)
+            pool.retire(1, s0)
+        s1 = self.executed(s0, tx(self.A, 0, self.C, value=90, max_fee=0, gas_limit=21))  # A keeps 10
+        for pool in (fast, ref):
+            pool.submit(tx(self.B, 0, SINK, value=1, gas_limit=21), 2, s1)  # refreshes A's statuses only
+        s2 = self.executed(s1, DepositTransaction(0, 0, addr(0xD0), self.C, 5, b"", 21))  # A untouched
+        assert vm.changed_since(s2, s1) is not None and self.A not in vm.changed_since(s2, s1)
+        removed = fast.retire(3, s2)
+        assert removed == ref.retire(3, s2) == [tx_hash(queued)]
+        assert statuses(fast) == statuses(ref)

@@ -6,7 +6,7 @@ from helpers import ADMIN, ATTACKER, VAULT, addr
 from rollupsim.core import deposit_id, tx_hash
 from rollupsim.detection import BENIGN_VERDICT, DetectionOutcome
 from rollupsim.formats import parse_scenario, render_report
-from rollupsim.l1da import EscrowStatus
+from rollupsim.l1da import EscrowStatus, L1Chain
 from rollupsim.sequencer import ScenarioError, Sequencer, run
 from rollupsim.vm import PreconditionFailed, execute_transaction
 
@@ -125,6 +125,50 @@ class TestValueConservation:
             final_supply = sum(a.balance for a in out.sequencer.chain.tip_state.accounts.values())
             assert final_supply == genesis_supply + minted - burned, path.stem
             assert state == out.sequencer.chain.tip_state, path.stem
+
+
+def full_deposit_walk(seq: Sequencer) -> None:
+    """The walk the per-block check replaced, as its oracle: every escrow
+    entry ever posted is accepted exactly when the chain minted it."""
+    minted = {deposit_id(d) for block in seq.chain.blocks for d in block.deposits}
+    for key, escrow in seq.l1.escrow.items():
+        assert (escrow.status is EscrowStatus.ACCEPTED) == (key in minted), key.hex0x()
+
+
+class WalkingSequencer(Sequencer):
+    def build_block(self, now, epoch_deposits):
+        block = super().build_block(now, epoch_deposits)
+        full_deposit_walk(self)
+        self.walked = getattr(self, "walked", 0) + 1
+        return block
+
+
+class TestDepositConservation:
+    def test_full_walk_holds_after_every_block_of_every_scenario(self):
+        for path in sorted(SCENARIOS.glob("*.scn")):
+            scenario = load(path.stem)
+            seq = WalkingSequencer(scenario)
+            seq.run()
+            assert getattr(seq, "walked", 0) == scenario.run_blocks, path.stem
+
+    def test_build_block_checks_the_deposits_its_epoch_head_settled(self, monkeypatch):
+        # A batcher that marks every deposit accepted, whatever the bitmap
+        # says: the refused deposit is then accepted but never minted.
+        def accept_all(l1, record):
+            for dep in l1.deposits_for_epoch(record.epoch) if record.has_bitmap else ():
+                l1.escrow[deposit_id(dep)].status = EscrowStatus.ACCEPTED
+            l1.inbox.append(record)
+
+        monkeypatch.setattr(L1Chain, "post_batch", accept_all)
+        with pytest.raises(RuntimeError, match="never minted"):
+            run_named("deposit_refused")
+
+    def test_per_block_check_sees_a_settled_deposit_gone_wrong(self):
+        seq = run_named("deposits_benign").sequencer
+        key = deposit_id(seq.chain.blocks[0].deposits[0])
+        seq.l1.escrow[key].status = EscrowStatus.REFUSED
+        with pytest.raises(RuntimeError, match="unaccepted deposit"):
+            seq._check_deposit_conservation([key])
 
 
 class TestQuarantineLiveness:
