@@ -18,7 +18,7 @@ from pathlib import Path
 from .core import EncodingError, TxHash
 from .derivation import DerivationGap, derive
 from .detection import UnauthorizedInvariant
-from .formats import parse_history, parse_report, parse_scenario, render_history, render_report
+from .formats import MAX_WORKERS, parse_history, parse_report, parse_scenario, render_history, render_report
 from .l1da import L1Error
 from .sequencer import ScenarioError, run
 
@@ -35,6 +35,8 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.workers is not None and not 1 <= args.workers <= MAX_WORKERS:
+        return _fail(EXIT_SCENARIO, f"--workers must be 1..{MAX_WORKERS}, got {args.workers}")
     path = Path(args.scenario)
     try:
         text = path.read_text()

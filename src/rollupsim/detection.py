@@ -280,7 +280,9 @@ def hybrid_detect(
     # candidate actually needs that context.
     fold_state = cset.tip_state
     fold_queue: List[AnyTransaction] = []
-    benign_writes: List[FrozenSet[AccessKey]] = []
+    # Every key a benign candidate wrote, mapped to the index (in `benign`)
+    # of its first writer: a candidate is influenced iff it read one of them.
+    written: Dict[AccessKey, int] = {}
     budget_left = cset.budget
 
     def materialize() -> WorldState:
@@ -291,7 +293,7 @@ def hybrid_detect(
         return fold_state
 
     for slot in slots:
-        influenced = any(writes & slot.reads for writes in benign_writes)
+        influenced = not written.keys().isdisjoint(slot.reads)
 
         if slot.precond is not None and not influenced:
             outcome.deferred.append(slot.tx)
@@ -323,8 +325,9 @@ def hybrid_detect(
         if verdict.malicious:
             outcome.malicious.append((slot.tx, verdict, sim))
         else:
+            for key in sim.writes:
+                written.setdefault(key, len(outcome.benign))
             outcome.benign.append(slot.tx)
-            benign_writes.append(sim.writes)
             if influenced:
                 # Already executed in context (the fold queue is drained), so
                 # the fold advances directly to its post-state.

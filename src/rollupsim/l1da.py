@@ -143,11 +143,15 @@ class L1Chain:
         return ()
 
     def post_batch(self, record: L1Record) -> None:
-        """Append a record to the inbox; the epoch-head bitmap settles escrow."""
+        """Append a record to the inbox; the epoch-head bitmap settles escrow,
+        which must be pending (anything else is a batcher bug: raise, change nothing)."""
         if record.has_bitmap:
             deposits = self.deposits_for_epoch(record.epoch)
-            for dep, accepted in zip(deposits, bitmap_flags(record, deposits)):
-                entry = self.escrow[deposit_id(dep)]
+            entries = [self.escrow[deposit_id(dep)] for dep in deposits]
+            for entry in entries:
+                if entry.status is not EscrowStatus.PENDING:
+                    raise L1Error(f"deposit {deposit_id(entry.deposit).hex0x()} is already {entry.status.value}")
+            for entry, accepted in zip(entries, bitmap_flags(record, deposits)):
                 entry.status = EscrowStatus.ACCEPTED if accepted else EscrowStatus.REFUSED
         self.inbox.append(record)
 

@@ -26,8 +26,8 @@ import hashlib
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
-from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
+from enum import Enum
+from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
 
 from .core import (
     BASE_TX_GAS,
@@ -250,34 +250,42 @@ def slot_int(value: bytes) -> int:
 # Access keys and simulation results
 # ---------------------------------------------------------------------------
 
-class AccessKind(IntEnum):
+class AccessKind:
+    """Key kinds as plain ints: an `IntEnum` member in a key hashes in Python."""
+
     STORAGE = 0
     BALANCE = 1
     NONCE = 2
     CODE = 3
 
 
-@dataclass(frozen=True, order=True)
-class AccessKey:
-    kind: AccessKind
+_new_key = tuple.__new__
+
+
+class AccessKey(NamedTuple):
+    """A recorded state location: a tuple, so it hashes, compares and sorts
+    by (kind, addr, slot) in C."""
+
+    kind: int
     addr: Address
     slot: bytes = b""
 
+    # The constructors skip the generated Python-level `__new__`.
     @staticmethod
     def storage(addr: Address, slot: bytes) -> "AccessKey":
-        return AccessKey(AccessKind.STORAGE, addr, slot)
+        return _new_key(AccessKey, (AccessKind.STORAGE, addr, slot))
 
     @staticmethod
     def balance(addr: Address) -> "AccessKey":
-        return AccessKey(AccessKind.BALANCE, addr)
+        return _new_key(AccessKey, (AccessKind.BALANCE, addr, b""))
 
     @staticmethod
     def nonce(addr: Address) -> "AccessKey":
-        return AccessKey(AccessKind.NONCE, addr)
+        return _new_key(AccessKey, (AccessKind.NONCE, addr, b""))
 
     @staticmethod
     def code(addr: Address) -> "AccessKey":
-        return AccessKey(AccessKind.CODE, addr)
+        return _new_key(AccessKey, (AccessKind.CODE, addr, b""))
 
 
 class TxStatus(Enum):

@@ -4,14 +4,18 @@ These are the original full-copy implementations the fast path replaced:
 every execution rebuilds and re-canonicalizes every account through
 `make_state`, and the state root re-hashes every account from scratch. They
 are slow but obviously right, and the differential tests hold the shipped VM
-to them.
+to them. `ReferenceAccessKey` is the original access key, a frozen ordered
+dataclass over an `IntEnum`, which the tuple-based key must match in
+equality, hashing and sort order.
 """
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
+from enum import IntEnum
 from typing import Dict
 
-from rollupsim.core import AnyTransaction, StateRoot
+from rollupsim.core import Address, AnyTransaction, StateRoot
 from rollupsim.vm import (
     Account,
     BlockContext,
@@ -68,3 +72,33 @@ def reference_execute(state: WorldState, tx: AnyTransaction, ctx: BlockContext) 
         return execute_transaction(state, tx, ctx)
     finally:
         _Execution.post_state = original
+
+
+class ReferenceAccessKind(IntEnum):
+    STORAGE = 0
+    BALANCE = 1
+    NONCE = 2
+    CODE = 3
+
+
+@dataclass(frozen=True, order=True)
+class ReferenceAccessKey:
+    kind: ReferenceAccessKind
+    addr: Address
+    slot: bytes = b""
+
+    @staticmethod
+    def storage(addr: Address, slot: bytes) -> "ReferenceAccessKey":
+        return ReferenceAccessKey(ReferenceAccessKind.STORAGE, addr, slot)
+
+    @staticmethod
+    def balance(addr: Address) -> "ReferenceAccessKey":
+        return ReferenceAccessKey(ReferenceAccessKind.BALANCE, addr)
+
+    @staticmethod
+    def nonce(addr: Address) -> "ReferenceAccessKey":
+        return ReferenceAccessKey(ReferenceAccessKind.NONCE, addr)
+
+    @staticmethod
+    def code(addr: Address) -> "ReferenceAccessKey":
+        return ReferenceAccessKey(ReferenceAccessKind.CODE, addr)

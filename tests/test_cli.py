@@ -364,6 +364,15 @@ class TestConfigUpperBounds:
         assert run_text(tmp_path, f"scenario v1\nconfig genesis_timestamp={U64 - 3}\nrun blocks=1\n") == 0
         assert main(["derive", "--l1", str(tmp_path / "l")]) == 0
 
+    @pytest.mark.parametrize("workers", ["0", "-1", "257"])
+    def test_workers_flag_out_of_range_exits_2_before_running(self, tmp_path, capsys, workers):
+        capsys.readouterr()
+        code, report, l1 = run_cli(tmp_path, "single_transfer", extra=["--workers", workers])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: --workers must be 1..256, got {workers}\n"
+        assert not report.exists() and not l1.exists()
+
 
 class TestDepositFieldErrors:
     """A bad deposit field in an l1_block event names its line, like submit."""

@@ -284,7 +284,10 @@ class TestIncrementalRoot:
         assert state_root(state) == full_state_root(state)
 
 
-class TestDigestMemo:
+class TestSharedAccountDigest:
+    """One `Account` object shared by several addresses or states is hashed
+    with the address it sits at each time."""
+
     def test_account_moved_to_another_address_is_rehashed(self):
         acct = Account(balance=5, nonce=1)
         here = WorldState({addr(1): acct})
@@ -295,7 +298,7 @@ class TestDigestMemo:
         assert state_root(both) == full_state_root(both)
         assert state_root(here) == full_state_root(here)
 
-    def test_memo_does_not_change_equality(self):
+    def test_rooting_does_not_change_account_equality(self):
         a, b = Account(balance=5), Account(balance=5)
         state_root(WorldState({addr(1): a}))
         assert a == b

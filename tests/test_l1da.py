@@ -11,6 +11,7 @@ from rollupsim.l1da import (
     DepositNotFound,
     EscrowStatus,
     L1Chain,
+    L1Error,
     L1Record,
     NotEligible,
     RefundResult,
@@ -99,6 +100,24 @@ class TestPostBatch:
         l1.add_block(0, [])
         l1.post_batch(record(0, 0, count=0, bitmap=()))
         assert len(l1.inbox) == 1
+
+    def test_refunded_deposit_is_not_settled_again(self):
+        l1 = L1Chain(escape_timeout=1000)
+        dep = deposit(0, 0)
+        l1.add_block(0, [dep])
+        assert l1.escape_withdraw(deposit_id(dep), now=1000) == RefundResult(value=10)
+        with pytest.raises(L1Error, match="already refunded"):
+            l1.post_batch(record(0, 0, count=1, bitmap=encode_bitmap([True])))
+        assert l1.escrow[deposit_id(dep)].status is EscrowStatus.REFUNDED
+        assert l1.inbox == []
+
+    def test_second_bitmap_for_an_epoch_is_refused(self):
+        l1 = self.chain_with_deposits()
+        l1.post_batch(record(0, 0, count=2, bitmap=encode_bitmap([True, False])))
+        with pytest.raises(L1Error, match="already accepted"):
+            l1.post_batch(record(0, 1, count=2, bitmap=encode_bitmap([False, True])))
+        statuses = [l1.escrow[deposit_id(d)].status for d in l1.blocks[0].deposits]
+        assert statuses == [EscrowStatus.ACCEPTED, EscrowStatus.REFUSED]
 
     def test_misplaced_deposit_rejected(self):
         l1 = L1Chain()
