@@ -12,11 +12,17 @@ The scheduler is a pure function of its inputs: worker count never changes
 the outcome, only how the isolated runs are scheduled. Its outcome also
 carries the fold's final state (the tip with every benign candidate applied
 in order), so the caller never re-executes the block it just classified.
+
+The fold is one scratch over the tip. An uninfluenced benign candidate is
+not executed again: once every key it read is checked to still hold its tip
+value in the fold, its isolated write set is merged in. Influenced candidates
+run on the fold itself, and a benign one is absorbed there. The fold builds
+one post-state, at the end of the round.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .core import Address, AnyTransaction, TxHash, tx_id
 from .vm import (
@@ -27,9 +33,12 @@ from .vm import (
     SimulationResult,
     TxStatus,
     WorldState,
+    _Execution,
     eval_expr,
     execute_transaction,
 )
+
+StateView = Union[WorldState, _Execution]
 
 
 class DetectionError(Exception):
@@ -87,7 +96,7 @@ BENIGN_VERDICT = Verdict(malicious=False, violated=(), victims=(), damage_estima
 class _ProbeEnv:
     """Evaluates a predicate against one contract's post-state, recording reads."""
 
-    def __init__(self, state: WorldState, contract: Address, reads: Set[AccessKey]):
+    def __init__(self, state: StateView, contract: Address, reads: Set[AccessKey]):
         self.state = state
         self.self_addr = contract
         self.caller = bytes(20)
@@ -110,9 +119,10 @@ class InvariantDetector:
     nothing and are always benign."""
 
     def assess(
-        self, sim: SimulationResult, pre_state: WorldState, invariants: InvariantSet
+        self, sim: SimulationResult, pre_state: StateView, invariants: InvariantSet
     ) -> Tuple[Verdict, FrozenSet[AccessKey]]:
-        """Return the verdict plus every state key the judgment depended on."""
+        """Return the verdict plus every state key the judgment depended on.
+        The post-state is read through the execution's scratch, not built."""
         if sim.status is TxStatus.REVERT:
             return BENIGN_VERDICT, frozenset()
         touched = sorted({key.addr for key in sim.writes})
@@ -126,7 +136,7 @@ class InvariantDetector:
             # The damage bound reads the contract balance even when the
             # predicate itself does not.
             reads.add(AccessKey.balance(contract))
-            env = _ProbeEnv(sim.post_state, contract, reads)
+            env = _ProbeEnv(sim.scratch, contract, reads)
             broken = False
             for invariant in sorted(watching, key=lambda inv: inv.id):
                 if eval_expr(invariant.predicate, env) == 0:
@@ -138,7 +148,7 @@ class InvariantDetector:
             return Verdict(False, (), (), 0), frozenset(reads)
         damage = 0
         for victim in victims:
-            damage += max(0, pre_state.balance_of(victim) - sim.post_state.balance_of(victim))
+            damage += max(0, pre_state.balance_of(victim) - sim.scratch.balance_of(victim))
         return Verdict(True, tuple(violated), tuple(victims), damage), frozenset(reads)
 
 
@@ -152,7 +162,13 @@ class CandidateSet:
 @dataclass
 class Counters:
     """Simulation and verdict counts: one classification round's, or a run's
-    (the sum of its rounds plus the sequencer's release and maintenance sims)."""
+    (the sum of its rounds plus the sequencer's release and maintenance sims).
+
+    `contextual_sims` counts candidates brought into block context, not
+    `execute_transaction` calls: each influenced candidate run on the fold,
+    and each queued candidate whose validated write set is merged into the
+    fold before one. Merging what is still queued at the end of a round is
+    block application and is not counted."""
 
     isolated_sims: int = 0
     contextual_sims: int = 0
@@ -201,16 +217,16 @@ def _isolated_run(state: WorldState, tx: AnyTransaction, ctx: BlockContext):
         return exc.reason
 
 
-def _fold(state: WorldState, txs: Sequence[AnyTransaction], ctx: BlockContext) -> WorldState:
-    """Apply candidates already judged uninfluenced, in order, in block context."""
-    for tx in txs:
-        try:
-            state = execute_transaction(state, tx, ctx).post_state
-        except PreconditionFailed as exc:
+def _merge_validated(fold: _Execution, queue: List[Tuple[FrozenSet[AccessKey], SimulationResult]]) -> None:
+    """Merge the isolated write sets of candidates already judged uninfluenced
+    into the fold, in order, each after checking its reads in the fold."""
+    for reads, sim in queue:
+        if not fold.reads_as_base(reads):
             # Cannot happen for a candidate already judged uninfluenced;
             # if it does, the access tracking is broken somewhere.
-            raise RuntimeError("uninfluenced candidate diverged in block context") from exc
-    return state
+            raise RuntimeError("uninfluenced candidate diverged in block context")
+        fold.absorb(sim.scratch)
+    queue.clear()
 
 
 def _precondition_reads(tx: AnyTransaction, reason: str) -> FrozenSet[AccessKey]:
@@ -275,22 +291,15 @@ def hybrid_detect(
                 slot.reads = result.reads | probe_reads
         slots.append(slot)
 
-    # Sequential pass. The fold state materializes lazily: benign candidates
-    # queue up and are executed in block context only when a dependent
-    # candidate actually needs that context.
-    fold_state = cset.tip_state
-    fold_queue: List[AnyTransaction] = []
+    # Sequential pass. The fold is one scratch over the tip. Uninfluenced
+    # benign candidates queue up, and their validated write sets are merged
+    # only when an influenced candidate needs that context, or at the end.
+    fold = _Execution(cset.tip_state)
+    fold_queue: List[Tuple[FrozenSet[AccessKey], SimulationResult]] = []
     # Every key a benign candidate wrote, mapped to the index (in `benign`)
     # of its first writer: a candidate is influenced iff it read one of them.
     written: Dict[AccessKey, int] = {}
     budget_left = cset.budget
-
-    def materialize() -> WorldState:
-        nonlocal fold_state
-        fold_state = _fold(fold_state, fold_queue, ctx)
-        stats.contextual_sims += len(fold_queue)
-        fold_queue.clear()
-        return fold_state
 
     for slot in slots:
         influenced = not written.keys().isdisjoint(slot.reads)
@@ -309,17 +318,18 @@ def hybrid_detect(
                 continue
             if budget_left is not None:
                 budget_left -= 1
-            state = materialize()
+            stats.contextual_sims += len(fold_queue)
+            _merge_validated(fold, fold_queue)
             stats.contextual_sims += 1
             try:
-                sim = execute_transaction(state, slot.tx, ctx)
+                sim = execute_transaction(fold, slot.tx, ctx)
             except PreconditionFailed:
                 outcome.deferred.append(slot.tx)
                 continue
             if slot.key in preapproved:
                 verdict = BENIGN_VERDICT
             else:
-                verdict, _ = detector.assess(sim, state, invariants)
+                verdict, _ = detector.assess(sim, fold, invariants)
             stats.sequential_verdicts += 1
 
         if verdict.malicious:
@@ -329,14 +339,14 @@ def hybrid_detect(
                 written.setdefault(key, len(outcome.benign))
             outcome.benign.append(slot.tx)
             if influenced:
-                # Already executed in context (the fold queue is drained), so
-                # the fold advances directly to its post-state.
-                fold_state = sim.post_state
+                fold.absorb(sim.scratch)  # executed on the fold itself
             else:
-                fold_queue.append(slot.tx)
+                fold_queue.append((slot.reads, sim))
 
-    # Draining the rest of the queue is block application, not
+    # Merging the rest of the queue is block application, not
     # classification, so it is not counted as a contextual simulation.
-    outcome.final_state = _fold(fold_state, fold_queue, ctx)
+    _merge_validated(fold, fold_queue)
+    if outcome.benign:
+        outcome.final_state = fold.post_state()
     stats.deferred_count = len(outcome.deferred)
     return outcome

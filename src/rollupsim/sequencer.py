@@ -302,7 +302,7 @@ class Sequencer:
             self._admit(tx, verdict, state_after_deposits, now, number)
         self.counters.add(outcome.stats)
 
-        # The classifier's fold already executed the block: deposits, then the
+        # The classifier's fold already applied the block: deposits, then the
         # benign candidates in order.
         final_state = outcome.final_state
         block = Block(
@@ -390,8 +390,13 @@ class Sequencer:
                     raise ScenarioError(f"{type(exc).__name__}: {exc}", at=event.at) from None
             epoch_deposits = None
             number = len(self.chain.blocks)
-            if build_at > U64_MAX:
-                raise ScenarioError(f"block {number} time {build_at} is past 2^64-1")
+            # Once no event is left, later blocks are `block_time` apart, so
+            # the first one past 2^64-1 is known now; do not build up to it.
+            last = number if cursor < len(events) else scenario.run_blocks - 1
+            step = self.config.block_time
+            if build_at + (last - number) * step > U64_MAX:
+                skip = max(0, (U64_MAX - build_at) // step + 1)
+                raise ScenarioError(f"block {number + skip} time {build_at + skip * step} is past 2^64-1")
             if number % self.config.blocks_per_epoch == 0:
                 epoch_deposits = self.l1.deposits_for_epoch(number // self.config.blocks_per_epoch)
             self.build_block(build_at, epoch_deposits)

@@ -11,6 +11,13 @@ Cost model: 21 gas intrinsic plus 1 gas per executed statement. The base-fee
 share of the fee is burned; the priority share goes to the block's fee
 recipient. Deposits mint their value and pay no fee.
 
+An execution writes into a scratch over its base, and its post-state is
+built from that scratch on demand: judging a result reads the scratch's
+views (`account`, `balance_of`, `nonce_of`) and builds no state. A scratch
+can itself be the base of further executions and absorb their effects;
+`apply_block` runs a whole block on one such scratch and builds one account
+map at the end. A scratch only ever mutates storage dicts it made itself.
+
 World states are copy-on-write: a post-state shares every untouched `Account`
 object with the state it came from. Nothing may therefore mutate an `Account`
 or its `storage` in place; build a new `Account` instead. A post-state also
@@ -27,6 +34,7 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
 
 from .core import (
@@ -218,10 +226,10 @@ class WorldState:
         return self.accounts.get(addr, EMPTY_ACCOUNT)
 
     def balance_of(self, addr: Address) -> int:
-        return self.account(addr).balance
+        return self.accounts.get(addr, EMPTY_ACCOUNT).balance
 
     def nonce_of(self, addr: Address) -> int:
-        return self.account(addr).nonce
+        return self.accounts.get(addr, EMPTY_ACCOUNT).nonce
 
 
 ZERO_SLOT = bytes(32)
@@ -295,13 +303,20 @@ class TxStatus(Enum):
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """One execution's outcome. The post-state is built from `scratch` on
+    first access. A result executed on a block scratch has none of its own:
+    that scratch absorbs it instead."""
+
     tx_id: TxHash
     status: TxStatus
     gas_used: int
     reads: frozenset
     writes: frozenset
-    balance_deltas: Mapping[Address, int]
-    post_state: WorldState
+    scratch: "_Execution" = field(repr=False, compare=False)
+
+    @cached_property
+    def post_state(self) -> WorldState:
+        return self.scratch.post_state()
 
 
 @dataclass(frozen=True)
@@ -344,9 +359,13 @@ class _OutOfGas(Exception):
 
 
 class _Execution:
-    """Scratch copy of the touched accounts plus the recorded access sets."""
+    """Scratch copy of the touched accounts plus the recorded access sets.
 
-    def __init__(self, base: WorldState):
+    Its base is a `WorldState` or another scratch; either way it is read
+    through `account`, `balance_of` and `nonce_of`, which a scratch offers
+    too, showing the accounts as its execution leaves them."""
+
+    def __init__(self, base: Union[WorldState, "_Execution"]):
         self.base = base
         self.balances: Dict[Address, int] = {}
         self.nonces: Dict[Address, int] = {}
@@ -411,22 +430,57 @@ class _Execution:
         self.write_balance(src, self.read_balance(src) - amount)
         self.write_balance(dst, self.read_balance(dst) + amount)
 
+    # -- post-execution views (no access recording) --
+    def account(self, addr: Address) -> Account:
+        prev = self.base.account(addr)
+        if addr not in self.balances and addr not in self.nonces and addr not in self.storage:
+            return prev
+        return Account(
+            balance=self.balances.get(addr, prev.balance),
+            nonce=self.nonces.get(addr, prev.nonce),
+            code=prev.code,
+            storage=self.storage.get(addr, prev.storage),
+        )
+
+    def balance_of(self, addr: Address) -> int:
+        balance = self.balances.get(addr)
+        return self.base.balance_of(addr) if balance is None else balance
+
+    def nonce_of(self, addr: Address) -> int:
+        nonce = self.nonces.get(addr)
+        return self.base.nonce_of(addr) if nonce is None else nonce
+
+    # -- folding executions into one scratch --
+    def reads_as_base(self, keys) -> bool:
+        """Whether every key still holds its base value here."""
+        return all(_read_key(self, key) == _read_key(self.base, key) for key in keys)
+
+    def absorb(self, other: "_Execution") -> None:
+        """Take over the effects of an execution that ran on this scratch, or
+        of one whose reads still hold here (`reads_as_base`). Its storage
+        dicts copy whole accounts, so only the slots it wrote are merged, one
+        by one: a blind write never clobbers another slot of the contract."""
+        self.balances.update(other.balances)
+        self.nonces.update(other.nonces)
+        for kind, addr, slot in other.writes:
+            if kind == AccessKind.STORAGE:
+                self.write_slot(addr, slot, other.storage[addr].get(slot, ZERO_SLOT))
+
     def post_state(self) -> WorldState:
         """Copy-on-write snapshot: share every account whose contents did not
         change, rebuild (and prune, if now empty) only the ones that did."""
         base = self.base
+        if not isinstance(base, WorldState):
+            raise TypeError("an execution on a block scratch has no post-state of its own")
         accounts: Dict[Address, Account] = dict(base.accounts)
         changed: List[Address] = []
         for addr in self.balances.keys() | self.nonces.keys() | self.storage.keys():
             prev = base.account(addr)
-            balance = self.balances.get(addr, prev.balance)
-            nonce = self.nonces.get(addr, prev.nonce)
-            storage = self.storage.get(addr, prev.storage)
-            unchanged = storage is prev.storage or storage == prev.storage
-            if unchanged and balance == prev.balance and nonce == prev.nonce:
+            acct = self.account(addr)
+            unchanged = acct.storage is prev.storage or acct.storage == prev.storage
+            if unchanged and acct.balance == prev.balance and acct.nonce == prev.nonce:
                 continue
             changed.append(addr)
-            acct = Account(balance=balance, nonce=nonce, code=prev.code, storage=storage)
             if acct.is_empty():
                 accounts.pop(addr, None)
             else:
@@ -441,6 +495,17 @@ class _Execution:
             return state
         object.__setattr__(state, "_lineage", lineage)
         return state
+
+
+def _read_key(view: Union[WorldState, _Execution], key: AccessKey):
+    kind, addr, slot = key
+    if kind == AccessKind.BALANCE:
+        return view.balance_of(addr)
+    if kind == AccessKind.NONCE:
+        return view.nonce_of(addr)
+    acct = view.account(addr)
+    # Code objects are compared by identity: their `__eq__` runs in Python.
+    return acct.storage.get(slot, ZERO_SLOT) if kind == AccessKind.STORAGE else id(acct.code)
 
 
 class _CallEnv:
@@ -536,15 +601,6 @@ def _fresh_address(sender: Address, nonce: int) -> Address:
     return Address(digest[:20])
 
 
-def _balance_deltas(pre: WorldState, exe: _Execution) -> Dict[Address, int]:
-    deltas: Dict[Address, int] = {}
-    for addr, balance in exe.balances.items():
-        delta = balance - pre.balance_of(addr)
-        if delta != 0:
-            deltas[addr] = delta
-    return deltas
-
-
 def _lasting_effect(exe: _Execution, tx: AnyTransaction, deposit: bool) -> None:
     """The one effect a revert keeps: a deposit's mint, a signed tx's nonce bump."""
     if deposit:
@@ -553,8 +609,9 @@ def _lasting_effect(exe: _Execution, tx: AnyTransaction, deposit: bool) -> None:
         exe.write_nonce(tx.sender, exe.read_nonce(tx.sender) + 1)
 
 
-def execute_transaction(state: WorldState, tx: AnyTransaction, ctx: BlockContext) -> SimulationResult:
-    """Run one transaction against a state snapshot; never mutates the input.
+def execute_transaction(state: Union[WorldState, _Execution], tx: AnyTransaction, ctx: BlockContext) -> SimulationResult:
+    """Run one transaction against a state snapshot or a scratch; never
+    mutates the input.
 
     Regular transactions must match the sender nonce, afford
     value + gas_limit * max_fee, and bid at least the base fee; otherwise
@@ -619,8 +676,7 @@ def execute_transaction(state: WorldState, tx: AnyTransaction, ctx: BlockContext
         gas_used=gas_used,
         reads=frozenset(exe.reads),
         writes=frozenset(exe.writes),
-        balance_deltas=_balance_deltas(state, exe),
-        post_state=exe.post_state(),
+        scratch=exe,
     )
 
 
@@ -719,15 +775,19 @@ def changed_since(state: WorldState, earlier: Optional[WorldState]) -> Optional[
 
 
 def apply_block(state: WorldState, block: Block, fee_recipient: Address) -> WorldState:
-    """Fold every transaction of a block (deposits first) into a new state."""
+    """Fold every transaction of a block (deposits first) into a new state.
+
+    Each transaction runs in block context on one scratch, which absorbs its
+    effects; the block builds one account map, at its end."""
+    txs = (*block.deposits, *block.transactions)
+    if not txs:
+        return state
     ctx = BlockContext(base_fee=block.base_fee, timestamp=block.timestamp, fee_recipient=fee_recipient)
-    current = state
-    index = 0
-    for tx in list(block.deposits) + list(block.transactions):
+    scratch = _Execution(state)
+    for index, tx in enumerate(txs):
         try:
-            result = execute_transaction(current, tx, ctx)
+            result = execute_transaction(scratch, tx, ctx)
         except PreconditionFailed as exc:
             raise InvalidBlock(index, exc.reason) from exc
-        current = result.post_state
-        index += 1
-    return current
+        scratch.absorb(result.scratch)
+    return scratch.post_state()

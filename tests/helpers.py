@@ -32,6 +32,13 @@ from rollupsim.vm import (
 )
 
 
+def balance_deltas(pre: WorldState, result) -> Dict[Address, int]:
+    """Every non-zero balance change from `pre` to the result's post-state."""
+    post = result.post_state
+    deltas = {a: post.balance_of(a) - pre.balance_of(a) for a in pre.accounts.keys() | post.accounts.keys()}
+    return {a: d for a, d in deltas.items() if d != 0}
+
+
 def addr(n: int) -> Address:
     return Address(n.to_bytes(20, "big"))
 

@@ -1,24 +1,29 @@
-"""Reference oracle for the copy-on-write world state.
+"""Reference oracle for the copy-on-write world state and the block folds.
 
 These are the original full-copy implementations the fast path replaced:
 every execution rebuilds and re-canonicalizes every account through
 `make_state`, and the state root re-hashes every account from scratch. They
 are slow but obviously right, and the differential tests hold the shipped VM
-to them. `ReferenceAccessKey` is the original access key, a frozen ordered
-dataclass over an `IntEnum`, which the tuple-based key must match in
-equality, hashing and sort order.
+to them. `reference_fold` and `reference_apply_block` re-execute every
+transaction of a block on the previous transaction's post-state, as the
+classifier's fold and `apply_block` did before they ran on one scratch.
+`ReferenceAccessKey` is the original access key, a frozen ordered dataclass
+over an `IntEnum`, which the tuple-based key must match in equality, hashing
+and sort order.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict
+from typing import Dict, Sequence
 
-from rollupsim.core import Address, AnyTransaction, StateRoot
+from rollupsim.core import Address, AnyTransaction, Block, StateRoot
 from rollupsim.vm import (
     Account,
     BlockContext,
+    InvalidBlock,
+    PreconditionFailed,
     SimulationResult,
     WorldState,
     _Execution,
@@ -69,9 +74,33 @@ def reference_execute(state: WorldState, tx: AnyTransaction, ctx: BlockContext) 
     original = _Execution.post_state
     _Execution.post_state = full_copy_post_state
     try:
-        return execute_transaction(state, tx, ctx)
+        result = execute_transaction(state, tx, ctx)
+        result.post_state  # built now, while the full-copy snapshot is in place
+        return result
     finally:
         _Execution.post_state = original
+
+
+def reference_fold(state: WorldState, txs: Sequence[AnyTransaction], ctx: BlockContext) -> WorldState:
+    """Apply candidates already judged uninfluenced, in order, in block context."""
+    for tx in txs:
+        try:
+            state = execute_transaction(state, tx, ctx).post_state
+        except PreconditionFailed as exc:
+            raise RuntimeError("uninfluenced candidate diverged in block context") from exc
+    return state
+
+
+def reference_apply_block(state: WorldState, block: Block, fee_recipient: Address) -> WorldState:
+    """Fold every transaction of a block (deposits first) into a new state."""
+    ctx = BlockContext(base_fee=block.base_fee, timestamp=block.timestamp, fee_recipient=fee_recipient)
+    current = state
+    for index, tx in enumerate(list(block.deposits) + list(block.transactions)):
+        try:
+            current = execute_transaction(current, tx, ctx).post_state
+        except PreconditionFailed as exc:
+            raise InvalidBlock(index, exc.reason) from exc
+    return current
 
 
 class ReferenceAccessKind(IntEnum):

@@ -1,4 +1,5 @@
 import shutil
+import signal
 from pathlib import Path
 
 import pytest
@@ -359,6 +360,33 @@ class TestConfigUpperBounds:
         assert code == 2
         assert "Traceback" not in err
         assert f"block 0 time {U64 + 1} is past 2^64-1" in err
+
+    @pytest.mark.parametrize(
+        "blocks, events",
+        [
+            (str(2**64), ""),
+            (hex(2**256 - 1), ""),
+            (str(2**64), "genesis account 0x01 balance=1000\nevent 5 submit sender=0x01 nonce=0 to=0x02 value=5 gas_limit=21\n"),
+        ],
+    )
+    def test_absurd_block_count_exits_2_at_once(self, tmp_path, capsys, blocks, events):
+        # Past the last event every block is block_time apart, so the first
+        # block past 2^64-1 is named without building the ones before it.
+        def too_slow(signum, frame):
+            raise AssertionError(f"run blocks={blocks} still running after 5 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            capsys.readouterr()
+            code = run_text(tmp_path, f"scenario v1\nconfig genesis_timestamp=0\nconfig block_time=2\n{events}run blocks={blocks}\n")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"block {2**63 - 1} time {2**64} is past 2^64-1" in err
 
     def test_last_representable_block_time_runs_and_derives(self, tmp_path, capsys):
         assert run_text(tmp_path, f"scenario v1\nconfig genesis_timestamp={U64 - 3}\nrun blocks=1\n") == 0

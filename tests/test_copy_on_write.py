@@ -24,6 +24,7 @@ from helpers import (
     PAUSED,
     VAULT,
     addr,
+    balance_deltas,
     blind_writer,
     counter_contract,
     ctx,
@@ -138,7 +139,7 @@ class TestDifferentialAgainstReference:
             assert fast.gas_used == ref.gas_used
             assert fast.reads == ref.reads
             assert fast.writes == ref.writes
-            assert fast.balance_deltas == ref.balance_deltas
+            assert balance_deltas(fast_state, fast) == balance_deltas(ref_state, ref)
             assert fast.post_state.accounts == ref.post_state.accounts
             assert state_root(fast.post_state) == full_state_root(ref.post_state)
             fast_state, ref_state = fast.post_state, ref.post_state

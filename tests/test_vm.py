@@ -10,6 +10,7 @@ from helpers import (
     PAUSED_SLOT,
     VAULT,
     addr,
+    balance_deltas,
     ctx,
     exploit_tx,
     gated_vault,
@@ -69,14 +70,15 @@ class TestTransfer:
         state = simple_state({addr(1): 1000})
         result = execute_transaction(state, tx(addr(1), 0, addr(2), max_fee=5, priority_fee=2, gas_limit=21), ctx())
         assert result.post_state.balance_of(FEE_SINK) == 2 * 21
-        assert sum(result.balance_deltas.values()) == -21  # base-fee share burned
+        assert sum(balance_deltas(state, result).values()) == -21  # base-fee share burned
 
     def test_create_lands_value_at_fresh_deterministic_address(self):
         state = simple_state({addr(1): 1000})
         r1 = execute_transaction(state, tx(addr(1), 0, None, value=7, gas_limit=21), ctx())
         r2 = execute_transaction(state, tx(addr(1), 0, None, value=7, gas_limit=21), ctx())
         assert r1 == r2
-        created = [a for a, d in r1.balance_deltas.items() if d == 7]
+        assert r1.post_state == r2.post_state
+        created = [a for a, d in balance_deltas(state, r1).items() if d == 7]
         assert len(created) == 1 and created[0] not in (addr(1), FEE_SINK)
 
 
@@ -137,7 +139,7 @@ class TestPauseFixture:
         assert result.gas_used == 23
         assert result.post_state.balance_of(VAULT) == 0
         # attacker nets the vault minus gas
-        assert result.balance_deltas[ATTACKER] == 100 - 23
+        assert balance_deltas(state, result)[ATTACKER] == 100 - 23
 
     def test_admin_gated_vault_unpause_then_drain(self):
         state = vault_state(paused=True)  # gated_vault code
@@ -257,7 +259,7 @@ class TestDeposits:
         result = execute_transaction(state, self.deposit(addr(7)), ctx())
         assert result.status is TxStatus.SUCCESS
         assert result.post_state.balance_of(addr(7)) == 50
-        assert sum(result.balance_deltas.values()) == 50  # pure mint
+        assert sum(balance_deltas(state, result).values()) == 50  # pure mint
 
     def test_reverted_deposit_keeps_mint_at_sender(self):
         code = ContractCode(admin=ADMIN, statements=(Require(Const(0)),))
@@ -265,7 +267,7 @@ class TestDeposits:
         result = execute_transaction(state, self.deposit(addr(9)), ctx())
         assert result.status is TxStatus.REVERT
         assert result.post_state.balance_of(addr(0xD0)) == 50
-        assert sum(result.balance_deltas.values()) == 50
+        assert sum(balance_deltas(state, result).values()) == 50
 
     def test_deposit_can_call_contracts(self):
         state = vault_state(paused=False, code=guard_only_vault())
@@ -301,7 +303,8 @@ class TestProperties:
             r1 = execute_transaction(state, t, ctx())
             r2 = execute_transaction(state, t, ctx())
             assert r1 == r2
-            assert sum(r1.balance_deltas.values()) == -(r1.gas_used * 1)
+            assert r1.post_state == r2.post_state
+            assert sum(balance_deltas(state, r1).values()) == -(r1.gas_used * 1)
 
     def test_access_completeness(self):
         # Mutating state only at keys the tx never touched must not change
@@ -319,7 +322,7 @@ class TestProperties:
             assert replay.gas_used == base.gas_used
             assert replay.reads == base.reads
             assert replay.writes == base.writes
-            assert replay.balance_deltas == base.balance_deltas
+            assert balance_deltas(mutated, replay) == balance_deltas(state, base)
 
     def test_revert_isolation(self):
         state = vault_state(paused=True, code=guard_only_vault())
