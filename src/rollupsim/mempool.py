@@ -4,17 +4,23 @@ Single-writer: one owner serializes all mutations. Ordering of candidates is
 fully deterministic (effective tip desc, then arrival time, then hash) so the
 whole pipeline replays bit-identically.
 
-Status upkeep, retirement and candidate selection cost what changed, not
-what the pool holds: the pool keeps a running pending count and each
-sender's contiguous-run length, and re-evaluates only senders whose slots
-changed or whose account may differ from the state it last looked at, as
-`vm.changed_since` reports (when it cannot tell, every sender's `Account`
-object is compared with the one last checked; copy-on-write states share
-unchanged accounts). Each sender's eligible run is cached with its sort keys.
-Lifetime expiry pops a heap keyed on arrival time.
+Every operation costs what changed, not what the pool holds. The pool keeps
+a running pending count, each sender's contiguous-run length, the senders
+with a nonzero run in address order, and the cut: the sender where
+`max_pending` runs out and the run total before it. A refresh re-measures
+only senders whose slots changed or whose account may differ from the state
+it last looked at, as `vm.changed_since` reports (when it cannot tell, every
+sender's `Account` object is compared with the one last checked;
+copy-on-write states share unchanged accounts), walks the cut to its new
+place, and relabels those senders and the ones the cut crossed. Each
+sender's eligible run is cached with its sort keys. The quarantine store
+tells the pool which hashes it holds (`on_held`, `on_released`), so held
+entries never enter the candidate cache. Lifetime expiry pops a heap keyed
+on arrival time, and `max_queued` eviction a heap keyed on fee and arrival.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 from enum import Enum
@@ -75,18 +81,29 @@ class Mempool:
         self.entries: Dict[TxHash, PoolEntry] = {}
         self.by_sender: Dict[Address, Dict[int, TxHash]] = {}
         self._pending = 0  # entries whose status is PENDING
-        self._runs: Dict[Address, int] = {}  # nonzero contiguous-run lengths
-        self._run_total = 0
+        # Nonzero contiguous-run lengths, those senders in address order, and
+        # the cut: the first of them whose run crosses max_pending (None when
+        # every run fits) with the run total before it.
+        self._runs: Dict[Address, int] = {}
+        self._order: List[Address] = []
+        self._cut: Optional[Address] = None
+        self._cut_before = 0
         # Per sender, the account its statuses were computed from and every
         # entry was checked against (nonce and balance); absent = recheck.
         self._checked: Dict[Address, Account] = {}
         self._unchecked: Set[Address] = set()  # pooled senders absent from _checked
         self._state: Optional[WorldState] = None  # state of the last refresh
         self._arrivals: List[Tuple[int, TxHash]] = []  # heap; stale items skipped
+        # Eviction heap: (max_fee, -received_at, hash), pushed whenever an
+        # entry becomes or is born QUEUED; items of entries gone or no longer
+        # queued are skipped.
+        self._queued: List[Tuple[int, int, TxHash]] = []
+        self._held: Set[TxHash] = set()  # hashes the quarantine holds
         # Candidate cache: the (-tip, arrival, hash, tx) sort item of every
         # entry in a sender's eligible run at `_eligible_state` and
-        # `_eligible_fee`, by hash, and each sender's run of hashes, except for
-        # the senders in `_dirty`, whose slots or statuses changed since.
+        # `_eligible_fee` that is not held, by hash, and each sender's run of
+        # hashes, except for the senders in `_dirty`, whose slots or statuses
+        # changed since.
         self._items: Dict[TxHash, Tuple[int, int, TxHash, SignedTransaction]] = {}
         self._eligible: Dict[Address, List[TxHash]] = {}
         self._eligible_state: Optional[WorldState] = None
@@ -129,45 +146,48 @@ class Mempool:
         h = tx_hash(tx)
         if tx.sender not in self.by_sender:
             self._checked[tx.sender] = account  # its only entry was just checked
-        self.entries[h] = PoolEntry(tx=tx, received_at=now, status=PoolStatus.QUEUED)
+        entry = self.entries[h] = PoolEntry(tx=tx, received_at=now, status=PoolStatus.QUEUED)
         self.by_sender.setdefault(tx.sender, {})[tx.nonce] = h
         heapq.heappush(self._arrivals, (now, h))
         changed = {tx.sender}
         if state is not self._state:
             changed.update(self._stale_senders(state))
         self._refresh_statuses(state, changed)
+        if entry.status is PoolStatus.QUEUED:  # born queued: the refresh did not push it
+            heapq.heappush(self._queued, (tx.max_fee, -now, h))
 
         if len(self.entries) - self._pending > self.config.max_queued:
-            evicted = self._evict_lowest_queued()
-            if evicted == h:
-                self._refresh_statuses(state, [tx.sender])
+            victim = self._evict_lowest_queued()
+            if victim is not None:
+                # A queued victim may have sat inside its sender's run.
+                self._refresh_statuses(state, [victim.tx.sender])
+            if victim is entry:
                 return SubmitResult("rejected", reason=RejectReason.POOL_FULL)
         if replaced_hash is not None:
             return SubmitResult("replaced", replaced=replaced_hash)
         return ACCEPTED
 
-    def pending_candidates(
-        self, base_fee: int, state: WorldState, held: Collection[TxHash] = ()
-    ) -> List[SignedTransaction]:
+    def pending_candidates(self, base_fee: int, state: WorldState) -> List[SignedTransaction]:
         """Pending txs that bid at least the base fee, most generous tip first.
 
         Per sender, only the nonce-contiguous prefix starting at the account
         nonce is eligible (a fee-filtered middle nonce cuts off the rest).
-        Entries in `held` are skipped without cutting off later nonces.
-        Ties break by arrival time, then hash. Runs are rebuilt only for
-        senders that changed since the last call (all of them when the base
-        fee moved or the states are unrelated).
+        Entries the quarantine holds (see `on_held`) are skipped without
+        cutting off later nonces. Ties break by arrival time, then hash.
+        Runs are rebuilt only for senders that changed since the last call
+        (all of them when the base fee moved or the states are unrelated).
         """
+        items, runs, held = self._items, self._eligible, self._held
         changed = changed_since(state, self._eligible_state)
         if changed is None or base_fee != self._eligible_fee:
-            self._items, self._eligible = {}, {}
+            items.clear()
+            runs.clear()
             senders: Collection[Address] = self.by_sender
         else:
             senders = self._dirty.union(self.by_sender.keys() & changed)
-        items, runs = self._items, self._eligible
         for sender in senders:
             for h in runs.pop(sender, ()):
-                del items[h]
+                items.pop(h, None)
             slots = self.by_sender.get(sender)
             if not slots:
                 continue
@@ -178,16 +198,30 @@ class Mempool:
                 entry = self.entries[h]
                 if entry.status is not PoolStatus.PENDING or entry.tx.max_fee < base_fee:
                     break
-                tip = min(entry.tx.priority_fee, entry.tx.max_fee - base_fee)
-                items[h] = (-tip, entry.received_at, tx_hash(entry.tx), entry.tx)
-                run.append(h)
+                if h not in held:
+                    tip = min(entry.tx.priority_fee, entry.tx.max_fee - base_fee)
+                    items[h] = (-tip, entry.received_at, tx_hash(entry.tx), entry.tx)
+                    run.append(h)
                 nonce += 1
             if run:
                 runs[sender] = run
         self._dirty = set()
         self._eligible_state, self._eligible_fee = state, base_fee
         # Hashes are unique, so the sort never compares transactions.
-        return [item[3] for item in sorted(items[h] for h in items.keys() - held)]
+        return [item[3] for item in sorted(items.values())]
+
+    def on_held(self, h: TxHash) -> None:
+        """The quarantine now holds `h`: it leaves the candidates."""
+        self._held.add(h)
+        self._items.pop(h, None)
+
+    def on_released(self, h: TxHash) -> None:
+        """The quarantine no longer holds `h`: its sender's run is rebuilt at
+        the next candidate selection."""
+        self._held.discard(h)
+        entry = self.entries.get(h)
+        if entry is not None:
+            self._dirty.add(entry.tx.sender)
 
     def retire(self, now: int, state: WorldState) -> List[TxHash]:
         """Drop stale entries: dead nonce, expired lifetime, or unaffordable.
@@ -217,6 +251,11 @@ class Mempool:
         if len(self._arrivals) > 2 * len(self.entries) + 64:
             self._arrivals = [(e.received_at, h) for h, e in self.entries.items()]
             heapq.heapify(self._arrivals)
+        if len(self._queued) > 2 * len(self.entries) + 64:
+            self._queued = [
+                (e.tx.max_fee, -e.received_at, h) for h, e in self.entries.items() if e.status is PoolStatus.QUEUED
+            ]
+            heapq.heapify(self._queued)
         return removed
 
     # -- internals --
@@ -250,32 +289,45 @@ class Mempool:
         checked = self._checked
         return [s for s in senders if state.account(s) is not checked.get(s)]
 
-    def _measure_run(self, state: WorldState, sender: Address) -> None:
-        slots = self.by_sender.get(sender, ())
-        start = state.nonce_of(sender)
-        run = 0
-        while start + run in slots:
-            run += 1
-        self._run_total += run - self._runs.pop(sender, 0)
-        if run:
-            self._runs[sender] = run
-
     def _refresh_statuses(self, state: WorldState, senders: Collection[Address]) -> None:
-        # Pending = nonce-contiguous from the account nonce, capped by
-        # max_pending over senders in address order. Unless the cap binds
-        # before or after, only `senders` can change; otherwise every sender
-        # is re-evaluated.
-        cap = self.config.max_pending
-        binds = self._run_total > cap
+        """Re-measure the runs of `senders`, walk the cut to its new place,
+        and relabel `senders` and every sender the cut crossed.
+
+        Pending = nonce-contiguous from the account nonce, capped by
+        max_pending over senders in address order: a sender before the cut
+        has its whole run pending, the cut sender what the cap leaves, and
+        a later sender none."""
+        runs, order, cap = self._runs, self._order, self.config.max_pending
+        cut, before = self._cut, self._cut_before
         for sender in senders:
-            self._measure_run(state, sender)
-        if binds or self._run_total > cap:
-            self._runs, self._run_total = {}, 0
-            senders = sorted(self.by_sender)
-            for sender in senders:
-                self._measure_run(state, sender)
-        room = cap
-        for sender in senders:
+            slots = self.by_sender.get(sender, ())
+            start = state.nonce_of(sender)
+            run = 0
+            while start + run in slots:
+                run += 1
+            old = runs.pop(sender, 0)
+            if run:
+                runs[sender] = run
+            if run != old:
+                if not old:
+                    bisect.insort(order, sender)
+                elif not run:
+                    del order[bisect.bisect_left(order, sender)]
+                if cut is None or sender < cut:
+                    before += run - old
+        relabel = senders
+        if cut is not None or before > cap:  # else every run still fits
+            i = was = len(order) if cut is None else bisect.bisect_left(order, cut)
+            while before > cap:
+                i -= 1
+                before -= runs[order[i]]
+            while i < len(order) and before + runs[order[i]] <= cap:
+                before += runs[order[i]]
+                i += 1
+            cut = self._cut = order[i] if i < len(order) else None
+            relabel = {*senders, *order[min(was, i) : max(was, i) + 1]}
+        self._cut_before = before
+        for sender in relabel:
             slots = self.by_sender.get(sender)
             if slots is None:
                 continue
@@ -285,20 +337,30 @@ class Mempool:
                 self._checked.pop(sender, None)
                 self._unchecked.add(sender)
             start = account.nonce
-            end = start + min(self._runs.get(sender, 0), room)
-            room -= end - start
+            if cut is None or sender < cut:
+                end = start + runs.get(sender, 0)
+            else:
+                end = start + cap - before if sender == cut else start
             for nonce, h in slots.items():
                 entry = self.entries[h]
                 status = PoolStatus.PENDING if start <= nonce < end else PoolStatus.QUEUED
                 if entry.status is not status:
-                    self._pending += 1 if status is PoolStatus.PENDING else -1
                     entry.status = status
+                    if status is PoolStatus.PENDING:
+                        self._pending += 1
+                    else:
+                        self._pending -= 1
+                        heapq.heappush(self._queued, (entry.tx.max_fee, -entry.received_at, h))
         self._state = state
 
-    def _evict_lowest_queued(self) -> Optional[TxHash]:
-        queued = [(e.tx.max_fee, -e.received_at, h) for h, e in self.entries.items() if e.status is PoolStatus.QUEUED]
-        if not queued:
-            return None
-        _, _, victim = min(queued)
-        self._drop(victim)
-        return victim
+    def _evict_lowest_queued(self) -> Optional[PoolEntry]:
+        """Drop the queued entry with the lowest fee (the latest arrival
+        among equal fees) off the eviction heap, skipping stale items."""
+        queued = self._queued
+        while queued:
+            _, neg_received_at, h = heapq.heappop(queued)
+            entry = self.entries.get(h)
+            if entry is not None and entry.status is PoolStatus.QUEUED and entry.received_at == -neg_received_at:
+                self._drop(h)
+                return entry
+        return None

@@ -12,6 +12,10 @@ are looked at; when the states are unrelated, every held sender's `Account`
 object is compared with the one last checked. Time-criterion deadlines sit
 on a heap. The due set is processed in admission order, so the audit trail
 matches a full walk.
+A store built with a pool tells it of every non-deposit key it starts or
+stops holding (`Mempool.on_held`, `Mempool.on_released`): admission and
+`_remove` are the only places the held set changes, so the pool's candidate
+cache never sees a held entry.
 Deposit entries never leave through any release path.
 """
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .core import (
     tx_id,
 )
 from .detection import Verdict
+from .mempool import Mempool
 from .vm import Account, BlockContext, PreconditionFailed, TxStatus, WorldState, changed_since, execute_transaction
 
 
@@ -160,8 +165,11 @@ class MaintenanceReport:
 
 
 class QuarantineStore:
-    def __init__(self, config: QuarantineConfig, registry: Optional[ReleasedRegistry] = None):
+    def __init__(
+        self, config: QuarantineConfig, registry: Optional[ReleasedRegistry] = None, pool: Optional[Mempool] = None
+    ):
         self.config = config
+        self.pool = pool
         self.active: Dict[TxHash, QuarantineEntry] = {}
         self.registry = registry if registry is not None else ReleasedRegistry()
         self.audit: List[AuditEvent] = []
@@ -206,6 +214,8 @@ class QuarantineStore:
             self._checked.pop(tx.sender, None)
             self._admitted.add(tx.sender)
             heapq.heappush(self._deadlines, (now + self.config.time_criterion_period, key))
+            if self.pool is not None:
+                self.pool.on_held(key)
         self.audit.append(AuditEvent(key, now, "admitted", detail=f"block={block_no}"))
         return entry
 
@@ -351,6 +361,8 @@ class QuarantineStore:
             if not keys:
                 del self._by_sender[entry.tx.sender]
                 self._checked.pop(entry.tx.sender, None)
+            if self.pool is not None:
+                self.pool.on_released(key)
 
     def _release(self, entry: QuarantineEntry, now: int, criterion: str, actor: str) -> None:
         self._remove(entry.key)

@@ -225,7 +225,7 @@ class Sequencer:
         self.config = scenario.seq_config
         self.chain = ChainView(tip_state=scenario.genesis)
         self.mempool = Mempool(scenario.pool_config)
-        self.store = QuarantineStore(scenario.quarantine_config)
+        self.store = QuarantineStore(scenario.quarantine_config, pool=self.mempool)
         self.ledger = CollateralLedger()
         self.detector = InvariantDetector()
         self.invariants = InvariantSet()
@@ -286,7 +286,7 @@ class Sequencer:
 
         # Regular candidates: pending, affordable, not currently held; txs
         # duplicating an already-released one skip detection entirely.
-        candidates = self.mempool.pending_candidates(self.base_fee, state_after_deposits, held=self.store.active)
+        candidates = self.mempool.pending_candidates(self.base_fee, state_after_deposits)
         preapproved = frozenset(
             tx_hash(tx) for tx in candidates if self.store.registry.is_released_duplicate(tx)
         )

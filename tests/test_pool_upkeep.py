@@ -1,12 +1,16 @@
 """The incremental pool status, indexed retirement, cached candidates and
 indexed quarantine maintenance against the full-walk oracle in
 `reference_pool`, over hand-built states (the identity-scan fallback) and
-execution-derived successors (the `changed_since` fast path), plus a
-deterministic check that a block's work does not grow with the number of
-held transactions."""
+execution-derived successors (the `changed_since` fast path), the quarantine
+store telling its pool what it holds, plus deterministic checks that a
+block's work does not grow with the number of held transactions and that a
+submit's work does not grow with the number of pooled senders or queued
+entries."""
+import copy
 import sys
 from typing import List
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import addr, tx
@@ -14,7 +18,7 @@ from reference_pool import ReferenceMempool, ReferenceStore
 from rollupsim import core, vm
 from rollupsim.core import DepositTransaction, tx_hash
 from rollupsim.detection import Verdict
-from rollupsim.mempool import Mempool, PoolConfig
+from rollupsim.mempool import Mempool, PoolConfig, PoolEntry, PoolStatus
 from rollupsim.quarantine import CollateralLedger, QuarantineConfig, QuarantineStore
 from rollupsim.sequencer import Scenario, Sequencer
 from rollupsim.vm import Account, BlockContext, PreconditionFailed, WorldState, execute_transaction, make_state, state_root
@@ -108,7 +112,7 @@ class TestDifferentialAgainstReference:
             time_criterion_period=data.draw(st.integers(min_value=1, max_value=10)), operators=frozenset({OPERATOR})
         )
         fast, ref = Mempool(pool_config), ReferenceMempool(pool_config)
-        fast_store, ref_store = QuarantineStore(q_config), ReferenceStore(q_config)
+        fast_store, ref_store = QuarantineStore(q_config, pool=fast), ReferenceStore(q_config)
         fast_ledger, ref_ledger = CollateralLedger(), CollateralLedger()
         history: List[WorldState] = []
         now = 0
@@ -130,7 +134,7 @@ class TestDifferentialAgainstReference:
                 assert fast_store.on_mempool_retired(removed, now) == ref_store.on_mempool_retired(removed, now)
             elif op == "candidates":
                 base_fee = data.draw(st.integers(min_value=0, max_value=3))
-                assert fast.pending_candidates(base_fee, state, held=fast_store.active) == ref.pending_candidates(
+                assert fast.pending_candidates(base_fee, state) == ref.pending_candidates(
                     base_fee, state, held=ref_store.active
                 )
             elif op == "admit":
@@ -159,6 +163,7 @@ class TestDifferentialAgainstReference:
                     key = data.draw(st.sampled_from(held))
                     assert fast_store.approve_release(key, OPERATOR, now) == ref_store.approve_release(key, OPERATOR, now)
             assert statuses(fast) == statuses(ref)
+            assert fast._pending == sum(1 for e in ref.entries.values() if e.status is PoolStatus.PENDING)
             assert fast.by_sender == ref.by_sender
             assert list(fast_store.active) == list(ref_store.active)
             assert fast_store.audit == ref_store.audit
@@ -166,9 +171,10 @@ class TestDifferentialAgainstReference:
 
 def held_flood_block_counts(n: int, monkeypatch) -> dict:
     """Hold `n` drains in quarantine while they stay pending in the pool and
-    seal one block over them, then count canonical encodings, account
-    lookups and account hashes while the next block, with one benign
-    transfer, is built."""
+    seal one block over them, then count canonical encodings, transaction
+    hashes, account lookups, account hashes and candidate-cache entries
+    built while the next block, with one benign transfer, is built, and
+    the candidate-cache entries left after it."""
     flooders = [addr(0x10000 + k) for k in range(n)]
     benign = addr(0x5)
     genesis = make_state({a: Account(balance=1_000) for a in flooders + [benign]})
@@ -182,7 +188,7 @@ def held_flood_block_counts(n: int, monkeypatch) -> dict:
     transfer = tx(benign, 0, SINK, value=7, gas_limit=21)
     seq.mempool.submit(transfer, 3, seq.chain.tip_state)
 
-    counts = {"encode": 0, "account": 0, "digest": 0}
+    counts = {"encode": 0, "hash": 0, "account": 0, "digest": 0, "cached": 0}
 
     def counting(name, original):
         def counted(*args):
@@ -191,14 +197,22 @@ def held_flood_block_counts(n: int, monkeypatch) -> dict:
 
         return counted
 
+    class CountingCache(dict):
+        def __setitem__(self, key, value):
+            counts["cached"] += 1
+            super().__setitem__(key, value)
+
     with monkeypatch.context() as patch:
-        original = core.canonical_encode
-        for name, module in list(sys.modules.items()):
-            if name.startswith("rollupsim") and module.__dict__.get("canonical_encode") is original:
-                patch.setattr(module, "canonical_encode", counting("encode", original))
+        for attr, name in (("canonical_encode", "encode"), ("tx_hash", "hash")):
+            original = getattr(core, attr)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("rollupsim") and module.__dict__.get(attr) is original:
+                    patch.setattr(module, attr, counting(name, original))
         patch.setattr(WorldState, "account", counting("account", WorldState.account))
         patch.setattr(vm, "_account_digest", counting("digest", vm._account_digest))
+        patch.setattr(seq.mempool, "_items", CountingCache(seq.mempool._items))
         block = seq.build_block(4, None)
+        counts["cache_size"] = len(seq.mempool._items)
     assert block.transactions == (transfer,)
     assert len(seq.store.active) == n and len(seq.mempool) == n
     return counts
@@ -216,6 +230,14 @@ class TestHeldBacklogScaling:
         large = held_flood_block_counts(1000, monkeypatch)
         assert small["digest"] >= 1  # the root re-hashes the accounts the transfer touched
         assert (small["account"], small["digest"]) == (large["account"], large["digest"])
+
+    def test_block_hashes_and_candidate_cache_do_not_grow_with_held_entries(self, monkeypatch):
+        small = held_flood_block_counts(100, monkeypatch)
+        large = held_flood_block_counts(1000, monkeypatch)
+        assert small["cached"] >= 1  # the transfer's cache entry
+        assert small["cache_size"] == 1  # the transfer; no held entry is cached
+        for name in ("hash", "cached", "cache_size"):
+            assert small[name] == large[name], name
 
 
 class TestMemoizedIds:
@@ -298,3 +320,202 @@ class TestChangeDrivenUpkeep:
         removed = fast.retire(3, s2)
         assert removed == ref.retire(3, s2) == [tx_hash(queued)]
         assert statuses(fast) == statuses(ref)
+
+
+def lockstep(fast, ref, state, held=()):
+    """Statuses, pending count and candidates of the shipped pool equal the
+    reference's, which skips the `held` ids."""
+    assert statuses(fast) == statuses(ref)
+    assert fast._pending == sum(1 for e in ref.entries.values() if e.status is PoolStatus.PENDING)
+    candidates = fast.pending_candidates(1, state)
+    assert candidates == ref.pending_candidates(1, state, held=held)
+    return candidates
+
+
+class TestStoreNotifiesPool:
+    """A store built with a pool tells it of every hold and release; the pool
+    is called without a held set and matches the reference, which filters
+    by its store's active entries. One case per release path."""
+
+    A, B = SENDERS[0], SENDERS[1]
+    PERIOD = 50
+    VERDICT = Verdict(True, ("solvent",), (), 5)
+
+    def setup_method(self):
+        self.state = make_state({self.A: Account(balance=10_000), self.B: Account(balance=10_000)})
+        state_root(self.state)
+        config = QuarantineConfig(time_criterion_period=self.PERIOD, operators=frozenset({OPERATOR}))
+        self.fast, self.ref = Mempool(PoolConfig(tx_lifetime=100)), ReferenceMempool(PoolConfig(tx_lifetime=100))
+        self.fast_store, self.ref_store = QuarantineStore(config, pool=self.fast), ReferenceStore(config)
+        self.sides = [(self.fast, self.fast_store, CollateralLedger()), (self.ref, self.ref_store, CollateralLedger())]
+        self.first, self.second = (tx(self.A, n, SINK, value=1, max_fee=2, priority_fee=1, gas_limit=21) for n in (0, 1))
+        self.other = tx(self.B, 0, SINK, value=1, max_fee=3, priority_fee=2, gas_limit=21)
+        for pool in (self.fast, self.ref):
+            for now, t in enumerate((self.first, self.second, self.other)):
+                assert pool.submit(t, now, self.state).outcome == "accepted"
+
+    def both(self, op):
+        return [op(pool, store, ledger) for pool, store, ledger in self.sides]
+
+    def admit(self, t, now):
+        self.both(lambda pool, store, ledger: store.admit(t, self.VERDICT, now, 0))
+
+    def candidates(self):
+        return lockstep(self.fast, self.ref, self.state, self.ref_store.active)
+
+    def release_by(self, path, now):
+        key = tx_hash(self.first)
+        if path == "approval":
+            self.both(lambda pool, store, ledger: store.approve_release(key, OPERATOR, now))
+        elif path == "stake":
+
+            def stake(pool, store, ledger):
+                ledger.stake(self.A, 6)
+                store.on_stake(ledger, self.A, now)
+
+            self.both(stake)
+        elif path == "time":
+            self.both(lambda pool, store, ledger: store.per_block_maintenance(self.state, now + self.PERIOD))
+        elif path == "failure":
+            broke = make_state({self.B: Account(balance=10_000)})  # A cannot pay: the drain fails harmlessly
+            self.both(lambda pool, store, ledger: store.request_failure_release(key, broke, FREE, now))
+        elif path == "nonce":
+            self.state = TestChangeDrivenUpkeep().executed(self.state, self.first)
+            self.both(lambda pool, store, ledger: store.per_block_maintenance(self.state, now))
+        else:  # mempool retirement: the lifetime ran out
+            removed = self.both(lambda pool, store, ledger: pool.retire(now + 200, self.state))
+            assert removed[0] == removed[1] != []
+            self.both(lambda pool, store, ledger: store.on_mempool_retired(removed[0], now))
+        assert not self.fast_store.is_active(key) and self.fast_store.audit == self.ref_store.audit
+
+    @pytest.mark.parametrize("path", ["approval", "stake", "time", "failure", "nonce", "mempool"])
+    def test_admit_release_readmit(self, path):
+        assert self.candidates() == [self.other, self.first, self.second]
+        self.admit(self.first, 1)
+        # The held nonce is skipped without cutting off the next one.
+        assert self.candidates() == [self.other, self.second]
+        self.release_by(path, 2)
+        if path in ("nonce", "mempool"):
+            assert self.first not in self.candidates()
+        else:
+            assert self.candidates() == [self.other, self.first, self.second]
+        self.admit(self.first, 3)
+        assert self.first not in self.candidates()
+        if path == "mempool":
+            # The very same transaction comes back while it is held.
+            self.both(lambda pool, store, ledger: pool.submit(self.first, 4, self.state))
+            assert tx_hash(self.first) in self.fast
+            assert self.first not in self.candidates()
+
+    def test_deposit_admission_leaves_the_pool_untouched(self):
+        self.candidates()
+        before = {name: copy.copy(value) for name, value in vars(self.fast).items()}
+        self.admit(DepositTransaction(0, 0, addr(0xD0), self.A, 1, b"", 21), 1)
+        assert vars(self.fast) == before
+        assert self.candidates() == [self.other, self.first, self.second]
+
+
+class TestBothCapsBind:
+    def test_evicted_entry_inside_its_run_is_re_measured(self):
+        """max_pending = 2 and max_queued = 1. Z (lowest address) and A have
+        one pending entry each; A's next is queued inside its contiguous run
+        and is the cheapest when B's submit overflows the queue. Once Z's
+        entry is included, A's shortened run leaves room for B."""
+        z, a, b = addr(1), addr(2), addr(3)
+        sealed = TestChangeDrivenUpkeep().sealed({z: 10_000, a: 10_000, b: 10_000})
+        config = PoolConfig(max_pending=2, max_queued=1)
+        fast, ref = Mempool(config), ReferenceMempool(config)
+        submits = [
+            tx(z, 0, SINK, value=1, max_fee=5, gas_limit=21),
+            tx(a, 0, SINK, value=1, max_fee=5, gas_limit=21),
+            tx(a, 1, SINK, value=1, max_fee=2, gas_limit=21),  # the cheapest queued entry
+            tx(b, 0, SINK, value=1, max_fee=4, gas_limit=21),
+        ]
+        for now, t in enumerate(submits):
+            assert fast.submit(t, now, sealed) == ref.submit(t, now, sealed)
+            lockstep(fast, ref, sealed)
+        assert tx_hash(submits[2]) not in fast and fast.get(tx_hash(submits[3])).status is PoolStatus.QUEUED
+        state = TestChangeDrivenUpkeep().executed(sealed, submits[0])
+        assert a not in vm.changed_since(state, sealed)
+        assert fast.retire(10, state) == ref.retire(10, state) == [tx_hash(submits[0])]
+        lockstep(fast, ref, state)
+        assert fast.get(tx_hash(submits[3])).status is PoolStatus.PENDING
+        later = [tx(b, 1, SINK, value=1, max_fee=1, gas_limit=21), tx(z, 2, SINK, value=1, gas_limit=21), tx(z, 1, SINK, value=1, max_fee=3, gas_limit=21)]
+        for now, t in enumerate(later, 11):
+            assert fast.submit(t, now, state) == ref.submit(t, now, state)
+            lockstep(fast, ref, state)
+        assert fast.retire(20, state) == ref.retire(20, state)
+        lockstep(fast, ref, state)
+
+
+def count_entry_fields(patch, counts: dict) -> dict:
+    """Count reads and writes of `PoolEntry.status` into `counts` from here on."""
+    counts.update(status_reads=0, status_writes=0)
+
+    def read(entry):
+        counts["status_reads"] += 1
+        return entry.__dict__["status"]
+
+    def write(entry, value):
+        counts["status_writes"] += 1
+        entry.__dict__["status"] = value
+
+    patch.setattr(PoolEntry, "status", property(read, write), raising=False)
+    return counts
+
+
+def binding_submit_counts(n: int, monkeypatch) -> dict:
+    """With max_pending = 16 and `n` senders of one entry each, count account
+    lookups and status writes while the lowest-address sender submits its
+    next nonce, which moves the cap's cut back by one sender."""
+    senders = [addr(0x100 + k) for k in range(n)]
+    state = make_state({s: Account(balance=10_000) for s in senders})
+    pool = Mempool(PoolConfig(max_pending=16))
+    for s in senders:
+        pool.submit(tx(s, 0, SINK, value=1, gas_limit=21), 0, state)
+    counts = {"account": 0}
+    original = WorldState.account
+
+    def account(self, address):
+        counts["account"] += 1
+        return original(self, address)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(WorldState, "account", account)
+        count_entry_fields(patch, counts)
+        assert pool.submit(tx(senders[0], 1, SINK, value=1, gas_limit=21), 1, state).outcome == "accepted"
+    pending = [e.tx.sender for e in pool.entries.values() if e.status is PoolStatus.PENDING]
+    assert sorted(pending) == [senders[0]] * 2 + senders[1:15]
+    return counts
+
+
+def overflow_submit_counts(n: int, monkeypatch) -> dict:
+    """With max_queued = `n` full of queued entries (each waits for a nonce
+    gap), count the entries whose status is read while one more submit
+    evicts the cheapest of them."""
+    state = make_state({addr(0x100 + k): Account(balance=10_000) for k in range(n + 1)})
+    pool = Mempool(PoolConfig(max_queued=n))
+    for k in range(n):
+        pool.submit(tx(addr(0x100 + k), 1, SINK, value=1, max_fee=2 + k % 7, gas_limit=21), k, state)
+    with monkeypatch.context() as patch:
+        counts = count_entry_fields(patch, {})
+        newcomer = tx(addr(0x100 + n), 1, SINK, value=1, max_fee=9, gas_limit=21)
+        assert pool.submit(newcomer, n, state).outcome == "accepted"
+    # The latest of the cheapest (max_fee 2) entries went.
+    assert tx_hash(tx(addr(0x100 + (n - 1) // 7 * 7), 1, SINK, value=1, max_fee=2, gas_limit=21)) not in pool
+    assert len(pool) == n
+    return counts
+
+
+class TestSubmitScaling:
+    def test_binding_cap_submit_does_not_grow_with_senders(self, monkeypatch):
+        small = binding_submit_counts(200, monkeypatch)
+        large = binding_submit_counts(2000, monkeypatch)
+        assert small["status_writes"] >= 3  # the new entry, then it and the crossed sender flip
+        assert (small["account"], small["status_writes"]) == (large["account"], large["status_writes"])
+
+    def test_overflow_eviction_does_not_grow_with_queued_entries(self, monkeypatch):
+        small = overflow_submit_counts(100, monkeypatch)
+        large = overflow_submit_counts(1000, monkeypatch)
+        assert small["status_reads"] >= 1
+        assert small["status_reads"] == large["status_reads"]
