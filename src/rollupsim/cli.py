@@ -66,7 +66,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
         chain = derive(history)
     except DerivationGap as exc:
         return _fail(EXIT_DERIVATION, f"derivation gap: {exc}")
-    except (ScenarioError, EncodingError, L1Error, ValueError, KeyError) as exc:
+    except (ScenarioError, EncodingError, L1Error, ValueError) as exc:
         return _fail(EXIT_DERIVATION, f"unusable history: {exc}")
     print(f"final_root {chain.final_root.hex0x()}")
     if args.expect_root is not None:
@@ -81,7 +81,7 @@ def cmd_quarantine(args: argparse.Namespace) -> int:
         report = parse_report(Path(args.report).read_text())
     except OSError as exc:
         return _fail(EXIT_SCENARIO, f"cannot read report: {exc}")
-    except (ScenarioError, EncodingError, ValueError, KeyError) as exc:
+    except (ScenarioError, EncodingError, ValueError) as exc:
         return _fail(EXIT_SCENARIO, f"unusable report: {exc}")
     if args.action == "list":
         for entry in report.entries:

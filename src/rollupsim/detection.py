@@ -75,12 +75,6 @@ class InvariantSet:
     def for_contract(self, contract: Address) -> Sequence[Invariant]:
         return self._by_contract.get(contract, ())
 
-    def contracts(self) -> List[Address]:
-        return sorted(self._by_contract)
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._by_contract.values())
-
 
 @dataclass(frozen=True)
 class Verdict:

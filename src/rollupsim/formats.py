@@ -569,6 +569,14 @@ def render_report(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _line_error(exc: Exception, head: str, lineno: int) -> ScenarioError:
+    """A missing field (`KeyError`) or an unparsable value (`ValueError`) on
+    one report or history line, as an error that names the line."""
+    if isinstance(exc, KeyError):
+        return ScenarioError(f"{head} missing field {exc.args[0]!r}", line=lineno)
+    return ScenarioError(f"bad {head}: {exc}", line=lineno)
+
+
 def parse_report(text: str) -> RunReport:
     report: Optional[RunReport] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -577,69 +585,75 @@ def parse_report(text: str) -> RunReport:
             continue
         fields = _split_fields(line, lineno)
         head = fields[0]
-        if head == "report":
-            kv = _kv(fields[2:], lineno)
-            report = RunReport(scenario=kv.get("scenario", "?"))
-            continue
         if report is None:
-            raise ScenarioError("report file must start with 'report v1'", line=lineno)
+            if head != "report" or len(fields) < 2 or fields[1] != "v1":
+                raise ScenarioError("report file must start with 'report v1'", line=lineno)
+            report = RunReport(scenario=_kv(fields[2:], lineno).get("scenario", "?"))
+            continue
+        if head == "report":
+            raise ScenarioError("second 'report' header", line=lineno)
+        if head in ("final_root", "l1_export") and len(fields) < 2:
+            raise ScenarioError(f"{head} needs a value", line=lineno)
         kv = _kv(fields[1:], lineno) if head not in ("final_root", "l1_export") else {}
-        if head == "block":
-            report.blocks.append(
-                BlockSummary(
-                    number=_parse_int(kv["number"], lineno, "number"),
-                    timestamp=_parse_int(kv["time"], lineno, "time"),
-                    base_fee=_parse_int(kv["base_fee"], lineno, "base_fee"),
-                    epoch=_parse_int(kv["epoch"], lineno, "epoch"),
-                    parent_hash=_parse_bytes(kv["parent"], lineno),
-                    deposit_ids=tuple(TxHash.from_hex(h) for h in _parse_list(kv["deposits"])),
-                    tx_hashes=tuple(TxHash.from_hex(h) for h in _parse_list(kv["txs"])),
-                    state_root=StateRoot(_parse_bytes(kv["root"], lineno)),
+        try:
+            if head == "block":
+                report.blocks.append(
+                    BlockSummary(
+                        number=_parse_int(kv["number"], lineno, "number"),
+                        timestamp=_parse_int(kv["time"], lineno, "time"),
+                        base_fee=_parse_int(kv["base_fee"], lineno, "base_fee"),
+                        epoch=_parse_int(kv["epoch"], lineno, "epoch"),
+                        parent_hash=_parse_bytes(kv["parent"], lineno),
+                        deposit_ids=tuple(TxHash.from_hex(h) for h in _parse_list(kv["deposits"])),
+                        tx_hashes=tuple(TxHash.from_hex(h) for h in _parse_list(kv["txs"])),
+                        state_root=StateRoot(_parse_bytes(kv["root"], lineno)),
+                    )
                 )
-            )
-        elif head == "entry":
-            report.entries.append(
-                EntrySummary(
-                    key=TxHash.from_hex(kv["key"]),
-                    kind=kv["kind"],
-                    sender=_parse_address(kv["sender"], lineno),
-                    sequence=_parse_int(kv["seq"], lineno, "seq"),
-                    admitted_at=_parse_int(kv["admitted_at"], lineno, "admitted_at"),
-                    admitted_block=_parse_int(kv["admitted_block"], lineno, "admitted_block"),
-                    violated=tuple(_parse_list(kv["violated"])),
-                    victims=tuple(_parse_address(v, lineno) for v in _parse_list(kv["victims"])),
-                    damage=_parse_int(kv["damage"], lineno, "damage"),
+            elif head == "entry":
+                report.entries.append(
+                    EntrySummary(
+                        key=TxHash.from_hex(kv["key"]),
+                        kind=kv["kind"],
+                        sender=_parse_address(kv["sender"], lineno),
+                        sequence=_parse_int(kv["seq"], lineno, "seq"),
+                        admitted_at=_parse_int(kv["admitted_at"], lineno, "admitted_at"),
+                        admitted_block=_parse_int(kv["admitted_block"], lineno, "admitted_block"),
+                        violated=tuple(_parse_list(kv["violated"])),
+                        victims=tuple(_parse_address(v, lineno) for v in _parse_list(kv["victims"])),
+                        damage=_parse_int(kv["damage"], lineno, "damage"),
+                    )
                 )
-            )
-        elif head == "audit":
-            report.audit.append(
-                AuditEvent(
-                    entry=TxHash.from_hex(kv["entry"]),
-                    at=_parse_int(kv["at"], lineno, "at"),
-                    kind=kv["kind"],
-                    actor=kv["actor"],
-                    detail=_unbrace(kv["detail"]),
+            elif head == "audit":
+                report.audit.append(
+                    AuditEvent(
+                        entry=TxHash.from_hex(kv["entry"]),
+                        at=_parse_int(kv["at"], lineno, "at"),
+                        kind=kv["kind"],
+                        actor=kv["actor"],
+                        detail=_unbrace(kv["detail"]),
+                    )
                 )
-            )
-        elif head == "pool":
-            report.pool.append(
-                PoolSummary(
-                    key=TxHash.from_hex(kv["key"]),
-                    sender=_parse_address(kv["sender"], lineno),
-                    nonce=_parse_int(kv["nonce"], lineno, "nonce"),
-                    status=kv["status"],
-                    received_at=_parse_int(kv["received_at"], lineno, "received_at"),
+            elif head == "pool":
+                report.pool.append(
+                    PoolSummary(
+                        key=TxHash.from_hex(kv["key"]),
+                        sender=_parse_address(kv["sender"], lineno),
+                        nonce=_parse_int(kv["nonce"], lineno, "nonce"),
+                        status=kv["status"],
+                        received_at=_parse_int(kv["received_at"], lineno, "received_at"),
+                    )
                 )
-            )
-        elif head == "counters":
-            names = [f.name for f in dataclasses.fields(Counters)]
-            report.counters = Counters(**{name: _parse_int(kv[name], lineno, name) for name in names})
-        elif head == "l1_export":
-            report.l1_export = fields[1]
-        elif head == "final_root":
-            report.final_root = StateRoot(_parse_bytes(fields[1], lineno))
-        else:
-            raise ScenarioError(f"unknown report directive {head!r}", line=lineno)
+            elif head == "counters":
+                names = [f.name for f in dataclasses.fields(Counters)]
+                report.counters = Counters(**{name: _parse_int(kv[name], lineno, name) for name in names})
+            elif head == "l1_export":
+                report.l1_export = fields[1]
+            elif head == "final_root":
+                report.final_root = StateRoot(_parse_bytes(fields[1], lineno))
+            else:
+                raise ScenarioError(f"unknown report directive {head!r}", line=lineno)
+        except (KeyError, ValueError) as exc:
+            raise _line_error(exc, head, lineno) from None
     if report is None:
         raise ScenarioError("empty report file", line=1)
     return report
@@ -742,40 +756,43 @@ def parse_history(text: str) -> L1History:
                 raise ScenarioError("file must start with 'l1history v1'", line=lineno)
             header_seen = True
             continue
-        if head == "config":
-            kv = _kv(fields[1:], lineno)
-            fee_recipient = _parse_address(kv["fee_recipient"], lineno)
-            blocks_per_epoch = _parse_int(kv["blocks_per_epoch"], lineno, "blocks_per_epoch", 1, U64_MAX)
-        elif head == "genesis":
-            _parse_state_line(fields, lineno, accounts)
-        elif head == "l1block":
-            kv = _kv(fields[1:], lineno)
-            deposits = tuple(decode_deposit(bytes.fromhex(h)) for h in _parse_list(kv["deposits"]))
-            blocks.append(
-                L1Block(
-                    number=_parse_int(kv["number"], lineno, "number", 0, U64_MAX),
-                    timestamp=_parse_int(kv["time"], lineno, "time", 0, U64_MAX),
-                    deposits=deposits,
+        try:
+            if head == "config":
+                kv = _kv(fields[1:], lineno)
+                fee_recipient = _parse_address(kv["fee_recipient"], lineno)
+                blocks_per_epoch = _parse_int(kv["blocks_per_epoch"], lineno, "blocks_per_epoch", 1, U64_MAX)
+            elif head == "genesis":
+                _parse_state_line(fields, lineno, accounts)
+            elif head == "l1block":
+                kv = _kv(fields[1:], lineno)
+                deposits = tuple(decode_deposit(bytes.fromhex(h)) for h in _parse_list(kv["deposits"]))
+                blocks.append(
+                    L1Block(
+                        number=_parse_int(kv["number"], lineno, "number", 0, U64_MAX),
+                        timestamp=_parse_int(kv["time"], lineno, "time", 0, U64_MAX),
+                        deposits=deposits,
+                    )
                 )
-            )
-        elif head == "record":
-            kv = _kv(fields[1:], lineno)
-            batch = tuple(bytes.fromhex(h) for h in _parse_list(kv["batch"]))
-            count = _parse_int(kv["deposit_count"], lineno, "deposit_count", 0) if "deposit_count" in kv else None
-            bitmap = tuple(_parse_int(w, lineno, "bitmap word", 0) for w in _parse_list(kv.get("bitmap", "-")))
-            inbox.append(
-                L1Record(
-                    epoch=_parse_int(kv["epoch"], lineno, "epoch", 0, U64_MAX),
-                    l2_number=_parse_int(kv["l2_number"], lineno, "l2_number", 0, U64_MAX),
-                    l2_timestamp=_parse_int(kv["l2_time"], lineno, "l2_time", 0, U64_MAX),
-                    l2_base_fee=_parse_int(kv["l2_base_fee"], lineno, "l2_base_fee", 0, U64_MAX),
-                    batch=batch,
-                    deposit_count=count,
-                    bitmap=bitmap,
+            elif head == "record":
+                kv = _kv(fields[1:], lineno)
+                batch = tuple(bytes.fromhex(h) for h in _parse_list(kv["batch"]))
+                count = _parse_int(kv["deposit_count"], lineno, "deposit_count", 0) if "deposit_count" in kv else None
+                bitmap = tuple(_parse_int(w, lineno, "bitmap word", 0) for w in _parse_list(kv.get("bitmap", "-")))
+                inbox.append(
+                    L1Record(
+                        epoch=_parse_int(kv["epoch"], lineno, "epoch", 0, U64_MAX),
+                        l2_number=_parse_int(kv["l2_number"], lineno, "l2_number", 0, U64_MAX),
+                        l2_timestamp=_parse_int(kv["l2_time"], lineno, "l2_time", 0, U64_MAX),
+                        l2_base_fee=_parse_int(kv["l2_base_fee"], lineno, "l2_base_fee", 0, U64_MAX),
+                        batch=batch,
+                        deposit_count=count,
+                        bitmap=bitmap,
+                    )
                 )
-            )
-        else:
-            raise ScenarioError(f"unknown history directive {head!r}", line=lineno)
+            else:
+                raise ScenarioError(f"unknown history directive {head!r}", line=lineno)
+        except (KeyError, ValueError) as exc:
+            raise _line_error(exc, head, lineno) from None
 
     if not header_seen:
         raise ScenarioError("empty history file", line=1)

@@ -9,11 +9,11 @@ a running pending count, each sender's contiguous-run length, the senders
 with a nonzero run in address order, and the cut: the sender where
 `max_pending` runs out and the run total before it. A refresh re-measures
 only senders whose slots changed or whose account may differ from the state
-it last looked at, as `vm.changed_since` reports (when it cannot tell, every
-sender's `Account` object is compared with the one last checked;
-copy-on-write states share unchanged accounts), walks the cut to its new
-place, and relabels those senders and the ones the cut crossed. Each
-sender's eligible run is cached with its sort keys. The quarantine store
+it last looked at, as `vm.changed_since` reports (every sender when it
+cannot tell), walks the cut to its new place, and relabels those senders
+and the ones the cut crossed. Each sender's eligible run is cached with its
+sort keys, read at the state of the last refresh, which marked every sender
+it re-measured for a rebuild. The quarantine store
 tells the pool which hashes it holds (`on_held`, `on_released`), so held
 entries never enter the candidate cache. Lifetime expiry pops a heap keyed
 on arrival time, and `max_queued` eviction a heap keyed on fee and arrival.
@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from .core import Address, SignedTransaction, TxHash, tx_hash
-from .vm import Account, WorldState, changed_since
+from .vm import WorldState, changed_since
 
 
 class PoolStatus(Enum):
@@ -88,11 +88,11 @@ class Mempool:
         self._order: List[Address] = []
         self._cut: Optional[Address] = None
         self._cut_before = 0
-        # Per sender, the account its statuses were computed from and every
-        # entry was checked against (nonce and balance); absent = recheck.
-        self._checked: Dict[Address, Account] = {}
-        self._unchecked: Set[Address] = set()  # pooled senders absent from _checked
         self._state: Optional[WorldState] = None  # state of the last refresh
+        # Pooled senders whose entries were not all checked (nonce and
+        # balance) against their account at `_state`: a submit at a newer
+        # state moved `_state` past their change.
+        self._unchecked: Set[Address] = set()
         self._arrivals: List[Tuple[int, TxHash]] = []  # heap; stale items skipped
         # Eviction heap: (max_fee, -received_at, hash), pushed whenever an
         # entry becomes or is born QUEUED; items of entries gone or no longer
@@ -100,13 +100,12 @@ class Mempool:
         self._queued: List[Tuple[int, int, TxHash]] = []
         self._held: Set[TxHash] = set()  # hashes the quarantine holds
         # Candidate cache: the (-tip, arrival, hash, tx) sort item of every
-        # entry in a sender's eligible run at `_eligible_state` and
-        # `_eligible_fee` that is not held, by hash, and each sender's run of
-        # hashes, except for the senders in `_dirty`, whose slots or statuses
+        # entry in a sender's eligible run at `_state` and `_eligible_fee`
+        # that is not held, by hash, and each sender's run of hashes, except
+        # for the senders in `_dirty`, whose slots, statuses or account
         # changed since.
         self._items: Dict[TxHash, Tuple[int, int, TxHash, SignedTransaction]] = {}
         self._eligible: Dict[Address, List[TxHash]] = {}
-        self._eligible_state: Optional[WorldState] = None
         self._eligible_fee: Optional[int] = None
         self._dirty: Set[Address] = set()
 
@@ -144,14 +143,14 @@ class Mempool:
             replaced_hash = old_hash
 
         h = tx_hash(tx)
-        if tx.sender not in self.by_sender:
-            self._checked[tx.sender] = account  # its only entry was just checked
         entry = self.entries[h] = PoolEntry(tx=tx, received_at=now, status=PoolStatus.QUEUED)
         self.by_sender.setdefault(tx.sender, {})[tx.nonce] = h
         heapq.heappush(self._arrivals, (now, h))
         changed = {tx.sender}
         if state is not self._state:
-            changed.update(self._stale_senders(state))
+            stale = self._stale_senders(state)
+            self._unchecked.update(stale)
+            changed.update(stale)
         self._refresh_statuses(state, changed)
         if entry.status is PoolStatus.QUEUED:  # born queued: the refresh did not push it
             heapq.heappush(self._queued, (tx.max_fee, -now, h))
@@ -167,24 +166,25 @@ class Mempool:
             return SubmitResult("replaced", replaced=replaced_hash)
         return ACCEPTED
 
-    def pending_candidates(self, base_fee: int, state: WorldState) -> List[SignedTransaction]:
+    def pending_candidates(self, base_fee: int) -> List[SignedTransaction]:
         """Pending txs that bid at least the base fee, most generous tip first.
 
         Per sender, only the nonce-contiguous prefix starting at the account
         nonce is eligible (a fee-filtered middle nonce cuts off the rest).
         Entries the quarantine holds (see `on_held`) are skipped without
         cutting off later nonces. Ties break by arrival time, then hash.
-        Runs are rebuilt only for senders that changed since the last call
-        (all of them when the base fee moved or the states are unrelated).
+        Nonces are read at the state of the last refresh: the sequencer
+        refreshes at the tip, and a deposit never writes a nonce. Runs are
+        rebuilt only for senders marked since the last call (all of them
+        when the base fee moved).
         """
-        items, runs, held = self._items, self._eligible, self._held
-        changed = changed_since(state, self._eligible_state)
-        if changed is None or base_fee != self._eligible_fee:
+        items, runs, held, state = self._items, self._eligible, self._held, self._state
+        if base_fee != self._eligible_fee:
             items.clear()
             runs.clear()
             senders: Collection[Address] = self.by_sender
         else:
-            senders = self._dirty.union(self.by_sender.keys() & changed)
+            senders = self._dirty
         for sender in senders:
             for h in runs.pop(sender, ()):
                 items.pop(h, None)
@@ -206,7 +206,7 @@ class Mempool:
             if run:
                 runs[sender] = run
         self._dirty = set()
-        self._eligible_state, self._eligible_fee = state, base_fee
+        self._eligible_fee = base_fee
         # Hashes are unique, so the sort never compares transactions.
         return [item[3] for item in sorted(items.values())]
 
@@ -226,13 +226,14 @@ class Mempool:
     def retire(self, now: int, state: WorldState) -> List[TxHash]:
         """Drop stale entries: dead nonce, expired lifetime, or unaffordable.
 
-        Nonce and balance are rechecked only for senders whose account is not
-        the one last checked; lifetimes come off the arrival heap."""
+        Nonce and balance are rechecked only for senders whose account may
+        have changed since they were checked; lifetimes come off the arrival
+        heap."""
         stale = self._stale_senders(state)
+        self._unchecked.clear()
         doomed: Set[TxHash] = set()
         for sender in stale:
-            account = self._checked[sender] = state.account(sender)
-            self._unchecked.discard(sender)
+            account = state.account(sender)
             for nonce, h in self.by_sender[sender].items():
                 if nonce < account.nonce or account.balance < _cost(self.entries[h].tx):
                     doomed.add(h)
@@ -273,21 +274,17 @@ class Mempool:
             del slots[entry.tx.nonce]
             if not slots:
                 del self.by_sender[sender]
-                self._checked.pop(sender, None)
                 self._unchecked.discard(sender)
 
-    def _stale_senders(self, state: WorldState) -> List[Address]:
-        """Senders whose entries were not all checked against their account in
-        `state`. Only senders whose account may differ from the last refresh's
-        state, or that a refresh left unchecked, can be; when the states are
-        unrelated, every sender is compared."""
+    def _stale_senders(self, state: WorldState) -> Collection[Address]:
+        """Senders whose entries may not all have been checked against their
+        account in `state`: those whose account may differ from the last
+        refresh's state and those left unchecked; every sender when the
+        states are unrelated."""
         changed = changed_since(state, self._state)
         if changed is None:
-            senders: Collection[Address] = self.by_sender
-        else:
-            senders = (self.by_sender.keys() & changed) | self._unchecked
-        checked = self._checked
-        return [s for s in senders if state.account(s) is not checked.get(s)]
+            return list(self.by_sender)
+        return (self.by_sender.keys() & changed) | self._unchecked
 
     def _refresh_statuses(self, state: WorldState, senders: Collection[Address]) -> None:
         """Re-measure the runs of `senders`, walk the cut to its new place,
@@ -332,11 +329,7 @@ class Mempool:
             if slots is None:
                 continue
             self._dirty.add(sender)
-            account = state.account(sender)
-            if self._checked.get(sender) is not account:
-                self._checked.pop(sender, None)
-                self._unchecked.add(sender)
-            start = account.nonce
+            start = state.nonce_of(sender)
             if cut is None or sender < cut:
                 end = start + runs.get(sender, 0)
             else:

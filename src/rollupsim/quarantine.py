@@ -8,8 +8,8 @@ simulates, which is what keeps a quarantine flood from slowing the chain.
 Its cost follows what changed, not what is held: held non-deposit keys are
 indexed per sender, and only senders admitted since the last maintenance or
 whose account may differ from the state it last checked (`vm.changed_since`)
-are looked at; when the states are unrelated, every held sender's `Account`
-object is compared with the one last checked. Time-criterion deadlines sit
+are looked at; when the states are unrelated, every held sender is, which
+is safe because the check is idempotent. Time-criterion deadlines sit
 on a heap. The due set is processed in admission order, so the audit trail
 matches a full walk.
 A store built with a pool tells it of every non-deposit key it starts or
@@ -36,7 +36,7 @@ from .core import (
 )
 from .detection import Verdict
 from .mempool import Mempool
-from .vm import Account, BlockContext, PreconditionFailed, TxStatus, WorldState, changed_since, execute_transaction
+from .vm import BlockContext, PreconditionFailed, TxStatus, WorldState, changed_since, execute_transaction
 
 
 class QuarantineError(Exception):
@@ -178,7 +178,6 @@ class QuarantineStore:
         # key keeps its place.
         self._positions: Dict[TxHash, int] = {}
         self._by_sender: Dict[Address, List[TxHash]] = {}  # held non-deposit keys
-        self._checked: Dict[Address, Account] = {}  # account each sender's keys were checked against
         self._admitted: Set[Address] = set()  # senders admitted since the last maintenance
         self._state: Optional[WorldState] = None  # state of the last maintenance
         self._deadlines: List[Tuple[int, TxHash]] = []  # time-criterion heap; stale items skipped
@@ -211,7 +210,6 @@ class QuarantineStore:
         self._admissions += 1
         if not entry.is_deposit:
             self._by_sender.setdefault(tx.sender, []).append(key)
-            self._checked.pop(tx.sender, None)
             self._admitted.add(tx.sender)
             heapq.heappush(self._deadlines, (now + self.config.time_criterion_period, key))
             if self.pool is not None:
@@ -243,10 +241,8 @@ class QuarantineStore:
         else:
             senders = self._by_sender.keys() & (changed | self._admitted)
         for sender in senders:
-            account = chain_state.account(sender)
-            if self._checked.get(sender) is not account:
-                self._checked[sender] = account
-                dead.update(key for key in self._by_sender[sender] if self.active[key].tx.nonce < account.nonce)
+            nonce = chain_state.nonce_of(sender)
+            dead.update(key for key in self._by_sender[sender] if self.active[key].tx.nonce < nonce)
         self._admitted.clear()
         self._state = chain_state
         due: Set[TxHash] = set()
@@ -360,7 +356,6 @@ class QuarantineStore:
             keys.remove(key)
             if not keys:
                 del self._by_sender[entry.tx.sender]
-                self._checked.pop(entry.tx.sender, None)
             if self.pool is not None:
                 self.pool.on_released(key)
 

@@ -286,7 +286,7 @@ class Sequencer:
 
         # Regular candidates: pending, affordable, not currently held; txs
         # duplicating an already-released one skip detection entirely.
-        candidates = self.mempool.pending_candidates(self.base_fee, state_after_deposits)
+        candidates = self.mempool.pending_candidates(self.base_fee)
         preapproved = frozenset(
             tx_hash(tx) for tx in candidates if self.store.registry.is_released_duplicate(tx)
         )

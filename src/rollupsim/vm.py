@@ -21,21 +21,20 @@ map at the end. A scratch only ever mutates storage dicts it made itself.
 World states are copy-on-write: a post-state shares every untouched `Account`
 object with the state it came from. Nothing may therefore mutate an `Account`
 or its `storage` in place; build a new `Account` instead. A post-state also
-records its root lineage: the nearest ancestor whose root was computed (held
-weakly), that ancestor's sorted digest table, and the addresses changed since.
-`state_root` patches that table instead of re-sorting and re-hashing every
-account, and `changed_since` answers which accounts two related states may
-disagree on.
+records its root lineage: the sorted digest table of its nearest ancestor
+whose root was computed, and the addresses changed since. `state_root`
+patches that table instead of re-sorting and re-hashing every account, and
+`changed_since` answers one hop: which accounts a state may disagree on with
+that rooted ancestor.
 """
 from __future__ import annotations
 
 import hashlib
-import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .core import (
     BASE_TX_GAS,
@@ -215,10 +214,10 @@ class WorldState:
     # Root bookkeeping, not dataclass fields (equality, repr and __init__
     # ignore them). `_table` is set once by `state_root`: (root, sorted
     # addresses, their digests). `_lineage` is set by `_Execution.post_state`
-    # on a base with a table or a lineage: (weak ref to the nearest rooted
-    # ancestor, that ancestor's table, linked list of the address lists
-    # changed since, newest first). State roots are computed on one thread;
-    # worker threads only execute.
+    # on a base with a table or a lineage: (the nearest rooted ancestor's
+    # table, frozenset of the addresses changed since). It holds no state,
+    # so no chain of old states stays alive. State roots are computed on one
+    # thread; worker threads only execute.
     _table = None
     _lineage = None
 
@@ -487,13 +486,10 @@ class _Execution:
                 accounts[addr] = acct
         state = WorldState(accounts)
         if base._table is not None:
-            lineage = (weakref.ref(base), base._table, (changed, None))
+            object.__setattr__(state, "_lineage", (base._table, frozenset(changed)))
         elif base._lineage is not None:
-            anchor, table, link = base._lineage
-            lineage = (anchor, table, (changed, link))
-        else:
-            return state
-        object.__setattr__(state, "_lineage", lineage)
+            table, earlier = base._lineage
+            object.__setattr__(state, "_lineage", (table, earlier.union(changed)))
         return state
 
 
@@ -702,14 +698,6 @@ def _account_digest(addr: Address, acct: Account) -> bytes:
     return ah.digest()
 
 
-def _touched(link) -> Set[Address]:
-    touched: Set[Address] = set()
-    while link is not None:
-        touched.update(link[0])
-        link = link[1]
-    return touched
-
-
 def state_root(state: WorldState) -> StateRoot:
     """Flat commitment: SHA-256 over per-account digests sorted by address.
 
@@ -726,12 +714,9 @@ def state_root(state: WorldState) -> StateRoot:
         addrs = sorted(accounts)
         digests = [_account_digest(addr, accounts[addr]) for addr in addrs]
     else:
-        anchor, table, link = state._lineage
+        table, changed = state._lineage
         addrs, digests = list(table[1]), list(table[2])
-        touched = _touched(link)
-        # Later `changed_since` calls walk one merged address set.
-        object.__setattr__(state, "_lineage", (anchor, table, (touched, None)))
-        for addr in touched:
+        for addr in changed:
             i = bisect_left(addrs, addr)
             present = i < len(addrs) and addrs[i] == addr
             acct = accounts.get(addr)
@@ -748,29 +733,19 @@ def state_root(state: WorldState) -> StateRoot:
     return root
 
 
-def changed_since(state: WorldState, earlier: Optional[WorldState]) -> Optional[Set[Address]]:
+def changed_since(state: WorldState, earlier: Optional[WorldState]) -> Optional[FrozenSet[Address]]:
     """Addresses whose account may differ between `earlier` and `state`.
 
-    Known when `earlier` is `state` or one of its live rooted ancestors, or
-    was itself executed from one of them (anchors are compared by their weak
-    reference, which outlives the anchor); every other address then maps to
-    the very same `Account` object in both. Otherwise None: the caller must
-    compare every account it cares about.
+    Known for one hop only: when `earlier` is `state`, or is the nearest
+    rooted ancestor `state` was executed from; every other address then maps
+    to the very same `Account` object in both. Otherwise None: the caller
+    must compare every account it cares about.
     """
     if state is earlier:
-        return set()
-    other = earlier._lineage if earlier is not None else None
-    touched: Set[Address] = set()
+        return frozenset()
     lineage = state._lineage
-    while lineage is not None:
-        ref, _table, link = lineage
-        touched |= _touched(link)
-        if other is not None and other[0] is ref:
-            return touched | _touched(other[2])
-        anchor = ref()
-        if anchor is earlier:
-            return touched
-        lineage = anchor._lineage if anchor is not None else None
+    if lineage is not None and earlier is not None and lineage[0] is earlier._table:
+        return lineage[1]
     return None
 
 

@@ -31,6 +31,7 @@ class ReferenceMempool:
         self.config = config
         self.entries: Dict[TxHash, PoolEntry] = {}
         self.by_sender: Dict[Address, Dict[int, TxHash]] = {}
+        self.refreshed = WorldState({})  # the state of the last status refresh
 
     def submit(self, tx: SignedTransaction, now: int, state: WorldState) -> SubmitResult:
         account = state.account(tx.sender)
@@ -111,6 +112,7 @@ class ReferenceMempool:
         return sum(1 for e in self.entries.values() if e.status is status)
 
     def _refresh_statuses(self, state: WorldState) -> None:
+        self.refreshed = state
         pending_total = 0
         for sender in sorted(self.by_sender):
             slots = self.by_sender[sender]

@@ -1,3 +1,4 @@
+import re
 import shutil
 import signal
 from pathlib import Path
@@ -170,6 +171,85 @@ class TestDeriveRejectsMalformedHistory:
         code, err = self.derive_exit(tmp_path, capsys, edit)
         assert code == 4
         assert "line 4" in err and field in err
+
+
+class TestDeriveNamesTheLine:
+    """A missing field or a non-hex blob on a history line exits 4 with the
+    line's number."""
+
+    @staticmethod
+    def derive_exit(tmp_path, capsys, old, new):
+        _, _, l1_path = run_cli(tmp_path, "deposits_benign")
+        lines = l1_path.read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if re.search(old, line))
+        lines[index] = re.sub(old, new, lines[index])
+        bad = tmp_path / "bad.l1"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["derive", "--l1", str(bad)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err, index + 1
+
+    def test_record_without_batch(self, tmp_path, capsys):
+        code, err, lineno = self.derive_exit(tmp_path, capsys, r" batch=\S+", "")
+        assert code == 4
+        assert f"line {lineno}" in err and "'batch'" in err
+
+    def test_config_without_fee_recipient(self, tmp_path, capsys):
+        code, err, lineno = self.derive_exit(tmp_path, capsys, r"fee_recipient=\S+ ", "")
+        assert code == 4
+        assert lineno == 2 and "line 2" in err and "'fee_recipient'" in err
+
+    def test_non_hex_batch(self, tmp_path, capsys):
+        code, err, lineno = self.derive_exit(tmp_path, capsys, r"batch=\S+", "batch=zz")
+        assert code == 4
+        assert f"line {lineno}" in err and "non-hexadecimal" in err
+
+    def test_non_hex_deposits(self, tmp_path, capsys):
+        code, err, lineno = self.derive_exit(tmp_path, capsys, r"deposits=\S+", "deposits=zz")
+        assert code == 4
+        assert f"line {lineno}" in err and "non-hexadecimal" in err
+
+
+class TestQuarantineRejectsMalformedReport:
+    """A report with a missing field or a wrong or repeated header exits 2
+    with the line's number."""
+
+    @staticmethod
+    def list_exit(tmp_path, capsys, edit):
+        _, report_path, _ = run_cli(tmp_path, "pause_exploit")
+        bad = tmp_path / "bad.report"
+        bad.write_text("\n".join(edit(report_path.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        code = main(["quarantine", str(bad), "list"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_block_without_base_fee(self, tmp_path, capsys):
+        def edit(lines):
+            assert lines[1].startswith("block ")
+            return [lines[0], re.sub(r" base_fee=\S+", "", lines[1]), *lines[2:]]
+
+        code, err = self.list_exit(tmp_path, capsys, edit)
+        assert code == 2
+        assert "line 2" in err and "'base_fee'" in err
+
+    def test_other_header_version(self, tmp_path, capsys):
+        code, err = self.list_exit(tmp_path, capsys, lambda lines: [lines[0].replace("report v1", "report v9"), *lines[1:]])
+        assert code == 2
+        assert "line 1" in err and "report v1" in err
+
+    def test_second_header(self, tmp_path, capsys):
+        code, err = self.list_exit(tmp_path, capsys, lambda lines: [*lines[:2], lines[0], *lines[2:]])
+        assert code == 2
+        assert "line 3" in err and "report" in err
+
+    def test_final_root_without_value(self, tmp_path, capsys):
+        code, err = self.list_exit(tmp_path, capsys, lambda lines: [*lines[:-1], "final_root"])
+        assert code == 2
+        assert "final_root" in err
 
 
 class TestScenarioConfigErrors:

@@ -221,7 +221,7 @@ class TestIncrementalRoot:
                 state = draw_edit(data, base)
             else:
                 state = WorldState(dict(base.accounts))  # no lineage
-            related = kind != "detached" and (base._table is not None or base._lineage is not None)
+            related = kind != "detached" and base._table is not None  # one hop from a rooted base
             assert (changed_since(state, base) is not None) == related
             states.append(state)
             for s in data.draw(st.lists(st.sampled_from(states), max_size=3)):
@@ -239,30 +239,32 @@ class TestIncrementalRoot:
         assert changed_since(post, state) == {addr(1), addr(3)}
         assert changed_since(post, post) == set()
         sibling = execute_transaction(state, tx(addr(2), 0, addr(4), value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state
-        assert changed_since(post, sibling) == {addr(1), addr(2), addr(3), addr(4)}
+        assert changed_since(post, sibling) is None  # one hop only: a sibling is not the rooted base
         assert changed_since(state, post) is None  # an ancestor does not know its successors
         assert changed_since(post, WorldState(dict(state.accounts))) is None  # unrelated
 
     def test_changes_are_known_across_sealed_blocks(self):
         # The sequencer's flow: each block's state is executed from the last
         # sealed one; an epoch head's deposits add one more unsealed step.
+        # Each sealed block knows its changes since the one before it.
         def pay(state, sender, nonce, to):
             return execute_transaction(state, tx(sender, nonce, to, value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state
 
         genesis = make_state({addr(1): Account(balance=100), addr(2): Account(balance=100)})
         state_root(genesis)
         block0 = pay(genesis, addr(1), 0, addr(3))
+        assert changed_since(block0, genesis) == {addr(1), addr(3)}
         state_root(block0)
-        head = pay(block0, addr(2), 0, addr(4))  # not sealed yet
-        assert changed_since(head, genesis) == {addr(1), addr(2), addr(3), addr(4)}
-        state_root(head)
-        after = pay(head, addr(1), 1, addr(5))
-        sibling = pay(head, addr(2), 1, addr(6))
-        anchor = weakref.ref(head)
-        del head  # their shared anchor is gone; its weak reference still names it
-        gc.collect()
-        assert anchor() is None
-        assert changed_since(after, sibling) == {addr(1), addr(2), addr(5), addr(6)}
+        deposited = pay(block0, addr(2), 0, addr(4))  # not sealed yet
+        block1 = pay(deposited, addr(1), 1, addr(5))
+        assert changed_since(block1, block0) == {addr(1), addr(2), addr(4), addr(5)}
+        assert changed_since(block1, genesis) is None  # two sealed blocks back
+        state_root(block1)
+        block2 = pay(block1, addr(2), 1, addr(6))
+        assert changed_since(block2, block1) == {addr(2), addr(6)}
+        assert changed_since(block2, block0) is None
+        for later, earlier in ((block0, genesis), (block1, block0), (block2, block1)):
+            assert_changes_covered(later, earlier)
 
     def test_unrooted_base_gives_no_lineage(self):
         state = make_state({addr(1): Account(balance=100)})
@@ -270,7 +272,7 @@ class TestIncrementalRoot:
         assert changed_since(post, state) is None
         assert state_root(post) == full_state_root(post)
 
-    def test_anchor_is_held_weakly_and_no_chain_stays_alive(self):
+    def test_lineage_keeps_no_chain_of_old_states_alive(self):
         state = make_state({addr(1): Account(balance=10_000)})
         refs = []
         for nonce in range(5):
@@ -279,8 +281,8 @@ class TestIncrementalRoot:
             state = execute_transaction(state, tx(addr(1), nonce, addr(2), value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state
         gc.collect()
         assert all(ref() is None for ref in refs)
-        # The anchor is gone but its digest table is not: the root is still incremental and right.
-        assert state._lineage is not None and state._lineage[0]() is None
+        # The rooted ancestor is gone but its digest table is not: the root is still incremental and right.
+        assert state._lineage is not None
         assert changed_since(state, WorldState({})) is None
         assert state_root(state) == full_state_root(state)
 

@@ -28,7 +28,7 @@ def test_nonce_gap_lands_in_queued(state):
     t = tx(addr(1), 2, addr(9))
     assert pool.submit(t, now=0, state=state).outcome == "accepted"
     assert pool.get(tx_hash(t)).status is PoolStatus.QUEUED
-    assert pool.pending_candidates(1, state) == []
+    assert pool.pending_candidates(1) == []
 
 
 def test_gap_fill_promotes(state):
@@ -56,7 +56,7 @@ def test_replaced_hash_never_reappears_in_candidates(state):
     old = tx(addr(1), 0, addr(9), max_fee=100)
     pool.submit(old, now=0, state=state)
     pool.submit(tx(addr(1), 0, addr(9), max_fee=200), now=1, state=state)
-    assert tx_hash(old) not in {tx_hash(t) for t in pool.pending_candidates(1, state)}
+    assert tx_hash(old) not in {tx_hash(t) for t in pool.pending_candidates(1)}
 
 
 def test_nonce_too_low_rejected():
@@ -76,7 +76,7 @@ def test_base_fee_threshold_filters_candidates(state):
     pool = Mempool()
     for i, fee in enumerate([4, 5, 6]):
         pool.submit(tx(addr(i + 1), 0, addr(9), max_fee=fee), now=i, state=state)
-    fees = {t.max_fee for t in pool.pending_candidates(5, state)}
+    fees = {t.max_fee for t in pool.pending_candidates(5)}
     assert fees == {5, 6}
 
 
@@ -86,7 +86,7 @@ def test_candidates_ordered_by_effective_tip_then_arrival(state):
     fast = tx(addr(2), 0, addr(9), max_fee=10, priority_fee=3)
     pool.submit(slow, now=0, state=state)
     pool.submit(fast, now=1, state=state)
-    assert pool.pending_candidates(1, state) == [fast, slow]
+    assert pool.pending_candidates(1) == [fast, slow]
 
 
 def test_candidates_stop_at_first_fee_filtered_nonce(state):
@@ -94,7 +94,7 @@ def test_candidates_stop_at_first_fee_filtered_nonce(state):
     pool.submit(tx(addr(1), 0, addr(9), max_fee=10), now=0, state=state)
     pool.submit(tx(addr(1), 1, addr(9), max_fee=1), now=1, state=state)  # below base fee later
     pool.submit(tx(addr(1), 2, addr(9), max_fee=10), now=2, state=state)
-    included = [t.nonce for t in pool.pending_candidates(5, state)]
+    included = [t.nonce for t in pool.pending_candidates(5)]
     assert included == [0]
 
 
@@ -102,7 +102,7 @@ def test_contiguity_cut_by_missing_nonce(state):
     pool = Mempool()
     pool.submit(tx(addr(1), 0, addr(9)), now=0, state=state)
     pool.submit(tx(addr(1), 2, addr(9)), now=1, state=state)
-    assert [t.nonce for t in pool.pending_candidates(1, state)] == [0]
+    assert [t.nonce for t in pool.pending_candidates(1)] == [0]
 
 
 def test_retire_dead_nonce_lifetime_and_balance(state):
@@ -150,7 +150,7 @@ def test_single_pending_per_sender_nonce(state):
     pool = Mempool()
     pool.submit(tx(addr(1), 0, addr(9), max_fee=100), now=0, state=state)
     pool.submit(tx(addr(1), 0, addr(9), max_fee=200), now=1, state=state)
-    pending = [t for t in pool.pending_candidates(1, state) if t.sender == addr(1) and t.nonce == 0]
+    pending = [t for t in pool.pending_candidates(1) if t.sender == addr(1) and t.nonce == 0]
     assert len(pending) == 1
 
 
@@ -159,5 +159,5 @@ def test_candidates_deterministic(state):
     txs = [tx(addr(i), 0, addr(9), max_fee=10, priority_fee=i) for i in (1, 2, 3)]
     for i, t in enumerate(txs):
         pool.submit(t, now=0, state=state)
-    first = pool.pending_candidates(1, state)
-    assert first == pool.pending_candidates(1, state)
+    first = pool.pending_candidates(1)
+    assert first == pool.pending_candidates(1)

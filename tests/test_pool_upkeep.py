@@ -1,13 +1,15 @@
 """The incremental pool status, indexed retirement, cached candidates and
 indexed quarantine maintenance against the full-walk oracle in
-`reference_pool`, over hand-built states (the identity-scan fallback) and
+`reference_pool`, over hand-built states (the every-sender fallback) and
 execution-derived successors (the `changed_since` fast path), the quarantine
 store telling its pool what it holds, plus deterministic checks that a
 block's work does not grow with the number of held transactions and that a
 submit's work does not grow with the number of pooled senders or queued
-entries."""
+entries. Over every bundled scenario, the sequencer's upkeep asks
+`changed_since` one hop at a time and its candidates match the reference."""
 import copy
 import sys
+from pathlib import Path
 from typing import List
 
 import pytest
@@ -15,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import addr, tx
 from reference_pool import ReferenceMempool, ReferenceStore
-from rollupsim import core, vm
+from rollupsim import core, mempool, quarantine, sequencer, vm
 from rollupsim.core import DepositTransaction, tx_hash
 from rollupsim.detection import Verdict
+from rollupsim.formats import parse_scenario
 from rollupsim.mempool import Mempool, PoolConfig, PoolEntry, PoolStatus
 from rollupsim.quarantine import CollateralLedger, QuarantineConfig, QuarantineStore
 from rollupsim.sequencer import Scenario, Sequencer
@@ -134,8 +137,9 @@ class TestDifferentialAgainstReference:
                 assert fast_store.on_mempool_retired(removed, now) == ref_store.on_mempool_retired(removed, now)
             elif op == "candidates":
                 base_fee = data.draw(st.integers(min_value=0, max_value=3))
-                assert fast.pending_candidates(base_fee, state) == ref.pending_candidates(
-                    base_fee, state, held=ref_store.active
+                # The pool reads nonces at the state it last refreshed at.
+                assert fast.pending_candidates(base_fee) == ref.pending_candidates(
+                    base_fee, ref.refreshed, held=ref_store.active
                 )
             elif op == "admit":
                 if data.draw(st.integers(min_value=0, max_value=4)) == 0:
@@ -283,27 +287,28 @@ class TestChangeDrivenUpkeep:
     def pools(self, **config):
         return Mempool(PoolConfig(**config)), ReferenceMempool(PoolConfig(**config))
 
-    def test_candidates_follow_a_nonce_change_without_a_refresh(self):
+    def test_candidates_follow_a_nonce_change_at_retire(self):
         s0 = self.sealed({self.A: 10_000})
         fast, ref = self.pools()
         for pool in (fast, ref):
             for nonce in (0, 1):
                 pool.submit(tx(self.A, nonce, SINK, value=1, gas_limit=21), 0, s0)
-        assert fast.pending_candidates(1, s0) == ref.pending_candidates(1, s0)
+        assert fast.pending_candidates(1) == ref.pending_candidates(1, s0)
         s1 = self.executed(s0, tx(self.A, 0, self.B, value=1, max_fee=0, gas_limit=21))
         assert vm.changed_since(s1, s0) is not None
-        assert fast.pending_candidates(1, s1) == ref.pending_candidates(1, s1)
-        assert [t.nonce for t in fast.pending_candidates(1, s1)] == [1]
+        assert fast.retire(1, s1) == ref.retire(1, s1) != []  # as the sequencer does after each block
+        assert fast.pending_candidates(1) == ref.pending_candidates(1, s1)
+        assert [t.nonce for t in fast.pending_candidates(1)] == [1]
 
     def test_candidates_drop_a_sender_whose_entries_expired(self):
         s0 = self.sealed({self.A: 10_000})
         fast, ref = self.pools(tx_lifetime=5)
         for pool in (fast, ref):
             pool.submit(tx(self.A, 0, SINK, value=1, gas_limit=21), 0, s0)
-        assert len(fast.pending_candidates(1, s0)) == 1
+        assert len(fast.pending_candidates(1)) == 1
         s1 = self.executed(s0, DepositTransaction(0, 0, addr(0xD0), self.C, 5, b"", 21))
         assert fast.retire(10, s1) == ref.retire(10, s1) != []
-        assert fast.pending_candidates(1, s1) == ref.pending_candidates(1, s1) == []
+        assert fast.pending_candidates(1) == ref.pending_candidates(1, s1) == []
 
     def test_sender_refreshed_by_a_submit_is_rechecked_at_retire(self):
         s0 = self.sealed({self.A: 100, self.B: 10_000})
@@ -324,10 +329,11 @@ class TestChangeDrivenUpkeep:
 
 def lockstep(fast, ref, state, held=()):
     """Statuses, pending count and candidates of the shipped pool equal the
-    reference's, which skips the `held` ids."""
+    reference's, which skips the `held` ids; both last refreshed at `state`."""
+    assert ref.refreshed is state
     assert statuses(fast) == statuses(ref)
     assert fast._pending == sum(1 for e in ref.entries.values() if e.status is PoolStatus.PENDING)
-    candidates = fast.pending_candidates(1, state)
+    candidates = fast.pending_candidates(1)
     assert candidates == ref.pending_candidates(1, state, held=held)
     return candidates
 
@@ -381,6 +387,8 @@ class TestStoreNotifiesPool:
             self.both(lambda pool, store, ledger: store.request_failure_release(key, broke, FREE, now))
         elif path == "nonce":
             self.state = TestChangeDrivenUpkeep().executed(self.state, self.first)
+            # As the sequencer does, the pool retires at the new state first.
+            assert self.both(lambda pool, store, ledger: pool.retire(now, self.state)) == [[key], [key]]
             self.both(lambda pool, store, ledger: store.per_block_maintenance(self.state, now))
         else:  # mempool retirement: the lifetime ran out
             removed = self.both(lambda pool, store, ledger: pool.retire(now + 200, self.state))
@@ -519,3 +527,72 @@ class TestSubmitScaling:
         large = overflow_submit_counts(1000, monkeypatch)
         assert small["status_reads"] >= 1
         assert small["status_reads"] == large["status_reads"]
+
+
+SCENARIOS = {path.stem: path.read_text() for path in (Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn")}
+# No bundled scenario deposits to or from a sender with pooled transactions.
+SCENARIOS["deposit_to_pooled_sender"] = """scenario v1
+config fee_recipient=0xfe
+genesis account 0x01 balance=1000
+run blocks=3
+event 1 submit sender=0x01 nonce=0 to=0x02 value=5 gas_limit=21
+event 1 submit sender=0x01 nonce=1 to=0x02 value=5 gas_limit=21
+event 1 l1_block deposits={sender=0x01 recipient=0x01 value=7 gas_limit=21}
+event 3 submit sender=0x01 nonce=3 to=0x02 value=5 gas_limit=21
+"""
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_sequencer_upkeep_is_one_hop_and_candidates_match_the_reference(name, monkeypatch):
+    """Once block 0 is built, every `changed_since` asked by the pool and the
+    store is answered (the rooted tip it last saw is one hop back), and each
+    block's candidates, read at the pool's last refresh, equal the full walk
+    at the state after the epoch's deposits: a deposit writes no nonce."""
+    seq = sequencer.Sequencer(parse_scenario(SCENARIOS[name], default_name=name))
+    pool, ref = seq.mempool, ReferenceMempool(seq.mempool.config)
+    built, late_answers, selected, compared = [0], [], [], [0]
+
+    def answering(original):
+        def changed_since(state, earlier):
+            answer = original(state, earlier)
+            if built[0]:
+                late_answers.append(answer)
+            return answer
+
+        return changed_since
+
+    def shadowed(fast, slow):
+        def both(*args):
+            result = fast(*args)
+            assert slow(*args) == result
+            return result
+
+        return both
+
+    def selecting(base_fee, _select=pool.pending_candidates):
+        selected.extend((base_fee, set(seq.store.active), _select(base_fee)))
+        return selected[-1]
+
+    def classifying(candidates, *args, _detect=sequencer.hybrid_detect, **kwargs):
+        if selected:  # the regular candidates, right after their selection
+            base_fee, held, txs = selected
+            assert list(candidates.txs) == txs == ref.pending_candidates(base_fee, candidates.tip_state, held=held)
+            selected.clear()
+            compared[0] += 1
+        return _detect(candidates, *args, **kwargs)
+
+    def counting(*args, _build=seq.build_block):
+        block = _build(*args)
+        built[0] += 1
+        return block
+
+    for module in (mempool, quarantine):
+        monkeypatch.setattr(module, "changed_since", answering(vm.changed_since))
+    for method in ("submit", "retire"):
+        monkeypatch.setattr(pool, method, shadowed(getattr(pool, method), getattr(ref, method)))
+    monkeypatch.setattr(pool, "pending_candidates", selecting)
+    monkeypatch.setattr(sequencer, "hybrid_detect", classifying)
+    monkeypatch.setattr(seq, "build_block", counting)
+    seq.run()
+    assert compared[0] == built[0] == seq.scenario.run_blocks
+    assert late_answers and None not in late_answers
