@@ -11,7 +11,6 @@ Exit codes: 0 ok, 2 scenario error, 3 root mismatch, 4 derivation gap,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -37,6 +36,9 @@ def _fail(code: int, message: str) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.workers is not None and not 1 <= args.workers <= MAX_WORKERS:
         return _fail(EXIT_SCENARIO, f"--workers must be 1..{MAX_WORKERS}, got {args.workers}")
+    # The report names the history on one line, which must read back whole.
+    if len(f"{args.l1_out}.".splitlines()) > 1:
+        return _fail(EXIT_SCENARIO, f"--l1-out must not contain a line break, got {args.l1_out!r}")
     path = Path(args.scenario)
     try:
         text = path.read_text()
@@ -45,7 +47,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = parse_scenario(text, default_name=path.stem)
         if args.workers is not None:
-            scenario.seq_config = dataclasses.replace(scenario.seq_config, workers=args.workers)
+            scenario.seq_config = scenario.seq_config._replace(workers=args.workers)
         outcome = run(scenario)
     except (ScenarioError, UnauthorizedInvariant, EncodingError, L1Error, ValueError) as exc:
         return _fail(EXIT_SCENARIO, str(exc))

@@ -7,8 +7,7 @@ when they agree on these bytes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 U32_MAX = 2**32 - 1
 U64_MAX = 2**64 - 1
@@ -80,61 +79,102 @@ def _check_range(name: str, value: int, maximum: int) -> None:
         raise EncodingError(f"{name} out of range: {value}")
 
 
-@dataclass(frozen=True)
-class SignedTransaction:
+class Record:
+    """Base of the hand-written records a `NamedTuple` cannot express: ones
+    that validate their fields, keep a memo slot, or must be truthy and never
+    equal a record of another type holding the same values.
+
+    A subclass names its fields in `_fields` and its slots (the fields plus
+    any memo) in `__slots__`, and `__init__` assigns every slot. Nothing
+    assigns a field afterwards. Equality, hashing and repr read the type and
+    the fields only; `_replace` builds the copy through `__init__`, so a copy
+    is validated like the original.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._values()))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({args})"
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class SignedTransaction(Record):
     """A user transaction. recipient=None requests creation of a fresh account."""
 
-    sender: Address
-    nonce: int
-    recipient: Optional[Address]
-    value: int
-    data: bytes
-    max_fee: int
-    priority_fee: int
-    gas_limit: int
-    # Memo of tx_hash; frozen fields make it valid for the object's lifetime.
-    _hash: Optional[TxHash] = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("sender", "nonce", "recipient", "value", "data", "max_fee", "priority_fee", "gas_limit")
+    # `_hash` memoizes tx_hash; fields never change, so it stays valid for
+    # the object's lifetime.
+    __slots__ = (*_fields, "_hash")
 
-    def __post_init__(self) -> None:
-        _check_range("nonce", self.nonce, U64_MAX)
-        _check_range("value", self.value, U128_MAX)
-        _check_range("max_fee", self.max_fee, U64_MAX)
-        _check_range("priority_fee", self.priority_fee, U64_MAX)
-        _check_range("gas_limit", self.gas_limit, U64_MAX)
-        if self.priority_fee > self.max_fee:
+    def __init__(
+        self, sender: Address, nonce: int, recipient: Optional[Address], value: int, data: bytes, max_fee: int,
+        priority_fee: int, gas_limit: int,
+    ) -> None:
+        _check_range("nonce", nonce, U64_MAX)
+        _check_range("value", value, U128_MAX)
+        _check_range("max_fee", max_fee, U64_MAX)
+        _check_range("priority_fee", priority_fee, U64_MAX)
+        _check_range("gas_limit", gas_limit, U64_MAX)
+        if priority_fee > max_fee:
             raise EncodingError("priority_fee exceeds max_fee")
-        if self.gas_limit < BASE_TX_GAS:
+        if gas_limit < BASE_TX_GAS:
             raise EncodingError(f"gas_limit below intrinsic cost {BASE_TX_GAS}")
+        self.sender = sender
+        self.nonce = nonce
+        self.recipient = recipient
+        self.value = value
+        self.data = data
+        self.max_fee = max_fee
+        self.priority_fee = priority_fee
+        self.gas_limit = gas_limit
+        self._hash = None
 
 
-@dataclass(frozen=True)
-class DepositTransaction:
+class DepositTransaction(Record):
     """An L2 transaction originated by an L1 event; (l1_block, l1_index) is unique."""
 
-    l1_block: int
-    l1_index: int
-    sender: Address
-    recipient: Address
-    value: int
-    data: bytes
-    gas_limit: int
-    # Memo of deposit_id, as SignedTransaction memoizes tx_hash.
-    _id: Optional[TxHash] = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("l1_block", "l1_index", "sender", "recipient", "value", "data", "gas_limit")
+    # `_id` memoizes deposit_id, as SignedTransaction memoizes tx_hash.
+    __slots__ = (*_fields, "_id")
 
-    def __post_init__(self) -> None:
-        _check_range("l1_block", self.l1_block, U64_MAX)
-        _check_range("l1_index", self.l1_index, U32_MAX)
-        _check_range("value", self.value, U128_MAX)
-        _check_range("gas_limit", self.gas_limit, U64_MAX)
-        if self.gas_limit < BASE_TX_GAS:
+    def __init__(
+        self, l1_block: int, l1_index: int, sender: Address, recipient: Address, value: int, data: bytes, gas_limit: int
+    ) -> None:
+        _check_range("l1_block", l1_block, U64_MAX)
+        _check_range("l1_index", l1_index, U32_MAX)
+        _check_range("value", value, U128_MAX)
+        _check_range("gas_limit", gas_limit, U64_MAX)
+        if gas_limit < BASE_TX_GAS:
             raise EncodingError(f"gas_limit below intrinsic cost {BASE_TX_GAS}")
+        self.l1_block = l1_block
+        self.l1_index = l1_index
+        self.sender = sender
+        self.recipient = recipient
+        self.value = value
+        self.data = data
+        self.gas_limit = gas_limit
+        self._id = None
 
 
 AnyTransaction = Union[SignedTransaction, DepositTransaction]
 
 
-@dataclass(frozen=True)
-class DuplicateKey:
+class DuplicateKey(NamedTuple):
     """Gas-free transaction identity: unchanged by nonce or fee bumps."""
 
     sender: Address
@@ -143,8 +183,7 @@ class DuplicateKey:
     value: int
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     number: int
     parent_hash: bytes
     timestamp: int
@@ -251,8 +290,7 @@ def tx_hash(tx: SignedTransaction) -> TxHash:
     Computed once per transaction object and memoized on it."""
     h = tx._hash
     if h is None:
-        h = TxHash(hashlib.sha256(canonical_encode(tx)).digest())
-        object.__setattr__(tx, "_hash", h)
+        h = tx._hash = TxHash(hashlib.sha256(canonical_encode(tx)).digest())
     return h
 
 
@@ -264,8 +302,7 @@ _DEPOSIT_DOMAIN = b"\x01"
 def deposit_id(dep: DepositTransaction) -> TxHash:
     h = dep._id
     if h is None:
-        h = TxHash(hashlib.sha256(_DEPOSIT_DOMAIN + encode_deposit(dep)).digest())
-        object.__setattr__(dep, "_id", h)
+        h = dep._id = TxHash(hashlib.sha256(_DEPOSIT_DOMAIN + encode_deposit(dep)).digest())
     return h
 
 

@@ -9,8 +9,7 @@ cannot execute) are gaps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .core import Block, DepositTransaction, StateRoot, block_hash, canonical_decode
 from .l1da import L1History, bitmap_flags
@@ -24,8 +23,7 @@ class DerivationGap(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class DerivedChain:
+class DerivedChain(NamedTuple):
     blocks: Tuple[Block, ...]
     final_root: StateRoot
 
@@ -66,9 +64,7 @@ def derive(history: L1History) -> DerivedChain:
         elif is_epoch_head and record.epoch < len(history.blocks) and history.blocks[record.epoch].deposits:
             raise DerivationGap(record.epoch, "epoch has deposits but its head record posts no bitmap")
 
-        # One field list for the root-less block `apply_block` executes and
-        # the sealed block (`dataclasses.replace` costs more per block).
-        header = dict(
+        block = Block(
             number=number,
             parent_hash=parent,
             timestamp=record.l2_timestamp,
@@ -76,12 +72,13 @@ def derive(history: L1History) -> DerivedChain:
             epoch=record.epoch,
             deposits=deposits,
             transactions=tuple(canonical_decode(blob) for blob in record.batch),
+            state_root=StateRoot(bytes(32)),  # sealed once the block has run
         )
         try:
-            state = apply_block(state, Block(**header, state_root=StateRoot(bytes(32))), history.fee_recipient)
+            state = apply_block(state, block, history.fee_recipient)
         except InvalidBlock as exc:
             raise DerivationGap(record.epoch, f"block {number} cannot execute: {exc}") from None
-        block = Block(**header, state_root=state_root(state))
+        block = block._replace(state_root=state_root(state))
         blocks.append(block)
         parent = block_hash(block)
 

@@ -21,8 +21,7 @@ one post-state, at the end of the round.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .core import Address, AnyTransaction, TxHash, tx_id
 from .vm import (
@@ -49,8 +48,7 @@ class UnauthorizedInvariant(DetectionError):
     """Only the contract's admin may register an invariant for it."""
 
 
-@dataclass(frozen=True)
-class Invariant:
+class Invariant(NamedTuple):
     id: str
     contract: Address
     predicate: Expr
@@ -76,8 +74,7 @@ class InvariantSet:
         return self._by_contract.get(contract, ())
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     malicious: bool
     violated: Tuple[str, ...]
     victims: Tuple[Address, ...]
@@ -146,14 +143,12 @@ class InvariantDetector:
         return Verdict(True, tuple(violated), tuple(victims), damage), frozenset(reads)
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(NamedTuple):
     txs: Tuple[AnyTransaction, ...]
     tip_state: WorldState
     budget: Optional[int] = None  # None = unlimited contextual re-simulations
 
 
-@dataclass
 class Counters:
     """Simulation and verdict counts: one classification round's, or a run's
     (the sum of its rounds plus the sequencer's release and maintenance sims).
@@ -164,13 +159,22 @@ class Counters:
     fold before one. Merging what is still queued at the end of a round is
     block application and is not counted."""
 
-    isolated_sims: int = 0
-    contextual_sims: int = 0
-    maintenance_sims: int = 0
-    release_sims: int = 0
-    deferred_count: int = 0
-    parallel_verdicts: int = 0
-    sequential_verdicts: int = 0
+    __slots__ = (
+        "isolated_sims", "contextual_sims", "maintenance_sims", "release_sims", "deferred_count", "parallel_verdicts",
+        "sequential_verdicts",
+    )
+
+    def __init__(
+        self, isolated_sims: int = 0, contextual_sims: int = 0, maintenance_sims: int = 0, release_sims: int = 0,
+        deferred_count: int = 0, parallel_verdicts: int = 0, sequential_verdicts: int = 0,
+    ) -> None:
+        self.isolated_sims = isolated_sims
+        self.contextual_sims = contextual_sims
+        self.maintenance_sims = maintenance_sims
+        self.release_sims = release_sims
+        self.deferred_count = deferred_count
+        self.parallel_verdicts = parallel_verdicts
+        self.sequential_verdicts = sequential_verdicts
 
     def add(self, other: "Counters") -> None:
         self.isolated_sims += other.isolated_sims
@@ -185,23 +189,35 @@ class Counters:
         return self.isolated_sims + self.contextual_sims + self.release_sims
 
 
-@dataclass
 class DetectionOutcome:
-    benign: List[AnyTransaction] = field(default_factory=list)
-    malicious: List[Tuple[AnyTransaction, Verdict, SimulationResult]] = field(default_factory=list)
-    deferred: List[AnyTransaction] = field(default_factory=list)
-    stats: Counters = field(default_factory=Counters)
-    final_state: Optional[WorldState] = None  # tip with `benign` applied in order
+    __slots__ = ("benign", "malicious", "deferred", "stats", "final_state")
+
+    def __init__(
+        self, benign: Optional[List[AnyTransaction]] = None,
+        malicious: Optional[List[Tuple[AnyTransaction, Verdict, SimulationResult]]] = None,
+        deferred: Optional[List[AnyTransaction]] = None, stats: Optional[Counters] = None,
+        final_state: Optional[WorldState] = None,
+    ) -> None:
+        self.benign = [] if benign is None else benign
+        self.malicious = [] if malicious is None else malicious
+        self.deferred = [] if deferred is None else deferred
+        self.stats = Counters() if stats is None else stats
+        self.final_state = final_state  # tip with `benign` applied in order
 
 
-@dataclass
 class _Slot:
-    tx: AnyTransaction
-    key: TxHash
-    sim: Optional[SimulationResult] = None
-    precond: Optional[str] = None
-    reads: FrozenSet[AccessKey] = frozenset()
-    isolated_verdict: Optional[Verdict] = None
+    """One candidate's isolated run: its result or precondition failure, the
+    keys its judgment read, and its isolated verdict."""
+
+    __slots__ = ("tx", "key", "sim", "precond", "reads", "isolated_verdict")
+
+    def __init__(self, tx: AnyTransaction, key: TxHash) -> None:
+        self.tx = tx
+        self.key = key
+        self.sim: Optional[SimulationResult] = None
+        self.precond: Optional[str] = None
+        self.reads: FrozenSet[AccessKey] = frozenset()
+        self.isolated_verdict: Optional[Verdict] = None
 
 
 def _isolated_run(state: WorldState, tx: AnyTransaction, ctx: BlockContext):

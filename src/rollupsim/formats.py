@@ -18,7 +18,6 @@ that transaction as `tx=@<label>`.
 """
 from __future__ import annotations
 
-import dataclasses
 import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -125,11 +124,14 @@ def _parse_int(
     return number
 
 
+_HEX_RE = re.compile(r"[0-9a-fA-F]*")
+
+
 def _parse_address(value: str, lineno: int) -> Address:
     if not value.startswith("0x"):
         raise ScenarioError(f"address must be 0x-hex: {value!r}", line=lineno)
     digits = value[2:]
-    if len(digits) > 40 or len(digits) % 2 != 0 or not re.fullmatch(r"[0-9a-fA-F]*", digits):
+    if len(digits) > 40 or len(digits) % 2 != 0 or not _HEX_RE.fullmatch(digits):
         raise ScenarioError(f"bad address: {value!r}", line=lineno)
     return Address(bytes.fromhex(digits.rjust(40, "0")))
 
@@ -138,7 +140,7 @@ def _parse_bytes(value: str, lineno: int) -> bytes:
     if not value.startswith("0x"):
         raise ScenarioError(f"byte string must be 0x-hex: {value!r}", line=lineno)
     digits = value[2:]
-    if len(digits) % 2 != 0 or not re.fullmatch(r"[0-9a-fA-F]*", digits):
+    if len(digits) % 2 != 0 or not _HEX_RE.fullmatch(digits):
         raise ScenarioError(f"bad byte string: {value!r}", line=lineno)
     return bytes.fromhex(digits)
 
@@ -583,6 +585,12 @@ def parse_report(text: str) -> RunReport:
         line = raw.strip()
         if not line:
             continue
+        if report is not None and raw.startswith("l1_export "):
+            # The path is the rest of the line, verbatim: it may hold spaces or braces.
+            report.l1_export = raw[len("l1_export ") :]
+            if not report.l1_export:
+                raise ScenarioError("l1_export needs a value", line=lineno)
+            continue
         fields = _split_fields(line, lineno)
         head = fields[0]
         if report is None:
@@ -644,8 +652,7 @@ def parse_report(text: str) -> RunReport:
                     )
                 )
             elif head == "counters":
-                names = [f.name for f in dataclasses.fields(Counters)]
-                report.counters = Counters(**{name: _parse_int(kv[name], lineno, name) for name in names})
+                report.counters = Counters(**{name: _parse_int(kv[name], lineno, name) for name in Counters.__slots__})
             elif head == "l1_export":
                 report.l1_export = fields[1]
             elif head == "final_root":

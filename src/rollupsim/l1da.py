@@ -7,9 +7,8 @@ which is what lets a replica re-derive the chain without running detection.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import Address, DepositTransaction, TxHash, deposit_id
 from .vm import WorldState
@@ -69,22 +68,22 @@ class EscrowStatus(Enum):
     REFUNDED = "refunded"
 
 
-@dataclass
 class EscrowEntry:
-    deposit: DepositTransaction
-    status: EscrowStatus
-    refundable_at: int
+    __slots__ = ("deposit", "status", "refundable_at")
+
+    def __init__(self, deposit: DepositTransaction, status: EscrowStatus, refundable_at: int) -> None:
+        self.deposit = deposit
+        self.status = status
+        self.refundable_at = refundable_at
 
 
-@dataclass
-class L1Block:
+class L1Block(NamedTuple):
     number: int
     timestamp: int
     deposits: Tuple[DepositTransaction, ...]
 
 
-@dataclass(frozen=True)
-class L1Record:
+class L1Record(NamedTuple):
     """One batch posting. Records for an epoch's first L2 block also carry the
     deposit acceptance bitmap (bitmap plus the count it covers)."""
 
@@ -101,13 +100,11 @@ class L1Record:
         return self.deposit_count is not None
 
 
-@dataclass(frozen=True)
-class RefundResult:
+class RefundResult(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class NotEligible:
+class NotEligible(NamedTuple):
     reason: str  # already_accepted | too_early | already_refunded
 
 
@@ -174,8 +171,7 @@ class L1Chain:
         return RefundResult(value=entry.deposit.value)
 
 
-@dataclass(frozen=True)
-class L1History:
+class L1History(NamedTuple):
     """Everything a replica needs: chain config, genesis, deposits, inbox."""
 
     fee_recipient: Address

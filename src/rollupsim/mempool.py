@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from .core import Address, SignedTransaction, TxHash, tx_hash
+from .core import Address, Record, SignedTransaction, TxHash, tx_hash
 from .vm import WorldState, changed_since
 
 
@@ -42,27 +41,31 @@ class RejectReason(Enum):
     POOL_FULL = "pool_full"
 
 
-@dataclass(frozen=True)
-class PoolConfig:
-    max_queued: int = 4096
-    max_pending: int = 1024
-    min_replacement_bump_percent: int = 10
-    tx_lifetime: int = 10800
+class PoolConfig(Record):
+    __slots__ = _fields = ("max_queued", "max_pending", "min_replacement_bump_percent", "tx_lifetime")
 
-    def __post_init__(self) -> None:
-        if min(self.max_queued, self.max_pending, self.min_replacement_bump_percent, self.tx_lifetime) <= 0:
+    def __init__(
+        self, max_queued: int = 4096, max_pending: int = 1024, min_replacement_bump_percent: int = 10,
+        tx_lifetime: int = 10800,
+    ) -> None:
+        if min(max_queued, max_pending, min_replacement_bump_percent, tx_lifetime) <= 0:
             raise ValueError("pool config values must be positive")
+        self.max_queued = max_queued
+        self.max_pending = max_pending
+        self.min_replacement_bump_percent = min_replacement_bump_percent
+        self.tx_lifetime = tx_lifetime
 
 
-@dataclass
 class PoolEntry:
-    tx: SignedTransaction
-    received_at: int
-    status: PoolStatus
+    __slots__ = ("tx", "received_at", "status")
+
+    def __init__(self, tx: SignedTransaction, received_at: int, status: PoolStatus) -> None:
+        self.tx = tx
+        self.received_at = received_at
+        self.status = status
 
 
-@dataclass(frozen=True)
-class SubmitResult:
+class SubmitResult(NamedTuple):
     outcome: str  # accepted | replaced | rejected
     replaced: Optional[TxHash] = None
     reason: Optional[RejectReason] = None

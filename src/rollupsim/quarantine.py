@@ -21,14 +21,14 @@ Deposit entries never leave through any release path.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Collection, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .core import (
     Address,
     AnyTransaction,
     DepositTransaction,
     DuplicateKey,
+    Record,
     SignedTransaction,
     TxHash,
     duplicate_key,
@@ -59,33 +59,37 @@ class DepositPermanence(QuarantineError):
     """Deposit entries are never released."""
 
 
-@dataclass(frozen=True)
-class QuarantineConfig:
-    time_criterion_period: int = 86400
-    operators: FrozenSet[Address] = frozenset()
+class QuarantineConfig(Record):
+    __slots__ = _fields = ("time_criterion_period", "operators")
 
-    def __post_init__(self) -> None:
-        if self.time_criterion_period <= 0:
+    def __init__(self, time_criterion_period: int = 86400, operators: FrozenSet[Address] = frozenset()) -> None:
+        if time_criterion_period <= 0:
             raise ValueError("time criterion period must be positive")
+        self.time_criterion_period = time_criterion_period
+        self.operators = operators
 
 
-@dataclass
 class QuarantineEntry:
-    tx: AnyTransaction
-    verdict: Verdict
-    quarantined_at: int
-    quarantined_block: int
-    is_deposit: bool
-    victim_admins: Dict[Address, Address] = field(default_factory=dict)
-    approvals: Set[Address] = field(default_factory=set)
+    __slots__ = ("tx", "verdict", "quarantined_at", "quarantined_block", "is_deposit", "victim_admins", "approvals")
+
+    def __init__(
+        self, tx: AnyTransaction, verdict: Verdict, quarantined_at: int, quarantined_block: int, is_deposit: bool,
+        victim_admins: Optional[Dict[Address, Address]] = None, approvals: Optional[Set[Address]] = None,
+    ) -> None:
+        self.tx = tx
+        self.verdict = verdict
+        self.quarantined_at = quarantined_at
+        self.quarantined_block = quarantined_block
+        self.is_deposit = is_deposit
+        self.victim_admins = {} if victim_admins is None else victim_admins
+        self.approvals = set() if approvals is None else approvals
 
     @property
     def key(self) -> TxHash:
         return tx_id(self.tx)
 
 
-@dataclass(frozen=True)
-class AuditEvent:
+class AuditEvent(NamedTuple):
     entry: TxHash
     at: int
     kind: str
@@ -93,26 +97,35 @@ class AuditEvent:
     detail: str = "-"
 
 
-# Release / hold outcomes for the trigger operations.
-@dataclass(frozen=True)
-class Released:
-    criterion: str
+# Release / hold outcomes for the trigger operations: `Record`s, so each is
+# truthy and never equals an outcome of another kind.
+class Released(Record):
+    __slots__ = _fields = ("criterion",)
+
+    def __init__(self, criterion: str) -> None:
+        self.criterion = criterion
 
 
-@dataclass(frozen=True)
-class StillHeld:
-    reason: str = "exploit_still_viable"
+class StillHeld(Record):
+    __slots__ = _fields = ("reason",)
+
+    def __init__(self, reason: str = "exploit_still_viable") -> None:
+        self.reason = reason
 
 
-@dataclass(frozen=True)
-class PendingApprovals:
-    missing: Tuple[Address, ...]
+class PendingApprovals(Record):
+    __slots__ = _fields = ("missing",)
+
+    def __init__(self, missing: Tuple[Address, ...]) -> None:
+        self.missing = missing
 
 
-@dataclass(frozen=True)
-class InsufficientCollateral:
+class InsufficientCollateral(Record):
     # Stake must strictly exceed this bound for the economic criterion.
-    threshold: int
+    __slots__ = _fields = ("threshold",)
+
+    def __init__(self, threshold: int) -> None:
+        self.threshold = threshold
 
 
 class ReleasedRegistry:
@@ -158,10 +171,9 @@ class CollateralLedger:
         return amount
 
 
-@dataclass
-class MaintenanceReport:
-    retired: List[TxHash] = field(default_factory=list)
-    time_released: List[TxHash] = field(default_factory=list)
+class MaintenanceReport(NamedTuple):
+    retired: List[TxHash]
+    time_released: List[TxHash]
 
 
 class QuarantineStore:
@@ -233,7 +245,7 @@ class QuarantineStore:
         Called exactly once per appended block. Deposits ignore the time
         criterion: they stay until their nonce-free existence ends the run.
         """
-        report = MaintenanceReport()
+        report = MaintenanceReport([], [])
         dead: Set[TxHash] = set()
         changed = changed_since(chain_state, self._state)
         if changed is None:

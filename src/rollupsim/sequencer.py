@@ -11,14 +11,14 @@ the L1 inbox.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .core import (
     Address,
     AnyTransaction,
     Block,
     DepositTransaction,
+    Record,
     SignedTransaction,
     StateRoot,
     TxHash,
@@ -46,25 +46,33 @@ class ScenarioError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class SequencerConfig:
-    block_time: int = 2
-    blocks_per_epoch: int = 4
-    base_fee: int = 1
-    detection_budget: Optional[int] = 16
-    fee_recipient: Address = ZERO_ADDRESS
-    workers: int = 1
-    genesis_timestamp: int = 0
+class SequencerConfig(Record):
+    __slots__ = _fields = (
+        "block_time", "blocks_per_epoch", "base_fee", "detection_budget", "fee_recipient", "workers",
+        "genesis_timestamp",
+    )
 
-    def __post_init__(self) -> None:
-        if self.block_time <= 0 or self.blocks_per_epoch < 1:
+    def __init__(
+        self, block_time: int = 2, blocks_per_epoch: int = 4, base_fee: int = 1, detection_budget: Optional[int] = 16,
+        fee_recipient: Address = ZERO_ADDRESS, workers: int = 1, genesis_timestamp: int = 0,
+    ) -> None:
+        if block_time <= 0 or blocks_per_epoch < 1:
             raise ValueError("block_time must be positive and blocks_per_epoch >= 1")
+        self.block_time = block_time
+        self.blocks_per_epoch = blocks_per_epoch
+        self.base_fee = base_fee
+        self.detection_budget = detection_budget
+        self.fee_recipient = fee_recipient
+        self.workers = workers
+        self.genesis_timestamp = genesis_timestamp
 
 
-@dataclass
 class ChainView:
-    blocks: List[Block] = field(default_factory=list)
-    tip_state: WorldState = field(default_factory=WorldState)
+    __slots__ = ("blocks", "tip_state")
+
+    def __init__(self, blocks: Optional[List[Block]] = None, tip_state: Optional[WorldState] = None) -> None:
+        self.blocks = [] if blocks is None else blocks
+        self.tip_state = WorldState() if tip_state is None else tip_state
 
     @property
     def tip_hash(self) -> bytes:
@@ -73,47 +81,40 @@ class ChainView:
 
 # -- scenario events (parsed form; tx references already resolved to hashes) --
 
-@dataclass(frozen=True)
-class SubmitEvent:
+class SubmitEvent(NamedTuple):
     at: int
     tx: SignedTransaction
 
 
-@dataclass(frozen=True)
-class L1BlockEvent:
+class L1BlockEvent(NamedTuple):
     at: int
     number: int
     deposits: Tuple[DepositTransaction, ...]
 
 
-@dataclass(frozen=True)
-class ApproveReleaseEvent:
+class ApproveReleaseEvent(NamedTuple):
     at: int
     key: TxHash
     approver: Address
 
 
-@dataclass(frozen=True)
-class StakeEvent:
+class StakeEvent(NamedTuple):
     at: int
     account: Address
     amount: int
 
 
-@dataclass(frozen=True)
-class FailureReleaseEvent:
+class FailureReleaseEvent(NamedTuple):
     at: int
     key: TxHash
 
 
-@dataclass(frozen=True)
-class SetBaseFeeEvent:
+class SetBaseFeeEvent(NamedTuple):
     at: int
     fee: int
 
 
-@dataclass(frozen=True)
-class AdvanceEvent:
+class AdvanceEvent(NamedTuple):
     at: int
     seconds: int
 
@@ -123,23 +124,32 @@ Event = Union[
 ]
 
 
-@dataclass
 class Scenario:
-    name: str
-    seq_config: SequencerConfig = field(default_factory=SequencerConfig)
-    pool_config: PoolConfig = field(default_factory=PoolConfig)
-    quarantine_config: QuarantineConfig = field(default_factory=QuarantineConfig)
-    escape_timeout: int = 7 * 86400
-    genesis: WorldState = field(default_factory=WorldState)
-    invariants: List = field(default_factory=list)
-    run_blocks: int = 1
-    events: List[Event] = field(default_factory=list)
+    __slots__ = (
+        "name", "seq_config", "pool_config", "quarantine_config", "escape_timeout", "genesis", "invariants",
+        "run_blocks", "events",
+    )
+
+    def __init__(
+        self, name: str, seq_config: SequencerConfig = SequencerConfig(), pool_config: PoolConfig = PoolConfig(),
+        quarantine_config: QuarantineConfig = QuarantineConfig(), escape_timeout: int = 7 * 86400,
+        genesis: Optional[WorldState] = None, invariants: Optional[List] = None, run_blocks: int = 1,
+        events: Optional[List[Event]] = None,
+    ) -> None:
+        self.name = name
+        self.seq_config = seq_config
+        self.pool_config = pool_config
+        self.quarantine_config = quarantine_config
+        self.escape_timeout = escape_timeout
+        self.genesis = WorldState() if genesis is None else genesis
+        self.invariants = [] if invariants is None else invariants
+        self.run_blocks = run_blocks
+        self.events = [] if events is None else events
 
 
 # -- run report --
 
-@dataclass(frozen=True)
-class BlockSummary:
+class BlockSummary(NamedTuple):
     number: int
     timestamp: int
     base_fee: int
@@ -150,8 +160,7 @@ class BlockSummary:
     state_root: StateRoot
 
 
-@dataclass(frozen=True)
-class EntrySummary:
+class EntrySummary(NamedTuple):
     key: TxHash
     kind: str  # "tx" | "deposit"
     sender: Address
@@ -163,8 +172,7 @@ class EntrySummary:
     damage: int
 
 
-@dataclass(frozen=True)
-class PoolSummary:
+class PoolSummary(NamedTuple):
     key: TxHash
     sender: Address
     nonce: int
@@ -172,20 +180,25 @@ class PoolSummary:
     received_at: int
 
 
-@dataclass
 class RunReport:
-    scenario: str
-    blocks: List[BlockSummary] = field(default_factory=list)
-    entries: List[EntrySummary] = field(default_factory=list)
-    audit: List = field(default_factory=list)
-    pool: List[PoolSummary] = field(default_factory=list)
-    counters: Counters = field(default_factory=Counters)
-    final_root: StateRoot = StateRoot(bytes(32))
-    l1_export: str = "-"
+    __slots__ = ("scenario", "blocks", "entries", "audit", "pool", "counters", "final_root", "l1_export")
+
+    def __init__(
+        self, scenario: str, blocks: Optional[List[BlockSummary]] = None, entries: Optional[List[EntrySummary]] = None,
+        audit: Optional[List] = None, pool: Optional[List[PoolSummary]] = None, counters: Optional[Counters] = None,
+        final_root: StateRoot = StateRoot(bytes(32)), l1_export: str = "-",
+    ) -> None:
+        self.scenario = scenario
+        self.blocks = [] if blocks is None else blocks
+        self.entries = [] if entries is None else entries
+        self.audit = [] if audit is None else audit
+        self.pool = [] if pool is None else pool
+        self.counters = Counters() if counters is None else counters
+        self.final_root = final_root
+        self.l1_export = l1_export
 
 
-@dataclass
-class RunOutcome:
+class RunOutcome(NamedTuple):
     report: RunReport
     history: L1History
     sequencer: "Sequencer"
@@ -390,11 +403,12 @@ class Sequencer:
                     raise ScenarioError(f"{type(exc).__name__}: {exc}", at=event.at) from None
             epoch_deposits = None
             number = len(self.chain.blocks)
-            # Once no event is left, later blocks are `block_time` apart, so
-            # the first one past 2^64-1 is known now; do not build up to it.
-            last = number if cursor < len(events) else scenario.run_blocks - 1
+            # Later blocks are at least `block_time` apart (an `advance` only
+            # adds time), so a last block past 2^64-1 is known now, however
+            # many events remain: do not build up to it. Without further
+            # advances, the first block past it would be this one.
             step = self.config.block_time
-            if build_at + (last - number) * step > U64_MAX:
+            if build_at + (scenario.run_blocks - 1 - number) * step > U64_MAX:
                 skip = max(0, (U64_MAX - build_at) // step + 1)
                 raise ScenarioError(f"block {number + skip} time {build_at + skip * step} is past 2^64-1")
             if number % self.config.blocks_per_epoch == 0:

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .core import (
@@ -42,6 +41,7 @@ from .core import (
     AnyTransaction,
     Block,
     DepositTransaction,
+    Record,
     StateRoot,
     TxHash,
     tx_id,
@@ -54,90 +54,104 @@ WORD_MAX = WORD - 1
 # ---------------------------------------------------------------------------
 # Expressions and statements
 # ---------------------------------------------------------------------------
+# Nodes are `Record`s, not NamedTuples: a field-less NamedTuple is falsy and
+# equals (), and two NamedTuples of one arity compare equal across types.
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Const(Record):
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= WORD_MAX:
-            raise ValueError(f"constant out of word range: {self.value}")
-
-
-@dataclass(frozen=True)
-class SLoad:
-    key: "Expr"
+    def __init__(self, value: int) -> None:
+        if not 0 <= value <= WORD_MAX:
+            raise ValueError(f"constant out of word range: {value}")
+        self.value = value
 
 
-@dataclass(frozen=True)
-class BalanceOf:
-    addr: "Expr"
+class SLoad(Record):
+    __slots__ = _fields = ("key",)
+
+    def __init__(self, key: "Expr") -> None:
+        self.key = key
 
 
-@dataclass(frozen=True)
-class Caller:
-    pass
+class BalanceOf(Record):
+    __slots__ = _fields = ("addr",)
+
+    def __init__(self, addr: "Expr") -> None:
+        self.addr = addr
 
 
-@dataclass(frozen=True)
-class CallValue:
-    pass
+class Caller(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CallData:
+class CallValue(Record):
+    __slots__ = ()
+
+
+class CallData(Record):
     """First 32 bytes of the call payload, read as a big-endian integer."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class SelfAddr:
-    pass
+
+class SelfAddr(Record):
+    __slots__ = ()
 
 
 BIN_OPS = ("add", "sub", "mul", "eq", "lt", "and", "or")
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: "Expr"
-    right: "Expr"
+class Bin(Record):
+    __slots__ = _fields = ("op", "left", "right")
 
-    def __post_init__(self) -> None:
-        if self.op not in BIN_OPS:
-            raise ValueError(f"unknown operator {self.op!r}")
+    def __init__(self, op: str, left: "Expr", right: "Expr") -> None:
+        if op not in BIN_OPS:
+            raise ValueError(f"unknown operator {op!r}")
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Not:
-    inner: "Expr"
+class Not(Record):
+    __slots__ = _fields = ("inner",)
+
+    def __init__(self, inner: "Expr") -> None:
+        self.inner = inner
 
 
 Expr = Union[Const, SLoad, BalanceOf, Caller, CallValue, CallData, SelfAddr, Bin, Not]
 
 
-@dataclass(frozen=True)
-class Require:
-    cond: Expr
+class Require(Record):
+    __slots__ = _fields = ("cond",)
+
+    def __init__(self, cond: Expr) -> None:
+        self.cond = cond
 
 
-@dataclass(frozen=True)
-class SetSlot:
-    key: Expr
-    value: Expr
+class SetSlot(Record):
+    __slots__ = _fields = ("key", "value")
+
+    def __init__(self, key: Expr, value: Expr) -> None:
+        self.key = key
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Pay:
-    to: Expr
-    amount: Expr
+class Pay(Record):
+    __slots__ = _fields = ("to", "amount")
+
+    def __init__(self, to: Expr, amount: Expr) -> None:
+        self.to = to
+        self.amount = amount
 
 
-@dataclass(frozen=True)
-class PauseGuard:
+class PauseGuard(Record):
     """Sugar for REQUIRE(SLOAD(key) == 0)."""
 
-    key: Expr
+    __slots__ = _fields = ("key",)
+
+    def __init__(self, key: Expr) -> None:
+        self.key = key
 
 
 Statement = Union[Require, SetSlot, Pay, PauseGuard]
@@ -186,18 +200,16 @@ def code_text(code: "ContractCode") -> str:
 # Accounts and world state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContractCode:
+class ContractCode(NamedTuple):
     admin: Address
     statements: Tuple[Statement, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Account:
+class Account(NamedTuple):
     balance: int = 0
     nonce: int = 0
     code: Optional[ContractCode] = None
-    storage: Mapping[bytes, bytes] = field(default_factory=dict)
+    storage: Mapping[bytes, bytes] = MappingProxyType({})  # shared, so read-only
 
     def is_empty(self) -> bool:
         return self.balance == 0 and self.nonce == 0 and self.code is None and not self.storage
@@ -206,20 +218,23 @@ class Account:
 EMPTY_ACCOUNT = Account()
 
 
-@dataclass(frozen=True)
-class WorldState:
+class WorldState(Record):
     """All accounts, stored canonically: empty accounts and zero slots are absent."""
 
-    accounts: Mapping[Address, Account] = field(default_factory=dict)
-    # Root bookkeeping, not dataclass fields (equality, repr and __init__
-    # ignore them). `_table` is set once by `state_root`: (root, sorted
+    _fields = ("accounts",)
+    # Root bookkeeping, outside `_fields` (equality and repr ignore it), None
+    # until set. `_table` is set once by `state_root`: (root, sorted
     # addresses, their digests). `_lineage` is set by `_Execution.post_state`
     # on a base with a table or a lineage: (the nearest rooted ancestor's
     # table, frozenset of the addresses changed since). It holds no state,
     # so no chain of old states stays alive. State roots are computed on one
-    # thread; worker threads only execute.
-    _table = None
-    _lineage = None
+    # thread; worker threads only execute. Tests hold states weakly.
+    __slots__ = ("accounts", "_table", "_lineage", "__weakref__")
+
+    def __init__(self, accounts: Optional[Mapping[Address, Account]] = None) -> None:
+        self.accounts = {} if accounts is None else accounts
+        self._table = None
+        self._lineage = None
 
     def account(self, addr: Address) -> Account:
         return self.accounts.get(addr, EMPTY_ACCOUNT)
@@ -300,26 +315,38 @@ class TxStatus(Enum):
     REVERT = "revert"
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(Record):
     """One execution's outcome. The post-state is built from `scratch` on
     first access. A result executed on a block scratch has none of its own:
     that scratch absorbs it instead."""
 
-    tx_id: TxHash
-    status: TxStatus
-    gas_used: int
-    reads: frozenset
-    writes: frozenset
-    scratch: "_Execution" = field(repr=False, compare=False)
+    _fields = ("tx_id", "status", "gas_used", "reads", "writes")
+    # `scratch` takes no part in equality or repr; `_post_state` is the memo.
+    __slots__ = (*_fields, "scratch", "_post_state")
 
-    @cached_property
+    def __init__(
+        self, tx_id: TxHash, status: "TxStatus", gas_used: int, reads: frozenset, writes: frozenset,
+        scratch: "_Execution",
+    ) -> None:
+        self.tx_id = tx_id
+        self.status = status
+        self.gas_used = gas_used
+        self.reads = reads
+        self.writes = writes
+        self.scratch = scratch
+        self._post_state = None
+
+    @property
     def post_state(self) -> WorldState:
-        return self.scratch.post_state()
+        if self._post_state is None:
+            self._post_state = self.scratch.post_state()
+        return self._post_state
+
+    def _replace(self, **changes) -> "SimulationResult":
+        return super()._replace(**{"scratch": self.scratch, **changes})
 
 
-@dataclass(frozen=True)
-class BlockContext:
+class BlockContext(NamedTuple):
     base_fee: int
     timestamp: int
     fee_recipient: Address
@@ -486,10 +513,10 @@ class _Execution:
                 accounts[addr] = acct
         state = WorldState(accounts)
         if base._table is not None:
-            object.__setattr__(state, "_lineage", (base._table, frozenset(changed)))
+            state._lineage = (base._table, frozenset(changed))
         elif base._lineage is not None:
             table, earlier = base._lineage
-            object.__setattr__(state, "_lineage", (table, earlier.union(changed)))
+            state._lineage = (table, earlier.union(changed))
         return state
 
 
@@ -729,7 +756,7 @@ def state_root(state: WorldState) -> StateRoot:
                 addrs.insert(i, addr)
                 digests.insert(i, _account_digest(addr, acct))
     root = StateRoot(hashlib.sha256(b"".join(digests)).digest())
-    object.__setattr__(state, "_table", (root, addrs, digests))
+    state._table = (root, addrs, digests)
     return root
 
 

@@ -153,7 +153,7 @@ class ReferenceStore(QuarantineStore):
         return entry
 
     def per_block_maintenance(self, chain_state: WorldState, now: int) -> MaintenanceReport:
-        report = MaintenanceReport()
+        report = MaintenanceReport([], [])
         for key in list(self.admission_order):
             entry = self.active.get(key)
             if entry is None:

@@ -1,6 +1,5 @@
 """Acceptance suite: one test per shipping criterion, each printing a
 PASS/FAIL line (run with -s to see them)."""
-import dataclasses
 import random
 from contextlib import contextmanager
 from pathlib import Path
@@ -266,7 +265,7 @@ def test_09_determinism_under_parallelism():
             outputs = []
             for workers in (1, 2, 8):
                 scenario = load(name)
-                scenario.seq_config = dataclasses.replace(scenario.seq_config, workers=workers)
+                scenario.seq_config = scenario.seq_config._replace(workers=workers)
                 out = run(scenario)
                 outputs.append((render_report(out.report), render_history(out.history)))
             assert outputs[0] == outputs[1] == outputs[2], name

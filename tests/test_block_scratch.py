@@ -6,7 +6,6 @@ after checking its reads, and `apply_block` runs every transaction on one
 scratch; both must leave exactly the accounts and root that executing each
 transaction on the previous post-state leaves. Each builds one post-state.
 """
-import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,7 +217,7 @@ class TestForgedAccessSets:
         def hide_credit(state, t, context):
             result = real(state, t, context)
             if t == self.PAY_2:
-                result = dataclasses.replace(result, writes=result.writes - {AccessKey.balance(addr(2))})
+                result = result._replace(writes=result.writes - {AccessKey.balance(addr(2))})
             return result
 
         monkeypatch.setattr(detection, "execute_transaction", hide_credit)

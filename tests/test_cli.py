@@ -447,11 +447,16 @@ class TestConfigUpperBounds:
             (str(2**64), ""),
             (hex(2**256 - 1), ""),
             (str(2**64), "genesis account 0x01 balance=1000\nevent 5 submit sender=0x01 nonce=0 to=0x02 value=5 gas_limit=21\n"),
+            # A far-future event: the blocks before it are not built either.
+            (
+                str(2**64),
+                f"genesis account 0x01 balance=1000\nevent {10**12} submit sender=0x01 nonce=0 to=0x02 value=5 gas_limit=21\n",
+            ),
         ],
     )
     def test_absurd_block_count_exits_2_at_once(self, tmp_path, capsys, blocks, events):
-        # Past the last event every block is block_time apart, so the first
-        # block past 2^64-1 is named without building the ones before it.
+        # Blocks are at least block_time apart, so a run whose last block
+        # would pass 2^64-1 stops before building any block, events or not.
         def too_slow(signum, frame):
             raise AssertionError(f"run blocks={blocks} still running after 5 s")
 
@@ -471,6 +476,16 @@ class TestConfigUpperBounds:
     def test_last_representable_block_time_runs_and_derives(self, tmp_path, capsys):
         assert run_text(tmp_path, f"scenario v1\nconfig genesis_timestamp={U64 - 3}\nrun blocks=1\n") == 0
         assert main(["derive", "--l1", str(tmp_path / "l")]) == 0
+
+    @pytest.mark.parametrize("name", ["two\nlines.l1", "carriage\rreturn.l1"])
+    def test_l1_out_with_a_line_break_exits_2_before_running(self, tmp_path, capsys, name):
+        capsys.readouterr()
+        scn, report = SCENARIOS / "single_transfer.scn", tmp_path / "r"
+        code = main(["run", "--scenario", str(scn), "--report", str(report), "--l1-out", str(tmp_path / name)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: --l1-out must not contain a line break, got {str(tmp_path / name)!r}\n"
+        assert not report.exists() and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("workers", ["0", "-1", "257"])
     def test_workers_flag_out_of_range_exits_2_before_running(self, tmp_path, capsys, workers):

@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -40,7 +39,7 @@ class TestRoundTrip:
 
     def test_empty_history_is_the_genesis_root(self):
         out = outcome_for("empty")
-        empty = dataclasses.replace(out.history, blocks=(), inbox=())
+        empty = out.history._replace(blocks=(), inbox=())
         derived = derive(empty)
         assert derived.blocks == ()
         assert derived.final_root == state_root(out.history.genesis)
@@ -56,23 +55,23 @@ class TestRoundTrip:
 class TestGapsAndFaults:
     def test_missing_record_is_a_gap(self):
         out = outcome_for("single_transfer")
-        truncated = dataclasses.replace(out.history, inbox=out.history.inbox[1:])
+        truncated = out.history._replace(inbox=out.history.inbox[1:])
         with pytest.raises(DerivationGap):
             derive(truncated)
 
     def test_epoch_with_deposits_needs_a_bitmap(self):
         out = outcome_for("deposits_benign")
         head = out.history.inbox[0]
-        stripped = dataclasses.replace(head, deposit_count=None, bitmap=())
-        broken = dataclasses.replace(out.history, inbox=(stripped,) + out.history.inbox[1:])
+        stripped = head._replace(deposit_count=None, bitmap=())
+        broken = out.history._replace(inbox=(stripped,) + out.history.inbox[1:])
         with pytest.raises(DerivationGap):
             derive(broken)
 
     def test_bitmap_count_mismatch_propagates(self):
         out = outcome_for("deposits_benign")
         head = out.history.inbox[0]
-        lying = dataclasses.replace(head, deposit_count=3, bitmap=(5,))
-        broken = dataclasses.replace(out.history, inbox=(lying,) + out.history.inbox[1:])
+        lying = head._replace(deposit_count=3, bitmap=(5,))
+        broken = out.history._replace(inbox=(lying,) + out.history.inbox[1:])
         with pytest.raises(BitmapMismatch):
             derive(broken)
 
@@ -80,8 +79,8 @@ class TestGapsAndFaults:
         out = outcome_for("deposits_benign")
         head = out.history.inbox[0]
         # second record in the same epoch claiming another bitmap
-        second = dataclasses.replace(out.history.inbox[1], deposit_count=head.deposit_count, bitmap=head.bitmap)
-        broken = dataclasses.replace(out.history, inbox=(head, second) + out.history.inbox[2:])
+        second = out.history.inbox[1]._replace(deposit_count=head.deposit_count, bitmap=head.bitmap)
+        broken = out.history._replace(inbox=(head, second) + out.history.inbox[2:])
         with pytest.raises(DerivationGap):
             derive(broken)
 

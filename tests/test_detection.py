@@ -286,9 +286,14 @@ class TestOracleEquivalence:
 class TestLazyThreadPool:
     def test_import_leaves_the_thread_pool_unloaded(self):
         # concurrent.futures (and the logging it pulls in) is imported only
-        # when a round actually runs with more than one worker.
+        # when a round actually runs with more than one worker. No record is
+        # a dataclass, so neither dataclasses nor the inspect module it pulls
+        # in is imported at all.
         src = Path(rollupsim.__file__).resolve().parent.parent
-        probe = "import sys, rollupsim, rollupsim.cli; print('concurrent.futures' in sys.modules)"
+        probe = (
+            "import sys, rollupsim, rollupsim.formats, rollupsim.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'dataclasses', 'inspect') if m in sys.modules))"
+        )
         env = {**os.environ, "PYTHONPATH": str(src)}
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"

@@ -164,6 +164,16 @@ class TestReportRoundTrip:
         parsed = parse_report(text)
         assert render_report(parsed) == text
 
+    @pytest.mark.parametrize("path", ["my dir/db.l1", "tab\there.l1", "a{b.l1"])
+    def test_l1_export_path_round_trips_verbatim(self, path):
+        report = run(load("deposits_benign")).report
+        report.l1_export = path
+        text = render_report(report)
+        assert f"\nl1_export {path}\n" in text
+        parsed = parse_report(text)
+        assert parsed.l1_export == path
+        assert render_report(parsed) == text
+
     def test_rendering_is_stable(self):
         a = render_report(run(load("pause_exploit")).report)
         b = render_report(run(load("pause_exploit")).report)

@@ -1,6 +1,5 @@
 """Whole-pipeline fuzz: random scenarios must stay worker-invariant and
 re-derivable byte for byte from their L1 export."""
-import dataclasses
 import random
 
 from rollupsim.core import encode_block
@@ -83,7 +82,7 @@ def test_random_scenarios_worker_invariant_and_rederivable():
         text = random_scenario_text(rng)
         out1 = run(parse_scenario(text))
         scn = parse_scenario(text)
-        scn.seq_config = dataclasses.replace(scn.seq_config, workers=4)
+        scn.seq_config = scn.seq_config._replace(workers=4)
         out2 = run(scn)
         assert render_report(out1.report) == render_report(out2.report), f"case {case}"
         derived = derive(parse_history(render_history(out1.history)))

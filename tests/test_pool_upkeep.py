@@ -254,12 +254,11 @@ class TestMemoizedIds:
         assert tx_hash(twin) == first
 
     def test_memo_matches_a_fresh_hash(self):
-        import dataclasses
         import hashlib
 
         t = tx(addr(1), 0, SINK, value=3)
         tx_hash(t)
-        bumped = dataclasses.replace(t, max_fee=9)
+        bumped = t._replace(max_fee=9)
         assert tx_hash(bumped) == hashlib.sha256(core.canonical_encode(bumped)).digest() != tx_hash(t)
 
     def test_deposit_id_is_memoized(self):
@@ -460,13 +459,15 @@ def count_entry_fields(patch, counts: dict) -> dict:
     """Count reads and writes of `PoolEntry.status` into `counts` from here on."""
     counts.update(status_reads=0, status_writes=0)
 
+    slot = PoolEntry.__dict__["status"]  # the slot descriptor the property wraps
+
     def read(entry):
         counts["status_reads"] += 1
-        return entry.__dict__["status"]
+        return slot.__get__(entry)
 
     def write(entry, value):
         counts["status_writes"] += 1
-        entry.__dict__["status"] = value
+        slot.__set__(entry, value)
 
     patch.setattr(PoolEntry, "status", property(read, write), raising=False)
     return counts
