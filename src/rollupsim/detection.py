@@ -192,16 +192,11 @@ class Counters:
 class DetectionOutcome:
     __slots__ = ("benign", "malicious", "deferred", "stats", "final_state")
 
-    def __init__(
-        self, benign: Optional[List[AnyTransaction]] = None,
-        malicious: Optional[List[Tuple[AnyTransaction, Verdict, SimulationResult]]] = None,
-        deferred: Optional[List[AnyTransaction]] = None, stats: Optional[Counters] = None,
-        final_state: Optional[WorldState] = None,
-    ) -> None:
-        self.benign = [] if benign is None else benign
-        self.malicious = [] if malicious is None else malicious
-        self.deferred = [] if deferred is None else deferred
-        self.stats = Counters() if stats is None else stats
+    def __init__(self, final_state: Optional[WorldState] = None) -> None:
+        self.benign: List[AnyTransaction] = []
+        self.malicious: List[Tuple[AnyTransaction, Verdict, SimulationResult]] = []
+        self.deferred: List[AnyTransaction] = []
+        self.stats = Counters()
         self.final_state = final_state  # tip with `benign` applied in order
 
 

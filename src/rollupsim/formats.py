@@ -585,9 +585,11 @@ def parse_report(text: str) -> RunReport:
         line = raw.strip()
         if not line:
             continue
-        if report is not None and raw.startswith("l1_export "):
-            # The path is the rest of the line, verbatim: it may hold spaces or braces.
-            report.l1_export = raw[len("l1_export ") :]
+        body = raw.lstrip()
+        if report is not None and body.startswith("l1_export") and body[9:10] in ("", " ", "\t"):
+            # The path is the rest of the line after one separator, verbatim:
+            # it may hold spaces, tabs or braces.
+            report.l1_export = body[10:]
             if not report.l1_export:
                 raise ScenarioError("l1_export needs a value", line=lineno)
             continue
@@ -600,9 +602,9 @@ def parse_report(text: str) -> RunReport:
             continue
         if head == "report":
             raise ScenarioError("second 'report' header", line=lineno)
-        if head in ("final_root", "l1_export") and len(fields) < 2:
-            raise ScenarioError(f"{head} needs a value", line=lineno)
-        kv = _kv(fields[1:], lineno) if head not in ("final_root", "l1_export") else {}
+        if head == "final_root" and len(fields) < 2:
+            raise ScenarioError("final_root needs a value", line=lineno)
+        kv = _kv(fields[1:], lineno) if head != "final_root" else {}
         try:
             if head == "block":
                 report.blocks.append(
@@ -653,8 +655,6 @@ def parse_report(text: str) -> RunReport:
                 )
             elif head == "counters":
                 report.counters = Counters(**{name: _parse_int(kv[name], lineno, name) for name in Counters.__slots__})
-            elif head == "l1_export":
-                report.l1_export = fields[1]
             elif head == "final_root":
                 report.final_root = StateRoot(_parse_bytes(fields[1], lineno))
             else:

@@ -74,15 +74,15 @@ class QuarantineEntry:
 
     def __init__(
         self, tx: AnyTransaction, verdict: Verdict, quarantined_at: int, quarantined_block: int, is_deposit: bool,
-        victim_admins: Optional[Dict[Address, Address]] = None, approvals: Optional[Set[Address]] = None,
+        victim_admins: Dict[Address, Address],
     ) -> None:
         self.tx = tx
         self.verdict = verdict
         self.quarantined_at = quarantined_at
         self.quarantined_block = quarantined_block
         self.is_deposit = is_deposit
-        self.victim_admins = {} if victim_admins is None else victim_admins
-        self.approvals = set() if approvals is None else approvals
+        self.victim_admins = victim_admins
+        self.approvals: Set[Address] = set()
 
     @property
     def key(self) -> TxHash:

@@ -70,9 +70,9 @@ class SequencerConfig(Record):
 class ChainView:
     __slots__ = ("blocks", "tip_state")
 
-    def __init__(self, blocks: Optional[List[Block]] = None, tip_state: Optional[WorldState] = None) -> None:
-        self.blocks = [] if blocks is None else blocks
-        self.tip_state = WorldState() if tip_state is None else tip_state
+    def __init__(self, tip_state: WorldState) -> None:
+        self.blocks: List[Block] = []
+        self.tip_state = tip_state
 
     @property
     def tip_hash(self) -> bytes:

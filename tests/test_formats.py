@@ -174,6 +174,23 @@ class TestReportRoundTrip:
         assert parsed.l1_export == path
         assert render_report(parsed) == text
 
+    @pytest.mark.parametrize(
+        "line, path",
+        [("  l1_export my dir/db.l1", "my dir/db.l1"), ("l1_export\tmy dir/db.l1", "my dir/db.l1"),
+         ("\tl1_export\ttab\there.l1 ", "tab\there.l1 ")],
+    )
+    def test_indented_or_tab_separated_l1_export_is_read_verbatim(self, line, path):
+        text = render_report(run(load("deposits_benign")).report)
+        text = text.replace("\nl1_export -\n", f"\n{line}\n")
+        assert parse_report(text).l1_export == path
+
+    @pytest.mark.parametrize("line", ["l1_export", "  l1_export", "l1_export ", "l1_export\t"])
+    def test_l1_export_without_a_value_is_refused(self, line):
+        text = render_report(run(load("deposits_benign")).report)
+        text = text.replace("\nl1_export -\n", f"\n{line}\n")
+        with pytest.raises(ScenarioError, match="l1_export needs a value"):
+            parse_report(text)
+
     def test_rendering_is_stable(self):
         a = render_report(run(load("pause_exploit")).report)
         b = render_report(run(load("pause_exploit")).report)
