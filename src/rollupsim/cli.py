@@ -5,8 +5,11 @@
     rollupsim quarantine REPORT list
     rollupsim quarantine REPORT show HASH
 
-Exit codes: 0 ok, 2 scenario error, 3 root mismatch, 4 derivation gap,
-5 not found.
+Exit codes: 0 ok, 2 scenario error or an output `run` cannot write, 3 root
+mismatch, 4 derivation gap, 5 not found. A scenario, report or history line
+is refused, with its number, when it lacks a field or names an unknown one,
+holds a value out of its range, repeats a line its file holds once, or
+declares a genesis address twice.
 """
 from __future__ import annotations
 
@@ -52,8 +55,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (ScenarioError, UnauthorizedInvariant, EncodingError, L1Error, ValueError) as exc:
         return _fail(EXIT_SCENARIO, str(exc))
     outcome.report.l1_export = args.l1_out
-    Path(args.report).write_text(render_report(outcome.report))
-    Path(args.l1_out).write_text(render_history(outcome.history))
+    try:  # the history first, so that no report names a history that was never written
+        Path(args.l1_out).write_text(render_history(outcome.history))
+        Path(args.report).write_text(render_report(outcome.report))
+    except OSError as exc:
+        return _fail(EXIT_SCENARIO, f"cannot write output: {exc}")
     print(f"final_root {outcome.report.final_root.hex0x()}")
     return EXIT_OK
 

@@ -1,9 +1,22 @@
 """Line-oriented text formats: scenario files, run reports, L1 history.
 
 All three share one shape: a versioned header line, then one record per
-line as `directive key=value ...`. Values containing spaces or lists are
-wrapped in braces; `#` starts a comment; blank lines are ignored. Contract
-code and invariant predicates use a small s-expression syntax:
+line as `head key=value ...`. Values containing spaces or lists are wrapped
+in braces; in scenarios `#` starts a comment; blank lines are ignored.
+
+Each line kind is declared once, as a `Line`: the words that open it and
+its ordered `(key, attribute, codec)` fields, where a `Codec` is how one
+value is written and read. `Line.render` and `Line.read` serve every
+declared line, so the text form of a record lives in its declaration alone
+and every line keeps the same rules. A line is refused, with its number,
+when it:
+- lacks a field, or has one its declaration does not name;
+- holds a value its codec refuses (each integer has its range);
+- repeats a line a file holds once: a header, `run` in a scenario, `config`
+  in a history, `counters`, `l1_export` or `final_root` in a report;
+- declares a genesis address a second time.
+
+Contract code and invariant predicates use a small s-expression syntax:
 
     atoms       42, 0x2a, 'paused' (utf-8 bytes read as a big-endian int),
                 caller, callvalue, calldata, self
@@ -19,7 +32,10 @@ that transaction as `tx=@<label>`.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from functools import partial
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     Address,
@@ -34,7 +50,7 @@ from .core import (
     tx_hash,
 )
 from .detection import Counters, Invariant
-from .l1da import L1Block, L1History, L1Record
+from .l1da import WORD_BITS, L1Block, L1History, L1Record
 from .mempool import PoolConfig
 from .quarantine import AuditEvent, QuarantineConfig
 from .sequencer import (
@@ -55,7 +71,7 @@ from .sequencer import (
     SubmitEvent,
 )
 from . import vm
-from .vm import Account, ContractCode, Expr, Statement, WorldState, make_state
+from .vm import EMPTY_ACCOUNT, Account, ContractCode, Expr, Statement, make_state
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +107,6 @@ def _split_fields(line: str, lineno: int) -> List[str]:
     return fields
 
 
-def _kv(fields: Sequence[str], lineno: int) -> Dict[str, str]:
-    out: Dict[str, str] = {}
-    for f in fields:
-        if "=" not in f:
-            raise ScenarioError(f"expected key=value, got {f!r}", line=lineno)
-        key, value = f.split("=", 1)
-        if key in out:
-            raise ScenarioError(f"duplicate field {key!r}", line=lineno)
-        out[key] = value
-    return out
-
-
 def _unbrace(value: str) -> str:
     if value.startswith("{") and value.endswith("}"):
         return value[1:-1].strip()
@@ -110,9 +114,11 @@ def _unbrace(value: str) -> str:
 
 
 def _parse_int(
-    value: str, lineno: int, what: str = "integer", minimum: Optional[int] = None, maximum: Optional[int] = None
+    value: str, lineno: int, what: str = "integer", ctx: Any = None, minimum: Optional[int] = None,
+    maximum: Optional[int] = None,
 ) -> int:
-    """The one integer reader of all three formats: decimal or 0x-hex."""
+    """The one integer reader of all three formats: decimal or 0x-hex. Like
+    the two hex readers below, it takes a codec's arguments (see `Codec`)."""
     try:
         number = int(value, 16) if value.startswith("0x") else int(value)
     except ValueError:
@@ -127,7 +133,7 @@ def _parse_int(
 _HEX_RE = re.compile(r"[0-9a-fA-F]*")
 
 
-def _parse_address(value: str, lineno: int) -> Address:
+def _parse_address(value: str, lineno: int, what: str = "", ctx: Any = None) -> Address:
     if not value.startswith("0x"):
         raise ScenarioError(f"address must be 0x-hex: {value!r}", line=lineno)
     digits = value[2:]
@@ -136,7 +142,7 @@ def _parse_address(value: str, lineno: int) -> Address:
     return Address(bytes.fromhex(digits.rjust(40, "0")))
 
 
-def _parse_bytes(value: str, lineno: int) -> bytes:
+def _parse_bytes(value: str, lineno: int, what: str = "", ctx: Any = None) -> bytes:
     if not value.startswith("0x"):
         raise ScenarioError(f"byte string must be 0x-hex: {value!r}", line=lineno)
     digits = value[2:]
@@ -147,10 +153,6 @@ def _parse_bytes(value: str, lineno: int) -> bytes:
 
 def _fmt_bytes(blob: bytes) -> str:
     return "0x" + blob.hex()
-
-
-def _fmt_list(items: Sequence[str]) -> str:
-    return ",".join(items) if items else "-"
 
 
 def _parse_list(value: str) -> List[str]:
@@ -195,75 +197,47 @@ def _atom_value(tok: str, lineno: int) -> int:
     return _parse_int(tok, lineno, "atom")
 
 
-_SUGAR = {"ge", "gt", "le", "ne"}
+_ATOMS = {"caller": vm.Caller, "callvalue": vm.CallValue, "calldata": vm.CallData, "self": vm.SelfAddr}
+# operator -> (arity, build from the built arguments); ge/gt/le/ne are sugar
+_OPERATORS = {
+    "sload": (1, vm.SLoad), "balance": (1, vm.BalanceOf), "not": (1, vm.Not),
+    **{op: (2, lambda a, b, op=op: vm.Bin(op, a, b)) for op in vm.BIN_OPS},
+    "ge": (2, lambda a, b: vm.Not(vm.Bin("lt", a, b))), "gt": (2, lambda a, b: vm.Bin("lt", b, a)),
+    "le": (2, lambda a, b: vm.Not(vm.Bin("lt", b, a))), "ne": (2, lambda a, b: vm.Not(vm.Bin("eq", a, b))),
+}
+_STATEMENTS = {
+    "require": (1, vm.Require), "pause-guard": (1, vm.PauseGuard), "set": (2, vm.SetSlot), "pay": (2, vm.Pay)
+}
 
 
 def _build_expr(form, lineno: int) -> Expr:
     if isinstance(form, str):
-        if form == "caller":
-            return vm.Caller()
-        if form == "callvalue":
-            return vm.CallValue()
-        if form == "calldata":
-            return vm.CallData()
-        if form == "self":
-            return vm.SelfAddr()
-        return vm.Const(_atom_value(form, lineno))
+        return _ATOMS[form]() if form in _ATOMS else vm.Const(_atom_value(form, lineno))
     if not form:
         raise ScenarioError("empty expression", line=lineno)
-    head = form[0]
-    args = form[1:]
+    head, args = form[0], form[1:]
     if not isinstance(head, str):
         raise ScenarioError("expression head must be a symbol", line=lineno)
-
-    def need(n: int):
-        if len(args) != n:
-            raise ScenarioError(f"{head} takes {n} argument(s), got {len(args)}", line=lineno)
-
-    if head == "const":
-        need(1)
+    arity, build = (1, None) if head == "const" else _OPERATORS.get(head, (None, None))
+    if arity is None:
+        raise ScenarioError(f"unknown operator {head!r}", line=lineno)
+    if len(args) != arity:
+        raise ScenarioError(f"{head} takes {arity} argument(s), got {len(args)}", line=lineno)
+    if build is None:  # const
         if not isinstance(args[0], str):
             raise ScenarioError("const takes an atom", line=lineno)
         return vm.Const(_atom_value(args[0], lineno))
-    if head == "sload":
-        need(1)
-        return vm.SLoad(_build_expr(args[0], lineno))
-    if head == "balance":
-        need(1)
-        return vm.BalanceOf(_build_expr(args[0], lineno))
-    if head == "not":
-        need(1)
-        return vm.Not(_build_expr(args[0], lineno))
-    if head in vm.BIN_OPS:
-        need(2)
-        return vm.Bin(head, _build_expr(args[0], lineno), _build_expr(args[1], lineno))
-    if head in _SUGAR:
-        need(2)
-        a = _build_expr(args[0], lineno)
-        b = _build_expr(args[1], lineno)
-        if head == "ge":
-            return vm.Not(vm.Bin("lt", a, b))
-        if head == "gt":
-            return vm.Bin("lt", b, a)
-        if head == "le":
-            return vm.Not(vm.Bin("lt", b, a))
-        return vm.Not(vm.Bin("eq", a, b))
-    raise ScenarioError(f"unknown operator {head!r}", line=lineno)
+    return build(*[_build_expr(arg, lineno) for arg in args])
 
 
 def _build_statement(form, lineno: int) -> Statement:
     if isinstance(form, str) or not form or not isinstance(form[0], str):
         raise ScenarioError("statement must be a (head ...) form", line=lineno)
     head, args = form[0], form[1:]
-    if head == "require" and len(args) == 1:
-        return vm.Require(_build_expr(args[0], lineno))
-    if head == "pause-guard" and len(args) == 1:
-        return vm.PauseGuard(_build_expr(args[0], lineno))
-    if head == "set" and len(args) == 2:
-        return vm.SetSlot(_build_expr(args[0], lineno), _build_expr(args[1], lineno))
-    if head == "pay" and len(args) == 2:
-        return vm.Pay(_build_expr(args[0], lineno), _build_expr(args[1], lineno))
-    raise ScenarioError(f"bad statement {head!r}", line=lineno)
+    arity, build = _STATEMENTS.get(head, (None, None))
+    if len(args) != arity:
+        raise ScenarioError(f"bad statement {head!r}", line=lineno)
+    return build(*[_build_expr(arg, lineno) for arg in args])
 
 
 def parse_expr(text: str, lineno: int = 0) -> Expr:
@@ -285,131 +259,404 @@ def parse_statements(text: str, lineno: int = 0) -> Tuple[Statement, ...]:
 
 
 # ---------------------------------------------------------------------------
-# scenario files
+# codecs: how one value is written and read
 # ---------------------------------------------------------------------------
 
-# Scenario config key -> (section it sets, field there, least and greatest
-# value of an integer key). Integers are decimal or 0x-hex (`16` or `0x10`).
-# Times, fees and block counts are hashed as 8 bytes, so nothing exceeds
-# 2^64-1; a worker count is a thread count.
+class Codec(NamedTuple):
+    """How one value is written and read back. `parse(text, lineno, what,
+    ctx)` reads it, `what` naming the field in messages and `ctx` being a
+    scenario's context (None elsewhere). `render` writes it; None writes
+    it as `str.format` does (integers in decimal, text as it is). An integer
+    codec reads `least..top`; a list codec names the codec of its `item`."""
+
+    render: Optional[Callable[[Any], str]]
+    parse: Callable[[str, int, str, Any], Any]
+    least: Optional[int] = None
+    top: Optional[int] = None
+    item: Optional["Codec"] = None
+
+
+def _int(least: int, top: Optional[int], render: Optional[Callable[[int], str]] = None) -> Codec:
+    return Codec(render, partial(_parse_int, minimum=least, maximum=top), least, top)
+
+
+def _list(item: Codec) -> Codec:
+    """A comma-separated list of one codec's values, `-` when empty."""
+    render, parse = item.render or str, item.parse
+    return Codec(
+        lambda values: ",".join(map(render, values)) if values else "-",
+        lambda text, lineno, what, ctx: tuple([parse(value, lineno, what, ctx) for value in _parse_list(text)]),
+        item=item,
+    )
+
+
+def _braced(render: Callable[[Any], str], parse: Callable[[str, int], Any]) -> Codec:
+    """A value written inside braces, so that it may hold spaces."""
+    return Codec(lambda value: "{" + render(value) + "}", lambda text, lineno, *_: parse(_unbrace(text), lineno))
+
+
+def _parse_txref(text: str, lineno: int, what: str, ctx: Any) -> TxHash:
+    """`@label` names an earlier labelled submit; anything else is a 0x-hex hash."""
+    if text.startswith("@") and text[1:] not in ctx.labels:
+        raise ScenarioError(f"unknown label {text!r}", line=lineno)
+    return ctx.labels[text[1:]] if text.startswith("@") else TxHash(_parse_bytes(text, lineno))
+
+
+def _parse_storage(text: str, lineno: int, what: str, ctx: Any) -> Dict[bytes, bytes]:
+    storage: Dict[bytes, bytes] = {}
+    for pair in _parse_list(text):
+        if "=" not in pair:
+            raise ScenarioError(f"bad storage pair {pair!r}", line=lineno)
+        k, v = pair.split("=", 1)
+        storage[vm.slot_bytes(_atom_value(k, lineno))] = vm.slot_bytes(_atom_value(v, lineno))
+    return storage
+
+
+def _parse_deposits(text: str, lineno: int, what: str, ctx: Any) -> Tuple[DepositTransaction, ...]:
+    """`{group; group}`, each group one `_DEPOSIT` line: a deposit takes the
+    number of the L1 block it arrives in and its place in that block."""
+    body = _unbrace(text)
+    groups = [] if body == "-" else [group for group in map(str.strip, body.split(";")) if group]
+    return tuple(_DEPOSIT.read(_split_fields(group, lineno), lineno, ctx, l1_block=ctx.l1_blocks, l1_index=index)
+                 for index, group in enumerate(groups))
+
+
+U64, U128, POSITIVE = _int(0, U64_MAX), _int(0, U128_MAX), _int(1, U64_MAX)
+# Transaction and deposit fields: those records check their own ranges.
+TX_U64 = Codec(None, _parse_int, 0, U64_MAX)
+TX_U128 = TX_U64._replace(top=U128_MAX)
+TEXT = Codec(None, lambda text, *_: text)
+ADDRESS, BYTES = Codec(_fmt_bytes, _parse_address), Codec(_fmt_bytes, _parse_bytes)
+HASH = Codec(_fmt_bytes, lambda text, *_: TxHash.from_hex(text))
+ROOT = Codec(_fmt_bytes, lambda text, lineno, *_: StateRoot(_parse_bytes(text, lineno)))
+BLOB = Codec(bytes.hex, lambda text, *_: bytes.fromhex(text))  # a posted batch entry: bare hex
+DEPOSIT_BLOB = Codec(lambda dep: encode_deposit(dep).hex(), lambda text, *_: decode_deposit(bytes.fromhex(text)))
+WORD = _int(0, 2**WORD_BITS - 1, hex)
+RECIPIENT = Codec(
+    lambda to: "create" if to is None else _fmt_bytes(to),
+    lambda text, lineno, *_: None if text == "create" else _parse_address(text, lineno),
+)
+TXREF = Codec(_fmt_bytes, _parse_txref)
+BUDGET = Codec(
+    lambda budget: "unlimited" if budget is None else str(budget),
+    lambda text, lineno, what, ctx: None if text == "unlimited" else U64.parse(text, lineno, what, ctx),
+    0, U64_MAX,
+)
+OPERATORS = Codec(
+    lambda operators: ",".join(sorted(map(_fmt_bytes, operators))),
+    lambda text, lineno, *_: frozenset(_parse_address(a, lineno) for a in text.split(",") if a),
+)
+STORAGE = Codec(
+    lambda storage: ",".join(f"{hex(vm.slot_int(k))}={hex(vm.slot_int(v))}" for k, v in sorted(storage.items())) or "-",
+    _parse_storage,
+)
+CODE = _braced(lambda statements: " ".join(map(vm.statement_text, statements)), parse_statements)
+EXPR = _braced(vm.expr_text, parse_expr)
+DETAIL = _braced(str, lambda text, lineno: text)
+DEPOSITS = Codec(lambda deps: "{" + "; ".join(map(_DEPOSIT.render, deps)) + "}" if deps else "-", _parse_deposits)
+
+
+# ---------------------------------------------------------------------------
+# line declarations
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a field a line must hold
+_ABSENT = object()  # the default of a field that, left out, leaves the record's own default
+
+
+class Line:
+    """One line kind, declared once.
+
+    `head` is the words that open the line (by default `name`); each `{}` in
+    it holds one of the first fields, written bare. The other fields are
+    written `key=value`, in order. A field is `(key, attribute, codec)`, or
+    `(key, codec)` for an attribute named like its key, and may add the
+    value read when a line leaves it out (else `default`). `attribute` reads
+    the value off the record, dotted for a nested one; its last part names
+    the value for `make`, which builds the record. The fields from index
+    `tail` on are written when the first of them is not None, and read all
+    or none. `once` marks a line a file holds at most once."""
+
+    __slots__ = ("name", "head", "make", "fields", "once", "_tail", "_words", "_slots", "_keyed", "_needed",
+                 "_defaults", "_tail_kws", "_template", "_tail_template", "_convert", "_get")
+
+    def __init__(
+        self, name: str, make: Callable[..., Any], *fields: tuple, head: Optional[str] = None, once: bool = False,
+        tail: Optional[int] = None, default: Any = _REQUIRED,
+    ) -> None:
+        fields = tuple((f[0], f[0], *f[1:]) if isinstance(f[1], Codec) else f for f in fields)
+        self.fields = fields = tuple((*f, default)[:4] for f in fields)
+        self.name, self.make, self.once, self._tail, self.head = name, make, once, tail, name if head is None else head
+        self._words = words = self.head.split()
+        slots = [i for i, word in enumerate(words) if word == "{}"]
+        kws = [attr.rpartition(".")[2] for _key, attr, *_ in fields]
+        reads = [(kw, codec.parse, f"{name} {key}".rstrip()) for kw, (key, _attr, codec, _d) in zip(kws, fields)]
+        self._slots = tuple((i, *reads[n]) for n, i in enumerate(slots))
+        self._keyed = {field[0]: read for field, read in zip(fields[len(slots):], reads[len(slots):])}
+        self._needed = [(f[0], kw) for kw, f in zip(kws[len(slots):], fields[len(slots):]) if f[3] is _REQUIRED]
+        self._defaults = {kw: f[3] for kw, f in zip(kws, fields) if f[3] is not _REQUIRED and f[3] is not _ABSENT}
+        self._tail_kws = frozenset(kws[tail:]) if tail else frozenset()
+        keyed = [f"{key}={{}}" for key, *_ in fields[len(slots):]]
+        cut = len(keyed) if tail is None else tail - len(slots)
+        self._template, self._tail_template = " ".join(words + keyed[:cut]), "".join(" " + k for k in keyed[cut:])
+        self._convert = tuple((n, field[2].render) for n, field in enumerate(fields) if field[2].render)
+        attrs = [attr for _key, attr, *_ in fields]
+        get = attrgetter(*attrs) if attrs else lambda record: ()
+        self._get = (lambda record: (get(record),)) if len(attrs) == 1 else get  # always a tuple
+
+    def render(self, record: Any) -> str:
+        values = list(self._get(record))
+        tail = self._tail is not None and values[self._tail] is not None
+        for n, render in self._convert:
+            values[n] = render(values[n])
+        text = self._template.format(*values)  # `format` leaves the tail's values unused
+        return text + self._tail_template.format(*values[self._tail:]) if tail else text
+
+    def read(self, words: List[str], lineno: int, ctx: Any = None, **values: Any) -> Any:
+        """Build the record of one line from its words, the head's included;
+        `values` holds what the record takes from outside the line."""
+        if len(words) < len(self._words):
+            raise ScenarioError(f"{self._slots[-1][3]} needs a value", line=lineno)
+        try:
+            for i, kw, parse, what in self._slots:
+                values[kw] = parse(words[i], lineno, what, ctx)
+            for word in words[len(self._words):]:
+                key, eq, text = word.partition("=")
+                if not eq:
+                    raise ScenarioError(f"expected key=value, got {word!r}", line=lineno)
+                if key not in self._keyed:
+                    raise ScenarioError(f"unknown {self.name} field {key!r}", line=lineno)
+                kw, parse, what = self._keyed[key]
+                if kw in values:
+                    raise ScenarioError(f"duplicate field {key!r}", line=lineno)
+                values[kw] = parse(text, lineno, what, ctx)
+            for key, kw in self._needed:
+                if kw not in values:
+                    raise ScenarioError(f"{self.name} missing field {key!r}", line=lineno)
+            if self._tail_kws and not self._tail_kws.isdisjoint(values) and not self._tail_kws <= values.keys():
+                raise ScenarioError(f"{self.name} needs all of {sorted(self._tail_kws)} or none", line=lineno)
+            return self.make(**{**self._defaults, **values})
+        except ValueError as exc:
+            raise ScenarioError(f"bad {self.name}: {exc}", line=lineno) from None
+
+
+def _table(*lines: Line) -> Dict[str, Any]:
+    """A file's lines by head word. A head word that several lines share
+    maps to (the position of the word that tells them apart, {word: line})."""
+    table: Dict[str, Any] = {}
+    for line in lines:
+        pos = next((i for i, word in enumerate(line._words) if i and word != "{}"), None)
+        if pos is None:
+            table[line._words[0]] = line
+        else:
+            table.setdefault(line._words[0], (pos, {}))[1][line._words[pos]] = line
+    return table
+
+
+def _lines(
+    text: str, table: Dict[str, Any], header: Line, comments: bool = False, verbatim: Optional[Line] = None
+) -> Iterator[Tuple[int, Line, List[str]]]:
+    """Each line of a file as (line number, declaration, words): the header
+    first, then one per non-blank line. A `verbatim` line's one value is the
+    rest of the line after its head and one space or tab, as written."""
+    lines = text.splitlines()
+    seen = set()
+    for lineno, raw in enumerate(lines, start=1):
+        body = (raw.split("#", 1)[0] if comments else raw).strip()
+        if not body:
+            continue
+        rest = raw.lstrip()[len(verbatim.name):] if seen and verbatim and body.startswith(verbatim.name) else "-"
+        if rest[:1] in ("", " ", "\t"):  # a verbatim line ("-" stands for any other)
+            line, words = verbatim, [verbatim.name, rest[1:]] if rest[1:] else [verbatim.name]
+        elif not seen:
+            words, line = _split_fields(body, lineno), header
+            if words[:len(header._words)] != header._words:
+                raise ScenarioError(f"{header.name} file must start with {header.head!r}", line=lineno)
+        else:
+            words = _split_fields(body, lineno)
+            line = table.get(words[0])
+            if type(line) is tuple:
+                pos, kinds = line
+                line = kinds.get(words[pos]) if pos < len(words) else None
+                if line is None:
+                    got = " ".join(words[pos:pos + 1])
+                    raise ScenarioError(f"{words[0]} kind must be one of {', '.join(kinds)}, got {got!r}", line=lineno)
+            if line is None:
+                raise ScenarioError(f"unknown {header.name} directive {words[0]!r}", line=lineno)
+        if line.once:
+            if line in seen:
+                raise ScenarioError(f"second {line.name!r} line", line=lineno)
+            seen.add(line)
+        yield lineno, line, words
+    if not seen:
+        raise ScenarioError(f"empty {header.name} file", line=len(lines) or 1)
+
+
+# The records of genesis account and contract lines, and of submit lines (`as=NAME` names one for `tx=@NAME`).
+_Genesis = NamedTuple("_Genesis", [("address", Address), ("account", Account)])
+_Submit = NamedTuple("_Submit", [("event", SubmitEvent), ("label", Optional[str])])
+
+
+def _event(kind: str, make: Callable[..., Any], *fields: tuple, at: str = "at", **options: Any) -> Line:
+    return Line(kind, make, ("time", at, U64), *fields, head=f"event {{}} {kind}", **options)
+
+
+# Genesis lines, shared by scenarios and L1 histories.
+_ACCOUNT = Line(
+    "account", lambda address, balance, nonce: _Genesis(address, Account(balance, nonce)),
+    ("address", ADDRESS), ("balance", "account.balance", U128, 0), ("nonce", "account.nonce", U64, 0),
+    head="genesis account {}",
+)
+_CONTRACT = Line(
+    "contract",
+    lambda address, admin, balance, storage, statements: _Genesis(
+        address, Account(balance, 0, ContractCode(admin, statements), storage)
+    ),
+    ("address", ADDRESS), ("admin", "account.code.admin", ADDRESS), ("balance", "account.balance", U128, 0),
+    ("storage", "account.storage", STORAGE, EMPTY_ACCOUNT.storage), ("code", "account.code.statements", CODE, ()),
+    head="genesis contract {}",
+)
+
+# Scenario lines. Times, fees and block counts are hashed as 8 bytes, so
+# nothing exceeds 2^64-1; a worker count is a thread count.
 MAX_WORKERS = 256
-_CONFIG_KEYS = {
-    "block_time": ("seq", "block_time", 1, U64_MAX),
-    "blocks_per_epoch": ("seq", "blocks_per_epoch", 1, U64_MAX),
-    "base_fee": ("seq", "base_fee", 0, U64_MAX),
-    "detection_budget": ("seq", "detection_budget", 0, U64_MAX),  # or "unlimited"
-    "fee_recipient": ("seq", "fee_recipient", None, None),
-    "workers": ("seq", "workers", 1, MAX_WORKERS),
-    "genesis_timestamp": ("seq", "genesis_timestamp", 0, U64_MAX),
-    "quarantine_period": ("quarantine", "time_criterion_period", 1, U64_MAX),
-    "operators": ("quarantine", "operators", None, None),
-    "escape_timeout": ("scenario", "escape_timeout", 0, U64_MAX),
-    "max_queued": ("pool", "max_queued", 1, U64_MAX),
-    "max_pending": ("pool", "max_pending", 1, U64_MAX),
-    "replacement_bump": ("pool", "min_replacement_bump_percent", 1, U64_MAX),
-    "tx_lifetime": ("pool", "tx_lifetime", 1, U64_MAX),
+_SCENARIO = Line("scenario", lambda name=None: name, ("name", TEXT, _ABSENT), head="scenario v1", once=True)
+_CONFIG = Line(  # each `config` line sets any of these; a later line overrides an earlier one
+    "config", lambda **settings: settings,
+    ("block_time", "seq_config.block_time", POSITIVE), ("blocks_per_epoch", "seq_config.blocks_per_epoch", POSITIVE),
+    ("base_fee", "seq_config.base_fee", U64), ("detection_budget", "seq_config.detection_budget", BUDGET),
+    ("fee_recipient", "seq_config.fee_recipient", ADDRESS), ("workers", "seq_config.workers", _int(1, MAX_WORKERS)),
+    ("genesis_timestamp", "seq_config.genesis_timestamp", U64), ("escape_timeout", U64),
+    ("quarantine_period", "quarantine_config.time_criterion_period", POSITIVE),
+    ("operators", "quarantine_config.operators", OPERATORS),
+    ("max_queued", "pool_config.max_queued", POSITIVE), ("max_pending", "pool_config.max_pending", POSITIVE),
+    ("replacement_bump", "pool_config.min_replacement_bump_percent", POSITIVE),
+    ("tx_lifetime", "pool_config.tx_lifetime", POSITIVE), default=_ABSENT,
+)
+_INVARIANT = Line(
+    "invariant", Invariant, ("id", TEXT), ("contract", ADDRESS), ("registered_by", ADDRESS), ("predicate", EXPR),
+    head="genesis invariant",
+)
+_RUN = Line("run", lambda run_blocks: run_blocks, ("blocks", "run_blocks", _int(0, None)), once=True)
+_SUBMIT = _event(
+    "submit", lambda at, label=None, **tx: _Submit(SubmitEvent(at, SignedTransaction(**tx)), label),
+    ("sender", "event.tx.sender", ADDRESS), ("nonce", "event.tx.nonce", TX_U64, 0),
+    ("to", "event.tx.recipient", RECIPIENT), ("value", "event.tx.value", TX_U128, 0),
+    ("data", "event.tx.data", BYTES, b""), ("max_fee", "event.tx.max_fee", TX_U64, 1),
+    ("priority_fee", "event.tx.priority_fee", TX_U64, 0), ("gas_limit", "event.tx.gas_limit", TX_U64, 30),
+    ("as", "label", TEXT, _ABSENT), at="event.at", tail=9,
+)
+_L1_BLOCK = _event("l1_block", L1BlockEvent, ("deposits", DEPOSITS, ()))
+_DEPOSIT = Line(
+    "deposit", DepositTransaction, ("sender", ADDRESS), ("recipient", ADDRESS), ("value", TX_U128, 0),
+    ("data", BYTES, b""), ("gas_limit", TX_U64, 30), head="",
+)
+_SCENARIO_FILE = _table(
+    _SCENARIO, _CONFIG, _ACCOUNT, _CONTRACT, _INVARIANT, _RUN, _SUBMIT, _L1_BLOCK,
+    _event("approve_release", ApproveReleaseEvent, ("tx", "key", TXREF), ("approver", ADDRESS)),
+    _event("stake", StakeEvent, ("account", ADDRESS), ("amount", U64)),
+    _event("request_failure_release", FailureReleaseEvent, ("tx", "key", TXREF)),
+    _event("set_base_fee", SetBaseFeeEvent, ("fee", U64)),
+    _event("advance", AdvanceEvent, ("seconds", U64)),
+)
+
+# Report lines, in file order, each with the `RunReport` attribute it fills.
+# `l1_export` holds the rest of its line as written, so that a path may hold
+# spaces, tabs or braces.
+_REPORT = Line("report", RunReport, ("scenario", TEXT, "?"), head="report v1", once=True)
+_L1_EXPORT = Line("l1_export", lambda l1_export: l1_export, ("", "l1_export", TEXT), head="l1_export {}", once=True)
+_REPORT_BODY = {
+    Line(
+        "block", BlockSummary, ("number", U64), ("time", "timestamp", U64), ("base_fee", U64), ("epoch", U64),
+        ("parent", "parent_hash", BYTES), ("root", "state_root", ROOT), ("deposits", "deposit_ids", _list(HASH)),
+        ("txs", "tx_hashes", _list(HASH)),
+    ): "blocks",
+    Line(
+        "entry", EntrySummary, ("key", HASH), ("kind", TEXT), ("sender", ADDRESS), ("seq", "sequence", U64),
+        ("admitted_at", U64), ("admitted_block", U64), ("violated", _list(TEXT)), ("victims", _list(ADDRESS)),
+        ("damage", U128),
+    ): "entries",
+    Line(
+        "audit", AuditEvent, ("entry", HASH), ("at", U64), ("kind", TEXT), ("actor", TEXT), ("detail", DETAIL)
+    ): "audit",
+    Line(
+        "pool", PoolSummary, ("key", HASH), ("sender", ADDRESS), ("nonce", U64), ("status", TEXT), ("received_at", U64)
+    ): "pool",
+    Line("counters", Counters, *((name, f"counters.{name}", U64) for name in Counters.__slots__), once=True):
+        "counters",
+    _L1_EXPORT: "l1_export",
+    Line("final_root", lambda final_root: final_root, ("", "final_root", ROOT), head="final_root {}", once=True):
+        "final_root",
 }
+_REPORT_FILE = _table(_REPORT, *_REPORT_BODY)
+
+# L1 history lines. An epoch head's record, and only it, carries the bitmap
+# of its epoch's deposits.
+_HISTORY = Line("l1history", lambda: None, head="l1history v1", once=True)
+_HISTORY_CONFIG = Line(
+    "config", lambda fee_recipient, blocks_per_epoch: (fee_recipient, blocks_per_epoch),
+    ("fee_recipient", ADDRESS), ("blocks_per_epoch", POSITIVE), once=True,
+)
+_L1BLOCK = Line("l1block", L1Block, ("number", U64), ("time", "timestamp", U64), ("deposits", _list(DEPOSIT_BLOB)))
+_RECORD = Line(
+    "record", L1Record, ("epoch", U64), ("l2_number", U64), ("l2_time", "l2_timestamp", U64), ("l2_base_fee", U64),
+    ("batch", _list(BLOB)), ("deposit_count", U64, _ABSENT), ("bitmap", _list(WORD), _ABSENT), tail=5,
+)
+_HISTORY_FILE = _table(_HISTORY, _HISTORY_CONFIG, _ACCOUNT, _CONTRACT, _L1BLOCK, _RECORD)
 
 
-def _config_value(key: str, value: str, lineno: int):
-    if key == "fee_recipient":
-        return _parse_address(value, lineno)
-    if key == "operators":
-        return frozenset(_parse_address(a, lineno) for a in value.split(",") if a)
-    if key == "detection_budget" and value == "unlimited":
-        return None
-    _section, _field, minimum, maximum = _CONFIG_KEYS[key]
-    return _parse_int(value, lineno, f"config {key}", minimum, maximum)
+# ---------------------------------------------------------------------------
+# the three files
+# ---------------------------------------------------------------------------
+
+def _add_genesis(accounts: Dict[Address, Account], record: _Genesis, lineno: int) -> None:
+    if record.address in accounts:
+        raise ScenarioError(f"genesis address {record.address.hex0x()} declared twice", line=lineno)
+    accounts[record.address] = record.account
 
 
 def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
-    lines = text.splitlines()
-    name = default_name
-    sections: Dict[str, Dict[str, object]] = {"seq": {}, "pool": {}, "quarantine": {}, "scenario": {}}
+    ctx = SimpleNamespace(labels={}, l1_blocks=0)  # the labels of earlier submits; the next L1 block's number
+    name, run_blocks, settings = default_name, None, {}
     accounts: Dict[Address, Account] = {}
-    invariant_decls: List[Tuple[int, Dict[str, str]]] = []
-    run_blocks: Optional[int] = None
+    invariants: List[Invariant] = []
     events: List[Event] = []
-    labels: Dict[str, TxHash] = {}
-    l1_count = 0
-    last_ts: Optional[int] = None
-    header_seen = False
-    l1_events: List[Tuple[int, L1BlockEvent]] = []
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = _split_fields(line, lineno)
-        head = fields[0]
-
-        if not header_seen:
-            if head != "scenario" or len(fields) < 2 or fields[1] != "v1":
-                raise ScenarioError("file must start with 'scenario v1'", line=lineno)
-            kv = _kv(fields[2:], lineno)
-            name = kv.pop("name", default_name)
-            if kv:
-                raise ScenarioError(f"unknown header field {sorted(kv)[0]!r}", line=lineno)
-            header_seen = True
-            continue
-
-        if head == "config":
-            for key, value in _kv(fields[1:], lineno).items():
-                if key not in _CONFIG_KEYS:
-                    raise ScenarioError(f"unknown config key {key!r}", line=lineno)
-                section, field_name, _, _ = _CONFIG_KEYS[key]
-                sections[section][field_name] = _config_value(key, value, lineno)
-            continue
-
-        if head == "genesis":
-            if fields[1:2] == ["invariant"] and len(fields) >= 3:
-                invariant_decls.append((lineno, _kv(fields[2:], lineno)))
-            else:
-                _parse_state_line(fields, lineno, accounts)
-            continue
-
-        if head == "run":
-            kv = _kv(fields[1:], lineno)
-            run_blocks = _parse_int(kv.pop("blocks"), lineno) if "blocks" in kv else None
-            if run_blocks is None or run_blocks < 0 or kv:
-                raise ScenarioError("run line must be exactly 'run blocks=N'", line=lineno)
-            continue
-
-        if head == "event":
-            if len(fields) < 3:
-                raise ScenarioError("event line needs a timestamp and a kind", line=lineno)
-            ts = _parse_int(fields[1], lineno, "timestamp")
-            if last_ts is not None and ts < last_ts:
-                raise ScenarioError(f"event timestamps must be non-decreasing (t={ts})", line=lineno)
-            last_ts = ts
-            kind = fields[2]
-            kv = _kv(fields[3:], lineno)
-            event = _build_event(ts, kind, kv, lineno, labels, l1_count)
-            if isinstance(event, L1BlockEvent):
-                l1_count += 1
-                l1_events.append((lineno, event))
+    l1_events: List[Tuple[int, L1BlockEvent]] = []  # with their line numbers
+    for lineno, line, words in _lines(text, _SCENARIO_FILE, _SCENARIO, comments=True):
+        extra = {"number": ctx.l1_blocks} if line is _L1_BLOCK else {}  # the L1 block's number, from its place
+        record = line.read(words, lineno, ctx, **extra)
+        if line is _SCENARIO:
+            name = default_name if record is None else record
+        elif line is _CONFIG:
+            settings.update(record)
+        elif line is _RUN:
+            run_blocks = record
+        elif line is _INVARIANT:
+            invariants.append(record)
+        elif type(record) is _Genesis:
+            _add_genesis(accounts, record, lineno)
+        else:
+            event = record.event if line is _SUBMIT else record
+            if events and event.at < events[-1].at:
+                raise ScenarioError(f"event timestamps must be non-decreasing (t={event.at})", line=lineno)
             events.append(event)
-            continue
-
-        raise ScenarioError(f"unknown directive {head!r}", line=lineno)
-
-    if not header_seen:
-        raise ScenarioError("empty scenario file", line=len(lines) or 1)
+            if line is _L1_BLOCK:
+                ctx.l1_blocks += 1
+                l1_events.append((lineno, event))
+            elif line is _SUBMIT and record.label is not None:
+                if record.label in ctx.labels:
+                    raise ScenarioError(f"duplicate label {record.label!r}", line=lineno)
+                ctx.labels[record.label] = tx_hash(event.tx)
     if run_blocks is None:
-        raise ScenarioError("missing 'run blocks=N' line", line=len(lines))
+        raise ScenarioError("missing 'run blocks=N' line", line=len(text.splitlines()))
 
-    genesis = make_state(accounts)
-    invariants = [_build_invariant(kv, lineno) for lineno, kv in invariant_decls]
+    def pick(names: Sequence[str]) -> Dict[str, Any]:
+        return {key: value for key, value in settings.items() if key in names}
+
     scenario = Scenario(
-        name=name,
-        seq_config=SequencerConfig(**sections["seq"]),
-        pool_config=PoolConfig(**sections["pool"]),
-        quarantine_config=QuarantineConfig(**sections["quarantine"]),
-        **sections["scenario"],
-        genesis=genesis,
-        invariants=invariants,
-        run_blocks=run_blocks,
-        events=events,
+        name, SequencerConfig(**pick(SequencerConfig._fields)), PoolConfig(**pick(PoolConfig._fields)),
+        QuarantineConfig(**pick(QuarantineConfig._fields)), **pick(Scenario.__slots__), genesis=make_state(accounts),
+        invariants=invariants, run_blocks=run_blocks, events=events,
     )
     bpe = scenario.seq_config.blocks_per_epoch
     for lineno, event in l1_events:
@@ -422,393 +669,51 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
     return scenario
 
 
-def _build_event(ts: int, kind: str, kv: Dict[str, str], lineno: int, labels: Dict[str, TxHash], l1_count: int) -> Event:
-    def txref(value: str) -> TxHash:
-        if value.startswith("@"):
-            if value[1:] not in labels:
-                raise ScenarioError(f"unknown label {value!r}", line=lineno)
-            return labels[value[1:]]
-        if value.startswith("0x") and len(value) == 66:
-            return TxHash(bytes.fromhex(value[2:]))
-        raise ScenarioError(f"bad tx reference {value!r}", line=lineno)
-
-    if kind == "submit":
-        label = kv.pop("as", None)
-        to = kv.pop("to", None)
-        if to is None:
-            raise ScenarioError("submit needs to=<addr|create>", line=lineno)
-        recipient = None if to == "create" else _parse_address(to, lineno)
-        try:
-            tx = SignedTransaction(
-                sender=_parse_address(kv.pop("sender"), lineno),
-                nonce=_parse_int(kv.pop("nonce", "0"), lineno),
-                recipient=recipient,
-                value=_parse_int(kv.pop("value", "0"), lineno),
-                data=_parse_bytes(kv.pop("data", "0x"), lineno),
-                max_fee=_parse_int(kv.pop("max_fee", "1"), lineno),
-                priority_fee=_parse_int(kv.pop("priority_fee", "0"), lineno),
-                gas_limit=_parse_int(kv.pop("gas_limit", "30"), lineno),
-            )
-        except KeyError as exc:
-            raise ScenarioError(f"submit missing field {exc.args[0]!r}", line=lineno) from None
-        except ValueError as exc:
-            raise ScenarioError(f"bad transaction: {exc}", line=lineno) from None
-        if kv:
-            raise ScenarioError(f"unknown submit field {sorted(kv)[0]!r}", line=lineno)
-        if label is not None:
-            if label in labels:
-                raise ScenarioError(f"duplicate label {label!r}", line=lineno)
-            labels[label] = tx_hash(tx)
-        return SubmitEvent(at=ts, tx=tx)
-
-    if kind == "l1_block":
-        deposits: List[DepositTransaction] = []
-        body = _unbrace(kv.pop("deposits", "-"))
-        groups = [] if body in ("", "-") else [g.strip() for g in body.split(";") if g.strip()]
-        for idx, group in enumerate(groups):
-            gkv = _kv(_split_fields(group, lineno), lineno)
-            try:
-                deposits.append(
-                    DepositTransaction(
-                        l1_block=l1_count,
-                        l1_index=idx,
-                        sender=_parse_address(gkv.pop("sender"), lineno),
-                        recipient=_parse_address(gkv.pop("recipient"), lineno),
-                        value=_parse_int(gkv.pop("value", "0"), lineno),
-                        data=_parse_bytes(gkv.pop("data", "0x"), lineno),
-                        gas_limit=_parse_int(gkv.pop("gas_limit", "30"), lineno),
-                    )
-                )
-            except KeyError as exc:
-                raise ScenarioError(f"deposit missing field {exc.args[0]!r}", line=lineno) from None
-            except ValueError as exc:
-                raise ScenarioError(f"bad deposit: {exc}", line=lineno) from None
-            if gkv:
-                raise ScenarioError(f"unknown deposit field {sorted(gkv)[0]!r}", line=lineno)
-        if kv:
-            raise ScenarioError(f"unknown l1_block field {sorted(kv)[0]!r}", line=lineno)
-        return L1BlockEvent(at=ts, number=l1_count, deposits=tuple(deposits))
-
-    try:
-        if kind == "approve_release":
-            event: Event = ApproveReleaseEvent(
-                at=ts, key=txref(kv.pop("tx")), approver=_parse_address(kv.pop("approver"), lineno)
-            )
-        elif kind == "stake":
-            event = StakeEvent(
-                at=ts,
-                account=_parse_address(kv.pop("account"), lineno),
-                amount=_parse_int(kv.pop("amount"), lineno, "stake amount", 0, U64_MAX),
-            )
-        elif kind == "request_failure_release":
-            event = FailureReleaseEvent(at=ts, key=txref(kv.pop("tx")))
-        elif kind == "set_base_fee":
-            event = SetBaseFeeEvent(at=ts, fee=_parse_int(kv.pop("fee"), lineno, "fee", 0, U64_MAX))
-        elif kind == "advance":
-            event = AdvanceEvent(at=ts, seconds=_parse_int(kv.pop("seconds"), lineno, "advance seconds", minimum=0))
-        else:
-            raise ScenarioError(f"unknown event kind {kind!r}", line=lineno)
-    except KeyError as exc:
-        raise ScenarioError(f"{kind} missing field {exc.args[0]!r}", line=lineno) from None
-    if kv:
-        raise ScenarioError(f"unknown {kind} field {sorted(kv)[0]!r}", line=lineno)
-    return event
-
-
-def _build_invariant(kv: Dict[str, str], lineno: int) -> Invariant:
-    try:
-        return Invariant(
-            id=kv.pop("id"),
-            contract=_parse_address(kv.pop("contract"), lineno),
-            predicate=parse_expr(_unbrace(kv.pop("predicate")), lineno),
-            registered_by=_parse_address(kv.pop("registered_by"), lineno),
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"invariant missing field {exc.args[0]!r}", line=lineno) from None
-
-
-# ---------------------------------------------------------------------------
-# run reports
-# ---------------------------------------------------------------------------
-
 def render_report(report: RunReport) -> str:
-    lines = [f"report v1 scenario={report.scenario}"]
-    for b in report.blocks:
-        lines.append(
-            "block "
-            f"number={b.number} time={b.timestamp} base_fee={b.base_fee} epoch={b.epoch} "
-            f"parent={_fmt_bytes(b.parent_hash)} root={_fmt_bytes(b.state_root)} "
-            f"deposits={_fmt_list([d.hex0x() for d in b.deposit_ids])} "
-            f"txs={_fmt_list([h.hex0x() for h in b.tx_hashes])}"
-        )
-    for e in report.entries:
-        lines.append(
-            "entry "
-            f"key={e.key.hex0x()} kind={e.kind} sender={e.sender.hex0x()} seq={e.sequence} "
-            f"admitted_at={e.admitted_at} admitted_block={e.admitted_block} "
-            f"violated={_fmt_list(list(e.violated))} "
-            f"victims={_fmt_list([v.hex0x() for v in e.victims])} damage={e.damage}"
-        )
-    for a in report.audit:
-        lines.append(
-            f"audit entry={a.entry.hex0x()} at={a.at} kind={a.kind} actor={a.actor} detail={{{a.detail}}}"
-        )
-    for p in report.pool:
-        lines.append(
-            f"pool key={p.key.hex0x()} sender={p.sender.hex0x()} nonce={p.nonce} "
-            f"status={p.status} received_at={p.received_at}"
-        )
-    c = report.counters
-    lines.append(
-        "counters "
-        f"isolated_sims={c.isolated_sims} contextual_sims={c.contextual_sims} "
-        f"maintenance_sims={c.maintenance_sims} release_sims={c.release_sims} "
-        f"deferred_count={c.deferred_count} parallel_verdicts={c.parallel_verdicts} "
-        f"sequential_verdicts={c.sequential_verdicts}"
-    )
-    lines.append(f"l1_export {report.l1_export}")
-    lines.append(f"final_root {report.final_root.hex0x()}")
+    lines = [_REPORT.render(report)]
+    for line, attr in _REPORT_BODY.items():
+        lines.extend([line.render(report)] if line.once else map(line.render, getattr(report, attr)))
     return "\n".join(lines) + "\n"
 
 
-def _line_error(exc: Exception, head: str, lineno: int) -> ScenarioError:
-    """A missing field (`KeyError`) or an unparsable value (`ValueError`) on
-    one report or history line, as an error that names the line."""
-    if isinstance(exc, KeyError):
-        return ScenarioError(f"{head} missing field {exc.args[0]!r}", line=lineno)
-    return ScenarioError(f"bad {head}: {exc}", line=lineno)
-
-
 def parse_report(text: str) -> RunReport:
-    report: Optional[RunReport] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        body = raw.lstrip()
-        if report is not None and body.startswith("l1_export") and body[9:10] in ("", " ", "\t"):
-            # The path is the rest of the line after one separator, verbatim:
-            # it may hold spaces, tabs or braces.
-            report.l1_export = body[10:]
-            if not report.l1_export:
-                raise ScenarioError("l1_export needs a value", line=lineno)
-            continue
-        fields = _split_fields(line, lineno)
-        head = fields[0]
-        if report is None:
-            if head != "report" or len(fields) < 2 or fields[1] != "v1":
-                raise ScenarioError("report file must start with 'report v1'", line=lineno)
-            report = RunReport(scenario=_kv(fields[2:], lineno).get("scenario", "?"))
-            continue
-        if head == "report":
-            raise ScenarioError("second 'report' header", line=lineno)
-        if head == "final_root" and len(fields) < 2:
-            raise ScenarioError("final_root needs a value", line=lineno)
-        kv = _kv(fields[1:], lineno) if head != "final_root" else {}
-        try:
-            if head == "block":
-                report.blocks.append(
-                    BlockSummary(
-                        number=_parse_int(kv["number"], lineno, "number"),
-                        timestamp=_parse_int(kv["time"], lineno, "time"),
-                        base_fee=_parse_int(kv["base_fee"], lineno, "base_fee"),
-                        epoch=_parse_int(kv["epoch"], lineno, "epoch"),
-                        parent_hash=_parse_bytes(kv["parent"], lineno),
-                        deposit_ids=tuple(TxHash.from_hex(h) for h in _parse_list(kv["deposits"])),
-                        tx_hashes=tuple(TxHash.from_hex(h) for h in _parse_list(kv["txs"])),
-                        state_root=StateRoot(_parse_bytes(kv["root"], lineno)),
-                    )
-                )
-            elif head == "entry":
-                report.entries.append(
-                    EntrySummary(
-                        key=TxHash.from_hex(kv["key"]),
-                        kind=kv["kind"],
-                        sender=_parse_address(kv["sender"], lineno),
-                        sequence=_parse_int(kv["seq"], lineno, "seq"),
-                        admitted_at=_parse_int(kv["admitted_at"], lineno, "admitted_at"),
-                        admitted_block=_parse_int(kv["admitted_block"], lineno, "admitted_block"),
-                        violated=tuple(_parse_list(kv["violated"])),
-                        victims=tuple(_parse_address(v, lineno) for v in _parse_list(kv["victims"])),
-                        damage=_parse_int(kv["damage"], lineno, "damage"),
-                    )
-                )
-            elif head == "audit":
-                report.audit.append(
-                    AuditEvent(
-                        entry=TxHash.from_hex(kv["entry"]),
-                        at=_parse_int(kv["at"], lineno, "at"),
-                        kind=kv["kind"],
-                        actor=kv["actor"],
-                        detail=_unbrace(kv["detail"]),
-                    )
-                )
-            elif head == "pool":
-                report.pool.append(
-                    PoolSummary(
-                        key=TxHash.from_hex(kv["key"]),
-                        sender=_parse_address(kv["sender"], lineno),
-                        nonce=_parse_int(kv["nonce"], lineno, "nonce"),
-                        status=kv["status"],
-                        received_at=_parse_int(kv["received_at"], lineno, "received_at"),
-                    )
-                )
-            elif head == "counters":
-                report.counters = Counters(**{name: _parse_int(kv[name], lineno, name) for name in Counters.__slots__})
-            elif head == "final_root":
-                report.final_root = StateRoot(_parse_bytes(fields[1], lineno))
-            else:
-                raise ScenarioError(f"unknown report directive {head!r}", line=lineno)
-        except (KeyError, ValueError) as exc:
-            raise _line_error(exc, head, lineno) from None
-    if report is None:
-        raise ScenarioError("empty report file", line=1)
+    for lineno, line, words in _lines(text, _REPORT_FILE, _REPORT, verbatim=_L1_EXPORT):
+        record = line.read(words, lineno)
+        if line is _REPORT:
+            report = record
+        elif line.once:
+            setattr(report, _REPORT_BODY[line], record)
+        else:
+            getattr(report, _REPORT_BODY[line]).append(record)
     return report
 
 
-# ---------------------------------------------------------------------------
-# world state declarations (shared by scenarios and the L1 history export)
-# ---------------------------------------------------------------------------
-
-def render_state(state: WorldState) -> List[str]:
-    lines: List[str] = []
-    for addr in sorted(state.accounts):
-        acct = state.accounts[addr]
-        if acct.code is None:
-            lines.append(f"genesis account {addr.hex0x()} balance={acct.balance} nonce={acct.nonce}")
-        else:
-            storage = _fmt_list(
-                [f"{hex(vm.slot_int(k))}={hex(vm.slot_int(v))}" for k, v in sorted(acct.storage.items())]
-            )
-            lines.append(
-                f"genesis contract {addr.hex0x()} admin={acct.code.admin.hex0x()} "
-                f"balance={acct.balance} storage={storage} code={{{vm.code_text(acct.code)}}}"
-            )
-    return lines
-
-
-def _parse_state_line(fields: List[str], lineno: int, accounts: Dict[Address, Account]) -> None:
-    """One `genesis account|contract` line, as scenarios and L1 histories write it."""
-    if len(fields) < 3:
-        raise ScenarioError("genesis line needs a kind and an address/id", line=lineno)
-    kind = fields[1]
-    if kind not in ("account", "contract"):
-        raise ScenarioError(f"unknown genesis kind {kind!r}", line=lineno)
-    addr = _parse_address(fields[2], lineno)
-    kv = _kv(fields[3:], lineno)
-    if kind == "account":
-        acct = Account(
-            balance=_parse_int(kv.pop("balance", "0"), lineno, "balance", 0, U128_MAX),
-            nonce=_parse_int(kv.pop("nonce", "0"), lineno, "nonce", 0, U64_MAX),
-        )
-    else:
-        if "admin" not in kv:
-            raise ScenarioError("contract needs admin=", line=lineno)
-        admin = _parse_address(kv.pop("admin"), lineno)
-        code = ContractCode(admin=admin, statements=parse_statements(_unbrace(kv.pop("code", "{}")), lineno))
-        storage: Dict[bytes, bytes] = {}
-        for pair in _parse_list(kv.pop("storage", "-")):
-            if "=" not in pair:
-                raise ScenarioError(f"bad storage pair {pair!r}", line=lineno)
-            k, v = pair.split("=", 1)
-            storage[vm.slot_bytes(_atom_value(k, lineno))] = vm.slot_bytes(_atom_value(v, lineno))
-        balance = _parse_int(kv.pop("balance", "0"), lineno, "balance", 0, U128_MAX)
-        acct = Account(balance=balance, nonce=0, code=code, storage=storage)
-    if kv:
-        raise ScenarioError(f"unknown {kind} field {sorted(kv)[0]!r}", line=lineno)
-    accounts[addr] = acct
-
-
-# ---------------------------------------------------------------------------
-# L1 history files
-# ---------------------------------------------------------------------------
-
 def render_history(history: L1History) -> str:
-    lines = [
-        "l1history v1",
-        f"config fee_recipient={history.fee_recipient.hex0x()} blocks_per_epoch={history.blocks_per_epoch}",
-    ]
-    lines.extend(render_state(history.genesis))
-    for block in history.blocks:
-        deposits = _fmt_list([encode_deposit(d).hex() for d in block.deposits])
-        lines.append(f"l1block number={block.number} time={block.timestamp} deposits={deposits}")
-    for record in history.inbox:
-        line = (
-            f"record epoch={record.epoch} l2_number={record.l2_number} l2_time={record.l2_timestamp} "
-            f"l2_base_fee={record.l2_base_fee} batch={_fmt_list([b.hex() for b in record.batch])}"
-        )
-        if record.has_bitmap:
-            words = _fmt_list([hex(w) for w in record.bitmap])
-            line += f" deposit_count={record.deposit_count} bitmap={words}"
-        lines.append(line)
+    lines = [_HISTORY.render(history), _HISTORY_CONFIG.render(history)]
+    lines.extend(
+        (_ACCOUNT if account.code is None else _CONTRACT).render(_Genesis(address, account))
+        for address, account in sorted(history.genesis.accounts.items())
+    )
+    lines.extend(map(_L1BLOCK.render, history.blocks))
+    lines.extend(map(_RECORD.render, history.inbox))
     return "\n".join(lines) + "\n"
 
 
 def parse_history(text: str) -> L1History:
-    fee_recipient: Optional[Address] = None
-    blocks_per_epoch = 4
+    config = None
     accounts: Dict[Address, Account] = {}
     blocks: List[L1Block] = []
     inbox: List[L1Record] = []
-    header_seen = False
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = _split_fields(line, lineno)
-        head = fields[0]
-        if not header_seen:
-            if head != "l1history" or len(fields) < 2 or fields[1] != "v1":
-                raise ScenarioError("file must start with 'l1history v1'", line=lineno)
-            header_seen = True
-            continue
-        try:
-            if head == "config":
-                kv = _kv(fields[1:], lineno)
-                fee_recipient = _parse_address(kv["fee_recipient"], lineno)
-                blocks_per_epoch = _parse_int(kv["blocks_per_epoch"], lineno, "blocks_per_epoch", 1, U64_MAX)
-            elif head == "genesis":
-                _parse_state_line(fields, lineno, accounts)
-            elif head == "l1block":
-                kv = _kv(fields[1:], lineno)
-                deposits = tuple(decode_deposit(bytes.fromhex(h)) for h in _parse_list(kv["deposits"]))
-                blocks.append(
-                    L1Block(
-                        number=_parse_int(kv["number"], lineno, "number", 0, U64_MAX),
-                        timestamp=_parse_int(kv["time"], lineno, "time", 0, U64_MAX),
-                        deposits=deposits,
-                    )
-                )
-            elif head == "record":
-                kv = _kv(fields[1:], lineno)
-                batch = tuple(bytes.fromhex(h) for h in _parse_list(kv["batch"]))
-                count = _parse_int(kv["deposit_count"], lineno, "deposit_count", 0) if "deposit_count" in kv else None
-                bitmap = tuple(_parse_int(w, lineno, "bitmap word", 0) for w in _parse_list(kv.get("bitmap", "-")))
-                inbox.append(
-                    L1Record(
-                        epoch=_parse_int(kv["epoch"], lineno, "epoch", 0, U64_MAX),
-                        l2_number=_parse_int(kv["l2_number"], lineno, "l2_number", 0, U64_MAX),
-                        l2_timestamp=_parse_int(kv["l2_time"], lineno, "l2_time", 0, U64_MAX),
-                        l2_base_fee=_parse_int(kv["l2_base_fee"], lineno, "l2_base_fee", 0, U64_MAX),
-                        batch=batch,
-                        deposit_count=count,
-                        bitmap=bitmap,
-                    )
-                )
-            else:
-                raise ScenarioError(f"unknown history directive {head!r}", line=lineno)
-        except (KeyError, ValueError) as exc:
-            raise _line_error(exc, head, lineno) from None
-
-    if not header_seen:
-        raise ScenarioError("empty history file", line=1)
-    if fee_recipient is None:
+    for lineno, line, words in _lines(text, _HISTORY_FILE, _HISTORY):
+        record = line.read(words, lineno)
+        if line is _RECORD:
+            inbox.append(record)
+        elif line is _L1BLOCK:
+            blocks.append(record)
+        elif line is _HISTORY_CONFIG:
+            config = record
+        elif line is not _HISTORY:
+            _add_genesis(accounts, record, lineno)
+    if config is None:
         raise ScenarioError("history missing config line", line=1)
-    return L1History(
-        fee_recipient=fee_recipient,
-        blocks_per_epoch=blocks_per_epoch,
-        genesis=make_state(accounts),
-        blocks=tuple(blocks),
-        inbox=tuple(inbox),
-    )
+    return L1History(*config, make_state(accounts), tuple(blocks), tuple(inbox))

@@ -515,3 +515,125 @@ class TestDepositFieldErrors:
         assert code == 2
         assert "Traceback" not in err
         assert "line 3: bad deposit:" in err and needle in err
+
+
+class TestUnwritableOutput:
+    """An output `run` cannot write exits 2 with no traceback, and leaves no
+    report naming a history that was never written."""
+
+    @pytest.mark.parametrize("report_in_missing_dir", [True, False])
+    def test_unwritable_report_or_history_exits_2(self, tmp_path, capsys, report_in_missing_dir):
+        report = tmp_path / ("missing" if report_in_missing_dir else "") / "x.report"
+        l1_out = str(tmp_path / "x.l1") if report_in_missing_dir else ""  # "" names the working directory
+        capsys.readouterr()
+        code = main(["run", "--scenario", str(SCENARIOS / "empty.scn"), "--report", str(report), "--l1-out", l1_out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and err.startswith("error: cannot write output: ")
+        assert not report.exists()
+
+
+class TestOneRuleForEveryLine:
+    """Scenario, report and history lines share one rule set: an unknown
+    field, an integer out of range, a second copy of a line a file holds
+    once and a repeated genesis address each exit with the file's code and
+    the line's number."""
+
+    @staticmethod
+    def edited(tmp_path, suffix, edit):
+        _, report_path, l1_path = run_cli(tmp_path, "deposits_benign")
+        source = report_path if suffix == "report" else l1_path
+        lines = source.read_text().splitlines()
+        lineno, lines = edit(lines)
+        bad = tmp_path / f"bad.{suffix}"
+        bad.write_text("\n".join(lines) + "\n")
+        return bad, lineno
+
+    def report_exit(self, tmp_path, capsys, edit):
+        bad, lineno = self.edited(tmp_path, "report", edit)
+        capsys.readouterr()
+        code = main(["quarantine", str(bad), "list"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code == 2 and f"line {lineno}:" in err, err
+        return err
+
+    def history_exit(self, tmp_path, capsys, edit):
+        bad, lineno = self.edited(tmp_path, "l1", edit)
+        capsys.readouterr()
+        code = main(["derive", "--l1", str(bad)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code == 4 and f"line {lineno}:" in err, err
+        return err
+
+    def scenario_exit(self, tmp_path, capsys, text, lineno):
+        capsys.readouterr()
+        assert run_text(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"line {lineno}:" in err, err
+        return err
+
+    @staticmethod
+    def append_to(head, extra):
+        def edit(lines):
+            index = next(i for i, line in enumerate(lines) if line.startswith(head + " "))
+            lines[index] += extra
+            return index + 1, lines
+
+        return edit
+
+    @pytest.mark.parametrize("head", ["block", "counters", "final_root", "report"])
+    def test_unknown_report_field(self, tmp_path, capsys, head):
+        err = self.report_exit(tmp_path, capsys, self.append_to(head, " colour=red"))
+        assert "colour" in err
+
+    @pytest.mark.parametrize("head", ["config", "genesis", "l1block", "record"])
+    def test_unknown_history_field(self, tmp_path, capsys, head):
+        err = self.history_exit(tmp_path, capsys, self.append_to(head, " colour=red"))
+        assert "colour" in err
+
+    def test_unknown_invariant_field(self, tmp_path, capsys):
+        text = (
+            "scenario v1\ngenesis contract 0xc3 admin=0xa1 code={}\n"
+            "genesis invariant id=i contract=0xc3 registered_by=0xa1 predicate={1} colour=red\nrun blocks=1\n"
+        )
+        assert "unknown invariant field 'colour'" in self.scenario_exit(tmp_path, capsys, text, 3)
+
+    @pytest.mark.parametrize("value", ["-5", str(U64), hex(U64)])
+    @pytest.mark.parametrize("field", ["number", "time", "base_fee", "epoch"])
+    def test_report_integer_out_of_range(self, tmp_path, capsys, field, value):
+        def edit(lines):
+            lines[1] = re.sub(rf" {field}=\d+", f" {field}={value}", lines[1])
+            return 2, lines
+
+        assert f"block {field} must be" in self.report_exit(tmp_path, capsys, edit)
+
+    @pytest.mark.parametrize("head", ["counters", "final_root", "l1_export"])
+    def test_second_report_singleton(self, tmp_path, capsys, head):
+        def edit(lines):
+            copy = next(line for line in lines if line.startswith(head + " "))
+            return len(lines) + 1, [*lines, copy]
+
+        assert f"second '{head}' line" in self.report_exit(tmp_path, capsys, edit)
+
+    def test_second_history_config(self, tmp_path, capsys):
+        def edit(lines):
+            return 3, [lines[0], lines[1], lines[1], *lines[2:]]
+
+        assert "second 'config' line" in self.history_exit(tmp_path, capsys, edit)
+
+    def test_second_scenario_run(self, tmp_path, capsys):
+        text = "scenario v1\nrun blocks=1\ngenesis account 0x01 balance=1\nrun blocks=2\n"
+        assert "second 'run' line" in self.scenario_exit(tmp_path, capsys, text, 4)
+
+    def test_repeated_scenario_genesis_address(self, tmp_path, capsys):
+        text = "scenario v1\ngenesis account 0x01 balance=1\ngenesis contract 0x0001 admin=0xa1 code={}\nrun blocks=1\n"
+        assert "genesis address 0x" + "00" * 19 + "01 declared twice" in self.scenario_exit(tmp_path, capsys, text, 3)
+
+    def test_repeated_history_genesis_address(self, tmp_path, capsys):
+        def edit(lines):
+            index = next(i for i, line in enumerate(lines) if line.startswith("genesis "))
+            return index + 2, [*lines[: index + 1], lines[index], *lines[index + 1 :]]
+
+        assert "declared twice" in self.history_exit(tmp_path, capsys, edit)
