@@ -28,7 +28,7 @@ from .vm import (
     Account,
     BlockContext,
     ContractCode,
-    SimulationResult,
+    Execution,
     WorldState,
     apply_block,
     execute_transaction,

@@ -9,11 +9,13 @@ Exit codes: 0 ok, 2 scenario error or an output `run` cannot write, 3 root
 mismatch, 4 derivation gap, 5 not found. A scenario, report or history line
 is refused, with its number, when it lacks a field or names an unknown one,
 holds a value out of its range, repeats a line its file holds once, or
-declares a genesis address twice.
+declares a genesis address twice. Every file is UTF-8 whatever the locale;
+one that does not decode exits with its file's code (2, or 4 for a history).
 """
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -44,8 +46,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _fail(EXIT_SCENARIO, f"--l1-out must not contain a line break, got {args.l1_out!r}")
     path = Path(args.scenario)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(EXIT_SCENARIO, f"cannot read scenario: {exc}")
     try:
         scenario = parse_scenario(text, default_name=path.stem)
@@ -56,8 +58,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _fail(EXIT_SCENARIO, str(exc))
     outcome.report.l1_export = args.l1_out
     try:  # the history first, so that no report names a history that was never written
-        Path(args.l1_out).write_text(render_history(outcome.history))
-        Path(args.report).write_text(render_report(outcome.report))
+        Path(args.l1_out).write_text(render_history(outcome.history), encoding="utf-8")
+        Path(args.report).write_text(render_report(outcome.report), encoding="utf-8")
     except OSError as exc:
         return _fail(EXIT_SCENARIO, f"cannot write output: {exc}")
     print(f"final_root {outcome.report.final_root.hex0x()}")
@@ -66,8 +68,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_derive(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.l1).read_text()
-    except OSError as exc:
+        text = Path(args.l1).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(EXIT_DERIVATION, f"cannot read history: {exc}")
     try:
         history = parse_history(text)
@@ -86,8 +88,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 def cmd_quarantine(args: argparse.Namespace) -> int:
     try:
-        report = parse_report(Path(args.report).read_text())
-    except OSError as exc:
+        report = parse_report(Path(args.report).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(EXIT_SCENARIO, f"cannot read report: {exc}")
     except (ScenarioError, EncodingError, ValueError) as exc:
         return _fail(EXIT_SCENARIO, f"unusable report: {exc}")
@@ -147,6 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):  # names read from a UTF-8 file print whatever the locale
+        sys.stdout.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
     if args.command == "quarantine" and args.action == "show" and not args.hash:
         return _fail(EXIT_NOT_FOUND, "show needs a transaction hash")

@@ -310,6 +310,11 @@ def tx_id(tx: AnyTransaction) -> TxHash:
     return deposit_id(tx) if isinstance(tx, DepositTransaction) else tx_hash(tx)
 
 
+def max_cost(tx: SignedTransaction) -> int:
+    """The most a transaction can take from its sender: value + gas_limit * max_fee."""
+    return tx.value + tx.gas_limit * tx.max_fee
+
+
 def duplicate_key(tx: SignedTransaction) -> DuplicateKey:
     """Project a transaction onto the identity used to recognize resubmissions."""
     return DuplicateKey(sender=tx.sender, recipient=tx.recipient, data=tx.data, value=tx.value)

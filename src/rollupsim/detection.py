@@ -21,23 +21,23 @@ one post-state, at the end of the round.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .core import Address, AnyTransaction, TxHash, tx_id
+from .core import ZERO_ADDRESS, Address, AnyTransaction, TxHash, tx_id
 from .vm import (
     AccessKey,
     BlockContext,
+    Execution,
     Expr,
     PreconditionFailed,
-    SimulationResult,
     TxStatus,
     WorldState,
-    _Execution,
+    _CallEnv,
     eval_expr,
     execute_transaction,
 )
 
-StateView = Union[WorldState, _Execution]
+StateView = Union[WorldState, Execution]
 
 
 class DetectionError(Exception):
@@ -84,50 +84,33 @@ class Verdict(NamedTuple):
 BENIGN_VERDICT = Verdict(malicious=False, violated=(), victims=(), damage_estimate=0)
 
 
-class _ProbeEnv:
-    """Evaluates a predicate against one contract's post-state, recording reads."""
-
-    def __init__(self, state: StateView, contract: Address, reads: Set[AccessKey]):
-        self.state = state
-        self.self_addr = contract
-        self.caller = bytes(20)
-        self.callvalue = 0
-        self.calldata = b""
-        self.reads = reads
-
-    def sload(self, key: bytes) -> int:
-        self.reads.add(AccessKey.storage(self.self_addr, key))
-        return int.from_bytes(self.state.account(self.self_addr).storage.get(key, bytes(32)), "big")
-
-    def balance(self, addr: Address) -> int:
-        self.reads.add(AccessKey.balance(addr))
-        return self.state.balance_of(addr)
-
-
 class InvariantDetector:
-    """Flags a simulation as malicious when it leaves any watched contract it
-    wrote in violation of a declared predicate. Reverted simulations change
+    """Flags an execution as malicious when it leaves any watched contract it
+    wrote in violation of a declared predicate. Reverted executions change
     nothing and are always benign."""
 
     def assess(
-        self, sim: SimulationResult, pre_state: StateView, invariants: InvariantSet
-    ) -> Tuple[Verdict, FrozenSet[AccessKey]]:
+        self, sim: Execution, pre_state: StateView, invariants: InvariantSet
+    ) -> Tuple[Verdict, AbstractSet[AccessKey]]:
         """Return the verdict plus every state key the judgment depended on.
-        The post-state is read through the execution's scratch, not built."""
+        Predicates run as calls on a child execution over `sim`, so the
+        post-state is read through `sim`, not built, and the child records
+        the probe's reads."""
         if sim.status is TxStatus.REVERT:
             return BENIGN_VERDICT, frozenset()
-        touched = sorted({key.addr for key in sim.writes})
-        reads: Set[AccessKey] = set()
+        probe: Optional[Execution] = None
         violated: List[str] = []
         victims: List[Address] = []
-        for contract in touched:
+        for contract in sorted({key.addr for key in sim.writes}):
             watching = invariants.for_contract(contract)
             if not watching:
                 continue
+            if probe is None:
+                probe = Execution(sim)
             # The damage bound reads the contract balance even when the
             # predicate itself does not.
-            reads.add(AccessKey.balance(contract))
-            env = _ProbeEnv(sim.scratch, contract, reads)
+            probe.reads.add(AccessKey.balance(contract))
+            env = _CallEnv(probe, contract, ZERO_ADDRESS, 0, b"")
             broken = False
             for invariant in sorted(watching, key=lambda inv: inv.id):
                 if eval_expr(invariant.predicate, env) == 0:
@@ -135,12 +118,13 @@ class InvariantDetector:
                     broken = True
             if broken:
                 victims.append(contract)
+        reads = frozenset() if probe is None else probe.reads
         if not violated:
-            return Verdict(False, (), (), 0), frozenset(reads)
+            return BENIGN_VERDICT, reads
         damage = 0
         for victim in victims:
-            damage += max(0, pre_state.balance_of(victim) - sim.scratch.balance_of(victim))
-        return Verdict(True, tuple(violated), tuple(victims), damage), frozenset(reads)
+            damage += max(0, pre_state.balance_of(victim) - sim.balance_of(victim))
+        return Verdict(True, tuple(violated), tuple(victims), damage), reads
 
 
 class CandidateSet(NamedTuple):
@@ -194,7 +178,7 @@ class DetectionOutcome:
 
     def __init__(self, final_state: Optional[WorldState] = None) -> None:
         self.benign: List[AnyTransaction] = []
-        self.malicious: List[Tuple[AnyTransaction, Verdict, SimulationResult]] = []
+        self.malicious: List[Tuple[AnyTransaction, Verdict, Execution]] = []
         self.deferred: List[AnyTransaction] = []
         self.stats = Counters()
         self.final_state = final_state  # tip with `benign` applied in order
@@ -209,9 +193,9 @@ class _Slot:
     def __init__(self, tx: AnyTransaction, key: TxHash) -> None:
         self.tx = tx
         self.key = key
-        self.sim: Optional[SimulationResult] = None
+        self.sim: Optional[Execution] = None
         self.precond: Optional[str] = None
-        self.reads: FrozenSet[AccessKey] = frozenset()
+        self.reads: AbstractSet[AccessKey] = frozenset()
         self.isolated_verdict: Optional[Verdict] = None
 
 
@@ -222,7 +206,7 @@ def _isolated_run(state: WorldState, tx: AnyTransaction, ctx: BlockContext):
         return exc.reason
 
 
-def _merge_validated(fold: _Execution, queue: List[Tuple[FrozenSet[AccessKey], SimulationResult]]) -> None:
+def _merge_validated(fold: Execution, queue: List[Tuple[AbstractSet[AccessKey], Execution]]) -> None:
     """Merge the isolated write sets of candidates already judged uninfluenced
     into the fold, in order, each after checking its reads in the fold."""
     for reads, sim in queue:
@@ -230,7 +214,7 @@ def _merge_validated(fold: _Execution, queue: List[Tuple[FrozenSet[AccessKey], S
             # Cannot happen for a candidate already judged uninfluenced;
             # if it does, the access tracking is broken somewhere.
             raise RuntimeError("uninfluenced candidate diverged in block context")
-        fold.absorb(sim.scratch)
+        fold.absorb(sim)
     queue.clear()
 
 
@@ -299,8 +283,8 @@ def hybrid_detect(
     # Sequential pass. The fold is one scratch over the tip. Uninfluenced
     # benign candidates queue up, and their validated write sets are merged
     # only when an influenced candidate needs that context, or at the end.
-    fold = _Execution(cset.tip_state)
-    fold_queue: List[Tuple[FrozenSet[AccessKey], SimulationResult]] = []
+    fold = Execution(cset.tip_state)
+    fold_queue: List[Tuple[AbstractSet[AccessKey], Execution]] = []
     # Every key a benign candidate wrote, mapped to the index (in `benign`)
     # of its first writer: a candidate is influenced iff it read one of them.
     written: Dict[AccessKey, int] = {}
@@ -344,7 +328,7 @@ def hybrid_detect(
                 written.setdefault(key, len(outcome.benign))
             outcome.benign.append(slot.tx)
             if influenced:
-                fold.absorb(sim.scratch)  # executed on the fold itself
+                fold.absorb(sim)  # executed on the fold itself
             else:
                 fold_queue.append((slot.reads, sim))
 

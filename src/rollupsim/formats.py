@@ -107,6 +107,15 @@ def _split_fields(line: str, lineno: int) -> List[str]:
     return fields
 
 
+def _one_field(text: str) -> bool:
+    """Whether `text` reads back as one field: not empty, no whitespace
+    outside braces, braces balanced."""
+    try:
+        return _split_fields(text, 0) == [text]
+    except ScenarioError:
+        return False
+
+
 def _unbrace(value: str) -> str:
     if value.startswith("{") and value.endswith("}"):
         return value[1:-1].strip()
@@ -627,6 +636,9 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
         record = line.read(words, lineno, ctx, **extra)
         if line is _SCENARIO:
             name = default_name if record is None else record
+            if not _one_field(name):
+                message = f"scenario name {name!r} must be one report field: not empty, no whitespace outside braces"
+                raise ScenarioError(message, line=lineno)
         elif line is _CONFIG:
             settings.update(record)
         elif line is _RUN:

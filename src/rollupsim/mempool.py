@@ -25,7 +25,7 @@ import heapq
 from enum import Enum
 from typing import Collection, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from .core import Address, Record, SignedTransaction, TxHash, tx_hash
+from .core import Address, Record, SignedTransaction, TxHash, max_cost, tx_hash
 from .vm import WorldState, changed_since
 
 
@@ -72,10 +72,6 @@ class SubmitResult(NamedTuple):
 
 
 ACCEPTED = SubmitResult("accepted")
-
-
-def _cost(tx: SignedTransaction) -> int:
-    return tx.value + tx.gas_limit * tx.max_fee
 
 
 class Mempool:
@@ -131,7 +127,7 @@ class Mempool:
         account = state.account(tx.sender)
         if tx.nonce < account.nonce:
             return SubmitResult("rejected", reason=RejectReason.NONCE_TOO_LOW)
-        if account.balance < _cost(tx):
+        if account.balance < max_cost(tx):
             return SubmitResult("rejected", reason=RejectReason.INSUFFICIENT_BALANCE)
 
         replaced_hash: Optional[TxHash] = None
@@ -238,7 +234,7 @@ class Mempool:
         for sender in stale:
             account = state.account(sender)
             for nonce, h in self.by_sender[sender].items():
-                if nonce < account.nonce or account.balance < _cost(self.entries[h].tx):
+                if nonce < account.nonce or account.balance < max_cost(self.entries[h].tx):
                     doomed.add(h)
         senders = set(stale)
         deadline = now - self.config.tx_lifetime  # expired: received_at < deadline

@@ -11,12 +11,14 @@ Cost model: 21 gas intrinsic plus 1 gas per executed statement. The base-fee
 share of the fee is burned; the priority share goes to the block's fee
 recipient. Deposits mint their value and pay no fee.
 
-An execution writes into a scratch over its base, and its post-state is
-built from that scratch on demand: judging a result reads the scratch's
-views (`account`, `balance_of`, `nonce_of`) and builds no state. A scratch
-can itself be the base of further executions and absorb their effects;
-`apply_block` runs a whole block on one such scratch and builds one account
-map at the end. A scratch only ever mutates storage dicts it made itself.
+`execute_transaction` returns the `Execution` itself: its outcome, its
+access sets and a scratch of the accounts it touched over its base. Its
+post-state is built only by `post_state()`: judging an execution reads its
+views (`account`, `balance_of`, `nonce_of`) and builds no state. An
+execution can itself be the base of further executions and absorb their
+effects; `apply_block` runs a whole block on one such scratch and builds one
+account map at the end. An execution only ever mutates storage dicts it
+made itself.
 
 World states are copy-on-write: a post-state shares every untouched `Account`
 object with the state it came from. Nothing may therefore mutate an `Account`
@@ -43,8 +45,7 @@ from .core import (
     DepositTransaction,
     Record,
     StateRoot,
-    TxHash,
-    tx_id,
+    max_cost,
 )
 
 WORD = 2**256
@@ -224,7 +225,7 @@ class WorldState(Record):
     _fields = ("accounts",)
     # Root bookkeeping, outside `_fields` (equality and repr ignore it), None
     # until set. `_table` is set once by `state_root`: (root, sorted
-    # addresses, their digests). `_lineage` is set by `_Execution.post_state`
+    # addresses, their digests). `_lineage` is set by `Execution.post_state`
     # on a base with a table or a lineage: (the nearest rooted ancestor's
     # table, frozenset of the addresses changed since). It holds no state,
     # so no chain of old states stays alive. State roots are computed on one
@@ -269,7 +270,7 @@ def slot_int(value: bytes) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Access keys and simulation results
+# Access keys and transaction status
 # ---------------------------------------------------------------------------
 
 class AccessKind:
@@ -315,37 +316,6 @@ class TxStatus(Enum):
     REVERT = "revert"
 
 
-class SimulationResult(Record):
-    """One execution's outcome. The post-state is built from `scratch` on
-    first access. A result executed on a block scratch has none of its own:
-    that scratch absorbs it instead."""
-
-    _fields = ("tx_id", "status", "gas_used", "reads", "writes")
-    # `scratch` takes no part in equality or repr; `_post_state` is the memo.
-    __slots__ = (*_fields, "scratch", "_post_state")
-
-    def __init__(
-        self, tx_id: TxHash, status: "TxStatus", gas_used: int, reads: frozenset, writes: frozenset,
-        scratch: "_Execution",
-    ) -> None:
-        self.tx_id = tx_id
-        self.status = status
-        self.gas_used = gas_used
-        self.reads = reads
-        self.writes = writes
-        self.scratch = scratch
-        self._post_state = None
-
-    @property
-    def post_state(self) -> WorldState:
-        if self._post_state is None:
-            self._post_state = self.scratch.post_state()
-        return self._post_state
-
-    def _replace(self, **changes) -> "SimulationResult":
-        return super()._replace(**{"scratch": self.scratch, **changes})
-
-
 class BlockContext(NamedTuple):
     base_fee: int
     timestamp: int
@@ -380,19 +350,19 @@ class _Revert(Exception):
     pass
 
 
-class _OutOfGas(Exception):
-    pass
+class Execution:
+    """One execution: its outcome (`status`, `gas_used`), the access sets it
+    recorded, and a scratch copy of the accounts it touched.
 
+    Its base is a `WorldState` or another execution; either way it is read
+    through `account`, `balance_of` and `nonce_of`, which an execution offers
+    too, showing the accounts as it leaves them. `execute_transaction`
+    returns one; the classifier's fold and `apply_block` are one each, with
+    every transaction of the round or block absorbed into it."""
 
-class _Execution:
-    """Scratch copy of the touched accounts plus the recorded access sets.
-
-    Its base is a `WorldState` or another scratch; either way it is read
-    through `account`, `balance_of` and `nonce_of`, which a scratch offers
-    too, showing the accounts as its execution leaves them."""
-
-    def __init__(self, base: Union[WorldState, "_Execution"]):
+    def __init__(self, base: Union[WorldState, "Execution"]):
         self.base = base
+        self.status = TxStatus.SUCCESS
         self.balances: Dict[Address, int] = {}
         self.nonces: Dict[Address, int] = {}
         self.storage: Dict[Address, Dict[bytes, bytes]] = {}
@@ -481,7 +451,7 @@ class _Execution:
         """Whether every key still holds its base value here."""
         return all(_read_key(self, key) == _read_key(self.base, key) for key in keys)
 
-    def absorb(self, other: "_Execution") -> None:
+    def absorb(self, other: "Execution") -> None:
         """Take over the effects of an execution that ran on this scratch, or
         of one whose reads still hold here (`reads_as_base`). Its storage
         dicts copy whole accounts, so only the slots it wrote are merged, one
@@ -494,7 +464,8 @@ class _Execution:
 
     def post_state(self) -> WorldState:
         """Copy-on-write snapshot: share every account whose contents did not
-        change, rebuild (and prune, if now empty) only the ones that did."""
+        change, rebuild (and prune, if now empty) only the ones that did.
+        Built anew on every call."""
         base = self.base
         if not isinstance(base, WorldState):
             raise TypeError("an execution on a block scratch has no post-state of its own")
@@ -520,7 +491,7 @@ class _Execution:
         return state
 
 
-def _read_key(view: Union[WorldState, _Execution], key: AccessKey):
+def _read_key(view: Union[WorldState, Execution], key: AccessKey):
     kind, addr, slot = key
     if kind == AccessKind.BALANCE:
         return view.balance_of(addr)
@@ -534,7 +505,7 @@ def _read_key(view: Union[WorldState, _Execution], key: AccessKey):
 class _CallEnv:
     """Binds expression evaluation to a running call frame."""
 
-    def __init__(self, exe: _Execution, self_addr: Address, caller: Address, callvalue: int, calldata: bytes):
+    def __init__(self, exe: Execution, self_addr: Address, caller: Address, callvalue: int, calldata: bytes):
         self.exe = exe
         self.self_addr = self_addr
         self.caller = caller
@@ -591,12 +562,14 @@ def eval_expr(expr: Expr, env) -> int:
 
 
 def _run_statements(env: _CallEnv, code: ContractCode, gas_limit: int) -> None:
-    """Execute a contract body, charging gas as it goes; raises _Revert/_OutOfGas."""
+    """Execute a contract body, charging gas as it goes; raises _Revert.
+    Running out of gas reverts and charges the whole limit."""
     exe = env.exe
     for stmt in code.statements:
         exe.gas_used += 1
         if exe.gas_used > gas_limit:
-            raise _OutOfGas()
+            exe.gas_used = gas_limit
+            raise _Revert()
         if isinstance(stmt, Require):
             if eval_expr(stmt.cond, env) == 0:
                 raise _Revert()
@@ -624,7 +597,7 @@ def _fresh_address(sender: Address, nonce: int) -> Address:
     return Address(digest[:20])
 
 
-def _lasting_effect(exe: _Execution, tx: AnyTransaction, deposit: bool) -> None:
+def _lasting_effect(exe: Execution, tx: AnyTransaction, deposit: bool) -> None:
     """The one effect a revert keeps: a deposit's mint, a signed tx's nonce bump."""
     if deposit:
         exe.write_balance(tx.sender, exe.read_balance(tx.sender) + tx.value)
@@ -632,17 +605,17 @@ def _lasting_effect(exe: _Execution, tx: AnyTransaction, deposit: bool) -> None:
         exe.write_nonce(tx.sender, exe.read_nonce(tx.sender) + 1)
 
 
-def execute_transaction(state: Union[WorldState, _Execution], tx: AnyTransaction, ctx: BlockContext) -> SimulationResult:
-    """Run one transaction against a state snapshot or a scratch; never
+def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction, ctx: BlockContext) -> Execution:
+    """Run one transaction against a state snapshot or an execution; never
     mutates the input.
 
-    Regular transactions must match the sender nonce, afford
-    value + gas_limit * max_fee, and bid at least the base fee; otherwise
-    PreconditionFailed is raised (the tx is unexecutable, which is different
-    from a revert). On revert every effect is rolled back except the nonce
-    bump and the gas charge. Deposits skip all precondition checks, mint
-    their value, and pay no fee; a reverted deposit keeps the mint with the
-    deposit's sender.
+    Regular transactions must match the sender nonce, afford their maximum
+    cost (value + gas_limit * max_fee), and bid at least the base fee;
+    otherwise PreconditionFailed is raised (the tx is unexecutable, which is
+    different from a revert). On revert every effect is rolled back except
+    the nonce bump and the gas charge. Deposits skip all precondition
+    checks, mint their value, and pay no fee; a reverted deposit keeps the
+    mint with the deposit's sender.
     """
     deposit = isinstance(tx, DepositTransaction)
     if deposit:
@@ -653,18 +626,15 @@ def execute_transaction(state: Union[WorldState, _Execution], tx: AnyTransaction
             raise PreconditionFailed(PreconditionFailed.NONCE_TOO_LOW, f"account nonce {sender_acct.nonce}")
         if tx.nonce > sender_acct.nonce:
             raise PreconditionFailed(PreconditionFailed.NONCE_TOO_HIGH, f"account nonce {sender_acct.nonce}")
-        if sender_acct.balance < tx.value + tx.gas_limit * tx.max_fee:
-            raise PreconditionFailed(
-                PreconditionFailed.INSUFFICIENT_BALANCE,
-                f"balance {sender_acct.balance} < {tx.value + tx.gas_limit * tx.max_fee}",
-            )
+        cost = max_cost(tx)
+        if sender_acct.balance < cost:
+            raise PreconditionFailed(PreconditionFailed.INSUFFICIENT_BALANCE, f"balance {sender_acct.balance} < {cost}")
         if tx.max_fee < ctx.base_fee:
             raise PreconditionFailed(PreconditionFailed.FEE_BELOW_BASE, f"base fee {ctx.base_fee}")
         recipient = tx.recipient if tx.recipient is not None else _fresh_address(tx.sender, tx.nonce)
 
-    exe = _Execution(state)
+    exe = Execution(state)
     _lasting_effect(exe, tx, deposit)
-    status = TxStatus.SUCCESS
     try:
         exe.transfer(tx.sender, recipient, tx.value)
         code = exe.read_code(recipient)
@@ -672,35 +642,24 @@ def execute_transaction(state: Union[WorldState, _Execution], tx: AnyTransaction
             env = _CallEnv(exe, recipient, tx.sender, tx.value, tx.data)
             _run_statements(env, code, tx.gas_limit)
     except _Revert:
-        status = TxStatus.REVERT
-    except _OutOfGas:
-        status = TxStatus.REVERT
-        exe.gas_used = tx.gas_limit
-
-    gas_used = exe.gas_used
-    if status is TxStatus.REVERT:
-        # Keep the read trace, discard the effects: only the lasting effect
-        # and the gas charge survive a revert, so only they count as writes.
-        reads = exe.reads
-        exe = _Execution(state)
-        exe.reads = reads
+        # Keep the read trace and the gas used, discard the effects: only the
+        # lasting effect and the gas charge survive a revert, so only they
+        # count as writes.
+        reverted = Execution(state)
+        reverted.status = TxStatus.REVERT
+        reverted.reads = exe.reads
+        reverted.gas_used = exe.gas_used
+        exe = reverted
         _lasting_effect(exe, tx, deposit)
 
     if not deposit:
+        gas_used = exe.gas_used
         effective_price = ctx.base_fee + min(tx.priority_fee, tx.max_fee - ctx.base_fee)
         exe.write_balance(tx.sender, exe.read_balance(tx.sender) - gas_used * effective_price)
         tip = gas_used * (effective_price - ctx.base_fee)
         if tip:
             exe.write_balance(ctx.fee_recipient, exe.read_balance(ctx.fee_recipient) + tip)
-
-    return SimulationResult(
-        tx_id=tx_id(tx),
-        status=status,
-        gas_used=gas_used,
-        reads=frozenset(exe.reads),
-        writes=frozenset(exe.writes),
-        scratch=exe,
-    )
+    return exe
 
 
 # ---------------------------------------------------------------------------
@@ -785,11 +744,10 @@ def apply_block(state: WorldState, block: Block, fee_recipient: Address) -> Worl
     if not txs:
         return state
     ctx = BlockContext(base_fee=block.base_fee, timestamp=block.timestamp, fee_recipient=fee_recipient)
-    scratch = _Execution(state)
+    scratch = Execution(state)
     for index, tx in enumerate(txs):
         try:
-            result = execute_transaction(scratch, tx, ctx)
+            scratch.absorb(execute_transaction(scratch, tx, ctx))
         except PreconditionFailed as exc:
             raise InvalidBlock(index, exc.reason) from exc
-        scratch.absorb(result.scratch)
     return scratch.post_state()

@@ -32,9 +32,8 @@ from rollupsim.vm import (
 )
 
 
-def balance_deltas(pre: WorldState, result) -> Dict[Address, int]:
-    """Every non-zero balance change from `pre` to the result's post-state."""
-    post = result.post_state
+def balance_deltas(pre: WorldState, post: WorldState) -> Dict[Address, int]:
+    """Every non-zero balance change from `pre` to `post`."""
     deltas = {a: post.balance_of(a) - pre.balance_of(a) for a in pre.accounts.keys() | post.accounts.keys()}
     return {a: d for a, d in deltas.items() if d != 0}
 
@@ -250,5 +249,5 @@ def sequential_oracle(txs, tip_state: WorldState, invariants, detector, context:
             malicious.append((t, verdict))
         else:
             benign.append(t)
-            state = sim.post_state
+            state = sim.post_state()
     return benign, malicious, deferred, state

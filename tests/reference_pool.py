@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from rollupsim.core import Address, SignedTransaction, TxHash, tx_hash
+from rollupsim.core import Address, SignedTransaction, TxHash, max_cost, tx_hash
 from rollupsim.mempool import (
     ACCEPTED,
     PoolConfig,
@@ -20,7 +20,6 @@ from rollupsim.mempool import (
     PoolStatus,
     RejectReason,
     SubmitResult,
-    _cost,
 )
 from rollupsim.quarantine import AuditEvent, CollateralLedger, MaintenanceReport, QuarantineStore
 from rollupsim.vm import WorldState
@@ -37,7 +36,7 @@ class ReferenceMempool:
         account = state.account(tx.sender)
         if tx.nonce < account.nonce:
             return SubmitResult("rejected", reason=RejectReason.NONCE_TOO_LOW)
-        if account.balance < _cost(tx):
+        if account.balance < max_cost(tx):
             return SubmitResult("rejected", reason=RejectReason.INSUFFICIENT_BALANCE)
 
         replaced_hash: Optional[TxHash] = None
@@ -90,7 +89,7 @@ class ReferenceMempool:
             if (
                 entry.tx.nonce < account.nonce
                 or entry.received_at + self.config.tx_lifetime < now
-                or account.balance < _cost(entry.tx)
+                or account.balance < max_cost(entry.tx)
             ):
                 removed.append(h)
         for h in removed:

@@ -16,24 +16,23 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 from rollupsim.core import Address, AnyTransaction, Block, StateRoot
 from rollupsim.vm import (
     Account,
     BlockContext,
     InvalidBlock,
+    Execution,
     PreconditionFailed,
-    SimulationResult,
     WorldState,
-    _Execution,
     code_hash,
     execute_transaction,
     make_state,
 )
 
 
-def full_copy_post_state(exe: _Execution) -> WorldState:
+def full_copy_post_state(exe: Execution) -> WorldState:
     """Copy every account, overlay the touched ones, re-canonicalize all."""
     accounts: Dict = dict(exe.base.accounts)
     touched = set(exe.balances) | set(exe.nonces) | set(exe.storage)
@@ -65,27 +64,22 @@ def full_state_root(state: WorldState) -> StateRoot:
     return StateRoot(h.digest())
 
 
-def reference_execute(state: WorldState, tx: AnyTransaction, ctx: BlockContext) -> SimulationResult:
-    """Execute with the full-copy snapshot in place of the copy-on-write one.
+def reference_execute(state: WorldState, tx: AnyTransaction, ctx: BlockContext) -> Tuple[Execution, WorldState]:
+    """Execute, and assemble the post-state by full copy instead of
+    copy-on-write.
 
     The interpreter itself is shared; only how the post-state is assembled
     differs, which is exactly what the differential test compares.
     """
-    original = _Execution.post_state
-    _Execution.post_state = full_copy_post_state
-    try:
-        result = execute_transaction(state, tx, ctx)
-        result.post_state  # built now, while the full-copy snapshot is in place
-        return result
-    finally:
-        _Execution.post_state = original
+    result = execute_transaction(state, tx, ctx)
+    return result, full_copy_post_state(result)
 
 
 def reference_fold(state: WorldState, txs: Sequence[AnyTransaction], ctx: BlockContext) -> WorldState:
     """Apply candidates already judged uninfluenced, in order, in block context."""
     for tx in txs:
         try:
-            state = execute_transaction(state, tx, ctx).post_state
+            state = execute_transaction(state, tx, ctx).post_state()
         except PreconditionFailed as exc:
             raise RuntimeError("uninfluenced candidate diverged in block context") from exc
     return state
@@ -97,7 +91,7 @@ def reference_apply_block(state: WorldState, block: Block, fee_recipient: Addres
     current = state
     for index, tx in enumerate(list(block.deposits) + list(block.transactions)):
         try:
-            current = execute_transaction(current, tx, ctx).post_state
+            current = execute_transaction(current, tx, ctx).post_state()
         except PreconditionFailed as exc:
             raise InvalidBlock(index, exc.reason) from exc
     return current

@@ -43,10 +43,10 @@ from rollupsim.vm import (
     CallValue,
     Const,
     ContractCode,
+    Execution,
     InvalidBlock,
     SetSlot,
     SLoad,
-    _Execution,
     apply_block,
     execute_transaction,
     make_state,
@@ -187,7 +187,7 @@ class TestSlotMerge:
         # so both validate; merging whole storage dicts would lose the first.
         tip = make_state({addr(1): Account(balance=1_000), addr(2): Account(balance=1_000), MIXED: Account(code=MIXED_CODE)})
         calls = [tx(addr(n), 0, MIXED, data=bytes([n])) for n in (1, 2)]
-        fold = _Execution(tip)
+        fold = Execution(tip)
         _merge_validated(fold, [(sim.reads, sim) for sim in (execute_transaction(tip, t, ctx()) for t in calls)])
         merged = fold.post_state()
         assert merged.accounts == reference_fold(tip, calls, ctx()).accounts
@@ -200,8 +200,8 @@ class TestForgedAccessSets:
     SPEND_2 = tx(addr(2), 0, addr(3), value=5, gas_limit=21)
 
     def test_a_read_the_fold_changed_fails_validation(self):
-        fold = _Execution(self.STATE)
-        fold.absorb(execute_transaction(self.STATE, self.PAY_2, ctx()).scratch)
+        fold = Execution(self.STATE)
+        fold.absorb(execute_transaction(self.STATE, self.PAY_2, ctx()))
         spend = execute_transaction(self.STATE, self.SPEND_2, ctx())
         honest = frozenset({AccessKey.balance(addr(3))})  # forged: claims it never read addr 2
         _merge_validated(fold, [(honest, spend)])
@@ -217,7 +217,7 @@ class TestForgedAccessSets:
         def hide_credit(state, t, context):
             result = real(state, t, context)
             if t == self.PAY_2:
-                result = result._replace(writes=result.writes - {AccessKey.balance(addr(2))})
+                result.writes.discard(AccessKey.balance(addr(2)))
             return result
 
         monkeypatch.setattr(detection, "execute_transaction", hide_credit)
@@ -228,13 +228,13 @@ class TestForgedAccessSets:
 @pytest.fixture
 def post_state_calls(monkeypatch):
     calls = []
-    real = _Execution.post_state
+    real = Execution.post_state
 
     def counted(exe):
         calls.append(exe)
         return real(exe)
 
-    monkeypatch.setattr(_Execution, "post_state", counted)
+    monkeypatch.setattr(Execution, "post_state", counted)
     return calls
 
 

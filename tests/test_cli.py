@@ -1,6 +1,9 @@
+import os
 import re
 import shutil
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -637,3 +640,106 @@ class TestOneRuleForEveryLine:
             return index + 2, [*lines[: index + 1], lines[index], *lines[index + 1 :]]
 
         assert "declared twice" in self.history_exit(tmp_path, capsys, edit)
+
+
+class TestTextIsUtf8:
+    """Every file is read and written as UTF-8 whatever the locale, and a
+    file that does not decode exits with its file's code, with no traceback."""
+
+    @staticmethod
+    def accented(tmp_path):
+        """`pause_exploit` with a non-ASCII storage atom and invariant id."""
+        text = (SCENARIOS / "pause_exploit.scn").read_text(encoding="utf-8")
+        scn = tmp_path / "accented.scn"
+        scn.write_text(text.replace("'paused'", "'pausé'").replace("id=vault-solvent", "id=vault-solvé"), encoding="utf-8")
+        return scn
+
+    @staticmethod
+    def undecodable(path):
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        return path
+
+    def test_undecodable_scenario_exits_2(self, tmp_path, capsys):
+        scn = self.undecodable(self.accented(tmp_path))
+        code = main(["run", "--scenario", str(scn), "--report", str(tmp_path / "r"), "--l1-out", str(tmp_path / "l")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: cannot read scenario: ") and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_undecodable_history_exits_4(self, tmp_path, capsys):
+        _, _, l1 = run_cli(tmp_path, "deposits_benign")
+        capsys.readouterr()
+        assert main(["derive", "--l1", str(self.undecodable(l1))]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read history: ") and "Traceback" not in err
+
+    def test_undecodable_report_exits_2(self, tmp_path, capsys):
+        _, report, _ = run_cli(tmp_path, "pause_exploit")
+        capsys.readouterr()
+        assert main(["quarantine", str(self.undecodable(report)), "list"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read report: ") and "Traceback" not in err
+
+    def test_same_root_and_names_under_any_locale(self, tmp_path):
+        scn = self.accented(tmp_path)
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIO", "PYTHONUTF8"))}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SCENARIOS.parent / "src"), env.get("PYTHONPATH")]))
+        seen = set()
+        for locale in ({"LC_ALL": "C", "PYTHONUTF8": "0"}, {"PYTHONUTF8": "1"}):
+            cwd = tmp_path / str(len(seen))  # the same relative output names, so the same report bytes
+            cwd.mkdir()
+
+            def cli(*argv):
+                done = subprocess.run(
+                    [sys.executable, "-m", "rollupsim", *argv], env={**env, **locale}, cwd=cwd, capture_output=True,
+                    timeout=60,
+                )
+                assert done.returncode == 0 and b"Traceback" not in done.stderr, (locale, argv, done.stderr)
+                return done.stdout.decode("utf-8")
+
+            root = cli("run", "--scenario", str(scn), "--report", "out.report", "--l1-out", "out.l1")
+            assert cli("derive", "--l1", "out.l1") == root
+            key = cli("quarantine", "out.report", "list").split()[0]
+            assert "violated vault-solvé" in cli("quarantine", "out.report", "show", key)
+            seen.add((root, (cwd / "out.report").read_bytes(), (cwd / "out.l1").read_bytes()))
+        assert len(seen) == 1
+
+
+class TestScenarioName:
+    """A scenario name, from `name=` or the file's stem, must read back as one
+    report field; any other exits 2 on the header line before running."""
+
+    @staticmethod
+    def without_name(tmp_path, stem):
+        lines = (SCENARIOS / "single_transfer.scn").read_text().splitlines()
+        scn = tmp_path / f"{stem}.scn"
+        scn.write_text("\n".join(["scenario v1", *lines[1:]]) + "\n")
+        return scn
+
+    @staticmethod
+    def run_scenario(tmp_path, scn):
+        report = tmp_path / "r"
+        code = main(["run", "--scenario", str(scn), "--report", str(report), "--l1-out", str(tmp_path / "l")])
+        return code, report
+
+    @pytest.mark.parametrize("stem", ["my run", "tab\there", "a}b", "{open", "close}"])
+    def test_a_stem_that_is_not_one_field_exits_2(self, tmp_path, capsys, stem):
+        code, report = self.run_scenario(tmp_path, self.without_name(tmp_path, stem))
+        err = capsys.readouterr().err
+        assert code == 2 and not report.exists()
+        assert err.startswith(f"error: line 1: scenario name {stem!r} must be one report field"), err
+
+    @pytest.mark.parametrize("name", ["", "{a", "a}"])
+    def test_a_name_that_is_not_one_field_exits_2(self, tmp_path, capsys, name):
+        scn = self.without_name(tmp_path, "ok")
+        scn.write_text(scn.read_text().replace("scenario v1", f"scenario v1 name={name}", 1))
+        code, report = self.run_scenario(tmp_path, scn)
+        err = capsys.readouterr().err
+        assert code == 2 and not report.exists() and err.startswith("error: line 1: "), err
+
+    @pytest.mark.parametrize("stem", ["{my run}", "plain", "é"])
+    def test_a_name_of_one_field_reads_back(self, tmp_path, capsys, stem):
+        code, report = self.run_scenario(tmp_path, self.without_name(tmp_path, stem))
+        assert code == 0
+        assert report.read_text(encoding="utf-8").splitlines()[0] == f"report v1 scenario={stem}"
+        assert main(["quarantine", str(report), "list"]) == 0

@@ -40,9 +40,9 @@ from rollupsim.core import DepositTransaction
 from rollupsim.detection import CandidateSet, InvariantDetector, InvariantSet, hybrid_detect
 from rollupsim.vm import (
     Account,
+    Execution,
     PreconditionFailed,
     WorldState,
-    _Execution,
     changed_since,
     execute_transaction,
     make_state,
@@ -134,15 +134,16 @@ class TestDifferentialAgainstReference:
             if isinstance(ref, str):
                 assert fast == ref
                 continue
-            assert fast.tx_id == ref.tx_id
+            ref, ref_post = ref
+            fast_post = fast.post_state()
             assert fast.status == ref.status
             assert fast.gas_used == ref.gas_used
             assert fast.reads == ref.reads
             assert fast.writes == ref.writes
-            assert balance_deltas(fast_state, fast) == balance_deltas(ref_state, ref)
-            assert fast.post_state.accounts == ref.post_state.accounts
-            assert state_root(fast.post_state) == full_state_root(ref.post_state)
-            fast_state, ref_state = fast.post_state, ref.post_state
+            assert balance_deltas(fast_state, fast_post) == balance_deltas(ref_state, ref_post)
+            assert fast_post.accounts == ref_post.accounts
+            assert state_root(fast_post) == full_state_root(ref_post)
+            fast_state, ref_state = fast_post, ref_post
             seen.append((fast_state, contents(fast_state), full_state_root(fast_state)))
             # No earlier snapshot, whose accounts the new one shares, moved.
             for state, held, root in seen:
@@ -159,8 +160,8 @@ class TestAliasing:
             }
         )
         before, root = contents(state), state_root(state)
-        first = execute_transaction(state, tx(ADMIN, 0, COUNTER), ctx()).post_state
-        second = execute_transaction(first, tx(ADMIN, 1, COUNTER), ctx()).post_state
+        first = execute_transaction(state, tx(ADMIN, 0, COUNTER), ctx()).post_state()
+        second = execute_transaction(first, tx(ADMIN, 1, COUNTER), ctx()).post_state()
         assert contents(state) == before and state_root(state) == root
         assert first.account(COUNTER).storage == {slot_bytes(COUNT_KEY): slot_bytes(2)}
         assert second.account(COUNTER).storage == {slot_bytes(COUNT_KEY): slot_bytes(3)}
@@ -168,20 +169,20 @@ class TestAliasing:
     def test_untouched_accounts_are_shared(self):
         state = make_state({addr(1): Account(balance=100), addr(2): Account(balance=100)})
         post = execute_transaction(state, tx(addr(1), 0, addr(3), value=1, gas_limit=21, max_fee=0), ctx(base_fee=0))
-        assert post.post_state.accounts[addr(2)] is state.accounts[addr(2)]
-        assert post.post_state.accounts[addr(1)] is not state.accounts[addr(1)]
+        assert post.post_state().accounts[addr(2)] is state.accounts[addr(2)]
+        assert post.post_state().accounts[addr(1)] is not state.accounts[addr(1)]
 
     def test_touched_empty_accounts_stay_absent(self):
         state = make_state({addr(1): Account(balance=5)})
         nothing = DepositTransaction(l1_block=0, l1_index=0, sender=addr(9), recipient=addr(8), value=0, data=b"", gas_limit=21)
-        assert execute_transaction(state, nothing, ctx()).post_state.accounts == state.accounts
+        assert execute_transaction(state, nothing, ctx()).post_state().accounts == state.accounts
 
 
 def draw_edit(data, base: WorldState) -> WorldState:
     """A post-state made by writing balances, nonces and slots directly, so
     that accounts are created, changed and pruned (an EOA set back to zero
     balance and nonce disappears)."""
-    exe = _Execution(base)
+    exe = Execution(base)
     for a in data.draw(st.lists(st.sampled_from(PARTICIPANTS + [addr(0x77)]), max_size=3, unique=True)):
         exe.balances[a] = data.draw(st.sampled_from([0, 0, 1, 500]))
         exe.nonces[a] = data.draw(st.sampled_from([0, base.nonce_of(a), base.nonce_of(a) + 1]))
@@ -216,7 +217,7 @@ class TestIncrementalRoot:
                 result = run_or_reason(execute_transaction, base, op, ctx(base_fee=data.draw(st.integers(0, 1))))
                 if isinstance(result, str):
                     continue
-                state = result.post_state
+                state = result.post_state()
             elif kind == "edit":
                 state = draw_edit(data, base)
             else:
@@ -235,10 +236,10 @@ class TestIncrementalRoot:
     def test_successor_of_a_rooted_state_names_exactly_its_changes(self):
         state = make_state({addr(1): Account(balance=100), addr(2): Account(balance=100)})
         state_root(state)
-        post = execute_transaction(state, tx(addr(1), 0, addr(3), value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state
+        post = execute_transaction(state, tx(addr(1), 0, addr(3), value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state()
         assert changed_since(post, state) == {addr(1), addr(3)}
         assert changed_since(post, post) == set()
-        sibling = execute_transaction(state, tx(addr(2), 0, addr(4), value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state
+        sibling = execute_transaction(state, tx(addr(2), 0, addr(4), value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state()
         assert changed_since(post, sibling) is None  # one hop only: a sibling is not the rooted base
         assert changed_since(state, post) is None  # an ancestor does not know its successors
         assert changed_since(post, WorldState(dict(state.accounts))) is None  # unrelated
@@ -248,7 +249,7 @@ class TestIncrementalRoot:
         # sealed one; an epoch head's deposits add one more unsealed step.
         # Each sealed block knows its changes since the one before it.
         def pay(state, sender, nonce, to):
-            return execute_transaction(state, tx(sender, nonce, to, value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state
+            return execute_transaction(state, tx(sender, nonce, to, value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state()
 
         genesis = make_state({addr(1): Account(balance=100), addr(2): Account(balance=100)})
         state_root(genesis)
@@ -268,7 +269,7 @@ class TestIncrementalRoot:
 
     def test_unrooted_base_gives_no_lineage(self):
         state = make_state({addr(1): Account(balance=100)})
-        post = execute_transaction(state, tx(addr(1), 0, addr(3), value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state
+        post = execute_transaction(state, tx(addr(1), 0, addr(3), value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state()
         assert changed_since(post, state) is None
         assert state_root(post) == full_state_root(post)
 
@@ -278,7 +279,7 @@ class TestIncrementalRoot:
         for nonce in range(5):
             state_root(state)
             refs.append(weakref.ref(state))
-            state = execute_transaction(state, tx(addr(1), nonce, addr(2), value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state
+            state = execute_transaction(state, tx(addr(1), nonce, addr(2), value=1, gas_limit=21, max_fee=0), ctx(base_fee=0)).post_state()
         gc.collect()
         assert all(ref() is None for ref in refs)
         # The rooted ancestor is gone but its digest table is not: the root is still incremental and right.
@@ -321,7 +322,7 @@ class TestFoldFinalState:
             outcome = hybrid_detect(CandidateSet(tuple(txs), state, budget=budget), invariants, detector, ctx())
             expected = state
             for t in outcome.benign:
-                expected = reference_execute(expected, t, ctx()).post_state
+                expected = reference_execute(expected, t, ctx())[1]
             assert outcome.final_state.accounts == expected.accounts
             assert state_root(outcome.final_state) == full_state_root(expected)
             if budget is None:

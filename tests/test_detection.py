@@ -27,12 +27,25 @@ import rollupsim
 from rollupsim.core import tx_hash
 from rollupsim.detection import (
     CandidateSet,
+    Invariant,
     InvariantDetector,
     InvariantSet,
     UnauthorizedInvariant,
     hybrid_detect,
 )
-from rollupsim.vm import Account, execute_transaction, make_state
+from rollupsim.vm import (
+    AccessKey,
+    Account,
+    Bin,
+    CallData,
+    Const,
+    ContractCode,
+    SetSlot,
+    SLoad,
+    execute_transaction,
+    make_state,
+    slot_bytes,
+)
 
 
 def invariant_set(state, invariants):
@@ -72,6 +85,21 @@ class TestDetect:
         sim = execute_transaction(state, tx(ATTACKER, 0, addr(0x44), value=3), ctx())
         verdict = detector.assess(sim, state, vault_invariants(state))[0]
         assert not verdict.malicious
+
+    def test_probe_reads_are_what_the_predicate_and_damage_bound_read(self, detector):
+        # A blind write to slot 1, judged by a predicate over slot 2: the
+        # probe reads slot 2 and the contract balance, the execution itself
+        # never read either, and judging it records nothing on it.
+        code = ContractCode(admin=ADMIN, statements=(SetSlot(Const(1), CallData()),))
+        state = make_state({addr(1): Account(balance=1_000), COUNTER: Account(code=code, storage={slot_bytes(2): slot_bytes(5)})})
+        low = Invariant("low", COUNTER, Bin("lt", SLoad(Const(2)), Const(9)), ADMIN)
+        sim = execute_transaction(state, tx(addr(1), 0, COUNTER, data=bytes(31) + b"\x07"), ctx())
+        own_reads = set(sim.reads)
+        verdict, reads = detector.assess(sim, state, invariant_set(state, [low]))
+        assert not verdict.malicious
+        assert set(reads) == {AccessKey.storage(COUNTER, slot_bytes(2)), AccessKey.balance(COUNTER)}
+        assert AccessKey.storage(COUNTER, slot_bytes(2)) not in own_reads and sim.reads == own_reads
+        assert set(detector.assess(sim, state, InvariantSet())[1]) == set()
 
     def test_registration_requires_admin(self):
         state = vault_state()

@@ -50,7 +50,7 @@ def draw_executed(data, history: List[WorldState]) -> WorldState:
             to = data.draw(st.sampled_from(SENDERS + [SINK]))
             op = tx(sender, state.nonce_of(sender), to, value=data.draw(st.sampled_from([0, 10])), max_fee=0, gas_limit=21)
         try:
-            state = execute_transaction(state, op, FREE).post_state
+            state = execute_transaction(state, op, FREE).post_state()
         except PreconditionFailed:
             pass
     history.append(state)
@@ -281,7 +281,7 @@ class TestChangeDrivenUpkeep:
 
     def executed(self, state, op) -> WorldState:
         state_root(state)  # the base is a sealed block, so the result knows its lineage
-        return execute_transaction(state, op, FREE).post_state
+        return execute_transaction(state, op, FREE).post_state()
 
     def pools(self, **config):
         return Mempool(PoolConfig(**config)), ReferenceMempool(PoolConfig(**config))

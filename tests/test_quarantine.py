@@ -122,7 +122,7 @@ class TestFailureRelease:
         state = vault_state(paused=False)
         t = held_exploit(s)
         # Admin re-pauses the vault after the quarantine decision.
-        repaused = execute_transaction(state, repause_tx(), ctx()).post_state
+        repaused = execute_transaction(state, repause_tx(), ctx()).post_state()
         result = s.request_failure_release(tx_hash(t), repaused, ctx(), now=50)
         assert result == Released("failure")
         assert s.registry.is_released_duplicate(t)

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import addr, ctx, exploit_tx, tx, vault_state
+from helpers import addr, tx
 from rollupsim import core, vm
 from rollupsim.core import DepositTransaction, EncodingError, SignedTransaction
 from rollupsim.mempool import PoolConfig
@@ -118,10 +118,3 @@ class TestValidatedRecords:
         first = core.tx_hash(t)
         bumped = t._replace(value=4)
         assert core.tx_hash(bumped) != first and core.tx_hash(t) is first
-
-
-def test_a_result_copy_keeps_its_scratch():
-    result = vm.execute_transaction(vault_state(paused=False), exploit_tx(), ctx())
-    copy = result._replace(writes=frozenset())
-    assert copy.scratch is result.scratch and copy.writes == frozenset() and copy.reads == result.reads
-    assert copy != result and result._replace() == result

@@ -116,11 +116,11 @@ class TestValueConservation:
                 for dep in block.deposits:
                     result = execute_transaction(state, dep, bctx)
                     minted += dep.value
-                    state = result.post_state
+                    state = result.post_state()
                 for t in block.transactions:
                     result = execute_transaction(state, t, bctx)
                     burned += result.gas_used * block.base_fee
-                    state = result.post_state
+                    state = result.post_state()
             genesis_supply = sum(a.balance for a in scenario.genesis.accounts.values())
             final_supply = sum(a.balance for a in out.sequencer.chain.tip_state.accounts.values())
             assert final_supply == genesis_supply + minted - burned, path.stem
@@ -258,7 +258,7 @@ class TestThroughputNeutrality:
                     outcome.deferred.append(tx)
                     continue
                 outcome.benign.append(tx)
-                state = sim.post_state
+                state = sim.post_state()
             outcome.final_state = state
             return outcome
 

@@ -44,6 +44,10 @@ def simple_state(balances):
     return make_state({a: Account(balance=b) for a, b in balances.items()})
 
 
+def outcome(result):
+    return result.status, result.gas_used, result.reads, result.writes
+
+
 class TestTransfer:
     def test_plain_transfer_cost_model(self):
         # balance 100, send 5 at base fee 1 with gas_limit 21: 21 gas burned.
@@ -51,8 +55,8 @@ class TestTransfer:
         result = execute_transaction(state, tx(addr(1), 0, addr(2), value=5, gas_limit=21), ctx())
         assert result.status is TxStatus.SUCCESS
         assert result.gas_used == 21
-        assert result.post_state.balance_of(addr(1)) == 74
-        assert result.post_state.balance_of(addr(2)) == 5
+        assert result.post_state().balance_of(addr(1)) == 74
+        assert result.post_state().balance_of(addr(2)) == 5
 
     def test_nonce_and_balance_and_fee_preconditions(self):
         state = simple_state({addr(1): 100})
@@ -69,16 +73,16 @@ class TestTransfer:
     def test_priority_fee_goes_to_fee_recipient(self):
         state = simple_state({addr(1): 1000})
         result = execute_transaction(state, tx(addr(1), 0, addr(2), max_fee=5, priority_fee=2, gas_limit=21), ctx())
-        assert result.post_state.balance_of(FEE_SINK) == 2 * 21
-        assert sum(balance_deltas(state, result).values()) == -21  # base-fee share burned
+        assert result.post_state().balance_of(FEE_SINK) == 2 * 21
+        assert sum(balance_deltas(state, result.post_state()).values()) == -21  # base-fee share burned
 
     def test_create_lands_value_at_fresh_deterministic_address(self):
         state = simple_state({addr(1): 1000})
         r1 = execute_transaction(state, tx(addr(1), 0, None, value=7, gas_limit=21), ctx())
         r2 = execute_transaction(state, tx(addr(1), 0, None, value=7, gas_limit=21), ctx())
-        assert r1 == r2
-        assert r1.post_state == r2.post_state
-        created = [a for a, d in balance_deltas(state, r1).items() if d == 7]
+        assert outcome(r1) == outcome(r2)
+        assert r1.post_state() == r2.post_state()
+        created = [a for a, d in balance_deltas(state, r1.post_state()).items() if d == 7]
         assert len(created) == 1 and created[0] not in (addr(1), FEE_SINK)
 
 
@@ -92,10 +96,10 @@ class TestRevert:
         result = execute_transaction(state, tx(addr(1), 0, addr(9), gas_limit=30), ctx())
         assert result.status is TxStatus.REVERT
         assert result.gas_used == 22
-        assert result.post_state.nonce_of(addr(1)) == 1
-        assert result.post_state.balance_of(addr(1)) == 1000 - 22
+        assert result.post_state().nonce_of(addr(1)) == 1
+        assert result.post_state().balance_of(addr(1)) == 1000 - 22
         # storage untouched
-        assert result.post_state.account(addr(9)).storage == state.account(addr(9)).storage
+        assert result.post_state().account(addr(9)).storage == state.account(addr(9)).storage
 
     def test_revert_writes_limited_to_sender_and_fee_recipient(self):
         state = self.revert_contract_state()
@@ -109,7 +113,8 @@ class TestRevert:
         result = execute_transaction(state, tx(addr(1), 0, addr(9), gas_limit=22), ctx())
         assert result.status is TxStatus.REVERT
         assert result.gas_used == 22
-        assert result.post_state.account(addr(9)).storage == {}
+        assert result.post_state().balance_of(addr(1)) == 1000 - 22  # charged the whole limit
+        assert result.post_state().account(addr(9)).storage == {}
 
     def test_overdrawn_pay_reverts(self):
         state = vault_state(paused=False, vault_balance=0, code=guard_only_vault())
@@ -119,7 +124,7 @@ class TestRevert:
         state = make_state({ATTACKER: Account(balance=1000), VAULT: Account(balance=5, code=code)})
         result = execute_transaction(state, exploit_tx(), ctx())
         assert result.status is TxStatus.REVERT
-        assert result.post_state.balance_of(VAULT) == 5
+        assert result.post_state().balance_of(VAULT) == 5
 
 
 class TestPauseFixture:
@@ -130,26 +135,26 @@ class TestPauseFixture:
         result = execute_transaction(state, exploit_tx(gas_limit=30), ctx())
         assert result.status is TxStatus.REVERT
         assert AccessKey.storage(VAULT, PAUSED_SLOT) in result.reads
-        assert result.post_state.balance_of(VAULT) == 100
+        assert result.post_state().balance_of(VAULT) == 100
 
     def test_exploit_drains_once_unpaused(self):
         state = vault_state(paused=False, code=guard_only_vault())
         result = execute_transaction(state, exploit_tx(gas_limit=30), ctx())
         assert result.status is TxStatus.SUCCESS
         assert result.gas_used == 23
-        assert result.post_state.balance_of(VAULT) == 0
+        assert result.post_state().balance_of(VAULT) == 0
         # attacker nets the vault minus gas
-        assert balance_deltas(state, result)[ATTACKER] == 100 - 23
+        assert balance_deltas(state, result.post_state())[ATTACKER] == 100 - 23
 
     def test_admin_gated_vault_unpause_then_drain(self):
         state = vault_state(paused=True)  # gated_vault code
         a = execute_transaction(state, unpause_tx(gas_limit=30), ctx())
         assert a.status is TxStatus.SUCCESS
-        assert a.post_state.balance_of(VAULT) == 100  # admin calls never pay out
-        assert a.post_state.account(VAULT).storage == {}  # unpaused (slot cleared)
-        b = execute_transaction(a.post_state, exploit_tx(gas_limit=30), ctx())
+        assert a.post_state().balance_of(VAULT) == 100  # admin calls never pay out
+        assert a.post_state().account(VAULT).storage == {}  # unpaused (slot cleared)
+        b = execute_transaction(a.post_state(), exploit_tx(gas_limit=30), ctx())
         assert b.status is TxStatus.SUCCESS
-        assert b.post_state.balance_of(VAULT) == 0
+        assert b.post_state().balance_of(VAULT) == 0
 
     def test_dependency_keys_cross_correctly(self):
         state = vault_state(paused=True)
@@ -237,8 +242,8 @@ class TestApplyBlock:
         block_state = apply_block(state, build_block(state, txs), FEE_SINK)
         singles = [execute_transaction(state, t, ctx()) for t in txs]
         for i, result in zip((1, 2, 3), singles):
-            assert block_state.balance_of(addr(10 + i)) == result.post_state.balance_of(addr(10 + i))
-            assert block_state.balance_of(addr(i)) == result.post_state.balance_of(addr(i))
+            assert block_state.balance_of(addr(10 + i)) == result.post_state().balance_of(addr(10 + i))
+            assert block_state.balance_of(addr(i)) == result.post_state().balance_of(addr(i))
 
     def test_invalid_mid_block_raises_with_index(self):
         state = simple_state({addr(1): 100})
@@ -258,23 +263,23 @@ class TestDeposits:
         state = WorldState()
         result = execute_transaction(state, self.deposit(addr(7)), ctx())
         assert result.status is TxStatus.SUCCESS
-        assert result.post_state.balance_of(addr(7)) == 50
-        assert sum(balance_deltas(state, result).values()) == 50  # pure mint
+        assert result.post_state().balance_of(addr(7)) == 50
+        assert sum(balance_deltas(state, result.post_state()).values()) == 50  # pure mint
 
     def test_reverted_deposit_keeps_mint_at_sender(self):
         code = ContractCode(admin=ADMIN, statements=(Require(Const(0)),))
         state = make_state({addr(9): Account(code=code)})
         result = execute_transaction(state, self.deposit(addr(9)), ctx())
         assert result.status is TxStatus.REVERT
-        assert result.post_state.balance_of(addr(0xD0)) == 50
-        assert sum(balance_deltas(state, result).values()) == 50
+        assert result.post_state().balance_of(addr(0xD0)) == 50
+        assert sum(balance_deltas(state, result.post_state()).values()) == 50
 
     def test_deposit_can_call_contracts(self):
         state = vault_state(paused=False, code=guard_only_vault())
         dep = self.deposit(VAULT, value=0)
         result = execute_transaction(state, dep, ctx())
         assert result.status is TxStatus.SUCCESS
-        assert result.post_state.balance_of(VAULT) == 0  # drained to the deposit sender
+        assert result.post_state().balance_of(VAULT) == 0  # drained to the deposit sender
 
 
 class TestProperties:
@@ -302,9 +307,9 @@ class TestProperties:
             t = self.random_tx(rng, state)
             r1 = execute_transaction(state, t, ctx())
             r2 = execute_transaction(state, t, ctx())
-            assert r1 == r2
-            assert r1.post_state == r2.post_state
-            assert sum(balance_deltas(state, r1).values()) == -(r1.gas_used * 1)
+            assert outcome(r1) == outcome(r2)
+            assert r1.post_state() == r2.post_state()
+            assert sum(balance_deltas(state, r1.post_state()).values()) == -(r1.gas_used * 1)
 
     def test_access_completeness(self):
         # Mutating state only at keys the tx never touched must not change
@@ -322,10 +327,10 @@ class TestProperties:
             assert replay.gas_used == base.gas_used
             assert replay.reads == base.reads
             assert replay.writes == base.writes
-            assert balance_deltas(mutated, replay) == balance_deltas(state, base)
+            assert balance_deltas(mutated, replay.post_state()) == balance_deltas(state, base.post_state())
 
     def test_revert_isolation(self):
         state = vault_state(paused=True, code=guard_only_vault())
         result = execute_transaction(state, exploit_tx(), ctx())
         assert result.status is TxStatus.REVERT
-        assert result.post_state.account(VAULT) == state.account(VAULT)
+        assert result.post_state().account(VAULT) == state.account(VAULT)
