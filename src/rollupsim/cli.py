@@ -5,9 +5,10 @@
     rollupsim quarantine REPORT list
     rollupsim quarantine REPORT show HASH
 
-Exit codes: 0 ok, 2 scenario error or an output `run` cannot write, 3 root
-mismatch, 4 derivation gap, 5 not found. A scenario, report or history line
-is refused, with its number, when it lacks a field or names an unknown one,
+Exit codes: 0 ok, 2 bad option, scenario error or an output `run` cannot
+write, 3 root mismatch, 4 derivation gap, 5 not found. `--expect-root` is 64
+hex digits, with or without `0x`. A scenario, report or history line is
+refused, with its number, when it lacks a field or names an unknown one,
 holds a value out of its range, repeats a line its file holds once, or
 declares a genesis address twice. Every file is UTF-8 whatever the locale;
 one that does not decode exits with its file's code (2, or 4 for a history).
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -67,6 +69,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
+    if args.expect_root is not None and not re.fullmatch(r"(0x)?[0-9a-fA-F]{64}", args.expect_root):
+        return _fail(EXIT_SCENARIO, f"--expect-root must be 64 hex digits, got {args.expect_root!r}")
     try:
         text = Path(args.l1).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

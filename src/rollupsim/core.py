@@ -85,10 +85,10 @@ class Record:
     equal a record of another type holding the same values.
 
     A subclass names its fields in `_fields` and its slots (the fields plus
-    any memo) in `__slots__`, and `__init__` assigns every slot. Nothing
-    assigns a field afterwards. Equality, hashing and repr read the type and
-    the fields only; `_replace` builds the copy through `__init__`, so a copy
-    is validated like the original.
+    any memo or evaluator) in `__slots__`, and `__init__` assigns every
+    slot. Nothing assigns a field afterwards. Equality, hashing and repr read
+    the type and the fields only; `_replace` builds the copy through
+    `__init__`, so a copy is validated like the original.
     """
 
     __slots__ = ()
@@ -220,13 +220,17 @@ def canonical_encode(tx: SignedTransaction) -> bytes:
 
 
 def canonical_decode(blob: bytes) -> SignedTransaction:
-    """Inverse of canonical_encode; rejects trailing or missing bytes."""
+    """Inverse of canonical_encode; rejects trailing or missing bytes and any
+    blob canonical_encode would not write, so decoding is one-to-one and the
+    blob's digest is the transaction's hash, memoized here."""
     if len(blob) < 93:
         raise EncodingError(f"encoded transaction too short: {len(blob)} bytes")
     nonce = int.from_bytes(blob[0:8], "big")
     tag = blob[8]
     if tag not in (0, 1):
         raise EncodingError(f"bad recipient tag {tag:#x}")
+    if tag == 1 and blob[29:49] != bytes(20):
+        raise EncodingError("create transaction carries a recipient")
     sender = Address(blob[9:29])
     recipient = None if tag == 1 else Address(blob[29:49])
     value = int.from_bytes(blob[49:65], "big")
@@ -236,7 +240,7 @@ def canonical_decode(blob: bytes) -> SignedTransaction:
     data_len = int.from_bytes(blob[89:93], "big")
     if len(blob) != 93 + data_len:
         raise EncodingError(f"encoded transaction length mismatch: {len(blob)} != {93 + data_len}")
-    return SignedTransaction(
+    tx = SignedTransaction(
         sender=sender,
         nonce=nonce,
         recipient=recipient,
@@ -246,6 +250,8 @@ def canonical_decode(blob: bytes) -> SignedTransaction:
         priority_fee=priority_fee,
         gas_limit=gas_limit,
     )
+    tx._hash = TxHash(hashlib.sha256(blob).digest())
+    return tx
 
 
 def encode_deposit(dep: DepositTransaction) -> bytes:

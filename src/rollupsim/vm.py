@@ -5,7 +5,10 @@ statements run top to bottom on every call. There is no branching, no
 cross-contract call and no code deployment; a failed REQUIRE (or an
 overdrawn PAY, or running out of gas) reverts the whole transaction. Every
 state location touched during execution is recorded as an access key so
-callers can do dependency analysis between transactions.
+callers can do dependency analysis between transactions. Each expression
+and statement node builds its evaluator once, at construction, from its
+children's: running a program is a chain of closure calls, with no per-call
+dispatch on node type or operator.
 
 Cost model: 21 gas intrinsic plus 1 gas per executed statement. The base-fee
 share of the fee is burned; the priority share goes to the block's fee
@@ -35,7 +38,7 @@ import hashlib
 from bisect import bisect_left
 from enum import Enum
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .core import (
     BASE_TX_GAS,
@@ -57,53 +60,90 @@ WORD_MAX = WORD - 1
 # ---------------------------------------------------------------------------
 # Nodes are `Record`s, not NamedTuples: a field-less NamedTuple is falsy and
 # equals (), and two NamedTuples of one arity compare equal across types.
+# An expression's `_eval(env)` returns its word, a statement's `_run(env)`
+# performs it or raises `_Revert`; `env` is a `_CallEnv`. Children never
+# change, so the evaluators are safe to share between threads.
+
+
+def _evaluator(expr: "Expr") -> Callable[["_CallEnv"], int]:
+    if not isinstance(expr, Expr):
+        raise TypeError(f"not an expression: {expr!r}")
+    return expr._eval
+
 
 class Const(Record):
-    __slots__ = _fields = ("value",)
+    _fields = ("value",)
+    __slots__ = (*_fields, "_eval")
 
     def __init__(self, value: int) -> None:
         if not 0 <= value <= WORD_MAX:
             raise ValueError(f"constant out of word range: {value}")
         self.value = value
+        self._eval = lambda env: value
 
 
 class SLoad(Record):
-    __slots__ = _fields = ("key",)
+    _fields = ("key",)
+    __slots__ = (*_fields, "_eval")
 
     def __init__(self, key: "Expr") -> None:
         self.key = key
+        key_eval = _evaluator(key)
+        self._eval = lambda env: slot_int(env.exe.read_slot(env.self_addr, slot_bytes(key_eval(env))))
 
 
 class BalanceOf(Record):
-    __slots__ = _fields = ("addr",)
+    _fields = ("addr",)
+    __slots__ = (*_fields, "_eval")
 
     def __init__(self, addr: "Expr") -> None:
         self.addr = addr
+        addr_eval = _evaluator(addr)
+        self._eval = lambda env: env.exe.read_balance(Address.from_int(addr_eval(env)))
 
 
 class Caller(Record):
     __slots__ = ()
+    _eval = staticmethod(lambda env: int.from_bytes(env.caller, "big"))
 
 
 class CallValue(Record):
     __slots__ = ()
+    _eval = staticmethod(lambda env: env.callvalue)
 
 
 class CallData(Record):
     """First 32 bytes of the call payload, read as a big-endian integer."""
 
     __slots__ = ()
+    _eval = staticmethod(lambda env: int.from_bytes(env.calldata[:32], "big"))
 
 
 class SelfAddr(Record):
     __slots__ = ()
+    _eval = staticmethod(lambda env: int.from_bytes(env.self_addr, "big"))
 
 
-BIN_OPS = ("add", "sub", "mul", "eq", "lt", "and", "or")
+# Operator -> the evaluator of a `Bin` node, built from its operands'
+# evaluators. ADD and MUL wrap modulo 2**256, SUB saturates at 0,
+# comparisons and logic yield 0 or 1 (any non-zero word is true). Both
+# operands are evaluated, left first: `and` and `or` never short-circuit, so
+# a node reads the same keys whatever the words it reads.
+_BIN_EVALUATORS = {
+    "add": lambda a, b: lambda env: (a(env) + b(env)) % WORD,
+    "sub": lambda a, b: lambda env: max(a(env) - b(env), 0),
+    "mul": lambda a, b: lambda env: (a(env) * b(env)) % WORD,
+    "eq": lambda a, b: lambda env: 1 if a(env) == b(env) else 0,
+    "lt": lambda a, b: lambda env: 1 if a(env) < b(env) else 0,
+    "and": lambda a, b: lambda env: 1 if (a(env) != 0) & (b(env) != 0) else 0,
+    "or": lambda a, b: lambda env: 1 if (a(env) != 0) | (b(env) != 0) else 0,
+}
+BIN_OPS = tuple(_BIN_EVALUATORS)
 
 
 class Bin(Record):
-    __slots__ = _fields = ("op", "left", "right")
+    _fields = ("op", "left", "right")
+    __slots__ = (*_fields, "_eval")
 
     def __init__(self, op: str, left: "Expr", right: "Expr") -> None:
         if op not in BIN_OPS:
@@ -111,48 +151,82 @@ class Bin(Record):
         self.op = op
         self.left = left
         self.right = right
+        self._eval = _BIN_EVALUATORS[op](_evaluator(left), _evaluator(right))
 
 
 class Not(Record):
-    __slots__ = _fields = ("inner",)
+    _fields = ("inner",)
+    __slots__ = (*_fields, "_eval")
 
     def __init__(self, inner: "Expr") -> None:
         self.inner = inner
+        inner_eval = _evaluator(inner)
+        self._eval = lambda env: 1 if inner_eval(env) == 0 else 0
 
 
 Expr = Union[Const, SLoad, BalanceOf, Caller, CallValue, CallData, SelfAddr, Bin, Not]
 
 
 class Require(Record):
-    __slots__ = _fields = ("cond",)
+    _fields = ("cond",)
+    __slots__ = (*_fields, "_run")
 
     def __init__(self, cond: Expr) -> None:
         self.cond = cond
+        cond_eval = _evaluator(cond)
+
+        def run(env) -> None:
+            if cond_eval(env) == 0:
+                raise _Revert()
+
+        self._run = run
 
 
 class SetSlot(Record):
-    __slots__ = _fields = ("key", "value")
+    _fields = ("key", "value")
+    __slots__ = (*_fields, "_run")
 
     def __init__(self, key: Expr, value: Expr) -> None:
         self.key = key
         self.value = value
+        key_eval, value_eval = _evaluator(key), _evaluator(value)
+        self._run = lambda env: env.exe.write_slot(env.self_addr, slot_bytes(key_eval(env)), slot_bytes(value_eval(env)))
 
 
 class Pay(Record):
-    __slots__ = _fields = ("to", "amount")
+    """Both balances are read before the overdraw check, so an overdrawn
+    PAY reads the same keys as one that goes through."""
+
+    _fields = ("to", "amount")
+    __slots__ = (*_fields, "_run")
 
     def __init__(self, to: Expr, amount: Expr) -> None:
         self.to = to
         self.amount = amount
+        to_eval, amount_eval = _evaluator(to), _evaluator(amount)
+
+        def run(env) -> None:
+            to = Address.from_int(to_eval(env))
+            amount = amount_eval(env)
+            exe = env.exe
+            balance = exe.read_balance(env.self_addr)
+            exe.read_balance(to)
+            if amount > balance:
+                raise _Revert()
+            exe.transfer(env.self_addr, to, amount)
+
+        self._run = run
 
 
 class PauseGuard(Record):
     """Sugar for REQUIRE(SLOAD(key) == 0)."""
 
-    __slots__ = _fields = ("key",)
+    _fields = ("key",)
+    __slots__ = (*_fields, "_run")
 
     def __init__(self, key: Expr) -> None:
         self.key = key
+        self._run = Require(Not(SLoad(key)))._run
 
 
 Statement = Union[Require, SetSlot, Pay, PauseGuard]
@@ -201,9 +275,19 @@ def code_text(code: "ContractCode") -> str:
 # Accounts and world state
 # ---------------------------------------------------------------------------
 
-class ContractCode(NamedTuple):
-    admin: Address
-    statements: Tuple[Statement, ...]
+class ContractCode(Record):
+    _fields = ("admin", "statements")
+    # `_hash` memoizes code_hash, as `SignedTransaction._hash` memoizes
+    # tx_hash: the program is rendered and hashed once per code object.
+    __slots__ = (*_fields, "_hash")
+
+    def __init__(self, admin: Address, statements: Tuple[Statement, ...]) -> None:
+        for stmt in statements:
+            if not isinstance(stmt, Statement):
+                raise TypeError(f"not a statement: {stmt!r}")
+        self.admin = admin
+        self.statements = statements
+        self._hash = None
 
 
 class Account(NamedTuple):
@@ -512,53 +596,10 @@ class _CallEnv:
         self.callvalue = callvalue
         self.calldata = calldata
 
-    def sload(self, key: bytes) -> int:
-        return slot_int(self.exe.read_slot(self.self_addr, key))
 
-    def balance(self, addr: Address) -> int:
-        return self.exe.read_balance(addr)
-
-
-def eval_expr(expr: Expr, env) -> int:
-    """Evaluate an expression to a 256-bit word; total and deterministic.
-
-    ADD and MUL wrap modulo 2**256, SUB saturates at 0, comparisons and logic
-    yield 0 or 1 (any non-zero word is true).
-    """
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, SLoad):
-        return env.sload(slot_bytes(eval_expr(expr.key, env)))
-    if isinstance(expr, BalanceOf):
-        return env.balance(Address.from_int(eval_expr(expr.addr, env)))
-    if isinstance(expr, Caller):
-        return int.from_bytes(env.caller, "big")
-    if isinstance(expr, CallValue):
-        return env.callvalue
-    if isinstance(expr, CallData):
-        return int.from_bytes(env.calldata[:32], "big")
-    if isinstance(expr, SelfAddr):
-        return int.from_bytes(env.self_addr, "big")
-    if isinstance(expr, Bin):
-        a = eval_expr(expr.left, env)
-        b = eval_expr(expr.right, env)
-        if expr.op == "add":
-            return (a + b) % WORD
-        if expr.op == "sub":
-            return a - b if a >= b else 0
-        if expr.op == "mul":
-            return (a * b) % WORD
-        if expr.op == "eq":
-            return 1 if a == b else 0
-        if expr.op == "lt":
-            return 1 if a < b else 0
-        if expr.op == "and":
-            return 1 if a != 0 and b != 0 else 0
-        if expr.op == "or":
-            return 1 if a != 0 or b != 0 else 0
-    if isinstance(expr, Not):
-        return 1 if eval_expr(expr.inner, env) == 0 else 0
-    raise TypeError(f"not an expression: {expr!r}")
+def eval_expr(expr: Expr, env: _CallEnv) -> int:
+    """Evaluate an expression to a 256-bit word; total and deterministic."""
+    return expr._eval(env)
 
 
 def _run_statements(env: _CallEnv, code: ContractCode, gas_limit: int) -> None:
@@ -570,26 +611,7 @@ def _run_statements(env: _CallEnv, code: ContractCode, gas_limit: int) -> None:
         if exe.gas_used > gas_limit:
             exe.gas_used = gas_limit
             raise _Revert()
-        if isinstance(stmt, Require):
-            if eval_expr(stmt.cond, env) == 0:
-                raise _Revert()
-        elif isinstance(stmt, PauseGuard):
-            if env.sload(slot_bytes(eval_expr(stmt.key, env))) != 0:
-                raise _Revert()
-        elif isinstance(stmt, SetSlot):
-            key = slot_bytes(eval_expr(stmt.key, env))
-            value = slot_bytes(eval_expr(stmt.value, env))
-            env.exe.write_slot(env.self_addr, key, value)
-        elif isinstance(stmt, Pay):
-            to = Address.from_int(eval_expr(stmt.to, env))
-            amount = eval_expr(stmt.amount, env)
-            balance = env.exe.read_balance(env.self_addr)
-            env.exe.read_balance(to)
-            if amount > balance:
-                raise _Revert()
-            env.exe.transfer(env.self_addr, to, amount)
-        else:
-            raise TypeError(f"not a statement: {stmt!r}")
+        stmt._run(env)
 
 
 def _fresh_address(sender: Address, nonce: int) -> Address:
@@ -669,7 +691,10 @@ def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction,
 def code_hash(code: Optional[ContractCode]) -> bytes:
     if code is None:
         return bytes(32)
-    return hashlib.sha256(bytes(code.admin) + code_text(code).encode("utf-8")).digest()
+    h = code._hash
+    if h is None:
+        h = code._hash = hashlib.sha256(bytes(code.admin) + code_text(code).encode("utf-8")).digest()
+    return h
 
 
 def _account_digest(addr: Address, acct: Account) -> bytes:

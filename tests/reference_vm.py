@@ -9,7 +9,10 @@ transaction of a block on the previous transaction's post-state, as the
 classifier's fold and `apply_block` did before they ran on one scratch.
 `ReferenceAccessKey` is the original access key, a frozen ordered dataclass
 over an `IntEnum`, which the tuple-based key must match in equality, hashing
-and sort order.
+and sort order. `reference_eval_expr` and `reference_run_statements` are the
+original tree-walking interpreter, which picks each node's case and each
+operator by comparison on every call; the evaluators the nodes build at
+construction must match it value for value and read for read.
 """
 from __future__ import annotations
 
@@ -17,18 +20,40 @@ import hashlib
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Dict, Sequence, Tuple
+from unittest import mock
 
+from rollupsim import vm
 from rollupsim.core import Address, AnyTransaction, Block, StateRoot
 from rollupsim.vm import (
+    WORD,
     Account,
+    BalanceOf,
+    Bin,
     BlockContext,
-    InvalidBlock,
+    CallData,
+    Caller,
+    CallValue,
+    Const,
+    ContractCode,
     Execution,
+    Expr,
+    InvalidBlock,
+    Not,
+    Pay,
+    PauseGuard,
     PreconditionFailed,
+    Require,
+    SelfAddr,
+    SetSlot,
+    SLoad,
     WorldState,
+    _CallEnv,
+    _Revert,
     code_hash,
     execute_transaction,
     make_state,
+    slot_bytes,
+    slot_int,
 )
 
 
@@ -125,3 +150,83 @@ class ReferenceAccessKey:
     @staticmethod
     def code(addr: Address) -> "ReferenceAccessKey":
         return ReferenceAccessKey(ReferenceAccessKind.CODE, addr)
+
+
+def reference_eval_expr(expr: Expr, env: _CallEnv) -> int:
+    """Evaluate an expression to a 256-bit word; total and deterministic.
+
+    ADD and MUL wrap modulo 2**256, SUB saturates at 0, comparisons and logic
+    yield 0 or 1 (any non-zero word is true).
+    """
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, SLoad):
+        return slot_int(env.exe.read_slot(env.self_addr, slot_bytes(reference_eval_expr(expr.key, env))))
+    if isinstance(expr, BalanceOf):
+        return env.exe.read_balance(Address.from_int(reference_eval_expr(expr.addr, env)))
+    if isinstance(expr, Caller):
+        return int.from_bytes(env.caller, "big")
+    if isinstance(expr, CallValue):
+        return env.callvalue
+    if isinstance(expr, CallData):
+        return int.from_bytes(env.calldata[:32], "big")
+    if isinstance(expr, SelfAddr):
+        return int.from_bytes(env.self_addr, "big")
+    if isinstance(expr, Bin):
+        a = reference_eval_expr(expr.left, env)
+        b = reference_eval_expr(expr.right, env)
+        if expr.op == "add":
+            return (a + b) % WORD
+        if expr.op == "sub":
+            return a - b if a >= b else 0
+        if expr.op == "mul":
+            return (a * b) % WORD
+        if expr.op == "eq":
+            return 1 if a == b else 0
+        if expr.op == "lt":
+            return 1 if a < b else 0
+        if expr.op == "and":
+            return 1 if a != 0 and b != 0 else 0
+        if expr.op == "or":
+            return 1 if a != 0 or b != 0 else 0
+    if isinstance(expr, Not):
+        return 1 if reference_eval_expr(expr.inner, env) == 0 else 0
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def reference_run_statements(env: _CallEnv, code: ContractCode, gas_limit: int) -> None:
+    """Execute a contract body, charging gas as it goes; raises _Revert.
+    Running out of gas reverts and charges the whole limit."""
+    exe = env.exe
+    for stmt in code.statements:
+        exe.gas_used += 1
+        if exe.gas_used > gas_limit:
+            exe.gas_used = gas_limit
+            raise _Revert()
+        if isinstance(stmt, Require):
+            if reference_eval_expr(stmt.cond, env) == 0:
+                raise _Revert()
+        elif isinstance(stmt, PauseGuard):
+            if slot_int(exe.read_slot(env.self_addr, slot_bytes(reference_eval_expr(stmt.key, env)))) != 0:
+                raise _Revert()
+        elif isinstance(stmt, SetSlot):
+            key = slot_bytes(reference_eval_expr(stmt.key, env))
+            value = slot_bytes(reference_eval_expr(stmt.value, env))
+            exe.write_slot(env.self_addr, key, value)
+        elif isinstance(stmt, Pay):
+            to = Address.from_int(reference_eval_expr(stmt.to, env))
+            amount = reference_eval_expr(stmt.amount, env)
+            balance = exe.read_balance(env.self_addr)
+            exe.read_balance(to)
+            if amount > balance:
+                raise _Revert()
+            exe.transfer(env.self_addr, to, amount)
+        else:
+            raise TypeError(f"not a statement: {stmt!r}")
+
+
+def reference_interpret(state: WorldState, tx: AnyTransaction, ctx: BlockContext) -> Execution:
+    """`execute_transaction` with the contract body run by the reference
+    interpreter instead of the nodes' own evaluators."""
+    with mock.patch.object(vm, "_run_statements", reference_run_statements):
+        return execute_transaction(state, tx, ctx)

@@ -81,6 +81,29 @@ class TestDerive:
         code = main(["derive", "--l1", str(l1_path), "--expect-root", "0x" + "ab" * 32])
         assert code == 3
 
+    @pytest.mark.parametrize("root", ["0xzz", "", "0x", "0x09b1", "0x" + "ab" * 31, "ab" * 33, "0x" + "ab" * 32 + "\n"])
+    def test_malformed_expected_root_is_a_usage_error(self, tmp_path, capsys, root):
+        # Refused before the history is read: a missing history would exit 4.
+        code = main(["derive", "--l1", str(tmp_path / "missing.l1"), "--expect-root", root])
+        assert code == 2
+        assert "--expect-root must be 64 hex digits" in capsys.readouterr().err
+
+    def test_expected_root_needs_no_prefix_and_ignores_case(self, tmp_path):
+        _, report_path, l1_path = run_cli(tmp_path, "single_transfer")
+        root = parse_report(report_path.read_text()).final_root.hex()
+        assert main(["derive", "--l1", str(l1_path), "--expect-root", root.upper()]) == 0
+
+    def test_create_blob_with_recipient_bytes_exits_4(self, tmp_path, capsys):
+        _, _, l1_path = run_cli(tmp_path, "create_tx")
+        text = l1_path.read_text()
+        blob = re.search(r"batch=([0-9a-f]+)", text).group(1)
+        assert blob[16:18] == "01" and blob[58:98] == "00" * 20  # a create: tag 0x01, recipient zeros
+        forged = blob[:58] + "ab" * 20 + blob[98:]
+        (tmp_path / "forged.l1").write_text(text.replace(blob, forged))
+        code = main(["derive", "--l1", str(tmp_path / "forged.l1")])
+        err = capsys.readouterr().err
+        assert code == 4 and "create transaction carries a recipient" in err and "Traceback" not in err
+
     def test_truncated_history_exits_4(self, tmp_path):
         _, _, l1_path = run_cli(tmp_path, "single_transfer")
         text = l1_path.read_text()

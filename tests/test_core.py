@@ -20,6 +20,21 @@ from rollupsim.core import (
     tx_hash,
 )
 
+@st.composite
+def encoded_blobs(draw):
+    """Blobs in the canonical layout with every field drawn at random: any
+    tag byte, a recipient of zeros or not, and a data length that may lie."""
+    field = lambda size: draw(st.one_of(st.just(bytes(size)), st.binary(min_size=size, max_size=size)))
+    max_fee = field(8)
+    priority_fee = draw(st.sampled_from([bytes(8), max_fee, field(8)]))
+    data = draw(st.binary(max_size=8))
+    length = len(data) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    return b"".join((
+        field(8), bytes([draw(st.sampled_from([0, 1, 1, 2]))]), field(20), field(20), field(16),
+        max_fee, priority_fee, draw(st.binary(min_size=8, max_size=8)), max(length, 0).to_bytes(4, "big"), data,
+    ))
+
+
 # Golden values derived by hand from the documented layout: the minimal
 # all-zeros transaction (gas_limit 21) is 93 bytes, all zero except the
 # gas_limit field.
@@ -99,6 +114,23 @@ class TestCanonicalEncode:
     def test_decode_rejects_trailing_bytes(self):
         with pytest.raises(EncodingError):
             canonical_decode(canonical_encode(minimal_tx()) + b"\x00")
+
+    def test_decode_rejects_a_create_that_carries_recipient_bytes(self):
+        blob = bytearray(canonical_encode(minimal_tx(recipient=None)))
+        blob[29:49] = b"\xab" * 20
+        with pytest.raises(EncodingError, match="create transaction carries a recipient"):
+            canonical_decode(bytes(blob))
+
+    @given(encoded_blobs())
+    def test_decoding_is_one_to_one(self, blob):
+        """Every blob the decoder accepts is the one encoding of what it
+        decodes to, so the blob's digest is the transaction's hash."""
+        try:
+            tx = canonical_decode(blob)
+        except EncodingError:
+            return
+        assert canonical_encode(tx) == blob
+        assert tx_hash(tx) == hashlib.sha256(blob).digest()
 
 
 class TestTxHash:

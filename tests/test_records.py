@@ -15,24 +15,25 @@ from rollupsim.mempool import PoolConfig
 from rollupsim.quarantine import InsufficientCollateral, PendingApprovals, QuarantineConfig, Released, StillHeld
 from rollupsim.sequencer import SequencerConfig
 
+ONE, TWO = vm.Const(1), vm.Const(2)
 NODES_AND_OUTCOMES = [
     vm.Const(1),
-    vm.SLoad(1),
-    vm.BalanceOf(1),
+    vm.SLoad(ONE),
+    vm.BalanceOf(ONE),
     vm.Caller(),
     vm.CallValue(),
     vm.CallData(),
     vm.SelfAddr(),
-    vm.Bin("add", 1, 2),
-    vm.Not(1),
-    vm.Require(1),
-    vm.SetSlot(1, 2),
-    vm.Pay(1, 2),
-    vm.PauseGuard(1),
-    Released(1),
-    StillHeld(1),
-    PendingApprovals(1),
-    InsufficientCollateral(1),
+    vm.Bin("add", ONE, TWO),
+    vm.Not(ONE),
+    vm.Require(ONE),
+    vm.SetSlot(ONE, TWO),
+    vm.Pay(ONE, TWO),
+    vm.PauseGuard(ONE),
+    Released(ONE),
+    StillHeld(ONE),
+    PendingApprovals(ONE),
+    InsufficientCollateral(ONE),
 ]
 
 
@@ -55,7 +56,22 @@ class TestNodesAndOutcomes:
                 pairs += 1
                 assert a != b and b != a and not a == b
                 assert len({a, b}) == 2
-        assert pairs == 6 + 45 + 1  # 4 field-less nodes, 10 one-field records, 2 two-field nodes
+        assert pairs == 6 + 36 + 1  # 4 field-less nodes, 9 one-field records holding ONE, 2 two-field nodes
+
+    @pytest.mark.parametrize("build", [
+        vm.SLoad, vm.BalanceOf, vm.Not, vm.Require, vm.PauseGuard,
+        lambda child: vm.Bin("add", child, ONE), lambda child: vm.Bin("add", ONE, child),
+        lambda child: vm.SetSlot(ONE, child), lambda child: vm.Pay(child, ONE),
+    ], ids=["SLoad", "BalanceOf", "Not", "Require", "PauseGuard", "Bin.left", "Bin.right", "SetSlot", "Pay"])
+    @pytest.mark.parametrize("child", [1, None, vm.Require(ONE), vm.Caller], ids=["int", "None", "statement", "class"])
+    def test_a_node_refuses_a_child_that_is_no_expression(self, build, child):
+        with pytest.raises(TypeError, match="not an expression"):
+            build(child)
+
+    @pytest.mark.parametrize("stmt", [ONE, None, vm.Require])
+    def test_a_program_refuses_what_is_no_statement(self, stmt):
+        with pytest.raises(TypeError, match="not a statement"):
+            vm.ContractCode(addr(1), (vm.Require(ONE), stmt))
 
     def test_a_node_tree_compares_by_value(self):
         make = lambda: vm.Not(vm.Bin("lt", vm.SLoad(vm.Const(7)), vm.BalanceOf(vm.SelfAddr())))
