@@ -1,19 +1,20 @@
-"""Replica-side chain reconstruction from L1 history alone.
+"""Replica-side chain reconstruction from L1 history alone, on the sequencer's
+own L1 model and sealing path.
 
-Derivation trusts the posted acceptance bitmaps (classification is sequencer
-policy; replay is consensus), decodes the batched transactions, re-executes
-every block, and recomputes every state root. A replica without any detector
-must land on exactly the sequencer's bytes. Records the sequencer could not
-have posted (wrong block number or epoch, time going backwards, a batch that
-cannot execute) are gaps.
+The history's L1 blocks go through `L1Chain.add_block` and every record
+through `post_batch`, which checks each epoch head's bitmap and settles
+escrow. A head mints its epoch's accepted deposits, every block replays its
+batch, and `ChainView.seal` roots and links it, as it does for the sequencer.
+A replica without any detector must land on exactly the sequencer's bytes.
+A history the sequencer could not have written is a gap or an `L1Error`.
 """
 from __future__ import annotations
 
 from typing import List, NamedTuple, Tuple
 
-from .core import Block, DepositTransaction, StateRoot, block_hash, canonical_decode
-from .l1da import L1History, bitmap_flags
-from .vm import InvalidBlock, apply_block, state_root
+from .core import Block, StateRoot, block_hash, canonical_decode
+from .l1da import EscrowStatus, L1Chain, L1History
+from .vm import InvalidBlock, WorldState, apply_block, state_root
 
 
 class DerivationGap(Exception):
@@ -28,63 +29,70 @@ class DerivedChain(NamedTuple):
     final_root: StateRoot
 
 
-def derive(history: L1History) -> DerivedChain:
-    """Rebuild the chain: per epoch, bitmap-selected deposits open the first
-    block, then the batched transactions replay in posted order."""
-    state = history.genesis
-    blocks: List[Block] = []
-    parent = bytes(32)
-    epochs_with_bitmap = set()
+_UNSEALED = StateRoot(bytes(32))
 
+
+class ChainView:
+    """The sealed blocks, and the tip's state and hash."""
+
+    __slots__ = ("blocks", "tip_state", "tip_hash")
+
+    def __init__(self, tip_state: WorldState) -> None:
+        self.blocks: List[Block] = []
+        self.tip_state = tip_state
+        self.tip_hash = bytes(32)
+
+    def draft(self, timestamp: int, base_fee: int, epoch: int, deposits: tuple, transactions: tuple) -> Block:
+        """The block after the tip, unsealed: zero parent hash and state root."""
+        return Block(len(self.blocks), _UNSEALED, timestamp, base_fee, epoch, deposits, transactions, _UNSEALED)
+
+    def seal(self, block: Block, state: WorldState) -> Block:
+        """Link `block` to the tip, root it in `state` (the state after it), and make it the tip."""
+        block = block._replace(parent_hash=self.tip_hash, state_root=state_root(state))
+        self.blocks.append(block)
+        self.tip_state, self.tip_hash = state, block_hash(block)
+        return block
+
+
+def derive(history: L1History) -> DerivedChain:
+    """Rebuild the chain: per epoch, the head's bitmap settles escrow and the
+    accepted deposits open the head block, then the batched transactions
+    replay in posted order."""
+    l1 = L1Chain()
+    for place, l1_block in enumerate(history.blocks):
+        if l1_block.number != place:
+            raise DerivationGap(place, f"l1block {place} carries number {l1_block.number}")
+        l1.add_block(l1_block.timestamp, l1_block.deposits)
+
+    chain = ChainView(history.genesis)
     for record in history.inbox:
-        number = len(blocks)
+        number, time = len(chain.blocks), record.l2_timestamp
+        epoch, offset = divmod(number, history.blocks_per_epoch)
         if record.l2_number != number:
             raise DerivationGap(record.epoch, f"expected block {number}, record carries {record.l2_number}")
-        if record.epoch != number // history.blocks_per_epoch:
-            raise DerivationGap(
-                record.epoch, f"block {number} belongs to epoch {number // history.blocks_per_epoch}"
-            )
-        if blocks and record.l2_timestamp < blocks[-1].timestamp:
-            raise DerivationGap(
-                record.epoch, f"block {number} time {record.l2_timestamp} is before {blocks[-1].timestamp}"
-            )
-        is_epoch_head = number % history.blocks_per_epoch == 0
-
-        deposits: Tuple[DepositTransaction, ...] = ()
-        if record.has_bitmap:
-            if not is_epoch_head:
-                raise DerivationGap(record.epoch, f"bitmap on non-head block {number}")
-            if record.epoch in epochs_with_bitmap:
-                raise DerivationGap(record.epoch, "duplicate bitmap for epoch")
-            epochs_with_bitmap.add(record.epoch)
-            declared = (
-                history.blocks[record.epoch].deposits if record.epoch < len(history.blocks) else ()
-            )
-            deposits = tuple(dep for dep, accepted in zip(declared, bitmap_flags(record, declared)) if accepted)
-        elif is_epoch_head and record.epoch < len(history.blocks) and history.blocks[record.epoch].deposits:
-            raise DerivationGap(record.epoch, "epoch has deposits but its head record posts no bitmap")
-
-        block = Block(
-            number=number,
-            parent_hash=parent,
-            timestamp=record.l2_timestamp,
-            base_fee=record.l2_base_fee,
-            epoch=record.epoch,
-            deposits=deposits,
-            transactions=tuple(canonical_decode(blob) for blob in record.batch),
-            state_root=StateRoot(bytes(32)),  # sealed once the block has run
-        )
+        if record.epoch != epoch:
+            raise DerivationGap(record.epoch, f"block {number} belongs to epoch {epoch}")
+        if chain.blocks and time <= chain.blocks[-1].timestamp:
+            raise DerivationGap(epoch, f"block {number} time {time} is not after {chain.blocks[-1].timestamp}")
+        if record.has_bitmap != (offset == 0):
+            rule = f"bitmap on non-head block {number}" if offset else f"head block {number} posts no bitmap"
+            raise DerivationGap(epoch, rule)
+        l1_time = l1.blocks[epoch].timestamp if offset == 0 and epoch < len(l1.blocks) else 0
+        if time < l1_time:
+            raise DerivationGap(epoch, f"head block {number} time {time} is before its L1 block's time {l1_time}")
+        l1.post_batch(record)
+        deposits = l1.accepted_deposits(epoch) if record.has_bitmap else ()
+        transactions = tuple(canonical_decode(blob) for blob in record.batch)
+        block = chain.draft(time, record.l2_base_fee, epoch, deposits, transactions)
         try:
-            state = apply_block(state, block, history.fee_recipient)
+            state = apply_block(chain.tip_state, block, history.fee_recipient)
         except InvalidBlock as exc:
-            raise DerivationGap(record.epoch, f"block {number} cannot execute: {exc}") from None
-        block = block._replace(state_root=state_root(state))
-        blocks.append(block)
-        parent = block_hash(block)
+            raise DerivationGap(epoch, f"block {number} cannot execute: {exc}") from None
+        chain.seal(block, state)
 
-    # Every epoch that escrowed deposits must have posted exactly one bitmap.
-    for l1_block in history.blocks:
-        if l1_block.deposits and l1_block.number not in epochs_with_bitmap:
-            raise DerivationGap(l1_block.number, "no bitmap-bearing record for an epoch with deposits")
+    # Every escrowed deposit is settled by its epoch head's bitmap.
+    for entry in l1.escrow.values():
+        if entry.status is EscrowStatus.PENDING:
+            raise DerivationGap(entry.deposit.l1_block, "deposits in escrow but no head record settles them")
 
-    return DerivedChain(blocks=tuple(blocks), final_root=state_root(state))
+    return DerivedChain(blocks=tuple(chain.blocks), final_root=state_root(chain.tip_state))

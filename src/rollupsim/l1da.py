@@ -4,6 +4,8 @@ Each L1 block carries the deposits escrowed in it; the batcher appends one
 record per L2 block to the inbox. The record for an epoch's first L2 block
 also carries a bitmap marking which of that epoch's deposits were included,
 which is what lets a replica re-derive the chain without running detection.
+A replica replays an exported history through its own `L1Chain`, so the
+batcher and the replica follow one set of L1 rules.
 """
 from __future__ import annotations
 
@@ -151,6 +153,11 @@ class L1Chain:
             for entry, accepted in zip(entries, bitmap_flags(record, deposits)):
                 entry.status = EscrowStatus.ACCEPTED if accepted else EscrowStatus.REFUSED
         self.inbox.append(record)
+
+    def accepted_deposits(self, epoch: int) -> Tuple[DepositTransaction, ...]:
+        """The epoch's deposits whose escrow is ACCEPTED: what its head block mints."""
+        accepted = EscrowStatus.ACCEPTED
+        return tuple(dep for dep in self.deposits_for_epoch(epoch) if self.escrow[deposit_id(dep)].status is accepted)
 
     def escape_withdraw(self, dep_id: TxHash, now: int):
         """Refund a refused deposit, or a pending one after the timeout.

@@ -177,13 +177,11 @@ class MaintenanceReport(NamedTuple):
 
 
 class QuarantineStore:
-    def __init__(
-        self, config: QuarantineConfig, registry: Optional[ReleasedRegistry] = None, pool: Optional[Mempool] = None
-    ):
+    def __init__(self, config: QuarantineConfig, pool: Optional[Mempool] = None):
         self.config = config
         self.pool = pool
         self.active: Dict[TxHash, QuarantineEntry] = {}
-        self.registry = registry if registry is not None else ReleasedRegistry()
+        self.registry = ReleasedRegistry()
         self.audit: List[AuditEvent] = []
         self._admissions = 0
         # First admission position of every key ever admitted: a readmitted
@@ -344,14 +342,13 @@ class QuarantineStore:
         self._release(entry, now, "economic", sender.hex0x())
         return Released("economic")
 
-    def on_replacement(self, old_key: TxHash, new_tx: SignedTransaction, now: int) -> Dict[str, bool]:
-        """A replacement leaves the old entry held; the new tx is detected
-        normally unless it duplicates something already released."""
+    def on_replacement(self, old_key: TxHash, new_tx: SignedTransaction, now: int) -> None:
+        """A replacement leaves the old entry held. The new tx is detected
+        normally unless `registry` knows it as a released duplicate."""
         if old_key in self.active:
             self.audit.append(
                 AuditEvent(old_key, now, "replaced", detail=f"new={tx_id(new_tx).hex0x()}")
             )
-        return {"quarantine_new": not self.registry.is_released_duplicate(new_tx)}
 
     # -- internals --
 

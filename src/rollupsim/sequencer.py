@@ -3,11 +3,11 @@ routing, epoch-anchored deposits, batch posting, and the scenario driver.
 
 Per block: the epoch's accepted deposits go first, regular candidates are
 classified and the benign ones included in candidate order, flagged ones
-enter quarantine, everything else stays pooled for the next round. After the
-block is applied, the pool and the quarantine run their cheap per-block
-hygiene (which provably performs zero simulations), and the batcher posts
-the block's record — with the deposit acceptance bitmap on epoch heads — to
-the L1 inbox.
+enter quarantine, everything else stays pooled for the next round. The
+batcher posts the block's record — with the deposit acceptance bitmap on
+epoch heads — to the L1 inbox, and the block is sealed through the
+`ChainView` the replica seals into. Then the pool and the quarantine run
+their cheap per-block hygiene, which performs no simulation.
 """
 from __future__ import annotations
 
@@ -24,13 +24,13 @@ from .core import (
     TxHash,
     U64_MAX,
     ZERO_ADDRESS,
-    block_hash,
     canonical_encode,
     deposit_id,
     tx_hash,
     tx_id,
 )
 from .detection import CandidateSet, Counters, InvariantDetector, InvariantSet, Verdict, hybrid_detect
+from .derivation import ChainView
 from .l1da import EscrowStatus, L1Chain, L1History, L1Record, encode_bitmap, snapshot_history
 from .mempool import Mempool, PoolConfig
 from .quarantine import CollateralLedger, QuarantineConfig, QuarantineEntry, QuarantineError, QuarantineStore
@@ -65,18 +65,6 @@ class SequencerConfig(Record):
         self.fee_recipient = fee_recipient
         self.workers = workers
         self.genesis_timestamp = genesis_timestamp
-
-
-class ChainView:
-    __slots__ = ("blocks", "tip_state")
-
-    def __init__(self, tip_state: WorldState) -> None:
-        self.blocks: List[Block] = []
-        self.tip_state = tip_state
-
-    @property
-    def tip_hash(self) -> bytes:
-        return block_hash(self.blocks[-1]) if self.blocks else bytes(32)
 
 
 # -- scenario events (parsed form; tx references already resolved to hashes) --
@@ -248,7 +236,7 @@ class Sequencer:
         self.base_fee = self.config.base_fee
         self.records: List[QuarantineEntry] = []
         self.counters = Counters()
-        self.minted: Set[TxHash] = set()  # ids of deposits included in any block
+        self.minted: Set[TxHash] = set()  # ids of deposits executed into the chain's state
 
     # ------------------------------------------------------------------
     def _ctx(self, now: int) -> BlockContext:
@@ -276,7 +264,7 @@ class Sequencer:
 
         # Epoch head: vet the deposits; refused ones are quarantined forever
         # and reported to the batcher bitmap.
-        accepted_deposits: Tuple[DepositTransaction, ...] = ()
+        accepted: Set[TxHash] = set()
         deposit_flags: List[bool] = []
         state_after_deposits = tip
         if epoch_deposits:
@@ -293,7 +281,6 @@ class Sequencer:
             accepted = {tx_id(d) for d in outcome.benign}
             for dep, verdict, _sim in outcome.malicious:
                 self._admit(dep, verdict, tip, now, number)
-            accepted_deposits = tuple(d for d in epoch_deposits if deposit_id(d) in accepted)
             deposit_flags = [deposit_id(d) in accepted for d in epoch_deposits]
             state_after_deposits = outcome.final_state
 
@@ -318,50 +305,41 @@ class Sequencer:
         # The classifier's fold already applied the block: deposits, then the
         # benign candidates in order.
         final_state = outcome.final_state
-        block = Block(
-            number=number,
-            parent_hash=self.chain.tip_hash,
-            timestamp=now,
-            base_fee=self.base_fee,
-            epoch=epoch,
-            deposits=accepted_deposits,
-            transactions=tuple(outcome.benign),
-            state_root=state_root(final_state),
-        )
+        transactions = tuple(outcome.benign)
 
-        # Batcher: one record per block; the epoch head carries the bitmap.
+        # Batcher: one record per block; the epoch head carries the bitmap,
+        # which settles the epoch's escrow. The head mints what L1 accepted,
+        # the same rule the replica follows.
         is_epoch_head = number % self.config.blocks_per_epoch == 0
         record = L1Record(
             epoch=epoch,
             l2_number=number,
             l2_timestamp=now,
             l2_base_fee=self.base_fee,
-            batch=tuple(canonical_encode(tx) for tx in block.transactions),
+            batch=tuple(canonical_encode(tx) for tx in transactions),
             deposit_count=len(deposit_flags) if is_epoch_head else None,
             bitmap=tuple(encode_bitmap(deposit_flags)) if is_epoch_head else (),
         )
         self.l1.post_batch(record)
-
-        self.chain.blocks.append(block)
-        self.chain.tip_state = final_state
+        deposits = self.l1.accepted_deposits(epoch) if is_epoch_head else ()
+        block = self.chain.seal(self.chain.draft(now, self.base_fee, epoch, deposits, transactions), final_state)
 
         # Settled collateral locks: included transactions are final here.
         for tx in block.transactions:
             self.ledger.refund(tx_hash(tx))
 
-        # Pool hygiene, then quarantine maintenance — exactly once per block,
-        # with a measured guarantee that it performed zero simulations.
+        # Pool hygiene, then quarantine maintenance, exactly once per block;
+        # maintenance never simulates.
         removed = self.mempool.retire(now, final_state)
         self.store.on_mempool_retired(removed, now)
         for key in removed:
             self.ledger.refund(key)
-        before = self.counters.simulations()
         self.store.per_block_maintenance(final_state, now)
-        self.counters.maintenance_sims += self.counters.simulations() - before
 
-        minted_now = [deposit_id(d) for d in block.deposits]
-        self.minted.update(minted_now)
-        self._check_deposit_conservation(minted_now + [deposit_id(d) for d in epoch_deposits or ()])
+        # The state holds the deposits detection accepted; escrow must agree.
+        settled = [deposit_id(d) for d in epoch_deposits or ()]
+        self.minted.update(key for key in settled if key in accepted)
+        self._check_deposit_conservation(settled)
         return block
 
     def _check_deposit_conservation(self, keys: Sequence[TxHash]) -> None:
@@ -418,8 +396,6 @@ class Sequencer:
 
         if cursor < len(events):
             raise ScenarioError("event after the final block", at=events[cursor].at)
-        if self.counters.maintenance_sims != 0:
-            raise RuntimeError("quarantine maintenance performed simulations")
 
         pool_dump = [
             PoolSummary(

@@ -326,7 +326,57 @@ class TestDeriveRejectsImpossibleHistory:
     def test_block_time_going_backwards(self, tmp_path, capsys):
         code, err = self.derive_edited(tmp_path, capsys, lambda line: line.replace("l2_time=4 ", "l2_time=1 "))
         assert code == 4
-        assert "derivation gap" in err and "time 1 is before 2" in err
+        assert "derivation gap" in err and "time 1 is not after 2" in err
+
+    @pytest.mark.parametrize(
+        "name, rewrite, needle",
+        [
+            # The batcher posts a bitmap, possibly empty, on every epoch head.
+            (
+                "single_transfer",
+                lambda text: text.replace(" deposit_count=0 bitmap=-", "", 1),
+                "derivation gap: epoch 0: head block 0 posts no bitmap",
+            ),
+            (
+                "multi_epoch_deposits",
+                lambda text: text.replace("l1block number=0 ", "l1block number=N ")
+                .replace("l1block number=1 ", "l1block number=0 ")
+                .replace("l1block number=N ", "l1block number=1 "),
+                "derivation gap: epoch 0: l1block 0 carries number 1",
+            ),
+            # L1 block 1's deposit relabeled from index 0 to index 1.
+            (
+                "multi_epoch_deposits",
+                lambda text: text.replace("deposits=000000000000000100000000", "deposits=000000000000000100000001"),
+                "unusable history: deposit labeled (1,1) placed at (1,0)",
+            ),
+            # Blocks are at least block_time >= 1 apart.
+            (
+                "multi_epoch_deposits",
+                lambda text: re.sub(r"l2_time=\d+", "l2_time=7", text),
+                "derivation gap: epoch 0: block 1 time 7 is not after 7",
+            ),
+            # L1 block 1 arrives after the epoch-1 head (l2_time=6) was built.
+            (
+                "multi_epoch_deposits",
+                lambda text: text.replace("l1block number=1 time=5 ", "l1block number=1 time=500 "),
+                "derivation gap: epoch 1: head block 2 time 6 is before its L1 block's time 500",
+            ),
+        ],
+        ids=["head_without_bitmap", "l1block_out_of_place", "deposit_out_of_place", "time_not_after", "head_before_l1"],
+    )
+    def test_history_the_sequencer_cannot_write(self, tmp_path, capsys, name, rewrite, needle):
+        _, _, l1_path = run_cli(tmp_path, name)
+        text = l1_path.read_text()
+        assert rewrite(text) != text
+        bad = tmp_path / "bad.l1"
+        bad.write_text(rewrite(text))
+        capsys.readouterr()
+        code = main(["derive", "--l1", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" not in err
+        assert needle in err
 
 
 class TestDeriveRejectsUnexecutableHistory:

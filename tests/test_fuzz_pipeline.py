@@ -1,11 +1,19 @@
 """Whole-pipeline fuzz: random scenarios must stay worker-invariant and
-re-derivable byte for byte from their L1 export."""
+re-derivable byte for byte from their L1 export, and the replica must refuse
+every history the sequencer could not have written."""
+import functools
 import random
+from pathlib import Path
+
+import pytest
 
 from rollupsim.core import encode_block
-from rollupsim.derivation import derive
+from rollupsim.derivation import DerivationGap, derive
 from rollupsim.formats import parse_history, parse_scenario, render_history, render_report
+from rollupsim.l1da import L1Chain, L1Error
 from rollupsim.sequencer import run
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GATED_VAULT = (
     "(set 'paused' (or (and (sload 'paused') (not (and (eq caller 0xa1) (eq calldata 1)))) "
@@ -76,11 +84,26 @@ def random_scenario_text(rng):
     return "\n".join(lines) + "\n"
 
 
-def test_random_scenarios_worker_invariant_and_rederivable():
+@functools.lru_cache(maxsize=None)
+def fuzz_cases():
+    """The 60 random cases: (scenario text, single-worker run outcome)."""
     rng = random.Random(20_077)
-    for case in range(60):
-        text = random_scenario_text(rng)
-        out1 = run(parse_scenario(text))
+    texts = [random_scenario_text(rng) for _ in range(60)]
+    return tuple((text, run(parse_scenario(text))) for text in texts)
+
+
+@functools.lru_cache(maxsize=None)
+def sequencer_histories():
+    """(label, L1 history) of every corpus scenario and every random case."""
+    corpus = [
+        (path.stem, run(parse_scenario(path.read_text(), default_name=path.stem)).history)
+        for path in sorted(SCENARIOS.glob("*.scn"))
+    ]
+    return tuple(corpus + [(f"case {case}", out.history) for case, (_, out) in enumerate(fuzz_cases())])
+
+
+def test_random_scenarios_worker_invariant_and_rederivable():
+    for case, (text, out1) in enumerate(fuzz_cases()):
         scn = parse_scenario(text)
         scn.seq_config = scn.seq_config._replace(workers=4)
         out2 = run(scn)
@@ -90,3 +113,93 @@ def test_random_scenarios_worker_invariant_and_rederivable():
             encode_block(b) for b in out1.sequencer.chain.blocks
         ], f"case {case}"
         assert derived.final_root == out1.report.final_root, f"case {case}"
+
+
+def replica_l1(history):
+    """The L1 model a replica builds from a history's L1 blocks."""
+    l1 = L1Chain()
+    for block in history.blocks:
+        l1.add_block(block.timestamp, block.deposits)
+    return l1
+
+
+def test_sequencer_histories_keep_the_timing_relations():
+    """The relations the replica enforces hold on everything the sequencer writes:
+    block times strictly increase, and no epoch head is earlier than its L1 block."""
+    histories = sequencer_histories()
+    assert len(histories) == 27 + 60
+    for label, history in histories:
+        times = [record.l2_timestamp for record in history.inbox]
+        assert all(a < b for a, b in zip(times, times[1:])), label
+        l1 = replica_l1(history)
+        for record in history.inbox:
+            if record.l2_number % history.blocks_per_epoch == 0 and record.epoch < len(l1.blocks):
+                assert record.l2_timestamp >= l1.blocks[record.epoch].timestamp, label
+
+
+# -- histories the sequencer cannot write: each mutation returns None where it does not fit --
+
+def _with_record(history, index, record):
+    return history._replace(inbox=history.inbox[:index] + (record,) + history.inbox[index + 1:])
+
+
+def _with_block(history, index, block):
+    return history._replace(blocks=history.blocks[:index] + (block,) + history.blocks[index + 1:])
+
+
+def head_without_bitmap(history):
+    """An epoch head with no deposits drops its empty bitmap."""
+    for index, record in enumerate(history.inbox):
+        if record.deposit_count == 0:
+            return _with_record(history, index, record._replace(deposit_count=None, bitmap=()))
+    return None
+
+
+def l1block_out_of_place(history):
+    """L1 blocks 0 and 1 swap their numbers."""
+    if len(history.blocks) < 2:
+        return None
+    first, second = history.blocks[:2]
+    swapped = (first._replace(number=second.number), second._replace(number=first.number))
+    return history._replace(blocks=swapped + history.blocks[2:])
+
+
+def deposit_out_of_place(history):
+    """A deposit carries an index past its block's deposits."""
+    for index, block in enumerate(history.blocks):
+        if block.deposits:
+            moved = block.deposits[0]._replace(l1_index=len(block.deposits))
+            return _with_block(history, index, block._replace(deposits=(moved,) + block.deposits[1:]))
+    return None
+
+
+def time_not_after(history):
+    """Block 1 takes block 0's time."""
+    if len(history.inbox) < 2:
+        return None
+    return _with_record(history, 1, history.inbox[1]._replace(l2_timestamp=history.inbox[0].l2_timestamp))
+
+
+def head_before_l1(history):
+    """An L1 block is restamped to after the epoch head that settles it."""
+    for index, block in enumerate(history.blocks):
+        head = index * history.blocks_per_epoch
+        if head < len(history.inbox):
+            return _with_block(history, index, block._replace(timestamp=history.inbox[head].l2_timestamp + 1))
+    return None
+
+
+@pytest.mark.parametrize(
+    "mutate", [head_without_bitmap, l1block_out_of_place, deposit_out_of_place, time_not_after, head_before_l1]
+)
+def test_derive_refuses_every_impossible_history(mutate):
+    fitted = 0
+    for label, history in sequencer_histories():
+        broken = mutate(history)
+        if broken is None:
+            continue
+        fitted += 1
+        with pytest.raises((DerivationGap, L1Error)):
+            derive(broken)
+            pytest.fail(f"{label}: derive accepted it")
+    assert fitted, "the mutation fits no history"

@@ -260,17 +260,18 @@ class TestReplacement:
         s = store()
         t = held_exploit(s)
         replacement = exploit_tx(max_fee=50)
-        directive = s.on_replacement(tx_hash(t), replacement, now=5)
+        s.on_replacement(tx_hash(t), replacement, now=5)
         assert s.is_active(tx_hash(t))
-        assert directive["quarantine_new"] is True
+        assert not s.registry.is_released_duplicate(replacement)  # detected normally
 
     def test_released_duplicate_replacement_bypasses_detection(self):
         s = store()
         t = held_exploit(s)
         s.approve_release(tx_hash(t), OPERATOR, now=1)
         t2 = held_exploit(s, now=2, nonce=1)
-        directive = s.on_replacement(tx_hash(t2), exploit_tx(nonce=1, max_fee=99), now=3)
-        assert directive["quarantine_new"] is False  # same duplicate key as the released one
+        replacement = exploit_tx(nonce=1, max_fee=99)
+        s.on_replacement(tx_hash(t2), replacement, now=3)
+        assert s.registry.is_released_duplicate(replacement)  # same duplicate key as the released one
 
 
 class TestDepositPermanence:

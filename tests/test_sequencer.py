@@ -1,12 +1,15 @@
+import sys
 from pathlib import Path
 
 import pytest
 
 from helpers import ADMIN, ATTACKER, VAULT, addr
+from test_acceptance import _dos_scenario
 from rollupsim.core import deposit_id, tx_hash
 from rollupsim.detection import BENIGN_VERDICT, DetectionOutcome
 from rollupsim.formats import parse_scenario, render_report
 from rollupsim.l1da import EscrowStatus, L1Chain
+from rollupsim.quarantine import QuarantineStore
 from rollupsim.sequencer import ScenarioError, Sequencer, run
 from rollupsim.vm import PreconditionFailed, execute_transaction
 
@@ -97,6 +100,56 @@ class TestBuildBlock:
         assert out.report.counters.deferred_count == 1
         admitted_blocks = sorted(e.admitted_block for e in out.report.entries)
         assert admitted_blocks == [0, 1]
+
+
+class MaintenanceExecuted(BaseException):
+    """Raised by any transaction execution during quarantine maintenance; a
+    BaseException, so that no `except Exception` in the code can swallow it."""
+
+
+def refuse_executions_during_maintenance(monkeypatch):
+    """Make every transaction execution raise while
+    `QuarantineStore.per_block_maintenance` runs; returns the list its calls
+    are counted in."""
+    calls = []
+    maintain = QuarantineStore.per_block_maintenance
+
+    def refuse(*args, **kwargs):
+        raise MaintenanceExecuted("quarantine maintenance executed a transaction")
+
+    def guarded(store, *args, **kwargs):
+        calls.append(None)
+        with monkeypatch.context() as patch:
+            for name, module in list(sys.modules.items()):
+                if name.startswith("rollupsim") and hasattr(module, "execute_transaction"):
+                    patch.setattr(module, "execute_transaction", refuse)
+            return maintain(store, *args, **kwargs)
+
+    monkeypatch.setattr(QuarantineStore, "per_block_maintenance", guarded)
+    return calls
+
+
+class TestMaintenanceNeverExecutes:
+    """Quarantine maintenance runs once per block and executes no transaction."""
+
+    def test_acceptance_flood(self, monkeypatch):
+        calls = refuse_executions_during_maintenance(monkeypatch)
+        out = run(parse_scenario(_dos_scenario(True)))
+        assert len(out.sequencer.store.active) == 1000
+        assert len(calls) == len(out.report.blocks) == 100
+
+    @pytest.mark.parametrize("name", ["kitchen_sink", "flood"])
+    def test_corpus(self, name, monkeypatch):
+        calls = refuse_executions_during_maintenance(monkeypatch)
+        out = run_named(name)
+        assert len(calls) == len(out.report.blocks)
+
+    def test_failure_releases_execute_outside_maintenance(self, monkeypatch):
+        calls = refuse_executions_during_maintenance(monkeypatch)
+        out = run_named("failure_release")
+        assert len(calls) == len(out.report.blocks)
+        assert out.report.counters.release_sims >= 1
+        assert any(a.detail == "criterion=failure" for a in out.report.audit)
 
 
 class TestValueConservation:
