@@ -7,13 +7,16 @@ escrow. A head mints its epoch's accepted deposits, every block replays its
 batch, and `ChainView.seal` roots and links it, as it does for the sequencer.
 A replica without any detector must land on exactly the sequencer's bytes.
 A history the sequencer could not have written is a gap or an `L1Error`.
+As in a scenario, L1 block times never go backwards and every L1 block opens
+an epoch whose head is in the inbox, so each head's bitmap settles all the
+escrow its L1 block holds.
 """
 from __future__ import annotations
 
 from typing import List, NamedTuple, Tuple
 
 from .core import Block, StateRoot, block_hash, canonical_decode
-from .l1da import EscrowStatus, L1Chain, L1History
+from .l1da import L1Chain, L1History
 from .vm import InvalidBlock, WorldState, apply_block, state_root
 
 
@@ -62,6 +65,12 @@ def derive(history: L1History) -> DerivedChain:
     for place, l1_block in enumerate(history.blocks):
         if l1_block.number != place:
             raise DerivationGap(place, f"l1block {place} carries number {l1_block.number}")
+        if l1.blocks and l1_block.timestamp < l1.blocks[-1].timestamp:
+            raise DerivationGap(place, f"l1block {place} time {l1_block.timestamp} is before l1block "
+                                       f"{place - 1}'s time {l1.blocks[-1].timestamp}")
+        if place * history.blocks_per_epoch >= len(history.inbox):
+            raise DerivationGap(place, f"l1block {place}'s epoch head, block {place * history.blocks_per_epoch}, "
+                                       f"is past the {len(history.inbox)}-block inbox")
         l1.add_block(l1_block.timestamp, l1_block.deposits)
 
     chain = ChainView(history.genesis)
@@ -89,10 +98,4 @@ def derive(history: L1History) -> DerivedChain:
         except InvalidBlock as exc:
             raise DerivationGap(epoch, f"block {number} cannot execute: {exc}") from None
         chain.seal(block, state)
-
-    # Every escrowed deposit is settled by its epoch head's bitmap.
-    for entry in l1.escrow.values():
-        if entry.status is EscrowStatus.PENDING:
-            raise DerivationGap(entry.deposit.l1_block, "deposits in escrow but no head record settles them")
-
     return DerivedChain(blocks=tuple(chain.blocks), final_root=state_root(chain.tip_state))

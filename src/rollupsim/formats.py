@@ -6,10 +6,10 @@ in braces; in scenarios `#` starts a comment; blank lines are ignored.
 
 Each line kind is declared once, as a `Line`: the words that open it and
 its ordered `(key, attribute, codec)` fields, where a `Codec` is how one
-value is written and read. `Line.render` and `Line.read` serve every
-declared line, so the text form of a record lives in its declaration alone
-and every line keeps the same rules. A line is refused, with its number,
-when it:
+value is written and read. `Line.render` serves every declared line, and
+each `Line` builds its reader once, from its fields' codecs, so the text
+form of a record lives in its declaration alone and every line keeps the
+same rules. A line is refused, with its number, when it:
 - lacks a field, or has one its declaration does not name;
 - holds a value its codec refuses (each integer has its range);
 - repeats a line a file holds once: a header, `run` in a scenario, `config`
@@ -31,9 +31,10 @@ that transaction as `tx=@<label>`.
 """
 from __future__ import annotations
 
+import math
 import re
+import sys
 from types import SimpleNamespace
-from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -78,32 +79,30 @@ from .vm import EMPTY_ACCOUNT, Account, ContractCode, Expr, Statement, make_stat
 # low-level line machinery
 # ---------------------------------------------------------------------------
 
+_MARK_RE = re.compile(r"[{}]|\s+")  # `\s` is `str.isspace`
+
+
 def _split_fields(line: str, lineno: int) -> List[str]:
     """Split a line on whitespace, keeping {...} groups intact."""
     if "{" not in line and "}" not in line:
         return line.split()  # splits on exactly the characters `str.isspace` accepts
     fields: List[str] = []
-    buf: List[str] = []
-    depth = 0
-    for ch in line:
-        if ch == "{":
+    depth = start = 0
+    for mark in _MARK_RE.finditer(line):
+        if mark.group() == "{":
             depth += 1
-            buf.append(ch)
-        elif ch == "}":
+        elif mark.group() == "}":
             depth -= 1
             if depth < 0:
                 raise ScenarioError("unbalanced '}'", line=lineno)
-            buf.append(ch)
-        elif ch.isspace() and depth == 0:
-            if buf:
-                fields.append("".join(buf))
-                buf = []
-        else:
-            buf.append(ch)
+        elif depth == 0:  # whitespace between fields
+            if mark.start() > start:
+                fields.append(line[start:mark.start()])
+            start = mark.end()
     if depth != 0:
         raise ScenarioError("unbalanced '{'", line=lineno)
-    if buf:
-        fields.append("".join(buf))
+    if start < len(line):
+        fields.append(line[start:])
     return fields
 
 
@@ -143,6 +142,11 @@ _HEX_RE = re.compile(r"[0-9a-fA-F]*")
 
 
 def _parse_address(value: str, lineno: int, what: str = "", ctx: Any = None) -> Address:
+    if len(value) == 42 and value.startswith("0x"):  # the full form: one `fromhex` checks all 40 digits
+        try:
+            return Address(bytes.fromhex(value[2:]))
+        except ValueError:  # not 20 bytes of hex: the checks below word the refusal
+            pass
     if not value.startswith("0x"):
         raise ScenarioError(f"address must be 0x-hex: {value!r}", line=lineno)
     digits = value[2:]
@@ -285,8 +289,21 @@ class Codec(NamedTuple):
     item: Optional["Codec"] = None
 
 
-def _int(least: int, top: Optional[int], render: Optional[Callable[[int], str]] = None) -> Codec:
-    return Codec(render, partial(_parse_int, minimum=least, maximum=top), least, top)
+def _int(least: Optional[int], top: Optional[int], render: Optional[Callable[[int], str]] = None) -> Codec:
+    """Integers in `least..top` (None: unbounded); `_parse_int` reads what
+    one `int` does not, and words every refusal."""
+    low, high = -math.inf if least is None else least, math.inf if top is None else top
+
+    def parse(text: str, lineno: int, what: str, ctx: Any = None) -> int:
+        try:
+            number = int(text)
+            if low <= number <= high:
+                return number
+        except ValueError:
+            pass
+        return _parse_int(text, lineno, what, ctx, least, top)
+
+    return Codec(render, parse, least, top)
 
 
 def _list(item: Codec) -> Codec:
@@ -331,8 +348,8 @@ def _parse_deposits(text: str, lineno: int, what: str, ctx: Any) -> Tuple[Deposi
 
 
 U64, U128, POSITIVE = _int(0, U64_MAX), _int(0, U128_MAX), _int(1, U64_MAX)
-# Transaction and deposit fields: those records check their own ranges.
-TX_U64 = Codec(None, _parse_int, 0, U64_MAX)
+# Transaction and deposit fields read any integer: those records check their own ranges.
+TX_U64 = _int(None, None)._replace(least=0, top=U64_MAX)
 TX_U128 = TX_U64._replace(top=U128_MAX)
 TEXT = Codec(None, lambda text, *_: text)
 ADDRESS, BYTES = Codec(_fmt_bytes, _parse_address), Codec(_fmt_bytes, _parse_bytes)
@@ -384,10 +401,14 @@ class Line:
     the value off the record, dotted for a nested one; its last part names
     the value for `make`, which builds the record. The fields from index
     `tail` on are written when the first of them is not None, and read all
-    or none. `once` marks a line a file holds at most once."""
+    or none. `once` marks a line a file holds at most once.
 
-    __slots__ = ("name", "head", "make", "fields", "once", "_tail", "_words", "_slots", "_keyed", "_needed",
-                 "_defaults", "_tail_kws", "_template", "_tail_template", "_convert", "_get")
+    `read(words, lineno, ctx=None, **values)`, built here from the fields'
+    codecs, reads one line's words, the head's included; `values` holds what
+    the record takes from outside the line."""
+
+    __slots__ = ("name", "head", "make", "fields", "once", "read", "_tail", "_words", "_template", "_tail_template",
+                 "_convert", "_get")
 
     def __init__(
         self, name: str, make: Callable[..., Any], *fields: tuple, head: Optional[str] = None, once: bool = False,
@@ -397,17 +418,49 @@ class Line:
         self.fields = fields = tuple((*f, default)[:4] for f in fields)
         self.name, self.make, self.once, self._tail, self.head = name, make, once, tail, name if head is None else head
         self._words = words = self.head.split()
-        slots = [i for i, word in enumerate(words) if word == "{}"]
-        kws = [attr.rpartition(".")[2] for _key, attr, *_ in fields]
+        n_slots, n_words, n_fields = words.count("{}"), len(words), len(fields)
+        # `make` binds an interned keyword by identity, any other by comparing text
+        kws = [sys.intern(attr.rpartition(".")[2]) for _key, attr, *_ in fields]
         reads = [(kw, codec.parse, f"{name} {key}".rstrip()) for kw, (key, _attr, codec, _d) in zip(kws, fields)]
-        self._slots = tuple((i, *reads[n]) for n, i in enumerate(slots))
-        self._keyed = {field[0]: read for field, read in zip(fields[len(slots):], reads[len(slots):])}
-        self._needed = [(f[0], kw) for kw, f in zip(kws[len(slots):], fields[len(slots):]) if f[3] is _REQUIRED]
-        self._defaults = {kw: f[3] for kw, f in zip(kws, fields) if f[3] is not _REQUIRED and f[3] is not _ABSENT}
-        self._tail_kws = frozenset(kws[tail:]) if tail else frozenset()
-        keyed = [f"{key}={{}}" for key, *_ in fields[len(slots):]]
-        cut = len(keyed) if tail is None else tail - len(slots)
-        self._template, self._tail_template = " ".join(words + keyed[:cut]), "".join(" " + k for k in keyed[cut:])
+        slots = tuple((i, *reads[n]) for n, i in enumerate(i for i, word in enumerate(words) if word == "{}"))
+        keyed = {field[0]: read for field, read in zip(fields[n_slots:], reads[n_slots:])}
+        needed = {kw: f[0] for kw, f in zip(kws[n_slots:], fields[n_slots:]) if f[3] is _REQUIRED}  # keyword: key
+        defaults = {kw: f[3] for kw, f in zip(kws, fields) if f[3] is not _REQUIRED and f[3] is not _ABSENT}
+        tails = frozenset(kws[tail:]) if tail else None
+
+        def read(words: List[str], lineno: int, ctx: Any = None, **values: Any) -> Any:
+            if len(words) < n_words:
+                raise ScenarioError(f"{slots[-1][3]} needs a value", line=lineno)
+            given = len(values)
+            try:
+                for i, kw, parse, what in slots:
+                    values[kw] = parse(words[i], lineno, what, ctx)
+                for word in words[n_words:]:
+                    key, eq, text = word.partition("=")
+                    field = keyed.get(key)
+                    if field is None or not eq:
+                        message = f"unknown {name} field {key!r}" if eq else f"expected key=value, got {word!r}"
+                        raise ScenarioError(message, line=lineno)
+                    kw, parse, what = field
+                    if kw in values:
+                        raise ScenarioError(f"duplicate field {key!r}", line=lineno)
+                    values[kw] = parse(text, lineno, what, ctx)
+                if len(values) - given < n_fields:  # a field left out: what it lacks, and defaults
+                    if not values.keys() >= needed.keys():
+                        key = next(key for kw, key in needed.items() if kw not in values)
+                        raise ScenarioError(f"{name} missing field {key!r}", line=lineno)
+                    if tails is not None and not tails.isdisjoint(values) and not tails <= values.keys():
+                        raise ScenarioError(f"{name} needs all of {sorted(tails)} or none", line=lineno)
+                    if defaults:
+                        values = {**defaults, **values}
+                return make(**values)
+            except ValueError as exc:
+                raise ScenarioError(f"bad {name}: {exc}", line=lineno) from None
+
+        self.read = read
+        pairs = [f"{key}={{}}" for key, *_ in fields[n_slots:]]
+        cut = len(pairs) if tail is None else tail - n_slots
+        self._template, self._tail_template = " ".join(words + pairs[:cut]), "".join(" " + k for k in pairs[cut:])
         self._convert = tuple((n, field[2].render) for n, field in enumerate(fields) if field[2].render)
         attrs = [attr for _key, attr, *_ in fields]
         get = attrgetter(*attrs) if attrs else lambda record: ()
@@ -420,33 +473,6 @@ class Line:
             values[n] = render(values[n])
         text = self._template.format(*values)  # `format` leaves the tail's values unused
         return text + self._tail_template.format(*values[self._tail:]) if tail else text
-
-    def read(self, words: List[str], lineno: int, ctx: Any = None, **values: Any) -> Any:
-        """Build the record of one line from its words, the head's included;
-        `values` holds what the record takes from outside the line."""
-        if len(words) < len(self._words):
-            raise ScenarioError(f"{self._slots[-1][3]} needs a value", line=lineno)
-        try:
-            for i, kw, parse, what in self._slots:
-                values[kw] = parse(words[i], lineno, what, ctx)
-            for word in words[len(self._words):]:
-                key, eq, text = word.partition("=")
-                if not eq:
-                    raise ScenarioError(f"expected key=value, got {word!r}", line=lineno)
-                if key not in self._keyed:
-                    raise ScenarioError(f"unknown {self.name} field {key!r}", line=lineno)
-                kw, parse, what = self._keyed[key]
-                if kw in values:
-                    raise ScenarioError(f"duplicate field {key!r}", line=lineno)
-                values[kw] = parse(text, lineno, what, ctx)
-            for key, kw in self._needed:
-                if kw not in values:
-                    raise ScenarioError(f"{self.name} missing field {key!r}", line=lineno)
-            if self._tail_kws and not self._tail_kws.isdisjoint(values) and not self._tail_kws <= values.keys():
-                raise ScenarioError(f"{self.name} needs all of {sorted(self._tail_kws)} or none", line=lineno)
-            return self.make(**{**self._defaults, **values})
-        except ValueError as exc:
-            raise ScenarioError(f"bad {self.name}: {exc}", line=lineno) from None
 
 
 def _table(*lines: Line) -> Dict[str, Any]:

@@ -309,7 +309,9 @@ class WorldState(Record):
     _fields = ("accounts",)
     # Root bookkeeping, outside `_fields` (equality and repr ignore it), None
     # until set. `_table` is set once by `state_root`: (root, sorted
-    # addresses, their digests). `_lineage` is set by `Execution.post_state`
+    # addresses, their 32-byte digests end to end in one `bytearray`); a
+    # later table shares the address list while no account is added or
+    # removed. `_lineage` is set by `Execution.post_state`
     # on a base with a table or a lineage: (the nearest rooted ancestor's
     # table, frozenset of the addresses changed since). It holds no state,
     # so no chain of old states stays alive. State roots are computed on one
@@ -338,8 +340,8 @@ def make_state(accounts: Mapping[Address, Account]) -> WorldState:
     """Build a canonical WorldState, dropping empty accounts and zero slots."""
     pruned: Dict[Address, Account] = {}
     for addr, acct in accounts.items():
-        storage = {k: v for k, v in acct.storage.items() if v != ZERO_SLOT}
-        acct = Account(balance=acct.balance, nonce=acct.nonce, code=acct.code, storage=storage)
+        if acct.storage:  # an account without slots is kept as it is, its storage shared like `EMPTY_ACCOUNT`'s
+            acct = acct._replace(storage={k: v for k, v in acct.storage.items() if v != ZERO_SLOT})
         if not acct.is_empty():
             pruned[addr] = acct
     return WorldState(pruned)
@@ -714,32 +716,36 @@ def state_root(state: WorldState) -> StateRoot:
 
     Account digest = SHA-256(address | balance 16 BE | nonce 8 BE | code hash
     | sorted storage pairs). Insertion order never matters; the empty state
-    hashes the empty string. The sorted digest table is kept on the state; a
-    state with a lineage copies its rooted ancestor's table and re-hashes only
-    the accounts changed since, and a state without one builds it in full.
+    hashes the empty string. The sorted digest table is kept on the state, as
+    one buffer hashed directly; a state with a lineage copies its rooted
+    ancestor's buffer, re-hashes only the accounts changed since into it
+    (a 32-byte slice each; an insert or delete moves the rest in C), and a
+    state without one builds it in full.
     """
     if state._table is not None:
         return state._table[0]
     accounts = state.accounts
     if state._lineage is None:
         addrs = sorted(accounts)
-        digests = [_account_digest(addr, accounts[addr]) for addr in addrs]
+        digests = bytearray().join([_account_digest(addr, accounts[addr]) for addr in addrs])
     else:
         table, changed = state._lineage
-        addrs, digests = list(table[1]), list(table[2])
+        addrs, digests = table[1], bytearray(table[2])  # a stored table is never patched: patch a copy
         for addr in changed:
             i = bisect_left(addrs, addr)
             present = i < len(addrs) and addrs[i] == addr
             acct = accounts.get(addr)
+            if present != (acct is not None) and addrs is table[1]:  # an insert or delete: own the list
+                addrs = list(addrs)
             if acct is None:
                 if present:
-                    del addrs[i], digests[i]
+                    del addrs[i], digests[32 * i:32 * i + 32]
             elif present:
-                digests[i] = _account_digest(addr, acct)
+                digests[32 * i:32 * i + 32] = _account_digest(addr, acct)
             else:
                 addrs.insert(i, addr)
-                digests.insert(i, _account_digest(addr, acct))
-    root = StateRoot(hashlib.sha256(b"".join(digests)).digest())
+                digests[32 * i:32 * i] = _account_digest(addr, acct)
+    root = StateRoot(hashlib.sha256(digests).digest())
     state._table = (root, addrs, digests)
     return root
 

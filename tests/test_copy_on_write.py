@@ -233,6 +233,32 @@ class TestIncrementalRoot:
             for e in states:
                 assert_changes_covered(s, e)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sets(st.integers(2, 60).map(lambda i: 4 * i), max_size=12), st.data())
+    def test_inserts_and_deletes_at_the_front_middle_and_end(self, held, data):
+        """Accounts come and go before the first entry of the sorted table,
+        between two entries and after the last, over a chain of rooted
+        states. Each root matches a full rehash, a stored table is never
+        patched, and a table shares its ancestor's address list while no
+        account comes or goes."""
+        state = make_state({addr(i): Account(balance=i) for i in held})
+        for _ in range(data.draw(st.integers(1, 4))):
+            state_root(state)
+            table, stored = state._table, bytes(state._table[2])
+            keys = sorted(int.from_bytes(a, "big") for a in state.accounts)
+            inserts = [100, 250] if not keys else [keys[0] - 1, keys[-1] + 1, *(k + 1 for k in keys[:-1])]
+            deletes = [] if not keys else [keys[0], keys[-1], keys[len(keys) // 2]]
+            exe = Execution(state)
+            for i in data.draw(st.lists(st.sampled_from(inserts + deletes), min_size=1, max_size=4, unique=True)):
+                exe.balances[addr(i)] = 0 if i in keys and data.draw(st.booleans()) else 1000 + i
+                exe.nonces[addr(i)] = 0
+            post = exe.post_state()
+            assert changed_since(post, state) is not None
+            assert state_root(post) == full_state_root(post)
+            assert bytes(table[2]) == stored and state_root(state) == full_state_root(state)
+            assert (post._table[1] is table[1]) == (post.accounts.keys() == state.accounts.keys())
+            state = post
+
     def test_successor_of_a_rooted_state_names_exactly_its_changes(self):
         state = make_state({addr(1): Account(balance=100), addr(2): Account(balance=100)})
         state_root(state)

@@ -10,7 +10,7 @@ import pytest
 from rollupsim.core import encode_block
 from rollupsim.derivation import DerivationGap, derive
 from rollupsim.formats import parse_history, parse_scenario, render_history, render_report
-from rollupsim.l1da import L1Chain, L1Error
+from rollupsim.l1da import L1Block, L1Chain, L1Error
 from rollupsim.sequencer import run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -125,12 +125,17 @@ def replica_l1(history):
 
 def test_sequencer_histories_keep_the_timing_relations():
     """The relations the replica enforces hold on everything the sequencer writes:
-    block times strictly increase, and no epoch head is earlier than its L1 block."""
+    block times strictly increase, L1 block times never decrease, every L1
+    block's epoch head is in the inbox, and no epoch head is earlier than its
+    L1 block."""
     histories = sequencer_histories()
     assert len(histories) == 27 + 60
     for label, history in histories:
         times = [record.l2_timestamp for record in history.inbox]
         assert all(a < b for a, b in zip(times, times[1:])), label
+        l1_times = [block.timestamp for block in history.blocks]
+        assert all(a <= b for a, b in zip(l1_times, l1_times[1:])), label
+        assert all(block.number * history.blocks_per_epoch < len(history.inbox) for block in history.blocks), label
         l1 = replica_l1(history)
         for record in history.inbox:
             if record.l2_number % history.blocks_per_epoch == 0 and record.epoch < len(l1.blocks):
@@ -189,8 +194,30 @@ def head_before_l1(history):
     return None
 
 
+def l1_time_backwards(history):
+    """An L1 block is restamped to just before the one it follows."""
+    for index in range(1, len(history.blocks)):
+        earlier = history.blocks[index - 1].timestamp
+        if earlier > 0:
+            return _with_block(history, index, history.blocks[index]._replace(timestamp=earlier - 1))
+    return None
+
+
+def l1block_past_inbox(history):
+    """An L1 block without deposits is appended whose epoch head lies past the inbox."""
+    number = len(history.blocks)
+    if number * history.blocks_per_epoch < len(history.inbox):
+        return None
+    time = history.blocks[-1].timestamp if history.blocks else 0
+    return history._replace(blocks=history.blocks + (L1Block(number, time, ()),))
+
+
 @pytest.mark.parametrize(
-    "mutate", [head_without_bitmap, l1block_out_of_place, deposit_out_of_place, time_not_after, head_before_l1]
+    "mutate",
+    [
+        head_without_bitmap, l1block_out_of_place, deposit_out_of_place, time_not_after, head_before_l1,
+        l1_time_backwards, l1block_past_inbox,
+    ],
 )
 def test_derive_refuses_every_impossible_history(mutate):
     fitted = 0
