@@ -36,7 +36,8 @@ class Address(bytes):
 
     @classmethod
     def from_int(cls, value: int) -> "Address":
-        return cls((value & (2**160 - 1)).to_bytes(20, "big"))
+        # `to_bytes(20)` fixes the length, so the check in `__new__` is skipped.
+        return bytes.__new__(cls, (value & (2**160 - 1)).to_bytes(20, "big"))
 
     def hex0x(self) -> str:
         return "0x" + self.hex()

@@ -6,7 +6,10 @@ Every candidate is first simulated in isolation against the tip snapshot
 run; influenced ones are re-simulated sequentially in block context, each
 such re-simulation spending one unit of the round's budget. Candidates past
 the budget, and candidates not yet executable, are deferred to the next
-round in their original order.
+round in their original order. An isolated run is judged only when its
+verdict can be used: once the sequential pass finds that nothing included
+before it wrote a key its execution read. The keys the judgement itself read
+then join the influence test.
 
 The scheduler is a pure function of its inputs: worker count never changes
 the outcome, only how the isolated runs are scheduled. Its outcome also
@@ -26,6 +29,7 @@ from typing import AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional, Seq
 from .core import ZERO_ADDRESS, Address, AnyTransaction, TxHash, tx_id
 from .vm import (
     AccessKey,
+    AccessKind,
     BlockContext,
     Execution,
     Expr,
@@ -33,6 +37,7 @@ from .vm import (
     TxStatus,
     WorldState,
     _CallEnv,
+    _new_key,
     eval_expr,
     execute_transaction,
 )
@@ -109,7 +114,7 @@ class InvariantDetector:
                 probe = Execution(sim)
             # The damage bound reads the contract balance even when the
             # predicate itself does not.
-            probe.reads.add(AccessKey.balance(contract))
+            probe.reads.add(_new_key(AccessKey, (AccessKind.BALANCE, contract, b"")))
             env = _CallEnv(probe, contract, ZERO_ADDRESS, 0, b"")
             broken = False
             for invariant in sorted(watching, key=lambda inv: inv.id):
@@ -184,21 +189,6 @@ class DetectionOutcome:
         self.final_state = final_state  # tip with `benign` applied in order
 
 
-class _Slot:
-    """One candidate's isolated run: its result or precondition failure, the
-    keys its judgment read, and its isolated verdict."""
-
-    __slots__ = ("tx", "key", "sim", "precond", "reads", "isolated_verdict")
-
-    def __init__(self, tx: AnyTransaction, key: TxHash) -> None:
-        self.tx = tx
-        self.key = key
-        self.sim: Optional[Execution] = None
-        self.precond: Optional[str] = None
-        self.reads: AbstractSet[AccessKey] = frozenset()
-        self.isolated_verdict: Optional[Verdict] = None
-
-
 def _isolated_run(state: WorldState, tx: AnyTransaction, ctx: BlockContext):
     try:
         return execute_transaction(state, tx, ctx)
@@ -263,23 +253,6 @@ def hybrid_detect(
         isolated = [run_at_tip(tx) for tx in txs]
     stats.isolated_sims += len(txs)
 
-    slots: List[_Slot] = []
-    for tx, result in zip(txs, isolated):
-        slot = _Slot(tx=tx, key=tx_id(tx))
-        if isinstance(result, str):
-            slot.precond = result
-            slot.reads = _precondition_reads(tx, result)
-        else:
-            slot.sim = result
-            if slot.key in preapproved:
-                slot.isolated_verdict = BENIGN_VERDICT
-                slot.reads = result.reads
-            else:
-                verdict, probe_reads = detector.assess(result, cset.tip_state, invariants)
-                slot.isolated_verdict = verdict
-                slot.reads = result.reads | probe_reads
-        slots.append(slot)
-
     # Sequential pass. The fold is one scratch over the tip. Uninfluenced
     # benign candidates queue up, and their validated write sets are merged
     # only when an influenced candidate needs that context, or at the end.
@@ -290,20 +263,32 @@ def hybrid_detect(
     written: Dict[AccessKey, int] = {}
     budget_left = cset.budget
 
-    for slot in slots:
-        influenced = not written.keys().isdisjoint(slot.reads)
+    for tx, result in zip(txs, isolated):
+        precond = isinstance(result, str)  # then `result` names the precondition it failed
+        reads = _precondition_reads(tx, result) if precond else result.reads
+        influenced = not written.keys().isdisjoint(reads)
 
-        if slot.precond is not None and not influenced:
-            outcome.deferred.append(slot.tx)
+        if precond and not influenced:
+            outcome.deferred.append(tx)
             continue
 
         if not influenced:
-            verdict = slot.isolated_verdict
-            sim = slot.sim
+            sim = result
+            if tx_id(tx) in preapproved:
+                verdict = BENIGN_VERDICT
+            else:
+                # Judged only now that its execution reads are uninfluenced;
+                # the keys the judgement read join the test.
+                verdict, probe_reads = detector.assess(sim, cset.tip_state, invariants)
+                if probe_reads:
+                    reads = reads | probe_reads
+                    influenced = not written.keys().isdisjoint(probe_reads)
+
+        if not influenced:
             stats.parallel_verdicts += 1
         else:
             if budget_left is not None and budget_left <= 0:
-                outcome.deferred.append(slot.tx)
+                outcome.deferred.append(tx)
                 continue
             if budget_left is not None:
                 budget_left -= 1
@@ -311,26 +296,26 @@ def hybrid_detect(
             _merge_validated(fold, fold_queue)
             stats.contextual_sims += 1
             try:
-                sim = execute_transaction(fold, slot.tx, ctx)
+                sim = execute_transaction(fold, tx, ctx)
             except PreconditionFailed:
-                outcome.deferred.append(slot.tx)
+                outcome.deferred.append(tx)
                 continue
-            if slot.key in preapproved:
+            if tx_id(tx) in preapproved:
                 verdict = BENIGN_VERDICT
             else:
                 verdict, _ = detector.assess(sim, fold, invariants)
             stats.sequential_verdicts += 1
 
         if verdict.malicious:
-            outcome.malicious.append((slot.tx, verdict, sim))
+            outcome.malicious.append((tx, verdict, sim))
         else:
             for key in sim.writes:
                 written.setdefault(key, len(outcome.benign))
-            outcome.benign.append(slot.tx)
+            outcome.benign.append(tx)
             if influenced:
                 fold.absorb(sim)  # executed on the fold itself
             else:
-                fold_queue.append((slot.reads, sim))
+                fold_queue.append((reads, sim))
 
     # Merging the rest of the queue is block application, not
     # classification, so it is not counted as a contextual simulation.

@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from enum import Enum
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union
 
@@ -71,6 +72,21 @@ def _evaluator(expr: "Expr") -> Callable[["_CallEnv"], int]:
     return expr._eval
 
 
+_self_addr, _caller = attrgetter("self_addr"), attrgetter("caller")
+
+
+def _address_evaluator(expr: "Expr") -> Callable[["_CallEnv"], Address]:
+    """The evaluator of an address operand. The frame's own address and its
+    caller's are read as they are: the word round trip
+    `Address.from_int(int.from_bytes(a, "big"))` is the identity on them."""
+    if isinstance(expr, SelfAddr):
+        return _self_addr
+    if isinstance(expr, Caller):
+        return _caller
+    word_eval = _evaluator(expr)
+    return lambda env: Address.from_int(word_eval(env))
+
+
 class Const(Record):
     _fields = ("value",)
     __slots__ = (*_fields, "_eval")
@@ -89,7 +105,11 @@ class SLoad(Record):
     def __init__(self, key: "Expr") -> None:
         self.key = key
         key_eval = _evaluator(key)
-        self._eval = lambda env: slot_int(env.exe.read_slot(env.self_addr, slot_bytes(key_eval(env))))
+        if isinstance(key, Const):  # a constant key's slot is computed once
+            slot = slot_bytes(key.value)
+            self._eval = lambda env: slot_int(env.exe.read_slot(env.self_addr, slot))
+        else:
+            self._eval = lambda env: slot_int(env.exe.read_slot(env.self_addr, slot_bytes(key_eval(env))))
 
 
 class BalanceOf(Record):
@@ -98,8 +118,8 @@ class BalanceOf(Record):
 
     def __init__(self, addr: "Expr") -> None:
         self.addr = addr
-        addr_eval = _evaluator(addr)
-        self._eval = lambda env: env.exe.read_balance(Address.from_int(addr_eval(env)))
+        addr_of = _address_evaluator(addr)
+        self._eval = lambda env: env.exe.read_balance(addr_of(env))
 
 
 class Caller(Record):
@@ -190,7 +210,11 @@ class SetSlot(Record):
         self.key = key
         self.value = value
         key_eval, value_eval = _evaluator(key), _evaluator(value)
-        self._run = lambda env: env.exe.write_slot(env.self_addr, slot_bytes(key_eval(env)), slot_bytes(value_eval(env)))
+        if isinstance(key, Const):  # a constant key's slot is computed once
+            slot = slot_bytes(key.value)
+            self._run = lambda env: env.exe.write_slot(env.self_addr, slot, slot_bytes(value_eval(env)))
+        else:
+            self._run = lambda env: env.exe.write_slot(env.self_addr, slot_bytes(key_eval(env)), slot_bytes(value_eval(env)))
 
 
 class Pay(Record):
@@ -203,10 +227,10 @@ class Pay(Record):
     def __init__(self, to: Expr, amount: Expr) -> None:
         self.to = to
         self.amount = amount
-        to_eval, amount_eval = _evaluator(to), _evaluator(amount)
+        to_of, amount_eval = _address_evaluator(to), _evaluator(amount)
 
         def run(env) -> None:
-            to = Address.from_int(to_eval(env))
+            to = to_of(env)
             amount = amount_eval(env)
             exe = env.exe
             balance = exe.read_balance(env.self_addr)
@@ -379,7 +403,8 @@ class AccessKey(NamedTuple):
     addr: Address
     slot: bytes = b""
 
-    # The constructors skip the generated Python-level `__new__`.
+    # The constructors skip the generated Python-level `__new__`, as the
+    # `Execution` accessors do by building their keys in place.
     @staticmethod
     def storage(addr: Address, slot: bytes) -> "AccessKey":
         return _new_key(AccessKey, (AccessKind.STORAGE, addr, slot))
@@ -391,10 +416,6 @@ class AccessKey(NamedTuple):
     @staticmethod
     def nonce(addr: Address) -> "AccessKey":
         return _new_key(AccessKey, (AccessKind.NONCE, addr, b""))
-
-    @staticmethod
-    def code(addr: Address) -> "AccessKey":
-        return _new_key(AccessKey, (AccessKind.CODE, addr, b""))
 
 
 class TxStatus(Enum):
@@ -456,56 +477,49 @@ class Execution:
         self.writes: set = set()
         self.gas_used: int = BASE_TX_GAS
 
-    # -- scratch state accessors (no access recording) --
-    def _balance(self, addr: Address) -> int:
-        if addr not in self.balances:
-            self.balances[addr] = self.base.balance_of(addr)
-        return self.balances[addr]
-
-    def _nonce(self, addr: Address) -> int:
-        if addr not in self.nonces:
-            self.nonces[addr] = self.base.nonce_of(addr)
-        return self.nonces[addr]
-
-    def _slots(self, addr: Address) -> Dict[bytes, bytes]:
-        if addr not in self.storage:
-            self.storage[addr] = dict(self.base.account(addr).storage)
-        return self.storage[addr]
-
-    # -- recorded accesses --
+    # -- recorded accesses: each builds its key in place and looks its
+    # scratch entry up once --
     def read_balance(self, addr: Address) -> int:
-        self.reads.add(AccessKey.balance(addr))
-        return self._balance(addr)
+        self.reads.add(_new_key(AccessKey, (AccessKind.BALANCE, addr, b"")))
+        balance = self.balances.get(addr)
+        if balance is None:
+            balance = self.balances[addr] = self.base.balance_of(addr)
+        return balance
 
     def write_balance(self, addr: Address, value: int) -> None:
-        self.writes.add(AccessKey.balance(addr))
+        self.writes.add(_new_key(AccessKey, (AccessKind.BALANCE, addr, b"")))
         self.balances[addr] = value
 
     def read_nonce(self, addr: Address) -> int:
-        self.reads.add(AccessKey.nonce(addr))
-        return self._nonce(addr)
+        self.reads.add(_new_key(AccessKey, (AccessKind.NONCE, addr, b"")))
+        nonce = self.nonces.get(addr)
+        if nonce is None:
+            nonce = self.nonces[addr] = self.base.nonce_of(addr)
+        return nonce
 
     def write_nonce(self, addr: Address, value: int) -> None:
-        self.writes.add(AccessKey.nonce(addr))
+        self.writes.add(_new_key(AccessKey, (AccessKind.NONCE, addr, b"")))
         self.nonces[addr] = value
 
     def read_slot(self, addr: Address, key: bytes) -> bytes:
-        self.reads.add(AccessKey.storage(addr, key))
+        self.reads.add(_new_key(AccessKey, (AccessKind.STORAGE, addr, key)))
         slots = self.storage.get(addr)
         if slots is None:
             slots = self.base.account(addr).storage
         return slots.get(key, ZERO_SLOT)
 
     def write_slot(self, addr: Address, key: bytes, value: bytes) -> None:
-        self.writes.add(AccessKey.storage(addr, key))
-        slots = self._slots(addr)
+        self.writes.add(_new_key(AccessKey, (AccessKind.STORAGE, addr, key)))
+        slots = self.storage.get(addr)
+        if slots is None:
+            slots = self.storage[addr] = dict(self.base.account(addr).storage)
         if value == ZERO_SLOT:
             slots.pop(key, None)
         else:
             slots[key] = value
 
     def read_code(self, addr: Address) -> Optional[ContractCode]:
-        self.reads.add(AccessKey.code(addr))
+        self.reads.add(_new_key(AccessKey, (AccessKind.CODE, addr, b"")))
         return self.base.account(addr).code
 
     def transfer(self, src: Address, dst: Address, amount: int) -> None:
@@ -645,14 +659,15 @@ def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction,
     if deposit:
         recipient = tx.recipient
     else:
-        sender_acct = state.account(tx.sender)
-        if tx.nonce < sender_acct.nonce:
-            raise PreconditionFailed(PreconditionFailed.NONCE_TOO_LOW, f"account nonce {sender_acct.nonce}")
-        if tx.nonce > sender_acct.nonce:
-            raise PreconditionFailed(PreconditionFailed.NONCE_TOO_HIGH, f"account nonce {sender_acct.nonce}")
+        nonce = state.nonce_of(tx.sender)
+        if tx.nonce < nonce:
+            raise PreconditionFailed(PreconditionFailed.NONCE_TOO_LOW, f"account nonce {nonce}")
+        if tx.nonce > nonce:
+            raise PreconditionFailed(PreconditionFailed.NONCE_TOO_HIGH, f"account nonce {nonce}")
         cost = max_cost(tx)
-        if sender_acct.balance < cost:
-            raise PreconditionFailed(PreconditionFailed.INSUFFICIENT_BALANCE, f"balance {sender_acct.balance} < {cost}")
+        balance = state.balance_of(tx.sender)
+        if balance < cost:
+            raise PreconditionFailed(PreconditionFailed.INSUFFICIENT_BALANCE, f"balance {balance} < {cost}")
         if tx.max_fee < ctx.base_fee:
             raise PreconditionFailed(PreconditionFailed.FEE_BELOW_BASE, f"base fee {ctx.base_fee}")
         recipient = tx.recipient if tx.recipient is not None else _fresh_address(tx.sender, tx.nonce)

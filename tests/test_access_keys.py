@@ -50,7 +50,9 @@ class TestAccessKeyMatchesReference:
 
     @given(st.sampled_from(ADDRS), st.sampled_from(SLOTS))
     def test_constructors_match_reference(self, address, slot):
-        made = [AccessKey.storage(address, slot), AccessKey.balance(address), AccessKey.nonce(address), AccessKey.code(address)]
+        made = [
+            AccessKey.storage(address, slot), AccessKey.balance(address), AccessKey.nonce(address), AccessKey(AccessKind.CODE, address)
+        ]
         expected = [
             ReferenceAccessKey.storage(address, slot),
             ReferenceAccessKey.balance(address),

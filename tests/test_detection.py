@@ -9,10 +9,12 @@ import pytest
 from helpers import (
     ADMIN,
     ATTACKER,
+    COUNT_KEY,
     COUNTER,
     LEDGERBOOK,
     VAULT,
     addr,
+    counter_contract,
     ctx,
     exploit_tx,
     generator_candidates,
@@ -309,6 +311,49 @@ class TestOracleEquivalence:
             outcome = hybrid_detect(CandidateSet(tuple(txs), state, budget=None), invs, detector, ctx())
             positions = [txs.index(t) for t in outcome.benign]
             assert positions == sorted(positions)
+
+
+class TestLazyJudgement:
+    """An isolated run is judged only once the sequential pass finds its
+    execution reads uninfluenced: an influenced candidate is judged once, in
+    block context, and its isolated verdict is never computed."""
+
+    def test_influenced_candidates_are_judged_only_in_context(self):
+        senders = [addr(n) for n in (1, 2, 3)]
+        state = vault_state(
+            paused=False,
+            extra={**{s: Account(balance=1_000) for s in senders}, COUNTER: Account(code=counter_contract())},
+        )
+        capped = Invariant("counter-capped", COUNTER, Bin("lt", SLoad(Const(COUNT_KEY)), Const(3)), ADMIN)
+        invs = invariant_set(state, [solvency_invariant(), capped])
+        bumps = [tx(s, 0, COUNTER) for s in senders]  # the third leaves the count at 3
+        txs = (*bumps, exploit_tx())
+        judged = []
+
+        class Counting(InvariantDetector):
+            def assess(self, sim, pre_state, invariants):
+                judged.append(sim)
+                return super().assess(sim, pre_state, invariants)
+
+        outcomes = [hybrid_detect(CandidateSet(txs, state), invs, Counting(), ctx(), workers=w) for w in (1, 2)]
+        # One isolated judgement for the first bump and one for the drain,
+        # one contextual judgement each for the two influenced bumps; judging
+        # every isolated run as well took six.
+        assert len(judged) == 2 * 4
+        for outcome in outcomes:
+            assert outcome.benign == bumps[:2]
+            assert [t for t, _, _ in outcome.malicious] == [bumps[2], txs[3]]
+            assert outcome.malicious[0][1].violated == ("counter-capped",)
+            assert outcome.deferred == []
+            stats = outcome.stats
+            assert (
+                stats.isolated_sims, stats.contextual_sims, stats.parallel_verdicts, stats.sequential_verdicts,
+                stats.deferred_count,
+            ) == (4, 3, 2, 2, 0)
+        benign_o, malicious_o, deferred_o, _ = sequential_oracle(list(txs), state, invs, InvariantDetector(), ctx())
+        assert (outcomes[0].benign, [(t, v) for t, v, _ in outcomes[0].malicious], outcomes[0].deferred) == (
+            benign_o, malicious_o, deferred_o
+        )
 
 
 class TestLazyThreadPool:

@@ -4,10 +4,15 @@ interpreter in `reference_vm`.
 Random expression trees of every kind and operator, the `formats` sugar
 included, evaluate to the reference's word and read the same keys. Random
 contract bodies, run out of gas at each statement, give the reference's
-status, gas, reads, writes and post-state. Running and judging a vault drain
-builds no node, and each program is rendered for its code hash once.
+status, gas, reads, writes and post-state; each node shape whose evaluator
+is specialised at construction (a constant slot key, the frame's own or its
+caller's address) is drawn explicitly, and is the same record as the node
+its fields alone define. Running and judging a vault drain builds no node
+and makes a bounded number of Python-level calls, and each program is
+rendered for its code hash once.
 """
 import contextlib
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -41,6 +46,8 @@ from rollupsim.vm import (
     SetSlot,
     SLoad,
     _CallEnv,
+    code_hash,
+    code_text,
     eval_expr,
     execute_transaction,
     expr_text,
@@ -97,6 +104,11 @@ def outcome(exe):
 @given(EXPRS, st.sampled_from(EDGE_WORDS), st.sampled_from(CALLDATA))
 @example(Bin("and", Const(0), SLoad(Const(1))), 0, b"")  # a short-circuit skips the right operand's read
 @example(Bin("or", CallData(), BalanceOf(Caller())), 0, b"\x01")
+@example(SLoad(Const(0)), 0, b"")  # the specialised shapes: slot 0 holds TOP
+@example(SLoad(Const(2)), 0, b"")
+@example(SLoad(Const(TOP)), 0, b"")  # an empty slot
+@example(BalanceOf(SelfAddr()), 0, b"")
+@example(BalanceOf(Caller()), 0, b"")
 def test_an_expression_evaluates_as_the_tree_walk(expr, callvalue, calldata):
     fast, ref = Execution(STATE), Execution(STATE)
     value = eval_expr(expr, _CallEnv(fast, CONTRACT, CALLER, callvalue, calldata))
@@ -109,12 +121,81 @@ def test_an_expression_evaluates_as_the_tree_walk(expr, callvalue, calldata):
 @example([Pay(Const(1), Const(2**255))], 0, b"")  # overdrawn, to an account nothing else reads
 @example([PauseGuard(Const(1)), Pay(Caller(), Const(1))], 0, b"")  # paused: slot 1 holds 7
 @example([PauseGuard(Const(3)), Pay(Caller(), Const(1)), SetSlot(Const(3), CallValue())], 1, b"")
+@example([SetSlot(Const(0), CallValue()), SetSlot(Const(2), Const(0)), SetSlot(Const(TOP), SLoad(Const(1)))], 1, b"")
+@example([Pay(Caller(), Const(101))], 0, b"")  # overdrawn: the contract holds 100
+@example([Pay(Caller(), BalanceOf(SelfAddr()))], 0, b"")  # paid, the whole balance
 def test_a_contract_body_runs_as_the_tree_walk(statements, value, calldata):
     code = ContractCode(ADMIN, tuple(statements))
     state = make_state({**STATE.accounts, CONTRACT: STATE.account(CONTRACT)._replace(code=code)})
     for gas_limit in range(BASE_TX_GAS, BASE_TX_GAS + len(statements) + 2):  # out of gas at each statement, then none
         call = tx(CALLER, 0, CONTRACT, value=value, data=calldata, gas_limit=gas_limit)
         assert outcome(execute_transaction(state, call, ctx())) == outcome(reference_interpret(state, call, ctx()))
+
+
+def fields_only(cls, **fields):
+    """The record `fields` define, built without `__init__`, so that no
+    evaluator is built or specialised."""
+    node = object.__new__(cls)
+    for name, value in fields.items():
+        setattr(node, name, value)
+    return node
+
+
+SPECIALISED = [
+    (SLoad, {"key": Const(0)}),
+    (SLoad, {"key": Const(2)}),
+    (SLoad, {"key": Const(TOP)}),
+    (BalanceOf, {"addr": SelfAddr()}),
+    (BalanceOf, {"addr": Caller()}),
+    (SetSlot, {"key": Const(0), "value": CallValue()}),
+    (SetSlot, {"key": Const(TOP), "value": Const(2)}),
+    (Pay, {"to": Caller(), "amount": Const(1)}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", SPECIALISED, ids=lambda v: v.__name__ if isinstance(v, type) else " ".join(map(expr_text, v.values())))
+def test_a_specialised_node_is_the_record_its_fields_define(cls, fields):
+    node, generic = cls(**fields), fields_only(cls, **fields)
+    assert type(node) is cls and node._fields == generic._fields == tuple(fields)
+    assert node == generic and hash(node) == hash(generic) and repr(node) == repr(generic)
+    stmt, generic_stmt = (node, generic) if cls in (SetSlot, Pay) else (Require(node), fields_only(Require, cond=generic))
+    code, generic_code = ContractCode(ADMIN, (stmt,)), ContractCode(ADMIN, (generic_stmt,))
+    assert code_text(code) == code_text(generic_code)
+    assert code_hash(code) == code_hash(generic_code)
+
+
+class TestDrainCallCount:
+    """A count, not a timer: the Python-level calls that one vault drain
+    makes while it is executed, and while it is judged. Each accessor builds
+    its key in place, and constant slots and the frame's own and caller's
+    addresses are resolved at construction, so a call made per access or
+    per operand shows here."""
+
+    @staticmethod
+    def python_calls(fn, *args):
+        calls = []
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            result = fn(*args)
+        finally:
+            sys.setprofile(None)
+        return result, calls
+
+    def test_executing_and_judging_a_drain(self):
+        state = vault_state(paused=False)
+        invariants = InvariantSet()
+        invariants.register(solvency_invariant(), state)
+        drain, context = exploit_tx(), ctx()
+        sim, executing = self.python_calls(execute_transaction, state, drain, context)
+        (verdict, _), judging = self.python_calls(InvariantDetector().assess, sim, state, invariants)
+        assert verdict.malicious and executing[0] == "execute_transaction"
+        assert len(executing) <= 75, executing  # 111 when each key and scratch entry took calls of its own
+        assert len(judging) <= 18, judging  # 23
 
 
 @pytest.mark.parametrize("vault", [gated_vault, guard_only_vault])
