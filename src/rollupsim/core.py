@@ -7,6 +7,7 @@ when they agree on these bytes.
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import NamedTuple, Optional, Tuple, Union
 
 U32_MAX = 2**32 - 1
@@ -220,38 +221,31 @@ def canonical_encode(tx: SignedTransaction) -> bytes:
     )
 
 
+# The fixed heads of the two layouts, each read with one call. An address
+# field unpacks to exactly 20 bytes and a digest is 32, so they become an
+# `Address` and a `TxHash` without the length check, as in `Address.from_int`.
+_TX_HEAD = struct.Struct(">QB20s20s16sQQQI")  # 93 bytes
+_DEPOSIT_HEAD = struct.Struct(">QI20s20s16sQI")  # 80 bytes
+
+
 def canonical_decode(blob: bytes) -> SignedTransaction:
     """Inverse of canonical_encode; rejects trailing or missing bytes and any
     blob canonical_encode would not write, so decoding is one-to-one and the
     blob's digest is the transaction's hash, memoized here."""
     if len(blob) < 93:
         raise EncodingError(f"encoded transaction too short: {len(blob)} bytes")
-    nonce = int.from_bytes(blob[0:8], "big")
-    tag = blob[8]
-    if tag not in (0, 1):
+    nonce, tag, sender, recipient, value, max_fee, priority_fee, gas_limit, data_len = _TX_HEAD.unpack_from(blob)
+    if tag > 1:
         raise EncodingError(f"bad recipient tag {tag:#x}")
-    if tag == 1 and blob[29:49] != bytes(20):
+    if tag == 1 and recipient != ZERO_ADDRESS:
         raise EncodingError("create transaction carries a recipient")
-    sender = Address(blob[9:29])
-    recipient = None if tag == 1 else Address(blob[29:49])
-    value = int.from_bytes(blob[49:65], "big")
-    max_fee = int.from_bytes(blob[65:73], "big")
-    priority_fee = int.from_bytes(blob[73:81], "big")
-    gas_limit = int.from_bytes(blob[81:89], "big")
-    data_len = int.from_bytes(blob[89:93], "big")
     if len(blob) != 93 + data_len:
         raise EncodingError(f"encoded transaction length mismatch: {len(blob)} != {93 + data_len}")
     tx = SignedTransaction(
-        sender=sender,
-        nonce=nonce,
-        recipient=recipient,
-        value=value,
-        data=blob[93 : 93 + data_len],
-        max_fee=max_fee,
-        priority_fee=priority_fee,
-        gas_limit=gas_limit,
+        bytes.__new__(Address, sender), nonce, None if tag == 1 else bytes.__new__(Address, recipient),
+        int.from_bytes(value, "big"), blob[93:], max_fee, priority_fee, gas_limit,
     )
-    tx._hash = TxHash(hashlib.sha256(blob).digest())
+    tx._hash = bytes.__new__(TxHash, hashlib.sha256(blob).digest())
     return tx
 
 
@@ -278,17 +272,12 @@ def encode_deposit(dep: DepositTransaction) -> bytes:
 def decode_deposit(blob: bytes) -> DepositTransaction:
     if len(blob) < 80:
         raise EncodingError(f"encoded deposit too short: {len(blob)} bytes")
-    data_len = int.from_bytes(blob[76:80], "big")
+    l1_block, l1_index, sender, recipient, value, gas_limit, data_len = _DEPOSIT_HEAD.unpack_from(blob)
     if len(blob) != 80 + data_len:
         raise EncodingError(f"encoded deposit length mismatch: {len(blob)} != {80 + data_len}")
     return DepositTransaction(
-        l1_block=int.from_bytes(blob[0:8], "big"),
-        l1_index=int.from_bytes(blob[8:12], "big"),
-        sender=Address(blob[12:32]),
-        recipient=Address(blob[32:52]),
-        value=int.from_bytes(blob[52:68], "big"),
-        data=blob[80 : 80 + data_len],
-        gas_limit=int.from_bytes(blob[68:76], "big"),
+        l1_block, l1_index, bytes.__new__(Address, sender), bytes.__new__(Address, recipient),
+        int.from_bytes(value, "big"), blob[80:], gas_limit,
     )
 
 

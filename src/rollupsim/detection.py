@@ -67,7 +67,7 @@ class InvariantSet:
         self._by_contract: Dict[Address, List[Invariant]] = {}
 
     def register(self, invariant: Invariant, state: WorldState) -> None:
-        code = state.account(invariant.contract).code
+        code = state.code_of(invariant.contract)
         admin = code.admin if code is not None else None
         if invariant.registered_by != admin:
             raise UnauthorizedInvariant(

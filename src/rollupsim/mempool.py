@@ -191,7 +191,7 @@ class Mempool:
             if not slots:
                 continue
             run = []
-            nonce = state.account(sender).nonce
+            nonce = state.nonce_of(sender)
             while nonce in slots:
                 h = slots[nonce]
                 entry = self.entries[h]

@@ -245,7 +245,7 @@ class Sequencer:
     def _admins_of(self, verdict: Verdict, state: WorldState) -> Dict[Address, Address]:
         admins: Dict[Address, Address] = {}
         for victim in verdict.victims:
-            code = state.account(victim).code
+            code = state.code_of(victim)
             if code is not None:
                 admins[victim] = code.admin
         return admins

@@ -17,11 +17,12 @@ recipient. Deposits mint their value and pay no fee.
 `execute_transaction` returns the `Execution` itself: its outcome, its
 access sets and a scratch of the accounts it touched over its base. Its
 post-state is built only by `post_state()`: judging an execution reads its
-views (`account`, `balance_of`, `nonce_of`) and builds no state. An
-execution can itself be the base of further executions and absorb their
-effects; `apply_block` runs a whole block on one such scratch and builds one
-account map at the end. An execution only ever mutates storage dicts it
-made itself.
+field views (`balance_of`, `nonce_of`, `storage_of`, `code_of`) and builds
+no state. An execution can itself be the base of further executions and
+absorb their effects; `apply_block` runs a whole block on one such scratch
+and builds one account map at the end. No state read builds an `Account`:
+only `post_state` does, for an address whose account changed. An execution
+only ever mutates storage dicts it made itself.
 
 World states are copy-on-write: a post-state shares every untouched `Account`
 object with the state it came from. Nothing may therefore mutate an `Account`
@@ -328,7 +329,11 @@ EMPTY_ACCOUNT = Account()
 
 
 class WorldState(Record):
-    """All accounts, stored canonically: empty accounts and zero slots are absent."""
+    """All accounts, stored canonically: empty accounts and zero slots are absent.
+
+    `account` returns an address's `Account`; the field views `balance_of`,
+    `nonce_of`, `storage_of` and `code_of`, which an `Execution` offers too,
+    return one field of it."""
 
     _fields = ("accounts",)
     # Root bookkeeping, outside `_fields` (equality and repr ignore it), None
@@ -355,6 +360,12 @@ class WorldState(Record):
 
     def nonce_of(self, addr: Address) -> int:
         return self.accounts.get(addr, EMPTY_ACCOUNT).nonce
+
+    def storage_of(self, addr: Address) -> Mapping[bytes, bytes]:
+        return self.accounts.get(addr, EMPTY_ACCOUNT).storage
+
+    def code_of(self, addr: Address) -> Optional[ContractCode]:
+        return self.accounts.get(addr, EMPTY_ACCOUNT).code
 
 
 ZERO_SLOT = bytes(32)
@@ -462,10 +473,11 @@ class Execution:
     recorded, and a scratch copy of the accounts it touched.
 
     Its base is a `WorldState` or another execution; either way it is read
-    through `account`, `balance_of` and `nonce_of`, which an execution offers
-    too, showing the accounts as it leaves them. `execute_transaction`
-    returns one; the classifier's fold and `apply_block` are one each, with
-    every transaction of the round or block absorbed into it."""
+    through the field views `balance_of`, `nonce_of`, `storage_of` and
+    `code_of`, which an execution offers too, showing the accounts as it
+    leaves them. No view builds an `Account`. `execute_transaction` returns
+    one; the classifier's fold and `apply_block` are one each, with every
+    transaction of the round or block absorbed into it."""
 
     def __init__(self, base: Union[WorldState, "Execution"]):
         self.base = base
@@ -505,14 +517,14 @@ class Execution:
         self.reads.add(_new_key(AccessKey, (AccessKind.STORAGE, addr, key)))
         slots = self.storage.get(addr)
         if slots is None:
-            slots = self.base.account(addr).storage
+            slots = self.base.storage_of(addr)
         return slots.get(key, ZERO_SLOT)
 
     def write_slot(self, addr: Address, key: bytes, value: bytes) -> None:
         self.writes.add(_new_key(AccessKey, (AccessKind.STORAGE, addr, key)))
         slots = self.storage.get(addr)
         if slots is None:
-            slots = self.storage[addr] = dict(self.base.account(addr).storage)
+            slots = self.storage[addr] = dict(self.base.storage_of(addr))
         if value == ZERO_SLOT:
             slots.pop(key, None)
         else:
@@ -520,24 +532,13 @@ class Execution:
 
     def read_code(self, addr: Address) -> Optional[ContractCode]:
         self.reads.add(_new_key(AccessKey, (AccessKind.CODE, addr, b"")))
-        return self.base.account(addr).code
+        return self.base.code_of(addr)
 
     def transfer(self, src: Address, dst: Address, amount: int) -> None:
         self.write_balance(src, self.read_balance(src) - amount)
         self.write_balance(dst, self.read_balance(dst) + amount)
 
-    # -- post-execution views (no access recording) --
-    def account(self, addr: Address) -> Account:
-        prev = self.base.account(addr)
-        if addr not in self.balances and addr not in self.nonces and addr not in self.storage:
-            return prev
-        return Account(
-            balance=self.balances.get(addr, prev.balance),
-            nonce=self.nonces.get(addr, prev.nonce),
-            code=prev.code,
-            storage=self.storage.get(addr, prev.storage),
-        )
-
+    # -- post-execution field views (no access recording) --
     def balance_of(self, addr: Address) -> int:
         balance = self.balances.get(addr)
         return self.base.balance_of(addr) if balance is None else balance
@@ -545,6 +546,13 @@ class Execution:
     def nonce_of(self, addr: Address) -> int:
         nonce = self.nonces.get(addr)
         return self.base.nonce_of(addr) if nonce is None else nonce
+
+    def storage_of(self, addr: Address) -> Mapping[bytes, bytes]:
+        slots = self.storage.get(addr)
+        return self.base.storage_of(addr) if slots is None else slots
+
+    def code_of(self, addr: Address) -> Optional[ContractCode]:
+        return self.base.code_of(addr)
 
     # -- folding executions into one scratch --
     def reads_as_base(self, keys) -> bool:
@@ -565,23 +573,29 @@ class Execution:
     def post_state(self) -> WorldState:
         """Copy-on-write snapshot: share every account whose contents did not
         change, rebuild (and prune, if now empty) only the ones that did.
-        Built anew on every call."""
+        Each field is read straight from the scratch or the base account, and
+        an `Account` is built, as access keys are, only for a changed
+        address. Built anew on every call."""
         base = self.base
         if not isinstance(base, WorldState):
             raise TypeError("an execution on a block scratch has no post-state of its own")
         accounts: Dict[Address, Account] = dict(base.accounts)
+        prior = base.accounts.get
+        balances, nonces, storage = self.balances, self.nonces, self.storage
         changed: List[Address] = []
-        for addr in self.balances.keys() | self.nonces.keys() | self.storage.keys():
-            prev = base.account(addr)
-            acct = self.account(addr)
-            unchanged = acct.storage is prev.storage or acct.storage == prev.storage
-            if unchanged and acct.balance == prev.balance and acct.nonce == prev.nonce:
+        for addr in balances.keys() | nonces.keys() | storage.keys():
+            prev_balance, prev_nonce, code, prev_slots = prior(addr, EMPTY_ACCOUNT)
+            balance = balances.get(addr, prev_balance)
+            nonce = nonces.get(addr, prev_nonce)
+            slots = storage.get(addr, prev_slots)
+            unchanged = slots is prev_slots or slots == prev_slots
+            if unchanged and balance == prev_balance and nonce == prev_nonce:
                 continue
             changed.append(addr)
-            if acct.is_empty():
+            if balance == 0 and nonce == 0 and code is None and not slots:
                 accounts.pop(addr, None)
             else:
-                accounts[addr] = acct
+                accounts[addr] = tuple.__new__(Account, (balance, nonce, code, slots))
         state = WorldState(accounts)
         if base._table is not None:
             state._lineage = (base._table, frozenset(changed))
@@ -597,9 +611,10 @@ def _read_key(view: Union[WorldState, Execution], key: AccessKey):
         return view.balance_of(addr)
     if kind == AccessKind.NONCE:
         return view.nonce_of(addr)
-    acct = view.account(addr)
+    if kind == AccessKind.STORAGE:
+        return view.storage_of(addr).get(slot, ZERO_SLOT)
     # Code objects are compared by identity: their `__eq__` runs in Python.
-    return acct.storage.get(slot, ZERO_SLOT) if kind == AccessKind.STORAGE else id(acct.code)
+    return id(view.code_of(addr))
 
 
 class _CallEnv:
@@ -715,15 +730,11 @@ def code_hash(code: Optional[ContractCode]) -> bytes:
 
 
 def _account_digest(addr: Address, acct: Account) -> bytes:
-    ah = hashlib.sha256()
-    ah.update(bytes(addr))
-    ah.update(acct.balance.to_bytes(16, "big"))
-    ah.update(acct.nonce.to_bytes(8, "big"))
-    ah.update(code_hash(acct.code))
-    for key in sorted(acct.storage):
-        ah.update(key)
-        ah.update(acct.storage[key])
-    return ah.digest()
+    balance, nonce, code, storage = acct
+    parts = [addr, balance.to_bytes(16, "big"), nonce.to_bytes(8, "big"), code_hash(code)]
+    for key in sorted(storage):
+        parts += key, storage[key]
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 def state_root(state: WorldState) -> StateRoot:

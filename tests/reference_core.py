@@ -1,0 +1,61 @@
+"""Reference oracle for the byte decoders of `rollupsim.core`.
+
+These are the original decoders, which read each field of the fixed head
+with its own slice and `int.from_bytes`. The shipped decoders read the head
+with one precompiled `struct.Struct`; the differential test holds them to
+these, record for record and error message for error message.
+"""
+from __future__ import annotations
+
+import hashlib
+
+from rollupsim.core import Address, DepositTransaction, EncodingError, SignedTransaction, TxHash
+
+
+def reference_canonical_decode(blob: bytes) -> SignedTransaction:
+    if len(blob) < 93:
+        raise EncodingError(f"encoded transaction too short: {len(blob)} bytes")
+    nonce = int.from_bytes(blob[0:8], "big")
+    tag = blob[8]
+    if tag not in (0, 1):
+        raise EncodingError(f"bad recipient tag {tag:#x}")
+    if tag == 1 and blob[29:49] != bytes(20):
+        raise EncodingError("create transaction carries a recipient")
+    sender = Address(blob[9:29])
+    recipient = None if tag == 1 else Address(blob[29:49])
+    value = int.from_bytes(blob[49:65], "big")
+    max_fee = int.from_bytes(blob[65:73], "big")
+    priority_fee = int.from_bytes(blob[73:81], "big")
+    gas_limit = int.from_bytes(blob[81:89], "big")
+    data_len = int.from_bytes(blob[89:93], "big")
+    if len(blob) != 93 + data_len:
+        raise EncodingError(f"encoded transaction length mismatch: {len(blob)} != {93 + data_len}")
+    tx = SignedTransaction(
+        sender=sender,
+        nonce=nonce,
+        recipient=recipient,
+        value=value,
+        data=blob[93 : 93 + data_len],
+        max_fee=max_fee,
+        priority_fee=priority_fee,
+        gas_limit=gas_limit,
+    )
+    tx._hash = TxHash(hashlib.sha256(blob).digest())
+    return tx
+
+
+def reference_decode_deposit(blob: bytes) -> DepositTransaction:
+    if len(blob) < 80:
+        raise EncodingError(f"encoded deposit too short: {len(blob)} bytes")
+    data_len = int.from_bytes(blob[76:80], "big")
+    if len(blob) != 80 + data_len:
+        raise EncodingError(f"encoded deposit length mismatch: {len(blob)} != {80 + data_len}")
+    return DepositTransaction(
+        l1_block=int.from_bytes(blob[0:8], "big"),
+        l1_index=int.from_bytes(blob[8:12], "big"),
+        sender=Address(blob[12:32]),
+        recipient=Address(blob[32:52]),
+        value=int.from_bytes(blob[52:68], "big"),
+        data=blob[80 : 80 + data_len],
+        gas_limit=int.from_bytes(blob[68:76], "big"),
+    )

@@ -191,7 +191,7 @@ class TestSlotMerge:
         _merge_validated(fold, [(sim.reads, sim) for sim in (execute_transaction(tip, t, ctx()) for t in calls)])
         merged = fold.post_state()
         assert merged.accounts == reference_fold(tip, calls, ctx()).accounts
-        assert merged.account(MIXED).storage == {slot_bytes(9): slot_bytes(1), slot_bytes(10): slot_bytes(1)}
+        assert merged.storage_of(MIXED) == {slot_bytes(9): slot_bytes(1), slot_bytes(10): slot_bytes(1)}
 
 
 class TestForgedAccessSets:

@@ -163,8 +163,8 @@ class TestAliasing:
         first = execute_transaction(state, tx(ADMIN, 0, COUNTER), ctx()).post_state()
         second = execute_transaction(first, tx(ADMIN, 1, COUNTER), ctx()).post_state()
         assert contents(state) == before and state_root(state) == root
-        assert first.account(COUNTER).storage == {slot_bytes(COUNT_KEY): slot_bytes(2)}
-        assert second.account(COUNTER).storage == {slot_bytes(COUNT_KEY): slot_bytes(3)}
+        assert first.storage_of(COUNTER) == {slot_bytes(COUNT_KEY): slot_bytes(2)}
+        assert second.storage_of(COUNTER) == {slot_bytes(COUNT_KEY): slot_bytes(3)}
 
     def test_untouched_accounts_are_shared(self):
         state = make_state({addr(1): Account(balance=100), addr(2): Account(balance=100)})

@@ -2,8 +2,9 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from reference_core import reference_canonical_decode, reference_decode_deposit
 from rollupsim.core import (
     Address,
     DepositTransaction,
@@ -33,6 +34,32 @@ def encoded_blobs(draw):
         field(8), bytes([draw(st.sampled_from([0, 1, 1, 2]))]), field(20), field(20), field(16),
         max_fee, priority_fee, draw(st.binary(min_size=8, max_size=8)), max(length, 0).to_bytes(4, "big"), data,
     ))
+
+
+@st.composite
+def encoded_deposit_blobs(draw):
+    """Blobs in the deposit layout, drawn like `encoded_blobs`: a gas limit
+    that may sit below the intrinsic cost and a data length that may lie."""
+    data = draw(st.binary(max_size=8))
+    length = len(data) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    return b"".join((
+        draw(st.binary(min_size=32, max_size=32)), draw(st.binary(min_size=20, max_size=20)),
+        draw(st.binary(min_size=16, max_size=16)), draw(st.sampled_from([bytes(8), (21).to_bytes(8, "big"), b"\xff" * 8])),
+        max(length, 0).to_bytes(4, "big"), data,
+    ))
+
+
+@st.composite
+def damaged(draw, blobs):
+    """A drawn blob as it is, cut short, or with one byte replaced."""
+    blob = draw(blobs)
+    how = draw(st.sampled_from(["whole", "truncated", "mutated"]))
+    if how == "truncated" and blob:
+        blob = blob[:draw(st.integers(0, len(blob) - 1))]
+    elif how == "mutated" and blob:
+        i = draw(st.integers(0, len(blob) - 1))
+        blob = blob[:i] + bytes([draw(st.integers(0, 255))]) + blob[i + 1:]
+    return blob
 
 
 # Golden values derived by hand from the documented layout: the minimal
@@ -131,6 +158,46 @@ class TestCanonicalEncode:
             return
         assert canonical_encode(tx) == blob
         assert tx_hash(tx) == hashlib.sha256(blob).digest()
+
+
+def decoded(decode, blob):
+    """What a decoder makes of a blob: the record with its field types and
+    hash memo, or the message of the `EncodingError` it raises."""
+    try:
+        record = decode(blob)
+    except EncodingError as exc:
+        return "error", str(exc)
+    memo = record._hash if isinstance(record, SignedTransaction) else record._id
+    return record, [type(v) for v in record._values()], memo, type(memo)
+
+
+def tx_blob(**fields) -> bytes:
+    return canonical_encode(minimal_tx(**fields))
+
+
+class TestDecodeOracle:
+    """The one-struct decoders against the slicing ones in `reference_core`:
+    an equal record with an equal hash memo, or the same error message."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(damaged(encoded_blobs()))
+    @example(tx_blob())
+    @example(tx_blob(recipient=None, data=b"\x01\x02"))
+    @example(tx_blob()[:92])
+    @example(tx_blob()[:8] + b"\x02" + tx_blob()[9:])  # a bad recipient tag
+    @example(tx_blob(recipient=None)[:29] + b"\xab" * 20 + tx_blob()[49:])  # a create that carries a recipient
+    @example(tx_blob(max_fee=1)[:73] + (2).to_bytes(8, "big") + tx_blob()[81:])  # priority fee above max fee
+    @example(tx_blob()[:81] + (20).to_bytes(8, "big") + tx_blob()[89:])  # gas below the intrinsic cost
+    @example(tx_blob(data=b"\x01") + b"\x00")
+    def test_canonical_decode_matches_reference(self, blob):
+        assert decoded(canonical_decode, blob) == decoded(reference_canonical_decode, blob)
+
+    @settings(max_examples=300, deadline=None)
+    @given(damaged(encoded_deposit_blobs()))
+    @example(bytes(79))
+    @example(bytes(68) + (21).to_bytes(8, "big") + (1).to_bytes(4, "big") + b"\x07")
+    def test_decode_deposit_matches_reference(self, blob):
+        assert decoded(decode_deposit, blob) == decoded(reference_decode_deposit, blob)
 
 
 class TestTxHash:

@@ -8,7 +8,8 @@ status, gas, reads, writes and post-state; each node shape whose evaluator
 is specialised at construction (a constant slot key, the frame's own or its
 caller's address) is drawn explicitly, and is the same record as the node
 its fields alone define. Running and judging a vault drain builds no node
-and makes a bounded number of Python-level calls, and each program is
+and makes a bounded number of Python-level calls, as does replaying a block
+of counter calls, which builds no `Account` in Python; each program is
 rendered for its code hash once.
 """
 import contextlib
@@ -19,10 +20,24 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import ADMIN, addr, ctx, exploit_tx, gated_vault, guard_only_vault, solvency_invariant, tx, vault_state
+from helpers import (
+    ADMIN,
+    COUNT_KEY,
+    COUNTER,
+    FEE_SINK,
+    addr,
+    counter_contract,
+    ctx,
+    exploit_tx,
+    gated_vault,
+    guard_only_vault,
+    solvency_invariant,
+    tx,
+    vault_state,
+)
 from reference_vm import reference_eval_expr, reference_interpret
 from rollupsim import vm
-from rollupsim.core import BASE_TX_GAS, Address
+from rollupsim.core import BASE_TX_GAS, Address, Block, StateRoot
 from rollupsim.derivation import derive
 from rollupsim.detection import InvariantDetector, InvariantSet
 from rollupsim.formats import parse_expr, parse_history, parse_scenario, render_history
@@ -46,6 +61,7 @@ from rollupsim.vm import (
     SetSlot,
     SLoad,
     _CallEnv,
+    apply_block,
     code_hash,
     code_text,
     eval_expr,
@@ -196,6 +212,38 @@ class TestDrainCallCount:
         assert verdict.malicious and executing[0] == "execute_transaction"
         assert len(executing) <= 75, executing  # 111 when each key and scratch entry took calls of its own
         assert len(judging) <= 18, judging  # 23
+
+
+class TestReplayCallCount:
+    """A count, not a timer: the Python-level calls that applying a block
+    of calls to one shared counter makes, as a replica does. Storage and
+    code are read through the field views, and the post-state builds each
+    changed `Account` in C, so no generated `Account.__new__` runs and a
+    view call made per access shows here."""
+
+    CALLS = 20
+
+    def test_applying_a_block_of_counter_calls(self):
+        senders = [addr(0x100 + i) for i in range(self.CALLS)]
+        counter = Account(code=counter_contract(), storage={slot_bytes(COUNT_KEY): slot_bytes(1)})
+        state = make_state({**{s: Account(balance=10_000) for s in senders}, COUNTER: counter})
+        calls = tuple(tx(s, 0, COUNTER, max_fee=2, priority_fee=1) for s in senders)
+        block = Block(1, bytes(32), 1, 1, 0, (), calls, StateRoot(bytes(32)))
+        codes = []
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                codes.append(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            post = apply_block(state, block, FEE_SINK)
+        finally:
+            sys.setprofile(None)
+        assert post.accounts[COUNTER].storage == {slot_bytes(COUNT_KEY): slot_bytes(1 + self.CALLS)}
+        names = [code.co_name for code in codes]
+        assert Account.__new__.__code__ not in codes, names  # 79 when storage and code reads built accounts
+        assert len(codes) <= 45 * self.CALLS, names  # 850; 1055 when they did
 
 
 @pytest.mark.parametrize("vault", [gated_vault, guard_only_vault])
