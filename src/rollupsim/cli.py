@@ -6,16 +6,18 @@
     rollupsim quarantine REPORT show HASH
 
 Exit codes: 0 ok, 2 bad option, scenario error or an output `run` cannot
-write, 3 root mismatch, 4 derivation gap, 5 not found. `--expect-root` is 64
-hex digits, with or without `0x`. `derive` exits 4 on a history the sequencer
-could not have written: an L1 block or deposit not at its place, an L1
-block time before the previous one's, an L1 block whose epoch head lies past
-the inbox, a record with the wrong block number or epoch, a time not after
-the previous block's, an epoch head before its L1 block, a bitmap missing
-from an epoch head, on another record or not fitting its deposits, or a
-batch that cannot execute. A scenario, report or history line is
-refused, with its number, when it lacks a field or names an unknown one,
-holds a value out of its range, repeats a line its file holds once, or
+write, 3 root mismatch, 4 derivation gap, 5 not found. A run whose execution
+carries a balance past 2^128-1 or a nonce past 2^64-1 exits 2, and a history
+whose replay does so exits 4, each naming the block and the account.
+`--expect-root` is 64 hex digits, with or without `0x`. `derive` exits 4 on
+a history the sequencer could not have written: an L1 block or deposit not
+at its place, an L1 block time before the previous one's, an L1 block whose
+epoch head lies past the inbox, a record with the wrong block number or
+epoch, a time not after the previous block's, an epoch head before its L1
+block, a bitmap missing from an epoch head, on another record or not fitting
+its deposits, or a batch that cannot execute. A scenario, report or history
+line is refused, with its number, when it lacks a field or names an unknown
+one, holds a value out of its range, repeats a line its file holds once, or
 declares a genesis address twice. Every file is UTF-8 whatever the locale;
 one that does not decode exits with its file's code (2, or 4 for a history).
 """

@@ -119,9 +119,9 @@ class SignedTransaction(Record):
     """A user transaction. recipient=None requests creation of a fresh account."""
 
     _fields = ("sender", "nonce", "recipient", "value", "data", "max_fee", "priority_fee", "gas_limit")
-    # `_hash` memoizes tx_hash; fields never change, so it stays valid for
-    # the object's lifetime.
-    __slots__ = (*_fields, "_hash")
+    # `_hash` memoizes tx_hash and `_blob` canonical_encode; fields never
+    # change, so both stay valid for the object's lifetime.
+    __slots__ = (*_fields, "_hash", "_blob")
 
     def __init__(
         self, sender: Address, nonce: int, recipient: Optional[Address], value: int, data: bytes, max_fee: int,
@@ -132,10 +132,7 @@ class SignedTransaction(Record):
         _check_range("max_fee", max_fee, U64_MAX)
         _check_range("priority_fee", priority_fee, U64_MAX)
         _check_range("gas_limit", gas_limit, U64_MAX)
-        if priority_fee > max_fee:
-            raise EncodingError("priority_fee exceeds max_fee")
-        if gas_limit < BASE_TX_GAS:
-            raise EncodingError(f"gas_limit below intrinsic cost {BASE_TX_GAS}")
+        _check_fees(max_fee, priority_fee, gas_limit)
         self.sender = sender
         self.nonce = nonce
         self.recipient = recipient
@@ -145,6 +142,15 @@ class SignedTransaction(Record):
         self.priority_fee = priority_fee
         self.gas_limit = gas_limit
         self._hash = None
+        self._blob = None
+
+
+def _check_fees(max_fee: int, priority_fee: int, gas_limit: int) -> None:
+    """The checks of a transaction's fields that hold across fields, in range."""
+    if priority_fee > max_fee:
+        raise EncodingError("priority_fee exceeds max_fee")
+    if gas_limit < BASE_TX_GAS:
+        raise EncodingError(f"gas_limit below intrinsic cost {BASE_TX_GAS}")
 
 
 class DepositTransaction(Record):
@@ -196,42 +202,37 @@ class Block(NamedTuple):
     state_root: StateRoot
 
 
+# The fixed heads of the two layouts, each read with one call, and the
+# transaction's written with one. An address field unpacks to exactly 20
+# bytes and a digest is 32, so they become an `Address` and a `TxHash`
+# without the length check, as in `Address.from_int`.
+_TX_HEAD = struct.Struct(">QB20s20s16sQQQI")  # 93 bytes
+_DEPOSIT_HEAD = struct.Struct(">QI20s20s16sQI")  # 80 bytes
+
+
 def canonical_encode(tx: SignedTransaction) -> bytes:
-    """Fixed-layout byte encoding of a transaction.
+    """Fixed-layout byte encoding of a transaction, memoized on it.
 
     Layout: nonce (8 BE) | recipient tag (1: 0x01 = create) | sender (20) |
     recipient (20, zeros for create) | value (16 BE) | max_fee (8 BE) |
     priority_fee (8 BE) | gas_limit (8 BE) | data length (4 BE) | data.
     """
-    create = tx.recipient is None
-    recipient = bytes(20) if create else bytes(tx.recipient)
-    return b"".join(
-        (
-            tx.nonce.to_bytes(8, "big"),
-            b"\x01" if create else b"\x00",
-            bytes(tx.sender),
-            recipient,
-            tx.value.to_bytes(16, "big"),
-            tx.max_fee.to_bytes(8, "big"),
-            tx.priority_fee.to_bytes(8, "big"),
-            tx.gas_limit.to_bytes(8, "big"),
-            len(tx.data).to_bytes(4, "big"),
-            tx.data,
-        )
-    )
-
-
-# The fixed heads of the two layouts, each read with one call. An address
-# field unpacks to exactly 20 bytes and a digest is 32, so they become an
-# `Address` and a `TxHash` without the length check, as in `Address.from_int`.
-_TX_HEAD = struct.Struct(">QB20s20s16sQQQI")  # 93 bytes
-_DEPOSIT_HEAD = struct.Struct(">QI20s20s16sQI")  # 80 bytes
+    blob = tx._blob
+    if blob is None:
+        create, data = tx.recipient is None, tx.data
+        blob = tx._blob = _TX_HEAD.pack(
+            tx.nonce, create, tx.sender, ZERO_ADDRESS if create else tx.recipient, tx.value.to_bytes(16, "big"),
+            tx.max_fee, tx.priority_fee, tx.gas_limit, len(data),
+        ) + data
+    return blob
 
 
 def canonical_decode(blob: bytes) -> SignedTransaction:
     """Inverse of canonical_encode; rejects trailing or missing bytes and any
-    blob canonical_encode would not write, so decoding is one-to-one and the
-    blob's digest is the transaction's hash, memoized here."""
+    blob canonical_encode would not write, so decoding is one-to-one. The
+    blob is the transaction's encoding and its digest the transaction's hash:
+    both are memoized here. Every field unpacks in its range, so only the
+    checks across fields are run."""
     if len(blob) < 93:
         raise EncodingError(f"encoded transaction too short: {len(blob)} bytes")
     nonce, tag, sender, recipient, value, max_fee, priority_fee, gas_limit, data_len = _TX_HEAD.unpack_from(blob)
@@ -241,10 +242,17 @@ def canonical_decode(blob: bytes) -> SignedTransaction:
         raise EncodingError("create transaction carries a recipient")
     if len(blob) != 93 + data_len:
         raise EncodingError(f"encoded transaction length mismatch: {len(blob)} != {93 + data_len}")
-    tx = SignedTransaction(
-        bytes.__new__(Address, sender), nonce, None if tag == 1 else bytes.__new__(Address, recipient),
-        int.from_bytes(value, "big"), blob[93:], max_fee, priority_fee, gas_limit,
-    )
+    _check_fees(max_fee, priority_fee, gas_limit)
+    tx = object.__new__(SignedTransaction)
+    tx.sender = bytes.__new__(Address, sender)
+    tx.nonce = nonce
+    tx.recipient = None if tag == 1 else bytes.__new__(Address, recipient)
+    tx.value = int.from_bytes(value, "big")
+    tx.data = blob[93:]
+    tx.max_fee = max_fee
+    tx.priority_fee = priority_fee
+    tx.gas_limit = gas_limit
+    tx._blob = blob = bytes(blob)
     tx._hash = bytes.__new__(TxHash, hashlib.sha256(blob).digest())
     return tx
 

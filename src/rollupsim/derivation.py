@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Tuple
 
 from .core import Block, StateRoot, block_hash, canonical_decode
 from .l1da import L1Chain, L1History
-from .vm import InvalidBlock, WorldState, apply_block, state_root
+from .vm import AccountOverflow, InvalidBlock, WorldState, apply_block, state_root
 
 
 class DerivationGap(Exception):
@@ -50,8 +50,13 @@ class ChainView:
         return Block(len(self.blocks), _UNSEALED, timestamp, base_fee, epoch, deposits, transactions, _UNSEALED)
 
     def seal(self, block: Block, state: WorldState) -> Block:
-        """Link `block` to the tip, root it in `state` (the state after it), and make it the tip."""
-        block = block._replace(parent_hash=self.tip_hash, state_root=state_root(state))
+        """Link `block` to the tip, root it in `state` (the state after it), and make it the tip.
+        A state the root cannot encode is refused with the block's number."""
+        try:
+            root = state_root(state)
+        except AccountOverflow as exc:
+            raise AccountOverflow(exc.addr, exc.field, block.number) from None
+        block = block._replace(parent_hash=self.tip_hash, state_root=root)
         self.blocks.append(block)
         self.tip_state, self.tip_hash = state, block_hash(block)
         return block

@@ -24,7 +24,8 @@ one post-state, at the end of the round.
 """
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
 from .core import ZERO_ADDRESS, Address, AnyTransaction, TxHash, tx_id
 from .vm import (
@@ -43,6 +44,7 @@ from .vm import (
 )
 
 StateView = Union[WorldState, Execution]
+_key_addr = itemgetter(1)  # an access key's address
 
 
 class DetectionError(Exception):
@@ -61,10 +63,12 @@ class Invariant(NamedTuple):
 
 
 class InvariantSet:
-    """Registered invariants, indexed by the contract they watch."""
+    """Registered invariants, indexed by the contract they watch: `by_contract`
+    maps each watched contract to its invariants, sorted by id (ties in
+    registration order)."""
 
     def __init__(self) -> None:
-        self._by_contract: Dict[Address, List[Invariant]] = {}
+        self.by_contract: Dict[Address, List[Invariant]] = {}
 
     def register(self, invariant: Invariant, state: WorldState) -> None:
         code = state.code_of(invariant.contract)
@@ -73,10 +77,9 @@ class InvariantSet:
             raise UnauthorizedInvariant(
                 f"invariant {invariant.id!r} not registered by the admin of {invariant.contract.hex0x()}"
             )
-        self._by_contract.setdefault(invariant.contract, []).append(invariant)
-
-    def for_contract(self, contract: Address) -> Sequence[Invariant]:
-        return self._by_contract.get(contract, ())
+        watching = self.by_contract.setdefault(invariant.contract, [])
+        watching.append(invariant)
+        watching.sort(key=lambda inv: inv.id)
 
 
 class Verdict(NamedTuple):
@@ -101,29 +104,28 @@ class InvariantDetector:
         Predicates run as calls on a child execution over `sim`, so the
         post-state is read through `sim`, not built, and the child records
         the probe's reads."""
-        if sim.status is TxStatus.REVERT:
+        by_contract = invariants.by_contract
+        if sim.status is TxStatus.REVERT or not by_contract:
             return BENIGN_VERDICT, frozenset()
-        probe: Optional[Execution] = None
+        watched = by_contract.keys() & map(_key_addr, sim.writes)
+        if not watched:
+            return BENIGN_VERDICT, frozenset()
+        probe = Execution(sim)
         violated: List[str] = []
         victims: List[Address] = []
-        for contract in sorted({key.addr for key in sim.writes}):
-            watching = invariants.for_contract(contract)
-            if not watching:
-                continue
-            if probe is None:
-                probe = Execution(sim)
+        for contract in sorted(watched):
             # The damage bound reads the contract balance even when the
             # predicate itself does not.
             probe.reads.add(_new_key(AccessKey, (AccessKind.BALANCE, contract, b"")))
             env = _CallEnv(probe, contract, ZERO_ADDRESS, 0, b"")
             broken = False
-            for invariant in sorted(watching, key=lambda inv: inv.id):
+            for invariant in by_contract[contract]:
                 if eval_expr(invariant.predicate, env) == 0:
                     violated.append(invariant.id)
                     broken = True
             if broken:
                 victims.append(contract)
-        reads = frozenset() if probe is None else probe.reads
+        reads = probe.reads
         if not violated:
             return BENIGN_VERDICT, reads
         damage = 0
@@ -274,7 +276,7 @@ def hybrid_detect(
 
         if not influenced:
             sim = result
-            if tx_id(tx) in preapproved:
+            if preapproved and tx_id(tx) in preapproved:
                 verdict = BENIGN_VERDICT
             else:
                 # Judged only now that its execution reads are uninfluenced;
@@ -300,7 +302,7 @@ def hybrid_detect(
             except PreconditionFailed:
                 outcome.deferred.append(tx)
                 continue
-            if tx_id(tx) in preapproved:
+            if preapproved and tx_id(tx) in preapproved:
                 verdict = BENIGN_VERDICT
             else:
                 verdict, _ = detector.assess(sim, fold, invariants)

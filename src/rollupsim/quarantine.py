@@ -129,16 +129,20 @@ class InsufficientCollateral(Record):
 
 
 class ReleasedRegistry:
-    """Duplicate keys of everything ever released; grows monotonically."""
+    """Duplicate keys of everything ever released; grows monotonically.
+    Indexed by sender, so a transaction whose sender never had a release is
+    answered without building its key."""
 
     def __init__(self) -> None:
         self.keys: Set[DuplicateKey] = set()
+        self.senders: Set[Address] = set()
 
     def note(self, tx: SignedTransaction) -> None:
         self.keys.add(duplicate_key(tx))
+        self.senders.add(tx.sender)
 
     def is_released_duplicate(self, tx: SignedTransaction) -> bool:
-        return duplicate_key(tx) in self.keys
+        return tx.sender in self.senders and duplicate_key(tx) in self.keys
 
 
 class CollateralLedger:

@@ -36,6 +36,7 @@ that rooted ancestor.
 from __future__ import annotations
 
 import hashlib
+import struct
 from bisect import bisect_left
 from enum import Enum
 from operator import attrgetter
@@ -50,6 +51,7 @@ from .core import (
     DepositTransaction,
     Record,
     StateRoot,
+    U64_MAX,
     max_cost,
 )
 
@@ -556,8 +558,24 @@ class Execution:
 
     # -- folding executions into one scratch --
     def reads_as_base(self, keys) -> bool:
-        """Whether every key still holds its base value here."""
-        return all(_read_key(self, key) == _read_key(self.base, key) for key in keys)
+        """Whether every key still holds its base value here. Only a key
+        whose field the scratch holds can differ: any other key, and every
+        code key, reads through to the base."""
+        balances, nonces, storage, base = self.balances, self.nonces, self.storage, self.base
+        for kind, addr, slot in keys:
+            if kind == AccessKind.BALANCE:
+                value = balances.get(addr)
+                if value is not None and value != base.balance_of(addr):
+                    return False
+            elif kind == AccessKind.NONCE:
+                value = nonces.get(addr)
+                if value is not None and value != base.nonce_of(addr):
+                    return False
+            elif kind == AccessKind.STORAGE:
+                slots = storage.get(addr)
+                if slots is not None and slots.get(slot, ZERO_SLOT) != base.storage_of(addr).get(slot, ZERO_SLOT):
+                    return False
+        return True
 
     def absorb(self, other: "Execution") -> None:
         """Take over the effects of an execution that ran on this scratch, or
@@ -603,18 +621,6 @@ class Execution:
             table, earlier = base._lineage
             state._lineage = (table, earlier.union(changed))
         return state
-
-
-def _read_key(view: Union[WorldState, Execution], key: AccessKey):
-    kind, addr, slot = key
-    if kind == AccessKind.BALANCE:
-        return view.balance_of(addr)
-    if kind == AccessKind.NONCE:
-        return view.nonce_of(addr)
-    if kind == AccessKind.STORAGE:
-        return view.storage_of(addr).get(slot, ZERO_SLOT)
-    # Code objects are compared by identity: their `__eq__` runs in Python.
-    return id(view.code_of(addr))
 
 
 class _CallEnv:
@@ -720,21 +726,47 @@ def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction,
 # State commitment and block application
 # ---------------------------------------------------------------------------
 
+_NO_CODE_HASH = bytes(32)  # shared by every code-less account
+
+
 def code_hash(code: Optional[ContractCode]) -> bytes:
     if code is None:
-        return bytes(32)
+        return _NO_CODE_HASH
     h = code._hash
     if h is None:
         h = code._hash = hashlib.sha256(bytes(code.admin) + code_text(code).encode("utf-8")).digest()
     return h
 
 
+class AccountOverflow(ValueError):
+    """A balance past 2^128-1 or a nonce past 2^64-1, wider than the state
+    root encodes it; `block` is the number of the block that holds it, once known."""
+
+    def __init__(self, addr: Address, field: str, block: Optional[int] = None):
+        where, limit = "" if block is None else f"block {block}: ", "2^128-1" if field == "balance" else "2^64-1"
+        super().__init__(f"{where}account {addr.hex0x()} {field} is past {limit}")
+        self.addr, self.field, self.block = addr, field, block
+
+
+# The head of an account's digest input: address, balance as two u64 words
+# (high, low), nonce, code hash. Storage pairs follow it, sorted by key.
+_ACCOUNT_HEAD = struct.Struct(">20sQQQ32s")
+
+
 def _account_digest(addr: Address, acct: Account) -> bytes:
     balance, nonce, code, storage = acct
-    parts = [addr, balance.to_bytes(16, "big"), nonce.to_bytes(8, "big"), code_hash(code)]
-    for key in sorted(storage):
-        parts += key, storage[key]
-    return hashlib.sha256(b"".join(parts)).digest()
+    try:
+        head = _ACCOUNT_HEAD.pack(
+            addr, balance >> 64, balance & U64_MAX, nonce, _NO_CODE_HASH if code is None else code_hash(code)
+        )
+    except struct.error:
+        raise AccountOverflow(addr, "balance" if balance >> 128 else "nonce") from None
+    if storage:
+        parts = [head]
+        for key in sorted(storage):
+            parts += key, storage[key]
+        head = b"".join(parts)
+    return hashlib.sha256(head).digest()
 
 
 def state_root(state: WorldState) -> StateRoot:
@@ -746,7 +778,8 @@ def state_root(state: WorldState) -> StateRoot:
     one buffer hashed directly; a state with a lineage copies its rooted
     ancestor's buffer, re-hashes only the accounts changed since into it
     (a 32-byte slice each; an insert or delete moves the rest in C), and a
-    state without one builds it in full.
+    state without one builds it in full. A balance or nonce too wide for its
+    field raises `AccountOverflow`.
     """
     if state._table is not None:
         return state._table[0]

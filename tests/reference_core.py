@@ -1,15 +1,39 @@
-"""Reference oracle for the byte decoders of `rollupsim.core`.
+"""Reference oracle for the byte codecs of `rollupsim.core`.
 
 These are the original decoders, which read each field of the fixed head
-with its own slice and `int.from_bytes`. The shipped decoders read the head
-with one precompiled `struct.Struct`; the differential test holds them to
-these, record for record and error message for error message.
+with its own slice and `int.from_bytes`, and build the transaction through
+its validating constructor. The shipped decoders read the head with one
+precompiled `struct.Struct` and run only the checks that unpacked fields
+can fail; the differential test holds them to these, record for record and
+error message for error message. `reference_canonical_encode` is the
+original encoder, which joins each field's bytes anew on every call; the
+shipped one packs the head with the same `struct.Struct` and memoizes the
+blob on the transaction.
 """
 from __future__ import annotations
 
 import hashlib
 
 from rollupsim.core import Address, DepositTransaction, EncodingError, SignedTransaction, TxHash
+
+
+def reference_canonical_encode(tx: SignedTransaction) -> bytes:
+    create = tx.recipient is None
+    recipient = bytes(20) if create else bytes(tx.recipient)
+    return b"".join(
+        (
+            tx.nonce.to_bytes(8, "big"),
+            b"\x01" if create else b"\x00",
+            bytes(tx.sender),
+            recipient,
+            tx.value.to_bytes(16, "big"),
+            tx.max_fee.to_bytes(8, "big"),
+            tx.priority_fee.to_bytes(8, "big"),
+            tx.gas_limit.to_bytes(8, "big"),
+            len(tx.data).to_bytes(4, "big"),
+            tx.data,
+        )
+    )
 
 
 def reference_canonical_decode(blob: bytes) -> SignedTransaction:

@@ -13,6 +13,9 @@ and sort order. `reference_eval_expr` and `reference_run_statements` are the
 original tree-walking interpreter, which picks each node's case and each
 operator by comparison on every call; the evaluators the nodes build at
 construction must match it value for value and read for read.
+`reference_reads_as_base` is the original merge check, which reads every
+key through the generic `_read_key` on both the scratch and its base; the
+shipped check compares only the keys whose field the scratch holds.
 """
 from __future__ import annotations
 
@@ -46,6 +49,7 @@ from rollupsim.vm import (
     SelfAddr,
     SetSlot,
     SLoad,
+    ZERO_SLOT,
     WorldState,
     _CallEnv,
     _Revert,
@@ -87,6 +91,22 @@ def full_state_root(state: WorldState) -> StateRoot:
             ah.update(acct.storage[key])
         h.update(ah.digest())
     return StateRoot(h.digest())
+
+
+def _read_key(view, key):
+    kind, addr, slot = key
+    if kind == ReferenceAccessKind.BALANCE:
+        return view.balance_of(addr)
+    if kind == ReferenceAccessKind.NONCE:
+        return view.nonce_of(addr)
+    if kind == ReferenceAccessKind.STORAGE:
+        return view.storage_of(addr).get(slot, ZERO_SLOT)
+    return id(view.code_of(addr))
+
+
+def reference_reads_as_base(exe: Execution, keys) -> bool:
+    """Whether every key still holds its base value in `exe`."""
+    return all(_read_key(exe, key) == _read_key(exe.base, key) for key in keys)
 
 
 def reference_execute(state: WorldState, tx: AnyTransaction, ctx: BlockContext) -> Tuple[Execution, WorldState]:

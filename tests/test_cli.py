@@ -392,6 +392,60 @@ class TestDeriveRejectsUnexecutableHistory:
         assert "derivation gap" in err and "block 0" in err
 
 
+class TestRuntimeOverflow:
+    """A balance or nonce that execution carries past its range (2^128-1,
+    2^64-1) is refused with the block and the account: `run` exits 2 and
+    `derive` exits 4 on a history whose replay does it. One unit less stays
+    in range, and runs and derives."""
+
+    B2 = "0x" + "00" * 19 + "b2"
+    ONE = "0x" + "00" * 19 + "01"
+
+    @staticmethod
+    def balance_scenario(balance):
+        return (
+            f"scenario v1 name=wide\nconfig fee_recipient=0xfe\ngenesis account 0xb2 balance={balance}\n"
+            "run blocks=2\nevent 1 l1_block deposits={sender=0xe0 recipient=0xb2 value=5 gas_limit=21}\n"
+        )
+
+    @staticmethod
+    def nonce_scenario(nonce):
+        return (
+            f"scenario v1 name=wide\nconfig fee_recipient=0xfe\ngenesis account 0x01 balance=1000 nonce={nonce}\n"
+            f"run blocks=2\nevent 1 submit sender=0x01 nonce={nonce} to=0x02 value=5 gas_limit=21\n"
+        )
+
+    @pytest.mark.parametrize("case", ["balance", "nonce"])
+    def test_run_exits_2_and_names_block_and_account(self, tmp_path, capsys, case):
+        text = self.balance_scenario(2**128 - 1) if case == "balance" else self.nonce_scenario(2**64 - 1)
+        account, limit = (self.B2, "2^128-1") if case == "balance" else (self.ONE, "2^64-1")
+        assert run_text(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"error: block 0: account {account} {case} is past {limit}\n"
+
+    @pytest.mark.parametrize("case", ["balance", "nonce"])
+    def test_derive_exits_4_on_a_replay_that_overflows(self, tmp_path, capsys, case):
+        if case == "balance":
+            text, account, limit = self.balance_scenario(2**128 - 6), self.B2, "2^128-1"
+            edits = [(f"balance={2**128 - 6}", f"balance={2**128 - 1}")]
+        else:
+            text, account, limit = self.nonce_scenario(2**64 - 2), self.ONE, "2^64-1"
+            edits = [(f"nonce={2**64 - 2}", f"nonce={2**64 - 1}"), ("batch=fffffffffffffffe", "batch=ffffffffffffffff")]
+        assert run_text(tmp_path, text) == 0  # one unit less is in range
+        history = (tmp_path / "l").read_text()
+        assert main(["derive", "--l1", str(tmp_path / "l")]) == 0
+        for old, new in edits:
+            assert history.count(old) == 1
+            history = history.replace(old, new)
+        (tmp_path / "wide.l1").write_text(history)
+        capsys.readouterr()
+        assert main(["derive", "--l1", str(tmp_path / "wide.l1")]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"error: unusable history: block 0: account {account} {case} is past {limit}\n"
+
+
 def run_text(tmp_path, text):
     scn = tmp_path / "case.scn"
     scn.write_text(text)

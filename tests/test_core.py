@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference_core import reference_canonical_decode, reference_decode_deposit
+from reference_core import reference_canonical_decode, reference_canonical_encode, reference_decode_deposit
 from rollupsim.core import (
     Address,
     DepositTransaction,
@@ -198,6 +198,32 @@ class TestDecodeOracle:
     @example(bytes(68) + (21).to_bytes(8, "big") + (1).to_bytes(4, "big") + b"\x07")
     def test_decode_deposit_matches_reference(self, blob):
         assert decoded(decode_deposit, blob) == decoded(reference_decode_deposit, blob)
+
+
+class TestEncodingMemo:
+    """The memoized encoder against `reference_core.reference_canonical_encode`,
+    which joins every field anew: for a fresh transaction, a decoded one
+    (whose memo the decoder seeds with its blob) and a `_replace`d copy of
+    either (which starts without one)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(transactions(), u64)
+    @example(minimal_tx(recipient=None, data=b"\x01\x02"), 0)
+    def test_matches_the_reference(self, tx, fee):
+        expected = reference_canonical_encode(tx)
+        assert tx._blob is None
+        assert canonical_encode(tx) == expected and type(canonical_encode(tx)) is bytes
+        assert canonical_encode(tx) is canonical_encode(tx)
+        assert tx_hash(tx) == hashlib.sha256(expected).digest()
+        for blob in (expected, bytearray(expected)):
+            decoded = canonical_decode(blob)
+            assert decoded._blob == expected and type(decoded._blob) is bytes
+            assert canonical_encode(decoded) == expected and decoded == tx
+        for original in (tx, decoded):
+            bumped = original._replace(max_fee=max(fee, tx.priority_fee), nonce=fee)
+            assert bumped._blob is None
+            assert canonical_encode(bumped) == reference_canonical_encode(bumped)
+            assert tx_hash(bumped) == hashlib.sha256(reference_canonical_encode(bumped)).digest()
 
 
 class TestTxHash:

@@ -8,12 +8,26 @@ and writes. At each level `balance_of`, `nonce_of`, `storage_of` and
 must equal that oracle, with a root lineage naming exactly the addresses
 whose account differs from the base. The oracle overlays the scratch's own
 dicts, so it is itself checked against plain dict updates of each write.
+A fold that absorbs rounds of such operations answers the merge check
+`reads_as_base` as `reference_vm.reference_reads_as_base` does, for any
+set of keys.
 """
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import ADMIN, addr, counter_contract
-from reference_vm import full_copy_post_state
-from rollupsim.vm import EMPTY_ACCOUNT, ZERO_SLOT, Account, Execution, WorldState, make_state, slot_bytes, state_root
+from reference_vm import full_copy_post_state, reference_reads_as_base
+from rollupsim.vm import (
+    EMPTY_ACCOUNT,
+    ZERO_SLOT,
+    AccessKey,
+    AccessKind,
+    Account,
+    Execution,
+    WorldState,
+    make_state,
+    slot_bytes,
+    state_root,
+)
 
 ADDRS = [addr(0xC0)] + [addr(i) for i in range(1, 5)]  # the first has code, the last starts absent
 CODE = counter_contract()
@@ -161,3 +175,60 @@ class TestFieldViewsAndPostState:
         scratch.write_balance(ADDRS[0], 4)
         acct = scratch.post_state().accounts[ADDRS[0]]
         assert type(acct) is Account and acct == Account(4, 0, CODE, {}) and acct.code is CODE
+
+
+KINDS = (AccessKind.STORAGE, AccessKind.BALANCE, AccessKind.NONCE, AccessKind.CODE)
+
+
+def access_key(kind: int, i: int, slot: int) -> AccessKey:
+    return AccessKey(kind, ADDRS[i], slot_bytes(slot) if kind == AccessKind.STORAGE else b"")
+
+
+access_keys = st.lists(
+    st.builds(access_key, st.sampled_from(KINDS), st.integers(0, len(ADDRS) - 1), st.integers(0, 2)), max_size=8
+)
+ALL_KEYS = [access_key(kind, i, slot) for kind in KINDS for i in range(len(ADDRS)) for slot in range(3)]
+BASE_SPEC = ((0, 0, {0: 5}), (100, 1, {}), (7, 0, {}), (0, 0, {}))
+SLOT_0 = access_key(AccessKind.STORAGE, 0, 0)
+WRITTEN_BACK = [[("write_slot", 0, 0, 1)], [("write_slot", 0, 0, 5)]]  # a slot written back to its base value
+
+
+def absorbed(state: WorldState, rounds) -> Execution:
+    """A fold over `state` that absorbed one execution per round of operations."""
+    fold = Execution(state)
+    for ops in rounds:
+        exe = Execution(fold)
+        perform(exe, ops)
+        fold.absorb(exe)
+    return fold
+
+
+class TestReadsAsBase:
+    """The merge check against the original, which reads every key through
+    the generic `_read_key` on both the fold and its base."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(genesis_accounts, st.lists(operations, max_size=3), access_keys)
+    @example(BASE_SPEC, WRITTEN_BACK, [SLOT_0])
+    @example(BASE_SPEC, [ONLY_READ], [access_key(AccessKind.BALANCE, 1, 0)])  # a balance the fold only read
+    @example(BASE_SPEC, [[("write_balance", 0, 0, 7)]], [access_key(AccessKind.CODE, 0, 0)])  # code keys
+    @example(BASE_SPEC, [[("write_balance", 1, 0, 7)]], [access_key(AccessKind.BALANCE, 1, 0)])
+    def test_matches_the_reference(self, spec, rounds, keys):
+        fold = absorbed(world(spec), rounds)
+        assert fold.reads_as_base(keys) == reference_reads_as_base(fold, keys)
+        for key in ALL_KEYS:
+            assert fold.reads_as_base([key]) == reference_reads_as_base(fold, [key]), key
+        child = Execution(fold)  # a check over an execution, not a world state
+        perform(child, rounds[-1] if rounds else ())
+        for key in ALL_KEYS:
+            assert child.reads_as_base([key]) == reference_reads_as_base(child, [key]), key
+
+    def test_the_examples_reach_their_cases(self):
+        state = world(BASE_SPEC)
+        fold = absorbed(state, WRITTEN_BACK)
+        assert fold.storage[ADDRS[0]] is not state.storage_of(ADDRS[0]) and fold.reads_as_base([SLOT_0])
+        fold = absorbed(state, [ONLY_READ])
+        assert ADDRS[1] in fold.balances and fold.reads_as_base([access_key(AccessKind.BALANCE, 1, 0)])
+        fold = absorbed(state, [[("write_balance", 1, 0, 7)]])
+        assert not fold.reads_as_base([access_key(AccessKind.BALANCE, 1, 0)])
+        assert fold.reads_as_base([access_key(AccessKind.CODE, i, 0) for i in range(len(ADDRS))])

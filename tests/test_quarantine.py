@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import ADMIN, ATTACKER, VAULT, addr, ctx, exploit_tx, repause_tx, tx, vault_state
 from rollupsim.core import DepositTransaction, duplicate_key, tx_hash, deposit_id
@@ -16,6 +17,7 @@ from rollupsim.quarantine import (
     QuarantineConfig,
     QuarantineStore,
     Released,
+    ReleasedRegistry,
     StillHeld,
 )
 from rollupsim.formats import parse_scenario
@@ -253,6 +255,39 @@ class TestDuplicateRegistry:
         s2 = held_exploit(s, now=30, nonce=1)  # second entry, same duplicate key? no: nonce differs but key ignores nonce
         assert key in s.registry.keys
         assert s.registry.is_released_duplicate(t)
+
+
+REGISTRY_SENDERS = [addr(0xB0 + i) for i in range(3)]
+registry_txs = st.builds(
+    lambda i, nonce, data, value, fee: tx(
+        REGISTRY_SENDERS[i], nonce, VAULT if data else None, value=value, data=data, max_fee=fee
+    ),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.sampled_from([b"", b"\x00", b"\x07"]),
+    st.integers(0, 2),
+    st.integers(1, 3),
+)
+
+
+class TestRegistryIndex:
+    """The sender-indexed registry against the plain set test
+    `duplicate_key(tx) in keys`, for senders with and without a release."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(registry_txs, max_size=4), st.lists(registry_txs, min_size=1, max_size=6))
+    @example([], [tx(REGISTRY_SENDERS[0], 0, VAULT)])  # nothing ever released
+    # A bumped resubmission; then the same key fields from another sender.
+    @example([tx(REGISTRY_SENDERS[0], 0, VAULT)], [tx(REGISTRY_SENDERS[0], 3, VAULT, max_fee=9)])
+    @example([tx(REGISTRY_SENDERS[0], 0, VAULT)], [tx(REGISTRY_SENDERS[1], 0, VAULT)])
+    def test_matches_the_set_test(self, released, probes):
+        registry = ReleasedRegistry()
+        for t in released:
+            registry.note(t)
+        keys = {duplicate_key(t) for t in released}
+        assert registry.keys == keys
+        for probe in probes:
+            assert registry.is_released_duplicate(probe) == (duplicate_key(probe) in keys)
 
 
 class TestReplacement:

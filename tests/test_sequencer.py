@@ -3,15 +3,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import ADMIN, ATTACKER, VAULT, addr
+from helpers import ADMIN, ATTACKER, VAULT, addr, tx
 from test_acceptance import _dos_scenario
-from rollupsim.core import deposit_id, tx_hash
-from rollupsim.detection import BENIGN_VERDICT, DetectionOutcome
+from rollupsim.core import DuplicateKey, deposit_id, tx_hash
+from rollupsim.detection import BENIGN_VERDICT, DetectionOutcome, InvariantDetector
 from rollupsim.formats import parse_scenario, render_report
 from rollupsim.l1da import EscrowStatus, L1Chain
 from rollupsim.quarantine import QuarantineStore
-from rollupsim.sequencer import ScenarioError, Sequencer, run
-from rollupsim.vm import PreconditionFailed, execute_transaction
+from rollupsim.sequencer import Scenario, ScenarioError, Sequencer, run
+from rollupsim.vm import Account, PreconditionFailed, execute_transaction, make_state
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -323,3 +323,40 @@ class TestThroughputNeutrality:
         assert [b.tx_hashes for b in plain.report.blocks] == [b.tx_hashes for b in guarded.report.blocks]
         assert [b.deposit_ids for b in plain.report.blocks] == [b.deposit_ids for b in guarded.report.blocks]
         assert plain.report.final_root == guarded.report.final_root
+
+
+class TestScreeningCallCount:
+    """A count, not a timer: the Python-level calls that building one block
+    of plain transfers makes per candidate, with nothing ever released and
+    no invariant registered. Screening a candidate for a released duplicate
+    builds no `DuplicateKey` unless its sender had a release, and judging
+    it returns before any sort when nothing watches a contract, so a cost
+    paid per candidate whatever it touched shows here."""
+
+    CANDIDATES = 20
+
+    def test_a_block_of_plain_transfers(self):
+        senders = [addr(0x100 + i) for i in range(self.CANDIDATES)]
+        seq = Sequencer(Scenario(name="transfers", genesis=make_state({s: Account(balance=1_000) for s in senders})))
+        for i, sender in enumerate(senders):
+            transfer = tx(sender, 0, addr(0x200 + i), value=7, gas_limit=21)
+            assert seq.mempool.submit(transfer, 1, seq.chain.tip_state).outcome == "accepted"
+        codes, sorts_in_assess = [], []
+        assess = InvariantDetector.assess.__code__
+
+        def profile(frame, event, arg):
+            if event == "call":
+                codes.append(frame.f_code)
+            elif event == "c_call" and arg is sorted and frame.f_code is assess:
+                sorts_in_assess.append(frame)
+
+        sys.setprofile(profile)
+        try:
+            block = seq.build_block(2, None)
+        finally:
+            sys.setprofile(None)
+        names = [code.co_name for code in codes]
+        assert len(block.transactions) == self.CANDIDATES and not seq.store.registry.keys
+        assert DuplicateKey.__new__.__code__ not in codes, names
+        assert assess in codes and sorts_in_assess == []
+        assert len(codes) <= 45 * self.CANDIDATES, len(codes) / self.CANDIDATES  # 41.5; 75.5 when every key took calls

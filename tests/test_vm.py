@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     ADMIN,
@@ -19,10 +20,12 @@ from helpers import (
     unpause_tx,
     vault_state,
 )
+from reference_vm import full_state_root
 from rollupsim.core import Block, DepositTransaction, StateRoot, tx_hash
 from rollupsim.vm import (
     AccessKey,
     Account,
+    AccountOverflow,
     Const,
     ContractCode,
     InvalidBlock,
@@ -203,6 +206,49 @@ class TestStateRoot:
 
     def test_canonical_absence_of_empty_accounts(self):
         assert make_state({addr(1): Account()}) == WorldState()
+
+
+WIDE_BALANCES = st.sampled_from([0, 1, 2**64 - 1, 2**64, 2**128 - 1]) | st.integers(0, 2**128 - 1)
+WIDE_NONCES = st.sampled_from([0, 1, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+DIGEST_CODE = ContractCode(admin=ADMIN, statements=(SetSlot(Const(1), Const(2)),))
+ONE = slot_bytes(1)
+digest_accounts = st.dictionaries(
+    st.integers(1, 40).map(addr),
+    st.builds(
+        lambda balance, nonce, has_code, slots: Account(
+            balance, nonce, DIGEST_CODE if has_code else None, {slot_bytes(k): slot_bytes(v) for k, v in slots.items()}
+        ),
+        WIDE_BALANCES,
+        WIDE_NONCES,
+        st.booleans(),
+        st.dictionaries(st.integers(0, 2**256 - 1), st.integers(0, 3), max_size=3),
+    ),
+    max_size=6,
+)
+
+
+class TestAccountDigest:
+    """The one-pack account digest against `reference_vm.full_state_root`,
+    which feeds each field of every account to SHA-256 on its own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(digest_accounts)
+    @example({addr(1): Account(2**64 - 1), addr(2): Account(2**64), addr(3): Account(2**128 - 1)})
+    @example({addr(1): Account(2**128 - 1, 2**64 - 1, DIGEST_CODE, {slot_bytes(2): slot_bytes(9), slot_bytes(1): ONE})})
+    def test_matches_the_full_rehash(self, accounts):
+        state = make_state(accounts)
+        assert state_root(state) == full_state_root(state)
+
+    @pytest.mark.parametrize(
+        "account, field",
+        [(Account(balance=2**128), "balance"), (Account(nonce=2**64), "nonce"), (Account(2**200, 2**64), "balance")],
+    )
+    def test_a_field_past_its_width_names_the_account(self, account, field):
+        limit = "2^128-1" if field == "balance" else "2^64-1"
+        with pytest.raises(AccountOverflow) as caught:
+            state_root(make_state({addr(1): Account(balance=3), addr(7): account}))
+        assert str(caught.value) == f"account {addr(7).hex0x()} {field} is past {limit}"
+        assert (caught.value.addr, caught.value.field, caught.value.block) == (addr(7), field, None)
 
 
 def build_block(state, txs, deposits=(), number=0, base_fee=1, timestamp=0):
