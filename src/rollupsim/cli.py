@@ -20,6 +20,8 @@ line is refused, with its number, when it lacks a field or names an unknown
 one, holds a value out of its range, repeats a line its file holds once, or
 declares a genesis address twice. Every file is UTF-8 whatever the locale;
 one that does not decode exits with its file's code (2, or 4 for a history).
+Each command imports the modules it runs, so `derive` loads only the
+replica's: `core`, `vm`, `l1da`, `derivation` and `lines`.
 """
 from __future__ import annotations
 
@@ -29,12 +31,7 @@ import re
 import sys
 from pathlib import Path
 
-from .core import EncodingError, TxHash
-from .derivation import DerivationGap, derive
-from .detection import UnauthorizedInvariant
-from .formats import MAX_WORKERS, parse_history, parse_report, parse_scenario, render_history, render_report
-from .l1da import L1Error
-from .sequencer import ScenarioError, run
+from .core import EncodingError, ScenarioError, TxHash
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -49,6 +46,11 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .detection import UnauthorizedInvariant
+    from .formats import MAX_WORKERS, parse_scenario, render_history, render_report
+    from .l1da import L1Error
+    from .sequencer import run
+
     if args.workers is not None and not 1 <= args.workers <= MAX_WORKERS:
         return _fail(EXIT_SCENARIO, f"--workers must be 1..{MAX_WORKERS}, got {args.workers}")
     # The report names the history on one line, which must read back whole.
@@ -77,6 +79,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
+    from .derivation import DerivationGap, derive
+    from .l1da import L1Error
+    from .lines import parse_history
+
     if args.expect_root is not None and not re.fullmatch(r"(0x)?[0-9a-fA-F]{64}", args.expect_root):
         return _fail(EXIT_SCENARIO, f"--expect-root must be 64 hex digits, got {args.expect_root!r}")
     try:
@@ -99,6 +105,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 
 def cmd_quarantine(args: argparse.Namespace) -> int:
+    from .formats import parse_report
+
     try:
         report = parse_report(Path(args.report).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:

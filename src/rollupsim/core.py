@@ -22,6 +22,17 @@ class EncodingError(ValueError):
     pass
 
 
+class ScenarioError(Exception):
+    """A refused input: a scenario, report or history line, by number, or a scenario event, by time."""
+
+    def __init__(self, reason: str, line: Optional[int] = None, at: Optional[int] = None):
+        where = f"line {line}: " if line is not None else (f"t={at}: " if at is not None else "")
+        super().__init__(f"{where}{reason}")
+        self.line = line
+        self.at = at
+        self.reason = reason
+
+
 class Address(bytes):
     """20-byte account identifier; compares and sorts as raw bytes."""
 

@@ -176,9 +176,6 @@ class Counters:
         self.parallel_verdicts += other.parallel_verdicts
         self.sequential_verdicts += other.sequential_verdicts
 
-    def simulations(self) -> int:
-        return self.isolated_sims + self.contextual_sims + self.release_sims
-
 
 class DetectionOutcome:
     __slots__ = ("benign", "malicious", "deferred", "stats", "final_state")

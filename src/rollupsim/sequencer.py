@@ -19,6 +19,7 @@ from .core import (
     Block,
     DepositTransaction,
     Record,
+    ScenarioError,
     SignedTransaction,
     StateRoot,
     TxHash,
@@ -35,15 +36,6 @@ from .l1da import EscrowStatus, L1Chain, L1History, L1Record, encode_bitmap, sna
 from .mempool import Mempool, PoolConfig
 from .quarantine import CollateralLedger, QuarantineConfig, QuarantineEntry, QuarantineError, QuarantineStore
 from .vm import BlockContext, WorldState, state_root
-
-
-class ScenarioError(Exception):
-    def __init__(self, reason: str, line: Optional[int] = None, at: Optional[int] = None):
-        where = f"line {line}: " if line is not None else (f"t={at}: " if at is not None else "")
-        super().__init__(f"{where}{reason}")
-        self.line = line
-        self.at = at
-        self.reason = reason
 
 
 class SequencerConfig(Record):
@@ -325,15 +317,17 @@ class Sequencer:
         block = self.chain.seal(self.chain.draft(now, self.base_fee, epoch, deposits, transactions), final_state)
 
         # Settled collateral locks: included transactions are final here.
-        for tx in block.transactions:
-            self.ledger.refund(tx_hash(tx))
+        if self.ledger.locked:
+            for tx in block.transactions:
+                self.ledger.refund(tx_hash(tx))
 
         # Pool hygiene, then quarantine maintenance, exactly once per block;
         # maintenance never simulates.
         removed = self.mempool.retire(now, final_state)
         self.store.on_mempool_retired(removed, now)
-        for key in removed:
-            self.ledger.refund(key)
+        if self.ledger.locked:
+            for key in removed:
+                self.ledger.refund(key)
         self.store.per_block_maintenance(final_state, now)
 
         # The state holds the deposits detection accepted; escrow must agree.

@@ -1,6 +1,6 @@
-"""Reference oracle for the line readers of `formats`.
+"""Reference oracle for the line readers of `lines` and `formats`.
 
-`reference_read` is the generic reader that served every `formats.Line`
+`reference_read` is the generic reader that served every `lines.Line`
 before each line built its own: on every call it works out the line's bare
 and keyed fields, the fields it must hold, its defaults and its all-or-none
 tail from the declaration, and it reads each value through the plain checks
@@ -15,7 +15,7 @@ import re
 from collections.abc import Mapping
 from functools import partial
 
-from rollupsim import formats
+from rollupsim import formats, lines
 from rollupsim.core import U64_MAX, Address, Record, StateRoot, TxHash
 from rollupsim.sequencer import ScenarioError
 
@@ -60,7 +60,7 @@ def _reference_deposits(text, lineno, what, ctx):
 def reference_parse(codec):
     """How the generic reader read a value of `codec`."""
     if codec is formats.TX_U64 or codec is formats.TX_U128:
-        return formats._parse_int  # transactions and deposits check their own ranges
+        return lines._parse_int  # transactions and deposits check their own ranges
     special = {
         formats.ADDRESS: reference_parse_address,
         formats.BYTES: reference_parse_bytes,
@@ -74,7 +74,7 @@ def reference_parse(codec):
             reference_parse_address(a, lineno) for a in text.split(",") if a
         ),
         formats.BUDGET: lambda text, lineno, what, ctx: (
-            None if text == "unlimited" else formats._parse_int(text, lineno, what, ctx, 0, U64_MAX)
+            None if text == "unlimited" else lines._parse_int(text, lineno, what, ctx, 0, U64_MAX)
         ),
     }
     if codec in special:
@@ -82,10 +82,10 @@ def reference_parse(codec):
     if codec.item is not None:
         item = reference_parse(codec.item)
         return lambda text, lineno, what, ctx: tuple(
-            [item(value, lineno, what, ctx) for value in formats._parse_list(text)]
+            [item(value, lineno, what, ctx) for value in lines._parse_list(text)]
         )
     if codec.least is not None:
-        return partial(formats._parse_int, minimum=codec.least, maximum=codec.top)
+        return partial(lines._parse_int, minimum=codec.least, maximum=codec.top)
     return codec.parse  # text, hashes, blobs, storage, code, expressions: read the one way they always were
 
 
@@ -98,8 +98,8 @@ def reference_read(line, words, lineno, ctx=None, **values):
         (kw, reference_parse(codec), f"{line.name} {key}".rstrip()) for kw, (key, _attr, codec, _d) in zip(kws, fields)
     ]
     keyed = {field[0]: read for field, read in zip(fields[len(slots):], reads[len(slots):])}
-    needed = [(f[0], kw) for kw, f in zip(kws[len(slots):], fields[len(slots):]) if f[3] is formats._REQUIRED]
-    defaults = {kw: f[3] for kw, f in zip(kws, fields) if f[3] is not formats._REQUIRED and f[3] is not formats._ABSENT}
+    needed = [(f[0], kw) for kw, f in zip(kws[len(slots):], fields[len(slots):]) if f[3] is lines._REQUIRED]
+    defaults = {kw: f[3] for kw, f in zip(kws, fields) if f[3] is not lines._REQUIRED and f[3] is not lines._ABSENT}
     tail_kws = frozenset(kws[line._tail:]) if line._tail else frozenset()
     if len(words) < len(line._words):
         raise ScenarioError(f"{reads[len(slots) - 1][2]} needs a value", line=lineno)

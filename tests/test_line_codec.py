@@ -1,4 +1,4 @@
-"""The line declarations of `formats`: every declared line reads back what
+"""The line declarations of `lines` and `formats`: every declared line reads back what
 it writes, and every line keeps the same rules.
 
 The round trips draw the line kinds from the files' declaration tables and
@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-from rollupsim import formats, vm
+from rollupsim import formats, lines, vm
 from rollupsim.core import U32_MAX, U64_MAX, U128_MAX, Address, DepositTransaction, StateRoot, TxHash
 from rollupsim.formats import Line
 from rollupsim.l1da import L1Record
@@ -16,7 +16,7 @@ from rollupsim.l1da import L1Record
 # Each file: its declaration table, its header line and its reader's options.
 SCENARIO = (formats._SCENARIO_FILE, formats._SCENARIO, {"comments": True})
 REPORT = (formats._REPORT_FILE, formats._REPORT, {"verbatim": formats._L1_EXPORT})
-HISTORY = (formats._HISTORY_FILE, formats._HISTORY, {})
+HISTORY = (lines._HISTORY_FILE, lines._HISTORY, {})
 
 
 def declared(table):
@@ -87,13 +87,13 @@ STRATEGIES = {
     formats.HASH: hashes.map(TxHash),
     formats.TXREF: hashes.map(TxHash),
     formats.ROOT: hashes.map(StateRoot),
-    formats.BLOB: st.binary(max_size=6),
-    formats.DEPOSIT_BLOB: st.integers(0, U64_MAX).flatmap(deposits).filter(bool).map(lambda deps: deps[0]),
+    lines.BLOB: st.binary(max_size=6),
+    lines.DEPOSIT_BLOB: st.integers(0, U64_MAX).flatmap(deposits).filter(bool).map(lambda deps: deps[0]),
     formats.RECIPIENT: st.one_of(st.none(), addresses),
     formats.BUDGET: st.one_of(st.none(), integers(formats.BUDGET)),
     formats.OPERATORS: st.frozensets(addresses, max_size=3),
-    formats.STORAGE: st.dictionaries(words.map(vm.slot_bytes), words.map(vm.slot_bytes), max_size=3),
-    formats.CODE: st.lists(statements, max_size=3).map(tuple),
+    lines.STORAGE: st.dictionaries(words.map(vm.slot_bytes), words.map(vm.slot_bytes), max_size=3),
+    lines.CODE: st.lists(statements, max_size=3).map(tuple),
     formats.EXPR: exprs,
     formats.DETAIL: st.text(alphabet=TEXT_ALPHABET + " =,-", max_size=12).map(str.strip),
 }
@@ -179,8 +179,8 @@ def test_only_an_epoch_head_record_writes_the_pair():
     bitmap_head = L1Record(0, 0, 2, 1, (), deposit_count=300, bitmap=(2**256 - 1, 1))
     empty_head = L1Record(0, 0, 2, 1, (), deposit_count=0, bitmap=())
     plain = L1Record(0, 1, 4, 1, (b"\x01",))
-    assert formats._RECORD.render(bitmap_head).endswith(f" batch=- deposit_count=300 bitmap={hex(2**256 - 1)},0x1")
-    assert formats._RECORD.render(empty_head).endswith(" batch=- deposit_count=0 bitmap=-")
-    assert formats._RECORD.render(plain) == "record epoch=0 l2_number=1 l2_time=4 l2_base_fee=1 batch=01"
+    assert lines._RECORD.render(bitmap_head).endswith(f" batch=- deposit_count=300 bitmap={hex(2**256 - 1)},0x1")
+    assert lines._RECORD.render(empty_head).endswith(" batch=- deposit_count=0 bitmap=-")
+    assert lines._RECORD.render(plain) == "record epoch=0 l2_number=1 l2_time=4 l2_base_fee=1 batch=01"
     for record in (bitmap_head, empty_head, plain):
-        assert reread(HISTORY, formats._RECORD, formats._RECORD.render(record), 0, {}) == record
+        assert reread(HISTORY, lines._RECORD, lines._RECORD.render(record), 0, {}) == record

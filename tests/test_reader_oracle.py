@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import pytest
 
 from reference_formats import reference_read, shape
-from rollupsim import formats
+from rollupsim import formats, lines
 from rollupsim.formats import parse_history, parse_report, parse_scenario, render_history, render_report
 from rollupsim.sequencer import ScenarioError, run
 from test_input_fuzz import CASES_PER_FILE, FIELD_VALUES, NAMES, SCENARIOS, mutate
@@ -26,7 +26,7 @@ from test_input_fuzz import CASES_PER_FILE, FIELD_VALUES, NAMES, SCENARIOS, muta
 FILES = {
     ".scn": (parse_scenario, formats._SCENARIO_FILE, formats._SCENARIO, {"comments": True}, 0),
     ".report": (parse_report, formats._REPORT_FILE, formats._REPORT, {"verbatim": formats._L1_EXPORT}, 1000),
-    ".l1": (parse_history, formats._HISTORY_FILE, formats._HISTORY, {}, 2000),
+    ".l1": (parse_history, lines._HISTORY_FILE, lines._HISTORY, {}, 2000),
 }
 DECLARED = [
     line for _parse, table, *_ in FILES.values() for entry in table.values()

@@ -359,4 +359,4 @@ class TestScreeningCallCount:
         assert len(block.transactions) == self.CANDIDATES and not seq.store.registry.keys
         assert DuplicateKey.__new__.__code__ not in codes, names
         assert assess in codes and sorts_in_assess == []
-        assert len(codes) <= 45 * self.CANDIDATES, len(codes) / self.CANDIDATES  # 41.5; 75.5 when every key took calls
+        assert len(codes) <= 40 * self.CANDIDATES, len(codes) / self.CANDIDATES  # 38.5; 75.5 when every key took calls
