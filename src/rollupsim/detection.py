@@ -1,31 +1,36 @@
 """Malice detection and the two-mode candidate classification scheduler.
 
-Every candidate is first simulated in isolation against the tip snapshot
-(those runs may happen on a worker pool). Candidates that no earlier
-*included* transaction can influence are judged straight from their isolated
-run; influenced ones are re-simulated sequentially in block context, each
-such re-simulation spending one unit of the round's budget. Candidates past
-the budget, and candidates not yet executable, are deferred to the next
-round in their original order. An isolated run is judged only when its
-verdict can be used: once the sequential pass finds that nothing included
-before it wrote a key its execution read. The keys the judgement itself read
-then join the influence test.
+Every candidate has an isolated run, as if it ran alone at the tip.
+Candidates that no earlier *included* transaction can influence are judged
+straight from that run; influenced ones from a run in block context, each
+such run spending one unit of the round's budget. Candidates past the
+budget, and candidates not yet executable, are deferred to the next round
+in their original order. An isolated run is judged only when its verdict
+can be used: once the pass finds that nothing included before it wrote a key
+its execution read. The keys the judgement itself read then join the
+influence test.
 
 The scheduler is a pure function of its inputs: worker count never changes
-the outcome, only how the isolated runs are scheduled. Its outcome also
-carries the fold's final state (the tip with every benign candidate applied
-in order), so the caller never re-executes the block it just classified.
+the outcome, only where the runs are made. Its outcome also carries the
+fold's final state (the tip with every benign candidate applied in order),
+so the caller never re-executes the block it just classified.
 
-The fold is one scratch over the tip. An uninfluenced benign candidate is
-not executed again: once every key it read is checked to still hold its tip
-value in the fold, its isolated write set is merged in. Influenced candidates
-run on the fold itself, and a benign one is absorbed there. The fold builds
-one post-state, at the end of the round.
+The fold is one scratch over the tip, kept up to date by one pass over the
+candidates. With several workers, a thread pool makes every isolated run at
+the tip first. With one, a candidate whose sender or recipient an earlier
+benign candidate touched runs on the fold instead, and only there: every key
+the fold changed is in `written`, so a fold run that reads none of those
+keys saw only tip values and is the isolated run, and one that reads any of
+them is the run in block context, which the isolated run would have led to
+as well. Only a fold run that fails a precondition is repeated at the tip.
+An uninfluenced candidate's run at the tip is not executed again: once every
+key it read is checked to still hold its tip value in the fold, its write
+set is merged in. The fold builds one post-state, at the end of the round.
 """
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
+from typing import AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Union
 
 from .core import ZERO_ADDRESS, Address, AnyTransaction, TxHash, tx_id
 from .vm import (
@@ -144,11 +149,13 @@ class Counters:
     """Simulation and verdict counts: one classification round's, or a run's
     (the sum of its rounds plus the sequencer's release and maintenance sims).
 
-    `contextual_sims` counts candidates brought into block context, not
-    `execute_transaction` calls: each influenced candidate run on the fold,
-    and each queued candidate whose validated write set is merged into the
-    fold before one. Merging what is still queued at the end of a round is
-    block application and is not counted."""
+    `isolated_sims` and `contextual_sims` count candidates, not
+    `execute_transaction` calls. `isolated_sims` counts every candidate of a
+    round. `contextual_sims` counts each influenced candidate run in block
+    context, plus, at each such run, the benign uninfluenced candidates
+    merged into the fold since the previous one: the context it needed.
+    Those merged after a round's last such run are block application and
+    are not counted."""
 
     __slots__ = (
         "isolated_sims", "contextual_sims", "maintenance_sims", "release_sims", "deferred_count", "parallel_verdicts",
@@ -188,23 +195,22 @@ class DetectionOutcome:
         self.final_state = final_state  # tip with `benign` applied in order
 
 
-def _isolated_run(state: WorldState, tx: AnyTransaction, ctx: BlockContext):
+def _run(state: StateView, tx: AnyTransaction, ctx: BlockContext):
+    """The execution, or the name of the precondition it failed."""
     try:
         return execute_transaction(state, tx, ctx)
     except PreconditionFailed as exc:
         return exc.reason
 
 
-def _merge_validated(fold: Execution, queue: List[Tuple[AbstractSet[AccessKey], Execution]]) -> None:
-    """Merge the isolated write sets of candidates already judged uninfluenced
-    into the fold, in order, each after checking its reads in the fold."""
-    for reads, sim in queue:
-        if not fold.reads_as_base(reads):
-            # Cannot happen for a candidate already judged uninfluenced;
-            # if it does, the access tracking is broken somewhere.
-            raise RuntimeError("uninfluenced candidate diverged in block context")
-        fold.absorb(sim)
-    queue.clear()
+def _merge_validated(fold: Execution, reads: AbstractSet[AccessKey], sim: Execution) -> None:
+    """Merge the write set of a run at the tip, already judged uninfluenced,
+    into the fold after checking that its reads still hold there."""
+    if not fold.reads_as_base(reads):
+        # Cannot happen for a candidate already judged uninfluenced;
+        # if it does, the access tracking is broken somewhere.
+        raise RuntimeError("uninfluenced candidate diverged in block context")
+    fold.absorb(sim)
 
 
 def _precondition_reads(tx: AnyTransaction, reason: str) -> FrozenSet[AccessKey]:
@@ -234,38 +240,46 @@ def hybrid_detect(
     """
     outcome = DetectionOutcome(final_state=cset.tip_state)
     stats = outcome.stats
-    txs = list(cset.txs)
+    txs = cset.txs
     if not txs:
         return outcome
+    tip = cset.tip_state
 
-    def run_at_tip(tx):
-        return _isolated_run(cset.tip_state, tx, ctx)
-
+    isolated = None
     if workers > 1:
         # Imported here: concurrent.futures pulls in logging, which would
         # cost every process start.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            isolated = list(pool.map(run_at_tip, txs))
-    else:
-        isolated = [run_at_tip(tx) for tx in txs]
+            isolated = list(pool.map(lambda tx: _run(tip, tx, ctx), txs))
     stats.isolated_sims += len(txs)
 
-    # Sequential pass. The fold is one scratch over the tip. Uninfluenced
-    # benign candidates queue up, and their validated write sets are merged
-    # only when an influenced candidate needs that context, or at the end.
-    fold = Execution(cset.tip_state)
-    fold_queue: List[Tuple[AbstractSet[AccessKey], Execution]] = []
-    # Every key a benign candidate wrote, mapped to the index (in `benign`)
-    # of its first writer: a candidate is influenced iff it read one of them.
-    written: Dict[AccessKey, int] = {}
+    # One pass. The fold is the tip with every earlier benign candidate
+    # applied. `written` holds every key a benign candidate wrote, and
+    # `touched` their addresses: a candidate is influenced iff it read a key
+    # in `written`.
+    fold = Execution(tip)
+    written: Set[AccessKey] = set()
+    touched: Set[Address] = set()
+    merged = 0  # benign uninfluenced candidates since the last contextual run
     budget_left = cset.budget
 
-    for tx, result in zip(txs, isolated):
+    for i, tx in enumerate(txs):
+        on_fold = None  # this candidate's run on the fold, once made
+        if isolated is not None:
+            result = isolated[i]
+        else:
+            if touched and (tx.sender in touched or tx.recipient in touched):
+                # Contended: its run on the fold is its isolated run if it
+                # reads no key in `written`, its run in context if it does.
+                on_fold = _run(fold, tx, ctx)
+            # A precondition failed on the fold says nothing of the tip
+            # (NONCE_TOO_LOW reads nothing), so that candidate runs there too.
+            result = on_fold if isinstance(on_fold, Execution) else _run(tip, tx, ctx)
         precond = isinstance(result, str)  # then `result` names the precondition it failed
         reads = _precondition_reads(tx, result) if precond else result.reads
-        influenced = not written.keys().isdisjoint(reads)
+        influenced = not written.isdisjoint(reads)
 
         if precond and not influenced:
             outcome.deferred.append(tx)
@@ -278,10 +292,10 @@ def hybrid_detect(
             else:
                 # Judged only now that its execution reads are uninfluenced;
                 # the keys the judgement read join the test.
-                verdict, probe_reads = detector.assess(sim, cset.tip_state, invariants)
+                verdict, probe_reads = detector.assess(sim, tip, invariants)
                 if probe_reads:
                     reads = reads | probe_reads
-                    influenced = not written.keys().isdisjoint(probe_reads)
+                    influenced = not written.isdisjoint(probe_reads)
 
         if not influenced:
             stats.parallel_verdicts += 1
@@ -291,14 +305,14 @@ def hybrid_detect(
                 continue
             if budget_left is not None:
                 budget_left -= 1
-            stats.contextual_sims += len(fold_queue)
-            _merge_validated(fold, fold_queue)
-            stats.contextual_sims += 1
-            try:
-                sim = execute_transaction(fold, tx, ctx)
-            except PreconditionFailed:
+            stats.contextual_sims += merged + 1
+            merged = 0
+            if on_fold is None:
+                on_fold = _run(fold, tx, ctx)
+            if isinstance(on_fold, str):
                 outcome.deferred.append(tx)
                 continue
+            sim = on_fold
             if preapproved and tx_id(tx) in preapproved:
                 verdict = BENIGN_VERDICT
             else:
@@ -308,17 +322,17 @@ def hybrid_detect(
         if verdict.malicious:
             outcome.malicious.append((tx, verdict, sim))
         else:
-            for key in sim.writes:
-                written.setdefault(key, len(outcome.benign))
+            writes = sim.writes
+            written |= writes
+            touched.update(map(_key_addr, writes))
             outcome.benign.append(tx)
-            if influenced:
+            if sim is on_fold:
                 fold.absorb(sim)  # executed on the fold itself
             else:
-                fold_queue.append((reads, sim))
+                _merge_validated(fold, reads, sim)
+            if not influenced:
+                merged += 1
 
-    # Merging the rest of the queue is block application, not
-    # classification, so it is not counted as a contextual simulation.
-    _merge_validated(fold, fold_queue)
     if outcome.benign:
         outcome.final_state = fold.post_state()
     stats.deferred_count = len(outcome.deferred)

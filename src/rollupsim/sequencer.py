@@ -277,11 +277,13 @@ class Sequencer:
             state_after_deposits = outcome.final_state
 
         # Regular candidates: pending, affordable, not currently held; txs
-        # duplicating an already-released one skip detection entirely.
+        # duplicating an already-released one skip detection entirely (none
+        # can while nothing was ever released).
         candidates = self.mempool.pending_candidates(self.base_fee)
+        registry = self.store.registry
         preapproved = frozenset(
-            tx_hash(tx) for tx in candidates if self.store.registry.is_released_duplicate(tx)
-        )
+            tx_hash(tx) for tx in candidates if registry.is_released_duplicate(tx)
+        ) if registry.senders else frozenset()
         outcome = hybrid_detect(
             CandidateSet(tuple(candidates), state_after_deposits, budget=self.config.detection_budget),
             self.invariants,

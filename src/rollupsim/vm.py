@@ -694,6 +694,11 @@ def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction,
         recipient = tx.recipient if tx.recipient is not None else _fresh_address(tx.sender, tx.nonce)
 
     exe = Execution(state)
+    if not deposit:
+        # Seed the scratch with what the checks read: the nonce bump and the
+        # fee charge find it there. Reading it still records the key.
+        exe.nonces[tx.sender] = nonce
+        exe.balances[tx.sender] = balance
     _lasting_effect(exe, tx, deposit)
     try:
         exe.transfer(tx.sender, recipient, tx.value)
@@ -706,6 +711,9 @@ def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction,
         # lasting effect and the gas charge survive a revert, so only they
         # count as writes.
         reverted = Execution(state)
+        if not deposit:
+            reverted.nonces[tx.sender] = nonce
+            reverted.balances[tx.sender] = balance
         reverted.status = TxStatus.REVERT
         reverted.reads = exe.reads
         reverted.gas_used = exe.gas_used

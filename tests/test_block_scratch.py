@@ -188,7 +188,8 @@ class TestSlotMerge:
         tip = make_state({addr(1): Account(balance=1_000), addr(2): Account(balance=1_000), MIXED: Account(code=MIXED_CODE)})
         calls = [tx(addr(n), 0, MIXED, data=bytes([n])) for n in (1, 2)]
         fold = Execution(tip)
-        _merge_validated(fold, [(sim.reads, sim) for sim in (execute_transaction(tip, t, ctx()) for t in calls)])
+        for sim in [execute_transaction(tip, t, ctx()) for t in calls]:
+            _merge_validated(fold, sim.reads, sim)
         merged = fold.post_state()
         assert merged.accounts == reference_fold(tip, calls, ctx()).accounts
         assert merged.storage_of(MIXED) == {slot_bytes(9): slot_bytes(1), slot_bytes(10): slot_bytes(1)}
@@ -204,10 +205,10 @@ class TestForgedAccessSets:
         fold.absorb(execute_transaction(self.STATE, self.PAY_2, ctx()))
         spend = execute_transaction(self.STATE, self.SPEND_2, ctx())
         honest = frozenset({AccessKey.balance(addr(3))})  # forged: claims it never read addr 2
-        _merge_validated(fold, [(honest, spend)])
+        _merge_validated(fold, honest, spend)
         forged = frozenset({AccessKey.balance(addr(2))})
         with pytest.raises(RuntimeError, match="diverged in block context"):
-            _merge_validated(fold, [(forged, spend)])
+            _merge_validated(fold, forged, spend)
 
     def test_a_hidden_write_is_caught_before_it_is_merged(self, monkeypatch):
         # The first candidate's write set hides its credit to addr 2, so the

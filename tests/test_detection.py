@@ -11,6 +11,7 @@ from helpers import (
     ATTACKER,
     COUNT_KEY,
     COUNTER,
+    FEE_SINK,
     LEDGERBOOK,
     VAULT,
     addr,
@@ -26,9 +27,11 @@ from helpers import (
     vault_state,
 )
 import rollupsim
+from rollupsim import detection
 from rollupsim.core import tx_hash
 from rollupsim.detection import (
     CandidateSet,
+    Counters,
     Invariant,
     InvariantDetector,
     InvariantSet,
@@ -42,11 +45,14 @@ from rollupsim.vm import (
     CallData,
     Const,
     ContractCode,
+    Execution,
+    PreconditionFailed,
     SetSlot,
     SLoad,
     execute_transaction,
     make_state,
     slot_bytes,
+    state_root,
 )
 
 
@@ -246,11 +252,36 @@ class TestHybridFixture:
 
 
 def outcome_signature(outcome):
+    stats = outcome.stats
     return (
         [tx_hash(t) for t in outcome.benign],
         [(tx_hash(t), v) for t, v, _ in outcome.malicious],
         [tx_hash(t) for t in outcome.deferred],
+        {field: getattr(stats, field) for field in Counters.__slots__},
+        state_root(outcome.final_state),
     )
+
+
+def fold_hazard_candidates(rng, state):
+    """Generated candidates plus what a run on the fold must get right: a
+    priority fee on half of them (paid to the fee recipient, so each payer
+    writes its balance), one sender's nonce chain threaded through the round,
+    and a replacement that reuses a nonce the round already spent, which
+    fails its precondition on the fold but not at the tip."""
+    txs = []
+    for t in generator_candidates(rng, state):
+        if t.max_fee and rng.random() < 0.5:
+            t = tx(t.sender, t.nonce, t.recipient, value=t.value, data=t.data, max_fee=2, priority_fee=1)
+        txs.append(t)
+    chain_sender = rng.choice([addr(i) for i in range(1, 5)] + [ADMIN])
+    first = max([t.nonce + 1 for t in txs if t.sender == chain_sender], default=state.nonce_of(chain_sender))
+    spots = sorted(rng.randrange(len(txs) + 1) for _ in range(3))
+    for i, spot in enumerate(spots):
+        txs.insert(spot + i, tx(chain_sender, first + i, COUNTER))
+    spent = rng.choice(txs)
+    at = txs.index(spent) + 1
+    txs.insert(rng.randrange(at, len(txs) + 1), tx(spent.sender, spent.nonce, LEDGERBOOK, data=b"\x01", value=4))
+    return txs
 
 
 class TestOracleEquivalence:
@@ -271,19 +302,37 @@ class TestOracleEquivalence:
             mismatches += 0 if same else 1
         assert mismatches == 0
 
-    def test_worker_count_never_changes_the_outcome(self, detector):
+    @pytest.mark.parametrize("budget", range(5))
+    def test_worker_count_never_changes_the_outcome(self, detector, budget, monkeypatch):
+        # One worker runs a contended candidate on the fold first; more run
+        # every candidate at the tip. Verdicts, counters and the fold's
+        # state must agree, fold precondition failures included.
+        real = detection.execute_transaction
+        fold_failures = []
+
+        def watched(state, t, context):
+            try:
+                return real(state, t, context)
+            except PreconditionFailed as exc:
+                if isinstance(state, Execution):
+                    fold_failures.append(exc.reason)
+                raise
+
+        monkeypatch.setattr(detection, "execute_transaction", watched)
         rng = random.Random(555)
-        for _ in range(40):
+        for _ in range(60):
             state, invariants = generator_world(rng)
             invs = invariant_set(state, invariants)
-            txs = tuple(generator_candidates(rng, state))
+            txs = tuple(fold_hazard_candidates(rng, state))
+            context = ctx(fee_recipient=rng.choice([FEE_SINK, addr(4), VAULT, LEDGERBOOK]))
             results = [
                 outcome_signature(
-                    hybrid_detect(CandidateSet(txs, state, budget=4), invs, detector, ctx(), workers=w)
+                    hybrid_detect(CandidateSet(txs, state, budget=budget), invs, detector, context, workers=w)
                 )
                 for w in (1, 2, 8)
             ]
             assert results[0] == results[1] == results[2]
+        assert {PreconditionFailed.NONCE_TOO_LOW, PreconditionFailed.NONCE_TOO_HIGH} <= set(fold_failures)
 
     def test_finite_budget_equals_oracle_on_the_undeferred(self, detector):
         # Whatever a budget-limited round classifies must match the oracle run
@@ -354,6 +403,59 @@ class TestLazyJudgement:
         assert (outcomes[0].benign, [(t, v) for t, v, _ in outcomes[0].malicious], outcomes[0].deferred) == (
             benign_o, malicious_o, deferred_o
         )
+
+
+class TestOneRunPerCandidate:
+    """With one worker a contended candidate is executed once, on the fold:
+    that run stands for its isolated run, or is its run in block context.
+    Running it at the tip and again in context took 2k - 1 runs for k calls
+    to one counter."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Every transaction the classifier executes, in order."""
+        real = detection.execute_transaction
+        executed = []
+
+        def counted(state, t, context):
+            executed.append(t)
+            return real(state, t, context)
+
+        monkeypatch.setattr(detection, "execute_transaction", counted)
+        return executed
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_a_round_of_counter_calls(self, runs, k):
+        senders = [addr(0x100 + i) for i in range(k)]
+        state = make_state({**{s: Account(balance=1_000) for s in senders}, COUNTER: Account(code=counter_contract())})
+        capped = Invariant("counter-capped", COUNTER, Bin("lt", SLoad(Const(COUNT_KEY)), Const(100)), ADMIN)
+        invs = invariant_set(state, [capped])
+        txs = tuple(tx(s, 0, COUNTER, max_fee=2, priority_fee=1) for s in senders)
+        one = hybrid_detect(CandidateSet(txs, state), invs, InvariantDetector(), ctx(), workers=1)
+        assert len(runs) == k
+        two = hybrid_detect(CandidateSet(txs, state), invs, InvariantDetector(), ctx(), workers=2)
+        assert len(runs) == k + 2 * k - 1
+        assert one.benign == two.benign == list(txs)
+        assert outcome_signature(one) == outcome_signature(two)
+        # The first call is judged at the tip; its merge counts as brought
+        # into context once the second call needs it.
+        stats = one.stats
+        assert (stats.isolated_sims, stats.contextual_sims, stats.parallel_verdicts, stats.sequential_verdicts) == (
+            k, k if k > 1 else 0, 1, k - 1
+        )
+
+    def test_a_nonce_chain_and_a_replacement(self, runs):
+        # A sender's chain of k transfers runs k times. A replacement of an
+        # included nonce fails on the fold, runs once at the tip to learn
+        # what it read, and is deferred without a third run.
+        k = 5
+        sender = addr(0x100)
+        state = make_state({sender: Account(balance=1_000)})
+        chain = [tx(sender, n, addr(0x200 + n), value=1) for n in range(k)]
+        replacement = tx(sender, 1, addr(0x300), value=2)
+        outcome = hybrid_detect(CandidateSet((*chain, replacement), state), InvariantSet(), InvariantDetector(), ctx())
+        assert (outcome.benign, outcome.deferred) == (chain, [replacement])
+        assert runs == [*chain, replacement, replacement]
 
 
 class TestLazyThreadPool:

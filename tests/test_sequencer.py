@@ -9,7 +9,7 @@ from rollupsim.core import DuplicateKey, deposit_id, tx_hash
 from rollupsim.detection import BENIGN_VERDICT, DetectionOutcome, InvariantDetector
 from rollupsim.formats import parse_scenario, render_report
 from rollupsim.l1da import EscrowStatus, L1Chain
-from rollupsim.quarantine import QuarantineStore
+from rollupsim.quarantine import QuarantineStore, ReleasedRegistry
 from rollupsim.sequencer import Scenario, ScenarioError, Sequencer, run
 from rollupsim.vm import Account, PreconditionFailed, execute_transaction, make_state
 
@@ -328,10 +328,10 @@ class TestThroughputNeutrality:
 class TestScreeningCallCount:
     """A count, not a timer: the Python-level calls that building one block
     of plain transfers makes per candidate, with nothing ever released and
-    no invariant registered. Screening a candidate for a released duplicate
-    builds no `DuplicateKey` unless its sender had a release, and judging
-    it returns before any sort when nothing watches a contract, so a cost
-    paid per candidate whatever it touched shows here."""
+    no invariant registered. No candidate is screened for a released
+    duplicate while nothing was released, and judging it returns before any
+    sort when nothing watches a contract, so a cost paid per candidate
+    whatever it touched shows here."""
 
     CANDIDATES = 20
 
@@ -358,5 +358,6 @@ class TestScreeningCallCount:
         names = [code.co_name for code in codes]
         assert len(block.transactions) == self.CANDIDATES and not seq.store.registry.keys
         assert DuplicateKey.__new__.__code__ not in codes, names
+        assert ReleasedRegistry.is_released_duplicate.__code__ not in codes, names
         assert assess in codes and sorts_in_assess == []
-        assert len(codes) <= 40 * self.CANDIDATES, len(codes) / self.CANDIDATES  # 38.5; 75.5 when every key took calls
+        assert len(codes) <= 36 * self.CANDIDATES, len(codes) / self.CANDIDATES  # 35.35; 38.5 before the checks seeded the scratch and an empty registry skipped the screen; 75.5 when every key took calls
