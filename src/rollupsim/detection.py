@@ -42,7 +42,6 @@ from .vm import (
     PreconditionFailed,
     TxStatus,
     WorldState,
-    _CallEnv,
     _new_key,
     eval_expr,
     execute_transaction,
@@ -122,10 +121,9 @@ class InvariantDetector:
             # The damage bound reads the contract balance even when the
             # predicate itself does not.
             probe.reads.add(_new_key(AccessKey, (AccessKind.BALANCE, contract, b"")))
-            env = _CallEnv(probe, contract, ZERO_ADDRESS, 0, b"")
             broken = False
             for invariant in by_contract[contract]:
-                if eval_expr(invariant.predicate, env) == 0:
+                if eval_expr(invariant.predicate, probe, contract, ZERO_ADDRESS, 0, b"") == 0:
                     violated.append(invariant.id)
                     broken = True
             if broken:

@@ -24,6 +24,12 @@ Contract code and invariant predicates use a small s-expression syntax:
                 atom in expression position means (const atom)
     statements  (require E) (set K V) (pay TO AMOUNT) (pause-guard K)
 
+Code may nest `MAX_NESTING` levels deep, counted on the built tree: a
+statement or a predicate is level 1, each operand one level below its
+operator, and sugar such as `ge` builds two levels. Deeper code is refused
+with its line number, so every tree read can be rendered, read back, hashed
+and compiled.
+
 Addresses are 0x-hex, left-padded to 20 bytes, so `0x0a` is a valid short
 form. This module imports only `core`, `vm` and `l1da`, so `derive` reads
 its history without loading any pool, detector or sequencer code; `formats`
@@ -37,7 +43,7 @@ import sys
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .core import U64_MAX, U128_MAX, Address, ScenarioError, decode_deposit, encode_deposit
+from .core import U64_MAX, U128_MAX, Address, Record, ScenarioError, decode_deposit, encode_deposit
 from .l1da import WORD_BITS, L1Block, L1History, L1Record
 from . import vm
 from .vm import EMPTY_ACCOUNT, Account, ContractCode, Expr, Statement, make_state
@@ -136,6 +142,7 @@ def _parse_list(value: str) -> List[str]:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\(|\)|'[^']*'|[^\s()']+")
+MAX_NESTING = 64  # the corpus nests 6 levels deep
 
 
 def _tokenize_sexpr(text: str, lineno: int) -> List[str]:
@@ -145,15 +152,27 @@ def _tokenize_sexpr(text: str, lineno: int) -> List[str]:
     return tokens
 
 
-def _read_form(tokens: List[str], pos: int, lineno: int):
+def _too_deep(lineno: int) -> ScenarioError:
+    return ScenarioError(f"code nested deeper than {MAX_NESTING} levels", line=lineno)
+
+
+def _height(node: Record) -> int:
+    return 1 + max((_height(child) for child in node._values() if isinstance(child, Record)), default=0)
+
+
+def _read_form(tokens: List[str], pos: int, lineno: int, depth: int = 1):
+    """Read one form. A form `depth` parentheses deep builds a node at least
+    that deep, so a form past `MAX_NESTING` is refused before it is read."""
     if pos >= len(tokens):
         raise ScenarioError("unexpected end of expression", line=lineno)
     tok = tokens[pos]
     if tok == "(":
+        if depth > MAX_NESTING:
+            raise _too_deep(lineno)
         items = []
         pos += 1
         while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read_form(tokens, pos, lineno)
+            item, pos = _read_form(tokens, pos, lineno, depth + 1)
             items.append(item)
         if pos >= len(tokens):
             raise ScenarioError("missing ')'", line=lineno)
@@ -217,7 +236,10 @@ def parse_expr(text: str, lineno: int = 0) -> Expr:
     form, pos = _read_form(tokens, 0, lineno)
     if pos != len(tokens):
         raise ScenarioError("trailing tokens after expression", line=lineno)
-    return _build_expr(form, lineno)
+    expr = _build_expr(form, lineno)
+    if _height(expr) > MAX_NESTING:
+        raise _too_deep(lineno)
+    return expr
 
 
 def parse_statements(text: str, lineno: int = 0) -> Tuple[Statement, ...]:
@@ -226,7 +248,10 @@ def parse_statements(text: str, lineno: int = 0) -> Tuple[Statement, ...]:
     pos = 0
     while pos < len(tokens):
         form, pos = _read_form(tokens, pos, lineno)
-        statements.append(_build_statement(form, lineno))
+        statement = _build_statement(form, lineno)
+        if _height(statement) > MAX_NESTING:
+            raise _too_deep(lineno)
+        statements.append(statement)
     return tuple(statements)
 
 

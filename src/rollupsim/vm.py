@@ -5,20 +5,25 @@ statements run top to bottom on every call. There is no branching, no
 cross-contract call and no code deployment; a failed REQUIRE (or an
 overdrawn PAY, or running out of gas) reverts the whole transaction. Every
 state location touched during execution is recorded as an access key so
-callers can do dependency analysis between transactions. Each expression
-and statement node builds its evaluator once, at construction, from its
-children's: running a program is a chain of closure calls, with no per-call
-dispatch on node type or operator.
+callers can do dependency analysis between transactions. A node holds its
+fields only: each contract program is compiled on its first run into one
+straight-line Python function, memoized on its `ContractCode` as its code
+hash is, and each invariant predicate on its first evaluation, memoized on
+its root node, so running either is one call, with no per-node dispatch,
+and a program the run never calls is never compiled.
 
 Cost model: 21 gas intrinsic plus 1 gas per executed statement. The base-fee
 share of the fee is burned; the priority share goes to the block's fee
 recipient. Deposits mint their value and pay no fee.
 
-`execute_transaction` returns the `Execution` itself: its outcome, its
-access sets and a scratch of the accounts it touched over its base. Its
-post-state is built only by `post_state()`: judging an execution reads its
-field views (`balance_of`, `nonce_of`, `storage_of`, `code_of`) and builds
-no state. An execution can itself be the base of further executions and
+`execute_transaction` applies the transaction envelope (the nonce bump or
+deposit mint, the value transfer, the code lookup and the fee) in one step,
+writing the scratch and recording the envelope's fixed access keys directly;
+only a contract program goes through the recording `read_*`/`write_*`
+accessors. It returns the `Execution` itself: its outcome, its access sets
+and a scratch of the accounts it touched over its base. Its post-state is
+built only by `post_state()`: judging an execution reads its field views
+(`balance_of`, `nonce_of`, `storage_of`, `code_of`) and builds no state. An execution can itself be the base of further executions and
 absorb their effects; `apply_block` runs a whole block on one such scratch
 and builds one account map at the end. No state read builds an `Account`:
 only `post_state` does, for an address whose account changed. An execution
@@ -39,7 +44,6 @@ import hashlib
 import struct
 from bisect import bisect_left
 from enum import Enum
-from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union
 
@@ -63,128 +67,112 @@ WORD_MAX = WORD - 1
 # Expressions and statements
 # ---------------------------------------------------------------------------
 # Nodes are `Record`s, not NamedTuples: a field-less NamedTuple is falsy and
-# equals (), and two NamedTuples of one arity compare equal across types.
-# An expression's `_eval(env)` returns its word, a statement's `_run(env)`
-# performs it or raises `_Revert`; `env` is a `_CallEnv`. Children never
-# change, so the evaluators are safe to share between threads.
+# equals (), and two NamedTuples of one arity compare equal across types. A
+# node holds its fields and builds nothing it runs: a contract program is
+# compiled on its first run, and a predicate on its first evaluation (see
+# "Compiled programs" below).
 
 
-def _evaluator(expr: "Expr") -> Callable[["_CallEnv"], int]:
-    if not isinstance(expr, Expr):
-        raise TypeError(f"not an expression: {expr!r}")
-    return expr._eval
+def _expr(child: object) -> "Expr":
+    if not isinstance(child, Expr):
+        raise TypeError(f"not an expression: {child!r}")
+    return child
 
 
-_self_addr, _caller = attrgetter("self_addr"), attrgetter("caller")
+class _Node(Record):
+    """An expression node. `_compiled` memoizes the function that evaluates
+    it as a predicate, built by its first `eval_expr`."""
+
+    __slots__ = ("_compiled",)
+
+    def __init__(self) -> None:
+        self._compiled = None
 
 
-def _address_evaluator(expr: "Expr") -> Callable[["_CallEnv"], Address]:
-    """The evaluator of an address operand. The frame's own address and its
-    caller's are read as they are: the word round trip
-    `Address.from_int(int.from_bytes(a, "big"))` is the identity on them."""
-    if isinstance(expr, SelfAddr):
-        return _self_addr
-    if isinstance(expr, Caller):
-        return _caller
-    word_eval = _evaluator(expr)
-    return lambda env: Address.from_int(word_eval(env))
-
-
-class Const(Record):
+class Const(_Node):
     _fields = ("value",)
-    __slots__ = (*_fields, "_eval")
+    __slots__ = _fields
 
     def __init__(self, value: int) -> None:
         if not 0 <= value <= WORD_MAX:
             raise ValueError(f"constant out of word range: {value}")
         self.value = value
-        self._eval = lambda env: value
+        self._compiled = None
 
 
-class SLoad(Record):
+class SLoad(_Node):
     _fields = ("key",)
-    __slots__ = (*_fields, "_eval")
+    __slots__ = _fields
 
     def __init__(self, key: "Expr") -> None:
-        self.key = key
-        key_eval = _evaluator(key)
-        if isinstance(key, Const):  # a constant key's slot is computed once
-            slot = slot_bytes(key.value)
-            self._eval = lambda env: slot_int(env.exe.read_slot(env.self_addr, slot))
-        else:
-            self._eval = lambda env: slot_int(env.exe.read_slot(env.self_addr, slot_bytes(key_eval(env))))
+        self.key = _expr(key)
+        self._compiled = None
 
 
-class BalanceOf(Record):
+class BalanceOf(_Node):
     _fields = ("addr",)
-    __slots__ = (*_fields, "_eval")
+    __slots__ = _fields
 
     def __init__(self, addr: "Expr") -> None:
-        self.addr = addr
-        addr_of = _address_evaluator(addr)
-        self._eval = lambda env: env.exe.read_balance(addr_of(env))
+        self.addr = _expr(addr)
+        self._compiled = None
 
 
-class Caller(Record):
+class Caller(_Node):
     __slots__ = ()
-    _eval = staticmethod(lambda env: int.from_bytes(env.caller, "big"))
 
 
-class CallValue(Record):
+class CallValue(_Node):
     __slots__ = ()
-    _eval = staticmethod(lambda env: env.callvalue)
 
 
-class CallData(Record):
+class CallData(_Node):
     """First 32 bytes of the call payload, read as a big-endian integer."""
 
     __slots__ = ()
-    _eval = staticmethod(lambda env: int.from_bytes(env.calldata[:32], "big"))
 
 
-class SelfAddr(Record):
+class SelfAddr(_Node):
     __slots__ = ()
-    _eval = staticmethod(lambda env: int.from_bytes(env.self_addr, "big"))
 
 
-# Operator -> the evaluator of a `Bin` node, built from its operands'
-# evaluators. ADD and MUL wrap modulo 2**256, SUB saturates at 0,
-# comparisons and logic yield 0 or 1 (any non-zero word is true). Both
-# operands are evaluated, left first: `and` and `or` never short-circuit, so
-# a node reads the same keys whatever the words it reads.
-_BIN_EVALUATORS = {
-    "add": lambda a, b: lambda env: (a(env) + b(env)) % WORD,
-    "sub": lambda a, b: lambda env: max(a(env) - b(env), 0),
-    "mul": lambda a, b: lambda env: (a(env) * b(env)) % WORD,
-    "eq": lambda a, b: lambda env: 1 if a(env) == b(env) else 0,
-    "lt": lambda a, b: lambda env: 1 if a(env) < b(env) else 0,
-    "and": lambda a, b: lambda env: 1 if (a(env) != 0) & (b(env) != 0) else 0,
-    "or": lambda a, b: lambda env: 1 if (a(env) != 0) | (b(env) != 0) else 0,
+# Operator -> the source of a `Bin` node's word, from its operands' locals.
+# ADD and MUL wrap modulo 2**256, SUB saturates at 0, comparisons and logic
+# yield 0 or 1 (any non-zero word is true). Both operands are evaluated, left
+# first, before the operator: `and` and `or` never short-circuit, so a node
+# reads the same keys whatever the words it reads.
+_BIN_SOURCE = {
+    "add": "({a} + {b}) % WORD",
+    "sub": "{a} - {b} if {a} > {b} else 0",
+    "mul": "({a} * {b}) % WORD",
+    "eq": "1 if {a} == {b} else 0",
+    "lt": "1 if {a} < {b} else 0",
+    "and": "1 if {a} and {b} else 0",
+    "or": "1 if {a} or {b} else 0",
 }
-BIN_OPS = tuple(_BIN_EVALUATORS)
+BIN_OPS = tuple(_BIN_SOURCE)
 
 
-class Bin(Record):
+class Bin(_Node):
     _fields = ("op", "left", "right")
-    __slots__ = (*_fields, "_eval")
+    __slots__ = _fields
 
     def __init__(self, op: str, left: "Expr", right: "Expr") -> None:
         if op not in BIN_OPS:
             raise ValueError(f"unknown operator {op!r}")
         self.op = op
-        self.left = left
-        self.right = right
-        self._eval = _BIN_EVALUATORS[op](_evaluator(left), _evaluator(right))
+        self.left = _expr(left)
+        self.right = _expr(right)
+        self._compiled = None
 
 
-class Not(Record):
+class Not(_Node):
     _fields = ("inner",)
-    __slots__ = (*_fields, "_eval")
+    __slots__ = _fields
 
     def __init__(self, inner: "Expr") -> None:
-        self.inner = inner
-        inner_eval = _evaluator(inner)
-        self._eval = lambda env: 1 if inner_eval(env) == 0 else 0
+        self.inner = _expr(inner)
+        self._compiled = None
 
 
 Expr = Union[Const, SLoad, BalanceOf, Caller, CallValue, CallData, SelfAddr, Bin, Not]
@@ -192,32 +180,19 @@ Expr = Union[Const, SLoad, BalanceOf, Caller, CallValue, CallData, SelfAddr, Bin
 
 class Require(Record):
     _fields = ("cond",)
-    __slots__ = (*_fields, "_run")
+    __slots__ = _fields
 
     def __init__(self, cond: Expr) -> None:
-        self.cond = cond
-        cond_eval = _evaluator(cond)
-
-        def run(env) -> None:
-            if cond_eval(env) == 0:
-                raise _Revert()
-
-        self._run = run
+        self.cond = _expr(cond)
 
 
 class SetSlot(Record):
     _fields = ("key", "value")
-    __slots__ = (*_fields, "_run")
+    __slots__ = _fields
 
     def __init__(self, key: Expr, value: Expr) -> None:
-        self.key = key
-        self.value = value
-        key_eval, value_eval = _evaluator(key), _evaluator(value)
-        if isinstance(key, Const):  # a constant key's slot is computed once
-            slot = slot_bytes(key.value)
-            self._run = lambda env: env.exe.write_slot(env.self_addr, slot, slot_bytes(value_eval(env)))
-        else:
-            self._run = lambda env: env.exe.write_slot(env.self_addr, slot_bytes(key_eval(env)), slot_bytes(value_eval(env)))
+        self.key = _expr(key)
+        self.value = _expr(value)
 
 
 class Pay(Record):
@@ -225,35 +200,21 @@ class Pay(Record):
     PAY reads the same keys as one that goes through."""
 
     _fields = ("to", "amount")
-    __slots__ = (*_fields, "_run")
+    __slots__ = _fields
 
     def __init__(self, to: Expr, amount: Expr) -> None:
-        self.to = to
-        self.amount = amount
-        to_of, amount_eval = _address_evaluator(to), _evaluator(amount)
-
-        def run(env) -> None:
-            to = to_of(env)
-            amount = amount_eval(env)
-            exe = env.exe
-            balance = exe.read_balance(env.self_addr)
-            exe.read_balance(to)
-            if amount > balance:
-                raise _Revert()
-            exe.transfer(env.self_addr, to, amount)
-
-        self._run = run
+        self.to = _expr(to)
+        self.amount = _expr(amount)
 
 
 class PauseGuard(Record):
     """Sugar for REQUIRE(SLOAD(key) == 0)."""
 
     _fields = ("key",)
-    __slots__ = (*_fields, "_run")
+    __slots__ = _fields
 
     def __init__(self, key: Expr) -> None:
-        self.key = key
-        self._run = Require(Not(SLoad(key)))._run
+        self.key = _expr(key)
 
 
 Statement = Union[Require, SetSlot, Pay, PauseGuard]
@@ -306,7 +267,8 @@ class ContractCode(Record):
     _fields = ("admin", "statements")
     # `_hash` memoizes code_hash, as `SignedTransaction._hash` memoizes
     # tx_hash: the program is rendered and hashed once per code object.
-    __slots__ = (*_fields, "_hash")
+    # `_program` memoizes the compiled program, built by its first run.
+    __slots__ = (*_fields, "_hash", "_program")
 
     def __init__(self, admin: Address, statements: Tuple[Statement, ...]) -> None:
         for stmt in statements:
@@ -315,6 +277,7 @@ class ContractCode(Record):
         self.admin = admin
         self.statements = statements
         self._hash = None
+        self._program = None
 
 
 class Account(NamedTuple):
@@ -491,8 +454,8 @@ class Execution:
         self.writes: set = set()
         self.gas_used: int = BASE_TX_GAS
 
-    # -- recorded accesses: each builds its key in place and looks its
-    # scratch entry up once --
+    # -- recorded accesses, the ones a contract program makes: each builds
+    # its key in place and looks its scratch entry up once --
     def read_balance(self, addr: Address) -> int:
         self.reads.add(_new_key(AccessKey, (AccessKind.BALANCE, addr, b"")))
         balance = self.balances.get(addr)
@@ -503,17 +466,6 @@ class Execution:
     def write_balance(self, addr: Address, value: int) -> None:
         self.writes.add(_new_key(AccessKey, (AccessKind.BALANCE, addr, b"")))
         self.balances[addr] = value
-
-    def read_nonce(self, addr: Address) -> int:
-        self.reads.add(_new_key(AccessKey, (AccessKind.NONCE, addr, b"")))
-        nonce = self.nonces.get(addr)
-        if nonce is None:
-            nonce = self.nonces[addr] = self.base.nonce_of(addr)
-        return nonce
-
-    def write_nonce(self, addr: Address, value: int) -> None:
-        self.writes.add(_new_key(AccessKey, (AccessKind.NONCE, addr, b"")))
-        self.nonces[addr] = value
 
     def read_slot(self, addr: Address, key: bytes) -> bytes:
         self.reads.add(_new_key(AccessKey, (AccessKind.STORAGE, addr, key)))
@@ -531,14 +483,6 @@ class Execution:
             slots.pop(key, None)
         else:
             slots[key] = value
-
-    def read_code(self, addr: Address) -> Optional[ContractCode]:
-        self.reads.add(_new_key(AccessKey, (AccessKind.CODE, addr, b"")))
-        return self.base.code_of(addr)
-
-    def transfer(self, src: Address, dst: Address, amount: int) -> None:
-        self.write_balance(src, self.read_balance(src) - amount)
-        self.write_balance(dst, self.read_balance(dst) + amount)
 
     # -- post-execution field views (no access recording) --
     def balance_of(self, addr: Address) -> int:
@@ -623,45 +567,161 @@ class Execution:
         return state
 
 
-class _CallEnv:
-    """Binds expression evaluation to a running call frame."""
+# ---------------------------------------------------------------------------
+# Compiled programs
+# ---------------------------------------------------------------------------
+# A contract program is compiled on its first run into one straight-line
+# Python function, memoized on its `ContractCode`; an invariant predicate is
+# compiled on its first evaluation, memoized on its root node. Programs the
+# run never calls (a replica replays most contracts without calling them)
+# are never compiled. The source is built from fixed templates: every value
+# of the program (a constant word, a constant slot's bytes, a constant
+# address) is bound in the function's namespace under a generated name, so
+# no text of the program becomes source. Each composite node's word goes to
+# a local of its own, so the source stays flat however deep the tree. The
+# frame is the function's arguments: the execution, the contract's own
+# address, its caller, the call value and the call data.
 
-    def __init__(self, exe: Execution, self_addr: Address, caller: Address, callvalue: int, calldata: bytes):
-        self.exe = exe
-        self.self_addr = self_addr
-        self.caller = caller
-        self.callvalue = callvalue
-        self.calldata = calldata
+_FRAME = "exe, self_addr, caller, callvalue, calldata"
+# A leaf that reads the frame as a word -> its local, computed once at the top.
+_FRAME_WORDS = {
+    Caller: ("caller_word", "from_bytes(caller, 'big')"),
+    SelfAddr: ("self_word", "from_bytes(self_addr, 'big')"),
+    CallData: ("calldata_word", "from_bytes(calldata[:32], 'big')"),
+}
 
 
-def eval_expr(expr: Expr, env: _CallEnv) -> int:
-    """Evaluate an expression to a 256-bit word; total and deterministic."""
-    return expr._eval(env)
+class _Source:
+    """The source of one compiled function, and the namespace it runs in."""
+
+    def __init__(self) -> None:
+        self.namespace = {"WORD": WORD, "Revert": _Revert, "from_bytes": int.from_bytes, "to_address": Address.from_int}
+        self.frame_words: Dict[str, str] = {}  # the frame words the body reads -> their source
+        self.body: List[str] = []
+
+    def bind(self, value: object) -> str:
+        name = f"c{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def local(self, source: str) -> str:
+        name = f"v{len(self.body)}"
+        self.body.append(f"{name} = {source}")
+        return name
+
+    def word(self, expr: Expr) -> str:
+        """Emit the evaluation of `expr`; return the name that holds its word."""
+        kind = type(expr)
+        if kind is Const:
+            return self.bind(expr.value)
+        if kind is CallValue:
+            return "callvalue"
+        if kind in _FRAME_WORDS:
+            name, source = _FRAME_WORDS[kind]
+            self.frame_words[name] = source
+            return name
+        if kind is SLoad:
+            return self.local(f"from_bytes(exe.read_slot(self_addr, {self.slot(expr.key)}), 'big')")
+        if kind is BalanceOf:
+            return self.local(f"exe.read_balance({self.address(expr.addr)})")
+        if kind is Bin:
+            left = self.word(expr.left)
+            return self.local(_BIN_SOURCE[expr.op].format(a=left, b=self.word(expr.right)))
+        if kind is Not:
+            return self.local(f"0 if {self.word(expr.inner)} else 1")
+        raise TypeError(f"not an expression: {expr!r}")
+
+    def slot(self, key: Expr) -> str:
+        """The name of the slot bytes `key` selects; a constant's is bound once."""
+        if type(key) is Const:
+            return self.bind(slot_bytes(key.value))
+        return self.local(f"({self.word(key)} % WORD).to_bytes(32, 'big')")
+
+    def address(self, expr: Expr) -> str:
+        """The name of the address `expr` selects. The frame's own address and
+        its caller's are used as they are: the word round trip is the
+        identity on them."""
+        if type(expr) is SelfAddr:
+            return "self_addr"
+        if type(expr) is Caller:
+            return "caller"
+        if type(expr) is Const:
+            return self.bind(Address.from_int(expr.value))
+        return self.local(f"to_address({self.word(expr)})")
+
+    def statement(self, stmt: Statement, charged: int) -> None:
+        """Emit a statement that charges the program's `charged`-th gas unit:
+        out of gas, it charges the whole limit; a revert charges what the
+        program has charged so far."""
+        revert = f"exe.gas_used += {charged}; raise Revert"
+        self.body.append(f"if left < {charged}: exe.gas_used = gas_limit; raise Revert")
+        kind = type(stmt)
+        if kind is Require:
+            self.body.append(f"if not {self.word(stmt.cond)}: {revert}")
+        elif kind is PauseGuard:
+            self.body.append(f"if from_bytes(exe.read_slot(self_addr, {self.slot(stmt.key)}), 'big'): {revert}")
+        elif kind is SetSlot:
+            slot = self.slot(stmt.key)
+            self.body.append(f"exe.write_slot(self_addr, {slot}, ({self.word(stmt.value)} % WORD).to_bytes(32, 'big'))")
+        elif kind is Pay:
+            to = self.address(stmt.to)
+            amount = self.word(stmt.amount)
+            self.body += (
+                "balance = exe.read_balance(self_addr)",
+                f"exe.read_balance({to})",
+                f"if {amount} > balance: {revert}",
+                f"exe.write_balance(self_addr, balance - {amount})",
+                f"exe.write_balance({to}, exe.read_balance({to}) + {amount})",
+            )
+        else:
+            raise TypeError(f"not a statement: {stmt!r}")
+
+    def function(self, name: str, params: str) -> Callable:
+        words = [f"{word} = {source}" for word, source in self.frame_words.items()]
+        lines = [f"def {name}({params}):", *words, *self.body]
+        exec(compile("\n    ".join(lines), "<rollupsim program>", "exec"), self.namespace)
+        return self.namespace[name]
 
 
-def _run_statements(env: _CallEnv, code: ContractCode, gas_limit: int) -> None:
-    """Execute a contract body, charging gas as it goes; raises _Revert.
-    Running out of gas reverts and charges the whole limit."""
-    exe = env.exe
-    for stmt in code.statements:
-        exe.gas_used += 1
-        if exe.gas_used > gas_limit:
-            exe.gas_used = gas_limit
-            raise _Revert()
-        stmt._run(env)
+def _compile_program(statements: Tuple[Statement, ...]) -> Callable[..., None]:
+    source = _Source()
+    source.body.append("left = gas_limit - exe.gas_used")  # the statements the limit pays for
+    for charged, stmt in enumerate(statements, 1):
+        source.statement(stmt, charged)
+    source.body.append(f"exe.gas_used += {len(statements)}")
+    return source.function("program", f"{_FRAME}, gas_limit")
+
+
+def _compile_predicate(expr: Expr) -> Callable[..., int]:
+    source = _Source()
+    source.body.append(f"return {source.word(expr)}")
+    return source.function("predicate", _FRAME)
+
+
+def eval_expr(expr: Expr, exe: Execution, self_addr: Address, caller: Address, callvalue: int, calldata: bytes) -> int:
+    """Evaluate an expression to a 256-bit word in a call frame on `exe`;
+    total and deterministic. It is compiled on its first evaluation."""
+    predicate = expr._compiled
+    if predicate is None:
+        predicate = expr._compiled = _compile_predicate(expr)
+    return predicate(exe, self_addr, caller, callvalue, calldata)
+
+
+def _run_statements(
+    code: ContractCode, exe: Execution, self_addr: Address, caller: Address, callvalue: int, calldata: bytes, gas_limit: int
+) -> None:
+    """Execute a contract body, charging one gas per statement; raises
+    _Revert. Running out of gas reverts and charges the whole limit. The
+    body is compiled on its first run."""
+    program = code._program
+    if program is None:
+        program = code._program = _compile_program(code.statements)
+    program(exe, self_addr, caller, callvalue, calldata, gas_limit)
 
 
 def _fresh_address(sender: Address, nonce: int) -> Address:
     digest = hashlib.sha256(bytes(sender) + nonce.to_bytes(8, "big")).digest()
     return Address(digest[:20])
-
-
-def _lasting_effect(exe: Execution, tx: AnyTransaction, deposit: bool) -> None:
-    """The one effect a revert keeps: a deposit's mint, a signed tx's nonce bump."""
-    if deposit:
-        exe.write_balance(tx.sender, exe.read_balance(tx.sender) + tx.value)
-    else:
-        exe.write_nonce(tx.sender, exe.read_nonce(tx.sender) + 1)
 
 
 def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction, ctx: BlockContext) -> Execution:
@@ -675,58 +735,73 @@ def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction,
     the nonce bump and the gas charge. Deposits skip all precondition
     checks, mint their value, and pay no fee; a reverted deposit keeps the
     mint with the deposit's sender.
+
+    The envelope is applied in one step: the kept effect (nonce bump or
+    mint), the value transfer, the code lookup and the fee are written
+    straight into the new execution's scratch, and their fixed access keys
+    are recorded together. Only a contract program goes through the
+    recording accessors.
     """
+    sender, recipient, value = tx.sender, tx.recipient, tx.value
     deposit = isinstance(tx, DepositTransaction)
     if deposit:
-        recipient = tx.recipient
+        kept = state.balance_of(sender) + value  # the mint
     else:
-        nonce = state.nonce_of(tx.sender)
+        nonce = state.nonce_of(sender)
         if tx.nonce < nonce:
             raise PreconditionFailed(PreconditionFailed.NONCE_TOO_LOW, f"account nonce {nonce}")
         if tx.nonce > nonce:
             raise PreconditionFailed(PreconditionFailed.NONCE_TOO_HIGH, f"account nonce {nonce}")
         cost = max_cost(tx)
-        balance = state.balance_of(tx.sender)
-        if balance < cost:
-            raise PreconditionFailed(PreconditionFailed.INSUFFICIENT_BALANCE, f"balance {balance} < {cost}")
+        kept = state.balance_of(sender)
+        if kept < cost:
+            raise PreconditionFailed(PreconditionFailed.INSUFFICIENT_BALANCE, f"balance {kept} < {cost}")
         if tx.max_fee < ctx.base_fee:
             raise PreconditionFailed(PreconditionFailed.FEE_BELOW_BASE, f"base fee {ctx.base_fee}")
-        recipient = tx.recipient if tx.recipient is not None else _fresh_address(tx.sender, tx.nonce)
+        if recipient is None:
+            recipient = _fresh_address(sender, nonce)
 
     exe = Execution(state)
-    if not deposit:
-        # Seed the scratch with what the checks read: the nonce bump and the
-        # fee charge find it there. Reading it still records the key.
-        exe.nonces[tx.sender] = nonce
-        exe.balances[tx.sender] = balance
-    _lasting_effect(exe, tx, deposit)
-    try:
-        exe.transfer(tx.sender, recipient, tx.value)
-        code = exe.read_code(recipient)
-        if code is not None:
-            env = _CallEnv(exe, recipient, tx.sender, tx.value, tx.data)
-            _run_statements(env, code, tx.gas_limit)
-    except _Revert:
-        # Keep the read trace and the gas used, discard the effects: only the
-        # lasting effect and the gas charge survive a revert, so only they
-        # count as writes.
-        reverted = Execution(state)
-        if not deposit:
-            reverted.nonces[tx.sender] = nonce
-            reverted.balances[tx.sender] = balance
-        reverted.status = TxStatus.REVERT
-        reverted.reads = exe.reads
-        reverted.gas_used = exe.gas_used
-        exe = reverted
-        _lasting_effect(exe, tx, deposit)
+    balances, reads, writes = exe.balances, exe.reads, exe.writes
+    sender_balance = _new_key(AccessKey, (AccessKind.BALANCE, sender, b""))
+    recipient_balance = _new_key(AccessKey, (AccessKind.BALANCE, recipient, b""))
+    if deposit:
+        kept_writes = (sender_balance,)
+    else:
+        kept_writes = (_new_key(AccessKey, (AccessKind.NONCE, sender, b"")), sender_balance)
+        exe.nonces[sender] = nonce + 1
+    reads.update((*kept_writes, recipient_balance, _new_key(AccessKey, (AccessKind.CODE, recipient, b""))))
+    writes.update((*kept_writes, recipient_balance))
+    if recipient == sender:
+        balances[sender] = kept
+    else:
+        balances[sender] = kept - value
+        balances[recipient] = state.balance_of(recipient) + value
+    code = state.code_of(recipient)
+    if code is not None:
+        try:
+            _run_statements(code, exe, recipient, sender, value, tx.data, tx.gas_limit)
+        except _Revert:
+            # Keep the read trace and the gas used, discard the effects: only
+            # the kept effect and the fee survive a revert, so only they
+            # count as writes.
+            exe.status = TxStatus.REVERT
+            exe.balances = balances = {sender: kept}
+            exe.storage = {}
+            exe.writes = writes = set(kept_writes)
 
     if not deposit:
-        gas_used = exe.gas_used
-        effective_price = ctx.base_fee + min(tx.priority_fee, tx.max_fee - ctx.base_fee)
-        exe.write_balance(tx.sender, exe.read_balance(tx.sender) - gas_used * effective_price)
-        tip = gas_used * (effective_price - ctx.base_fee)
+        base_fee, gas_used = ctx.base_fee, exe.gas_used
+        effective_price = base_fee + min(tx.priority_fee, tx.max_fee - base_fee)
+        balances[sender] -= gas_used * effective_price
+        tip = gas_used * (effective_price - base_fee)
         if tip:
-            exe.write_balance(ctx.fee_recipient, exe.read_balance(ctx.fee_recipient) + tip)
+            fee_recipient = ctx.fee_recipient
+            fee_key = _new_key(AccessKey, (AccessKind.BALANCE, fee_recipient, b""))
+            reads.add(fee_key)
+            writes.add(fee_key)
+            held = balances.get(fee_recipient)
+            balances[fee_recipient] = (state.balance_of(fee_recipient) if held is None else held) + tip
     return exe
 
 

@@ -1,8 +1,12 @@
-"""Shared fixtures: hand-built contracts, states, and the independent
-sequential classification oracle used to check the scheduler."""
+"""Shared fixtures: hand-built contracts, states, the independent
+sequential classification oracle used to check the scheduler, and the one
+harness that counts Python-level calls."""
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import gc
+import sys
+from types import CodeType
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from rollupsim.core import Address, DepositTransaction, SignedTransaction
 from rollupsim.detection import Invariant
@@ -251,3 +255,44 @@ def sequential_oracle(txs, tip_state: WorldState, invariants, detector, context:
             benign.append(t)
             state = sim.post_state()
     return benign, malicious, deferred, state
+
+
+class CallCount(NamedTuple):
+    result: Any
+    calls: List[CodeType]  # the code of every Python-level function called, in order
+    c_calls: List[Tuple[CodeType, Any]]  # (calling code, C function) for every C-level call
+
+    @property
+    def names(self) -> List[str]:
+        return [code.co_name for code in self.calls]
+
+
+def python_calls(fn: Callable, *args, warm_up: bool = True) -> CallCount:
+    """A count, not a timer: call `fn(*args)` under `sys.setprofile` and
+    record every call it makes. With `warm_up`, `fn(*args)` runs once
+    before, outside the window, so memos filled on a first run (a program
+    compiles on its first run) are not counted; `fn` must then leave its
+    arguments as it found them. The garbage collector is off inside the
+    window: a collection would finalize other tests' garbage (a suspended
+    generator resumes to close), and each resumption counts as a call."""
+    if warm_up:
+        fn(*args)
+    calls: List[CodeType] = []
+    c_calls: List[Tuple[CodeType, Any]] = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code)
+        elif event == "c_call":
+            c_calls.append((frame.f_code, arg))
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return CallCount(result, calls, c_calls)

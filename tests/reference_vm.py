@@ -11,8 +11,12 @@ classifier's fold and `apply_block` did before they ran on one scratch.
 over an `IntEnum`, which the tuple-based key must match in equality, hashing
 and sort order. `reference_eval_expr` and `reference_run_statements` are the
 original tree-walking interpreter, which picks each node's case and each
-operator by comparison on every call; the evaluators the nodes build at
-construction must match it value for value and read for read.
+operator by comparison on every call; the straight-line functions programs
+and predicates compile to must match it value for value and read for read.
+`reference_execute_transaction` is the original envelope, which applies the
+kept effect, the value transfer, the code lookup and the fee through the
+recording accessors, and reseeds a fresh execution on a revert; the one-step
+envelope must match it in status, gas, access sets, scratch and post-state.
 `reference_reads_as_base` is the original merge check, which reads every
 key through the generic `_read_key` on both the scratch and its base; the
 shipped check compares only the keys whose field the scratch holds.
@@ -26,9 +30,11 @@ from typing import Dict, Sequence, Tuple
 from unittest import mock
 
 from rollupsim import vm
-from rollupsim.core import Address, AnyTransaction, Block, StateRoot
+from rollupsim.core import Address, AnyTransaction, Block, DepositTransaction, StateRoot, max_cost
 from rollupsim.vm import (
     WORD,
+    AccessKey,
+    AccessKind,
     Account,
     BalanceOf,
     Bin,
@@ -50,9 +56,10 @@ from rollupsim.vm import (
     SetSlot,
     SLoad,
     ZERO_SLOT,
+    TxStatus,
     WorldState,
-    _CallEnv,
     _Revert,
+    _fresh_address,
     code_hash,
     execute_transaction,
     make_state,
@@ -172,7 +179,23 @@ class ReferenceAccessKey:
         return ReferenceAccessKey(ReferenceAccessKind.CODE, addr)
 
 
-def reference_eval_expr(expr: Expr, env: _CallEnv) -> int:
+class CallEnv:
+    """A running call frame, as the tree walk reads it."""
+
+    def __init__(self, exe: Execution, self_addr: Address, caller: Address, callvalue: int, calldata: bytes):
+        self.exe = exe
+        self.self_addr = self_addr
+        self.caller = caller
+        self.callvalue = callvalue
+        self.calldata = calldata
+
+
+def _transfer(exe: Execution, src: Address, dst: Address, amount: int) -> None:
+    exe.write_balance(src, exe.read_balance(src) - amount)
+    exe.write_balance(dst, exe.read_balance(dst) + amount)
+
+
+def reference_eval_expr(expr: Expr, env: CallEnv) -> int:
     """Evaluate an expression to a 256-bit word; total and deterministic.
 
     ADD and MUL wrap modulo 2**256, SUB saturates at 0, comparisons and logic
@@ -214,10 +237,12 @@ def reference_eval_expr(expr: Expr, env: _CallEnv) -> int:
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def reference_run_statements(env: _CallEnv, code: ContractCode, gas_limit: int) -> None:
+def reference_run_statements(
+    code: ContractCode, exe: Execution, self_addr: Address, caller: Address, callvalue: int, calldata: bytes, gas_limit: int
+) -> None:
     """Execute a contract body, charging gas as it goes; raises _Revert.
     Running out of gas reverts and charges the whole limit."""
-    exe = env.exe
+    env = CallEnv(exe, self_addr, caller, callvalue, calldata)
     for stmt in code.statements:
         exe.gas_used += 1
         if exe.gas_used > gas_limit:
@@ -240,7 +265,7 @@ def reference_run_statements(env: _CallEnv, code: ContractCode, gas_limit: int) 
             exe.read_balance(to)
             if amount > balance:
                 raise _Revert()
-            exe.transfer(env.self_addr, to, amount)
+            _transfer(exe, env.self_addr, to, amount)
         else:
             raise TypeError(f"not a statement: {stmt!r}")
 
@@ -250,3 +275,84 @@ def reference_interpret(state: WorldState, tx: AnyTransaction, ctx: BlockContext
     interpreter instead of the nodes' own evaluators."""
     with mock.patch.object(vm, "_run_statements", reference_run_statements):
         return execute_transaction(state, tx, ctx)
+
+
+def read_nonce(exe: Execution, addr: Address) -> int:
+    exe.reads.add(AccessKey.nonce(addr))
+    nonce = exe.nonces.get(addr)
+    if nonce is None:
+        nonce = exe.nonces[addr] = exe.base.nonce_of(addr)
+    return nonce
+
+
+def write_nonce(exe: Execution, addr: Address, value: int) -> None:
+    exe.writes.add(AccessKey.nonce(addr))
+    exe.nonces[addr] = value
+
+
+def read_code(exe: Execution, addr: Address):
+    exe.reads.add(AccessKey(AccessKind.CODE, addr))
+    return exe.base.code_of(addr)
+
+
+def _lasting_effect(exe: Execution, tx: AnyTransaction, deposit: bool) -> None:
+    """The one effect a revert keeps: a deposit's mint, a signed tx's nonce bump."""
+    if deposit:
+        exe.write_balance(tx.sender, exe.read_balance(tx.sender) + tx.value)
+    else:
+        write_nonce(exe, tx.sender, read_nonce(exe, tx.sender) + 1)
+
+
+def reference_execute_transaction(state, tx: AnyTransaction, ctx: BlockContext) -> Execution:
+    """The envelope through the recording accessors (`read_nonce`,
+    `write_nonce` and `read_code` among them, which only the envelope made):
+    the kept effect, the transfer, the code read and the fee each read and
+    write their keys one by one, and a revert starts a fresh execution,
+    reseeded with what the precondition checks read. The contract body runs
+    through the shipped `_run_statements`, so only the envelope differs."""
+    deposit = isinstance(tx, DepositTransaction)
+    if deposit:
+        recipient = tx.recipient
+    else:
+        nonce = state.nonce_of(tx.sender)
+        if tx.nonce < nonce:
+            raise PreconditionFailed(PreconditionFailed.NONCE_TOO_LOW, f"account nonce {nonce}")
+        if tx.nonce > nonce:
+            raise PreconditionFailed(PreconditionFailed.NONCE_TOO_HIGH, f"account nonce {nonce}")
+        cost = max_cost(tx)
+        balance = state.balance_of(tx.sender)
+        if balance < cost:
+            raise PreconditionFailed(PreconditionFailed.INSUFFICIENT_BALANCE, f"balance {balance} < {cost}")
+        if tx.max_fee < ctx.base_fee:
+            raise PreconditionFailed(PreconditionFailed.FEE_BELOW_BASE, f"base fee {ctx.base_fee}")
+        recipient = tx.recipient if tx.recipient is not None else _fresh_address(tx.sender, tx.nonce)
+
+    exe = Execution(state)
+    if not deposit:
+        exe.nonces[tx.sender] = nonce
+        exe.balances[tx.sender] = balance
+    _lasting_effect(exe, tx, deposit)
+    try:
+        _transfer(exe, tx.sender, recipient, tx.value)
+        code = read_code(exe, recipient)
+        if code is not None:
+            vm._run_statements(code, exe, recipient, tx.sender, tx.value, tx.data, tx.gas_limit)
+    except _Revert:
+        reverted = Execution(state)
+        if not deposit:
+            reverted.nonces[tx.sender] = nonce
+            reverted.balances[tx.sender] = balance
+        reverted.status = TxStatus.REVERT
+        reverted.reads = exe.reads
+        reverted.gas_used = exe.gas_used
+        exe = reverted
+        _lasting_effect(exe, tx, deposit)
+
+    if not deposit:
+        gas_used = exe.gas_used
+        effective_price = ctx.base_fee + min(tx.priority_fee, tx.max_fee - ctx.base_fee)
+        exe.write_balance(tx.sender, exe.read_balance(tx.sender) - gas_used * effective_price)
+        tip = gas_used * (effective_price - ctx.base_fee)
+        if tip:
+            exe.write_balance(ctx.fee_recipient, exe.read_balance(ctx.fee_recipient) + tip)
+    return exe

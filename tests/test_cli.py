@@ -10,6 +10,7 @@ import pytest
 
 from rollupsim.cli import main
 from rollupsim.formats import parse_report
+from rollupsim.lines import MAX_NESTING
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -444,6 +445,58 @@ class TestRuntimeOverflow:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err == f"error: unusable history: block 0: account {account} {case} is past {limit}\n"
+
+
+class TestDeeplyNestedCode:
+    """Code nested past `MAX_NESTING` levels is refused with its line
+    number, never a `RecursionError` traceback: `run` exits 2, and `derive`
+    exits 4 on a history whose genesis contract holds it. Code at the bound
+    runs and derives."""
+
+    @staticmethod
+    def nested(depth):
+        """An expression `depth` levels deep: nots over the constant 1."""
+        return "(not " * (depth - 1) + "1" + ")" * (depth - 1)
+
+    def code(self, depth):
+        """A program `depth` levels deep: the require is level 1."""
+        return f"(require {self.nested(depth - 1)})"
+
+    @staticmethod
+    def scenario(code="(require 1)", predicate="(ge (balance self) 0)"):
+        return (
+            "scenario v1 name=deep\nconfig fee_recipient=0xfe\ngenesis account 0xa1 balance=1000\n"
+            f"genesis contract 0xc3 admin=0xa1 balance=0 code={{{code}}}\n"
+            f"genesis invariant id=deep contract=0xc3 registered_by=0xa1 predicate={{{predicate}}}\n"
+            "run blocks=2\nevent 1 submit sender=0xa1 nonce=0 to=0xc3 value=0 gas_limit=30\n"
+        )
+
+    def test_code_at_the_bound_runs_and_derives(self, tmp_path, capsys):
+        holds = "(not " * (MAX_NESTING - 2) + "(eq 1 1)" + ")" * (MAX_NESTING - 2)  # a predicate at the bound too
+        assert run_text(tmp_path, self.scenario(self.code(MAX_NESTING), holds)) == 0
+        report = parse_report((tmp_path / "r").read_text())
+        assert sum(len(block.tx_hashes) for block in report.blocks) == 1 and not report.entries
+        assert main(["derive", "--l1", str(tmp_path / "l"), "--expect-root", report.final_root.hex()]) == 0
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 990])
+    @pytest.mark.parametrize("where", ["code", "predicate"])
+    def test_run_refuses_deeper_code_with_its_line(self, tmp_path, capsys, depth, where):
+        text = self.scenario(code=self.code(depth)) if where == "code" else self.scenario(predicate=self.nested(depth))
+        assert run_text(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line {4 if where == 'code' else 5}: code nested deeper than {MAX_NESTING} levels\n"
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 990])
+    def test_derive_refuses_a_genesis_contract_nested_deeper(self, tmp_path, capsys, depth):
+        assert run_text(tmp_path, self.scenario()) == 0
+        history = (tmp_path / "l").read_text()
+        lineno, line = next((i, l) for i, l in enumerate(history.splitlines(), 1) if l.startswith("genesis contract"))
+        deep = re.sub(r"code=\{.*\}", lambda _: f"code={{{self.code(depth)}}}", line)
+        (tmp_path / "deep.l1").write_text(history.replace(line, deep))
+        capsys.readouterr()
+        assert main(["derive", "--l1", str(tmp_path / "deep.l1")]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"line {lineno}" in err and f"nested deeper than {MAX_NESTING}" in err
 
 
 def run_text(tmp_path, text):

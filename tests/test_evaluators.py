@@ -1,20 +1,22 @@
-"""The evaluators the nodes build at construction, held to the tree-walking
-interpreter in `reference_vm`.
+"""The straight-line functions that programs and predicates compile to,
+held to the tree-walking interpreter in `reference_vm`.
 
-Random expression trees of every kind and operator, the `formats` sugar
+Each contract program is compiled on its first run into one Python
+function, memoized on its `ContractCode`, and each predicate on its first
+evaluation, memoized on its root node; no node carries an evaluator of its
+own. Random expression trees of every kind and operator, the `formats` sugar
 included, evaluate to the reference's word and read the same keys. Random
 contract bodies, run out of gas at each statement, give the reference's
-status, gas, reads, writes and post-state; each node shape whose evaluator
-is specialised at construction (a constant slot key, the frame's own or its
-caller's address) is drawn explicitly, and is the same record as the node
-its fields alone define. Running and judging a vault drain builds no node
-and makes a bounded number of Python-level calls, as does replaying a block
-of counter calls, which builds no `Account` in Python; each program is
-rendered for its code hash once.
+status, gas, reads, writes and post-state, and so does a program nested as
+deep as a scenario may nest it; each node shape the compiler specialises (a
+constant slot key, a constant address, the frame's own or its caller's
+address) is drawn explicitly, and is the same record as the node its fields
+alone define. Running and judging a vault drain builds no node and makes a
+bounded number of Python-level calls, as does replaying a block of counter
+calls, which builds no `Account` in Python; each program is rendered for its
+code hash once and compiled once, on its first run.
 """
 import contextlib
-import gc
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -26,22 +28,25 @@ from helpers import (
     COUNT_KEY,
     COUNTER,
     FEE_SINK,
+    VAULT,
     addr,
     counter_contract,
     ctx,
     exploit_tx,
     gated_vault,
     guard_only_vault,
+    python_calls,
     solvency_invariant,
     tx,
     vault_state,
 )
-from reference_vm import reference_eval_expr, reference_interpret
+from reference_vm import CallEnv, reference_eval_expr, reference_interpret
 from rollupsim import vm
-from rollupsim.core import BASE_TX_GAS, Address, Block, StateRoot
+from rollupsim.core import BASE_TX_GAS, Address, Block, ScenarioError, StateRoot
 from rollupsim.derivation import derive
 from rollupsim.detection import InvariantDetector, InvariantSet
-from rollupsim.formats import parse_expr, parse_history, parse_scenario, render_history
+from rollupsim.formats import parse_expr, parse_history, parse_scenario, parse_statements, render_history
+from rollupsim.lines import MAX_NESTING, _height
 from rollupsim.sequencer import run
 from rollupsim.vm import (
     BIN_OPS,
@@ -61,7 +66,6 @@ from rollupsim.vm import (
     SelfAddr,
     SetSlot,
     SLoad,
-    _CallEnv,
     apply_block,
     code_hash,
     code_text,
@@ -126,11 +130,14 @@ def outcome(exe):
 @example(SLoad(Const(TOP)), 0, b"")  # an empty slot
 @example(BalanceOf(SelfAddr()), 0, b"")
 @example(BalanceOf(Caller()), 0, b"")
+@example(BalanceOf(Const(1)), 0, b"")  # a constant address
+@example(Bin("eq", CallData(), CallData()), 0, bytes(range(1, 41)))  # a frame word read twice
 def test_an_expression_evaluates_as_the_tree_walk(expr, callvalue, calldata):
     fast, ref = Execution(STATE), Execution(STATE)
-    value = eval_expr(expr, _CallEnv(fast, CONTRACT, CALLER, callvalue, calldata))
-    assert value == reference_eval_expr(expr, _CallEnv(ref, CONTRACT, CALLER, callvalue, calldata))
+    value = eval_expr(expr, fast, CONTRACT, CALLER, callvalue, calldata)
+    assert value == reference_eval_expr(expr, CallEnv(ref, CONTRACT, CALLER, callvalue, calldata))
     assert fast.reads == ref.reads and not fast.writes
+    assert eval_expr(expr, Execution(STATE), CONTRACT, CALLER, callvalue, calldata) == value  # the memoized function
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,9 +156,32 @@ def test_a_contract_body_runs_as_the_tree_walk(statements, value, calldata):
         assert outcome(execute_transaction(state, call, ctx())) == outcome(reference_interpret(state, call, ctx()))
 
 
+@pytest.mark.parametrize("fold", ["not", "sub", "and"])
+def test_a_program_at_the_nesting_bound_runs_as_the_tree_walk(fold):
+    """Programs as deep as `MAX_NESTING` allows, read from text: nested
+    `not`s, and left-leaning chains of a binary operator over loads and
+    balances, both run out of gas and not."""
+    inner = MAX_NESTING - 1  # the statement is level 1
+    if fold == "not":
+        expr = "(not " * (inner - 2) + "(sload 1)" + ")" * (inner - 2)
+    else:
+        expr = "(sload 2)"
+        for i in range(inner - 2):
+            expr = f"({fold} {expr} {'(balance caller)' if i % 2 else i})"
+    statements = parse_statements(f"(set 3 {expr}) (require {expr})")
+    assert max(map(_height, statements)) == MAX_NESTING
+    with pytest.raises(ScenarioError, match="nested deeper"):
+        parse_statements(f"(require (not {expr}))")
+    code = ContractCode(ADMIN, statements)
+    state = make_state({**STATE.accounts, CONTRACT: STATE.account(CONTRACT)._replace(code=code)})
+    for gas_limit in (BASE_TX_GAS + 1, BASE_TX_GAS + 2):
+        call = tx(CALLER, 0, CONTRACT, gas_limit=gas_limit)
+        assert outcome(execute_transaction(state, call, ctx())) == outcome(reference_interpret(state, call, ctx()))
+
+
 def fields_only(cls, **fields):
     """The record `fields` define, built without `__init__`, so that no
-    evaluator is built or specialised."""
+    memo slot is set."""
     node = object.__new__(cls)
     for name, value in fields.items():
         setattr(node, name, value)
@@ -183,51 +213,31 @@ def test_a_specialised_node_is_the_record_its_fields_define(cls, fields):
 
 class TestDrainCallCount:
     """A count, not a timer: the Python-level calls that one vault drain
-    makes while it is executed, and while it is judged. Each accessor builds
-    its key in place, and constant slots and the frame's own and caller's
-    addresses are resolved at construction, so a call made per access or
-    per operand shows here."""
-
-    @staticmethod
-    def python_calls(fn, *args):
-        calls = []
-
-        def profile(frame, event, _arg):
-            if event == "call":
-                calls.append(frame.f_code.co_name)
-
-        # A collection inside the window would finalize other tests' garbage
-        # (a suspended generator resumes to close), and each resumption
-        # counts as a call, so the count is taken with collection off.
-        collecting = gc.isenabled()
-        gc.disable()
-        sys.setprofile(profile)
-        try:
-            result = fn(*args)
-        finally:
-            sys.setprofile(None)
-            if collecting:
-                gc.enable()
-        return result, calls
+    makes while it is executed, and while it is judged, once its program
+    and predicate are compiled. The envelope writes the scratch in one step,
+    and the program and the predicate each run as one function, so a call
+    made per access or per node shows here."""
 
     def test_executing_and_judging_a_drain(self):
         state = vault_state(paused=False)
         invariants = InvariantSet()
         invariants.register(solvency_invariant(), state)
         drain, context = exploit_tx(), ctx()
-        sim, executing = self.python_calls(execute_transaction, state, drain, context)
-        (verdict, _), judging = self.python_calls(InvariantDetector().assess, sim, state, invariants)
-        assert verdict.malicious and executing[0] == "execute_transaction"
-        assert len(executing) <= 69, executing  # 71 before the checks seeded the scratch; 111 when each key and scratch entry took calls of its own
-        assert len(judging) <= 18, judging  # 23
+        executing = python_calls(execute_transaction, state, drain, context)
+        judging = python_calls(InvariantDetector().assess, executing.result, state, invariants)
+        verdict, _ = judging.result
+        assert verdict.malicious and executing.names[0] == "execute_transaction"
+        assert len(executing.calls) <= 20, executing.names  # 69 when each node ran its own evaluator and the envelope its accessors
+        assert len(judging.calls) <= 9, judging.names  # 18
 
 
 class TestReplayCallCount:
     """A count, not a timer: the Python-level calls that applying a block
-    of calls to one shared counter makes, as a replica does. Storage and
-    code are read through the field views, and the post-state builds each
-    changed `Account` in C, so no generated `Account.__new__` runs and a
-    view call made per access shows here."""
+    of calls to one shared counter makes, as a replica does, once the
+    counter's program is compiled. Storage and code are read through the
+    field views, and the post-state builds each changed `Account` in C, so
+    no generated `Account.__new__` runs and a view call made per access
+    shows here."""
 
     CALLS = 20
 
@@ -237,21 +247,37 @@ class TestReplayCallCount:
         state = make_state({**{s: Account(balance=10_000) for s in senders}, COUNTER: counter})
         calls = tuple(tx(s, 0, COUNTER, max_fee=2, priority_fee=1) for s in senders)
         block = Block(1, bytes(32), 1, 1, 0, (), calls, StateRoot(bytes(32)))
-        codes = []
-
-        def profile(frame, event, _arg):
-            if event == "call":
-                codes.append(frame.f_code)
-
-        sys.setprofile(profile)
-        try:
-            post = apply_block(state, block, FEE_SINK)
-        finally:
-            sys.setprofile(None)
+        replay = python_calls(apply_block, state, block, FEE_SINK)
+        post = replay.result
         assert post.accounts[COUNTER].storage == {slot_bytes(COUNT_KEY): slot_bytes(1 + self.CALLS)}
-        names = [code.co_name for code in codes]
-        assert Account.__new__.__code__ not in codes, names  # 79 when storage and code reads built accounts
-        assert len(codes) <= 39 * self.CALLS, names  # 771; 851 before the checks seeded the scratch; 1055 when reads built accounts
+        assert Account.__new__.__code__ not in replay.calls, replay.names  # 79 when storage and code reads built accounts
+        assert len(replay.calls) <= 20 * self.CALLS, len(replay.calls) / self.CALLS  # 19.5; 38.5 when each node ran its own evaluator and the envelope its accessors; 52.75 when reads built accounts
+
+
+def test_no_node_carries_an_evaluator():
+    for cls in NODE_TYPES:
+        assert not {"_eval", "_run"} & set(dir(cls)), cls
+    program = gated_vault()
+    for stmt in program.statements:
+        assert not {"_eval", "_run"} & set(dir(stmt))
+
+
+def test_a_program_compiles_on_its_first_run_and_once():
+    state = vault_state(paused=False)
+    code = state.code_of(VAULT)
+    invariant = solvency_invariant()
+    invariants = InvariantSet()
+    invariants.register(invariant, state)
+    assert code._program is None and invariant.predicate._compiled is None  # built, not compiled
+    compiled = []
+    with mock.patch.object(vm, "_compile_program", side_effect=vm._compile_program) as program, \
+            mock.patch.object(vm, "_compile_predicate", side_effect=vm._compile_predicate) as predicate:
+        for _ in range(3):
+            sim = execute_transaction(state, exploit_tx(), ctx())
+            InvariantDetector().assess(sim, state, invariants)
+            compiled.append((code._program, invariant.predicate._compiled))
+    assert program.call_count == 1 and predicate.call_count == 1
+    assert compiled[0] == compiled[1] == compiled[2] and None not in compiled[0]
 
 
 @pytest.mark.parametrize("vault", [gated_vault, guard_only_vault])

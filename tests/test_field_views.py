@@ -12,10 +12,12 @@ A fold that absorbs rounds of such operations answers the merge check
 `reads_as_base` as `reference_vm.reference_reads_as_base` does, for any
 set of keys.
 """
+from functools import partial
+
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import ADMIN, addr, counter_contract
-from reference_vm import full_copy_post_state, reference_reads_as_base
+from reference_vm import full_copy_post_state, read_code, read_nonce, reference_reads_as_base, write_nonce
 from rollupsim.vm import (
     EMPTY_ACCOUNT,
     ZERO_SLOT,
@@ -32,6 +34,8 @@ from rollupsim.vm import (
 ADDRS = [addr(0xC0)] + [addr(i) for i in range(1, 5)]  # the first has code, the last starts absent
 CODE = counter_contract()
 OPS = ("read_balance", "write_balance", "read_nonce", "write_nonce", "read_slot", "write_slot", "read_code")
+# The recorded accesses only the accessor-based envelope made, kept with its oracle.
+ENVELOPE_ACCESSES = {"read_nonce": read_nonce, "write_nonce": write_nonce, "read_code": read_code}
 VALUES = (0, 1, 5, 7, 100)
 
 slot_values = st.dictionaries(st.integers(0, 2), st.sampled_from(VALUES), max_size=2)
@@ -59,13 +63,17 @@ def perform(exe: Execution, ops) -> None:
         if op == "write_slot":
             exe.write_slot(a, key, slot_bytes(value))
         elif op.startswith("write"):
-            getattr(exe, op)(a, value)
+            access(exe, op)(a, value)
         else:
             balance, nonce, code, storage = flattened(exe).accounts.get(a, EMPTY_ACCOUNT)
             if op == "read_slot":
                 assert exe.read_slot(a, key) == storage.get(key, ZERO_SLOT)
             else:
-                assert getattr(exe, op)(a) == {"read_balance": balance, "read_nonce": nonce, "read_code": code}[op]
+                assert access(exe, op)(a) == {"read_balance": balance, "read_nonce": nonce, "read_code": code}[op]
+
+
+def access(exe: Execution, op: str):
+    return partial(ENVELOPE_ACCESSES[op], exe) if op in ENVELOPE_ACCESSES else getattr(exe, op)
 
 
 def flattened(exe: Execution) -> WorldState:
