@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Tuple
 
-from .core import Block, StateRoot, block_hash, canonical_decode
+from .core import Block, EncodingError, StateRoot, block_hash, canonical_decode
 from .l1da import L1Chain, L1History
 from .vm import AccountOverflow, InvalidBlock, WorldState, apply_block, state_root
 
@@ -96,8 +96,13 @@ def derive(history: L1History) -> DerivedChain:
             raise DerivationGap(epoch, f"head block {number} time {time} is before its L1 block's time {l1_time}")
         l1.post_batch(record)
         deposits = l1.accepted_deposits(epoch) if record.has_bitmap else ()
-        transactions = tuple(canonical_decode(blob) for blob in record.batch)
-        block = chain.draft(time, record.l2_base_fee, epoch, deposits, transactions)
+        transactions = []
+        for index, blob in enumerate(record.batch):
+            try:
+                transactions.append(canonical_decode(blob))
+            except EncodingError as exc:
+                raise DerivationGap(epoch, f"block {number} batch entry {index} cannot be decoded: {exc}") from None
+        block = chain.draft(time, record.l2_base_fee, epoch, deposits, tuple(transactions))
         try:
             state = apply_block(chain.tip_state, block, history.fee_recipient)
         except InvalidBlock as exc:

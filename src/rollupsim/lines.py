@@ -43,7 +43,7 @@ import sys
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .core import U64_MAX, U128_MAX, Address, Record, ScenarioError, decode_deposit, encode_deposit
+from .core import U64_MAX, U128_MAX, Address, ScenarioError, decode_deposit, encode_deposit
 from .l1da import WORD_BITS, L1Block, L1History, L1Record
 from . import vm
 from .vm import EMPTY_ACCOUNT, Account, ContractCode, Expr, Statement, make_state
@@ -156,10 +156,6 @@ def _too_deep(lineno: int) -> ScenarioError:
     return ScenarioError(f"code nested deeper than {MAX_NESTING} levels", line=lineno)
 
 
-def _height(node: Record) -> int:
-    return 1 + max((_height(child) for child in node._values() if isinstance(child, Record)), default=0)
-
-
 def _read_form(tokens: List[str], pos: int, lineno: int, depth: int = 1):
     """Read one form. A form `depth` parentheses deep builds a node at least
     that deep, so a form past `MAX_NESTING` is refused before it is read."""
@@ -189,27 +185,29 @@ def _atom_value(tok: str, lineno: int) -> int:
 
 
 _ATOMS = {"caller": vm.Caller, "callvalue": vm.CallValue, "calldata": vm.CallData, "self": vm.SelfAddr}
-# operator -> (arity, build from the built arguments); ge/gt/le/ne are sugar
+# operator -> (arity, build from the built arguments, levels it builds);
+# ge/gt/le/ne are sugar
 _OPERATORS = {
-    "sload": (1, vm.SLoad), "balance": (1, vm.BalanceOf), "not": (1, vm.Not),
-    **{op: (2, lambda a, b, op=op: vm.Bin(op, a, b)) for op in vm.BIN_OPS},
-    "ge": (2, lambda a, b: vm.Not(vm.Bin("lt", a, b))), "gt": (2, lambda a, b: vm.Bin("lt", b, a)),
-    "le": (2, lambda a, b: vm.Not(vm.Bin("lt", b, a))), "ne": (2, lambda a, b: vm.Not(vm.Bin("eq", a, b))),
+    "sload": (1, vm.SLoad, 1), "balance": (1, vm.BalanceOf, 1), "not": (1, vm.Not, 1),
+    **{op: (2, lambda a, b, op=op: vm.Bin(op, a, b), 1) for op in vm.BIN_OPS},
+    "ge": (2, lambda a, b: vm.Not(vm.Bin("lt", a, b)), 2), "gt": (2, lambda a, b: vm.Bin("lt", b, a), 1),
+    "le": (2, lambda a, b: vm.Not(vm.Bin("lt", b, a)), 2), "ne": (2, lambda a, b: vm.Not(vm.Bin("eq", a, b)), 2),
 }
 _STATEMENTS = {
     "require": (1, vm.Require), "pause-guard": (1, vm.PauseGuard), "set": (2, vm.SetSlot), "pay": (2, vm.Pay)
 }
 
 
-def _build_expr(form, lineno: int) -> Expr:
+def _build_expr(form, lineno: int) -> Tuple[Expr, int]:
+    """The expression a form reads, and its height: a leaf is 1 high."""
     if isinstance(form, str):
-        return _ATOMS[form]() if form in _ATOMS else vm.Const(_atom_value(form, lineno))
+        return (_ATOMS[form]() if form in _ATOMS else vm.Const(_atom_value(form, lineno))), 1
     if not form:
         raise ScenarioError("empty expression", line=lineno)
     head, args = form[0], form[1:]
     if not isinstance(head, str):
         raise ScenarioError("expression head must be a symbol", line=lineno)
-    arity, build = (1, None) if head == "const" else _OPERATORS.get(head, (None, None))
+    arity, build, levels = (1, None, 1) if head == "const" else _OPERATORS.get(head, (None, None, None))
     if arity is None:
         raise ScenarioError(f"unknown operator {head!r}", line=lineno)
     if len(args) != arity:
@@ -217,18 +215,21 @@ def _build_expr(form, lineno: int) -> Expr:
     if build is None:  # const
         if not isinstance(args[0], str):
             raise ScenarioError("const takes an atom", line=lineno)
-        return vm.Const(_atom_value(args[0], lineno))
-    return build(*[_build_expr(arg, lineno) for arg in args])
+        return vm.Const(_atom_value(args[0], lineno)), 1
+    nodes, heights = zip(*[_build_expr(arg, lineno) for arg in args])
+    return build(*nodes), levels + max(heights)
 
 
-def _build_statement(form, lineno: int) -> Statement:
+def _build_statement(form, lineno: int) -> Tuple[Statement, int]:
+    """The statement a form reads, and its height: the statement is level 1."""
     if isinstance(form, str) or not form or not isinstance(form[0], str):
         raise ScenarioError("statement must be a (head ...) form", line=lineno)
     head, args = form[0], form[1:]
     arity, build = _STATEMENTS.get(head, (None, None))
     if len(args) != arity:
         raise ScenarioError(f"bad statement {head!r}", line=lineno)
-    return build(*[_build_expr(arg, lineno) for arg in args])
+    nodes, heights = zip(*[_build_expr(arg, lineno) for arg in args])
+    return build(*nodes), 1 + max(heights)
 
 
 def parse_expr(text: str, lineno: int = 0) -> Expr:
@@ -236,8 +237,8 @@ def parse_expr(text: str, lineno: int = 0) -> Expr:
     form, pos = _read_form(tokens, 0, lineno)
     if pos != len(tokens):
         raise ScenarioError("trailing tokens after expression", line=lineno)
-    expr = _build_expr(form, lineno)
-    if _height(expr) > MAX_NESTING:
+    expr, height = _build_expr(form, lineno)
+    if height > MAX_NESTING:
         raise _too_deep(lineno)
     return expr
 
@@ -248,8 +249,8 @@ def parse_statements(text: str, lineno: int = 0) -> Tuple[Statement, ...]:
     pos = 0
     while pos < len(tokens):
         form, pos = _read_form(tokens, pos, lineno)
-        statement = _build_statement(form, lineno)
-        if _height(statement) > MAX_NESTING:
+        statement, height = _build_statement(form, lineno)
+        if height > MAX_NESTING:
             raise _too_deep(lineno)
         statements.append(statement)
     return tuple(statements)

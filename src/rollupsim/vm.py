@@ -4,13 +4,14 @@ Accounts hold balances, nonces and optionally a guarded-command program whose
 statements run top to bottom on every call. There is no branching, no
 cross-contract call and no code deployment; a failed REQUIRE (or an
 overdrawn PAY, or running out of gas) reverts the whole transaction. Every
-state location touched during execution is recorded as an access key so
-callers can do dependency analysis between transactions. A node holds its
-fields only: each contract program is compiled on its first run into one
-straight-line Python function, memoized on its `ContractCode` as its code
-hash is, and each invariant predicate on its first evaluation, memoized on
-its root node, so running either is one call, with no per-node dispatch,
-and a program the run never calls is never compiled.
+state location an execution touches is recorded as an access key so
+callers can do dependency analysis between transactions; a block's replay
+records none. A node holds its fields only: each contract program is
+compiled on its first run into one straight-line Python function, memoized
+on its `ContractCode` as its code hash is, and each invariant predicate on
+its first evaluation, memoized on its root node, so running either is one
+call, with no per-node dispatch, and a program the run never calls is
+never compiled.
 
 Cost model: 21 gas intrinsic plus 1 gas per executed statement. The base-fee
 share of the fee is burned; the priority share goes to the block's fee
@@ -23,11 +24,16 @@ only a contract program goes through the recording `read_*`/`write_*`
 accessors. It returns the `Execution` itself: its outcome, its access sets
 and a scratch of the accounts it touched over its base. Its post-state is
 built only by `post_state()`: judging an execution reads its field views
-(`balance_of`, `nonce_of`, `storage_of`, `code_of`) and builds no state. An execution can itself be the base of further executions and
-absorb their effects; `apply_block` runs a whole block on one such scratch
-and builds one account map at the end. No state read builds an `Account`:
-only `post_state` does, for an address whose account changed. An execution
-only ever mutates storage dicts it made itself.
+(`balance_of`, `nonce_of`, `storage_of`, `code_of`) and builds no state. An
+execution can itself be the base of further executions and absorb their
+effects, as the classifier's fold does. `apply_block` instead runs each
+transaction in place on one `Replay` scratch, as go-ethereum's `StateDB`
+runs on its journal: no child execution, no absorb and no access key. Each
+balance and slot write of a contract call, from its value transfer on,
+logs the value it replaces, and a revert undoes the log newest-first. The
+block builds one account map, at its end. No state read builds an
+`Account`: only `post_state` does, for an address whose account changed.
+An execution only ever mutates storage dicts it made itself.
 
 World states are copy-on-write: a post-state shares every untouched `Account`
 object with the state it came from. Nothing may therefore mutate an `Account`
@@ -441,8 +447,9 @@ class Execution:
     through the field views `balance_of`, `nonce_of`, `storage_of` and
     `code_of`, which an execution offers too, showing the accounts as it
     leaves them. No view builds an `Account`. `execute_transaction` returns
-    one; the classifier's fold and `apply_block` are one each, with every
-    transaction of the round or block absorbed into it."""
+    one; the classifier's fold is one, with every benign candidate of the
+    round absorbed into it. `apply_block` runs its block on a `Replay`,
+    which records no access and absorbs nothing."""
 
     def __init__(self, base: Union[WorldState, "Execution"]):
         self.base = base
@@ -565,6 +572,52 @@ class Execution:
             table, earlier = base._lineage
             state._lineage = (table, earlier.union(changed))
         return state
+
+
+class Replay(Execution):
+    """A block scratch that transactions run on in place (`apply_block`), as
+    go-ethereum's `StateDB` runs them on its journal: its accessors record no
+    access key, and each write logs the value it replaces in `log`, so a
+    revert can put it back. `log` is the running contract call's undo log,
+    a list of (dict written, key, value replaced or None), which
+    `execute_transaction` starts, with the call's value transfer, before
+    the call's program runs."""
+
+    def read_balance(self, addr: Address) -> int:
+        balance = self.balances.get(addr)
+        if balance is None:
+            balance = self.balances[addr] = self.base.balance_of(addr)
+        return balance
+
+    def write_balance(self, addr: Address, value: int) -> None:
+        balances = self.balances
+        self.log.append((balances, addr, balances.get(addr)))
+        balances[addr] = value
+
+    def read_slot(self, addr: Address, key: bytes) -> bytes:
+        slots = self.storage.get(addr)
+        if slots is None:
+            slots = self.base.storage_of(addr)
+        return slots.get(key, ZERO_SLOT)
+
+    def write_slot(self, addr: Address, key: bytes, value: bytes) -> None:
+        slots = self.storage.get(addr)
+        if slots is None:
+            slots = self.storage[addr] = dict(self.base.storage_of(addr))
+        self.log.append((slots, key, slots.get(key)))
+        if value == ZERO_SLOT:
+            slots.pop(key, None)
+        else:
+            slots[key] = value
+
+    def undo(self) -> None:
+        """Revert the running call: newest first, put back the value each
+        logged write replaced, or drop the entry it added."""
+        for entries, key, old in reversed(self.log):
+            if old is None:
+                entries.pop(key, None)
+            else:
+                entries[key] = old
 
 
 # ---------------------------------------------------------------------------
@@ -724,9 +777,11 @@ def _fresh_address(sender: Address, nonce: int) -> Address:
     return Address(digest[:20])
 
 
-def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction, ctx: BlockContext) -> Execution:
+def execute_transaction(
+    state: Union[WorldState, Execution], tx: AnyTransaction, ctx: BlockContext, in_place: bool = False
+) -> Execution:
     """Run one transaction against a state snapshot or an execution; never
-    mutates the input.
+    mutates the input, unless `in_place`.
 
     Regular transactions must match the sender nonce, afford their maximum
     cost (value + gas_limit * max_fee), and bid at least the base fee;
@@ -741,6 +796,13 @@ def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction,
     straight into the new execution's scratch, and their fixed access keys
     are recorded together. Only a contract program goes through the
     recording accessors.
+
+    With `in_place`, `state` is a `Replay` and the transaction is applied to
+    it directly, as `apply_block` does: no child execution and no access
+    key. From the value transfer on, each balance and slot write of a
+    contract call logs the value it replaces, and a revert undoes the log
+    newest-first; a plain transfer runs no program and logs nothing. The
+    execution returned is then `state` itself.
     """
     sender, recipient, value = tx.sender, tx.recipient, tx.value
     deposit = isinstance(tx, DepositTransaction)
@@ -761,34 +823,47 @@ def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction,
         if recipient is None:
             recipient = _fresh_address(sender, nonce)
 
-    exe = Execution(state)
-    balances, reads, writes = exe.balances, exe.reads, exe.writes
-    sender_balance = _new_key(AccessKey, (AccessKind.BALANCE, sender, b""))
-    recipient_balance = _new_key(AccessKey, (AccessKind.BALANCE, recipient, b""))
-    if deposit:
-        kept_writes = (sender_balance,)
+    if in_place:
+        exe = state
+        exe.status, exe.gas_used = TxStatus.SUCCESS, BASE_TX_GAS
+        balances = exe.balances
     else:
-        kept_writes = (_new_key(AccessKey, (AccessKind.NONCE, sender, b"")), sender_balance)
+        exe = Execution(state)
+        balances, reads, writes = exe.balances, exe.reads, exe.writes
+        sender_balance = _new_key(AccessKey, (AccessKind.BALANCE, sender, b""))
+        recipient_balance = _new_key(AccessKey, (AccessKind.BALANCE, recipient, b""))
+        if deposit:
+            kept_writes = (sender_balance,)
+        else:
+            kept_writes = (_new_key(AccessKey, (AccessKind.NONCE, sender, b"")), sender_balance)
+        reads.update((*kept_writes, recipient_balance, _new_key(AccessKey, (AccessKind.CODE, recipient, b""))))
+        writes.update((*kept_writes, recipient_balance))
+    if not deposit:
         exe.nonces[sender] = nonce + 1
-    reads.update((*kept_writes, recipient_balance, _new_key(AccessKey, (AccessKind.CODE, recipient, b""))))
-    writes.update((*kept_writes, recipient_balance))
+    code = state.code_of(recipient)
+    if in_place and code is not None:
+        # The transfer's two writes. The sender's replaces the kept effect:
+        # logged first, it is undone last, so a self-call ends on it too.
+        exe.log = [(balances, sender, kept), (balances, recipient, balances.get(recipient))]
     if recipient == sender:
         balances[sender] = kept
     else:
         balances[sender] = kept - value
         balances[recipient] = state.balance_of(recipient) + value
-    code = state.code_of(recipient)
     if code is not None:
         try:
             _run_statements(code, exe, recipient, sender, value, tx.data, tx.gas_limit)
         except _Revert:
-            # Keep the read trace and the gas used, discard the effects: only
-            # the kept effect and the fee survive a revert, so only they
-            # count as writes.
+            # Keep the gas used (and a child's read trace), discard the
+            # effects: only the kept effect and the fee survive a revert, so
+            # only they count as writes.
             exe.status = TxStatus.REVERT
-            exe.balances = balances = {sender: kept}
-            exe.storage = {}
-            exe.writes = writes = set(kept_writes)
+            if in_place:
+                exe.undo()
+            else:
+                exe.balances = balances = {sender: kept}
+                exe.storage = {}
+                exe.writes = writes = set(kept_writes)
 
     if not deposit:
         base_fee, gas_used = ctx.base_fee, exe.gas_used
@@ -797,9 +872,10 @@ def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction,
         tip = gas_used * (effective_price - base_fee)
         if tip:
             fee_recipient = ctx.fee_recipient
-            fee_key = _new_key(AccessKey, (AccessKind.BALANCE, fee_recipient, b""))
-            reads.add(fee_key)
-            writes.add(fee_key)
+            if not in_place:
+                fee_key = _new_key(AccessKey, (AccessKind.BALANCE, fee_recipient, b""))
+                reads.add(fee_key)
+                writes.add(fee_key)
             held = balances.get(fee_recipient)
             balances[fee_recipient] = (state.balance_of(fee_recipient) if held is None else held) + tip
     return exe
@@ -911,16 +987,17 @@ def changed_since(state: WorldState, earlier: Optional[WorldState]) -> Optional[
 def apply_block(state: WorldState, block: Block, fee_recipient: Address) -> WorldState:
     """Fold every transaction of a block (deposits first) into a new state.
 
-    Each transaction runs in block context on one scratch, which absorbs its
-    effects; the block builds one account map, at its end."""
+    Each transaction runs in block context straight on one `Replay` scratch
+    (`execute_transaction` in place); the block builds one account map, at
+    its end."""
     txs = (*block.deposits, *block.transactions)
     if not txs:
         return state
     ctx = BlockContext(base_fee=block.base_fee, timestamp=block.timestamp, fee_recipient=fee_recipient)
-    scratch = Execution(state)
+    scratch = Replay(state)
     for index, tx in enumerate(txs):
         try:
-            scratch.absorb(execute_transaction(scratch, tx, ctx))
+            execute_transaction(scratch, tx, ctx, in_place=True)
         except PreconditionFailed as exc:
             raise InvalidBlock(index, exc.reason) from exc
     return scratch.post_state()

@@ -8,6 +8,10 @@ tail from the declaration, and it reads each value through the plain checks
 strings) with no fast path. It is slow but obviously right, and
 `test_reader_oracle.py` holds the built readers to it record for record and
 refusal for refusal.
+
+`tree_height` is the walk that enforced `lines.MAX_NESTING` on every built
+statement and predicate, a second pass over the tree, before the builders
+returned each node's height as they built it; they must agree with it.
 """
 from __future__ import annotations
 
@@ -20,6 +24,11 @@ from rollupsim.core import U64_MAX, Address, Record, StateRoot, TxHash
 from rollupsim.sequencer import ScenarioError
 
 _HEX_RE = re.compile(r"[0-9a-fA-F]*")
+
+
+def tree_height(node: Record) -> int:
+    """Levels of a built expression or statement: a leaf is 1 high."""
+    return 1 + max((tree_height(child) for child in node._values() if isinstance(child, Record)), default=0)
 
 
 def reference_parse_address(value, lineno, what="", ctx=None):

@@ -2,9 +2,10 @@
 held to the re-executing references in `reference_vm`.
 
 The fold merges each uninfluenced benign candidate's isolated write set
-after checking its reads, and `apply_block` runs every transaction on one
-scratch; both must leave exactly the accounts and root that executing each
-transaction on the previous post-state leaves. Each builds one post-state.
+after checking its reads, and `apply_block` runs every transaction in place
+on one scratch, undoing a reverted call from its log; both must leave
+exactly the accounts and root that executing each transaction on the
+previous post-state leaves. Each builds one post-state.
 """
 
 import pytest
@@ -40,11 +41,14 @@ from rollupsim.vm import (
     Account,
     Bin,
     CallData,
+    Caller,
     CallValue,
     Const,
     ContractCode,
     Execution,
     InvalidBlock,
+    Pay,
+    Require,
     SetSlot,
     SLoad,
     apply_block,
@@ -64,6 +68,17 @@ MIXED_CODE = ContractCode(
     statements=(
         SetSlot(CallData(), CallValue()),
         SetSlot(Bin("add", CallData(), Const(8)), Bin("add", SLoad(Bin("add", CallData(), Const(8))), Const(1))),
+    ),
+)
+REVERTER = addr(0xC9)
+REVERTER_CODE = ContractCode(
+    admin=ADMIN,
+    statements=(
+        SetSlot(Const(5), CallValue()),
+        SetSlot(Const(5), Bin("add", CallValue(), Const(1))),
+        SetSlot(Const(6), Const(1)),
+        Pay(Caller(), Const(1)),
+        Require(Const(0)),
     ),
 )
 TARGETS = PARTICIPANTS + [VAULT] * 4 + [COUNTER, LEDGERBOOK] + [MIXED] * 5 + [FEE_SINK, addr(0x77)]
@@ -176,6 +191,34 @@ class TestApplyBlockMatchesReExecution:
             assert (got.value.index, got.value.reason) == (exc.index, exc.reason)
             return
         out = apply_block(state, block, recipient)
+        assert out.accounts == expected.accounts
+        assert state_root(out) == full_state_root(expected)
+
+    # `apply_block` runs each call in place and undoes a revert from its log.
+    # Each case reverts every call to REVERTER, which first rewrites a slot it
+    # holds, writes it again, adds a slot and pays its caller.
+    @pytest.mark.parametrize(
+        "txs, fee_recipient",
+        [
+            ([tx(addr(1), 0, REVERTER, value=40, max_fee=2, priority_fee=1)], FEE_SINK),
+            ([DepositTransaction(0, 0, addr(0xD1), REVERTER, 40, b"", 30)], FEE_SINK),
+            ([DepositTransaction(0, 0, REVERTER, REVERTER, 5, b"", 30), tx(REVERTER, 0, REVERTER, value=5, max_fee=2, priority_fee=1)], FEE_SINK),
+            ([tx(addr(1), 0, REVERTER, value=40, max_fee=2, priority_fee=1)], REVERTER),
+            ([tx(addr(1), 0, REVERTER, value=40, max_fee=2, priority_fee=1), tx(addr(2), 0, REVERTER, value=7, gas_limit=24)], FEE_SINK),
+        ],
+        ids=["payable_call_writes_then_reverts", "deposit_keeps_the_mint_with_its_sender", "contract_is_its_own_sender",
+             "reverting_contract_is_the_fee_recipient", "two_reverting_calls_to_one_contract"],
+    )
+    def test_a_reverted_call_leaves_what_re_execution_leaves(self, txs, fee_recipient):
+        state = make_state({
+            addr(1): Account(balance=5_000),
+            addr(2): Account(balance=5_000),
+            REVERTER: Account(balance=100, code=REVERTER_CODE, storage={slot_bytes(5): slot_bytes(3)}),
+        })
+        block = as_block(txs)
+        expected = reference_apply_block(state, block, fee_recipient)
+        out = apply_block(state, block, fee_recipient)
+        assert out.storage_of(REVERTER) == {slot_bytes(5): slot_bytes(3)}  # every call reverted
         assert out.accounts == expected.accounts
         assert state_root(out) == full_state_root(expected)
 

@@ -363,8 +363,22 @@ class TestDeriveRejectsImpossibleHistory:
                 lambda text: text.replace("l1block number=1 time=5 ", "l1block number=1 time=500 "),
                 "derivation gap: epoch 1: head block 2 time 6 is before its L1 block's time 500",
             ),
+            # A batch entry that does not decode is named by its block and place.
+            (
+                "deposit_refused",
+                lambda text: text.replace("l2_number=1 l2_time=4 l2_base_fee=1 batch=-", "l2_number=1 l2_time=4 l2_base_fee=1 batch=00ff"),
+                "derivation gap: epoch 0: block 1 batch entry 0 cannot be decoded: encoded transaction too short: 2 bytes",
+            ),
+            (
+                "single_transfer",
+                lambda text: re.sub(r"batch=([0-9a-f]+)", r"batch=\1,00ff", text, count=1),
+                "derivation gap: epoch 0: block 0 batch entry 1 cannot be decoded: encoded transaction too short: 2 bytes",
+            ),
         ],
-        ids=["head_without_bitmap", "l1block_out_of_place", "deposit_out_of_place", "time_not_after", "head_before_l1"],
+        ids=[
+            "head_without_bitmap", "l1block_out_of_place", "deposit_out_of_place", "time_not_after", "head_before_l1",
+            "undecodable_entry", "undecodable_second_entry",
+        ],
     )
     def test_history_the_sequencer_cannot_write(self, tmp_path, capsys, name, rewrite, needle):
         _, _, l1_path = run_cli(tmp_path, name)

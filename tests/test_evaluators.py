@@ -40,16 +40,18 @@ from helpers import (
     tx,
     vault_state,
 )
+from reference_formats import tree_height as _height
 from reference_vm import CallEnv, reference_eval_expr, reference_interpret
-from rollupsim import vm
+from rollupsim import lines, vm
 from rollupsim.core import BASE_TX_GAS, Address, Block, ScenarioError, StateRoot
 from rollupsim.derivation import derive
 from rollupsim.detection import InvariantDetector, InvariantSet
 from rollupsim.formats import parse_expr, parse_history, parse_scenario, parse_statements, render_history
-from rollupsim.lines import MAX_NESTING, _height
+from rollupsim.lines import MAX_NESTING
 from rollupsim.sequencer import run
 from rollupsim.vm import (
     BIN_OPS,
+    AccessKey,
     Account,
     BalanceOf,
     Bin,
@@ -179,6 +181,28 @@ def test_a_program_at_the_nesting_bound_runs_as_the_tree_walk(fold):
         assert outcome(execute_transaction(state, call, ctx())) == outcome(reference_interpret(state, call, ctx()))
 
 
+# Code text over every operator the reader knows, sugar included.
+CODE_TEXTS = st.recursive(
+    st.sampled_from(["7", "0x2a", "'paused'", "(const 1)", "caller", "callvalue", "calldata", "self"]),
+    lambda inner: st.one_of(
+        st.builds("({} {})".format, st.sampled_from(["sload", "balance", "not"]), inner),
+        st.builds("({} {} {})".format, st.sampled_from([*BIN_OPS, "ge", "gt", "le", "ne"]), inner, inner),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CODE_TEXTS, st.sampled_from(["(require {})", "(pause-guard {})", "(set {} 1)", "(pay caller {})"]))
+def test_code_is_read_as_high_as_its_built_tree(text, statement):
+    """The builders return each node's height as they build it; the walk
+    over the built tree is the oracle."""
+    for source, build in ((text, lines._build_expr), (statement.format(text), lines._build_statement)):
+        form, _ = lines._read_form(lines._tokenize_sexpr(source, 0), 0, 0)
+        node, height = build(form, 0)
+        assert height == _height(node), source
+
+
 def fields_only(cls, **fields):
     """The record `fields` define, built without `__init__`, so that no
     memo slot is set."""
@@ -234,10 +258,11 @@ class TestDrainCallCount:
 class TestReplayCallCount:
     """A count, not a timer: the Python-level calls that applying a block
     of calls to one shared counter makes, as a replica does, once the
-    counter's program is compiled. Storage and code are read through the
-    field views, and the post-state builds each changed `Account` in C, so
-    no generated `Account.__new__` runs and a view call made per access
-    shows here."""
+    counter's program is compiled. Each call runs in place on the block's
+    one scratch, with no child execution and no access key; storage and
+    code are read through the field views, and the post-state builds each
+    changed `Account` in C, so no generated `Account.__new__` runs and a
+    view call made per access shows here."""
 
     CALLS = 20
 
@@ -251,7 +276,10 @@ class TestReplayCallCount:
         post = replay.result
         assert post.accounts[COUNTER].storage == {slot_bytes(COUNT_KEY): slot_bytes(1 + self.CALLS)}
         assert Account.__new__.__code__ not in replay.calls, replay.names  # 79 when storage and code reads built accounts
-        assert len(replay.calls) <= 20 * self.CALLS, len(replay.calls) / self.CALLS  # 19.5; 38.5 when each node ran its own evaluator and the envelope its accessors; 52.75 when reads built accounts
+        keys = [code.co_name for code, fn in replay.c_calls if fn is tuple.__new__ and code.co_filename == vm.__file__
+                and code is not Execution.post_state.__code__]  # only `post_state` builds a tuple record in `vm`: its accounts
+        assert not keys and AccessKey.__new__.__code__ not in replay.calls, keys  # 8 access keys per call when each ran in a child execution
+        assert len(replay.calls) / self.CALLS <= 13.5, replay.names  # 13.5; 19.5 with a child execution absorbed per call; 38.5 when each node ran its own evaluator and the envelope its accessors; 52.75 when reads built accounts
 
 
 def test_no_node_carries_an_evaluator():
