@@ -2,7 +2,11 @@
 
 The byte encodings defined here are normative: hashing, batch export, and the
 L1 history file all go through them, so two runs agree on identity exactly
-when they agree on these bytes.
+when they agree on these bytes. Each is declared once: the fixed head of the
+transaction, deposit and block layouts is one `struct.Struct`, used by the
+writer and the reader (or, for a block, by the hash and the image) alike, and
+the identifiers `Address`, `TxHash` and `StateRoot` share one fixed-width
+base that holds the length check and the hex forms.
 """
 from __future__ import annotations
 
@@ -33,58 +37,51 @@ class ScenarioError(Exception):
         self.reason = reason
 
 
-class Address(bytes):
-    """20-byte account identifier; compares and sorts as raw bytes."""
+class _FixedWidth(bytes):
+    """Base of the fixed-width identifiers, which compare and sort as raw
+    bytes: a subclass sets its byte `_size` and the `_label` that opens its
+    length error."""
 
-    def __new__(cls, value: bytes) -> "Address":
-        if len(value) != 20:
-            raise EncodingError(f"address must be 20 bytes, got {len(value)}")
+    _size = 0
+    _label = ""
+
+    def __new__(cls, value: bytes):
+        if len(value) != cls._size:
+            raise EncodingError(f"{cls._label} must be {cls._size} bytes, got {len(value)}")
         return super().__new__(cls, value)
 
     @classmethod
-    def from_hex(cls, text: str) -> "Address":
-        text = text[2:] if text.startswith("0x") else text
-        return cls(bytes.fromhex(text))
+    def from_hex(cls, text: str):
+        return cls(bytes.fromhex(text[2:] if text.startswith("0x") else text))
+
+    def hex0x(self) -> str:
+        return "0x" + self.hex()
+
+
+class Address(_FixedWidth):
+    """20-byte account identifier."""
+
+    _size, _label = 20, "address"
 
     @classmethod
     def from_int(cls, value: int) -> "Address":
         # `to_bytes(20)` fixes the length, so the check in `__new__` is skipped.
         return bytes.__new__(cls, (value & (2**160 - 1)).to_bytes(20, "big"))
 
-    def hex0x(self) -> str:
-        return "0x" + self.hex()
-
 
 ZERO_ADDRESS = Address(bytes(20))
 
 
-class TxHash(bytes):
+class TxHash(_FixedWidth):
     """32-byte transaction digest."""
 
-    def __new__(cls, value: bytes) -> "TxHash":
-        if len(value) != 32:
-            raise EncodingError(f"tx hash must be 32 bytes, got {len(value)}")
-        return super().__new__(cls, value)
-
-    @classmethod
-    def from_hex(cls, text: str) -> "TxHash":
-        text = text[2:] if text.startswith("0x") else text
-        return cls(bytes.fromhex(text))
-
-    def hex0x(self) -> str:
-        return "0x" + self.hex()
+    _size, _label = 32, "tx hash"
 
 
-class StateRoot(bytes):
+class StateRoot(_FixedWidth):
     """32-byte state commitment; equal iff the observable state is equal."""
 
-    def __new__(cls, value: bytes) -> "StateRoot":
-        if len(value) != 32:
-            raise EncodingError(f"state root must be 32 bytes, got {len(value)}")
-        return super().__new__(cls, value)
-
-    def hex0x(self) -> str:
-        return "0x" + self.hex()
+    _size, _label = 32, "state root"
 
 
 def _check_range(name: str, value: int, maximum: int) -> None:
@@ -160,6 +157,11 @@ def _check_fees(max_fee: int, priority_fee: int, gas_limit: int) -> None:
     """The checks of a transaction's fields that hold across fields, in range."""
     if priority_fee > max_fee:
         raise EncodingError("priority_fee exceeds max_fee")
+    _check_intrinsic_gas(gas_limit)
+
+
+def _check_intrinsic_gas(gas_limit: int) -> None:
+    """Either kind of transaction pays at least the intrinsic cost."""
     if gas_limit < BASE_TX_GAS:
         raise EncodingError(f"gas_limit below intrinsic cost {BASE_TX_GAS}")
 
@@ -178,8 +180,7 @@ class DepositTransaction(Record):
         _check_range("l1_index", l1_index, U32_MAX)
         _check_range("value", value, U128_MAX)
         _check_range("gas_limit", gas_limit, U64_MAX)
-        if gas_limit < BASE_TX_GAS:
-            raise EncodingError(f"gas_limit below intrinsic cost {BASE_TX_GAS}")
+        _check_intrinsic_gas(gas_limit)
         self.l1_block = l1_block
         self.l1_index = l1_index
         self.sender = sender
@@ -213,12 +214,14 @@ class Block(NamedTuple):
     state_root: StateRoot
 
 
-# The fixed heads of the two layouts, each read with one call, and the
-# transaction's written with one. An address field unpacks to exactly 20
-# bytes and a digest is 32, so they become an `Address` and a `TxHash`
-# without the length check, as in `Address.from_int`.
+# The fixed heads of the three layouts, each declared once and packed, or
+# unpacked, with one call. An address field unpacks to exactly 20 bytes and
+# a digest is 32, so they become an `Address` and a `TxHash` without the
+# length check, as in `Address.from_int`. The block head's parent hash is
+# always 32 bytes, the zero hash or a block digest, so `32s` never pads it.
 _TX_HEAD = struct.Struct(">QB20s20s16sQQQI")  # 93 bytes
 _DEPOSIT_HEAD = struct.Struct(">QI20s20s16sQI")  # 80 bytes
+_BLOCK_HEAD = struct.Struct(">Q32sQQQI")  # 68 bytes
 
 
 def canonical_encode(tx: SignedTransaction) -> bytes:
@@ -274,18 +277,10 @@ def encode_deposit(dep: DepositTransaction) -> bytes:
     Layout: l1_block (8 BE) | l1_index (4 BE) | sender (20) | recipient (20) |
     value (16 BE) | gas_limit (8 BE) | data length (4 BE) | data.
     """
-    return b"".join(
-        (
-            dep.l1_block.to_bytes(8, "big"),
-            dep.l1_index.to_bytes(4, "big"),
-            bytes(dep.sender),
-            bytes(dep.recipient),
-            dep.value.to_bytes(16, "big"),
-            dep.gas_limit.to_bytes(8, "big"),
-            len(dep.data).to_bytes(4, "big"),
-            dep.data,
-        )
-    )
+    data = dep.data
+    return _DEPOSIT_HEAD.pack(
+        dep.l1_block, dep.l1_index, dep.sender, dep.recipient, dep.value.to_bytes(16, "big"), dep.gas_limit, len(data),
+    ) + data
 
 
 def decode_deposit(blob: bytes) -> DepositTransaction:
@@ -335,34 +330,29 @@ def duplicate_key(tx: SignedTransaction) -> DuplicateKey:
     return DuplicateKey(sender=tx.sender, recipient=tx.recipient, data=tx.data, value=tx.value)
 
 
+def _block_head(block: Block) -> bytes:
+    """The head `block_hash` and `encode_block` open with: the block's first
+    five fields (number, parent hash, timestamp, base fee, epoch) and its
+    deposit count."""
+    return _BLOCK_HEAD.pack(*block[:5], len(block.deposits))
+
+
 def block_hash(block: Block) -> bytes:
-    """Digest linking blocks into a chain (the next block's parent_hash)."""
-    h = hashlib.sha256()
-    h.update(block.number.to_bytes(8, "big"))
-    h.update(block.parent_hash)
-    h.update(block.timestamp.to_bytes(8, "big"))
-    h.update(block.base_fee.to_bytes(8, "big"))
-    h.update(block.epoch.to_bytes(8, "big"))
-    h.update(len(block.deposits).to_bytes(4, "big"))
-    for dep in block.deposits:
-        h.update(deposit_id(dep))
-    h.update(len(block.transactions).to_bytes(4, "big"))
-    for tx in block.transactions:
-        h.update(tx_hash(tx))
-    h.update(block.state_root)
-    return h.digest()
+    """Digest linking blocks into a chain (the next block's parent_hash): of
+    the head, each deposit id, the transaction count, each transaction hash
+    and the state root."""
+    txs = block.transactions
+    return hashlib.sha256(b"".join((
+        _block_head(block), *map(deposit_id, block.deposits), len(txs).to_bytes(4, "big"), *map(tx_hash, txs),
+        block.state_root,
+    ))).digest()
 
 
 def encode_block(block: Block) -> bytes:
-    """Full byte image of a block, used to compare chains bit-exactly."""
-    parts = [
-        block.number.to_bytes(8, "big"),
-        block.parent_hash,
-        block.timestamp.to_bytes(8, "big"),
-        block.base_fee.to_bytes(8, "big"),
-        block.epoch.to_bytes(8, "big"),
-        len(block.deposits).to_bytes(4, "big"),
-    ]
+    """Full byte image of a block, used to compare chains bit-exactly: the
+    head, each deposit's encoding, the transaction count, each transaction's
+    encoding, each encoding after its 4-byte length, and the state root."""
+    parts = [_block_head(block)]
     for dep in block.deposits:
         enc = encode_deposit(dep)
         parts.append(len(enc).to_bytes(4, "big"))

@@ -146,7 +146,12 @@ class ReleasedRegistry:
 
 
 class CollateralLedger:
-    """Stakes per account, with per-release locks held until the tx settles."""
+    """Stakes per account, with per-release locks held until the tx settles.
+
+    An economic release locks as much stake as the damage estimate, keyed by
+    the released transaction's hash. The lock settles, refunded in full,
+    when that transaction leaves the pool: retired (included, or its nonce
+    spent otherwise) or replaced by a fee bump."""
 
     def __init__(self) -> None:
         self.stakes: Dict[Address, int] = {}

@@ -228,7 +228,6 @@ class Sequencer:
         self.base_fee = self.config.base_fee
         self.records: List[QuarantineEntry] = []
         self.counters = Counters()
-        self.minted: Set[TxHash] = set()  # ids of deposits executed into the chain's state
 
     # ------------------------------------------------------------------
     def _ctx(self, now: int) -> BlockContext:
@@ -318,13 +317,11 @@ class Sequencer:
         deposits = self.l1.accepted_deposits(epoch) if is_epoch_head else ()
         block = self.chain.seal(self.chain.draft(now, self.base_fee, epoch, deposits, transactions), final_state)
 
-        # Settled collateral locks: included transactions are final here.
-        if self.ledger.locked:
-            for tx in block.transactions:
-                self.ledger.refund(tx_hash(tx))
-
         # Pool hygiene, then quarantine maintenance, exactly once per block;
-        # maintenance never simulates.
+        # maintenance never simulates. A collateral lock settles when its
+        # transaction leaves the pool: here, once included or otherwise
+        # dead (an included transaction's nonce is spent, so this block
+        # retires it), or on replacement, in `_apply_event`.
         removed = self.mempool.retire(now, final_state)
         self.store.on_mempool_retired(removed, now)
         if self.ledger.locked:
@@ -333,20 +330,19 @@ class Sequencer:
         self.store.per_block_maintenance(final_state, now)
 
         # The state holds the deposits detection accepted; escrow must agree.
-        settled = [deposit_id(d) for d in epoch_deposits or ()]
-        self.minted.update(key for key in settled if key in accepted)
-        self._check_deposit_conservation(settled)
+        self._check_deposit_conservation([deposit_id(d) for d in epoch_deposits or ()], accepted)
         return block
 
-    def _check_deposit_conservation(self, keys: Sequence[TxHash]) -> None:
+    def _check_deposit_conservation(self, keys: Sequence[TxHash], accepted: Set[TxHash]) -> None:
         """Each deposit is exactly one of: minted on L2, refunded on L1, escrowed.
 
         Escrow status moves only when an epoch head's bitmap settles its
         deposits (the sequencer never refunds), so only the deposits settled
-        or minted in this block are checked."""
+        in this block, `keys`, are checked. Of those, the ones minted are
+        the ones detection accepted in this block, `accepted`."""
         for dep_key in keys:
             escrow = self.l1.escrow[dep_key]
-            minted = dep_key in self.minted
+            minted = dep_key in accepted
             if escrow.status is EscrowStatus.ACCEPTED and not minted:
                 raise RuntimeError(f"accepted deposit {dep_key.hex0x()} never minted")
             if escrow.status is not EscrowStatus.ACCEPTED and minted:
@@ -420,8 +416,10 @@ class Sequencer:
     def _apply_event(self, event: Event) -> None:
         if isinstance(event, SubmitEvent):
             result = self.mempool.submit(event.tx, event.at, self.chain.tip_state)
-            if result.outcome == "replaced" and self.store.is_active(result.replaced):
-                self.store.on_replacement(result.replaced, event.tx, event.at)
+            if result.outcome == "replaced":
+                if self.store.is_active(result.replaced):
+                    self.store.on_replacement(result.replaced, event.tx, event.at)
+                self.ledger.refund(result.replaced)
         elif isinstance(event, L1BlockEvent):
             head_block = event.number * self.config.blocks_per_epoch
             if len(self.chain.blocks) > head_block:

@@ -8,13 +8,20 @@ can fail; the differential test holds them to these, record for record and
 error message for error message. `reference_canonical_encode` is the
 original encoder, which joins each field's bytes anew on every call; the
 shipped one packs the head with the same `struct.Struct` and memoizes the
-blob on the transaction.
+blob on the transaction. `reference_encode_deposit` is likewise the original
+joining deposit encoder, which the shipped one replaced by packing the head
+with the `struct.Struct` its decoder reads. `reference_block_hash` and
+`reference_encode_block` are the original block hash and image, which write
+the head field by field; the shipped ones pack it with one `struct.Struct`
+they share.
 """
 from __future__ import annotations
 
 import hashlib
 
-from rollupsim.core import Address, DepositTransaction, EncodingError, SignedTransaction, TxHash
+from rollupsim.core import (
+    Address, Block, DepositTransaction, EncodingError, SignedTransaction, TxHash, deposit_id, tx_hash,
+)
 
 
 def reference_canonical_encode(tx: SignedTransaction) -> bytes:
@@ -83,3 +90,57 @@ def reference_decode_deposit(blob: bytes) -> DepositTransaction:
         data=blob[80 : 80 + data_len],
         gas_limit=int.from_bytes(blob[68:76], "big"),
     )
+
+
+def reference_encode_deposit(dep: DepositTransaction) -> bytes:
+    return b"".join(
+        (
+            dep.l1_block.to_bytes(8, "big"),
+            dep.l1_index.to_bytes(4, "big"),
+            bytes(dep.sender),
+            bytes(dep.recipient),
+            dep.value.to_bytes(16, "big"),
+            dep.gas_limit.to_bytes(8, "big"),
+            len(dep.data).to_bytes(4, "big"),
+            dep.data,
+        )
+    )
+
+
+def reference_block_hash(block: Block) -> bytes:
+    h = hashlib.sha256()
+    h.update(block.number.to_bytes(8, "big"))
+    h.update(block.parent_hash)
+    h.update(block.timestamp.to_bytes(8, "big"))
+    h.update(block.base_fee.to_bytes(8, "big"))
+    h.update(block.epoch.to_bytes(8, "big"))
+    h.update(len(block.deposits).to_bytes(4, "big"))
+    for dep in block.deposits:
+        h.update(deposit_id(dep))
+    h.update(len(block.transactions).to_bytes(4, "big"))
+    for tx in block.transactions:
+        h.update(tx_hash(tx))
+    h.update(block.state_root)
+    return h.digest()
+
+
+def reference_encode_block(block: Block) -> bytes:
+    parts = [
+        block.number.to_bytes(8, "big"),
+        block.parent_hash,
+        block.timestamp.to_bytes(8, "big"),
+        block.base_fee.to_bytes(8, "big"),
+        block.epoch.to_bytes(8, "big"),
+        len(block.deposits).to_bytes(4, "big"),
+    ]
+    for dep in block.deposits:
+        enc = reference_encode_deposit(dep)
+        parts.append(len(enc).to_bytes(4, "big"))
+        parts.append(enc)
+    parts.append(len(block.transactions).to_bytes(4, "big"))
+    for tx in block.transactions:
+        enc = reference_canonical_encode(tx)
+        parts.append(len(enc).to_bytes(4, "big"))
+        parts.append(enc)
+    parts.append(block.state_root)
+    return b"".join(parts)

@@ -4,19 +4,26 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference_core import reference_canonical_decode, reference_canonical_encode, reference_decode_deposit
+from reference_core import (
+    reference_block_hash, reference_canonical_decode, reference_canonical_encode, reference_decode_deposit,
+    reference_encode_block, reference_encode_deposit,
+)
 from rollupsim.core import (
     Address,
+    Block,
     DepositTransaction,
     EncodingError,
     SignedTransaction,
+    StateRoot,
     TxHash,
     ZERO_ADDRESS,
+    block_hash,
     canonical_decode,
     canonical_encode,
     decode_deposit,
     deposit_id,
     duplicate_key,
+    encode_block,
     encode_deposit,
     tx_hash,
 )
@@ -108,10 +115,57 @@ def transactions(draw):
     )
 
 
+@st.composite
+def deposits(draw, max_data=600):
+    """Deposits over every field's full range, with data empty or long."""
+    return DepositTransaction(
+        l1_block=draw(u64),
+        l1_index=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        sender=draw(addresses),
+        recipient=draw(addresses),
+        value=draw(u128),
+        data=draw(st.one_of(st.just(b""), st.binary(max_size=max_data))),
+        gas_limit=draw(st.integers(min_value=21, max_value=2**64 - 1)),
+    )
+
+
+@st.composite
+def blocks(draw):
+    """Blocks with 0-3 deposits and 0-3 transactions, a 32-byte parent and
+    every head field over its full range."""
+    digest = st.binary(min_size=32, max_size=32)
+    return Block(
+        number=draw(u64),
+        parent_hash=draw(digest),
+        timestamp=draw(u64),
+        base_fee=draw(u64),
+        epoch=draw(u64),
+        deposits=tuple(draw(st.lists(deposits(max_data=40), max_size=3))),
+        transactions=tuple(draw(st.lists(transactions(), max_size=3))),
+        state_root=StateRoot(draw(digest)),
+    )
+
+
 class TestAddress:
     def test_rejects_wrong_length(self):
         with pytest.raises(EncodingError):
             Address(b"\x00" * 19)
+
+
+class TestIdentifiers:
+    @pytest.mark.parametrize("kind, width, message", [
+        (Address, 20, "address must be 20 bytes, got {}"),
+        (TxHash, 32, "tx hash must be 32 bytes, got {}"),
+        (StateRoot, 32, "state root must be 32 bytes, got {}"),
+    ])
+    def test_identifiers_check_their_width_in_their_own_words(self, kind, width, message):
+        for size in (0, width - 1, width + 1):
+            with pytest.raises(EncodingError) as err:
+                kind(bytes(size))
+            assert str(err.value) == message.format(size)
+        value = kind.from_hex("0x" + "ab" * width)
+        assert type(value) is kind and value == kind.from_hex("ab" * width) == b"\xab" * width
+        assert value.hex0x() == "0x" + "ab" * width
 
     def test_orders_lexicographically(self):
         assert addr(1) < addr(2) < addr(256)
@@ -314,3 +368,22 @@ class TestDeposits:
     def test_id_domain_separated_from_tx_hashes(self):
         dep = self.deposit()
         assert deposit_id(dep) != hashlib.sha256(encode_deposit(dep)).digest()
+
+
+class TestLayoutOracle:
+    """The deposit and block layouts, each packed through one `struct.Struct`,
+    against the joining encoders and the field-by-field block hash kept in
+    `reference_core`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(deposits())
+    def test_encode_deposit_matches_reference(self, dep):
+        blob = encode_deposit(dep)
+        assert blob == reference_encode_deposit(dep) and type(blob) is bytes
+        assert decode_deposit(blob) == dep
+
+    @settings(max_examples=200, deadline=None)
+    @given(blocks())
+    def test_block_hash_and_image_match_reference(self, block):
+        assert block_hash(block) == reference_block_hash(block)
+        assert encode_block(block) == reference_encode_block(block)

@@ -9,6 +9,7 @@ from rollupsim.core import DuplicateKey, deposit_id, tx_hash
 from rollupsim.detection import BENIGN_VERDICT, DetectionOutcome, InvariantDetector
 from rollupsim.formats import parse_scenario, render_report
 from rollupsim.l1da import EscrowStatus, L1Chain
+from rollupsim.mempool import Mempool
 from rollupsim.quarantine import QuarantineStore, ReleasedRegistry
 from rollupsim.sequencer import Scenario, ScenarioError, Sequencer, run
 from rollupsim.vm import Account, PreconditionFailed, execute_transaction, make_state
@@ -67,6 +68,35 @@ class TestBuildBlock:
         seq = out.sequencer
         assert seq.ledger.locked == {}
         assert seq.ledger.available(ATTACKER) == 101
+
+    def test_a_fee_bump_of_a_released_tx_settles_its_lock(self):
+        # The stake releases drain B and locks 100; the fee bump R replaces B
+        # in the pool and is included as a released duplicate. B's hash
+        # never retires, so its lock settles on the replacement.
+        text = (SCENARIOS / "economic_release.scn").read_text().replace("run blocks=4", "run blocks=5")
+        text += "event 5 submit sender=0xb2 nonce=0 to=0xc3 data=0x00 max_fee=2 gas_limit=30\n"
+        seq = run(parse_scenario(text)).sequencer
+        assert [t.max_fee for t in seq.chain.blocks[2].transactions] == [2]
+        assert seq.ledger.locked == {}
+        assert seq.ledger.available(ATTACKER) == 101
+
+    def test_every_included_tx_retires_from_the_pool_in_its_own_block(self, monkeypatch):
+        # So a lock keyed by an included hash settles through `retire`.
+        retired = []
+        retire = Mempool.retire
+
+        def recording(pool, now, state):
+            removed = retire(pool, now, state)
+            retired.append(set(removed))
+            return removed
+
+        monkeypatch.setattr(Mempool, "retire", recording)
+        for path in sorted(SCENARIOS.glob("*.scn")):
+            retired.clear()
+            blocks = run_named(path.stem).sequencer.chain.blocks
+            assert len(retired) == len(blocks), path.stem
+            for block, removed in zip(blocks, retired):
+                assert {tx_hash(t) for t in block.transactions} <= removed, (path.stem, block.number)
 
     def test_replacement_keeps_old_entry_until_nonce_retires_it(self):
         out = run_named("replacement_benign")
@@ -221,7 +251,7 @@ class TestDepositConservation:
         key = deposit_id(seq.chain.blocks[0].deposits[0])
         seq.l1.escrow[key].status = EscrowStatus.REFUSED
         with pytest.raises(RuntimeError, match="unaccepted deposit"):
-            seq._check_deposit_conservation([key])
+            seq._check_deposit_conservation([key], {key})
 
 
 class TestQuarantineLiveness:
