@@ -30,7 +30,7 @@ set is merged in. The fold builds one post-state, at the end of the round.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import AbstractSet, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Union
 
 from .core import ZERO_ADDRESS, Address, AnyTransaction, TxHash, tx_id
 from .vm import (
@@ -43,7 +43,7 @@ from .vm import (
     TxStatus,
     WorldState,
     _new_key,
-    eval_expr,
+    compile_predicate,
     execute_transaction,
 )
 
@@ -68,11 +68,12 @@ class Invariant(NamedTuple):
 
 class InvariantSet:
     """Registered invariants, indexed by the contract they watch: `by_contract`
-    maps each watched contract to its invariants, sorted by id (ties in
-    registration order)."""
+    maps each watched contract to its invariants' `(id, predicate)` pairs,
+    sorted by id (ties in registration order). Each predicate is compiled
+    once, here, into the function `assess` calls."""
 
     def __init__(self) -> None:
-        self.by_contract: Dict[Address, List[Invariant]] = {}
+        self.by_contract: Dict[Address, List[Tuple[str, Callable[..., int]]]] = {}
 
     def register(self, invariant: Invariant, state: WorldState) -> None:
         code = state.code_of(invariant.contract)
@@ -82,8 +83,8 @@ class InvariantSet:
                 f"invariant {invariant.id!r} not registered by the admin of {invariant.contract.hex0x()}"
             )
         watching = self.by_contract.setdefault(invariant.contract, [])
-        watching.append(invariant)
-        watching.sort(key=lambda inv: inv.id)
+        watching.append((invariant.id, compile_predicate(invariant.predicate)))
+        watching.sort(key=itemgetter(0))
 
 
 class Verdict(NamedTuple):
@@ -122,9 +123,9 @@ class InvariantDetector:
             # predicate itself does not.
             probe.reads.add(_new_key(AccessKey, (AccessKind.BALANCE, contract, b"")))
             broken = False
-            for invariant in by_contract[contract]:
-                if eval_expr(invariant.predicate, probe, contract, ZERO_ADDRESS, 0, b"") == 0:
-                    violated.append(invariant.id)
+            for invariant_id, predicate in by_contract[contract]:
+                if predicate(probe, contract, ZERO_ADDRESS, 0, b"") == 0:
+                    violated.append(invariant_id)
                     broken = True
             if broken:
                 victims.append(contract)

@@ -24,6 +24,11 @@ Contract code and invariant predicates use a small s-expression syntax:
                 atom in expression position means (const atom)
     statements  (require E) (set K V) (pay TO AMOUNT) (pause-guard K)
 
+Its head words are declared once, in `vm.SYNTAX`, which `vm.expr_text`
+writes from; the reader's tables are built from it, and this module adds
+only the read-only sugar `ge`, `gt`, `le` and `ne`. A character no token
+takes, such as a quote that opens no quoted atom, is refused.
+
 Code may nest `MAX_NESTING` levels deep, counted on the built tree: a
 statement or a predicate is level 1, each operand one level below its
 operator, and sugar such as `ge` builds two levels. Deeper code is refused
@@ -141,13 +146,15 @@ def _parse_list(value: str) -> List[str]:
 # s-expressions
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\(|\)|'[^']*'|[^\s()']+")
+# The last alternative is the one character no other consumes: a quote
+# that opens no quoted atom, read as a token of its own so it is refused.
+_TOKEN_RE = re.compile(r"\(|\)|'[^']*'|[^\s()']+|'")
 MAX_NESTING = 64  # the corpus nests 6 levels deep
 
 
 def _tokenize_sexpr(text: str, lineno: int) -> List[str]:
     tokens = _TOKEN_RE.findall(text)
-    if "".join(tokens).replace("(", "").replace(")", "") == "" and text.strip():
+    if "'" in tokens or ("".join(tokens).replace("(", "").replace(")", "") == "" and text.strip()):
         raise ScenarioError(f"cannot tokenize {text!r}", line=lineno)
     return tokens
 
@@ -184,17 +191,17 @@ def _atom_value(tok: str, lineno: int) -> int:
     return _parse_int(tok, lineno, "atom")
 
 
-_ATOMS = {"caller": vm.Caller, "callvalue": vm.CallValue, "calldata": vm.CallData, "self": vm.SelfAddr}
+# The head words of `vm.SYNTAX`, by what they open: an atom (a field-less
+# node), an operator or a statement. `const` is read by `_build_expr` itself.
+_ATOMS = {word: node for word, node in vm.SYNTAX.items() if not node._fields}
+_STATEMENTS = {word: (len(node._fields), node) for word, node in vm.SYNTAX.items() if issubclass(node, Statement)}
 # operator -> (arity, build from the built arguments, levels it builds);
-# ge/gt/le/ne are sugar
+# ge/gt/le/ne are sugar, the only head words declared here
 _OPERATORS = {
-    "sload": (1, vm.SLoad, 1), "balance": (1, vm.BalanceOf, 1), "not": (1, vm.Not, 1),
-    **{op: (2, lambda a, b, op=op: vm.Bin(op, a, b), 1) for op in vm.BIN_OPS},
+    **{word: (2, lambda a, b, op=word: vm.Bin(op, a, b), 1) if node is vm.Bin else (len(node._fields), node, 1)
+       for word, node in vm.SYNTAX.items() if node._fields and node is not vm.Const and issubclass(node, Expr)},
     "ge": (2, lambda a, b: vm.Not(vm.Bin("lt", a, b)), 2), "gt": (2, lambda a, b: vm.Bin("lt", b, a), 1),
     "le": (2, lambda a, b: vm.Not(vm.Bin("lt", b, a)), 2), "ne": (2, lambda a, b: vm.Not(vm.Bin("eq", a, b)), 2),
-}
-_STATEMENTS = {
-    "require": (1, vm.Require), "pause-guard": (1, vm.PauseGuard), "set": (2, vm.SetSlot), "pay": (2, vm.Pay)
 }
 
 
@@ -326,7 +333,7 @@ STORAGE = Codec(
     lambda storage: ",".join(f"{hex(vm.slot_int(k))}={hex(vm.slot_int(v))}" for k, v in sorted(storage.items())) or "-",
     _parse_storage,
 )
-CODE = _braced(lambda statements: " ".join(map(vm.statement_text, statements)), parse_statements)
+CODE = _braced(lambda statements: " ".join(map(vm.expr_text, statements)), parse_statements)
 
 
 # ---------------------------------------------------------------------------

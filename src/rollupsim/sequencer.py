@@ -230,8 +230,8 @@ class Sequencer:
         self.counters = Counters()
 
     # ------------------------------------------------------------------
-    def _ctx(self, now: int) -> BlockContext:
-        return BlockContext(base_fee=self.base_fee, timestamp=now, fee_recipient=self.config.fee_recipient)
+    def _ctx(self) -> BlockContext:
+        return BlockContext(base_fee=self.base_fee, fee_recipient=self.config.fee_recipient)
 
     def _admins_of(self, verdict: Verdict, state: WorldState) -> Dict[Address, Address]:
         admins: Dict[Address, Address] = {}
@@ -250,7 +250,7 @@ class Sequencer:
         """Assemble, classify, execute and post one block."""
         number = len(self.chain.blocks)
         epoch = number // self.config.blocks_per_epoch
-        ctx = self._ctx(now)
+        ctx = self._ctx()
         tip = self.chain.tip_state
 
         # Epoch head: vet the deposits; refused ones are quarantined forever
@@ -433,7 +433,7 @@ class Sequencer:
             self.ledger.stake(event.account, event.amount)
             self.store.on_stake(self.ledger, event.account, event.at)
         elif isinstance(event, FailureReleaseEvent):
-            self.store.request_failure_release(event.key, self.chain.tip_state, self._ctx(event.at), event.at)
+            self.store.request_failure_release(event.key, self.chain.tip_state, self._ctx(), event.at)
             self.counters.release_sims += 1
         elif isinstance(event, SetBaseFeeEvent):
             self.base_fee = event.fee

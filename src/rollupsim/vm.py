@@ -8,10 +8,11 @@ state location an execution touches is recorded as an access key so
 callers can do dependency analysis between transactions; a block's replay
 records none. A node holds its fields only: each contract program is
 compiled on its first run into one straight-line Python function, memoized
-on its `ContractCode` as its code hash is, and each invariant predicate on
-its first evaluation, memoized on its root node, so running either is one
-call, with no per-node dispatch, and a program the run never calls is
-never compiled.
+on its `ContractCode` as its code hash is, and each invariant predicate
+once, when its invariant is registered, so running either is one call, with
+no per-node dispatch, and a program the run never calls is never compiled.
+The language's head words are declared once, in `SYNTAX`: `expr_text`
+writes every node from it, and the `lines` reader builds its tables from it.
 
 Cost model: 21 gas intrinsic plus 1 gas per executed statement. The base-fee
 share of the fee is burned; the priority share goes to the block's fee
@@ -75,8 +76,8 @@ WORD_MAX = WORD - 1
 # Nodes are `Record`s, not NamedTuples: a field-less NamedTuple is falsy and
 # equals (), and two NamedTuples of one arity compare equal across types. A
 # node holds its fields and builds nothing it runs: a contract program is
-# compiled on its first run, and a predicate on its first evaluation (see
-# "Compiled programs" below).
+# compiled on its first run, and a predicate when its invariant is registered
+# (see "Compiled programs" below).
 
 
 def _expr(child: object) -> "Expr":
@@ -85,17 +86,7 @@ def _expr(child: object) -> "Expr":
     return child
 
 
-class _Node(Record):
-    """An expression node. `_compiled` memoizes the function that evaluates
-    it as a predicate, built by its first `eval_expr`."""
-
-    __slots__ = ("_compiled",)
-
-    def __init__(self) -> None:
-        self._compiled = None
-
-
-class Const(_Node):
+class Const(Record):
     _fields = ("value",)
     __slots__ = _fields
 
@@ -103,42 +94,39 @@ class Const(_Node):
         if not 0 <= value <= WORD_MAX:
             raise ValueError(f"constant out of word range: {value}")
         self.value = value
-        self._compiled = None
 
 
-class SLoad(_Node):
+class SLoad(Record):
     _fields = ("key",)
     __slots__ = _fields
 
     def __init__(self, key: "Expr") -> None:
         self.key = _expr(key)
-        self._compiled = None
 
 
-class BalanceOf(_Node):
+class BalanceOf(Record):
     _fields = ("addr",)
     __slots__ = _fields
 
     def __init__(self, addr: "Expr") -> None:
         self.addr = _expr(addr)
-        self._compiled = None
 
 
-class Caller(_Node):
+class Caller(Record):
     __slots__ = ()
 
 
-class CallValue(_Node):
+class CallValue(Record):
     __slots__ = ()
 
 
-class CallData(_Node):
+class CallData(Record):
     """First 32 bytes of the call payload, read as a big-endian integer."""
 
     __slots__ = ()
 
 
-class SelfAddr(_Node):
+class SelfAddr(Record):
     __slots__ = ()
 
 
@@ -159,7 +147,7 @@ _BIN_SOURCE = {
 BIN_OPS = tuple(_BIN_SOURCE)
 
 
-class Bin(_Node):
+class Bin(Record):
     _fields = ("op", "left", "right")
     __slots__ = _fields
 
@@ -169,16 +157,14 @@ class Bin(_Node):
         self.op = op
         self.left = _expr(left)
         self.right = _expr(right)
-        self._compiled = None
 
 
-class Not(_Node):
+class Not(Record):
     _fields = ("inner",)
     __slots__ = _fields
 
     def __init__(self, inner: "Expr") -> None:
         self.inner = _expr(inner)
-        self._compiled = None
 
 
 Expr = Union[Const, SLoad, BalanceOf, Caller, CallValue, CallData, SelfAddr, Bin, Not]
@@ -226,43 +212,33 @@ class PauseGuard(Record):
 Statement = Union[Require, SetSlot, Pay, PauseGuard]
 
 
-def expr_text(expr: Expr) -> str:
-    """Canonical textual form of an expression (integers in lowercase hex)."""
-    if isinstance(expr, Const):
-        return f"(const {hex(expr.value)})"
-    if isinstance(expr, SLoad):
-        return f"(sload {expr_text(expr.key)})"
-    if isinstance(expr, BalanceOf):
-        return f"(balance {expr_text(expr.addr)})"
-    if isinstance(expr, Caller):
-        return "caller"
-    if isinstance(expr, CallValue):
-        return "callvalue"
-    if isinstance(expr, CallData):
-        return "calldata"
-    if isinstance(expr, SelfAddr):
-        return "self"
-    if isinstance(expr, Bin):
-        return f"({expr.op} {expr_text(expr.left)} {expr_text(expr.right)})"
-    if isinstance(expr, Not):
-        return f"(not {expr_text(expr.inner)})"
-    raise TypeError(f"not an expression: {expr!r}")
+# The contract language's head words, each naming the node it builds: the
+# one table `expr_text` writes and `lines` reads. A `Bin` is headed by its op.
+SYNTAX = {
+    "const": Const, "sload": SLoad, "balance": BalanceOf, "caller": Caller, "callvalue": CallValue,
+    "calldata": CallData, "self": SelfAddr, **dict.fromkeys(BIN_OPS, Bin), "not": Not,
+    "require": Require, "set": SetSlot, "pay": Pay, "pause-guard": PauseGuard,
+}
+_HEADS = {cls: head for head, cls in SYNTAX.items() if cls is not Bin}
 
 
-def statement_text(stmt: Statement) -> str:
-    if isinstance(stmt, Require):
-        return f"(require {expr_text(stmt.cond)})"
-    if isinstance(stmt, SetSlot):
-        return f"(set {expr_text(stmt.key)} {expr_text(stmt.value)})"
-    if isinstance(stmt, Pay):
-        return f"(pay {expr_text(stmt.to)} {expr_text(stmt.amount)})"
-    if isinstance(stmt, PauseGuard):
-        return f"(pause-guard {expr_text(stmt.key)})"
-    raise TypeError(f"not a statement: {stmt!r}")
+def expr_text(node: Union[Expr, Statement]) -> str:
+    """Canonical text of an expression or a statement (integers in lowercase
+    hex): a field-less node is its bare head word, any other node
+    `(head field ...)` with its fields in `_fields` order."""
+    kind = type(node)
+    if kind is Const:
+        return f"(const {hex(node.value)})"
+    if kind is Bin:
+        return f"({node.op} {expr_text(node.left)} {expr_text(node.right)})"
+    head = _HEADS.get(kind)
+    if head is None:
+        raise TypeError(f"not an expression or a statement: {node!r}")
+    return f"({head} {' '.join(map(expr_text, node._values()))})" if node._fields else head
 
 
 def code_text(code: "ContractCode") -> str:
-    return " ".join(statement_text(s) for s in code.statements)
+    return " ".join(map(expr_text, code.statements))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +383,6 @@ class TxStatus(Enum):
 
 class BlockContext(NamedTuple):
     base_fee: int
-    timestamp: int
     fee_recipient: Address
 
 
@@ -625,7 +600,7 @@ class Replay(Execution):
 # ---------------------------------------------------------------------------
 # A contract program is compiled on its first run into one straight-line
 # Python function, memoized on its `ContractCode`; an invariant predicate is
-# compiled on its first evaluation, memoized on its root node. Programs the
+# compiled once, when `InvariantSet.register` registers it. Programs the
 # run never calls (a replica replays most contracts without calling them)
 # are never compiled. The source is built from fixed templates: every value
 # of the program (a constant word, a constant slot's bytes, a constant
@@ -745,19 +720,12 @@ def _compile_program(statements: Tuple[Statement, ...]) -> Callable[..., None]:
     return source.function("program", f"{_FRAME}, gas_limit")
 
 
-def _compile_predicate(expr: Expr) -> Callable[..., int]:
+def compile_predicate(expr: Expr) -> Callable[..., int]:
+    """The function that evaluates `expr` to a 256-bit word in a call frame
+    (`exe, self_addr, caller, callvalue, calldata`); total and deterministic."""
     source = _Source()
     source.body.append(f"return {source.word(expr)}")
     return source.function("predicate", _FRAME)
-
-
-def eval_expr(expr: Expr, exe: Execution, self_addr: Address, caller: Address, callvalue: int, calldata: bytes) -> int:
-    """Evaluate an expression to a 256-bit word in a call frame on `exe`;
-    total and deterministic. It is compiled on its first evaluation."""
-    predicate = expr._compiled
-    if predicate is None:
-        predicate = expr._compiled = _compile_predicate(expr)
-    return predicate(exe, self_addr, caller, callvalue, calldata)
 
 
 def _run_statements(
@@ -993,7 +961,7 @@ def apply_block(state: WorldState, block: Block, fee_recipient: Address) -> Worl
     txs = (*block.deposits, *block.transactions)
     if not txs:
         return state
-    ctx = BlockContext(base_fee=block.base_fee, timestamp=block.timestamp, fee_recipient=fee_recipient)
+    ctx = BlockContext(base_fee=block.base_fee, fee_recipient=fee_recipient)
     scratch = Replay(state)
     for index, tx in enumerate(txs):
         try:

@@ -36,6 +36,10 @@ from rollupsim.vm import (
 )
 
 
+# Every node class of the contract language, expressions then statements.
+NODE_TYPES = (Const, SLoad, BalanceOf, Caller, CallValue, CallData, SelfAddr, Bin, Not, Require, SetSlot, Pay, PauseGuard)
+
+
 def balance_deltas(pre: WorldState, post: WorldState) -> Dict[Address, int]:
     """Every non-zero balance change from `pre` to `post`."""
     deltas = {a: post.balance_of(a) - pre.balance_of(a) for a in pre.accounts.keys() | post.accounts.keys()}
@@ -68,8 +72,8 @@ def tx(sender: Address, nonce: int, to: Optional[Address], *, value=0, data=b"",
     )
 
 
-def ctx(base_fee=1, timestamp=0, fee_recipient=FEE_SINK) -> BlockContext:
-    return BlockContext(base_fee=base_fee, timestamp=timestamp, fee_recipient=fee_recipient)
+def ctx(base_fee=1, fee_recipient=FEE_SINK) -> BlockContext:
+    return BlockContext(base_fee=base_fee, fee_recipient=fee_recipient)
 
 
 def guard_only_vault(admin: Address = ADMIN) -> ContractCode:

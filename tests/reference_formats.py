@@ -12,6 +12,12 @@ refusal for refusal.
 `tree_height` is the walk that enforced `lines.MAX_NESTING` on every built
 statement and predicate, a second pass over the tree, before the builders
 returned each node's height as they built it; they must agree with it.
+
+`reference_expr_text` and `reference_statement_text` are the per-kind
+writers of contract code that `vm.expr_text` replaced, one branch per node
+kind with its head word spelled out. That text is hashed into every code
+hash, and so into every state root: the one writer, which reads its head
+words from `vm.SYNTAX`, must write exactly what they write.
 """
 from __future__ import annotations
 
@@ -20,6 +26,9 @@ from collections.abc import Mapping
 from functools import partial
 
 from rollupsim import formats, lines
+from rollupsim.vm import (
+    BalanceOf, Bin, CallData, Caller, CallValue, Const, Not, Pay, PauseGuard, Require, SelfAddr, SetSlot, SLoad,
+)
 from rollupsim.core import U64_MAX, Address, Record, StateRoot, TxHash
 from rollupsim.sequencer import ScenarioError
 
@@ -29,6 +38,41 @@ _HEX_RE = re.compile(r"[0-9a-fA-F]*")
 def tree_height(node: Record) -> int:
     """Levels of a built expression or statement: a leaf is 1 high."""
     return 1 + max((tree_height(child) for child in node._values() if isinstance(child, Record)), default=0)
+
+
+def reference_expr_text(expr) -> str:
+    """Canonical textual form of an expression (integers in lowercase hex)."""
+    if isinstance(expr, Const):
+        return f"(const {hex(expr.value)})"
+    if isinstance(expr, SLoad):
+        return f"(sload {reference_expr_text(expr.key)})"
+    if isinstance(expr, BalanceOf):
+        return f"(balance {reference_expr_text(expr.addr)})"
+    if isinstance(expr, Caller):
+        return "caller"
+    if isinstance(expr, CallValue):
+        return "callvalue"
+    if isinstance(expr, CallData):
+        return "calldata"
+    if isinstance(expr, SelfAddr):
+        return "self"
+    if isinstance(expr, Bin):
+        return f"({expr.op} {reference_expr_text(expr.left)} {reference_expr_text(expr.right)})"
+    if isinstance(expr, Not):
+        return f"(not {reference_expr_text(expr.inner)})"
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def reference_statement_text(stmt) -> str:
+    if isinstance(stmt, Require):
+        return f"(require {reference_expr_text(stmt.cond)})"
+    if isinstance(stmt, SetSlot):
+        return f"(set {reference_expr_text(stmt.key)} {reference_expr_text(stmt.value)})"
+    if isinstance(stmt, Pay):
+        return f"(pay {reference_expr_text(stmt.to)} {reference_expr_text(stmt.amount)})"
+    if isinstance(stmt, PauseGuard):
+        return f"(pause-guard {reference_expr_text(stmt.key)})"
+    raise TypeError(f"not a statement: {stmt!r}")
 
 
 def reference_parse_address(value, lineno, what="", ctx=None):

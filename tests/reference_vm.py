@@ -139,7 +139,7 @@ def reference_fold(state: WorldState, txs: Sequence[AnyTransaction], ctx: BlockC
 
 def reference_apply_block(state: WorldState, block: Block, fee_recipient: Address) -> WorldState:
     """Fold every transaction of a block (deposits first) into a new state."""
-    ctx = BlockContext(base_fee=block.base_fee, timestamp=block.timestamp, fee_recipient=fee_recipient)
+    ctx = BlockContext(base_fee=block.base_fee, fee_recipient=fee_recipient)
     current = state
     for index, tx in enumerate(list(block.deposits) + list(block.transactions)):
         try:

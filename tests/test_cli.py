@@ -374,10 +374,16 @@ class TestDeriveRejectsImpossibleHistory:
                 lambda text: re.sub(r"batch=([0-9a-f]+)", r"batch=\1,00ff", text, count=1),
                 "derivation gap: epoch 0: block 0 batch entry 1 cannot be decoded: encoded transaction too short: 2 bytes",
             ),
+            # The writer never puts a quote before a form: a stray one is refused, not skipped.
+            (
+                "kitchen_sink",
+                lambda text: text.replace("code={(set ", "code={'(set ", 1),
+                "unusable history: line 7: cannot tokenize \"'(set (const 0x706175736564) ",
+            ),
         ],
         ids=[
             "head_without_bitmap", "l1block_out_of_place", "deposit_out_of_place", "time_not_after", "head_before_l1",
-            "undecodable_entry", "undecodable_second_entry",
+            "undecodable_entry", "undecodable_second_entry", "stray_quote_in_code",
         ],
     )
     def test_history_the_sequencer_cannot_write(self, tmp_path, capsys, name, rewrite, needle):
@@ -511,6 +517,21 @@ class TestDeeplyNestedCode:
         assert main(["derive", "--l1", str(tmp_path / "deep.l1")]) == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err and f"line {lineno}" in err and f"nested deeper than {MAX_NESTING}" in err
+
+
+class TestStrayQuoteInCode:
+    """A quote that opens no quoted atom is no token of the contract
+    language: `run` refuses code or a predicate that holds one, with its
+    line, instead of reading `(eq 1 ' 1)` as `(eq 1 1)`."""
+
+    @pytest.mark.parametrize("where", ["code", "predicate"])
+    def test_run_refuses_a_stray_quote_with_its_line(self, tmp_path, capsys, where):
+        if where == "code":
+            text, lineno, source = TestDeeplyNestedCode.scenario(code="(require (eq 1 ' 1))"), 4, "(require (eq 1 ' 1))"
+        else:
+            text, lineno, source = TestDeeplyNestedCode.scenario(predicate="(eq 1 ' 1)"), 5, "(eq 1 ' 1)"
+        assert run_text(tmp_path, text) == 2
+        assert capsys.readouterr().err == f"error: line {lineno}: cannot tokenize {source!r}\n"
 
 
 def run_text(tmp_path, text):

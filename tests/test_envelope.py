@@ -61,7 +61,7 @@ TARGETS = ["create", "self", ALICE, BOB, NOBODY, FEE_SINK, VAULT, COUNTER, SPEND
 def on_scratch(state: WorldState) -> Execution:
     """A block scratch that has absorbed two earlier transactions."""
     scratch = Execution(state)
-    context = BlockContext(base_fee=1, timestamp=0, fee_recipient=FEE_SINK)
+    context = BlockContext(base_fee=1, fee_recipient=FEE_SINK)
     for earlier in (SignedTransaction(BOB, 0, SPENDER, 5, b"", 1, 1, 30), SignedTransaction(ALICE, 3, COUNTER, 0, b"", 1, 0, 30)):
         scratch.absorb(execute_transaction(scratch, earlier, context))
     return scratch
@@ -111,7 +111,7 @@ def test_the_envelope_is_the_accessor_based_one(
         nonce = max(base.nonce_of(sender) + nonce_offset, 0)
         tx = SignedTransaction(sender, nonce, recipient, value, data, max_fee, priority_fee, gas_limit)
     fee_recipient = {"sink": FEE_SINK, "sender": sender, "recipient": tx.recipient or FEE_SINK}.get(fee_to, fee_to)
-    context = BlockContext(base_fee=base_fee, timestamp=0, fee_recipient=fee_recipient)
+    context = BlockContext(base_fee=base_fee, fee_recipient=fee_recipient)
     fast = outcome(execute_transaction, base, tx, context)
     assert fast == outcome(reference_execute_transaction, base, tx, context)
     if len(fast) > 2:

@@ -2,8 +2,8 @@
 held to the tree-walking interpreter in `reference_vm`.
 
 Each contract program is compiled on its first run into one Python
-function, memoized on its `ContractCode`, and each predicate on its first
-evaluation, memoized on its root node; no node carries an evaluator of its
+function, memoized on its `ContractCode`, and each predicate once, when its
+invariant is registered; no node carries an evaluator or a memo of its
 own. Random expression trees of every kind and operator, the `formats` sugar
 included, evaluate to the reference's word and read the same keys. Random
 contract bodies, run out of gas at each statement, give the reference's
@@ -14,7 +14,8 @@ address) is drawn explicitly, and is the same record as the node its fields
 alone define. Running and judging a vault drain builds no node and makes a
 bounded number of Python-level calls, as does replaying a block of counter
 calls, which builds no `Account` in Python; each program is rendered for its
-code hash once and compiled once, on its first run.
+code hash once and compiled once, on its first run, and each predicate is
+compiled once, by `InvariantSet.register`.
 """
 import contextlib
 from pathlib import Path
@@ -28,6 +29,7 @@ from helpers import (
     COUNT_KEY,
     COUNTER,
     FEE_SINK,
+    NODE_TYPES,
     VAULT,
     addr,
     counter_contract,
@@ -45,6 +47,7 @@ from reference_vm import CallEnv, reference_eval_expr, reference_interpret
 from rollupsim import lines, vm
 from rollupsim.core import BASE_TX_GAS, Address, Block, ScenarioError, StateRoot
 from rollupsim.derivation import derive
+from rollupsim import detection
 from rollupsim.detection import InvariantDetector, InvariantSet
 from rollupsim.formats import parse_expr, parse_history, parse_scenario, parse_statements, render_history
 from rollupsim.lines import MAX_NESTING
@@ -71,7 +74,7 @@ from rollupsim.vm import (
     apply_block,
     code_hash,
     code_text,
-    eval_expr,
+    compile_predicate,
     execute_transaction,
     expr_text,
     make_state,
@@ -96,7 +99,6 @@ STATE = make_state({
     Address.from_int(1): Account(balance=5),
     Address.from_int(TOP): Account(balance=3),
 })
-NODE_TYPES = (Const, SLoad, BalanceOf, Caller, CallValue, CallData, SelfAddr, Bin, Not, Require, SetSlot, Pay, PauseGuard)
 
 
 def sugar(op, left, right):
@@ -136,10 +138,11 @@ def outcome(exe):
 @example(Bin("eq", CallData(), CallData()), 0, bytes(range(1, 41)))  # a frame word read twice
 def test_an_expression_evaluates_as_the_tree_walk(expr, callvalue, calldata):
     fast, ref = Execution(STATE), Execution(STATE)
-    value = eval_expr(expr, fast, CONTRACT, CALLER, callvalue, calldata)
+    predicate = compile_predicate(expr)
+    value = predicate(fast, CONTRACT, CALLER, callvalue, calldata)
     assert value == reference_eval_expr(expr, CallEnv(ref, CONTRACT, CALLER, callvalue, calldata))
     assert fast.reads == ref.reads and not fast.writes
-    assert eval_expr(expr, Execution(STATE), CONTRACT, CALLER, callvalue, calldata) == value  # the memoized function
+    assert predicate(Execution(STATE), CONTRACT, CALLER, callvalue, calldata) == value  # the same function, run again
 
 
 @settings(max_examples=200, deadline=None)
@@ -205,7 +208,7 @@ def test_code_is_read_as_high_as_its_built_tree(text, statement):
 
 def fields_only(cls, **fields):
     """The record `fields` define, built without `__init__`, so that no
-    memo slot is set."""
+    specialisation made at construction can show."""
     node = object.__new__(cls)
     for name, value in fields.items():
         setattr(node, name, value)
@@ -252,7 +255,7 @@ class TestDrainCallCount:
         verdict, _ = judging.result
         assert verdict.malicious and executing.names[0] == "execute_transaction"
         assert len(executing.calls) <= 20, executing.names  # 69 when each node ran its own evaluator and the envelope its accessors
-        assert len(judging.calls) <= 9, judging.names  # 18
+        assert len(judging.calls) <= 8, judging.names  # 9 when each evaluation looked its predicate up on its root node; 18
 
 
 class TestReplayCallCount:
@@ -290,22 +293,29 @@ def test_no_node_carries_an_evaluator():
         assert not {"_eval", "_run"} & set(dir(stmt))
 
 
-def test_a_program_compiles_on_its_first_run_and_once():
+def test_a_program_compiles_on_its_first_run_and_a_predicate_once_in_register():
     state = vault_state(paused=False)
     code = state.code_of(VAULT)
     invariant = solvency_invariant()
     invariants = InvariantSet()
-    invariants.register(invariant, state)
-    assert code._program is None and invariant.predicate._compiled is None  # built, not compiled
+    with mock.patch.object(detection, "compile_predicate", side_effect=vm.compile_predicate) as predicate:
+        invariants.register(invariant, state)
+    ((registered_id, compiled_predicate),) = invariants.by_contract[VAULT]
+    assert predicate.call_count == 1 and predicate.call_args.args == (invariant.predicate,)
+    assert registered_id == invariant.id and callable(compiled_predicate)
+    assert code._program is None  # built, not compiled
     compiled = []
     with mock.patch.object(vm, "_compile_program", side_effect=vm._compile_program) as program, \
-            mock.patch.object(vm, "_compile_predicate", side_effect=vm._compile_predicate) as predicate:
+            mock.patch.object(vm, "compile_predicate", side_effect=vm.compile_predicate) as vm_predicate, \
+            mock.patch.object(detection, "compile_predicate", side_effect=vm.compile_predicate) as predicate:
         for _ in range(3):
             sim = execute_transaction(state, exploit_tx(), ctx())
-            InvariantDetector().assess(sim, state, invariants)
-            compiled.append((code._program, invariant.predicate._compiled))
-    assert program.call_count == 1 and predicate.call_count == 1
+            verdict, _ = InvariantDetector().assess(sim, state, invariants)
+            assert verdict.malicious
+            compiled.append((code._program, invariants.by_contract[VAULT][0][1]))
+    assert program.call_count == 1 and predicate.call_count == 0 and vm_predicate.call_count == 0
     assert compiled[0] == compiled[1] == compiled[2] and None not in compiled[0]
+    assert compiled[0][1] is compiled_predicate
 
 
 @pytest.mark.parametrize("vault", [gated_vault, guard_only_vault])

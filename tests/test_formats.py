@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ADMIN, VAULT, addr, gated_vault, vault_state
+from helpers import ADMIN, NODE_TYPES, VAULT, addr, gated_vault, vault_state
+from reference_formats import reference_expr_text, reference_statement_text
 from rollupsim import vm
 from rollupsim.formats import (
     _split_fields,
@@ -17,7 +19,7 @@ from rollupsim.formats import (
     render_report,
 )
 from rollupsim.sequencer import AdvanceEvent, ScenarioError, SubmitEvent, run
-from rollupsim.vm import code_text, expr_text, statement_text
+from rollupsim.vm import code_text, expr_text
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -77,12 +79,90 @@ class TestSexpr:
             vm.SetSlot(vm.Const(1), vm.CallValue()),
             vm.Pay(vm.Caller(), vm.Const(3)),
         )
-        text = " ".join(statement_text(s) for s in stmts)
+        text = " ".join(expr_text(s) for s in stmts)
         assert parse_statements(text) == stmts
 
     def test_unbalanced_parens_rejected(self):
         with pytest.raises(ScenarioError):
             parse_expr("(add 1 (lt 2 3)")
+
+    @pytest.mark.parametrize("text", ["(eq 1 ' 1)", "'", "(require (eq 'a' 1)) '", "(sload 'paused)"])
+    def test_a_stray_quote_is_refused(self, text):
+        """A quote that opens no quoted atom is no token: it is refused, not
+        skipped, so `(eq 1 ' 1)` never reads as `(eq 1 1)`."""
+        with pytest.raises(ScenarioError, match="line 7: cannot tokenize"):
+            parse_statements(text, 7) if text.startswith("(require") else parse_expr(text, 7)
+
+
+EXPRESSIONS = st.recursive(
+    st.one_of(
+        st.integers(0, 2**256 - 1).map(vm.Const),
+        st.sampled_from([vm.Caller(), vm.CallValue(), vm.CallData(), vm.SelfAddr()]),
+    ),
+    lambda inner: st.one_of(
+        inner.map(vm.SLoad), inner.map(vm.BalanceOf), inner.map(vm.Not),
+        st.builds(vm.Bin, st.sampled_from(vm.BIN_OPS), inner, inner),
+    ),
+    max_leaves=12,
+)
+STATEMENTS = st.one_of(
+    st.builds(vm.Require, EXPRESSIONS), st.builds(vm.PauseGuard, EXPRESSIONS),
+    st.builds(vm.SetSlot, EXPRESSIONS, EXPRESSIONS), st.builds(vm.Pay, EXPRESSIONS, EXPRESSIONS),
+)
+# One node of each kind, each binary operator included.
+ONE_OF_EACH = (
+    vm.Const(0x2A), vm.SLoad(vm.Const(1)), vm.BalanceOf(vm.SelfAddr()), vm.Caller(), vm.CallValue(), vm.CallData(),
+    vm.SelfAddr(), *(vm.Bin(op, vm.Caller(), vm.Const(2)) for op in vm.BIN_OPS), vm.Not(vm.CallData()),
+)
+ONE_STATEMENT_OF_EACH = (
+    vm.Require(vm.Const(1)), vm.SetSlot(vm.Const(3), vm.CallValue()), vm.Pay(vm.Caller(), vm.Const(5)),
+    vm.PauseGuard(vm.SLoad(vm.Const(7))),
+)
+
+
+class TestOneWriter:
+    """`vm.expr_text` writes every node from `vm.SYNTAX`. Its text is hashed
+    into every code hash and so every state root, so it must be the per-kind
+    writers' text exactly (`reference_formats`), and the reader, whose
+    tables `lines` builds from the same `SYNTAX`, must read it back."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(EXPRESSIONS)
+    def test_an_expression_is_written_as_the_per_kind_writer_wrote_it(self, expr):
+        text = expr_text(expr)
+        assert text == reference_expr_text(expr)
+        assert parse_expr(text) == expr
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(STATEMENTS, max_size=5))
+    def test_a_program_is_written_as_the_per_kind_writer_wrote_it(self, statements):
+        code = vm.ContractCode(ADMIN, tuple(statements))
+        assert [expr_text(s) for s in statements] == [reference_statement_text(s) for s in statements]
+        assert code_text(code) == " ".join(map(reference_statement_text, statements))
+        assert parse_statements(code_text(code)) == code.statements
+
+    def test_each_node_class_is_declared_in_syntax(self):
+        """Each class is named by one head word, `Bin` by each of its
+        operators, and holds its fields and nothing else: no memo slot."""
+        named = Counter(vm.SYNTAX.values())
+        assert set(named) == set(NODE_TYPES) and len(NODE_TYPES) == 13
+        assert {cls: count for cls, count in named.items() if count != 1} == {vm.Bin: len(vm.BIN_OPS)}
+        assert [word for word, cls in vm.SYNTAX.items() if cls is vm.Bin] == list(vm.BIN_OPS)
+        for cls in NODE_TYPES:
+            assert cls.__slots__ == cls._fields, cls
+
+    def test_the_reader_reads_back_one_node_of_each_kind(self):
+        assert {type(node) for node in ONE_OF_EACH + ONE_STATEMENT_OF_EACH} == set(NODE_TYPES)
+        for node in ONE_OF_EACH:
+            assert parse_expr(expr_text(node)) == node, node
+        text = " ".join(map(expr_text, ONE_STATEMENT_OF_EACH))
+        assert text == "(require (const 0x1)) (set (const 0x3) callvalue) (pay caller (const 0x5)) (pause-guard (sload (const 0x7)))"
+        assert parse_statements(text) == ONE_STATEMENT_OF_EACH
+
+    @pytest.mark.parametrize("value", [42, "caller", (vm.Caller(),), ADMIN])
+    def test_a_value_that_is_no_node_is_refused(self, value):
+        with pytest.raises(TypeError, match="not an expression or a statement"):
+            expr_text(value)
 
 
 class TestScenarioParsing:

@@ -32,7 +32,7 @@ SINK = addr(0x99)
 OPERATIONS = ["submit"] * 4 + ["admit"] * 2 + ["retire", "candidates", "maintain", "stake", "approve"]
 
 
-FREE = BlockContext(base_fee=0, timestamp=0, fee_recipient=SINK)
+FREE = BlockContext(base_fee=0, fee_recipient=SINK)
 
 
 def draw_executed(data, history: List[WorldState]) -> WorldState:

@@ -99,10 +99,15 @@ VALIDATED = [
     (SignedTransaction, TX_ARGS, dict(max_fee=2**64), EncodingError, f"max_fee out of range: {2**64}"),
     (SignedTransaction, TX_ARGS, dict(priority_fee=4), EncodingError, "priority_fee exceeds max_fee"),
     (SignedTransaction, TX_ARGS, dict(gas_limit=20), EncodingError, "gas_limit below intrinsic cost 21"),
+    # `struct`'s `20s` zero-pads a short address: it would share its hash with the padded one.
+    (SignedTransaction, TX_ARGS, dict(sender=b"\x01" * 19), EncodingError, "sender must be 20 bytes, got 19"),
+    (SignedTransaction, TX_ARGS, dict(recipient=bytes(21)), EncodingError, "recipient must be 20 bytes, got 21"),
     (DepositTransaction, DEP_ARGS, dict(l1_block=-1), EncodingError, "l1_block out of range: -1"),
     (DepositTransaction, DEP_ARGS, dict(l1_index=2**32), EncodingError, f"l1_index out of range: {2**32}"),
     (DepositTransaction, DEP_ARGS, dict(value=-5), EncodingError, "value out of range: -5"),
     (DepositTransaction, DEP_ARGS, dict(gas_limit=20), EncodingError, "gas_limit below intrinsic cost 21"),
+    (DepositTransaction, DEP_ARGS, dict(sender=b"\x01" * 19), EncodingError, "sender must be 20 bytes, got 19"),
+    (DepositTransaction, DEP_ARGS, dict(recipient=b""), EncodingError, "recipient must be 20 bytes, got 0"),
     (SequencerConfig, {}, dict(block_time=0), ValueError, "block_time must be positive and blocks_per_epoch >= 1"),
     (SequencerConfig, {}, dict(blocks_per_epoch=0), ValueError, "block_time must be positive and blocks_per_epoch >= 1"),
     (PoolConfig, {}, dict(max_queued=0), ValueError, "pool config values must be positive"),

@@ -195,7 +195,7 @@ class TestValueConservation:
             minted = 0
             burned = 0
             for block in out.sequencer.chain.blocks:
-                bctx = BlockContext(block.base_fee, block.timestamp, scenario.seq_config.fee_recipient)
+                bctx = BlockContext(block.base_fee, scenario.seq_config.fee_recipient)
                 for dep in block.deposits:
                     result = execute_transaction(state, dep, bctx)
                     minted += dep.value
