@@ -89,11 +89,15 @@ def _check_range(name: str, value: int, maximum: int) -> None:
         raise EncodingError(f"{name} out of range: {value}")
 
 
-def _check_addresses(sender: bytes, recipient: Optional[bytes]) -> None:
-    """Both address fields hold 20 bytes (a create's recipient is None):
-    `struct`'s `20s` would zero-pad a shorter one."""
+def _check_addresses(sender: bytes, recipient: Optional[bytes], create: bool) -> None:
+    """Both address fields hold 20 bytes, but for a signed create's
+    recipient, which is None: `struct`'s `20s` would zero-pad a shorter
+    one, and cannot pack None."""
     for name, value in (("sender", sender), ("recipient", recipient)):
-        if value is not None and len(value) != 20:
+        if value is None:
+            if name == "sender" or not create:
+                raise EncodingError(f"{name} is missing")
+        elif len(value) != 20:
             raise EncodingError(f"{name} must be 20 bytes, got {len(value)}")
 
 
@@ -143,7 +147,7 @@ class SignedTransaction(Record):
         self, sender: Address, nonce: int, recipient: Optional[Address], value: int, data: bytes, max_fee: int,
         priority_fee: int, gas_limit: int,
     ) -> None:
-        _check_addresses(sender, recipient)
+        _check_addresses(sender, recipient, create=True)
         _check_range("nonce", nonce, U64_MAX)
         _check_range("value", value, U128_MAX)
         _check_range("max_fee", max_fee, U64_MAX)
@@ -185,7 +189,7 @@ class DepositTransaction(Record):
     def __init__(
         self, l1_block: int, l1_index: int, sender: Address, recipient: Address, value: int, data: bytes, gas_limit: int
     ) -> None:
-        _check_addresses(sender, recipient)
+        _check_addresses(sender, recipient, create=False)
         _check_range("l1_block", l1_block, U64_MAX)
         _check_range("l1_index", l1_index, U32_MAX)
         _check_range("value", value, U128_MAX)

@@ -4,19 +4,26 @@ Single-writer: one owner serializes all mutations. Ordering of candidates is
 fully deterministic (effective tip desc, then arrival time, then hash) so the
 whole pipeline replays bit-identically.
 
+The pool keeps its own tip: it is built at the genesis state, and only
+`retire`, which the sequencer calls with each sealed block's state, moves
+it. Every submit is checked against the tip, so each pooled entry was
+checked against its account there.
+
 Every operation costs what changed, not what the pool holds. The pool keeps
 a running pending count, each sender's contiguous-run length, the senders
 with a nonzero run in address order, and the cut: the sender where
 `max_pending` runs out and the run total before it. A refresh re-measures
-only senders whose slots changed or whose account may differ from the state
-it last looked at, as `vm.changed_since` reports (every sender when it
+only senders whose slots changed or, at a retire, whose account may differ
+from the old tip, as `vm.changed_since` reports (every sender when it
 cannot tell), walks the cut to its new place, and relabels those senders
 and the ones the cut crossed. Each sender's eligible run is cached with its
-sort keys, read at the state of the last refresh, which marked every sender
-it re-measured for a rebuild. The quarantine store
+sort keys, read at the tip, and every sender a refresh re-measured is
+marked for a rebuild. The quarantine store
 tells the pool which hashes it holds (`on_held`, `on_released`), so held
 entries never enter the candidate cache. Lifetime expiry pops a heap keyed
-on arrival time, and `max_queued` eviction a heap keyed on fee and arrival.
+on arrival time, and `max_queued` eviction a heap keyed on fee and arrival;
+a submit reports the entry it evicted, so its owner can settle it as a
+retirement.
 """
 from __future__ import annotations
 
@@ -69,14 +76,16 @@ class SubmitResult(NamedTuple):
     outcome: str  # accepted | replaced | rejected
     replaced: Optional[TxHash] = None
     reason: Optional[RejectReason] = None
+    evicted: Optional[TxHash] = None  # a pooled entry `max_queued` dropped to admit this one
 
 
 ACCEPTED = SubmitResult("accepted")
 
 
 class Mempool:
-    def __init__(self, config: PoolConfig = PoolConfig()):
+    def __init__(self, config: PoolConfig, state: WorldState):
         self.config = config
+        self.tip = state  # the state submits are checked at; only `retire` moves it
         self.entries: Dict[TxHash, PoolEntry] = {}
         self.by_sender: Dict[Address, Dict[int, TxHash]] = {}
         self._pending = 0  # entries whose status is PENDING
@@ -87,11 +96,6 @@ class Mempool:
         self._order: List[Address] = []
         self._cut: Optional[Address] = None
         self._cut_before = 0
-        self._state: Optional[WorldState] = None  # state of the last refresh
-        # Pooled senders whose entries were not all checked (nonce and
-        # balance) against their account at `_state`: a submit at a newer
-        # state moved `_state` past their change.
-        self._unchecked: Set[Address] = set()
         self._arrivals: List[Tuple[int, TxHash]] = []  # heap; stale items skipped
         # Eviction heap: (max_fee, -received_at, hash), pushed whenever an
         # entry becomes or is born QUEUED; items of entries gone or no longer
@@ -99,7 +103,7 @@ class Mempool:
         self._queued: List[Tuple[int, int, TxHash]] = []
         self._held: Set[TxHash] = set()  # hashes the quarantine holds
         # Candidate cache: the (-tip, arrival, hash, tx) sort item of every
-        # entry in a sender's eligible run at `_state` and `_eligible_fee`
+        # entry in a sender's eligible run at `tip` and `_eligible_fee`
         # that is not held, by hash, and each sender's run of hashes, except
         # for the senders in `_dirty`, whose slots, statuses or account
         # changed since.
@@ -117,14 +121,16 @@ class Mempool:
     def get(self, h: TxHash) -> Optional[PoolEntry]:
         return self.entries.get(h)
 
-    def submit(self, tx: SignedTransaction, now: int, state: WorldState) -> SubmitResult:
-        """Validate and admit a transaction, possibly replacing a same-nonce one.
+    def submit(self, tx: SignedTransaction, now: int) -> SubmitResult:
+        """Validate a transaction at the tip and admit it, possibly replacing
+        a same-nonce one.
 
         A replacement needs max_fee >= old max_fee * (1 + bump%); anything
         below is rejected as underpriced. When the queued side overflows, the
-        lowest-fee queued transaction (possibly the incoming one) is dropped.
+        lowest-fee queued transaction is dropped: the incoming one is then
+        rejected, and any other is reported as `evicted`.
         """
-        account = state.account(tx.sender)
+        account = self.tip.account(tx.sender)
         if tx.nonce < account.nonce:
             return SubmitResult("rejected", reason=RejectReason.NONCE_TOO_LOW)
         if account.balance < max_cost(tx):
@@ -145,25 +151,22 @@ class Mempool:
         entry = self.entries[h] = PoolEntry(tx=tx, received_at=now, status=PoolStatus.QUEUED)
         self.by_sender.setdefault(tx.sender, {})[tx.nonce] = h
         heapq.heappush(self._arrivals, (now, h))
-        changed = {tx.sender}
-        if state is not self._state:
-            stale = self._stale_senders(state)
-            self._unchecked.update(stale)
-            changed.update(stale)
-        self._refresh_statuses(state, changed)
+        self._refresh_statuses([tx.sender])
         if entry.status is PoolStatus.QUEUED:  # born queued: the refresh did not push it
             heapq.heappush(self._queued, (tx.max_fee, -now, h))
 
+        evicted: Optional[TxHash] = None
         if len(self.entries) - self._pending > self.config.max_queued:
             victim = self._evict_lowest_queued()
             if victim is not None:
                 # A queued victim may have sat inside its sender's run.
-                self._refresh_statuses(state, [victim.tx.sender])
-            if victim is entry:
-                return SubmitResult("rejected", reason=RejectReason.POOL_FULL)
+                self._refresh_statuses([victim.tx.sender])
+                if victim is entry:
+                    return SubmitResult("rejected", reason=RejectReason.POOL_FULL)
+                evicted = tx_hash(victim.tx)
         if replaced_hash is not None:
-            return SubmitResult("replaced", replaced=replaced_hash)
-        return ACCEPTED
+            return SubmitResult("replaced", replaced=replaced_hash, evicted=evicted)
+        return ACCEPTED if evicted is None else SubmitResult("accepted", evicted=evicted)
 
     def pending_candidates(self, base_fee: int) -> List[SignedTransaction]:
         """Pending txs that bid at least the base fee, most generous tip first.
@@ -172,12 +175,12 @@ class Mempool:
         nonce is eligible (a fee-filtered middle nonce cuts off the rest).
         Entries the quarantine holds (see `on_held`) are skipped without
         cutting off later nonces. Ties break by arrival time, then hash.
-        Nonces are read at the state of the last refresh: the sequencer
-        refreshes at the tip, and a deposit never writes a nonce. Runs are
-        rebuilt only for senders marked since the last call (all of them
-        when the base fee moved).
+        Nonces are read at the pool's tip, the last sealed block's state:
+        the epoch's deposits run after it, but a deposit never writes a
+        nonce. Runs are rebuilt only for senders marked since the last call
+        (all of them when the base fee moved).
         """
-        items, runs, held, state = self._items, self._eligible, self._held, self._state
+        items, runs, held, state = self._items, self._eligible, self._held, self.tip
         if base_fee != self._eligible_fee:
             items.clear()
             runs.clear()
@@ -223,13 +226,15 @@ class Mempool:
             self._dirty.add(entry.tx.sender)
 
     def retire(self, now: int, state: WorldState) -> List[TxHash]:
-        """Drop stale entries: dead nonce, expired lifetime, or unaffordable.
+        """Move the tip to `state` and drop stale entries: dead nonce,
+        expired lifetime, or unaffordable.
 
         Nonce and balance are rechecked only for senders whose account may
-        have changed since they were checked; lifetimes come off the arrival
-        heap."""
-        stale = self._stale_senders(state)
-        self._unchecked.clear()
+        differ from the old tip's (every sender when the states are
+        unrelated); lifetimes come off the arrival heap."""
+        changed = changed_since(state, self.tip)
+        stale = list(self.by_sender) if changed is None else self.by_sender.keys() & changed
+        self.tip = state
         doomed: Set[TxHash] = set()
         for sender in stale:
             account = state.account(sender)
@@ -247,7 +252,7 @@ class Mempool:
         removed = sorted(doomed)
         for h in removed:
             self._drop(h)
-        self._refresh_statuses(state, senders)
+        self._refresh_statuses(senders)
         if len(self._arrivals) > 2 * len(self.entries) + 64:
             self._arrivals = [(e.received_at, h) for h, e in self.entries.items()]
             heapq.heapify(self._arrivals)
@@ -273,27 +278,16 @@ class Mempool:
             del slots[entry.tx.nonce]
             if not slots:
                 del self.by_sender[sender]
-                self._unchecked.discard(sender)
 
-    def _stale_senders(self, state: WorldState) -> Collection[Address]:
-        """Senders whose entries may not all have been checked against their
-        account in `state`: those whose account may differ from the last
-        refresh's state and those left unchecked; every sender when the
-        states are unrelated."""
-        changed = changed_since(state, self._state)
-        if changed is None:
-            return list(self.by_sender)
-        return (self.by_sender.keys() & changed) | self._unchecked
-
-    def _refresh_statuses(self, state: WorldState, senders: Collection[Address]) -> None:
-        """Re-measure the runs of `senders`, walk the cut to its new place,
-        and relabel `senders` and every sender the cut crossed.
+    def _refresh_statuses(self, senders: Collection[Address]) -> None:
+        """Re-measure the runs of `senders` at the tip, walk the cut to its
+        new place, and relabel `senders` and every sender the cut crossed.
 
         Pending = nonce-contiguous from the account nonce, capped by
         max_pending over senders in address order: a sender before the cut
         has its whole run pending, the cut sender what the cap leaves, and
         a later sender none."""
-        runs, order, cap = self._runs, self._order, self.config.max_pending
+        runs, order, cap, state = self._runs, self._order, self.config.max_pending, self.tip
         cut, before = self._cut, self._cut_before
         for sender in senders:
             slots = self.by_sender.get(sender, ())
@@ -343,7 +337,6 @@ class Mempool:
                     else:
                         self._pending -= 1
                         heapq.heappush(self._queued, (entry.tx.max_fee, -entry.received_at, h))
-        self._state = state
 
     def _evict_lowest_queued(self) -> Optional[PoolEntry]:
         """Drop the queued entry with the lowest fee (the latest arrival

@@ -12,7 +12,7 @@ are looked at; when the states are unrelated, every held sender is, which
 is safe because the check is idempotent. Time-criterion deadlines sit
 on a heap. The due set is processed in admission order, so the audit trail
 matches a full walk.
-A store built with a pool tells it of every non-deposit key it starts or
+A store tells its pool of every non-deposit key it starts or
 stops holding (`Mempool.on_held`, `Mempool.on_released`): admission and
 `_remove` are the only places the held set changes, so the pool's candidate
 cache never sees a held entry.
@@ -151,7 +151,7 @@ class CollateralLedger:
     An economic release locks as much stake as the damage estimate, keyed by
     the released transaction's hash. The lock settles, refunded in full,
     when that transaction leaves the pool: retired (included, or its nonce
-    spent otherwise) or replaced by a fee bump."""
+    spent otherwise), replaced by a fee bump, or evicted by `max_queued`."""
 
     def __init__(self) -> None:
         self.stakes: Dict[Address, int] = {}
@@ -186,7 +186,7 @@ class MaintenanceReport(NamedTuple):
 
 
 class QuarantineStore:
-    def __init__(self, config: QuarantineConfig, pool: Optional[Mempool] = None):
+    def __init__(self, config: QuarantineConfig, pool: Mempool):
         self.config = config
         self.pool = pool
         self.active: Dict[TxHash, QuarantineEntry] = {}
@@ -231,8 +231,7 @@ class QuarantineStore:
             self._by_sender.setdefault(tx.sender, []).append(key)
             self._admitted.add(tx.sender)
             heapq.heappush(self._deadlines, (now + self.config.time_criterion_period, key))
-            if self.pool is not None:
-                self.pool.on_held(key)
+            self.pool.on_held(key)
         self.audit.append(AuditEvent(key, now, "admitted", detail=f"block={block_no}"))
         return entry
 
@@ -287,7 +286,8 @@ class QuarantineStore:
             self.try_economic_release(ledger, key, now)
 
     def on_mempool_retired(self, keys: Sequence[TxHash], now: int) -> List[TxHash]:
-        """Drop entries whose transaction left the mempool: as if never admitted."""
+        """Drop entries whose transaction left the mempool (retired or
+        evicted): as if never admitted."""
         dropped = []
         for key in keys:
             if key in self.active and not self.active[key].is_deposit:
@@ -374,8 +374,7 @@ class QuarantineStore:
             keys.remove(key)
             if not keys:
                 del self._by_sender[entry.tx.sender]
-            if self.pool is not None:
-                self.pool.on_released(key)
+            self.pool.on_released(key)
 
     def _release(self, entry: QuarantineEntry, now: int, criterion: str, actor: str) -> None:
         self._remove(entry.key)

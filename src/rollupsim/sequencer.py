@@ -217,8 +217,8 @@ class Sequencer:
         self.scenario = scenario
         self.config = scenario.seq_config
         self.chain = ChainView(tip_state=scenario.genesis)
-        self.mempool = Mempool(scenario.pool_config)
-        self.store = QuarantineStore(scenario.quarantine_config, pool=self.mempool)
+        self.mempool = Mempool(scenario.pool_config, scenario.genesis)
+        self.store = QuarantineStore(scenario.quarantine_config, self.mempool)
         self.ledger = CollateralLedger()
         self.detector = InvariantDetector()
         self.invariants = InvariantSet()
@@ -246,21 +246,23 @@ class Sequencer:
         self.records.append(entry)
 
     # ------------------------------------------------------------------
-    def build_block(self, now: int, epoch_deposits: Optional[Sequence[DepositTransaction]]) -> Block:
+    def build_block(self, now: int) -> Block:
         """Assemble, classify, execute and post one block."""
         number = len(self.chain.blocks)
-        epoch = number // self.config.blocks_per_epoch
+        epoch, offset = divmod(number, self.config.blocks_per_epoch)
+        is_epoch_head = offset == 0
         ctx = self._ctx()
         tip = self.chain.tip_state
 
-        # Epoch head: vet the deposits; refused ones are quarantined forever
-        # and reported to the batcher bitmap.
+        # Epoch head: vet the deposits L1 holds for the epoch; refused ones
+        # are quarantined forever and reported to the batcher bitmap.
+        epoch_deposits = self.l1.deposits_for_epoch(epoch) if is_epoch_head else ()
         accepted: Set[TxHash] = set()
         deposit_flags: List[bool] = []
         state_after_deposits = tip
         if epoch_deposits:
             outcome = hybrid_detect(
-                CandidateSet(tuple(epoch_deposits), tip, budget=None),
+                CandidateSet(epoch_deposits, tip, budget=None),
                 self.invariants,
                 self.detector,
                 ctx,
@@ -303,7 +305,6 @@ class Sequencer:
         # Batcher: one record per block; the epoch head carries the bitmap,
         # which settles the epoch's escrow. The head mints what L1 accepted,
         # the same rule the replica follows.
-        is_epoch_head = number % self.config.blocks_per_epoch == 0
         record = L1Record(
             epoch=epoch,
             l2_number=number,
@@ -321,7 +322,7 @@ class Sequencer:
         # maintenance never simulates. A collateral lock settles when its
         # transaction leaves the pool: here, once included or otherwise
         # dead (an included transaction's nonce is spent, so this block
-        # retires it), or on replacement, in `_apply_event`.
+        # retires it), or on replacement or eviction, in `_apply_event`.
         removed = self.mempool.retire(now, final_state)
         self.store.on_mempool_retired(removed, now)
         if self.ledger.locked:
@@ -330,7 +331,7 @@ class Sequencer:
         self.store.per_block_maintenance(final_state, now)
 
         # The state holds the deposits detection accepted; escrow must agree.
-        self._check_deposit_conservation([deposit_id(d) for d in epoch_deposits or ()], accepted)
+        self._check_deposit_conservation([deposit_id(d) for d in epoch_deposits], accepted)
         return block
 
     def _check_deposit_conservation(self, keys: Sequence[TxHash], accepted: Set[TxHash]) -> None:
@@ -371,7 +372,6 @@ class Sequencer:
                     # A release asked of an entry that is not held, by someone
                     # not entitled to it, or of a deposit entry.
                     raise ScenarioError(f"{type(exc).__name__}: {exc}", at=event.at) from None
-            epoch_deposits = None
             number = len(self.chain.blocks)
             # Later blocks are at least `block_time` apart (an `advance` only
             # adds time), so a last block past 2^64-1 is known now, however
@@ -381,9 +381,7 @@ class Sequencer:
             if build_at + (scenario.run_blocks - 1 - number) * step > U64_MAX:
                 skip = max(0, (U64_MAX - build_at) // step + 1)
                 raise ScenarioError(f"block {number + skip} time {build_at + skip * step} is past 2^64-1")
-            if number % self.config.blocks_per_epoch == 0:
-                epoch_deposits = self.l1.deposits_for_epoch(number // self.config.blocks_per_epoch)
-            self.build_block(build_at, epoch_deposits)
+            self.build_block(build_at)
             now = build_at
 
         if cursor < len(events):
@@ -415,11 +413,13 @@ class Sequencer:
 
     def _apply_event(self, event: Event) -> None:
         if isinstance(event, SubmitEvent):
-            result = self.mempool.submit(event.tx, event.at, self.chain.tip_state)
+            result = self.mempool.submit(event.tx, event.at)
             if result.outcome == "replaced":
-                if self.store.is_active(result.replaced):
-                    self.store.on_replacement(result.replaced, event.tx, event.at)
+                self.store.on_replacement(result.replaced, event.tx, event.at)
                 self.ledger.refund(result.replaced)
+            if result.evicted is not None:  # settled as a retirement
+                self.ledger.refund(result.evicted)
+                self.store.on_mempool_retired([result.evicted], event.at)
         elif isinstance(event, L1BlockEvent):
             head_block = event.number * self.config.blocks_per_epoch
             if len(self.chain.blocks) > head_block:

@@ -27,12 +27,13 @@ and a scratch of the accounts it touched over its base. Its post-state is
 built only by `post_state()`: judging an execution reads its field views
 (`balance_of`, `nonce_of`, `storage_of`, `code_of`) and builds no state. An
 execution can itself be the base of further executions and absorb their
-effects, as the classifier's fold does. `apply_block` instead runs each
-transaction in place on one `Replay` scratch, as go-ethereum's `StateDB`
-runs on its journal: no child execution, no absorb and no access key. Each
-balance and slot write of a contract call, from its value transfer on,
-logs the value it replaces, and a revert undoes the log newest-first. The
-block builds one account map, at its end. No state read builds an
+effects, as the classifier's fold does. A `Replay` scratch instead runs
+each transaction in place, by its type alone: `apply_block` runs its block
+on one, as go-ethereum's `StateDB` runs on its journal, with no child
+execution, no absorb and no access key. Each balance and slot write of a
+contract call, from its value transfer on, logs the value it replaces, and
+a revert undoes the log newest-first. The block builds one account map, at
+its end. No state read builds an
 `Account`: only `post_state` does, for an address whose account changed.
 An execution only ever mutates storage dicts it made itself.
 
@@ -550,10 +551,10 @@ class Execution:
 
 
 class Replay(Execution):
-    """A block scratch that transactions run on in place (`apply_block`), as
-    go-ethereum's `StateDB` runs them on its journal: its accessors record no
-    access key, and each write logs the value it replaces in `log`, so a
-    revert can put it back. `log` is the running contract call's undo log,
+    """A block scratch (`apply_block`) that `execute_transaction`, by its
+    type, runs each transaction on in place, as go-ethereum's `StateDB`
+    runs them on its journal: its accessors record no access key, and each
+    write logs the value it replaces in `log`, so a revert can put it back. `log` is the running contract call's undo log,
     a list of (dict written, key, value replaced or None), which
     `execute_transaction` starts, with the call's value transfer, before
     the call's program runs."""
@@ -745,11 +746,9 @@ def _fresh_address(sender: Address, nonce: int) -> Address:
     return Address(digest[:20])
 
 
-def execute_transaction(
-    state: Union[WorldState, Execution], tx: AnyTransaction, ctx: BlockContext, in_place: bool = False
-) -> Execution:
+def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction, ctx: BlockContext) -> Execution:
     """Run one transaction against a state snapshot or an execution; never
-    mutates the input, unless `in_place`.
+    mutates the input, unless it is a `Replay`.
 
     Regular transactions must match the sender nonce, afford their maximum
     cost (value + gas_limit * max_fee), and bid at least the base fee;
@@ -765,9 +764,9 @@ def execute_transaction(
     are recorded together. Only a contract program goes through the
     recording accessors.
 
-    With `in_place`, `state` is a `Replay` and the transaction is applied to
-    it directly, as `apply_block` does: no child execution and no access
-    key. From the value transfer on, each balance and slot write of a
+    On a `Replay` (its exact type), the transaction is applied to it
+    directly, as `apply_block` does: no child execution and no access key.
+    From the value transfer on, each balance and slot write of a
     contract call logs the value it replaces, and a revert undoes the log
     newest-first; a plain transfer runs no program and logs nothing. The
     execution returned is then `state` itself.
@@ -791,6 +790,7 @@ def execute_transaction(
         if recipient is None:
             recipient = _fresh_address(sender, nonce)
 
+    in_place = type(state) is Replay
     if in_place:
         exe = state
         exe.status, exe.gas_used = TxStatus.SUCCESS, BASE_TX_GAS
@@ -955,9 +955,9 @@ def changed_since(state: WorldState, earlier: Optional[WorldState]) -> Optional[
 def apply_block(state: WorldState, block: Block, fee_recipient: Address) -> WorldState:
     """Fold every transaction of a block (deposits first) into a new state.
 
-    Each transaction runs in block context straight on one `Replay` scratch
-    (`execute_transaction` in place); the block builds one account map, at
-    its end."""
+    Each transaction runs in block context straight on one `Replay` scratch,
+    which `execute_transaction` runs in place; the block builds one account
+    map, at its end."""
     txs = (*block.deposits, *block.transactions)
     if not txs:
         return state
@@ -965,7 +965,7 @@ def apply_block(state: WorldState, block: Block, fee_recipient: Address) -> Worl
     scratch = Replay(state)
     for index, tx in enumerate(txs):
         try:
-            execute_transaction(scratch, tx, ctx, in_place=True)
+            execute_transaction(scratch, tx, ctx)
         except PreconditionFailed as exc:
             raise InvalidBlock(index, exc.reason) from exc
     return scratch.post_state()

@@ -6,7 +6,8 @@ counts every entry, retire re-checks every entry in hash order, candidates
 are filtered for held entries after selection, and quarantine maintenance
 and the stake handler walk every key ever admitted. They are slow but
 obviously right, and the differential tests hold the shipped pool and store
-to them.
+to them. Like the shipped pool, the reference keeps its own tip, which
+only `retire` moves.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from typing import Dict, List, Optional
 
 from rollupsim.core import Address, SignedTransaction, TxHash, max_cost, tx_hash
 from rollupsim.mempool import (
-    ACCEPTED,
     PoolConfig,
     PoolEntry,
     PoolStatus,
@@ -26,14 +26,14 @@ from rollupsim.vm import WorldState
 
 
 class ReferenceMempool:
-    def __init__(self, config: PoolConfig = PoolConfig()):
+    def __init__(self, config: PoolConfig, state: WorldState):
         self.config = config
         self.entries: Dict[TxHash, PoolEntry] = {}
         self.by_sender: Dict[Address, Dict[int, TxHash]] = {}
-        self.refreshed = WorldState({})  # the state of the last status refresh
+        self.tip = state  # the state submits are checked at; only `retire` moves it
 
-    def submit(self, tx: SignedTransaction, now: int, state: WorldState) -> SubmitResult:
-        account = state.account(tx.sender)
+    def submit(self, tx: SignedTransaction, now: int) -> SubmitResult:
+        account = self.tip.account(tx.sender)
         if tx.nonce < account.nonce:
             return SubmitResult("rejected", reason=RejectReason.NONCE_TOO_LOW)
         if account.balance < max_cost(tx):
@@ -53,16 +53,17 @@ class ReferenceMempool:
         h = tx_hash(tx)
         self.entries[h] = PoolEntry(tx=tx, received_at=now, status=PoolStatus.QUEUED)
         self.by_sender.setdefault(tx.sender, {})[tx.nonce] = h
-        self._refresh_statuses(state)
+        self._refresh_statuses()
 
+        evicted: Optional[TxHash] = None
         if self._count(PoolStatus.QUEUED) > self.config.max_queued:
             evicted = self._evict_lowest_queued()
             if evicted == h:
-                self._refresh_statuses(state)
+                self._refresh_statuses()
                 return SubmitResult("rejected", reason=RejectReason.POOL_FULL)
         if replaced_hash is not None:
-            return SubmitResult("replaced", replaced=replaced_hash)
-        return ACCEPTED
+            return SubmitResult("replaced", replaced=replaced_hash, evicted=evicted)
+        return SubmitResult("accepted", evicted=evicted)
 
     def pending_candidates(self, base_fee: int, state: WorldState, held=()) -> List[SignedTransaction]:
         eligible: List[PoolEntry] = []
@@ -81,7 +82,16 @@ class ReferenceMempool:
 
         return [entry.tx for entry in sorted(eligible, key=sort_key) if tx_hash(entry.tx) not in held]
 
+    # The reference filters candidates by its store's active entries (`held`),
+    # so it ignores the notices a store sends its pool.
+    def on_held(self, h: TxHash) -> None:
+        pass
+
+    def on_released(self, h: TxHash) -> None:
+        pass
+
     def retire(self, now: int, state: WorldState) -> List[TxHash]:
+        self.tip = state
         removed: List[TxHash] = []
         for h in sorted(self.entries):
             entry = self.entries[h]
@@ -94,7 +104,7 @@ class ReferenceMempool:
                 removed.append(h)
         for h in removed:
             self._drop(h)
-        self._refresh_statuses(state)
+        self._refresh_statuses()
         return removed
 
     def _drop(self, h: TxHash) -> None:
@@ -110,8 +120,8 @@ class ReferenceMempool:
     def _count(self, status: PoolStatus) -> int:
         return sum(1 for e in self.entries.values() if e.status is status)
 
-    def _refresh_statuses(self, state: WorldState) -> None:
-        self.refreshed = state
+    def _refresh_statuses(self) -> None:
+        state = self.tip
         pending_total = 0
         for sender in sorted(self.by_sender):
             slots = self.by_sender[sender]

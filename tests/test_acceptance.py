@@ -184,9 +184,11 @@ def test_05_quarantine_criteria_suite():
             ("released", "criterion=administrative"),
         ]
         # ...while victim admins must be unanimous (two victims, two approvals).
+        from rollupsim.mempool import Mempool, PoolConfig
         from rollupsim.quarantine import PendingApprovals, QuarantineConfig, QuarantineStore, Released
+        from rollupsim.vm import WorldState
 
-        store = QuarantineStore(QuarantineConfig(operators=frozenset()))
+        store = QuarantineStore(QuarantineConfig(operators=frozenset()), Mempool(PoolConfig(), WorldState()))
         second_victim, second_admin = addr(0xD1), addr(0xD2)
         verdict = Verdict(True, ("a", "b"), (VAULT, second_victim), 10)
         held = exploit_tx()

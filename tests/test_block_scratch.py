@@ -48,6 +48,7 @@ from rollupsim.vm import (
     Execution,
     InvalidBlock,
     Pay,
+    Replay,
     Require,
     SetSlot,
     SLoad,
@@ -174,6 +175,29 @@ class TestFoldMatchesReExecution:
             benign, malicious, deferred, _ = sequential_oracle(txs, tip, invariants, detector, context)
             assert outcome.benign == benign and outcome.deferred == deferred
             assert [(t, v) for t, v, _ in outcome.malicious] == malicious
+
+
+class TestInPlaceByType:
+    """`execute_transaction` runs a transaction in place exactly when its
+    base is a `Replay`; on any other execution it returns a child."""
+
+    def world(self):
+        return make_state({addr(1): Account(balance=10_000), COUNTER: Account(balance=0, code=counter_contract())})
+
+    def test_a_replay_is_run_in_place_and_records_no_key(self):
+        scratch = Replay(self.world())
+        for nonce in (0, 1):
+            assert execute_transaction(scratch, tx(addr(1), nonce, COUNTER), ctx()) is scratch
+        assert (scratch.reads, scratch.writes) == (set(), set())
+        assert scratch.nonce_of(addr(1)) == 2
+        assert scratch.storage_of(COUNTER)[slot_bytes(COUNT_KEY)] == slot_bytes(2)
+
+    def test_a_fold_gets_a_child_and_is_left_as_it_was(self):
+        fold = Execution(self.world())
+        child = execute_transaction(fold, tx(addr(1), 0, COUNTER), ctx())
+        assert type(child) is Execution and child is not fold and child.base is fold
+        assert AccessKey.storage(COUNTER, slot_bytes(COUNT_KEY)) in child.reads & child.writes
+        assert (fold.balances, fold.nonces, fold.storage, fold.reads, fold.writes) == ({}, {}, {}, set(), set())
 
 
 class TestApplyBlockMatchesReExecution:

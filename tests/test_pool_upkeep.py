@@ -8,6 +8,7 @@ submit's work does not grow with the number of pooled senders or queued
 entries. Over every bundled scenario, the sequencer's upkeep asks
 `changed_since` one hop at a time and its candidates match the reference."""
 import copy
+import importlib.util
 import sys
 from pathlib import Path
 from typing import List
@@ -114,32 +115,39 @@ class TestDifferentialAgainstReference:
         q_config = QuarantineConfig(
             time_criterion_period=data.draw(st.integers(min_value=1, max_value=10)), operators=frozenset({OPERATOR})
         )
-        fast, ref = Mempool(pool_config), ReferenceMempool(pool_config)
-        fast_store, ref_store = QuarantineStore(q_config, pool=fast), ReferenceStore(q_config)
-        fast_ledger, ref_ledger = CollateralLedger(), CollateralLedger()
         history: List[WorldState] = []
+        genesis = draw_state(data, history)
+        fast, ref = Mempool(pool_config, genesis), ReferenceMempool(pool_config, genesis)
+        fast_store, ref_store = QuarantineStore(q_config, fast), ReferenceStore(q_config, ref)
+        fast_ledger, ref_ledger = CollateralLedger(), CollateralLedger()
+        sides = ((fast_store, fast_ledger), (ref_store, ref_ledger))
         now = 0
         seen = []  # every transaction offered so far, for (re)admission
         for step in range(data.draw(st.integers(min_value=1, max_value=40))):
             op = data.draw(st.sampled_from(OPERATIONS))
-            state = draw_state(data, history)
             now += data.draw(st.integers(min_value=0, max_value=3))
             if op == "submit":
                 if seen and data.draw(st.integers(min_value=0, max_value=3)) == 0:
                     t = data.draw(st.sampled_from(seen))  # resubmission of the very same transaction
                 else:
-                    t = draw_tx(data, state)
+                    t = draw_tx(data, fast.tip)
                     seen.append(t)
-                assert fast.submit(t, now, state) == ref.submit(t, now, state)
+                result = fast.submit(t, now)
+                assert result == ref.submit(t, now)
+                if result.evicted is not None:  # settled as a retirement, as the sequencer does
+                    for store, ledger in sides:
+                        ledger.refund(result.evicted)
+                        store.on_mempool_retired([result.evicted], now)
             elif op == "retire":
+                state = draw_state(data, history)  # the only way the pools' tip moves
                 removed = fast.retire(now, state)
                 assert removed == ref.retire(now, state)
                 assert fast_store.on_mempool_retired(removed, now) == ref_store.on_mempool_retired(removed, now)
             elif op == "candidates":
                 base_fee = data.draw(st.integers(min_value=0, max_value=3))
-                # The pool reads nonces at the state it last refreshed at.
+                # The pool reads nonces at its tip.
                 assert fast.pending_candidates(base_fee) == ref.pending_candidates(
-                    base_fee, ref.refreshed, held=ref_store.active
+                    base_fee, ref.tip, held=ref_store.active
                 )
             elif op == "admit":
                 if data.draw(st.integers(min_value=0, max_value=4)) == 0:
@@ -154,10 +162,11 @@ class TestDifferentialAgainstReference:
                 fast_store.admit(t, verdict, now, step)
                 ref_store.admit(t, verdict, now, step)
             elif op == "maintain":
+                state = draw_state(data, history)
                 assert fast_store.per_block_maintenance(state, now) == ref_store.per_block_maintenance(state, now)
             elif op == "stake":
                 sender, amount = data.draw(st.sampled_from(SENDERS)), data.draw(st.sampled_from([0, 5, 30, 60]))
-                for store, ledger in ((fast_store, fast_ledger), (ref_store, ref_ledger)):
+                for store, ledger in sides:
                     ledger.stake(sender, amount)
                     store.on_stake(ledger, sender, now)
                 assert fast_ledger.stakes == ref_ledger.stakes and fast_ledger.locked == ref_ledger.locked
@@ -186,11 +195,11 @@ def held_flood_block_counts(n: int, monkeypatch) -> dict:
     verdict = Verdict(True, ("vault-solvent",), (SINK,), 100)
     for f in flooders:
         drain = tx(f, 0, SINK, data=b"\x00")
-        assert seq.mempool.submit(drain, 0, seq.chain.tip_state).outcome == "accepted"
+        assert seq.mempool.submit(drain, 0).outcome == "accepted"
         seq.store.admit(drain, verdict, now=0, block_no=0)
-    assert seq.build_block(2, None).transactions == ()
+    assert seq.build_block(2).transactions == ()
     transfer = tx(benign, 0, SINK, value=7, gas_limit=21)
-    seq.mempool.submit(transfer, 3, seq.chain.tip_state)
+    seq.mempool.submit(transfer, 3)
 
     counts = {"encode": 0, "hash": 0, "account": 0, "digest": 0, "cached": 0}
 
@@ -215,7 +224,7 @@ def held_flood_block_counts(n: int, monkeypatch) -> dict:
         patch.setattr(WorldState, "account", counting("account", WorldState.account))
         patch.setattr(vm, "_account_digest", counting("digest", vm._account_digest))
         patch.setattr(seq.mempool, "_items", CountingCache(seq.mempool._items))
-        block = seq.build_block(4, None)
+        block = seq.build_block(4)
         counts["cache_size"] = len(seq.mempool._items)
     assert block.transactions == (transfer,)
     assert len(seq.store.active) == n and len(seq.mempool) == n
@@ -283,15 +292,15 @@ class TestChangeDrivenUpkeep:
         state_root(state)  # the base is a sealed block, so the result knows its lineage
         return execute_transaction(state, op, FREE).post_state()
 
-    def pools(self, **config):
-        return Mempool(PoolConfig(**config)), ReferenceMempool(PoolConfig(**config))
+    def pools(self, state, **config):
+        return Mempool(PoolConfig(**config), state), ReferenceMempool(PoolConfig(**config), state)
 
     def test_candidates_follow_a_nonce_change_at_retire(self):
         s0 = self.sealed({self.A: 10_000})
-        fast, ref = self.pools()
+        fast, ref = self.pools(s0)
         for pool in (fast, ref):
             for nonce in (0, 1):
-                pool.submit(tx(self.A, nonce, SINK, value=1, gas_limit=21), 0, s0)
+                pool.submit(tx(self.A, nonce, SINK, value=1, gas_limit=21), 0)
         assert fast.pending_candidates(1) == ref.pending_candidates(1, s0)
         s1 = self.executed(s0, tx(self.A, 0, self.B, value=1, max_fee=0, gas_limit=21))
         assert vm.changed_since(s1, s0) is not None
@@ -301,35 +310,19 @@ class TestChangeDrivenUpkeep:
 
     def test_candidates_drop_a_sender_whose_entries_expired(self):
         s0 = self.sealed({self.A: 10_000})
-        fast, ref = self.pools(tx_lifetime=5)
+        fast, ref = self.pools(s0, tx_lifetime=5)
         for pool in (fast, ref):
-            pool.submit(tx(self.A, 0, SINK, value=1, gas_limit=21), 0, s0)
+            pool.submit(tx(self.A, 0, SINK, value=1, gas_limit=21), 0)
         assert len(fast.pending_candidates(1)) == 1
         s1 = self.executed(s0, DepositTransaction(0, 0, addr(0xD0), self.C, 5, b"", 21))
         assert fast.retire(10, s1) == ref.retire(10, s1) != []
         assert fast.pending_candidates(1) == ref.pending_candidates(1, s1) == []
 
-    def test_sender_refreshed_by_a_submit_is_rechecked_at_retire(self):
-        s0 = self.sealed({self.A: 100, self.B: 10_000})
-        fast, ref = self.pools()
-        queued = tx(self.A, 1, SINK, value=50, gas_limit=21)  # costs 71, waits for nonce 0
-        for pool in (fast, ref):
-            pool.submit(queued, 0, s0)
-            pool.retire(1, s0)
-        s1 = self.executed(s0, tx(self.A, 0, self.C, value=90, max_fee=0, gas_limit=21))  # A keeps 10
-        for pool in (fast, ref):
-            pool.submit(tx(self.B, 0, SINK, value=1, gas_limit=21), 2, s1)  # refreshes A's statuses only
-        s2 = self.executed(s1, DepositTransaction(0, 0, addr(0xD0), self.C, 5, b"", 21))  # A untouched
-        assert vm.changed_since(s2, s1) is not None and self.A not in vm.changed_since(s2, s1)
-        removed = fast.retire(3, s2)
-        assert removed == ref.retire(3, s2) == [tx_hash(queued)]
-        assert statuses(fast) == statuses(ref)
-
 
 def lockstep(fast, ref, state, held=()):
     """Statuses, pending count and candidates of the shipped pool equal the
-    reference's, which skips the `held` ids; both last refreshed at `state`."""
-    assert ref.refreshed is state
+    reference's, which skips the `held` ids; both at the tip `state`."""
+    assert fast.tip is ref.tip is state
     assert statuses(fast) == statuses(ref)
     assert fast._pending == sum(1 for e in ref.entries.values() if e.status is PoolStatus.PENDING)
     candidates = fast.pending_candidates(1)
@@ -338,7 +331,7 @@ def lockstep(fast, ref, state, held=()):
 
 
 class TestStoreNotifiesPool:
-    """A store built with a pool tells it of every hold and release; the pool
+    """A store tells its pool of every hold and release; the pool
     is called without a held set and matches the reference, which filters
     by its store's active entries. One case per release path."""
 
@@ -350,14 +343,14 @@ class TestStoreNotifiesPool:
         self.state = make_state({self.A: Account(balance=10_000), self.B: Account(balance=10_000)})
         state_root(self.state)
         config = QuarantineConfig(time_criterion_period=self.PERIOD, operators=frozenset({OPERATOR}))
-        self.fast, self.ref = Mempool(PoolConfig(tx_lifetime=100)), ReferenceMempool(PoolConfig(tx_lifetime=100))
-        self.fast_store, self.ref_store = QuarantineStore(config, pool=self.fast), ReferenceStore(config)
+        self.fast, self.ref = (pool(PoolConfig(tx_lifetime=100), self.state) for pool in (Mempool, ReferenceMempool))
+        self.fast_store, self.ref_store = QuarantineStore(config, self.fast), ReferenceStore(config, self.ref)
         self.sides = [(self.fast, self.fast_store, CollateralLedger()), (self.ref, self.ref_store, CollateralLedger())]
         self.first, self.second = (tx(self.A, n, SINK, value=1, max_fee=2, priority_fee=1, gas_limit=21) for n in (0, 1))
         self.other = tx(self.B, 0, SINK, value=1, max_fee=3, priority_fee=2, gas_limit=21)
         for pool in (self.fast, self.ref):
             for now, t in enumerate((self.first, self.second, self.other)):
-                assert pool.submit(t, now, self.state).outcome == "accepted"
+                assert pool.submit(t, now).outcome == "accepted"
 
     def both(self, op):
         return [op(pool, store, ledger) for pool, store, ledger in self.sides]
@@ -410,7 +403,7 @@ class TestStoreNotifiesPool:
         assert self.first not in self.candidates()
         if path == "mempool":
             # The very same transaction comes back while it is held.
-            self.both(lambda pool, store, ledger: pool.submit(self.first, 4, self.state))
+            self.both(lambda pool, store, ledger: pool.submit(self.first, 4))
             assert tx_hash(self.first) in self.fast
             assert self.first not in self.candidates()
 
@@ -431,7 +424,7 @@ class TestBothCapsBind:
         z, a, b = addr(1), addr(2), addr(3)
         sealed = TestChangeDrivenUpkeep().sealed({z: 10_000, a: 10_000, b: 10_000})
         config = PoolConfig(max_pending=2, max_queued=1)
-        fast, ref = Mempool(config), ReferenceMempool(config)
+        fast, ref = Mempool(config, sealed), ReferenceMempool(config, sealed)
         submits = [
             tx(z, 0, SINK, value=1, max_fee=5, gas_limit=21),
             tx(a, 0, SINK, value=1, max_fee=5, gas_limit=21),
@@ -439,7 +432,7 @@ class TestBothCapsBind:
             tx(b, 0, SINK, value=1, max_fee=4, gas_limit=21),
         ]
         for now, t in enumerate(submits):
-            assert fast.submit(t, now, sealed) == ref.submit(t, now, sealed)
+            assert fast.submit(t, now) == ref.submit(t, now)
             lockstep(fast, ref, sealed)
         assert tx_hash(submits[2]) not in fast and fast.get(tx_hash(submits[3])).status is PoolStatus.QUEUED
         state = TestChangeDrivenUpkeep().executed(sealed, submits[0])
@@ -449,7 +442,7 @@ class TestBothCapsBind:
         assert fast.get(tx_hash(submits[3])).status is PoolStatus.PENDING
         later = [tx(b, 1, SINK, value=1, max_fee=1, gas_limit=21), tx(z, 2, SINK, value=1, gas_limit=21), tx(z, 1, SINK, value=1, max_fee=3, gas_limit=21)]
         for now, t in enumerate(later, 11):
-            assert fast.submit(t, now, state) == ref.submit(t, now, state)
+            assert fast.submit(t, now) == ref.submit(t, now)
             lockstep(fast, ref, state)
         assert fast.retire(20, state) == ref.retire(20, state)
         lockstep(fast, ref, state)
@@ -479,9 +472,9 @@ def binding_submit_counts(n: int, monkeypatch) -> dict:
     next nonce, which moves the cap's cut back by one sender."""
     senders = [addr(0x100 + k) for k in range(n)]
     state = make_state({s: Account(balance=10_000) for s in senders})
-    pool = Mempool(PoolConfig(max_pending=16))
+    pool = Mempool(PoolConfig(max_pending=16), state)
     for s in senders:
-        pool.submit(tx(s, 0, SINK, value=1, gas_limit=21), 0, state)
+        pool.submit(tx(s, 0, SINK, value=1, gas_limit=21), 0)
     counts = {"account": 0}
     original = WorldState.account
 
@@ -492,7 +485,7 @@ def binding_submit_counts(n: int, monkeypatch) -> dict:
     with monkeypatch.context() as patch:
         patch.setattr(WorldState, "account", account)
         count_entry_fields(patch, counts)
-        assert pool.submit(tx(senders[0], 1, SINK, value=1, gas_limit=21), 1, state).outcome == "accepted"
+        assert pool.submit(tx(senders[0], 1, SINK, value=1, gas_limit=21), 1).outcome == "accepted"
     pending = [e.tx.sender for e in pool.entries.values() if e.status is PoolStatus.PENDING]
     assert sorted(pending) == [senders[0]] * 2 + senders[1:15]
     return counts
@@ -503,13 +496,13 @@ def overflow_submit_counts(n: int, monkeypatch) -> dict:
     gap), count the entries whose status is read while one more submit
     evicts the cheapest of them."""
     state = make_state({addr(0x100 + k): Account(balance=10_000) for k in range(n + 1)})
-    pool = Mempool(PoolConfig(max_queued=n))
+    pool = Mempool(PoolConfig(max_queued=n), state)
     for k in range(n):
-        pool.submit(tx(addr(0x100 + k), 1, SINK, value=1, max_fee=2 + k % 7, gas_limit=21), k, state)
+        pool.submit(tx(addr(0x100 + k), 1, SINK, value=1, max_fee=2 + k % 7, gas_limit=21), k)
     with monkeypatch.context() as patch:
         counts = count_entry_fields(patch, {})
         newcomer = tx(addr(0x100 + n), 1, SINK, value=1, max_fee=9, gas_limit=21)
-        assert pool.submit(newcomer, n, state).outcome == "accepted"
+        assert pool.submit(newcomer, n).outcome == "accepted"
     # The latest of the cheapest (max_fee 2) entries went.
     assert tx_hash(tx(addr(0x100 + (n - 1) // 7 * 7), 1, SINK, value=1, max_fee=2, gas_limit=21)) not in pool
     assert len(pool) == n
@@ -550,7 +543,7 @@ def test_sequencer_upkeep_is_one_hop_and_candidates_match_the_reference(name, mo
     block's candidates, read at the pool's last refresh, equal the full walk
     at the state after the epoch's deposits: a deposit writes no nonce."""
     seq = sequencer.Sequencer(parse_scenario(SCENARIOS[name], default_name=name))
-    pool, ref = seq.mempool, ReferenceMempool(seq.mempool.config)
+    pool, ref = seq.mempool, ReferenceMempool(seq.mempool.config, seq.mempool.tip)
     built, late_answers, selected, compared = [0], [], [], [0]
 
     def answering(original):
@@ -597,3 +590,35 @@ def test_sequencer_upkeep_is_one_hop_and_candidates_match_the_reference(name, mo
     seq.run()
     assert compared[0] == built[0] == seq.scenario.run_blocks
     assert late_answers and None not in late_answers
+
+
+def _bench_generate():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("bench_generate", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+_GENERATE = _bench_generate()
+TIP_RUNS = {**SCENARIOS, **{f"bench_{w}": _GENERATE.generate(w, 1)[0] for w in sorted(_GENERATE.GENERATORS)}}
+
+
+@pytest.mark.parametrize("name", sorted(TIP_RUNS))
+def test_the_pool_tip_is_the_chain_tip_after_every_block(name):
+    """A submit is checked at the pool's tip, which only `retire` moves: the
+    sequencer submits between blocks at the chain's tip, so that is the very
+    state object the pool holds, from genesis and after every block. Over
+    every bundled scenario and each benchmark workload at seed 1."""
+    seq = sequencer.Sequencer(parse_scenario(TIP_RUNS[name], default_name=name))
+    assert seq.mempool.tip is seq.chain.tip_state
+    blocks = []
+
+    def checked(now, _build=seq.build_block):
+        blocks.append(_build(now))
+        assert seq.mempool.tip is seq.chain.tip_state, len(blocks)
+        return blocks[-1]
+
+    seq.build_block = checked
+    seq.run()
+    assert len(blocks) == seq.scenario.run_blocks

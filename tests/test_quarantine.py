@@ -21,8 +21,9 @@ from rollupsim.quarantine import (
     StillHeld,
 )
 from rollupsim.formats import parse_scenario
+from rollupsim.mempool import Mempool, PoolConfig
 from rollupsim.sequencer import run
-from rollupsim.vm import Account, make_state, execute_transaction
+from rollupsim.vm import Account, WorldState, make_state, execute_transaction
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -32,7 +33,8 @@ MALICIOUS = Verdict(malicious=True, violated=("vault-solvent",), victims=(VAULT,
 
 
 def store(period=86400, operators=(OPERATOR,)):
-    return QuarantineStore(QuarantineConfig(time_criterion_period=period, operators=frozenset(operators)))
+    config = QuarantineConfig(time_criterion_period=period, operators=frozenset(operators))
+    return QuarantineStore(config, Mempool(PoolConfig(), WorldState()))
 
 
 def held_exploit(s, now=10, block=1, nonce=0):

@@ -102,12 +102,16 @@ VALIDATED = [
     # `struct`'s `20s` zero-pads a short address: it would share its hash with the padded one.
     (SignedTransaction, TX_ARGS, dict(sender=b"\x01" * 19), EncodingError, "sender must be 20 bytes, got 19"),
     (SignedTransaction, TX_ARGS, dict(recipient=bytes(21)), EncodingError, "recipient must be 20 bytes, got 21"),
+    # `struct` cannot pack None: only a signed create leaves an address out, its recipient.
+    (SignedTransaction, TX_ARGS, dict(sender=None), EncodingError, "sender is missing"),
     (DepositTransaction, DEP_ARGS, dict(l1_block=-1), EncodingError, "l1_block out of range: -1"),
     (DepositTransaction, DEP_ARGS, dict(l1_index=2**32), EncodingError, f"l1_index out of range: {2**32}"),
     (DepositTransaction, DEP_ARGS, dict(value=-5), EncodingError, "value out of range: -5"),
     (DepositTransaction, DEP_ARGS, dict(gas_limit=20), EncodingError, "gas_limit below intrinsic cost 21"),
     (DepositTransaction, DEP_ARGS, dict(sender=b"\x01" * 19), EncodingError, "sender must be 20 bytes, got 19"),
     (DepositTransaction, DEP_ARGS, dict(recipient=b""), EncodingError, "recipient must be 20 bytes, got 0"),
+    (DepositTransaction, DEP_ARGS, dict(sender=None), EncodingError, "sender is missing"),
+    (DepositTransaction, DEP_ARGS, dict(recipient=None), EncodingError, "recipient is missing"),
     (SequencerConfig, {}, dict(block_time=0), ValueError, "block_time must be positive and blocks_per_epoch >= 1"),
     (SequencerConfig, {}, dict(blocks_per_epoch=0), ValueError, "block_time must be positive and blocks_per_epoch >= 1"),
     (PoolConfig, {}, dict(max_queued=0), ValueError, "pool config values must be positive"),

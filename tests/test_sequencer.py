@@ -80,6 +80,45 @@ class TestBuildBlock:
         assert seq.ledger.locked == {}
         assert seq.ledger.available(ATTACKER) == 101
 
+    @staticmethod
+    def evicted_drain(stake: bool):
+        """economic_release's drain B, pending alone at t=1, is queued behind
+        0xa0's transfer at t=3 (max_pending=1), after the stake released it
+        or while still held, and evicted at t=5 by 0xb3's richer submit
+        (max_queued=1)."""
+        contract = [line for line in (SCENARIOS / "economic_release.scn").read_text().splitlines()
+                    if line.startswith(("genesis contract", "genesis invariant"))]
+        lines = [
+            "scenario v1",
+            "config fee_recipient=0xfe operators=0xee max_pending=1 max_queued=1",
+            *(f"genesis account {a} balance=10000" for a in ("0xa0", "0xb2", "0xb3")),
+            *contract,
+            "run blocks=5",
+            "event 1 submit as=B sender=0xb2 nonce=0 to=0xc3 data=0x00 gas_limit=30",
+            "event 3 submit sender=0xa0 nonce=0 to=0xa0 max_fee=0 gas_limit=21",
+            *(["event 3 stake account=0xb2 amount=101"] if stake else []),
+            "event 5 submit sender=0xb3 nonce=0 to=0xb3 max_fee=5 gas_limit=21",
+        ]
+        out = run(parse_scenario("\n".join(lines) + "\n"))
+        (entry,) = out.report.entries
+        assert entry.key not in out.sequencer.mempool and not out.sequencer.mempool._held
+        return out, entry.key
+
+    def test_an_evicted_released_tx_settles_its_lock(self):
+        out, key = self.evicted_drain(stake=True)
+        assert [(a.kind, a.at) for a in out.report.audit if a.entry == key] == [("admitted", 2), ("released", 3)]
+        assert out.sequencer.ledger.locked == {}
+        assert out.sequencer.ledger.available(ATTACKER) == 101
+
+    def test_an_evicted_held_tx_retires_from_quarantine(self):
+        out, key = self.evicted_drain(stake=False)
+        assert (out.report.audit[-1].entry, out.report.audit[-1].at) == (key, 5)
+        assert [(a.kind, a.detail) for a in out.report.audit] == [
+            ("admitted", "block=0"),
+            ("retired", "criterion=mempool"),
+        ]
+        assert not out.sequencer.store.active and not out.sequencer.ledger.stakes
+
     def test_every_included_tx_retires_from_the_pool_in_its_own_block(self, monkeypatch):
         # So a lock keyed by an included hash settles through `retire`.
         retired = []
@@ -219,8 +258,8 @@ def full_deposit_walk(seq: Sequencer) -> None:
 
 
 class WalkingSequencer(Sequencer):
-    def build_block(self, now, epoch_deposits):
-        block = super().build_block(now, epoch_deposits)
+    def build_block(self, now):
+        block = super().build_block(now)
         full_deposit_walk(self)
         self.walked = getattr(self, "walked", 0) + 1
         return block
@@ -371,13 +410,13 @@ class TestScreeningCallCount:
         seq = Sequencer(Scenario(name="transfers", genesis=make_state({s: Account(balance=1_000) for s in senders})))
         for i, sender in enumerate(senders):
             transfer = tx(sender, 0, addr(0x200 + i), value=7, gas_limit=21)
-            assert seq.mempool.submit(transfer, 1, seq.chain.tip_state).outcome == "accepted"
+            assert seq.mempool.submit(transfer, 1).outcome == "accepted"
         return seq
 
     def test_a_block_of_plain_transfers(self):
-        self.seeded().build_block(2, None)  # the warm-up
+        self.seeded().build_block(2)  # the warm-up
         seq = self.seeded()
-        counted = python_calls(seq.build_block, 2, None, warm_up=False)
+        counted = python_calls(seq.build_block, 2, warm_up=False)
         block, codes, names = counted.result, counted.calls, counted.names
         assess = InvariantDetector.assess.__code__
         sorts_in_assess = [1 for caller, fn in counted.c_calls if fn is sorted and caller is assess]

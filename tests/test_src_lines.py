@@ -1,6 +1,7 @@
 """`tools/src_lines.py`, the net `src/` line counter: its totals are the sums
 of its module rows, and docstrings, comments and blanks are not code."""
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -66,3 +67,14 @@ def test_the_change_counts_a_module_missing_on_one_side_as_zero():
         ["new.py", "4", "2", "0", "0", "+4", "+2"],
         ["total", "14", "8", "17", "12", "-3", "-4"],
     ]
+
+
+def test_a_reader_that_stops_early_ends_it_quietly():
+    # As `| head -3` does: the reader has gone before the table is written.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, str(SCRIPT)], stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert done.stderr == "" and done.returncode == 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import os
 import subprocess
 import sys
 import tokenize
@@ -102,7 +103,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--rev", help="also count each module at this git revision, and print the change")
     args = parser.parse_args(argv)
     then = at_revision(args.rev) if args.rev else None
-    print("\n".join(table(working_tree(), then, args.rev or "")))
+    try:
+        print("\n".join(table(working_tree(), then, args.rev or "")), flush=True)
+    except BrokenPipeError:
+        # The reader stopped early (`| head`). Point stdout at /dev/null so
+        # the flush at exit does not raise again, and stop quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
