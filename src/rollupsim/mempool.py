@@ -21,9 +21,9 @@ sort keys, read at the tip, and every sender a refresh re-measured is
 marked for a rebuild. The quarantine store
 tells the pool which hashes it holds (`on_held`, `on_released`), so held
 entries never enter the candidate cache. Lifetime expiry pops a heap keyed
-on arrival time, and `max_queued` eviction a heap keyed on fee and arrival;
-a submit reports the entry it evicted, so its owner can settle it as a
-retirement.
+on arrival time, and `max_queued` eviction a heap keyed on fee and arrival.
+`submit` and `retire` report every removal once, as a `(hash, cause)` exit,
+so the owner settles each in one place, and both end with both caps held.
 """
 from __future__ import annotations
 
@@ -72,11 +72,17 @@ class PoolEntry:
         self.status = status
 
 
+# One removal from the pool: (hash, cause). The cause is "retired" (nonce
+# spent, included or not, or unaffordable at the new tip), "expired" (older
+# than `tx_lifetime`), "replaced" (by a same-nonce fee bump) or "evicted"
+# (the lowest-fee queued entry over `max_queued`).
+PoolExit = Tuple[TxHash, str]
+
+
 class SubmitResult(NamedTuple):
     outcome: str  # accepted | replaced | rejected
-    replaced: Optional[TxHash] = None
     reason: Optional[RejectReason] = None
-    evicted: Optional[TxHash] = None  # a pooled entry `max_queued` dropped to admit this one
+    exits: Tuple[PoolExit, ...] = ()  # the entries this submit removed
 
 
 ACCEPTED = SubmitResult("accepted")
@@ -112,40 +118,30 @@ class Mempool:
         self._eligible_fee: Optional[int] = None
         self._dirty: Set[Address] = set()
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, h: TxHash) -> bool:
-        return h in self.entries
-
-    def get(self, h: TxHash) -> Optional[PoolEntry]:
-        return self.entries.get(h)
-
     def submit(self, tx: SignedTransaction, now: int) -> SubmitResult:
         """Validate a transaction at the tip and admit it, possibly replacing
-        a same-nonce one.
+        a same-nonce one, or refuse it and leave the pool as it was.
 
         A replacement needs max_fee >= old max_fee * (1 + bump%); anything
-        below is rejected as underpriced. When the queued side overflows, the
-        lowest-fee queued transaction is dropped: the incoming one is then
-        rejected, and any other is reported as `evicted`.
+        below is rejected as underpriced. A replacement takes over its
+        slot and status, so no count moves and nothing is evicted. A new
+        slot can put the queued side one over `max_queued`: the lowest-fee
+        queued entry is evicted, and if that is the incoming one, it is
+        refused `POOL_FULL`.
         """
         account = self.tip.account(tx.sender)
         if tx.nonce < account.nonce:
-            return SubmitResult("rejected", reason=RejectReason.NONCE_TOO_LOW)
+            return SubmitResult("rejected", RejectReason.NONCE_TOO_LOW)
         if account.balance < max_cost(tx):
-            return SubmitResult("rejected", reason=RejectReason.INSUFFICIENT_BALANCE)
+            return SubmitResult("rejected", RejectReason.INSUFFICIENT_BALANCE)
 
-        replaced_hash: Optional[TxHash] = None
-        sender_slots = self.by_sender.get(tx.sender, {})
-        if tx.nonce in sender_slots:
-            old_hash = sender_slots[tx.nonce]
+        old_hash = self.by_sender.get(tx.sender, {}).get(tx.nonce)
+        if old_hash is not None:
             old_fee = self.entries[old_hash].tx.max_fee
             bump = self.config.min_replacement_bump_percent
             if tx.max_fee * 100 < old_fee * (100 + bump):
-                return SubmitResult("rejected", reason=RejectReason.UNDERPRICED_REPLACEMENT)
+                return SubmitResult("rejected", RejectReason.UNDERPRICED_REPLACEMENT)
             self._drop(old_hash)
-            replaced_hash = old_hash
 
         h = tx_hash(tx)
         entry = self.entries[h] = PoolEntry(tx=tx, received_at=now, status=PoolStatus.QUEUED)
@@ -155,18 +151,14 @@ class Mempool:
         if entry.status is PoolStatus.QUEUED:  # born queued: the refresh did not push it
             heapq.heappush(self._queued, (tx.max_fee, -now, h))
 
-        evicted: Optional[TxHash] = None
+        if old_hash is not None:
+            return SubmitResult("replaced", exits=((old_hash, "replaced"),))
         if len(self.entries) - self._pending > self.config.max_queued:
             victim = self._evict_lowest_queued()
-            if victim is not None:
-                # A queued victim may have sat inside its sender's run.
-                self._refresh_statuses([victim.tx.sender])
-                if victim is entry:
-                    return SubmitResult("rejected", reason=RejectReason.POOL_FULL)
-                evicted = tx_hash(victim.tx)
-        if replaced_hash is not None:
-            return SubmitResult("replaced", replaced=replaced_hash, evicted=evicted)
-        return ACCEPTED if evicted is None else SubmitResult("accepted", evicted=evicted)
+            if victim == h:
+                return SubmitResult("rejected", RejectReason.POOL_FULL)
+            return SubmitResult("accepted", exits=((victim, "evicted"),))
+        return ACCEPTED
 
     def pending_candidates(self, base_fee: int) -> List[SignedTransaction]:
         """Pending txs that bid at least the base fee, most generous tip first.
@@ -225,9 +217,11 @@ class Mempool:
         if entry is not None:
             self._dirty.add(entry.tx.sender)
 
-    def retire(self, now: int, state: WorldState) -> List[TxHash]:
-        """Move the tip to `state` and drop stale entries: dead nonce,
-        expired lifetime, or unaffordable.
+    def retire(self, now: int, state: WorldState) -> List[PoolExit]:
+        """Move the tip to `state`, drop stale entries in hash order (dead
+        nonce or unaffordable: "retired"; past their lifetime: "expired"),
+        then evict down to `max_queued`, since a drop can turn a sender's
+        later nonces queued. Each removal is reported as an exit.
 
         Nonce and balance are rechecked only for senders whose account may
         differ from the old tip's (every sender when the states are
@@ -235,24 +229,26 @@ class Mempool:
         changed = changed_since(state, self.tip)
         stale = list(self.by_sender) if changed is None else self.by_sender.keys() & changed
         self.tip = state
-        doomed: Set[TxHash] = set()
+        doomed: Dict[TxHash, str] = {}
         for sender in stale:
             account = state.account(sender)
             for nonce, h in self.by_sender[sender].items():
                 if nonce < account.nonce or account.balance < max_cost(self.entries[h].tx):
-                    doomed.add(h)
+                    doomed[h] = "retired"
         senders = set(stale)
         deadline = now - self.config.tx_lifetime  # expired: received_at < deadline
         while self._arrivals and self._arrivals[0][0] < deadline:
             received_at, h = heapq.heappop(self._arrivals)
             entry = self.entries.get(h)
             if entry is not None and entry.received_at == received_at:
-                doomed.add(h)
+                doomed.setdefault(h, "expired")
                 senders.add(entry.tx.sender)
-        removed = sorted(doomed)
-        for h in removed:
+        exits = sorted(doomed.items())
+        for h, _ in exits:
             self._drop(h)
         self._refresh_statuses(senders)
+        while len(self.entries) - self._pending > self.config.max_queued:
+            exits.append((self._evict_lowest_queued(), "evicted"))
         if len(self._arrivals) > 2 * len(self.entries) + 64:
             self._arrivals = [(e.received_at, h) for h, e in self.entries.items()]
             heapq.heapify(self._arrivals)
@@ -261,23 +257,20 @@ class Mempool:
                 (e.tx.max_fee, -e.received_at, h) for h, e in self.entries.items() if e.status is PoolStatus.QUEUED
             ]
             heapq.heapify(self._queued)
-        return removed
+        return exits
 
     # -- internals --
 
     def _drop(self, h: TxHash) -> None:
-        entry = self.entries.pop(h, None)
-        if entry is None:
-            return
+        entry = self.entries.pop(h)
         if entry.status is PoolStatus.PENDING:
             self._pending -= 1
         sender = entry.tx.sender
         self._dirty.add(sender)
-        slots = self.by_sender.get(sender)
-        if slots and slots.get(entry.tx.nonce) == h:
-            del slots[entry.tx.nonce]
-            if not slots:
-                del self.by_sender[sender]
+        slots = self.by_sender[sender]
+        del slots[entry.tx.nonce]
+        if not slots:
+            del self.by_sender[sender]
 
     def _refresh_statuses(self, senders: Collection[Address]) -> None:
         """Re-measure the runs of `senders` at the tip, walk the cut to its
@@ -338,14 +331,16 @@ class Mempool:
                         self._pending -= 1
                         heapq.heappush(self._queued, (entry.tx.max_fee, -entry.received_at, h))
 
-    def _evict_lowest_queued(self) -> Optional[PoolEntry]:
-        """Drop the queued entry with the lowest fee (the latest arrival
-        among equal fees) off the eviction heap, skipping stale items."""
+    def _evict_lowest_queued(self) -> TxHash:
+        """Drop the lowest-fee queued entry (the latest arrival among equal
+        fees) and re-measure its sender, whose run it may have sat in.
+        Called only over the cap, each call lowers the queued count by one:
+        whatever it cuts from a run sat past the pending cap too."""
         queued = self._queued
-        while queued:
+        while True:
             _, neg_received_at, h = heapq.heappop(queued)
             entry = self.entries.get(h)
             if entry is not None and entry.status is PoolStatus.QUEUED and entry.received_at == -neg_received_at:
                 self._drop(h)
-                return entry
-        return None
+                self._refresh_statuses([entry.tx.sender])
+                return h

@@ -150,8 +150,8 @@ class CollateralLedger:
 
     An economic release locks as much stake as the damage estimate, keyed by
     the released transaction's hash. The lock settles, refunded in full,
-    when that transaction leaves the pool: retired (included, or its nonce
-    spent otherwise), replaced by a fee bump, or evicted by `max_queued`."""
+    when that transaction leaves the pool, whatever the exit: the sequencer
+    settles every pool exit in one place (`Sequencer._settle`)."""
 
     def __init__(self) -> None:
         self.stakes: Dict[Address, int] = {}
@@ -235,9 +235,6 @@ class QuarantineStore:
         self.audit.append(AuditEvent(key, now, "admitted", detail=f"block={block_no}"))
         return entry
 
-    def is_active(self, key: TxHash) -> bool:
-        return key in self.active
-
     def entry(self, key: TxHash) -> QuarantineEntry:
         if key not in self.active:
             raise EntryNotFound(key.hex0x())
@@ -285,16 +282,13 @@ class QuarantineStore:
         for key in sorted(self._by_sender.get(sender, ()), key=self._positions.__getitem__):
             self.try_economic_release(ledger, key, now)
 
-    def on_mempool_retired(self, keys: Sequence[TxHash], now: int) -> List[TxHash]:
-        """Drop entries whose transaction left the mempool (retired or
-        evicted): as if never admitted."""
-        dropped = []
+    def on_mempool_retired(self, keys: Sequence[TxHash], now: int) -> None:
+        """Drop entries whose transaction left the mempool other than by
+        replacement (retired, expired or evicted): as if never admitted."""
         for key in keys:
             if key in self.active and not self.active[key].is_deposit:
                 self._remove(key)
-                dropped.append(key)
                 self.audit.append(AuditEvent(key, now, "retired", detail="criterion=mempool"))
-        return dropped
 
     # -- release triggers (pull-based; never run from maintenance) --
 

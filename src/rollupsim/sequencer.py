@@ -33,7 +33,7 @@ from .core import (
 from .detection import CandidateSet, Counters, InvariantDetector, InvariantSet, Verdict, hybrid_detect
 from .derivation import ChainView
 from .l1da import EscrowStatus, L1Chain, L1History, L1Record, encode_bitmap, snapshot_history
-from .mempool import Mempool, PoolConfig
+from .mempool import Mempool, PoolConfig, PoolExit
 from .quarantine import CollateralLedger, QuarantineConfig, QuarantineEntry, QuarantineError, QuarantineStore
 from .vm import BlockContext, WorldState, state_root
 
@@ -319,20 +319,30 @@ class Sequencer:
         block = self.chain.seal(self.chain.draft(now, self.base_fee, epoch, deposits, transactions), final_state)
 
         # Pool hygiene, then quarantine maintenance, exactly once per block;
-        # maintenance never simulates. A collateral lock settles when its
-        # transaction leaves the pool: here, once included or otherwise
-        # dead (an included transaction's nonce is spent, so this block
-        # retires it), or on replacement or eviction, in `_apply_event`.
-        removed = self.mempool.retire(now, final_state)
-        self.store.on_mempool_retired(removed, now)
-        if self.ledger.locked:
-            for key in removed:
-                self.ledger.refund(key)
+        # maintenance never simulates. An included transaction's nonce is
+        # spent, so this block retires it from the pool.
+        self._settle(self.mempool.retire(now, final_state), now)
         self.store.per_block_maintenance(final_state, now)
 
         # The state holds the deposits detection accepted; escrow must agree.
         self._check_deposit_conservation([deposit_id(d) for d in epoch_deposits], accepted)
         return block
+
+    def _settle(self, exits: Sequence[PoolExit], now: int, new_tx: Optional[SignedTransaction] = None) -> None:
+        """The one place pool exits settle: each exit's lock is refunded,
+        then the store hears of a replacement by `new_tx` or retires it.
+        Neither side is walked while it holds nothing to settle."""
+        if self.ledger.locked:
+            for key, _ in exits:
+                self.ledger.refund(key)
+        if self.store.active:
+            retired = []
+            for key, cause in exits:
+                if cause == "replaced":
+                    self.store.on_replacement(key, new_tx, now)
+                else:
+                    retired.append(key)
+            self.store.on_mempool_retired(retired, now)
 
     def _check_deposit_conservation(self, keys: Sequence[TxHash], accepted: Set[TxHash]) -> None:
         """Each deposit is exactly one of: minted on L2, refunded on L1, escrowed.
@@ -413,13 +423,9 @@ class Sequencer:
 
     def _apply_event(self, event: Event) -> None:
         if isinstance(event, SubmitEvent):
-            result = self.mempool.submit(event.tx, event.at)
-            if result.outcome == "replaced":
-                self.store.on_replacement(result.replaced, event.tx, event.at)
-                self.ledger.refund(result.replaced)
-            if result.evicted is not None:  # settled as a retirement
-                self.ledger.refund(result.evicted)
-                self.store.on_mempool_retired([result.evicted], event.at)
+            exits = self.mempool.submit(event.tx, event.at).exits
+            if exits:
+                self._settle(exits, event.at, event.tx)
         elif isinstance(event, L1BlockEvent):
             head_block = event.number * self.config.blocks_per_epoch
             if len(self.chain.blocks) > head_block:

@@ -7,16 +7,20 @@ are filtered for held entries after selection, and quarantine maintenance
 and the stake handler walk every key ever admitted. They are slow but
 obviously right, and the differential tests hold the shipped pool and store
 to them. Like the shipped pool, the reference keeps its own tip, which
-only `retire` moves.
+only `retire` moves, reports every removal as a `(hash, cause)` exit, and
+ends each submit and retire by evicting the lowest-fee queued entries down
+to `max_queued`; a submit whose own transaction is evicted restores a copy
+of the pool taken before it.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from rollupsim.core import Address, SignedTransaction, TxHash, max_cost, tx_hash
 from rollupsim.mempool import (
     PoolConfig,
     PoolEntry,
+    PoolExit,
     PoolStatus,
     RejectReason,
     SubmitResult,
@@ -33,37 +37,37 @@ class ReferenceMempool:
         self.tip = state  # the state submits are checked at; only `retire` moves it
 
     def submit(self, tx: SignedTransaction, now: int) -> SubmitResult:
+        """Admit the transaction, replacing a same-nonce one, then evict
+        down to `max_queued`; if that evicts the transaction itself, put the
+        pool back as it was and refuse it."""
         account = self.tip.account(tx.sender)
         if tx.nonce < account.nonce:
-            return SubmitResult("rejected", reason=RejectReason.NONCE_TOO_LOW)
+            return SubmitResult("rejected", RejectReason.NONCE_TOO_LOW)
         if account.balance < max_cost(tx):
-            return SubmitResult("rejected", reason=RejectReason.INSUFFICIENT_BALANCE)
+            return SubmitResult("rejected", RejectReason.INSUFFICIENT_BALANCE)
 
-        replaced_hash: Optional[TxHash] = None
-        sender_slots = self.by_sender.setdefault(tx.sender, {})
+        saved = dict(self.entries), {sender: dict(slots) for sender, slots in self.by_sender.items()}
+        outcome, exits = "accepted", []
+        sender_slots = self.by_sender.get(tx.sender, {})
         if tx.nonce in sender_slots:
             old_hash = sender_slots[tx.nonce]
             old_fee = self.entries[old_hash].tx.max_fee
             bump = self.config.min_replacement_bump_percent
             if tx.max_fee * 100 < old_fee * (100 + bump):
-                return SubmitResult("rejected", reason=RejectReason.UNDERPRICED_REPLACEMENT)
+                return SubmitResult("rejected", RejectReason.UNDERPRICED_REPLACEMENT)
             self._drop(old_hash)
-            replaced_hash = old_hash
+            outcome, exits = "replaced", [(old_hash, "replaced")]
 
         h = tx_hash(tx)
         self.entries[h] = PoolEntry(tx=tx, received_at=now, status=PoolStatus.QUEUED)
         self.by_sender.setdefault(tx.sender, {})[tx.nonce] = h
         self._refresh_statuses()
-
-        evicted: Optional[TxHash] = None
-        if self._count(PoolStatus.QUEUED) > self.config.max_queued:
-            evicted = self._evict_lowest_queued()
-            if evicted == h:
-                self._refresh_statuses()
-                return SubmitResult("rejected", reason=RejectReason.POOL_FULL)
-        if replaced_hash is not None:
-            return SubmitResult("replaced", replaced=replaced_hash, evicted=evicted)
-        return SubmitResult("accepted", evicted=evicted)
+        exits += self._evict_over_cap()
+        if h not in self.entries:
+            self.entries, self.by_sender = saved
+            self._refresh_statuses()
+            return SubmitResult("rejected", RejectReason.POOL_FULL)
+        return SubmitResult(outcome, exits=tuple(exits))
 
     def pending_candidates(self, base_fee: int, state: WorldState, held=()) -> List[SignedTransaction]:
         eligible: List[PoolEntry] = []
@@ -90,22 +94,20 @@ class ReferenceMempool:
     def on_released(self, h: TxHash) -> None:
         pass
 
-    def retire(self, now: int, state: WorldState) -> List[TxHash]:
+    def retire(self, now: int, state: WorldState) -> List[PoolExit]:
         self.tip = state
-        removed: List[TxHash] = []
+        exits: List[PoolExit] = []
         for h in sorted(self.entries):
             entry = self.entries[h]
             account = state.account(entry.tx.sender)
-            if (
-                entry.tx.nonce < account.nonce
-                or entry.received_at + self.config.tx_lifetime < now
-                or account.balance < max_cost(entry.tx)
-            ):
-                removed.append(h)
-        for h in removed:
+            if entry.tx.nonce < account.nonce or account.balance < max_cost(entry.tx):
+                exits.append((h, "retired"))
+            elif entry.received_at + self.config.tx_lifetime < now:
+                exits.append((h, "expired"))
+        for h, _ in exits:
             self._drop(h)
         self._refresh_statuses()
-        return removed
+        return exits + self._evict_over_cap()
 
     def _drop(self, h: TxHash) -> None:
         entry = self.entries.pop(h, None)
@@ -138,13 +140,17 @@ class ReferenceMempool:
                 else:
                     entry.status = PoolStatus.QUEUED
 
-    def _evict_lowest_queued(self) -> Optional[TxHash]:
-        queued = [(e.tx.max_fee, -e.received_at, h) for h, e in self.entries.items() if e.status is PoolStatus.QUEUED]
-        if not queued:
-            return None
-        _, _, victim = min(queued)
-        self._drop(victim)
-        return victim
+    def _evict_over_cap(self) -> List[PoolExit]:
+        """Evict the lowest-fee queued entry (the latest arrival among equal
+        fees) and re-label every entry, until `max_queued` holds."""
+        evicted: List[PoolExit] = []
+        while self._count(PoolStatus.QUEUED) > self.config.max_queued:
+            queued = [(e.tx.max_fee, -e.received_at, h) for h, e in self.entries.items() if e.status is PoolStatus.QUEUED]
+            victim = min(queued)[2]
+            self._drop(victim)
+            self._refresh_statuses()
+            evicted.append((victim, "evicted"))
+        return evicted
 
 
 class ReferenceStore(QuarantineStore):

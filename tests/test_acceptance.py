@@ -202,7 +202,7 @@ def test_05_quarantine_criteria_suite():
             ("admitted", "block=0"),
             ("held", "criterion=economic threshold=100"),
         ]
-        assert out.sequencer.store.is_active(out.report.entries[0].key)
+        assert out.report.entries[0].key in out.sequencer.store.active
         out = run(load("economic_release"))
         assert [(a.kind, a.detail) for a in out.report.audit] == [
             ("admitted", "block=0"),
@@ -224,7 +224,7 @@ def test_06_deposit_permanence_and_escape_hatch():
                 assert refused_key not in {deposit_id(d) for d in block.deposits}
 
         # held forever, refused in escrow, refundable exactly once
-        assert out.sequencer.store.is_active(refused_key)
+        assert refused_key in out.sequencer.store.active
         l1 = out.sequencer.l1
         assert l1.escrow[refused_key].status is EscrowStatus.REFUSED
         assert l1.escape_withdraw(refused_key, now=10) == RefundResult(value=refused_dep.value)

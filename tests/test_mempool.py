@@ -20,14 +20,14 @@ def test_fresh_matching_nonce_goes_pending(state):
     pool = Mempool(PoolConfig(), state)
     t = tx(addr(1), 0, addr(9))
     assert pool.submit(t, now=0).outcome == "accepted"
-    assert pool.get(tx_hash(t)).status is PoolStatus.PENDING
+    assert pool.entries[tx_hash(t)].status is PoolStatus.PENDING
 
 
 def test_nonce_gap_lands_in_queued(state):
     pool = Mempool(PoolConfig(), state)
     t = tx(addr(1), 2, addr(9))
     assert pool.submit(t, now=0).outcome == "accepted"
-    assert pool.get(tx_hash(t)).status is PoolStatus.QUEUED
+    assert pool.entries[tx_hash(t)].status is PoolStatus.QUEUED
     assert pool.pending_candidates(1) == []
 
 
@@ -35,9 +35,9 @@ def test_gap_fill_promotes(state):
     pool = Mempool(PoolConfig(), state)
     later = tx(addr(1), 1, addr(9))
     pool.submit(later, now=0)
-    assert pool.get(tx_hash(later)).status is PoolStatus.QUEUED
+    assert pool.entries[tx_hash(later)].status is PoolStatus.QUEUED
     pool.submit(tx(addr(1), 0, addr(9)), now=1)
-    assert pool.get(tx_hash(later)).status is PoolStatus.PENDING
+    assert pool.entries[tx_hash(later)].status is PoolStatus.PENDING
 
 
 def test_replacement_needs_ten_percent_bump(state):
@@ -47,8 +47,8 @@ def test_replacement_needs_ten_percent_bump(state):
     assert low.outcome == "rejected" and low.reason is RejectReason.UNDERPRICED_REPLACEMENT
     old_hash = tx_hash(tx(addr(1), 0, addr(9), max_fee=100))
     ok = pool.submit(tx(addr(1), 0, addr(9), max_fee=110), now=2)
-    assert ok.outcome == "replaced" and ok.replaced == old_hash
-    assert old_hash not in pool
+    assert ok.outcome == "replaced" and ok.exits == ((old_hash, "replaced"),)
+    assert old_hash not in pool.entries
 
 
 def test_replaced_hash_never_reappears_in_candidates(state):
@@ -113,8 +113,10 @@ def test_retire_dead_nonce_lifetime_and_balance(state):
     for i, t in enumerate([stale, old, broke]):
         pool.submit(t, now=i)
     later = state_with({addr(1): 10_000, addr(2): 10_000, addr(3): 10}, nonces={addr(1): 1})
-    removed = pool.retire(now=200, state=later)
-    assert set(removed) == {tx_hash(stale), tx_hash(old), tx_hash(broke)}
+    exits = pool.retire(now=200, state=later)
+    # The stale entry is past its lifetime too; a spent nonce is reported first.
+    causes = {tx_hash(stale): "retired", tx_hash(old): "expired", tx_hash(broke): "retired"}
+    assert exits == sorted(causes.items())
 
 
 def test_submits_are_checked_at_the_tip_only_retire_moves(state):
@@ -132,7 +134,7 @@ def test_retire_keeps_valid_entries(state):
     keep = tx(addr(1), 0, addr(9))
     pool.submit(keep, now=0)
     assert pool.retire(now=10, state=state) == []
-    assert tx_hash(keep) in pool
+    assert tx_hash(keep) in pool.entries
 
 
 def test_overflow_evicts_lowest_fee_queued(state):
@@ -144,9 +146,9 @@ def test_overflow_evicts_lowest_fee_queued(state):
     pool.submit(cheap, now=0)
     pool.submit(mid, now=1)
     result = pool.submit(rich, now=2)
-    assert result.outcome == "accepted" and result.evicted == tx_hash(cheap)
-    assert tx_hash(cheap) not in pool
-    assert tx_hash(mid) in pool and tx_hash(rich) in pool
+    assert result.outcome == "accepted" and result.exits == ((tx_hash(cheap), "evicted"),)
+    assert tx_hash(cheap) not in pool.entries
+    assert tx_hash(mid) in pool.entries and tx_hash(rich) in pool.entries
 
 
 def test_overflow_rejects_incoming_if_cheapest(state):
@@ -155,7 +157,25 @@ def test_overflow_rejects_incoming_if_cheapest(state):
     pool.submit(tx(addr(2), 5, addr(9), max_fee=5), now=1)
     result = pool.submit(tx(addr(3), 5, addr(9), max_fee=1), now=2)
     assert result.outcome == "rejected" and result.reason is RejectReason.POOL_FULL
-    assert result.evicted is None
+    assert result.exits == ()
+
+
+def test_retire_evicts_down_to_max_queued(state):
+    """A retire that drops a middle nonce turns the later ones queued; the
+    lowest-fee queued entries are then evicted until `max_queued` holds."""
+    pool = Mempool(PoolConfig(max_queued=1), state)
+    chain = [tx(addr(1), n, addr(9), max_fee=2 + n, value=9000 if n == 1 else 0) for n in range(4)]
+    gapped = tx(addr(2), 1, addr(9), max_fee=4)
+    for now, t in enumerate([*chain, gapped]):
+        assert pool.submit(t, now).exits == ()
+    poorer = state_with({addr(1): 500, addr(2): 10_000})
+    exits = pool.retire(now=10, state=poorer)
+    # Of the two fee-4 entries, the later arrival goes first.
+    assert exits == [(tx_hash(chain[1]), "retired"), (tx_hash(gapped), "evicted"),
+                     (tx_hash(chain[2]), "evicted")]
+    assert {h: e.status for h, e in pool.entries.items()} == {
+        tx_hash(chain[0]): PoolStatus.PENDING, tx_hash(chain[3]): PoolStatus.QUEUED,
+    }
 
 
 def test_single_pending_per_sender_nonce(state):

@@ -5,12 +5,15 @@ execution-derived successors (the `changed_since` fast path), the quarantine
 store telling its pool what it holds, plus deterministic checks that a
 block's work does not grow with the number of held transactions and that a
 submit's work does not grow with the number of pooled senders or queued
-entries. Over every bundled scenario, the sequencer's upkeep asks
-`changed_since` one hop at a time and its candidates match the reference."""
+entries. After every submit and retire, on both sides, the entries that
+left the pool are the reported exits and both caps hold. Over every bundled
+scenario, the sequencer's upkeep asks `changed_since` one hop at a time and
+its candidates match the reference."""
 import copy
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import List
 
 import pytest
@@ -103,6 +106,46 @@ def statuses(pool):
     return {h: (e.status, e.received_at) for h, e in pool.entries.items()}
 
 
+def check_caps(pool):
+    queued = sum(1 for e in pool.entries.values() if e.status is PoolStatus.QUEUED)
+    assert len(pool.entries) - queued <= pool.config.max_pending and queued <= pool.config.max_queued
+
+
+def check_exits(pool, before, exits):
+    """The entries that left `pool` since it held `before` are the reported
+    exits, each once, and both caps hold."""
+    left = {h for h, e in before.items() if pool.entries.get(h) is not e}
+    assert sorted(left) == sorted(h for h, _ in exits)
+    check_caps(pool)
+
+
+def submit_both(fast, ref, t, now):
+    """Submit `t` to the shipped pool and the reference: the results agree,
+    and on each side the exits are what left and both caps hold."""
+    before = dict(fast.entries), dict(ref.entries)
+    result = fast.submit(t, now)
+    assert result == ref.submit(t, now)
+    for pool, entries in zip((fast, ref), before):
+        check_exits(pool, entries, result.exits)
+    return result
+
+
+def retire_both(fast, ref, now, state):
+    """Retire both pools at `state`: the exits agree, and on each side they
+    are what left and both caps hold."""
+    before = dict(fast.entries), dict(ref.entries)
+    exits = fast.retire(now, state)
+    assert exits == ref.retire(now, state)
+    for pool, entries in zip((fast, ref), before):
+        check_exits(pool, entries, exits)
+    return exits
+
+
+def settle(store, ledger, exits, now, new_tx=None):
+    """Settle exits the way the sequencer does, through its one method."""
+    Sequencer._settle(SimpleNamespace(store=store, ledger=ledger), exits, now, new_tx)
+
+
 class TestDifferentialAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -132,17 +175,14 @@ class TestDifferentialAgainstReference:
                 else:
                     t = draw_tx(data, fast.tip)
                     seen.append(t)
-                result = fast.submit(t, now)
-                assert result == ref.submit(t, now)
-                if result.evicted is not None:  # settled as a retirement, as the sequencer does
-                    for store, ledger in sides:
-                        ledger.refund(result.evicted)
-                        store.on_mempool_retired([result.evicted], now)
+                result = submit_both(fast, ref, t, now)
+                for store, ledger in sides:
+                    settle(store, ledger, result.exits, now, t)
             elif op == "retire":
                 state = draw_state(data, history)  # the only way the pools' tip moves
-                removed = fast.retire(now, state)
-                assert removed == ref.retire(now, state)
-                assert fast_store.on_mempool_retired(removed, now) == ref_store.on_mempool_retired(removed, now)
+                exits = retire_both(fast, ref, now, state)
+                for store, ledger in sides:
+                    settle(store, ledger, exits, now)
             elif op == "candidates":
                 base_fee = data.draw(st.integers(min_value=0, max_value=3))
                 # The pool reads nonces at its tip.
@@ -156,7 +196,7 @@ class TestDifferentialAgainstReference:
                     t = data.draw(st.sampled_from(seen))
                 else:
                     continue
-                if fast_store.is_active(core.tx_id(t)):
+                if core.tx_id(t) in fast_store.active:
                     continue
                 verdict = Verdict(True, ("solvent",), (), data.draw(st.sampled_from([0, 5, 50])))
                 fast_store.admit(t, verdict, now, step)
@@ -169,7 +209,6 @@ class TestDifferentialAgainstReference:
                 for store, ledger in sides:
                     ledger.stake(sender, amount)
                     store.on_stake(ledger, sender, now)
-                assert fast_ledger.stakes == ref_ledger.stakes and fast_ledger.locked == ref_ledger.locked
             elif op == "approve":
                 held = sorted(k for k, e in fast_store.active.items() if not e.is_deposit)
                 if held:
@@ -180,6 +219,7 @@ class TestDifferentialAgainstReference:
             assert fast.by_sender == ref.by_sender
             assert list(fast_store.active) == list(ref_store.active)
             assert fast_store.audit == ref_store.audit
+            assert fast_ledger.stakes == ref_ledger.stakes and fast_ledger.locked == ref_ledger.locked
 
 
 def held_flood_block_counts(n: int, monkeypatch) -> dict:
@@ -227,7 +267,7 @@ def held_flood_block_counts(n: int, monkeypatch) -> dict:
         block = seq.build_block(4)
         counts["cache_size"] = len(seq.mempool._items)
     assert block.transactions == (transfer,)
-    assert len(seq.store.active) == n and len(seq.mempool) == n
+    assert len(seq.store.active) == n and len(seq.mempool.entries) == n
     return counts
 
 
@@ -380,13 +420,14 @@ class TestStoreNotifiesPool:
         elif path == "nonce":
             self.state = TestChangeDrivenUpkeep().executed(self.state, self.first)
             # As the sequencer does, the pool retires at the new state first.
-            assert self.both(lambda pool, store, ledger: pool.retire(now, self.state)) == [[key], [key]]
+            retired = [(key, "retired")]
+            assert self.both(lambda pool, store, ledger: pool.retire(now, self.state)) == [retired, retired]
             self.both(lambda pool, store, ledger: store.per_block_maintenance(self.state, now))
         else:  # mempool retirement: the lifetime ran out
-            removed = self.both(lambda pool, store, ledger: pool.retire(now + 200, self.state))
-            assert removed[0] == removed[1] != []
-            self.both(lambda pool, store, ledger: store.on_mempool_retired(removed[0], now))
-        assert not self.fast_store.is_active(key) and self.fast_store.audit == self.ref_store.audit
+            exits = self.both(lambda pool, store, ledger: pool.retire(now + 200, self.state))
+            assert exits[0] == exits[1] != []
+            self.both(lambda pool, store, ledger: settle(store, ledger, exits[0], now))
+        assert key not in self.fast_store.active and self.fast_store.audit == self.ref_store.audit
 
     @pytest.mark.parametrize("path", ["approval", "stake", "time", "failure", "nonce", "mempool"])
     def test_admit_release_readmit(self, path):
@@ -404,7 +445,7 @@ class TestStoreNotifiesPool:
         if path == "mempool":
             # The very same transaction comes back while it is held.
             self.both(lambda pool, store, ledger: pool.submit(self.first, 4))
-            assert tx_hash(self.first) in self.fast
+            assert tx_hash(self.first) in self.fast.entries
             assert self.first not in self.candidates()
 
     def test_deposit_admission_leaves_the_pool_untouched(self):
@@ -416,6 +457,42 @@ class TestStoreNotifiesPool:
 
 
 class TestBothCapsBind:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_retire_that_breaks_runs_evicts_as_the_reference_does(self, data):
+        """Nonce chains whose middles may cost 9000, and one gapped nonce per
+        sender, fill the pool under a queued cap of 1 to 3. A retire at a
+        state that leaves some senders 100 and spends some first nonces
+        drops entries and breaks runs, which can turn later nonces queued
+        past the cap. The evictions that follow, and the submits after
+        them, match the reference."""
+        config = PoolConfig(
+            max_queued=data.draw(st.integers(min_value=1, max_value=3)),
+            max_pending=data.draw(st.integers(min_value=1, max_value=20)),
+        )
+        genesis = make_state({a: Account(balance=10_000) for a in SENDERS})
+        fast, ref = Mempool(config, genesis), ReferenceMempool(config, genesis)
+        arrivals = iter(range(100))
+
+        def offer(sender, nonce):
+            value, max_fee = data.draw(st.sampled_from([0, 9000])), data.draw(st.integers(min_value=0, max_value=4))
+            submit_both(fast, ref, tx(sender, nonce, SINK, value=value, max_fee=max_fee, gas_limit=21), next(arrivals))
+
+        for sender in SENDERS:
+            for nonce in range(data.draw(st.integers(min_value=0, max_value=6))):
+                offer(sender, nonce)
+            offer(sender, 7)  # waits for a gap
+        accounts = {
+            a: Account(balance=data.draw(st.sampled_from([100, 10_000])), nonce=data.draw(st.integers(0, 1)))
+            for a in SENDERS
+        }
+        state = make_state(accounts)
+        retire_both(fast, ref, next(arrivals), state)
+        assert statuses(fast) == statuses(ref) and fast.by_sender == ref.by_sender
+        for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+            offer(data.draw(st.sampled_from(SENDERS)), data.draw(st.integers(min_value=0, max_value=7)))
+        lockstep(fast, ref, state)
+
     def test_evicted_entry_inside_its_run_is_re_measured(self):
         """max_pending = 2 and max_queued = 1. Z (lowest address) and A have
         one pending entry each; A's next is queued inside its contiguous run
@@ -434,12 +511,12 @@ class TestBothCapsBind:
         for now, t in enumerate(submits):
             assert fast.submit(t, now) == ref.submit(t, now)
             lockstep(fast, ref, sealed)
-        assert tx_hash(submits[2]) not in fast and fast.get(tx_hash(submits[3])).status is PoolStatus.QUEUED
+        assert tx_hash(submits[2]) not in fast.entries and fast.entries[tx_hash(submits[3])].status is PoolStatus.QUEUED
         state = TestChangeDrivenUpkeep().executed(sealed, submits[0])
         assert a not in vm.changed_since(state, sealed)
-        assert fast.retire(10, state) == ref.retire(10, state) == [tx_hash(submits[0])]
+        assert fast.retire(10, state) == ref.retire(10, state) == [(tx_hash(submits[0]), "retired")]
         lockstep(fast, ref, state)
-        assert fast.get(tx_hash(submits[3])).status is PoolStatus.PENDING
+        assert fast.entries[tx_hash(submits[3])].status is PoolStatus.PENDING
         later = [tx(b, 1, SINK, value=1, max_fee=1, gas_limit=21), tx(z, 2, SINK, value=1, gas_limit=21), tx(z, 1, SINK, value=1, max_fee=3, gas_limit=21)]
         for now, t in enumerate(later, 11):
             assert fast.submit(t, now) == ref.submit(t, now)
@@ -504,8 +581,8 @@ def overflow_submit_counts(n: int, monkeypatch) -> dict:
         newcomer = tx(addr(0x100 + n), 1, SINK, value=1, max_fee=9, gas_limit=21)
         assert pool.submit(newcomer, n).outcome == "accepted"
     # The latest of the cheapest (max_fee 2) entries went.
-    assert tx_hash(tx(addr(0x100 + (n - 1) // 7 * 7), 1, SINK, value=1, max_fee=2, gas_limit=21)) not in pool
-    assert len(pool) == n
+    assert tx_hash(tx(addr(0x100 + (n - 1) // 7 * 7), 1, SINK, value=1, max_fee=2, gas_limit=21)) not in pool.entries
+    assert len(pool.entries) == n
     return counts
 
 
@@ -608,7 +685,9 @@ TIP_RUNS = {**SCENARIOS, **{f"bench_{w}": _GENERATE.generate(w, 1)[0] for w in s
 def test_the_pool_tip_is_the_chain_tip_after_every_block(name):
     """A submit is checked at the pool's tip, which only `retire` moves: the
     sequencer submits between blocks at the chain's tip, so that is the very
-    state object the pool holds, from genesis and after every block. Over
+    state object the pool holds, from genesis and after every block. After
+    every block, too, every collateral lock is on a pooled transaction (a
+    lock settles when its transaction leaves) and both caps hold. Over
     every bundled scenario and each benchmark workload at seed 1."""
     seq = sequencer.Sequencer(parse_scenario(TIP_RUNS[name], default_name=name))
     assert seq.mempool.tip is seq.chain.tip_state
@@ -617,6 +696,8 @@ def test_the_pool_tip_is_the_chain_tip_after_every_block(name):
     def checked(now, _build=seq.build_block):
         blocks.append(_build(now))
         assert seq.mempool.tip is seq.chain.tip_state, len(blocks)
+        assert seq.ledger.locked.keys() <= seq.mempool.entries.keys(), len(blocks)
+        check_caps(seq.mempool)
         return blocks[-1]
 
     seq.build_block = checked

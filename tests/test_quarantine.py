@@ -65,7 +65,7 @@ class TestAdmission:
         t = held_exploit(s, now=10)
         advanced = make_state({ATTACKER: Account(balance=1, nonce=1)})
         s.per_block_maintenance(advanced, now=20)
-        assert not s.is_active(tx_hash(t))
+        assert tx_hash(t) not in s.active
         entry = s.admit(t, MALICIOUS, now=30, block_no=3)
         assert entry.quarantined_at == 30
 
@@ -77,14 +77,14 @@ class TestMaintenance:
         advanced = make_state({ATTACKER: Account(balance=1, nonce=1)})
         report = s.per_block_maintenance(advanced, now=11)
         assert report.retired == [tx_hash(t)]
-        assert not s.is_active(tx_hash(t))
+        assert tx_hash(t) not in s.active
 
     def test_nonce_equal_keeps_entry(self):
         s = store()
         t = held_exploit(s)
         same = make_state({ATTACKER: Account(balance=1, nonce=0)})
         assert s.per_block_maintenance(same, now=11).retired == []
-        assert s.is_active(tx_hash(t))
+        assert tx_hash(t) in s.active
 
     def test_dead_entry_admitted_after_a_check_retires_on_an_unchanged_account(self):
         s = store()
@@ -110,13 +110,13 @@ class TestMaintenance:
         state = make_state({})
         report = s.per_block_maintenance(state, now=1000)
         assert report.time_released == [] and report.retired == []
-        assert s.is_active(deposit_id(dep))
+        assert deposit_id(dep) in s.active
 
     def test_mempool_retirement_drops_without_release(self):
         s = store()
         t = held_exploit(s)
         s.on_mempool_retired([tx_hash(t)], now=20)
-        assert not s.is_active(tx_hash(t))
+        assert tx_hash(t) not in s.active
         assert not s.registry.is_released_duplicate(t)  # retired, not released
 
 
@@ -137,7 +137,7 @@ class TestFailureRelease:
         t = held_exploit(s)
         result = s.request_failure_release(tx_hash(t), state, ctx(), now=50)
         assert isinstance(result, StillHeld)
-        assert s.is_active(tx_hash(t))
+        assert tx_hash(t) in s.active
 
     def test_insufficient_balance_counts_as_failure(self):
         s = store()
@@ -173,7 +173,7 @@ class TestAdministrativeRelease:
         s.admit(t, verdict, now=0, block_no=0, victim_admins={VAULT: ADMIN, q: q_admin})
         partial = s.approve_release(tx_hash(t), ADMIN, now=1)
         assert partial == PendingApprovals((q,))
-        assert s.is_active(tx_hash(t))
+        assert tx_hash(t) in s.active
         done = s.approve_release(tx_hash(t), q_admin, now=2)
         assert done == Released("administrative")
 
@@ -217,7 +217,7 @@ class TestEconomicRelease:
         s.on_stake(ledger, ATTACKER, now=4)
         held = [e for e in s.audit if e.kind == "held"]
         assert [(e.at, e.detail) for e in held] == [(4, "criterion=economic threshold=50")]
-        assert s.is_active(tx_hash(t))
+        assert tx_hash(t) in s.active
 
     def test_stake_by_other_account_has_no_effect(self):
         s = store()
@@ -298,7 +298,7 @@ class TestReplacement:
         t = held_exploit(s)
         replacement = exploit_tx(max_fee=50)
         s.on_replacement(tx_hash(t), replacement, now=5)
-        assert s.is_active(tx_hash(t))
+        assert tx_hash(t) in s.active
         assert not s.registry.is_released_duplicate(replacement)  # detected normally
 
     def test_released_duplicate_replacement_bypasses_detection(self):
@@ -328,4 +328,4 @@ class TestDepositPermanence:
             s.approve_release(key, OPERATOR, now=1)
         with pytest.raises(DepositPermanence):
             s.try_economic_release(ledger, key, now=1)
-        assert s.is_active(key)
+        assert key in s.active

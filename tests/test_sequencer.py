@@ -6,12 +6,13 @@ import pytest
 from helpers import ADMIN, ATTACKER, VAULT, addr, python_calls, tx
 from test_acceptance import _dos_scenario
 from rollupsim.core import DuplicateKey, deposit_id, tx_hash
+from rollupsim.derivation import derive
 from rollupsim.detection import BENIGN_VERDICT, DetectionOutcome, InvariantDetector
 from rollupsim.formats import parse_scenario, render_report
 from rollupsim.l1da import EscrowStatus, L1Chain
-from rollupsim.mempool import Mempool
+from rollupsim.mempool import Mempool, PoolStatus
 from rollupsim.quarantine import QuarantineStore, ReleasedRegistry
-from rollupsim.sequencer import Scenario, ScenarioError, Sequencer, run
+from rollupsim.sequencer import Scenario, ScenarioError, Sequencer, SubmitEvent, run
 from rollupsim.vm import Account, PreconditionFailed, execute_transaction, make_state
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -23,6 +24,11 @@ def load(name):
 
 def run_named(name):
     return run(load(name))
+
+
+# economic_release's vault and its solvency invariant.
+VAULT_LINES = [line for line in (SCENARIOS / "economic_release.scn").read_text().splitlines()
+               if line.startswith(("genesis contract", "genesis invariant"))]
 
 
 class TestBuildBlock:
@@ -86,13 +92,11 @@ class TestBuildBlock:
         0xa0's transfer at t=3 (max_pending=1), after the stake released it
         or while still held, and evicted at t=5 by 0xb3's richer submit
         (max_queued=1)."""
-        contract = [line for line in (SCENARIOS / "economic_release.scn").read_text().splitlines()
-                    if line.startswith(("genesis contract", "genesis invariant"))]
         lines = [
             "scenario v1",
             "config fee_recipient=0xfe operators=0xee max_pending=1 max_queued=1",
             *(f"genesis account {a} balance=10000" for a in ("0xa0", "0xb2", "0xb3")),
-            *contract,
+            *VAULT_LINES,
             "run blocks=5",
             "event 1 submit as=B sender=0xb2 nonce=0 to=0xc3 data=0x00 gas_limit=30",
             "event 3 submit sender=0xa0 nonce=0 to=0xa0 max_fee=0 gas_limit=21",
@@ -101,7 +105,7 @@ class TestBuildBlock:
         ]
         out = run(parse_scenario("\n".join(lines) + "\n"))
         (entry,) = out.report.entries
-        assert entry.key not in out.sequencer.mempool and not out.sequencer.mempool._held
+        assert entry.key not in out.sequencer.mempool.entries and not out.sequencer.mempool._held
         return out, entry.key
 
     def test_an_evicted_released_tx_settles_its_lock(self):
@@ -119,15 +123,87 @@ class TestBuildBlock:
         ]
         assert not out.sequencer.store.active and not out.sequencer.ledger.stakes
 
+    def test_evicted_released_and_held_drains_settle_and_derive(self):
+        """max_pending=2, max_queued=1. Drains B (fee 1) and C (fee 2) are
+        held at block 0. At t=3 0xa0's zero-fee transfer takes a pending
+        slot, the stake releases B (locking 100), and 0xa1's zero-fee
+        transfer takes the other, which queues B beside C: B is evicted.
+        At t=5 0xb3's richer transfer evicts the still-held C."""
+        lines = [
+            "scenario v1",
+            "config fee_recipient=0xfe operators=0xee max_pending=2 max_queued=1",
+            *(f"genesis account {a} balance=10000" for a in ("0xa0", "0xa1", "0xb2", "0xb3", "0xb4")),
+            *VAULT_LINES,
+            "run blocks=4",
+            "event 1 submit as=B sender=0xb2 nonce=0 to=0xc3 data=0x00 gas_limit=30",
+            "event 1 submit as=C sender=0xb4 nonce=0 to=0xc3 data=0x00 max_fee=2 gas_limit=30",
+            "event 3 submit sender=0xa0 nonce=0 to=0xa0 max_fee=0 gas_limit=21",
+            "event 3 stake account=0xb2 amount=101",
+            "event 3 submit sender=0xa1 nonce=0 to=0xa1 max_fee=0 gas_limit=21",
+            "event 5 submit sender=0xb3 nonce=0 to=0xb3 max_fee=5 gas_limit=21",
+        ]
+        out = run(parse_scenario("\n".join(lines) + "\n"))
+        seq = out.sequencer
+        b, c = (entry.key for entry in sorted(out.report.entries, key=lambda e: e.sender))
+        assert b not in seq.mempool.entries and c not in seq.mempool.entries
+        assert seq.ledger.locked == {} and seq.ledger.available(ATTACKER) == 101
+        assert [(a.entry, a.kind, a.at, a.detail) for a in out.report.audit if a.kind != "admitted"] == [
+            (b, "released", 3, "criterion=economic"),
+            (c, "retired", 5, "criterion=mempool"),
+        ]
+        assert not seq.store.active and not seq.mempool._held
+        assert derive(out.history).final_root == out.report.final_root
+
+    def test_every_pool_exit_is_settled_and_the_queued_cap_holds(self):
+        """max_queued=1. A pools nonces 0, 1 (value 9000) and 2; C pools a
+        gapped nonce at fee 9. Block 0 includes nonce 0 and leaves A 500, so
+        its retire drops nonce 1, and nonce 2 turns queued beside C's: one
+        over the cap. Then A bumps nonce 2 at fee 2. After every event and
+        every block, the entries that left the pool are the exits the
+        sequencer settled, and the queued side holds at most one entry."""
+        lines = [
+            "scenario v1",
+            "config fee_recipient=0xfe max_queued=1",
+            *(f"genesis account {a} balance=10000" for a in ("0xa0", "0xc0")),
+            "run blocks=2",
+            "event 1 submit sender=0xa0 nonce=0 to=0xfe value=9479 gas_limit=21",
+            "event 1 submit sender=0xa0 nonce=1 to=0xfe value=9000 gas_limit=21",
+            "event 1 submit sender=0xa0 nonce=2 to=0xfe gas_limit=21",
+            "event 1 submit sender=0xc0 nonce=1 to=0xfe max_fee=9 gas_limit=21",
+            "event 3 submit sender=0xa0 nonce=2 to=0xfe max_fee=2 gas_limit=21",
+        ]
+        seq = Sequencer(parse_scenario("\n".join(lines) + "\n"))
+        settled, settle = [], seq._settle
+        seq._settle = lambda exits, *rest: settled.extend(h for h, _ in exits) or settle(exits, *rest)
+        queued_sizes = []
+
+        def checked(step):
+            def run_step(*args):
+                before = dict(seq.mempool.entries)
+                settled.clear()
+                step(*args)
+                left = {h for h, e in before.items() if seq.mempool.entries.get(h) is not e}
+                assert left == set(settled) and len(settled) == len(left), step.__name__
+                queued_sizes.append(sum(e.status is PoolStatus.QUEUED for e in seq.mempool.entries.values()))
+
+            return run_step
+
+        seq._apply_event, seq.build_block = checked(seq._apply_event), checked(seq.build_block)
+        seq.run()
+        assert max(queued_sizes) == 1
+        assert [t.nonce for t in seq.chain.blocks[0].transactions] == [0]
+        (kept,) = seq.mempool.entries.values()  # A's bump was refused for the richer queued C
+        assert (kept.tx.sender, kept.tx.nonce, kept.tx.max_fee) == (addr(0xC0), 1, 9)
+
     def test_every_included_tx_retires_from_the_pool_in_its_own_block(self, monkeypatch):
         # So a lock keyed by an included hash settles through `retire`.
         retired = []
         retire = Mempool.retire
 
         def recording(pool, now, state):
-            removed = retire(pool, now, state)
-            retired.append(set(removed))
-            return removed
+            exits = retire(pool, now, state)
+            retired.append({h for h, _ in exits})
+            return exits
 
         monkeypatch.setattr(Mempool, "retire", recording)
         for path in sorted(SCENARIOS.glob("*.scn")):
@@ -425,3 +501,30 @@ class TestScreeningCallCount:
         assert ReleasedRegistry.is_released_duplicate.__code__ not in codes, names
         assert assess in codes and sorts_in_assess == []
         assert len(codes) <= 25 * self.CANDIDATES, len(codes) / self.CANDIDATES  # 24.3; 35.35 when the envelope ran its accessors; 38.5 before the checks seeded the scratch and an empty registry skipped the screen; 75.5 when every key took calls
+
+
+class TestSubmitCallCount:
+    """A count, not a timer: the Python-level calls one plain-transfer submit
+    makes through `Sequencer._apply_event`, from a new sender and with a
+    transaction not hashed before, after a warm-up on a twin sequencer. A
+    submit that removes nothing settles nothing."""
+
+    SUBMITS = 20
+
+    def seeded(self):
+        senders = [addr(0x100 + i) for i in range(self.SUBMITS)]
+        seq = Sequencer(Scenario(name="transfers", genesis=make_state({s: Account(balance=1_000) for s in senders})))
+        return seq, [SubmitEvent(1, tx(s, 0, addr(0x200 + i), value=7, gas_limit=21)) for i, s in enumerate(senders)]
+
+    @staticmethod
+    def submit_all(seq, events):
+        for event in events:
+            seq._apply_event(event)
+
+    def test_a_plain_transfer_submit(self):
+        self.submit_all(*self.seeded())  # the warm-up
+        seq, events = self.seeded()
+        counted = python_calls(self.submit_all, seq, events, warm_up=False)
+        assert len(seq.mempool.entries) == self.SUBMITS
+        per_submit = (len(counted.calls) - 1) / self.SUBMITS  # less `submit_all` itself
+        assert per_submit <= 11, (per_submit, counted.names)  # 11.0
