@@ -122,8 +122,9 @@ class Mempool:
         """Validate a transaction at the tip and admit it, possibly replacing
         a same-nonce one, or refuse it and leave the pool as it was.
 
-        A replacement needs max_fee >= old max_fee * (1 + bump%); anything
-        below is rejected as underpriced. A replacement takes over its
+        A replacement must raise max_fee strictly, to at least old max_fee
+        * (1 + bump%); anything else is rejected as underpriced, so a
+        zero-fee transaction cannot replace itself. A replacement takes over its
         slot and status, so no count moves and nothing is evicted. A new
         slot can put the queued side one over `max_queued`: the lowest-fee
         queued entry is evicted, and if that is the incoming one, it is
@@ -139,7 +140,7 @@ class Mempool:
         if old_hash is not None:
             old_fee = self.entries[old_hash].tx.max_fee
             bump = self.config.min_replacement_bump_percent
-            if tx.max_fee * 100 < old_fee * (100 + bump):
+            if tx.max_fee <= old_fee or tx.max_fee * 100 < old_fee * (100 + bump):
                 return SubmitResult("rejected", RejectReason.UNDERPRICED_REPLACEMENT)
             self._drop(old_hash)
 

@@ -1,8 +1,14 @@
 """Holding area for malicious-flagged transactions.
 
-An entry stays out of every block until it retires (dead nonce, mempool
-drop) or is released (re-simulation fails, administrative approval, staked
-collateral exceeding the damage bound, or the configured time limit).
+The store owns a held transaction's fate. An entry stays out of every
+block until it retires (dead nonce, mempool exit) or is released
+(re-simulation fails, administrative approval, staked collateral exceeding
+the damage bound, or the configured time limit). The store holds the
+`CollateralLedger` that stakes pay into and settles every pool exit in one
+method, `settle`. It reads the chain through its pool, whose `tip` is the
+chain tip: a failure release re-simulates there, and each victim's admin is
+read there when an approval arrives (contract code never changes, so
+neither does an admin).
 Per-block maintenance touches only nonces and timestamps — it never
 simulates, which is what keeps a quarantine flood from slowing the chain.
 Its cost follows what changed, not what is held: held non-deposit keys are
@@ -35,7 +41,7 @@ from .core import (
     tx_id,
 )
 from .detection import Verdict
-from .mempool import Mempool
+from .mempool import Mempool, PoolExit
 from .vm import BlockContext, PreconditionFailed, TxStatus, WorldState, changed_since, execute_transaction
 
 
@@ -69,20 +75,21 @@ class QuarantineConfig(Record):
         self.operators = operators
 
 
+NO_APPROVALS: FrozenSet[Address] = frozenset()  # every entry's approvals until the first arrives
+
+
 class QuarantineEntry:
-    __slots__ = ("tx", "verdict", "quarantined_at", "quarantined_block", "is_deposit", "victim_admins", "approvals")
+    __slots__ = ("tx", "verdict", "quarantined_at", "quarantined_block", "is_deposit", "approvals")
 
     def __init__(
-        self, tx: AnyTransaction, verdict: Verdict, quarantined_at: int, quarantined_block: int, is_deposit: bool,
-        victim_admins: Dict[Address, Address],
+        self, tx: AnyTransaction, verdict: Verdict, quarantined_at: int, quarantined_block: int, is_deposit: bool
     ) -> None:
         self.tx = tx
         self.verdict = verdict
         self.quarantined_at = quarantined_at
         self.quarantined_block = quarantined_block
         self.is_deposit = is_deposit
-        self.victim_admins = victim_admins
-        self.approvals: Set[Address] = set()
+        self.approvals = NO_APPROVALS
 
     @property
     def key(self) -> TxHash:
@@ -150,8 +157,8 @@ class CollateralLedger:
 
     An economic release locks as much stake as the damage estimate, keyed by
     the released transaction's hash. The lock settles, refunded in full,
-    when that transaction leaves the pool, whatever the exit: the sequencer
-    settles every pool exit in one place (`Sequencer._settle`)."""
+    when that transaction leaves the pool, whatever the exit: its store
+    settles every pool exit in one place (`QuarantineStore.settle`)."""
 
     def __init__(self) -> None:
         self.stakes: Dict[Address, int] = {}
@@ -171,18 +178,11 @@ class CollateralLedger:
         self.stakes[account] -= amount
         self.locked[key] = (account, amount)
 
-    def refund(self, key: TxHash) -> Optional[int]:
+    def refund(self, key: TxHash) -> None:
         entry = self.locked.pop(key, None)
-        if entry is None:
-            return None
-        account, amount = entry
-        self.stakes[account] = self.stakes.get(account, 0) + amount
-        return amount
-
-
-class MaintenanceReport(NamedTuple):
-    retired: List[TxHash]
-    time_released: List[TxHash]
+        if entry is not None:
+            account, amount = entry
+            self.stakes[account] = self.stakes.get(account, 0) + amount
 
 
 class QuarantineStore:
@@ -191,6 +191,7 @@ class QuarantineStore:
         self.pool = pool
         self.active: Dict[TxHash, QuarantineEntry] = {}
         self.registry = ReleasedRegistry()
+        self.ledger = CollateralLedger()
         self.audit: List[AuditEvent] = []
         self._admissions = 0
         # First admission position of every key ever admitted: a readmitted
@@ -203,14 +204,7 @@ class QuarantineStore:
 
     # -- admission --
 
-    def admit(
-        self,
-        tx: AnyTransaction,
-        verdict: Verdict,
-        now: int,
-        block_no: int,
-        victim_admins: Optional[Dict[Address, Address]] = None,
-    ) -> QuarantineEntry:
+    def admit(self, tx: AnyTransaction, verdict: Verdict, now: int, block_no: int) -> QuarantineEntry:
         if not verdict.malicious:
             raise QuarantineError("only malicious-flagged transactions enter quarantine")
         key = tx_id(tx)
@@ -222,7 +216,6 @@ class QuarantineStore:
             quarantined_at=now,
             quarantined_block=block_no,
             is_deposit=isinstance(tx, DepositTransaction),
-            victim_admins=dict(victim_admins or {}),
         )
         self.active[key] = entry
         self._positions.setdefault(key, self._admissions)
@@ -242,13 +235,12 @@ class QuarantineStore:
 
     # -- per-block maintenance: nonces and clocks only, never a simulation --
 
-    def per_block_maintenance(self, chain_state: WorldState, now: int) -> MaintenanceReport:
+    def per_block_maintenance(self, chain_state: WorldState, now: int) -> None:
         """Retire dead-nonce entries and time-release overheld ones.
 
         Called exactly once per appended block. Deposits ignore the time
         criterion: they stay until their nonce-free existence ends the run.
         """
-        report = MaintenanceReport([], [])
         dead: Set[TxHash] = set()
         changed = changed_since(chain_state, self._state)
         if changed is None:
@@ -269,36 +261,44 @@ class QuarantineStore:
         for key in sorted(dead | due, key=self._positions.__getitem__):
             if key in dead:
                 self._remove(key)
-                report.retired.append(key)
                 self.audit.append(AuditEvent(key, now, "retired", detail="criterion=nonce"))
             else:
                 self._release(self.active[key], now, "time", "-")
-                report.time_released.append(key)
-        return report
 
-    def on_stake(self, ledger: CollateralLedger, sender: Address, now: int) -> None:
-        """After `sender` staked: try the economic criterion once on each of its
-        held entries, in order of first admission."""
+    def stake(self, sender: Address, amount: int, now: int) -> None:
+        """`sender` stakes `amount`; then the economic criterion is tried
+        once on each of its held entries, in order of first admission."""
+        self.ledger.stake(sender, amount)
         for key in sorted(self._by_sender.get(sender, ()), key=self._positions.__getitem__):
-            self.try_economic_release(ledger, key, now)
+            self.try_economic_release(key, now)
 
-    def on_mempool_retired(self, keys: Sequence[TxHash], now: int) -> None:
-        """Drop entries whose transaction left the mempool other than by
-        replacement (retired, expired or evicted): as if never admitted."""
-        for key in keys:
-            if key in self.active and not self.active[key].is_deposit:
-                self._remove(key)
-                self.audit.append(AuditEvent(key, now, "retired", detail="criterion=mempool"))
+    def settle(self, exits: Sequence[PoolExit], now: int, new_tx: Optional[SignedTransaction] = None) -> None:
+        """The one place pool exits settle. Each exit's lock is refunded
+        first. A held entry replaced by `new_tx` stays held (the new tx is
+        detected normally unless `registry` knows it as a released
+        duplicate); any other exit (retired, expired or evicted) drops its
+        entry as if never admitted. Neither the ledger nor the held entries
+        are walked while they hold nothing to settle."""
+        if self.ledger.locked:
+            for key, _ in exits:
+                self.ledger.refund(key)
+        if self.active:
+            for key, cause in exits:
+                if key not in self.active:
+                    continue
+                if cause == "replaced":
+                    self.audit.append(AuditEvent(key, now, "replaced", detail=f"new={tx_id(new_tx).hex0x()}"))
+                else:
+                    self._remove(key)
+                    self.audit.append(AuditEvent(key, now, "retired", detail="criterion=mempool"))
 
     # -- release triggers (pull-based; never run from maintenance) --
 
-    def request_failure_release(
-        self, key: TxHash, tip_state: WorldState, ctx: BlockContext, now: int
-    ) -> Union[Released, StillHeld]:
+    def request_failure_release(self, key: TxHash, ctx: BlockContext, now: int) -> Union[Released, StillHeld]:
         """Re-simulate at the tip; release iff the tx now fails harmlessly."""
         entry = self._releasable(key)
         try:
-            sim = execute_transaction(tip_state, entry.tx, ctx)
+            sim = execute_transaction(self.pool.tip, entry.tx, ctx)
             failed = sim.status is TxStatus.REVERT
         except PreconditionFailed as exc:
             failed = exc.reason == PreconditionFailed.INSUFFICIENT_BALANCE
@@ -309,49 +309,38 @@ class QuarantineStore:
         return Released("failure")
 
     def approve_release(self, key: TxHash, approver: Address, now: int) -> Union[Released, PendingApprovals]:
-        """One operator approval suffices; victim admins must be unanimous."""
+        """One operator approval suffices; victim admins must be unanimous.
+        Each victim's admin is read at the tip; a victim without code has
+        none, so it is never approved."""
         entry = self._releasable(key)
         if approver in self.config.operators:
-            entry.approvals.add(approver)
             self.audit.append(AuditEvent(key, now, "approval", actor=approver.hex0x(), detail="role=operator"))
             self._release(entry, now, "administrative", approver.hex0x())
             return Released("administrative")
-        victim_admins = {entry.victim_admins[v] for v in entry.verdict.victims if v in entry.victim_admins}
-        if approver not in victim_admins:
+        tip = self.pool.tip
+        codes = {victim: tip.code_of(victim) for victim in entry.verdict.victims}
+        admins = {victim: code.admin for victim, code in codes.items() if code is not None}
+        if approver not in admins.values():
             raise NotAuthorized(approver.hex0x())
-        entry.approvals.add(approver)
+        entry.approvals |= {approver}
         self.audit.append(AuditEvent(key, now, "approval", actor=approver.hex0x(), detail="role=victim_admin"))
-        missing = sorted(
-            victim
-            for victim in entry.verdict.victims
-            if entry.victim_admins.get(victim) not in entry.approvals
-        )
+        missing = sorted(victim for victim in entry.verdict.victims if admins.get(victim) not in entry.approvals)
         if missing:
             return PendingApprovals(tuple(missing))
         self._release(entry, now, "administrative", approver.hex0x())
         return Released("administrative")
 
-    def try_economic_release(
-        self, ledger: CollateralLedger, key: TxHash, now: int
-    ) -> Union[Released, InsufficientCollateral]:
+    def try_economic_release(self, key: TxHash, now: int) -> Union[Released, InsufficientCollateral]:
         """Release iff the sender's free stake strictly exceeds the damage bound."""
         entry = self._releasable(key)
         damage = entry.verdict.damage_estimate
         sender = entry.tx.sender
-        if ledger.available(sender) <= damage:
+        if self.ledger.available(sender) <= damage:
             self.audit.append(AuditEvent(key, now, "held", detail=f"criterion=economic threshold={damage}"))
             return InsufficientCollateral(threshold=damage)
-        ledger.lock(key, sender, damage)
+        self.ledger.lock(key, sender, damage)
         self._release(entry, now, "economic", sender.hex0x())
         return Released("economic")
-
-    def on_replacement(self, old_key: TxHash, new_tx: SignedTransaction, now: int) -> None:
-        """A replacement leaves the old entry held. The new tx is detected
-        normally unless `registry` knows it as a released duplicate."""
-        if old_key in self.active:
-            self.audit.append(
-                AuditEvent(old_key, now, "replaced", detail=f"new={tx_id(new_tx).hex0x()}")
-            )
 
     # -- internals --
 

@@ -8,14 +8,18 @@ batcher posts the block's record — with the deposit acceptance bitmap on
 epoch heads — to the L1 inbox, and the block is sealed through the
 `ChainView` the replica seals into. Then the pool and the quarantine run
 their cheap per-block hygiene, which performs no simulation.
+
+A held transaction's fate belongs to the quarantine store: the sequencer
+admits what detection flags, forwards release and stake events, and hands
+each pool operation's exits to `QuarantineStore.settle`, once per submit
+that removed something and once per block.
 """
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .core import (
     Address,
-    AnyTransaction,
     Block,
     DepositTransaction,
     Record,
@@ -30,11 +34,11 @@ from .core import (
     tx_hash,
     tx_id,
 )
-from .detection import CandidateSet, Counters, InvariantDetector, InvariantSet, Verdict, hybrid_detect
+from .detection import CandidateSet, Counters, InvariantDetector, InvariantSet, hybrid_detect
 from .derivation import ChainView
 from .l1da import EscrowStatus, L1Chain, L1History, L1Record, encode_bitmap, snapshot_history
-from .mempool import Mempool, PoolConfig, PoolExit
-from .quarantine import CollateralLedger, QuarantineConfig, QuarantineEntry, QuarantineError, QuarantineStore
+from .mempool import Mempool, PoolConfig
+from .quarantine import QuarantineConfig, QuarantineEntry, QuarantineError, QuarantineStore
 from .vm import BlockContext, WorldState, state_root
 
 
@@ -219,7 +223,6 @@ class Sequencer:
         self.chain = ChainView(tip_state=scenario.genesis)
         self.mempool = Mempool(scenario.pool_config, scenario.genesis)
         self.store = QuarantineStore(scenario.quarantine_config, self.mempool)
-        self.ledger = CollateralLedger()
         self.detector = InvariantDetector()
         self.invariants = InvariantSet()
         for invariant in scenario.invariants:
@@ -232,18 +235,6 @@ class Sequencer:
     # ------------------------------------------------------------------
     def _ctx(self) -> BlockContext:
         return BlockContext(base_fee=self.base_fee, fee_recipient=self.config.fee_recipient)
-
-    def _admins_of(self, verdict: Verdict, state: WorldState) -> Dict[Address, Address]:
-        admins: Dict[Address, Address] = {}
-        for victim in verdict.victims:
-            code = state.code_of(victim)
-            if code is not None:
-                admins[victim] = code.admin
-        return admins
-
-    def _admit(self, tx: AnyTransaction, verdict: Verdict, state: WorldState, now: int, block_no: int) -> None:
-        entry = self.store.admit(tx, verdict, now, block_no, victim_admins=self._admins_of(verdict, state))
-        self.records.append(entry)
 
     # ------------------------------------------------------------------
     def build_block(self, now: int) -> Block:
@@ -273,7 +264,7 @@ class Sequencer:
             self.counters.add(outcome.stats)
             accepted = {tx_id(d) for d in outcome.benign}
             for dep, verdict, _sim in outcome.malicious:
-                self._admit(dep, verdict, tip, now, number)
+                self.records.append(self.store.admit(dep, verdict, now, number))
             deposit_flags = [deposit_id(d) in accepted for d in epoch_deposits]
             state_after_deposits = outcome.final_state
 
@@ -294,7 +285,7 @@ class Sequencer:
             preapproved=preapproved,
         )
         for tx, verdict, _sim in outcome.malicious:
-            self._admit(tx, verdict, state_after_deposits, now, number)
+            self.records.append(self.store.admit(tx, verdict, now, number))
         self.counters.add(outcome.stats)
 
         # The classifier's fold already applied the block: deposits, then the
@@ -321,28 +312,12 @@ class Sequencer:
         # Pool hygiene, then quarantine maintenance, exactly once per block;
         # maintenance never simulates. An included transaction's nonce is
         # spent, so this block retires it from the pool.
-        self._settle(self.mempool.retire(now, final_state), now)
+        self.store.settle(self.mempool.retire(now, final_state), now)
         self.store.per_block_maintenance(final_state, now)
 
         # The state holds the deposits detection accepted; escrow must agree.
         self._check_deposit_conservation([deposit_id(d) for d in epoch_deposits], accepted)
         return block
-
-    def _settle(self, exits: Sequence[PoolExit], now: int, new_tx: Optional[SignedTransaction] = None) -> None:
-        """The one place pool exits settle: each exit's lock is refunded,
-        then the store hears of a replacement by `new_tx` or retires it.
-        Neither side is walked while it holds nothing to settle."""
-        if self.ledger.locked:
-            for key, _ in exits:
-                self.ledger.refund(key)
-        if self.store.active:
-            retired = []
-            for key, cause in exits:
-                if cause == "replaced":
-                    self.store.on_replacement(key, new_tx, now)
-                else:
-                    retired.append(key)
-            self.store.on_mempool_retired(retired, now)
 
     def _check_deposit_conservation(self, keys: Sequence[TxHash], accepted: Set[TxHash]) -> None:
         """Each deposit is exactly one of: minted on L2, refunded on L1, escrowed.
@@ -425,7 +400,7 @@ class Sequencer:
         if isinstance(event, SubmitEvent):
             exits = self.mempool.submit(event.tx, event.at).exits
             if exits:
-                self._settle(exits, event.at, event.tx)
+                self.store.settle(exits, event.at, event.tx)
         elif isinstance(event, L1BlockEvent):
             head_block = event.number * self.config.blocks_per_epoch
             if len(self.chain.blocks) > head_block:
@@ -436,10 +411,9 @@ class Sequencer:
         elif isinstance(event, ApproveReleaseEvent):
             self.store.approve_release(event.key, event.approver, event.at)
         elif isinstance(event, StakeEvent):
-            self.ledger.stake(event.account, event.amount)
-            self.store.on_stake(self.ledger, event.account, event.at)
+            self.store.stake(event.account, event.amount, event.at)
         elif isinstance(event, FailureReleaseEvent):
-            self.store.request_failure_release(event.key, self.chain.tip_state, self._ctx(), event.at)
+            self.store.request_failure_release(event.key, self._ctx(), event.at)
             self.counters.release_sims += 1
         elif isinstance(event, SetBaseFeeEvent):
             self.base_fee = event.fee

@@ -1,6 +1,7 @@
 """Shared fixtures: hand-built contracts, states, the independent
-sequential classification oracle used to check the scheduler, and the one
-harness that counts Python-level calls."""
+sequential classification oracle used to check the scheduler, the one
+harness that counts Python-level calls and the one that counts tracked
+objects."""
 from __future__ import annotations
 
 import gc
@@ -300,3 +301,20 @@ def python_calls(fn: Callable, *args, warm_up: bool = True) -> CallCount:
         if collecting:
             gc.enable()
     return CallCount(result, calls, c_calls)
+
+
+class ObjectCount(NamedTuple):
+    result: Any
+    added: int  # objects the collector tracks after `fn` less those before
+
+
+def tracked_objects(fn: Callable, *args) -> ObjectCount:
+    """A count, not a timer: the objects the garbage collector tracks that
+    `fn(*args)` leaves alive. Collect and count `gc.get_objects()`, call
+    `fn`, then collect and count again; the result is kept alive across the
+    second count, so what it holds is counted."""
+    gc.collect()
+    before = len(gc.get_objects())
+    result = fn(*args)
+    gc.collect()
+    return ObjectCount(result, len(gc.get_objects()) - before)

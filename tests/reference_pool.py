@@ -4,13 +4,13 @@ These are the original full-walk implementations the indexed fast paths
 replaced: every submit and retire re-walks all senders in address order and
 counts every entry, retire re-checks every entry in hash order, candidates
 are filtered for held entries after selection, and quarantine maintenance
-and the stake handler walk every key ever admitted. They are slow but
+and staking walk every key ever admitted. They are slow but
 obviously right, and the differential tests hold the shipped pool and store
 to them. Like the shipped pool, the reference keeps its own tip, which
 only `retire` moves, reports every removal as a `(hash, cause)` exit, and
 ends each submit and retire by evicting the lowest-fee queued entries down
 to `max_queued`; a submit whose own transaction is evicted restores a copy
-of the pool taken before it.
+of the pool taken before it. A replacement must raise `max_fee` strictly.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from rollupsim.mempool import (
     RejectReason,
     SubmitResult,
 )
-from rollupsim.quarantine import AuditEvent, CollateralLedger, MaintenanceReport, QuarantineStore
+from rollupsim.quarantine import AuditEvent, QuarantineStore
 from rollupsim.vm import WorldState
 
 
@@ -53,7 +53,7 @@ class ReferenceMempool:
             old_hash = sender_slots[tx.nonce]
             old_fee = self.entries[old_hash].tx.max_fee
             bump = self.config.min_replacement_bump_percent
-            if tx.max_fee * 100 < old_fee * (100 + bump):
+            if tx.max_fee <= old_fee or tx.max_fee * 100 < old_fee * (100 + bump):
                 return SubmitResult("rejected", RejectReason.UNDERPRICED_REPLACEMENT)
             self._drop(old_hash)
             outcome, exits = "replaced", [(old_hash, "replaced")]
@@ -154,37 +154,34 @@ class ReferenceMempool:
 
 
 class ReferenceStore(QuarantineStore):
-    """QuarantineStore whose maintenance and stake handling walk every key
-    ever admitted, in order of first admission (a readmitted key once)."""
+    """QuarantineStore whose maintenance and staking walk every key ever
+    admitted, in order of first admission (a readmitted key once)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.admission_order: List[TxHash] = []
 
-    def admit(self, tx, verdict, now, block_no, victim_admins=None):
-        entry = super().admit(tx, verdict, now, block_no, victim_admins)
+    def admit(self, tx, verdict, now, block_no):
+        entry = super().admit(tx, verdict, now, block_no)
         if entry.key not in self.admission_order:
             self.admission_order.append(entry.key)
         return entry
 
-    def per_block_maintenance(self, chain_state: WorldState, now: int) -> MaintenanceReport:
-        report = MaintenanceReport([], [])
+    def per_block_maintenance(self, chain_state: WorldState, now: int) -> None:
         for key in list(self.admission_order):
             entry = self.active.get(key)
             if entry is None:
                 continue
             if not entry.is_deposit and entry.tx.nonce < chain_state.nonce_of(entry.tx.sender):
                 self._remove(key)
-                report.retired.append(key)
                 self.audit.append(AuditEvent(key, now, "retired", detail="criterion=nonce"))
                 continue
             if not entry.is_deposit and now >= entry.quarantined_at + self.config.time_criterion_period:
                 self._release(entry, now, "time", "-")
-                report.time_released.append(key)
-        return report
 
-    def on_stake(self, ledger: CollateralLedger, sender: Address, now: int) -> None:
+    def stake(self, sender: Address, amount: int, now: int) -> None:
+        self.ledger.stake(sender, amount)
         for key in list(self.admission_order):
             entry = self.active.get(key)
             if entry is not None and not entry.is_deposit and entry.tx.sender == sender:
-                self.try_economic_release(ledger, key, now)
+                self.try_economic_release(key, now)

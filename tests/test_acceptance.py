@@ -13,6 +13,7 @@ from helpers import (
     addr,
     ctx,
     exploit_tx,
+    gated_vault,
     generator_candidates,
     generator_world,
     sequential_oracle,
@@ -186,13 +187,14 @@ def test_05_quarantine_criteria_suite():
         # ...while victim admins must be unanimous (two victims, two approvals).
         from rollupsim.mempool import Mempool, PoolConfig
         from rollupsim.quarantine import PendingApprovals, QuarantineConfig, QuarantineStore, Released
-        from rollupsim.vm import WorldState
+        from rollupsim.vm import Account
 
-        store = QuarantineStore(QuarantineConfig(operators=frozenset()), Mempool(PoolConfig(), WorldState()))
         second_victim, second_admin = addr(0xD1), addr(0xD2)
+        tip = vault_state(extra={second_victim: Account(balance=0, code=gated_vault(second_admin))})
+        store = QuarantineStore(QuarantineConfig(operators=frozenset()), Mempool(PoolConfig(), tip))
         verdict = Verdict(True, ("a", "b"), (VAULT, second_victim), 10)
         held = exploit_tx()
-        store.admit(held, verdict, now=0, block_no=0, victim_admins={VAULT: ADMIN, second_victim: second_admin})
+        store.admit(held, verdict, now=0, block_no=0)
         assert store.approve_release(tx_hash(held), ADMIN, now=1) == PendingApprovals((second_victim,))
         assert store.approve_release(tx_hash(held), second_admin, now=2) == Released("administrative")
 
@@ -209,7 +211,7 @@ def test_05_quarantine_criteria_suite():
             ("held", "criterion=economic threshold=100"),
             ("released", "criterion=economic"),
         ]
-        assert out.sequencer.ledger.locked == {}  # refunded after inclusion
+        assert out.sequencer.store.ledger.locked == {}  # refunded after inclusion
 
 
 def test_06_deposit_permanence_and_escape_hatch():

@@ -2,7 +2,7 @@ import pytest
 
 from helpers import addr, tx
 from rollupsim.core import tx_hash
-from rollupsim.mempool import Mempool, PoolConfig, PoolStatus, RejectReason
+from rollupsim.mempool import Mempool, PoolConfig, PoolStatus, RejectReason, SubmitResult
 from rollupsim.vm import Account, make_state
 
 
@@ -49,6 +49,15 @@ def test_replacement_needs_ten_percent_bump(state):
     ok = pool.submit(tx(addr(1), 0, addr(9), max_fee=110), now=2)
     assert ok.outcome == "replaced" and ok.exits == ((old_hash, "replaced"),)
     assert old_hash not in pool.entries
+
+
+def test_a_zero_fee_transaction_cannot_replace_itself(state):
+    # A replacement must raise max_fee strictly; a 10% bump of 0 is 0.
+    pool = Mempool(PoolConfig(), state)
+    t = tx(addr(1), 0, addr(9), value=1, max_fee=0, gas_limit=21)
+    assert pool.submit(t, now=0).outcome == "accepted"
+    assert pool.submit(t, now=5) == SubmitResult("rejected", RejectReason.UNDERPRICED_REPLACEMENT)
+    assert pool.entries[tx_hash(t)].received_at == 0
 
 
 def test_replaced_hash_never_reappears_in_candidates(state):

@@ -8,25 +8,25 @@ submit's work does not grow with the number of pooled senders or queued
 entries. After every submit and retire, on both sides, the entries that
 left the pool are the reported exits and both caps hold. Over every bundled
 scenario, the sequencer's upkeep asks `changed_since` one hop at a time and
-its candidates match the reference."""
+its candidates match the reference. A `quarantine_flood` run holds each
+extra drain for a bounded number of tracked objects."""
 import copy
 import importlib.util
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 from typing import List
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import addr, tx
+from helpers import ObjectCount, addr, tracked_objects, tx
 from reference_pool import ReferenceMempool, ReferenceStore
 from rollupsim import core, mempool, quarantine, sequencer, vm
 from rollupsim.core import DepositTransaction, tx_hash
 from rollupsim.detection import Verdict
 from rollupsim.formats import parse_scenario
 from rollupsim.mempool import Mempool, PoolConfig, PoolEntry, PoolStatus
-from rollupsim.quarantine import CollateralLedger, QuarantineConfig, QuarantineStore
+from rollupsim.quarantine import QuarantineConfig, QuarantineStore
 from rollupsim.sequencer import Scenario, Sequencer
 from rollupsim.vm import Account, BlockContext, PreconditionFailed, WorldState, execute_transaction, make_state, state_root
 
@@ -141,11 +141,6 @@ def retire_both(fast, ref, now, state):
     return exits
 
 
-def settle(store, ledger, exits, now, new_tx=None):
-    """Settle exits the way the sequencer does, through its one method."""
-    Sequencer._settle(SimpleNamespace(store=store, ledger=ledger), exits, now, new_tx)
-
-
 class TestDifferentialAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -162,8 +157,7 @@ class TestDifferentialAgainstReference:
         genesis = draw_state(data, history)
         fast, ref = Mempool(pool_config, genesis), ReferenceMempool(pool_config, genesis)
         fast_store, ref_store = QuarantineStore(q_config, fast), ReferenceStore(q_config, ref)
-        fast_ledger, ref_ledger = CollateralLedger(), CollateralLedger()
-        sides = ((fast_store, fast_ledger), (ref_store, ref_ledger))
+        sides = (fast_store, ref_store)
         now = 0
         seen = []  # every transaction offered so far, for (re)admission
         for step in range(data.draw(st.integers(min_value=1, max_value=40))):
@@ -176,13 +170,13 @@ class TestDifferentialAgainstReference:
                     t = draw_tx(data, fast.tip)
                     seen.append(t)
                 result = submit_both(fast, ref, t, now)
-                for store, ledger in sides:
-                    settle(store, ledger, result.exits, now, t)
+                for store in sides:
+                    store.settle(result.exits, now, t)
             elif op == "retire":
                 state = draw_state(data, history)  # the only way the pools' tip moves
                 exits = retire_both(fast, ref, now, state)
-                for store, ledger in sides:
-                    settle(store, ledger, exits, now)
+                for store in sides:
+                    store.settle(exits, now)
             elif op == "candidates":
                 base_fee = data.draw(st.integers(min_value=0, max_value=3))
                 # The pool reads nonces at its tip.
@@ -203,12 +197,12 @@ class TestDifferentialAgainstReference:
                 ref_store.admit(t, verdict, now, step)
             elif op == "maintain":
                 state = draw_state(data, history)
-                assert fast_store.per_block_maintenance(state, now) == ref_store.per_block_maintenance(state, now)
+                for store in sides:
+                    store.per_block_maintenance(state, now)
             elif op == "stake":
                 sender, amount = data.draw(st.sampled_from(SENDERS)), data.draw(st.sampled_from([0, 5, 30, 60]))
-                for store, ledger in sides:
-                    ledger.stake(sender, amount)
-                    store.on_stake(ledger, sender, now)
+                for store in sides:
+                    store.stake(sender, amount, now)
             elif op == "approve":
                 held = sorted(k for k, e in fast_store.active.items() if not e.is_deposit)
                 if held:
@@ -219,7 +213,8 @@ class TestDifferentialAgainstReference:
             assert fast.by_sender == ref.by_sender
             assert list(fast_store.active) == list(ref_store.active)
             assert fast_store.audit == ref_store.audit
-            assert fast_ledger.stakes == ref_ledger.stakes and fast_ledger.locked == ref_ledger.locked
+            assert fast_store.ledger.stakes == ref_store.ledger.stakes
+            assert fast_store.ledger.locked == ref_store.ledger.locked
 
 
 def held_flood_block_counts(n: int, monkeypatch) -> dict:
@@ -385,7 +380,7 @@ class TestStoreNotifiesPool:
         config = QuarantineConfig(time_criterion_period=self.PERIOD, operators=frozenset({OPERATOR}))
         self.fast, self.ref = (pool(PoolConfig(tx_lifetime=100), self.state) for pool in (Mempool, ReferenceMempool))
         self.fast_store, self.ref_store = QuarantineStore(config, self.fast), ReferenceStore(config, self.ref)
-        self.sides = [(self.fast, self.fast_store, CollateralLedger()), (self.ref, self.ref_store, CollateralLedger())]
+        self.sides = [(self.fast, self.fast_store), (self.ref, self.ref_store)]
         self.first, self.second = (tx(self.A, n, SINK, value=1, max_fee=2, priority_fee=1, gas_limit=21) for n in (0, 1))
         self.other = tx(self.B, 0, SINK, value=1, max_fee=3, priority_fee=2, gas_limit=21)
         for pool in (self.fast, self.ref):
@@ -393,10 +388,10 @@ class TestStoreNotifiesPool:
                 assert pool.submit(t, now).outcome == "accepted"
 
     def both(self, op):
-        return [op(pool, store, ledger) for pool, store, ledger in self.sides]
+        return [op(pool, store) for pool, store in self.sides]
 
     def admit(self, t, now):
-        self.both(lambda pool, store, ledger: store.admit(t, self.VERDICT, now, 0))
+        self.both(lambda pool, store: store.admit(t, self.VERDICT, now, 0))
 
     def candidates(self):
         return lockstep(self.fast, self.ref, self.state, self.ref_store.active)
@@ -404,29 +399,32 @@ class TestStoreNotifiesPool:
     def release_by(self, path, now):
         key = tx_hash(self.first)
         if path == "approval":
-            self.both(lambda pool, store, ledger: store.approve_release(key, OPERATOR, now))
+            self.both(lambda pool, store: store.approve_release(key, OPERATOR, now))
         elif path == "stake":
-
-            def stake(pool, store, ledger):
-                ledger.stake(self.A, 6)
-                store.on_stake(ledger, self.A, now)
-
-            self.both(stake)
+            self.both(lambda pool, store: store.stake(self.A, 6, now))
         elif path == "time":
-            self.both(lambda pool, store, ledger: store.per_block_maintenance(self.state, now + self.PERIOD))
+            self.both(lambda pool, store: store.per_block_maintenance(self.state, now + self.PERIOD))
         elif path == "failure":
             broke = make_state({self.B: Account(balance=10_000)})  # A cannot pay: the drain fails harmlessly
-            self.both(lambda pool, store, ledger: store.request_failure_release(key, broke, FREE, now))
+
+            def fail_at_broke(pool, store):
+                # The store re-simulates at its pool's tip, which only a
+                # retire moves; set it here without retiring anything.
+                tip, pool.tip = pool.tip, broke
+                store.request_failure_release(key, FREE, now)
+                pool.tip = tip
+
+            self.both(fail_at_broke)
         elif path == "nonce":
             self.state = TestChangeDrivenUpkeep().executed(self.state, self.first)
             # As the sequencer does, the pool retires at the new state first.
             retired = [(key, "retired")]
-            assert self.both(lambda pool, store, ledger: pool.retire(now, self.state)) == [retired, retired]
-            self.both(lambda pool, store, ledger: store.per_block_maintenance(self.state, now))
+            assert self.both(lambda pool, store: pool.retire(now, self.state)) == [retired, retired]
+            self.both(lambda pool, store: store.per_block_maintenance(self.state, now))
         else:  # mempool retirement: the lifetime ran out
-            exits = self.both(lambda pool, store, ledger: pool.retire(now + 200, self.state))
+            exits = self.both(lambda pool, store: pool.retire(now + 200, self.state))
             assert exits[0] == exits[1] != []
-            self.both(lambda pool, store, ledger: settle(store, ledger, exits[0], now))
+            self.both(lambda pool, store: store.settle(exits[0], now))
         assert key not in self.fast_store.active and self.fast_store.audit == self.ref_store.audit
 
     @pytest.mark.parametrize("path", ["approval", "stake", "time", "failure", "nonce", "mempool"])
@@ -444,7 +442,7 @@ class TestStoreNotifiesPool:
         assert self.first not in self.candidates()
         if path == "mempool":
             # The very same transaction comes back while it is held.
-            self.both(lambda pool, store, ledger: pool.submit(self.first, 4))
+            self.both(lambda pool, store: pool.submit(self.first, 4))
             assert tx_hash(self.first) in self.fast.entries
             assert self.first not in self.candidates()
 
@@ -696,10 +694,28 @@ def test_the_pool_tip_is_the_chain_tip_after_every_block(name):
     def checked(now, _build=seq.build_block):
         blocks.append(_build(now))
         assert seq.mempool.tip is seq.chain.tip_state, len(blocks)
-        assert seq.ledger.locked.keys() <= seq.mempool.entries.keys(), len(blocks)
+        assert seq.store.ledger.locked.keys() <= seq.mempool.entries.keys(), len(blocks)
         check_caps(seq.mempool)
         return blocks[-1]
 
     seq.build_block = checked
     seq.run()
     assert len(blocks) == seq.scenario.run_blocks
+
+
+def flood_sequencer(flooders: int) -> ObjectCount:
+    """The tracked objects a seed-1 `quarantine_flood` run with `flooders`
+    drains leaves alive in its sequencer, counted after the parse and
+    without the report."""
+    text, _ = _GENERATE.quarantine_flood(1, _GENERATE.Sizes(blocks=150, actors=flooders))
+    scenario = parse_scenario(text, default_name="quarantine_flood")
+    return tracked_objects(lambda: sequencer.run(scenario).sequencer)
+
+
+def test_a_held_entry_costs_a_bounded_number_of_tracked_objects():
+    """Every drain is held to the end of the run, so the difference between
+    4000 and 400 flooders is 3600 held entries with their pool entries."""
+    small, large = flood_sequencer(400), flood_sequencer(4000)
+    assert len(small.result.store.active) == 400 and len(large.result.store.active) == 4000
+    per_entry = (large.added - small.added) / 3600
+    assert per_entry <= 11.5, per_entry  # 10.96

@@ -3,12 +3,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import ADMIN, ATTACKER, VAULT, addr, ctx, exploit_tx, repause_tx, tx, vault_state
+from helpers import ADMIN, ATTACKER, VAULT, addr, ctx, exploit_tx, gated_vault, repause_tx, tx, vault_state
 from rollupsim.core import DepositTransaction, duplicate_key, tx_hash, deposit_id
 from rollupsim.detection import Verdict
 from rollupsim.quarantine import (
     AlreadyQuarantined,
-    CollateralLedger,
     DepositPermanence,
     EntryNotFound,
     InsufficientCollateral,
@@ -23,7 +22,7 @@ from rollupsim.quarantine import (
 from rollupsim.formats import parse_scenario
 from rollupsim.mempool import Mempool, PoolConfig
 from rollupsim.sequencer import run
-from rollupsim.vm import Account, WorldState, make_state, execute_transaction
+from rollupsim.vm import Account, make_state, execute_transaction
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -32,15 +31,22 @@ OPERATOR = addr(0xEE)
 MALICIOUS = Verdict(malicious=True, violated=("vault-solvent",), victims=(VAULT,), damage_estimate=100)
 
 
-def store(period=86400, operators=(OPERATOR,)):
+def store(period=86400, operators=(OPERATOR,), tip=None):
+    """A store whose pool's tip, the chain tip it reads, is `tip`: by
+    default the vault, whose admin is ADMIN, paused."""
     config = QuarantineConfig(time_criterion_period=period, operators=frozenset(operators))
-    return QuarantineStore(config, Mempool(PoolConfig(), WorldState()))
+    return QuarantineStore(config, Mempool(PoolConfig(), vault_state() if tip is None else tip))
 
 
 def held_exploit(s, now=10, block=1, nonce=0):
     t = exploit_tx(nonce=nonce)
-    s.admit(t, MALICIOUS, now=now, block_no=block, victim_admins={VAULT: ADMIN})
+    s.admit(t, MALICIOUS, now=now, block_no=block)
     return t
+
+
+def audited(s, kind, criterion):
+    """The keys audited `kind` by `criterion`, in order."""
+    return [e.entry for e in s.audit if (e.kind, e.detail) == (kind, f"criterion={criterion}")]
 
 
 class TestAdmission:
@@ -75,32 +81,36 @@ class TestMaintenance:
         s = store()
         t = held_exploit(s)
         advanced = make_state({ATTACKER: Account(balance=1, nonce=1)})
-        report = s.per_block_maintenance(advanced, now=11)
-        assert report.retired == [tx_hash(t)]
+        s.per_block_maintenance(advanced, now=11)
+        assert audited(s, "retired", "nonce") == [tx_hash(t)]
         assert tx_hash(t) not in s.active
 
     def test_nonce_equal_keeps_entry(self):
         s = store()
         t = held_exploit(s)
         same = make_state({ATTACKER: Account(balance=1, nonce=0)})
-        assert s.per_block_maintenance(same, now=11).retired == []
+        s.per_block_maintenance(same, now=11)
+        assert audited(s, "retired", "nonce") == []
         assert tx_hash(t) in s.active
 
     def test_dead_entry_admitted_after_a_check_retires_on_an_unchanged_account(self):
         s = store()
         state = make_state({ATTACKER: Account(balance=1, nonce=1)})
         held_exploit(s, nonce=1)
-        assert s.per_block_maintenance(state, now=11).retired == []
+        s.per_block_maintenance(state, now=11)
+        assert audited(s, "retired", "nonce") == []
         dead = held_exploit(s, now=12, nonce=0)
-        assert s.per_block_maintenance(state, now=13).retired == [tx_hash(dead)]
+        s.per_block_maintenance(state, now=13)
+        assert audited(s, "retired", "nonce") == [tx_hash(dead)]
 
     def test_time_release_at_exact_threshold(self):
         s = store(period=100)
         t = held_exploit(s, now=10)
         state = make_state({ATTACKER: Account(balance=1)})
-        assert s.per_block_maintenance(state, now=109).time_released == []
-        report = s.per_block_maintenance(state, now=110)
-        assert report.time_released == [tx_hash(t)]
+        s.per_block_maintenance(state, now=109)
+        assert audited(s, "released", "time") == []
+        s.per_block_maintenance(state, now=110)
+        assert audited(s, "released", "time") == [tx_hash(t)]
         assert s.registry.is_released_duplicate(t)
 
     def test_deposit_never_time_released(self):
@@ -108,47 +118,46 @@ class TestMaintenance:
         dep = DepositTransaction(l1_block=0, l1_index=0, sender=addr(1), recipient=VAULT, value=5, data=b"", gas_limit=21)
         s.admit(dep, MALICIOUS, now=0, block_no=0)
         state = make_state({})
-        report = s.per_block_maintenance(state, now=1000)
-        assert report.time_released == [] and report.retired == []
+        s.per_block_maintenance(state, now=1000)
+        assert audited(s, "released", "time") == [] and audited(s, "retired", "nonce") == []
         assert deposit_id(dep) in s.active
 
     def test_mempool_retirement_drops_without_release(self):
         s = store()
         t = held_exploit(s)
-        s.on_mempool_retired([tx_hash(t)], now=20)
+        s.settle([(tx_hash(t), "retired")], now=20)
         assert tx_hash(t) not in s.active
         assert not s.registry.is_released_duplicate(t)  # retired, not released
 
 
 class TestFailureRelease:
     def test_released_after_state_change_makes_it_revert(self):
-        s = store()
         state = vault_state(paused=False)
-        t = held_exploit(s)
         # Admin re-pauses the vault after the quarantine decision.
         repaused = execute_transaction(state, repause_tx(), ctx()).post_state()
-        result = s.request_failure_release(tx_hash(t), repaused, ctx(), now=50)
+        s = store(tip=repaused)
+        t = held_exploit(s)
+        result = s.request_failure_release(tx_hash(t), ctx(), now=50)
         assert result == Released("failure")
         assert s.registry.is_released_duplicate(t)
 
     def test_still_held_when_exploit_remains_viable(self):
-        s = store()
-        state = vault_state(paused=False)
+        s = store(tip=vault_state(paused=False))
         t = held_exploit(s)
-        result = s.request_failure_release(tx_hash(t), state, ctx(), now=50)
+        result = s.request_failure_release(tx_hash(t), ctx(), now=50)
         assert isinstance(result, StillHeld)
         assert tx_hash(t) in s.active
 
     def test_insufficient_balance_counts_as_failure(self):
-        s = store()
-        t = held_exploit(s)
         broke = make_state({ATTACKER: Account(balance=1), VAULT: vault_state().account(VAULT)})
-        assert s.request_failure_release(tx_hash(t), broke, ctx(), now=50) == Released("failure")
+        s = store(tip=broke)
+        t = held_exploit(s)
+        assert s.request_failure_release(tx_hash(t), ctx(), now=50) == Released("failure")
 
     def test_unknown_hash(self):
         s = store()
         with pytest.raises(EntryNotFound):
-            s.request_failure_release(tx_hash(exploit_tx()), vault_state(), ctx(), now=0)
+            s.request_failure_release(tx_hash(exploit_tx()), ctx(), now=0)
 
     def test_run_counts_release_simulations(self):
         text = (SCENARIOS / "failure_release.scn").read_text()
@@ -165,17 +174,25 @@ class TestAdministrativeRelease:
         assert s.approve_release(tx_hash(t), OPERATOR, now=5) == Released("administrative")
 
     def test_victim_admins_must_be_unanimous(self):
-        s = store()
         q = addr(0xD1)
         q_admin = addr(0xD2)
+        s = store(tip=vault_state(extra={q: Account(balance=0, code=gated_vault(q_admin))}))
         verdict = Verdict(True, ("a", "b"), (VAULT, q), 10)
         t = exploit_tx()
-        s.admit(t, verdict, now=0, block_no=0, victim_admins={VAULT: ADMIN, q: q_admin})
+        s.admit(t, verdict, now=0, block_no=0)
         partial = s.approve_release(tx_hash(t), ADMIN, now=1)
         assert partial == PendingApprovals((q,))
         assert tx_hash(t) in s.active
         done = s.approve_release(tx_hash(t), q_admin, now=2)
         assert done == Released("administrative")
+
+    def test_a_victim_without_code_has_no_admin(self):
+        s = store()
+        codeless = addr(0xD1)
+        t = exploit_tx()
+        s.admit(t, Verdict(True, ("a", "b"), (VAULT, codeless), 10), now=0, block_no=0)
+        assert s.approve_release(tx_hash(t), ADMIN, now=1) == PendingApprovals((codeless,))
+        assert tx_hash(t) in s.active
 
     def test_random_address_not_authorized(self):
         s = store()
@@ -187,44 +204,39 @@ class TestAdministrativeRelease:
 class TestEconomicRelease:
     def test_strict_threshold(self):
         s = store()
-        ledger = CollateralLedger()
         t = held_exploit(s)
-        ledger.stake(ATTACKER, 100)
-        result = s.try_economic_release(ledger, tx_hash(t), now=1)
+        s.ledger.stake(ATTACKER, 100)
+        result = s.try_economic_release(tx_hash(t), now=1)
         assert result == InsufficientCollateral(threshold=100)
-        ledger.stake(ATTACKER, 1)  # 101 total: strictly exceeds
-        assert s.try_economic_release(ledger, tx_hash(t), now=2) == Released("economic")
+        s.ledger.stake(ATTACKER, 1)  # 101 total: strictly exceeds
+        assert s.try_economic_release(tx_hash(t), now=2) == Released("economic")
 
     def test_release_locks_damage_until_refund(self):
         s = store()
-        ledger = CollateralLedger()
         t = held_exploit(s)
-        ledger.stake(ATTACKER, 150)
-        s.try_economic_release(ledger, tx_hash(t), now=1)
-        assert ledger.available(ATTACKER) == 50
-        assert ledger.refund(tx_hash(t)) == 100
-        assert ledger.available(ATTACKER) == 150
+        s.ledger.stake(ATTACKER, 150)
+        s.try_economic_release(tx_hash(t), now=1)
+        assert s.ledger.available(ATTACKER) == 50
+        s.settle([(tx_hash(t), "retired")], now=2)
+        assert s.ledger.stakes == {ATTACKER: 150}
 
     def test_readmitted_entry_is_tried_once_per_stake(self):
         s = store()
-        ledger = CollateralLedger()
         verdict = Verdict(malicious=True, violated=("vault-solvent",), victims=(VAULT,), damage_estimate=50)
         t = exploit_tx()
         s.admit(t, verdict, now=1, block_no=1)
-        s.on_mempool_retired([tx_hash(t)], now=2)
+        s.settle([(tx_hash(t), "retired")], now=2)
         s.admit(t, verdict, now=3, block_no=2)
-        ledger.stake(ATTACKER, 10)
-        s.on_stake(ledger, ATTACKER, now=4)
+        s.stake(ATTACKER, 10, now=4)
         held = [e for e in s.audit if e.kind == "held"]
         assert [(e.at, e.detail) for e in held] == [(4, "criterion=economic threshold=50")]
         assert tx_hash(t) in s.active
 
     def test_stake_by_other_account_has_no_effect(self):
         s = store()
-        ledger = CollateralLedger()
         t = held_exploit(s)
-        ledger.stake(addr(0x1234), 10_000)
-        assert isinstance(s.try_economic_release(ledger, tx_hash(t), now=1), InsufficientCollateral)
+        s.ledger.stake(addr(0x1234), 10_000)
+        assert isinstance(s.try_economic_release(tx_hash(t), now=1), InsufficientCollateral)
 
 
 class TestDuplicateRegistry:
@@ -297,7 +309,7 @@ class TestReplacement:
         s = store()
         t = held_exploit(s)
         replacement = exploit_tx(max_fee=50)
-        s.on_replacement(tx_hash(t), replacement, now=5)
+        s.settle([(tx_hash(t), "replaced")], now=5, new_tx=replacement)
         assert tx_hash(t) in s.active
         assert not s.registry.is_released_duplicate(replacement)  # detected normally
 
@@ -307,7 +319,7 @@ class TestReplacement:
         s.approve_release(tx_hash(t), OPERATOR, now=1)
         t2 = held_exploit(s, now=2, nonce=1)
         replacement = exploit_tx(nonce=1, max_fee=99)
-        s.on_replacement(tx_hash(t2), replacement, now=3)
+        s.settle([(tx_hash(t2), "replaced")], now=3, new_tx=replacement)
         assert s.registry.is_released_duplicate(replacement)  # same duplicate key as the released one
 
 
@@ -319,13 +331,12 @@ class TestDepositPermanence:
 
     def test_no_release_path_touches_deposits(self):
         s = store()
-        ledger = CollateralLedger()
         dep = self.deposit_entry(s)
         key = deposit_id(dep)
         with pytest.raises(DepositPermanence):
-            s.request_failure_release(key, vault_state(), ctx(), now=1)
+            s.request_failure_release(key, ctx(), now=1)
         with pytest.raises(DepositPermanence):
             s.approve_release(key, OPERATOR, now=1)
         with pytest.raises(DepositPermanence):
-            s.try_economic_release(ledger, key, now=1)
+            s.try_economic_release(key, now=1)
         assert key in s.active

@@ -72,8 +72,8 @@ class TestBuildBlock:
     def test_economic_release_refunds_after_inclusion(self):
         out = run_named("economic_release")
         seq = out.sequencer
-        assert seq.ledger.locked == {}
-        assert seq.ledger.available(ATTACKER) == 101
+        assert seq.store.ledger.locked == {}
+        assert seq.store.ledger.available(ATTACKER) == 101
 
     def test_a_fee_bump_of_a_released_tx_settles_its_lock(self):
         # The stake releases drain B and locks 100; the fee bump R replaces B
@@ -83,8 +83,38 @@ class TestBuildBlock:
         text += "event 5 submit sender=0xb2 nonce=0 to=0xc3 data=0x00 max_fee=2 gas_limit=30\n"
         seq = run(parse_scenario(text)).sequencer
         assert [t.max_fee for t in seq.chain.blocks[2].transactions] == [2]
-        assert seq.ledger.locked == {}
-        assert seq.ledger.available(ATTACKER) == 101
+        assert seq.store.ledger.locked == {}
+        assert seq.store.ledger.available(ATTACKER) == 101
+
+    def test_a_zero_fee_resubmission_keeps_the_lock_until_the_tx_leaves(self):
+        """base_fee=0. The stake releases the zero-fee drain B at t=3 and
+        locks 100; B is resubmitted at once. A replacement must raise
+        max_fee, so the resubmission is refused and B, still pooled,
+        keeps its lock until block 1 includes it."""
+        drain = "sender=0xb2 nonce=0 to=0xc3 data=0x00 max_fee=0 gas_limit=30"
+        lines = [
+            "scenario v1",
+            "config fee_recipient=0xfe operators=0xee base_fee=0",
+            "genesis account 0xb2 balance=10000",
+            *VAULT_LINES,
+            "run blocks=2",
+            f"event 1 submit {drain}",
+            "event 3 stake account=0xb2 amount=101",
+            f"event 3 submit {drain}",
+        ]
+        seq = Sequencer(parse_scenario("\n".join(lines) + "\n"))
+        locks = []
+
+        def checked(now, _build=seq.build_block):
+            locks.append(dict(seq.store.ledger.locked))
+            return _build(now)
+
+        seq.build_block = checked
+        out = seq.run()
+        (entry,) = out.report.entries
+        assert locks == [{}, {entry.key: (ATTACKER, 100)}]
+        assert [tx_hash(t) for t in seq.chain.blocks[1].transactions] == [entry.key]
+        assert seq.store.ledger.locked == {} and seq.store.ledger.available(ATTACKER) == 101
 
     @staticmethod
     def evicted_drain(stake: bool):
@@ -111,8 +141,8 @@ class TestBuildBlock:
     def test_an_evicted_released_tx_settles_its_lock(self):
         out, key = self.evicted_drain(stake=True)
         assert [(a.kind, a.at) for a in out.report.audit if a.entry == key] == [("admitted", 2), ("released", 3)]
-        assert out.sequencer.ledger.locked == {}
-        assert out.sequencer.ledger.available(ATTACKER) == 101
+        assert out.sequencer.store.ledger.locked == {}
+        assert out.sequencer.store.ledger.available(ATTACKER) == 101
 
     def test_an_evicted_held_tx_retires_from_quarantine(self):
         out, key = self.evicted_drain(stake=False)
@@ -121,7 +151,7 @@ class TestBuildBlock:
             ("admitted", "block=0"),
             ("retired", "criterion=mempool"),
         ]
-        assert not out.sequencer.store.active and not out.sequencer.ledger.stakes
+        assert not out.sequencer.store.active and not out.sequencer.store.ledger.stakes
 
     def test_evicted_released_and_held_drains_settle_and_derive(self):
         """max_pending=2, max_queued=1. Drains B (fee 1) and C (fee 2) are
@@ -146,7 +176,7 @@ class TestBuildBlock:
         seq = out.sequencer
         b, c = (entry.key for entry in sorted(out.report.entries, key=lambda e: e.sender))
         assert b not in seq.mempool.entries and c not in seq.mempool.entries
-        assert seq.ledger.locked == {} and seq.ledger.available(ATTACKER) == 101
+        assert seq.store.ledger.locked == {} and seq.store.ledger.available(ATTACKER) == 101
         assert [(a.entry, a.kind, a.at, a.detail) for a in out.report.audit if a.kind != "admitted"] == [
             (b, "released", 3, "criterion=economic"),
             (c, "retired", 5, "criterion=mempool"),
@@ -173,8 +203,8 @@ class TestBuildBlock:
             "event 3 submit sender=0xa0 nonce=2 to=0xfe max_fee=2 gas_limit=21",
         ]
         seq = Sequencer(parse_scenario("\n".join(lines) + "\n"))
-        settled, settle = [], seq._settle
-        seq._settle = lambda exits, *rest: settled.extend(h for h, _ in exits) or settle(exits, *rest)
+        settled, settle = [], seq.store.settle
+        seq.store.settle = lambda exits, *rest: settled.extend(h for h, _ in exits) or settle(exits, *rest)
         queued_sizes = []
 
         def checked(step):
