@@ -15,7 +15,10 @@ at its place, an L1 block time before the previous one's, an L1 block whose
 epoch head lies past the inbox, a record with the wrong block number or
 epoch, a time not after the previous block's, an epoch head before its L1
 block, a bitmap missing from an epoch head, on another record or not fitting
-its deposits, or a batch that cannot execute. A scenario, report or history
+its deposits, or a batch that cannot execute; and on one spelled otherwise
+than `run` writes it (a value, a field order, a space, a blank line, a line
+end, a line order), naming the first line that differs and the form
+expected. A scenario, report or history
 line is refused, with its number, when it lacks a field or names an unknown
 one, holds a value out of its range, repeats a line its file holds once, or
 declares a genesis address twice. Every file is UTF-8 whatever the locale;
@@ -29,6 +32,7 @@ import argparse
 import io
 import re
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from .core import EncodingError, ScenarioError, TxHash
@@ -78,19 +82,28 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _require_canonical(text: str, written: str) -> None:
+    """Refuse a history spelled otherwise than `render_history` writes it, at its first differing line."""
+    for lineno, (line, form) in enumerate(zip_longest(text.splitlines(True), written.splitlines(True)), start=1):
+        if line != form:
+            expected = "the end of the file" if form is None else repr(form[:-1])
+            raise ScenarioError(f"not in canonical form, expected {expected}", line=lineno)
+
+
 def cmd_derive(args: argparse.Namespace) -> int:
     from .derivation import DerivationGap, derive
     from .l1da import L1Error
-    from .lines import parse_history
+    from .lines import parse_history, render_history
 
     if args.expect_root is not None and not re.fullmatch(r"(0x)?[0-9a-fA-F]{64}", args.expect_root):
         return _fail(EXIT_SCENARIO, f"--expect-root must be 64 hex digits, got {args.expect_root!r}")
     try:
-        text = Path(args.l1).read_text(encoding="utf-8")
+        text = Path(args.l1).read_bytes().decode("utf-8")  # no newline translation: a CR is refused as written
     except (OSError, UnicodeDecodeError) as exc:
         return _fail(EXIT_DERIVATION, f"cannot read history: {exc}")
     try:
         history = parse_history(text)
+        _require_canonical(text, render_history(history))
         chain = derive(history)
     except DerivationGap as exc:
         return _fail(EXIT_DERIVATION, f"derivation gap: {exc}")

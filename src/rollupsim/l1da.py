@@ -4,8 +4,10 @@ Each L1 block carries the deposits escrowed in it; the batcher appends one
 record per L2 block to the inbox. The record for an epoch's first L2 block
 also carries a bitmap marking which of that epoch's deposits were included,
 which is what lets a replica re-derive the chain without running detection.
-A replica replays an exported history through its own `L1Chain`, so the
-batcher and the replica follow one set of L1 rules.
+`L1Chain` holds every rule about where an L1 block or a record sits, and a
+replica replays an exported history through its own `L1Chain`, so the
+batcher and the replica follow one set of L1 rules: a record the batcher
+could post is one the replica takes.
 """
 from __future__ import annotations
 
@@ -32,6 +34,15 @@ class BitmapMismatch(L1Error):
 
 class DepositNotFound(L1Error):
     pass
+
+
+class DerivationGap(L1Error):
+    """An L1 block or a record out of its place, or a block the replica cannot rebuild."""
+
+    def __init__(self, epoch: int, reason: str):
+        super().__init__(f"epoch {epoch}: {reason}")
+        self.epoch = epoch
+        self.reason = reason
 
 
 def encode_bitmap(flags: Sequence[bool]) -> List[int]:
@@ -111,53 +122,80 @@ class NotEligible(NamedTuple):
 
 
 class L1Chain:
-    """The simulated settlement layer, advanced on the same clock as L2."""
+    """The simulated settlement layer, advanced on the same clock as L2.
 
-    def __init__(self, escape_timeout: int = 7 * 86400):
+    Each L1 block opens the epoch of its number, and that epoch's head (its
+    first L2 block) settles the block's escrow with its bitmap. So L1 blocks
+    come in number order, never earlier than the one before, and before
+    their epoch head is posted. Records come in block order, each later than
+    the one before, and an epoch head no earlier than its L1 block."""
+
+    def __init__(self, blocks_per_epoch: int, escape_timeout: int = 7 * 86400):
         self.blocks: List[L1Block] = []
         self.inbox: List[L1Record] = []
         self.escrow: Dict[TxHash, EscrowEntry] = {}
+        self.blocks_per_epoch = blocks_per_epoch
         self.escape_timeout = escape_timeout
 
-    def add_block(self, timestamp: int, deposits: Sequence[DepositTransaction]) -> L1Block:
-        number = len(self.blocks)
+    def add_block(self, number: int, timestamp: int, deposits: Sequence[DepositTransaction]) -> None:
+        place = len(self.blocks)
+        if number != place:
+            raise DerivationGap(place, f"l1block {place} carries number {number}")
+        if self.blocks and timestamp < self.blocks[-1].timestamp:
+            raise DerivationGap(place, f"l1block {place} time {timestamp} is before l1block "
+                                       f"{place - 1}'s time {self.blocks[-1].timestamp}")
+        if number * self.blocks_per_epoch < len(self.inbox):
+            raise L1Error(f"L1 block {number} arrives after its epoch head was built")
         for idx, dep in enumerate(deposits):
             if dep.l1_block != number or dep.l1_index != idx:
                 raise L1Error(
                     f"deposit labeled ({dep.l1_block},{dep.l1_index}) placed at ({number},{idx})"
                 )
-        block = L1Block(number=number, timestamp=timestamp, deposits=tuple(deposits))
-        self.blocks.append(block)
+        self.blocks.append(L1Block(number=number, timestamp=timestamp, deposits=tuple(deposits)))
         for dep in deposits:
             self.escrow[deposit_id(dep)] = EscrowEntry(
                 deposit=dep,
                 status=EscrowStatus.PENDING,
                 refundable_at=timestamp + self.escape_timeout,
             )
-        return block
 
     def deposits_for_epoch(self, epoch: int) -> Tuple[DepositTransaction, ...]:
         if epoch < len(self.blocks):
             return self.blocks[epoch].deposits
         return ()
 
-    def post_batch(self, record: L1Record) -> None:
-        """Append a record to the inbox; the epoch-head bitmap settles escrow,
-        which must be pending (anything else is a batcher bug: raise, change nothing)."""
+    def post_batch(self, record: L1Record) -> Tuple[DepositTransaction, ...]:
+        """Append the next block's record to the inbox and return the deposits
+        its block mints: on an epoch head, the ones its bitmap accepts, which
+        settles the epoch's escrow. A record out of its place, or escrow that
+        is not pending, is refused (a batcher bug: raise, change nothing)."""
+        number, time = len(self.inbox), record.l2_timestamp
+        epoch, offset = divmod(number, self.blocks_per_epoch)
+        if record.l2_number != number:
+            raise DerivationGap(record.epoch, f"expected block {number}, record carries {record.l2_number}")
+        if record.epoch != epoch:
+            raise DerivationGap(record.epoch, f"block {number} belongs to epoch {epoch}")
+        if self.inbox and time <= self.inbox[-1].l2_timestamp:
+            raise DerivationGap(epoch, f"block {number} time {time} is not after {self.inbox[-1].l2_timestamp}")
+        if record.has_bitmap != (offset == 0):
+            rule = f"bitmap on non-head block {number}" if offset else f"head block {number} posts no bitmap"
+            raise DerivationGap(epoch, rule)
+        minted = ()
         if record.has_bitmap:
-            deposits = self.deposits_for_epoch(record.epoch)
+            l1_time = self.blocks[epoch].timestamp if epoch < len(self.blocks) else 0
+            if time < l1_time:
+                raise DerivationGap(epoch, f"head block {number} time {time} is before its L1 block's time {l1_time}")
+            deposits = self.deposits_for_epoch(epoch)
             entries = [self.escrow[deposit_id(dep)] for dep in deposits]
             for entry in entries:
                 if entry.status is not EscrowStatus.PENDING:
                     raise L1Error(f"deposit {deposit_id(entry.deposit).hex0x()} is already {entry.status.value}")
-            for entry, accepted in zip(entries, bitmap_flags(record, deposits)):
+            flags = bitmap_flags(record, deposits)
+            for entry, accepted in zip(entries, flags):
                 entry.status = EscrowStatus.ACCEPTED if accepted else EscrowStatus.REFUSED
+            minted = tuple(dep for dep, accepted in zip(deposits, flags) if accepted)
         self.inbox.append(record)
-
-    def accepted_deposits(self, epoch: int) -> Tuple[DepositTransaction, ...]:
-        """The epoch's deposits whose escrow is ACCEPTED: what its head block mints."""
-        accepted = EscrowStatus.ACCEPTED
-        return tuple(dep for dep in self.deposits_for_epoch(epoch) if self.escrow[deposit_id(dep)].status is accepted)
+        return minted
 
     def escape_withdraw(self, dep_id: TxHash, now: int):
         """Refund a refused deposit, or a pending one after the timeout.
@@ -188,12 +226,10 @@ class L1History(NamedTuple):
     inbox: Tuple[L1Record, ...]
 
 
-def snapshot_history(
-    l1: L1Chain, fee_recipient: Address, blocks_per_epoch: int, genesis: WorldState
-) -> L1History:
+def snapshot_history(l1: L1Chain, fee_recipient: Address, genesis: WorldState) -> L1History:
     return L1History(
         fee_recipient=fee_recipient,
-        blocks_per_epoch=blocks_per_epoch,
+        blocks_per_epoch=l1.blocks_per_epoch,
         genesis=genesis,
         blocks=tuple(l1.blocks),
         inbox=tuple(l1.inbox),

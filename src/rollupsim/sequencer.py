@@ -3,11 +3,15 @@ routing, epoch-anchored deposits, batch posting, and the scenario driver.
 
 Per block: the epoch's accepted deposits go first, regular candidates are
 classified and the benign ones included in candidate order, flagged ones
-enter quarantine, everything else stays pooled for the next round. The
-batcher posts the block's record — with the deposit acceptance bitmap on
-epoch heads — to the L1 inbox, and the block is sealed through the
-`ChainView` the replica seals into. Then the pool and the quarantine run
-their cheap per-block hygiene, which performs no simulation.
+enter quarantine, everything else stays pooled for the next round. Both
+classification rounds go through one helper, which counts the round and
+admits what it flags. The batcher posts the block's record — with the
+deposit acceptance bitmap on epoch heads — through `L1Chain.post_batch`,
+which holds the replica's rules on a record's place and returns the
+deposits the block mints: they must be the ones detection accepted. The
+block is drafted from its record and sealed through the `ChainView` the
+replica seals into. Then the pool and the quarantine run their cheap
+per-block hygiene, which performs no simulation.
 
 A held transaction's fate belongs to the quarantine store: the sequencer
 admits what detection flags, forwards release and stake events, and hands
@@ -16,7 +20,7 @@ that removed something and once per block.
 """
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
 from .core import (
     Address,
@@ -32,11 +36,10 @@ from .core import (
     canonical_encode,
     deposit_id,
     tx_hash,
-    tx_id,
 )
-from .detection import CandidateSet, Counters, InvariantDetector, InvariantSet, hybrid_detect
+from .detection import CandidateSet, Counters, DetectionOutcome, InvariantDetector, InvariantSet, hybrid_detect
 from .derivation import ChainView
-from .l1da import EscrowStatus, L1Chain, L1History, L1Record, encode_bitmap, snapshot_history
+from .l1da import L1Chain, L1Error, L1History, L1Record, encode_bitmap, snapshot_history
 from .mempool import Mempool, PoolConfig
 from .quarantine import QuarantineConfig, QuarantineEntry, QuarantineError, QuarantineStore
 from .vm import BlockContext, WorldState, state_root
@@ -227,7 +230,7 @@ class Sequencer:
         self.invariants = InvariantSet()
         for invariant in scenario.invariants:
             self.invariants.register(invariant, scenario.genesis)
-        self.l1 = L1Chain(escape_timeout=scenario.escape_timeout)
+        self.l1 = L1Chain(self.config.blocks_per_epoch, escape_timeout=scenario.escape_timeout)
         self.base_fee = self.config.base_fee
         self.records: List[QuarantineEntry] = []
         self.counters = Counters()
@@ -242,31 +245,20 @@ class Sequencer:
         number = len(self.chain.blocks)
         epoch, offset = divmod(number, self.config.blocks_per_epoch)
         is_epoch_head = offset == 0
-        ctx = self._ctx()
-        tip = self.chain.tip_state
 
         # Epoch head: vet the deposits L1 holds for the epoch; refused ones
         # are quarantined forever and reported to the batcher bitmap.
         epoch_deposits = self.l1.deposits_for_epoch(epoch) if is_epoch_head else ()
-        accepted: Set[TxHash] = set()
+        accepted: Tuple[DepositTransaction, ...] = ()
         deposit_flags: List[bool] = []
-        state_after_deposits = tip
+        state_after_deposits = self.chain.tip_state
         if epoch_deposits:
-            outcome = hybrid_detect(
-                CandidateSet(epoch_deposits, tip, budget=None),
-                self.invariants,
-                self.detector,
-                ctx,
-                workers=self.config.workers,
-            )
+            outcome = self._classify(epoch_deposits, state_after_deposits, None, now)
             if outcome.deferred:
                 raise RuntimeError("deposits can never be deferred")
-            self.counters.add(outcome.stats)
-            accepted = {tx_id(d) for d in outcome.benign}
-            for dep, verdict, _sim in outcome.malicious:
-                self.records.append(self.store.admit(dep, verdict, now, number))
-            deposit_flags = [deposit_id(d) in accepted for d in epoch_deposits]
-            state_after_deposits = outcome.final_state
+            accepted, state_after_deposits = tuple(outcome.benign), outcome.final_state
+            kept = set(accepted)
+            deposit_flags = [dep in kept for dep in epoch_deposits]
 
         # Regular candidates: pending, affordable, not currently held; txs
         # duplicating an already-released one skip detection entirely (none
@@ -276,17 +268,8 @@ class Sequencer:
         preapproved = frozenset(
             tx_hash(tx) for tx in candidates if registry.is_released_duplicate(tx)
         ) if registry.senders else frozenset()
-        outcome = hybrid_detect(
-            CandidateSet(tuple(candidates), state_after_deposits, budget=self.config.detection_budget),
-            self.invariants,
-            self.detector,
-            ctx,
-            workers=self.config.workers,
-            preapproved=preapproved,
-        )
-        for tx, verdict, _sim in outcome.malicious:
-            self.records.append(self.store.admit(tx, verdict, now, number))
-        self.counters.add(outcome.stats)
+        budget = self.config.detection_budget
+        outcome = self._classify(tuple(candidates), state_after_deposits, budget, now, preapproved)
 
         # The classifier's fold already applied the block: deposits, then the
         # benign candidates in order.
@@ -294,8 +277,9 @@ class Sequencer:
         transactions = tuple(outcome.benign)
 
         # Batcher: one record per block; the epoch head carries the bitmap,
-        # which settles the epoch's escrow. The head mints what L1 accepted,
-        # the same rule the replica follows.
+        # which settles the epoch's escrow. The block mints what L1 returns,
+        # the same rule the replica follows, and the state holds what
+        # detection accepted: the two must agree.
         record = L1Record(
             epoch=epoch,
             l2_number=number,
@@ -305,34 +289,36 @@ class Sequencer:
             deposit_count=len(deposit_flags) if is_epoch_head else None,
             bitmap=tuple(encode_bitmap(deposit_flags)) if is_epoch_head else (),
         )
-        self.l1.post_batch(record)
-        deposits = self.l1.accepted_deposits(epoch) if is_epoch_head else ()
-        block = self.chain.seal(self.chain.draft(now, self.base_fee, epoch, deposits, transactions), final_state)
+        minted = self.l1.post_batch(record)
+        if minted != accepted:
+            unminted = [dep for dep in minted if dep not in accepted]
+            if unminted:
+                raise RuntimeError(f"accepted deposit {deposit_id(unminted[0]).hex0x()} never minted")
+            stray = next(dep for dep in accepted if dep not in minted)
+            raise RuntimeError(f"unaccepted deposit {deposit_id(stray).hex0x()} appears on L2")
+        block = self.chain.seal(self.chain.draft(record, minted, transactions), final_state)
 
         # Pool hygiene, then quarantine maintenance, exactly once per block;
         # maintenance never simulates. An included transaction's nonce is
         # spent, so this block retires it from the pool.
         self.store.settle(self.mempool.retire(now, final_state), now)
         self.store.per_block_maintenance(final_state, now)
-
-        # The state holds the deposits detection accepted; escrow must agree.
-        self._check_deposit_conservation([deposit_id(d) for d in epoch_deposits], accepted)
         return block
 
-    def _check_deposit_conservation(self, keys: Sequence[TxHash], accepted: Set[TxHash]) -> None:
-        """Each deposit is exactly one of: minted on L2, refunded on L1, escrowed.
-
-        Escrow status moves only when an epoch head's bitmap settles its
-        deposits (the sequencer never refunds), so only the deposits settled
-        in this block, `keys`, are checked. Of those, the ones minted are
-        the ones detection accepted in this block, `accepted`."""
-        for dep_key in keys:
-            escrow = self.l1.escrow[dep_key]
-            minted = dep_key in accepted
-            if escrow.status is EscrowStatus.ACCEPTED and not minted:
-                raise RuntimeError(f"accepted deposit {dep_key.hex0x()} never minted")
-            if escrow.status is not EscrowStatus.ACCEPTED and minted:
-                raise RuntimeError(f"unaccepted deposit {dep_key.hex0x()} appears on L2")
+    def _classify(
+        self, txs: tuple, state: WorldState, budget: Optional[int], now: int,
+        preapproved: FrozenSet[TxHash] = frozenset(),
+    ) -> DetectionOutcome:
+        """One classification round of the next block, at `state`: count it, and admit what it flags."""
+        outcome = hybrid_detect(
+            CandidateSet(txs, state, budget=budget), self.invariants, self.detector, self._ctx(),
+            workers=self.config.workers, preapproved=preapproved,
+        )
+        self.counters.add(outcome.stats)
+        number = len(self.chain.blocks)
+        for tx, verdict, _sim in outcome.malicious:
+            self.records.append(self.store.admit(tx, verdict, now, number))
+        return outcome
 
     # ------------------------------------------------------------------
     def run(self) -> RunOutcome:
@@ -357,6 +343,8 @@ class Sequencer:
                     # A release asked of an entry that is not held, by someone
                     # not entitled to it, or of a deposit entry.
                     raise ScenarioError(f"{type(exc).__name__}: {exc}", at=event.at) from None
+                except L1Error as exc:  # an L1 block that arrives after its epoch head was built
+                    raise ScenarioError(str(exc), at=event.at) from None
             number = len(self.chain.blocks)
             # Later blocks are at least `block_time` apart (an `advance` only
             # adds time), so a last block past 2^64-1 is known now, however
@@ -391,9 +379,7 @@ class Sequencer:
             counters=self.counters,
             final_root=state_root(self.chain.tip_state),
         )
-        history = snapshot_history(
-            self.l1, self.config.fee_recipient, self.config.blocks_per_epoch, scenario.genesis
-        )
+        history = snapshot_history(self.l1, self.config.fee_recipient, scenario.genesis)
         return RunOutcome(report=report, history=history, sequencer=self)
 
     def _apply_event(self, event: Event) -> None:
@@ -402,12 +388,7 @@ class Sequencer:
             if exits:
                 self.store.settle(exits, event.at, event.tx)
         elif isinstance(event, L1BlockEvent):
-            head_block = event.number * self.config.blocks_per_epoch
-            if len(self.chain.blocks) > head_block:
-                raise ScenarioError(
-                    f"L1 block {event.number} arrives after its epoch head was built", at=event.at
-                )
-            self.l1.add_block(event.at, event.deposits)
+            self.l1.add_block(event.number, event.at, event.deposits)
         elif isinstance(event, ApproveReleaseEvent):
             self.store.approve_release(event.key, event.approver, event.at)
         elif isinstance(event, StakeEvent):

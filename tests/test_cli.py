@@ -238,6 +238,12 @@ class TestDeriveNamesTheLine:
         assert code == 4
         assert f"line {lineno}" in err and "non-hexadecimal" in err
 
+    def test_respelled_value_names_the_form_expected(self, tmp_path, capsys):
+        code, err, lineno = self.derive_exit(tmp_path, capsys, r"l2_time=4 ", "l2_time=0x4 ")
+        assert code == 4
+        expected = "'record epoch=0 l2_number=1 l2_time=4 l2_base_fee=1 batch=-'"
+        assert err == f"error: unusable history: line {lineno}: not in canonical form, expected {expected}\n"
+
 
 class TestQuarantineRejectsMalformedReport:
     """A report with a missing field or a wrong or repeated header exits 2
@@ -572,6 +578,14 @@ class TestBadReleaseEvents:
         key = self.held_deposit_key(tmp_path)
         text = (SCENARIOS / "deposit_refused.scn").read_text() + f"event 3 approve_release tx={key} approver=0xee\n"
         self.check(tmp_path, capsys, text, "DepositPermanence")
+
+
+class TestLateL1Block:
+    def test_run_refuses_an_l1_block_after_its_epoch_head_was_built(self, tmp_path, capsys):
+        # One block per epoch: L1 block 0's head, block 0, is built at t=2.
+        text = "scenario v1\nconfig blocks_per_epoch=1\ngenesis account 0x01 balance=10\nrun blocks=3\n"
+        assert run_text(tmp_path, text + "event 3 l1_block deposits=-\n") == 2
+        assert capsys.readouterr().err == "error: t=3: L1 block 0 arrives after its epoch head was built\n"
 
 
 U64 = 2**64

@@ -1,13 +1,19 @@
 """Whole-pipeline fuzz: random scenarios must stay worker-invariant and
 re-derivable byte for byte from their L1 export, and the replica must refuse
-every history the sequencer could not have written."""
+every history the sequencer could not have written, and every spelling of a
+history other than the one the sequencer writes."""
+import contextlib
 import functools
+import io
 import random
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from rollupsim.core import encode_block
+from rollupsim.cli import main
+from rollupsim.core import ScenarioError, encode_block
 from rollupsim.derivation import DerivationGap, derive
 from rollupsim.formats import parse_history, parse_scenario, render_history, render_report
 from rollupsim.l1da import L1Block, L1Chain, L1Error
@@ -117,9 +123,9 @@ def test_random_scenarios_worker_invariant_and_rederivable():
 
 def replica_l1(history):
     """The L1 model a replica builds from a history's L1 blocks."""
-    l1 = L1Chain()
+    l1 = L1Chain(history.blocks_per_epoch)
     for block in history.blocks:
-        l1.add_block(block.timestamp, block.deposits)
+        l1.add_block(*block)
     return l1
 
 
@@ -230,3 +236,157 @@ def test_derive_refuses_every_impossible_history(mutate):
             derive(broken)
             pytest.fail(f"{label}: derive accepted it")
     assert fitted, "the mutation fits no history"
+
+
+# -- respellings: each writes a history otherwise than `render_history` does, and returns
+# (the text, the first line that differs), or None where it does not fit --
+
+def _respell_first(text, test, edit):
+    lines = text.split("\n")
+    index = next((i for i, line in enumerate(lines) if test(line)), None)
+    if index is None:
+        return None
+    return "\n".join(lines[:index] + [edit(lines[index])] + lines[index + 1:]), index + 1
+
+
+def _moved_to_end(text, test):
+    lines = text.split("\n")[:-1]
+    moved = [i for i, line in enumerate(lines) if test(line)]
+    if not moved:
+        return None
+    kept = [line for line in lines if not test(line)]
+    return "\n".join(kept + [lines[i] for i in moved]) + "\n", moved[0] + 1
+
+
+def hex_time(text):
+    """`l2_time=0x2` for `l2_time=2`."""
+    return _respell_first(text, lambda line: line.startswith("record "),
+                          lambda line: re.sub(r"l2_time=(\d+)", lambda m: f"l2_time={hex(int(m[1]))}", line))
+
+
+def decimal_bitmap(text):
+    """`bitmap=5` for `bitmap=0x5`."""
+    return _respell_first(text, lambda line: "bitmap=0x" in line,
+                          lambda line: re.sub(r"bitmap=0x([0-9a-f]+)", lambda m: f"bitmap={int(m[1], 16)}", line))
+
+
+def short_fee_recipient(text):
+    """`fee_recipient=0xfe` for the full 40-digit address."""
+    return _respell_first(text, lambda line: line.startswith("config fee_recipient=0x00"),
+                          lambda line: re.sub(r"=0x(00)+", "=0x", line, count=1))
+
+
+def record_fields_reordered(text):
+    return _respell_first(text, lambda line: line.startswith("record "),
+                          lambda line: re.sub(r"^record (\S+) (\S+)", r"record \2 \1", line))
+
+
+def spaces_between_fields(text):
+    return _respell_first(text, lambda line: line.startswith("record "), lambda line: line.replace(" ", "  ", 1))
+
+
+def nonce_left_out(text):
+    return _respell_first(text, lambda line: line.startswith("genesis account ") and line.endswith(" nonce=0"),
+                          lambda line: line[:-len(" nonce=0")])
+
+
+def blank_line(text):
+    lines = text.split("\n")
+    return "\n".join(lines[:2] + [""] + lines[2:]), 3
+
+
+def trailing_space(text):
+    return _respell_first(text, lambda line: line.startswith("config "), lambda line: line + " ")
+
+
+def crlf_line_ends(text):
+    return text.replace("\n", "\r\n"), 1
+
+
+def genesis_after_records(text):
+    return _moved_to_end(text, lambda line: line.startswith("genesis "))
+
+
+def records_before_l1blocks(text):
+    return _moved_to_end(text, lambda line: line.startswith("l1block "))
+
+
+def derive_text(path, text):
+    """`rollupsim derive` on `text`, written byte for byte: (exit code, stdout, stderr)."""
+    path.write_bytes(text.encode("utf-8"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["derive", "--l1", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_every_sequencer_history_derives_as_written(tmp_path):
+    for label, history in sequencer_histories():
+        code, out, err = derive_text(tmp_path / "run.l1", render_history(history))
+        assert (code, err) == (0, ""), label
+        assert out == f"final_root {derive(history).final_root.hex0x()}\n", label
+
+
+@pytest.mark.parametrize(
+    "respell",
+    [
+        hex_time, decimal_bitmap, short_fee_recipient, record_fields_reordered, spaces_between_fields,
+        nonce_left_out, blank_line, trailing_space, crlf_line_ends, genesis_after_records, records_before_l1blocks,
+    ],
+)
+def test_derive_refuses_every_respelled_history(tmp_path, respell):
+    fitted = 0
+    for label, history in sequencer_histories():
+        text = render_history(history)
+        respelled = respell(text)
+        if respelled is None:
+            continue
+        fitted += 1
+        bad, lineno = respelled
+        assert bad != text and parse_history(bad) == history, label
+        code, _, err = derive_text(tmp_path / "bad.l1", bad)
+        assert code == 4, label
+        assert err.startswith(f"error: unusable history: line {lineno}: not in canonical form, expected "), label
+    assert fitted, "the respelling fits no history"
+
+
+# Other spellings of one value: a decimal, a 0x-hex number, a bare hex blob or list.
+_SPELLINGS = (
+    (re.compile(r"\d+"), lambda v: [hex(int(v)), "0" + v, "+" + v]),
+    (re.compile(r"0x[0-9a-f]+"), lambda v: ["0x" + v[2:].upper(), "0x" + v[2:].lstrip("0"), str(int(v, 16))]),
+    (re.compile(r"[0-9a-f,]+"), lambda v: [v.upper()]),
+)
+
+
+def _spellings(value):
+    return next((spell(value) for form, spell in _SPELLINGS if form.fullmatch(value)), [])
+
+
+@pytest.fixture(scope="module")
+def respell_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("respelled")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_single_field_respelling_is_refused_at_its_line(respell_dir, data):
+    """A history with one field spelled otherwise, which reads back as the
+    same history, exits 4 naming that field's line."""
+    label, history = data.draw(st.sampled_from(sequencer_histories()))
+    lines = render_history(history).split("\n")[:-1]
+    index = data.draw(st.integers(0, len(lines) - 1))
+    words = lines[index].split(" ")
+    spots = [(k, key + eq, value) for k, word in enumerate(words) for key, eq, value in [word.rpartition("=")]
+             if _spellings(value)]
+    assume(spots)
+    k, prefix, value = data.draw(st.sampled_from(spots))
+    words[k] = prefix + data.draw(st.sampled_from(_spellings(value)))
+    bad = "\n".join(lines[:index] + [" ".join(words)] + lines[index + 1:]) + "\n"
+    try:
+        same = parse_history(bad) == history
+    except ScenarioError:
+        same = False
+    assume(same and words[k] != prefix + value)
+    code, _, err = derive_text(respell_dir / "bad.l1", bad)
+    assert code == 4, label
+    assert err.startswith(f"error: unusable history: line {index + 1}: not in canonical form, expected "), label

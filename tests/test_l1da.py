@@ -9,6 +9,7 @@ from rollupsim.l1da import (
     BitmapMismatch,
     BitmapTooShort,
     DepositNotFound,
+    DerivationGap,
     EscrowStatus,
     L1Chain,
     L1Error,
@@ -65,7 +66,7 @@ def record(epoch, number, batch=(), count=None, bitmap=()):
     return L1Record(
         epoch=epoch,
         l2_number=number,
-        l2_timestamp=number * 2,
+        l2_timestamp=100 + number * 2,
         l2_base_fee=1,
         batch=tuple(batch),
         deposit_count=count,
@@ -75,15 +76,17 @@ def record(epoch, number, batch=(), count=None, bitmap=()):
 
 class TestPostBatch:
     def chain_with_deposits(self):
-        l1 = L1Chain()
-        l1.add_block(0, [deposit(0, 0), deposit(0, 1)])
+        l1 = L1Chain(2)
+        l1.add_block(0, 0, [deposit(0, 0), deposit(0, 1)])
         return l1
 
     def test_bitmap_settles_escrow(self):
         l1 = self.chain_with_deposits()
-        l1.post_batch(record(0, 0, count=2, bitmap=encode_bitmap([True, False])))
+        minted = l1.post_batch(record(0, 0, count=2, bitmap=encode_bitmap([True, False])))
         statuses = [l1.escrow[deposit_id(d)].status for d in l1.blocks[0].deposits]
         assert statuses == [EscrowStatus.ACCEPTED, EscrowStatus.REFUSED]
+        assert minted == l1.blocks[0].deposits[:1]
+        assert l1.post_batch(record(0, 1)) == ()
 
     def test_count_mismatch(self):
         l1 = self.chain_with_deposits()
@@ -96,15 +99,15 @@ class TestPostBatch:
             l1.post_batch(record(0, 0, count=2, bitmap=(1, 0)))
 
     def test_zero_deposit_epoch_empty_bitmap_ok(self):
-        l1 = L1Chain()
-        l1.add_block(0, [])
-        l1.post_batch(record(0, 0, count=0, bitmap=()))
+        l1 = L1Chain(1)
+        l1.add_block(0, 0, [])
+        assert l1.post_batch(record(0, 0, count=0, bitmap=())) == ()
         assert len(l1.inbox) == 1
 
     def test_refunded_deposit_is_not_settled_again(self):
-        l1 = L1Chain(escape_timeout=1000)
+        l1 = L1Chain(1, escape_timeout=1000)
         dep = deposit(0, 0)
-        l1.add_block(0, [dep])
+        l1.add_block(0, 0, [dep])
         assert l1.escape_withdraw(deposit_id(dep), now=1000) == RefundResult(value=10)
         with pytest.raises(L1Error, match="already refunded"):
             l1.post_batch(record(0, 0, count=1, bitmap=encode_bitmap([True])))
@@ -114,21 +117,64 @@ class TestPostBatch:
     def test_second_bitmap_for_an_epoch_is_refused(self):
         l1 = self.chain_with_deposits()
         l1.post_batch(record(0, 0, count=2, bitmap=encode_bitmap([True, False])))
-        with pytest.raises(L1Error, match="already accepted"):
+        with pytest.raises(DerivationGap, match="epoch 0: bitmap on non-head block 1"):
             l1.post_batch(record(0, 1, count=2, bitmap=encode_bitmap([False, True])))
         statuses = [l1.escrow[deposit_id(d)].status for d in l1.blocks[0].deposits]
         assert statuses == [EscrowStatus.ACCEPTED, EscrowStatus.REFUSED]
 
     def test_misplaced_deposit_rejected(self):
-        l1 = L1Chain()
-        with pytest.raises(Exception):
-            l1.add_block(0, [deposit(3, 0)])
+        l1 = L1Chain(1)
+        with pytest.raises(L1Error, match=r"deposit labeled \(3,0\) placed at \(0,0\)"):
+            l1.add_block(0, 0, [deposit(3, 0)])
+
+
+class TestPlaces:
+    """The rules on where an L1 block or a record sits, which the batcher's
+    posts and the replica's reads both pass."""
+
+    def test_l1_block_out_of_place_backwards_or_late(self):
+        l1 = L1Chain(2)
+        with pytest.raises(DerivationGap, match="epoch 0: l1block 0 carries number 1"):
+            l1.add_block(1, 0, [])
+        l1.add_block(0, 10, [])
+        with pytest.raises(DerivationGap, match="epoch 1: l1block 1 time 9 is before l1block 0's time 10"):
+            l1.add_block(1, 9, [])
+        for number in range(3):  # epoch 1's head, block 2, is posted before L1 block 1
+            l1.post_batch(record(number // 2, number, count=None if number % 2 else 0))
+        with pytest.raises(L1Error, match="^L1 block 1 arrives after its epoch head was built$"):
+            l1.add_block(1, 10, [])
+        assert len(l1.blocks) == 1
+
+    @pytest.mark.parametrize(
+        "posted, bad, message",
+        [
+            (1, record(0, 2), "epoch 0: expected block 1, record carries 2"),
+            (1, record(1, 1), "epoch 1: block 1 belongs to epoch 0"),
+            (1, record(0, 1)._replace(l2_timestamp=100), "epoch 0: block 1 time 100 is not after 100"),
+            (1, record(0, 1, count=0), "epoch 0: bitmap on non-head block 1"),
+            (2, record(1, 2), "epoch 1: head block 2 posts no bitmap"),
+        ],
+    )
+    def test_record_out_of_place(self, posted, bad, message):
+        l1 = L1Chain(2)
+        for number in range(posted):
+            l1.post_batch(record(0, number, count=None if number else 0))
+        with pytest.raises(DerivationGap, match=f"^{message}$"):
+            l1.post_batch(bad)
+        assert len(l1.inbox) == posted
+
+    def test_epoch_head_before_its_l1_block(self):
+        l1 = L1Chain(1)
+        l1.add_block(0, 101, [])
+        with pytest.raises(DerivationGap, match="^epoch 0: head block 0 time 100 is before its L1 block's time 101$"):
+            l1.post_batch(record(0, 0, count=0))
+        assert l1.inbox == []
 
 
 class TestEscapeHatch:
     def make_chain(self, timeout=1000):
-        l1 = L1Chain(escape_timeout=timeout)
-        l1.add_block(100, [deposit(0, 0, value=77), deposit(0, 1, value=88)])
+        l1 = L1Chain(1, escape_timeout=timeout)
+        l1.add_block(0, 100, [deposit(0, 0, value=77), deposit(0, 1, value=88)])
         return l1
 
     def test_refused_deposit_refunds_immediately(self):

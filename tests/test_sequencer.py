@@ -6,7 +6,7 @@ import pytest
 from helpers import ADMIN, ATTACKER, VAULT, addr, python_calls, tx
 from test_acceptance import _dos_scenario
 from rollupsim.core import DuplicateKey, deposit_id, tx_hash
-from rollupsim.derivation import derive
+from rollupsim.derivation import DerivationGap, derive
 from rollupsim.detection import BENIGN_VERDICT, DetectionOutcome, InvariantDetector
 from rollupsim.formats import parse_scenario, render_report
 from rollupsim.l1da import EscrowStatus, L1Chain
@@ -379,24 +379,41 @@ class TestDepositConservation:
             seq.run()
             assert getattr(seq, "walked", 0) == scenario.run_blocks, path.stem
 
-    def test_build_block_checks_the_deposits_its_epoch_head_settled(self, monkeypatch):
-        # A batcher that marks every deposit accepted, whatever the bitmap
-        # says: the refused deposit is then accepted but never minted.
-        def accept_all(l1, record):
-            for dep in l1.deposits_for_epoch(record.epoch) if record.has_bitmap else ():
-                l1.escrow[deposit_id(dep)].status = EscrowStatus.ACCEPTED
-            l1.inbox.append(record)
+    @staticmethod
+    def patch_mints(monkeypatch, change):
+        """`post_batch` returns `change(its mints, the epoch's deposits)` on an epoch head."""
+        post_batch = L1Chain.post_batch
 
-        monkeypatch.setattr(L1Chain, "post_batch", accept_all)
-        with pytest.raises(RuntimeError, match="never minted"):
+        def patched(l1, record):
+            minted = post_batch(l1, record)
+            return change(minted, l1.deposits_for_epoch(record.epoch)) if record.has_bitmap else minted
+
+        monkeypatch.setattr(L1Chain, "post_batch", patched)
+
+    def test_build_block_refuses_mints_detection_did_not_accept(self, monkeypatch):
+        # L1 mints every deposit, whatever the bitmap says: the refused one
+        # is then accepted but never minted.
+        refused = load("deposit_refused").events[0].deposits[1]
+        self.patch_mints(monkeypatch, lambda minted, deposits: deposits)
+        with pytest.raises(RuntimeError, match=f"^accepted deposit {deposit_id(refused).hex0x()} never minted$"):
             run_named("deposit_refused")
 
-    def test_per_block_check_sees_a_settled_deposit_gone_wrong(self):
-        seq = run_named("deposits_benign").sequencer
-        key = deposit_id(seq.chain.blocks[0].deposits[0])
-        seq.l1.escrow[key].status = EscrowStatus.REFUSED
-        with pytest.raises(RuntimeError, match="unaccepted deposit"):
-            seq._check_deposit_conservation([key], {key})
+    def test_build_block_refuses_accepted_deposits_l1_does_not_mint(self, monkeypatch):
+        first = load("deposits_benign").events[0].deposits[0]
+        self.patch_mints(monkeypatch, lambda minted, deposits: minted[1:])
+        with pytest.raises(RuntimeError, match=f"^unaccepted deposit {deposit_id(first).hex0x()} appears on L2$"):
+            run_named("deposits_benign")
+
+
+class TestBatcherFollowsTheReplicasRules:
+    def test_a_block_not_after_its_parent_is_refused_when_posted(self):
+        """Two blocks built at one time: the replica refuses such a history
+        (exit 4), so the batcher refuses to post the second and L1 keeps one record."""
+        seq = Sequencer(load("single_transfer"))
+        seq.build_block(2)
+        with pytest.raises(DerivationGap, match="epoch 0: block 1 time 2 is not after 2"):
+            seq.build_block(2)
+        assert len(seq.l1.inbox) == 1
 
 
 class TestQuarantineLiveness:
