@@ -83,7 +83,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _require_canonical(text: str, written: str) -> None:
-    """Refuse a history spelled otherwise than `render_history` writes it, at its first differing line."""
+    """Refuse a history spelled otherwise than `render_history` writes it, at
+    its first differing line; the lines are walked only when the texts differ."""
+    if text == written:
+        return
     for lineno, (line, form) in enumerate(zip_longest(text.splitlines(True), written.splitlines(True)), start=1):
         if line != form:
             expected = "the end of the file" if form is None else repr(form[:-1])

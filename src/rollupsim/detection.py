@@ -69,8 +69,8 @@ class Invariant(NamedTuple):
 class InvariantSet:
     """Registered invariants, indexed by the contract they watch: `by_contract`
     maps each watched contract to its invariants' `(id, predicate)` pairs,
-    sorted by id (ties in registration order). Each predicate is compiled
-    once, here, into the function `assess` calls."""
+    sorted by id (ties in registration order). Each predicate becomes, here,
+    the function `assess` calls: compiled once per distinct text by `vm`."""
 
     def __init__(self) -> None:
         self.by_contract: Dict[Address, List[Tuple[str, Callable[..., int]]]] = {}
@@ -100,7 +100,12 @@ BENIGN_VERDICT = Verdict(malicious=False, violated=(), victims=(), damage_estima
 class InvariantDetector:
     """Flags an execution as malicious when it leaves any watched contract it
     wrote in violation of a declared predicate. Reverted executions change
-    nothing and are always benign."""
+    nothing and are always benign. A `violated` or `victims` value seen
+    before is returned as the tuple it was then, so verdicts held alike
+    share their tuples."""
+
+    def __init__(self) -> None:
+        self._tuples: Dict[tuple, tuple] = {}
 
     def assess(
         self, sim: Execution, pre_state: StateView, invariants: InvariantSet
@@ -135,7 +140,9 @@ class InvariantDetector:
         damage = 0
         for victim in victims:
             damage += max(0, pre_state.balance_of(victim) - sim.balance_of(victim))
-        return Verdict(True, tuple(violated), tuple(victims), damage), reads
+        shared = self._tuples.setdefault
+        violated_ids, victim_addrs = tuple(violated), tuple(victims)
+        return Verdict(True, shared(violated_ids, violated_ids), shared(victim_addrs, victim_addrs), damage), reads
 
 
 class CandidateSet(NamedTuple):

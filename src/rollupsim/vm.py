@@ -9,8 +9,10 @@ callers can do dependency analysis between transactions; a block's replay
 records none. A node holds its fields only: each contract program is
 compiled on its first run into one straight-line Python function, memoized
 on its `ContractCode` as its code hash is, and each invariant predicate
-once, when its invariant is registered, so running either is one call, with
-no per-node dispatch, and a program the run never calls is never compiled.
+when its invariant is registered, so running either is one call, with no
+per-node dispatch, and a program the run never calls is never compiled.
+Each distinct program or predicate is compiled once per process, and every
+holder of its text shares the one function.
 The language's head words are declared once, in `SYNTAX`: `expr_text`
 writes every node from it, and the `lines` reader builds its tables from it.
 
@@ -250,7 +252,8 @@ class ContractCode(Record):
     _fields = ("admin", "statements")
     # `_hash` memoizes code_hash, as `SignedTransaction._hash` memoizes
     # tx_hash: the program is rendered and hashed once per code object.
-    # `_program` memoizes the compiled program, built by its first run.
+    # `_program` memoizes the compiled program, looked up or compiled by its
+    # first run.
     __slots__ = (*_fields, "_hash", "_program")
 
     def __init__(self, admin: Address, statements: Tuple[Statement, ...]) -> None:
@@ -601,15 +604,23 @@ class Replay(Execution):
 # ---------------------------------------------------------------------------
 # A contract program is compiled on its first run into one straight-line
 # Python function, memoized on its `ContractCode`; an invariant predicate is
-# compiled once, when `InvariantSet.register` registers it. Programs the
-# run never calls (a replica replays most contracts without calling them)
-# are never compiled. The source is built from fixed templates: every value
-# of the program (a constant word, a constant slot's bytes, a constant
-# address) is bound in the function's namespace under a generated name, so
-# no text of the program becomes source. Each composite node's word goes to
-# a local of its own, so the source stays flat however deep the tree. The
-# frame is the function's arguments: the execution, the contract's own
-# address, its caller, the call value and the call data.
+# compiled when `InvariantSet.register` registers it. Programs the run never
+# calls (a replica replays most contracts without calling them) are never
+# compiled. Each function is compiled once per process: `_COMPILED` keeps it
+# under its kind and the canonical text of what it runs, so every contract
+# holding one program, every invariant repeating one predicate and the
+# replica's own parsed copies share one function. The function itself is
+# shared, not its code object run in a namespace of each holder's: CPython
+# specializes a code object's instructions in place, and its global-load
+# caches key on one globals dict. Two threads may both compile a function on
+# its first run; `setdefault` keeps one, and both are the same program.
+# The source is built from fixed templates: every value of the program (a
+# constant word, a constant slot's bytes, a constant address) is bound in
+# the function's namespace under a generated name, so no text of the
+# program becomes source. Each composite node's word goes to a local of its
+# own, so the source stays flat however deep the tree. The frame is the
+# function's arguments: the execution, the contract's own address, its
+# caller, the call value and the call data.
 
 _FRAME = "exe, self_addr, caller, callvalue, calldata"
 # A leaf that reads the frame as a word -> its local, computed once at the top.
@@ -712,21 +723,34 @@ class _Source:
         return self.namespace[name]
 
 
-def _compile_program(statements: Tuple[Statement, ...]) -> Callable[..., None]:
-    source = _Source()
-    source.body.append("left = gas_limit - exe.gas_used")  # the statements the limit pays for
-    for charged, stmt in enumerate(statements, 1):
-        source.statement(stmt, charged)
-    source.body.append(f"exe.gas_used += {len(statements)}")
-    return source.function("program", f"{_FRAME}, gas_limit")
+# (kind, canonical text) -> its function; a program's text is its `code_text`,
+# a predicate's its `expr_text`.
+_COMPILED: Dict[Tuple[str, str], Callable] = {}
+
+
+def _compile_program(code: ContractCode) -> Callable[..., None]:
+    key = ("program", " ".join(map(expr_text, code.statements)))  # the text `code_text` writes
+    program = _COMPILED.get(key)
+    if program is None:
+        source = _Source()
+        source.body.append("left = gas_limit - exe.gas_used")  # the statements the limit pays for
+        for charged, stmt in enumerate(code.statements, 1):
+            source.statement(stmt, charged)
+        source.body.append(f"exe.gas_used += {len(code.statements)}")
+        program = _COMPILED.setdefault(key, source.function("program", f"{_FRAME}, gas_limit"))
+    return program
 
 
 def compile_predicate(expr: Expr) -> Callable[..., int]:
     """The function that evaluates `expr` to a 256-bit word in a call frame
     (`exe, self_addr, caller, callvalue, calldata`); total and deterministic."""
-    source = _Source()
-    source.body.append(f"return {source.word(expr)}")
-    return source.function("predicate", _FRAME)
+    key = ("predicate", expr_text(expr))
+    predicate = _COMPILED.get(key)
+    if predicate is None:
+        source = _Source()
+        source.body.append(f"return {source.word(expr)}")
+        predicate = _COMPILED.setdefault(key, source.function("predicate", _FRAME))
+    return predicate
 
 
 def _run_statements(
@@ -737,7 +761,7 @@ def _run_statements(
     body is compiled on its first run."""
     program = code._program
     if program is None:
-        program = code._program = _compile_program(code.statements)
+        program = code._program = _compile_program(code)
     program(exe, self_addr, caller, callvalue, calldata, gas_limit)
 
 

@@ -1,12 +1,15 @@
-"""Shared fixtures: hand-built contracts, states, the independent
-sequential classification oracle used to check the scheduler, the one
-harness that counts Python-level calls and the one that counts tracked
-objects."""
+"""Shared fixtures: hand-built contracts, states, the benchmark's workload
+generator, the independent sequential classification oracle used to check
+the scheduler, the one harness that counts Python-level calls and the one
+that counts tracked objects."""
 from __future__ import annotations
 
+import functools
 import gc
+import importlib.util
 import sys
-from types import CodeType
+from pathlib import Path
+from types import CodeType, ModuleType
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from rollupsim.core import Address, DepositTransaction, SignedTransaction
@@ -272,6 +275,13 @@ class CallCount(NamedTuple):
         return [code.co_name for code in self.calls]
 
 
+def compile_calls(fn: Callable, *args) -> Tuple[Any, int]:
+    """`fn(*args)` and the `compile` calls it made, counted by `python_calls`
+    with no warm-up run."""
+    counted = python_calls(fn, *args, warm_up=False)
+    return counted.result, sum(1 for _, called in counted.c_calls if called is compile)
+
+
 def python_calls(fn: Callable, *args, warm_up: bool = True) -> CallCount:
     """A count, not a timer: call `fn(*args)` under `sys.setprofile` and
     record every call it makes. With `warm_up`, `fn(*args)` runs once
@@ -318,3 +328,14 @@ def tracked_objects(fn: Callable, *args) -> ObjectCount:
     result = fn(*args)
     gc.collect()
     return ObjectCount(result, len(gc.get_objects()) - before)
+
+
+@functools.lru_cache(maxsize=None)
+def bench_generate() -> ModuleType:
+    """`perfbench/generate.py`, which turns a workload and a seed into the
+    benchmark's scenario text; loaded once."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("bench_generate", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module

@@ -15,7 +15,10 @@ alone define. Running and judging a vault drain builds no node and makes a
 bounded number of Python-level calls, as does replaying a block of counter
 calls, which builds no `Account` in Python; each program is rendered for its
 code hash once and compiled once, on its first run, and each predicate is
-compiled once, by `InvariantSet.register`.
+compiled once, by `InvariantSet.register`. One process-wide table holds one
+function per distinct program or predicate text: every contract and
+invariant that repeats a text shares it, as does a replica in the same
+process, and a shared function runs as one compiled afresh.
 """
 import contextlib
 from pathlib import Path
@@ -26,12 +29,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     ADMIN,
+    ATTACKER,
     COUNT_KEY,
     COUNTER,
     FEE_SINK,
     NODE_TYPES,
     VAULT,
     addr,
+    bench_generate,
+    compile_calls,
     counter_contract,
     ctx,
     exploit_tx,
@@ -67,6 +73,7 @@ from rollupsim.vm import (
     Not,
     Pay,
     PauseGuard,
+    Replay,
     Require,
     SelfAddr,
     SetSlot,
@@ -316,6 +323,87 @@ def test_a_program_compiles_on_its_first_run_and_a_predicate_once_in_register():
     assert program.call_count == 1 and predicate.call_count == 0 and vm_predicate.call_count == 0
     assert compiled[0] == compiled[1] == compiled[2] and None not in compiled[0]
     assert compiled[0][1] is compiled_predicate
+
+
+# The process-wide table: one function per distinct program or predicate
+# text. Each count below runs on an empty table of its own, so no count
+# depends on what the tests before it compiled.
+
+@pytest.fixture
+def table(monkeypatch):
+    fresh = {}
+    monkeypatch.setattr(vm, "_COMPILED", fresh)
+    return fresh
+
+
+def test_contracts_and_invariants_that_repeat_a_text_share_one_function(table):
+    """Four contracts, each its own code object with its own admin, hold
+    one program, and eight invariants repeat one predicate: two compiles.
+    One constant changed is a third."""
+    admins = [addr(0xA0 + i) for i in range(4)]
+    vaults = [addr(0xD0 + i) for i in range(4)]
+    codes = [guard_only_vault(admin) for admin in admins]
+    state = make_state({ATTACKER: Account(balance=10_000), **{v: Account(balance=100, code=c) for v, c in zip(vaults, codes)}})
+
+    def drain_each():
+        invariants = InvariantSet()
+        for vault, admin in zip(vaults, admins):
+            invariant = solvency_invariant(vault, admin=admin)
+            invariants.register(invariant, state)
+            invariants.register(invariant._replace(id="vault-solvent-again"), state)
+        detector = InvariantDetector()
+        verdicts = [detector.assess(execute_transaction(state, tx(ATTACKER, 0, v), ctx()), state, invariants)[0] for v in vaults]
+        return verdicts, invariants
+
+    (verdicts, invariants), compiles = compile_calls(drain_each)
+    assert compiles == 2 and sorted(kind for kind, _ in table) == ["predicate", "program"]  # 12 when each code object and each registration compiled its own
+    assert [verdict.victims for verdict in verdicts] == [(vault,) for vault in vaults]
+    assert len({code._program for code in codes}) == 1
+    assert len({predicate for watching in invariants.by_contract.values() for _, predicate in watching}) == 1
+    assert verdicts[0].violated is verdicts[1].violated  # one detector shares its verdicts' tuples
+    floor, compiles = compile_calls(compile_predicate, solvency_invariant(floor=51).predicate)
+    assert compiles == 1 and len(table) == 3 and floor is not invariants.by_contract[vaults[0]][0][1]
+
+
+def test_a_bench_run_compiles_each_text_once_and_its_replica_none(table):
+    """The seed-1 `contract_contention` workload: four counters, two vaults
+    and six registrations of one solvency predicate, then its replica."""
+    text, _ = bench_generate().generate("contract_contention", 1)
+    result, compiles = compile_calls(run, parse_scenario(text, default_name="contract_contention"))
+    assert compiles == 3  # 12 when each code object and each registration compiled its own
+    history = parse_history(render_history(result.history))
+    chain, compiles = compile_calls(derive, history)
+    assert compiles == 0 and chain.final_root == result.report.final_root  # 6 when the replica compiled its parsed copies
+    table.clear()
+    chain, compiles = compile_calls(derive, parse_history(render_history(result.history)))
+    assert compiles == 2 and chain.final_root == result.report.final_root  # a lone replica: one per text it calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(STATEMENTS, min_size=1, max_size=6), st.sampled_from([0, 1, 60]), st.sampled_from(CALLDATA))
+@example([PauseGuard(Const(1)), Pay(Caller(), Const(1))], 0, b"")
+@example([SetSlot(Const(0), CallValue()), Require(Bin("eq", CallData(), Const(2)))], 1, bytes(31) + b"\x02")
+def test_a_shared_function_runs_as_a_fresh_one_and_as_the_tree_walk(statements, value, calldata):
+    """A second code object of one text runs its first holder's function,
+    on an execution and on a replay; it gives what a function compiled
+    afresh gives, and what the tree walk gives."""
+
+    def runs(code, execute=execute_transaction):
+        state = make_state({**STATE.accounts, CONTRACT: STATE.account(CONTRACT)._replace(code=code)})
+        return [
+            outcome(execute(base(state), tx(CALLER, 0, CONTRACT, value=value, data=calldata, gas_limit=gas_limit), ctx()))
+            for base in (lambda state: state, Replay)
+            for gas_limit in range(BASE_TX_GAS, BASE_TX_GAS + len(statements) + 2)
+        ]
+
+    first, shared, fresh = (ContractCode(ADMIN, tuple(statements)) for _ in range(3))
+    with mock.patch.object(vm, "_COMPILED", {}):
+        runs(first)
+        got = runs(shared)
+    with mock.patch.object(vm, "_COMPILED", {}):
+        assert runs(fresh) == got
+    assert shared._program is first._program and fresh._program is not first._program
+    assert runs(ContractCode(ADMIN, tuple(statements)), reference_interpret) == got
 
 
 @pytest.mark.parametrize("vault", [gated_vault, guard_only_vault])

@@ -1,5 +1,8 @@
-"""Count the lines of each `src/rollupsim` module: raw lines, and code lines,
-which are neither blank, nor comment-only, nor part of a docstring.
+"""Count the lines of each `src/rollupsim` module: raw lines; code lines,
+which are neither blank, nor comment-only, nor part of a docstring; and
+syntax-tree nodes. The node count is a deterministic proxy for what an
+import without a bytecode cache spends compiling the module, since
+`compile` costs about the same per node.
 
     python tools/src_lines.py            # the working tree
     python tools/src_lines.py --rev REV  # the working tree, REV, and the change
@@ -23,7 +26,8 @@ from typing import Dict, List, Optional, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/rollupsim"
 
-Counts = Dict[str, Tuple[int, int]]  # module file name -> (raw, code)
+COLUMNS = ("raw", "code", "nodes")
+Counts = Dict[str, Tuple[int, int, int]]  # module file name -> (raw, code, nodes)
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
@@ -58,8 +62,17 @@ def count(source: str) -> Tuple[int, int]:
     return len(source.splitlines()), len(code)
 
 
+def nodes(source: str) -> int:
+    """The syntax-tree nodes of one module's source."""
+    return sum(1 for _ in ast.walk(ast.parse(source)))
+
+
+def measure(source: str) -> Tuple[int, int, int]:
+    return (*count(source), nodes(source))
+
+
 def working_tree() -> Counts:
-    return {path.name: count(path.read_text()) for path in sorted((ROOT / PACKAGE).glob("*.py"))}
+    return {path.name: measure(path.read_text()) for path in sorted((ROOT / PACKAGE).glob("*.py"))}
 
 
 def at_revision(rev: str) -> Counts:
@@ -67,29 +80,30 @@ def at_revision(rev: str) -> Counts:
         return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout
 
     names = [line for line in git("ls-tree", "--name-only", rev, f"{PACKAGE}/").splitlines() if line.endswith(".py")]
-    return {Path(name).name: count(git("show", f"{rev}:{name}")) for name in names}
+    return {Path(name).name: measure(git("show", f"{rev}:{name}")) for name in names}
 
 
 def table(now: Counts, then: Optional[Counts] = None, rev: str = "") -> List[str]:
-    """One row per module and a total row: raw and code lines now, and with
-    `then`, the same at `rev` and the change."""
+    """One row per module and a total row: raw lines, code lines and nodes
+    now, and with `then`, the same at `rev` and the change."""
     names = sorted(set(now) | set(then or {}))
-    header = ["module", "raw", "code"]
+    none = (0,) * len(COLUMNS)
+    header = ["module", *COLUMNS]
     if then is not None:
-        header += [f"raw@{rev}", f"code@{rev}", "d_raw", "d_code"]
+        header += [*(f"{column}@{rev}" for column in COLUMNS), *(f"d_{column}" for column in COLUMNS)]
 
-    def row(name: str, a: Tuple[int, int], b: Optional[Tuple[int, int]]) -> List[str]:
+    def row(name: str, a: Tuple[int, ...], b: Optional[Tuple[int, ...]]) -> List[str]:
         cells = [name, *map(str, a)]
         if b is not None:
-            cells += [*map(str, b), f"{a[0] - b[0]:+d}", f"{a[1] - b[1]:+d}"]
+            cells += [*map(str, b), *(f"{x - y:+d}" for x, y in zip(a, b))]
         return cells
 
-    def total(counts: Counts) -> Tuple[int, int]:
-        return sum(raw for raw, _ in counts.values()), sum(code for _, code in counts.values())
+    def total(counts: Counts) -> Tuple[int, ...]:
+        return tuple(sum(column) for column in zip(*counts.values())) or none
 
     rows = [header]
     for name in names:
-        rows.append(row(name, now.get(name, (0, 0)), None if then is None else then.get(name, (0, 0))))
+        rows.append(row(name, now.get(name, none), None if then is None else then.get(name, none)))
     rows.append(row("total", total(now), None if then is None else total(then)))
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     return [
