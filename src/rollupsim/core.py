@@ -6,7 +6,10 @@ when they agree on these bytes. Each is declared once: the fixed head of the
 transaction, deposit and block layouts is one `struct.Struct`, used by the
 writer and the reader (or, for a block, by the hash and the image) alike, and
 the identifiers `Address`, `TxHash` and `StateRoot` share one fixed-width
-base that holds the length check and the hex forms.
+base that holds the length check and the hex forms. The check runs where a
+value enters the program; a value whose width its source already fixes (a
+field unpacked by its layout, a SHA-256 digest, `int.to_bytes(20)`) is built
+with `bytes.__new__`, and the site says which source fixes it.
 """
 from __future__ import annotations
 
@@ -260,7 +263,9 @@ def canonical_decode(blob: bytes) -> SignedTransaction:
     blob canonical_encode would not write, so decoding is one-to-one. The
     blob is the transaction's encoding and its digest the transaction's hash:
     both are memoized here. Every field unpacks in its range, so only the
-    checks across fields are run."""
+    checks across fields are run, inline; `_check_fees` is called only to
+    word a refusal. The transaction, its addresses and its hash are built
+    in C, each from a value its layout has already checked."""
     if len(blob) < 93:
         raise EncodingError(f"encoded transaction too short: {len(blob)} bytes")
     nonce, tag, sender, recipient, value, max_fee, priority_fee, gas_limit, data_len = _TX_HEAD.unpack_from(blob)
@@ -270,7 +275,8 @@ def canonical_decode(blob: bytes) -> SignedTransaction:
         raise EncodingError("create transaction carries a recipient")
     if len(blob) != 93 + data_len:
         raise EncodingError(f"encoded transaction length mismatch: {len(blob)} != {93 + data_len}")
-    _check_fees(max_fee, priority_fee, gas_limit)
+    if priority_fee > max_fee or gas_limit < BASE_TX_GAS:  # `_check_fees`'s rules, inline
+        _check_fees(max_fee, priority_fee, gas_limit)  # words the refusal
     tx = object.__new__(SignedTransaction)
     tx.sender = bytes.__new__(Address, sender)
     tx.nonce = nonce
@@ -314,7 +320,7 @@ def tx_hash(tx: SignedTransaction) -> TxHash:
     Computed once per transaction object and memoized on it."""
     h = tx._hash
     if h is None:
-        h = tx._hash = TxHash(hashlib.sha256(canonical_encode(tx)).digest())
+        h = tx._hash = bytes.__new__(TxHash, hashlib.sha256(canonical_encode(tx)).digest())  # a digest is 32 bytes
     return h
 
 
@@ -326,7 +332,7 @@ _DEPOSIT_DOMAIN = b"\x01"
 def deposit_id(dep: DepositTransaction) -> TxHash:
     h = dep._id
     if h is None:
-        h = dep._id = TxHash(hashlib.sha256(_DEPOSIT_DOMAIN + encode_deposit(dep)).digest())
+        h = dep._id = bytes.__new__(TxHash, hashlib.sha256(_DEPOSIT_DOMAIN + encode_deposit(dep)).digest())
     return h
 
 

@@ -27,6 +27,11 @@ class DerivedChain(NamedTuple):
 
 
 _UNSEALED = StateRoot(bytes(32))
+# A block is built in one C call from fields already in hand, each checked
+# where it entered: the record's by `L1Chain.post_batch`, the transactions
+# by their decoder or constructor, the root by `state_root`. A `NamedTuple`
+# constructor would check nothing more.
+_new_block = tuple.__new__
 
 
 class ChainView:
@@ -41,8 +46,8 @@ class ChainView:
 
     def draft(self, record: L1Record, deposits: tuple, transactions: tuple) -> Block:
         """The block `record` posts, unsealed: zero parent hash and state root."""
-        return Block(record.l2_number, _UNSEALED, record.l2_timestamp, record.l2_base_fee, record.epoch, deposits,
-                     transactions, _UNSEALED)
+        return _new_block(Block, (record.l2_number, _UNSEALED, record.l2_timestamp, record.l2_base_fee, record.epoch,
+                                  deposits, transactions, _UNSEALED))
 
     def seal(self, block: Block, state: WorldState) -> Block:
         """Link `block` to the tip, root it in `state` (the state after it), and make it the tip.
@@ -51,7 +56,8 @@ class ChainView:
             root = state_root(state)
         except AccountOverflow as exc:
             raise AccountOverflow(exc.addr, exc.field, block.number) from None
-        block = block._replace(parent_hash=self.tip_hash, state_root=root)
+        number, _parent, timestamp, base_fee, epoch, deposits, transactions, _root = block
+        block = _new_block(Block, (number, self.tip_hash, timestamp, base_fee, epoch, deposits, transactions, root))
         self.blocks.append(block)
         self.tip_state, self.tip_hash = state, block_hash(block)
         return block

@@ -177,11 +177,12 @@ class L1Chain:
             raise DerivationGap(record.epoch, f"block {number} belongs to epoch {epoch}")
         if self.inbox and time <= self.inbox[-1].l2_timestamp:
             raise DerivationGap(epoch, f"block {number} time {time} is not after {self.inbox[-1].l2_timestamp}")
-        if record.has_bitmap != (offset == 0):
+        head = record.has_bitmap
+        if head != (offset == 0):
             rule = f"bitmap on non-head block {number}" if offset else f"head block {number} posts no bitmap"
             raise DerivationGap(epoch, rule)
         minted = ()
-        if record.has_bitmap:
+        if head:
             l1_time = self.blocks[epoch].timestamp if epoch < len(self.blocks) else 0
             if time < l1_time:
                 raise DerivationGap(epoch, f"head block {number} time {time} is before its L1 block's time {l1_time}")

@@ -112,17 +112,21 @@ _HEX_RE = re.compile(r"[0-9a-fA-F]*")
 
 
 def _parse_address(value: str, lineno: int, what: str = "", ctx: Any = None) -> Address:
+    """An address is checked here, where it enters: each return builds it
+    in C from 20 bytes the lines above have counted."""
     if len(value) == 42 and value.startswith("0x"):  # the full form: one `fromhex` checks all 40 digits
         try:
-            return Address(bytes.fromhex(value[2:]))
-        except ValueError:  # not 20 bytes of hex: the checks below word the refusal
-            pass
+            raw = bytes.fromhex(value[2:])
+        except ValueError:  # not hex: the checks below word the refusal
+            raw = b""
+        if len(raw) == 20:  # fewer when `fromhex` skipped whitespace, refused below
+            return bytes.__new__(Address, raw)
     if not value.startswith("0x"):
         raise ScenarioError(f"address must be 0x-hex: {value!r}", line=lineno)
     digits = value[2:]
     if len(digits) > 40 or len(digits) % 2 != 0 or not _HEX_RE.fullmatch(digits):
         raise ScenarioError(f"bad address: {value!r}", line=lineno)
-    return Address(bytes.fromhex(digits.rjust(40, "0")))
+    return bytes.__new__(Address, bytes.fromhex(digits.rjust(40, "0")))  # 40 hex digits
 
 
 def _parse_bytes(value: str, lineno: int, what: str = "", ctx: Any = None) -> bytes:
@@ -481,17 +485,22 @@ def _lines(
         raise ScenarioError(f"empty {header.name} file", line=len(lines) or 1)
 
 
-# Genesis lines, shared by scenarios and L1 histories, and the record they read.
+# Genesis lines, shared by scenarios and L1 histories, and the record they
+# read. Each field is checked by its codec, so the pair and its `Account`
+# are built in C, positionally, as `post_state` builds an account.
 _Genesis = NamedTuple("_Genesis", [("address", Address), ("account", Account)])
+_new = tuple.__new__
+_NO_SLOTS = EMPTY_ACCOUNT.storage
 _ACCOUNT = Line(
-    "account", lambda address, balance, nonce: _Genesis(address, Account(balance, nonce)),
+    "account",
+    lambda address, balance, nonce: _new(_Genesis, (address, _new(Account, (balance, nonce, None, _NO_SLOTS)))),
     ("address", ADDRESS), ("balance", "account.balance", U128, 0), ("nonce", "account.nonce", U64, 0),
     head="genesis account {}",
 )
 _CONTRACT = Line(
     "contract",
-    lambda address, admin, balance, storage, statements: _Genesis(
-        address, Account(balance, 0, ContractCode(admin, statements), storage)
+    lambda address, admin, balance, storage, statements: _new(
+        _Genesis, (address, _new(Account, (balance, 0, ContractCode(admin, statements), storage)))
     ),
     ("address", ADDRESS), ("admin", "account.code.admin", ADDRESS), ("balance", "account.balance", U128, 0),
     ("storage", "account.storage", STORAGE, EMPTY_ACCOUNT.storage), ("code", "account.code.statements", CODE, ()),

@@ -257,8 +257,16 @@ class Sequencer:
             if outcome.deferred:
                 raise RuntimeError("deposits can never be deferred")
             accepted, state_after_deposits = tuple(outcome.benign), outcome.final_state
-            kept = set(accepted)
-            deposit_flags = [dep in kept for dep in epoch_deposits]
+            # `benign` keeps candidate order, so one walk flags the epoch's
+            # deposits without hashing one; `post_batch`'s mints are checked
+            # against `accepted` below.
+            left = iter(accepted)
+            next_accepted = next(left, None)
+            for dep in epoch_deposits:
+                flag = dep is next_accepted
+                deposit_flags.append(flag)
+                if flag:
+                    next_accepted = next(left, None)
 
         # Regular candidates: pending, affordable, not currently held; txs
         # duplicating an already-released one skip detection entirely (none

@@ -557,15 +557,34 @@ class Replay(Execution):
     """A block scratch (`apply_block`) that `execute_transaction`, by its
     type, runs each transaction on in place, as go-ethereum's `StateDB`
     runs them on its journal: its accessors record no access key, and each
-    write logs the value it replaces in `log`, so a revert can put it back. `log` is the running contract call's undo log,
-    a list of (dict written, key, value replaced or None), which
-    `execute_transaction` starts, with the call's value transfer, before
-    the call's program runs."""
+    write logs the value it replaces in `log`, so a revert can put it back.
+    `log` is the running contract call's undo log, a list of (dict written,
+    key, value replaced or None), which `execute_transaction` starts, with
+    the call's value transfer, before the call's program runs.
+
+    Its base is always a `WorldState`, so its field views and accessors
+    read the base's account map directly, with no call to the base's
+    views."""
+
+    def balance_of(self, addr: Address) -> int:
+        balance = self.balances.get(addr)
+        return self.base.accounts.get(addr, EMPTY_ACCOUNT).balance if balance is None else balance
+
+    def nonce_of(self, addr: Address) -> int:
+        nonce = self.nonces.get(addr)
+        return self.base.accounts.get(addr, EMPTY_ACCOUNT).nonce if nonce is None else nonce
+
+    def storage_of(self, addr: Address) -> Mapping[bytes, bytes]:
+        slots = self.storage.get(addr)
+        return self.base.accounts.get(addr, EMPTY_ACCOUNT).storage if slots is None else slots
+
+    def code_of(self, addr: Address) -> Optional[ContractCode]:
+        return self.base.accounts.get(addr, EMPTY_ACCOUNT).code
 
     def read_balance(self, addr: Address) -> int:
         balance = self.balances.get(addr)
         if balance is None:
-            balance = self.balances[addr] = self.base.balance_of(addr)
+            balance = self.balances[addr] = self.base.accounts.get(addr, EMPTY_ACCOUNT).balance
         return balance
 
     def write_balance(self, addr: Address, value: int) -> None:
@@ -576,13 +595,13 @@ class Replay(Execution):
     def read_slot(self, addr: Address, key: bytes) -> bytes:
         slots = self.storage.get(addr)
         if slots is None:
-            slots = self.base.storage_of(addr)
+            slots = self.base.accounts.get(addr, EMPTY_ACCOUNT).storage
         return slots.get(key, ZERO_SLOT)
 
     def write_slot(self, addr: Address, key: bytes, value: bytes) -> None:
         slots = self.storage.get(addr)
         if slots is None:
-            slots = self.storage[addr] = dict(self.base.storage_of(addr))
+            slots = self.storage[addr] = dict(self.base.accounts.get(addr, EMPTY_ACCOUNT).storage)
         self.log.append((slots, key, slots.get(key)))
         if value == ZERO_SLOT:
             slots.pop(key, None)
@@ -767,7 +786,7 @@ def _run_statements(
 
 def _fresh_address(sender: Address, nonce: int) -> Address:
     digest = hashlib.sha256(bytes(sender) + nonce.to_bytes(8, "big")).digest()
-    return Address(digest[:20])
+    return bytes.__new__(Address, digest[:20])  # 20 bytes of a 32-byte digest
 
 
 def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction, ctx: BlockContext) -> Execution:
@@ -955,7 +974,7 @@ def state_root(state: WorldState) -> StateRoot:
             else:
                 addrs.insert(i, addr)
                 digests[32 * i:32 * i] = _account_digest(addr, acct)
-    root = StateRoot(hashlib.sha256(digests).digest())
+    root = bytes.__new__(StateRoot, hashlib.sha256(digests).digest())  # a digest is 32 bytes
     state._table = (root, addrs, digests)
     return root
 

@@ -5,9 +5,11 @@ before each line built its own: on every call it works out the line's bare
 and keyed fields, the fields it must hold, its defaults and its all-or-none
 tail from the declaration, and it reads each value through the plain checks
 (`_parse_int` with the codec's range, the hex regex for addresses and byte
-strings) with no fast path. It is slow but obviously right, and
-`test_reader_oracle.py` holds the built readers to it record for record and
-refusal for refusal.
+strings) with no fast path. It builds each record through its checked
+constructors: an address through `Address`, a genesis pair and its account
+through their `NamedTuple` constructors, where `lines` builds them in C. It
+is slow but obviously right, and `test_reader_oracle.py` holds the built
+readers to it record for record and refusal for refusal.
 
 `tree_height` is the walk that enforced `lines.MAX_NESTING` on every built
 statement and predicate, a second pass over the tree, before the builders
@@ -27,7 +29,8 @@ from functools import partial
 
 from rollupsim import formats, lines
 from rollupsim.vm import (
-    BalanceOf, Bin, CallData, Caller, CallValue, Const, Not, Pay, PauseGuard, Require, SelfAddr, SetSlot, SLoad,
+    Account, BalanceOf, Bin, CallData, Caller, CallValue, Const, ContractCode, Not, Pay, PauseGuard, Require, SelfAddr,
+    SetSlot, SLoad,
 )
 from rollupsim.core import U64_MAX, Address, Record, StateRoot, TxHash
 from rollupsim.sequencer import ScenarioError
@@ -110,6 +113,15 @@ def _reference_deposits(text, lineno, what, ctx):
     )
 
 
+# How the generic reader built the records that `lines` now builds in C.
+_MAKES = {
+    lines._ACCOUNT: lambda address, balance, nonce: lines._Genesis(address, Account(balance, nonce)),
+    lines._CONTRACT: lambda address, admin, balance, storage, statements: lines._Genesis(
+        address, Account(balance, 0, ContractCode(admin, statements), storage)
+    ),
+}
+
+
 def reference_parse(codec):
     """How the generic reader read a value of `codec`."""
     if codec is formats.TX_U64 or codec is formats.TX_U128:
@@ -175,7 +187,7 @@ def reference_read(line, words, lineno, ctx=None, **values):
                 raise ScenarioError(f"{line.name} missing field {key!r}", line=lineno)
         if tail_kws and not tail_kws.isdisjoint(values) and not tail_kws <= values.keys():
             raise ScenarioError(f"{line.name} needs all of {sorted(tail_kws)} or none", line=lineno)
-        return line.make(**{**defaults, **values})
+        return _MAKES.get(line, line.make)(**{**defaults, **values})
     except ValueError as exc:
         raise ScenarioError(f"bad {line.name}: {exc}", line=lineno) from None
 

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import bench_generate, python_calls
+from rollupsim import core, vm
 from rollupsim.core import encode_block
 from rollupsim.derivation import DerivationGap, DerivedChain, derive
 from rollupsim.formats import parse_history, parse_scenario, render_history
@@ -87,3 +89,38 @@ class TestGapsAndFaults:
     def test_derive_is_pure(self):
         out = outcome_for("pause_exploit")
         assert derive(out.history) == derive(out.history)
+
+
+class TestDeriveCallCount:
+    """A count, not a timer: the Python-level calls `parse_history` makes per
+    line and `derive` per derived block, on the history of the seed-1
+    `quarantine_flood` bench workload (425 genesis accounts, then 150 blocks
+    of one transfer each). Each value is checked once, where it enters, and
+    then built in one C call: no fixed-width identifier is checked again,
+    no cross-field helper runs on a good transaction, a `Replay` view reads
+    its base's accounts without calling the base's view, and a block is
+    built once when drafted and once when sealed, with no `_replace`."""
+
+    @pytest.fixture(scope="class")
+    def text(self):
+        scenario, _ = bench_generate().generate("quarantine_flood", 1)
+        return render_history(run(parse_scenario(scenario, default_name="quarantine_flood")).history)
+
+    def test_reading_the_history(self, text):
+        counted = python_calls(parse_history, text)
+        assert core._FixedWidth.__new__.__code__ not in counted.calls, counted.names
+        per_line = len(counted.calls) / len(text.splitlines())
+        assert per_line <= 10.63, counted.names  # 10.63; 12.82 when each address and genesis pair went through its constructor
+        assert len(python_calls(parse_history, text).calls) == len(counted.calls)
+
+    def test_deriving_the_chain(self, text):
+        history = parse_history(text)
+        counted = python_calls(derive, history)
+        codes = set(counted.calls)
+        assert not codes & {core._FixedWidth.__new__.__code__, core._check_fees.__code__,
+                            vm.WorldState.balance_of.__code__, vm.WorldState.nonce_of.__code__,
+                            vm.WorldState.code_of.__code__}, counted.names
+        assert "_replace" not in counted.names, counted.names
+        per_block = len(counted.calls) / len(history.inbox)
+        assert per_block <= 26.29, counted.names  # 26.29; 37.29 with re-checks, view hops and a `_replace` per block
+        assert len(python_calls(derive, history).calls) == len(counted.calls)

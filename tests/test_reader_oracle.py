@@ -8,7 +8,10 @@ corpus scenarios, their reports and L1 histories, the seeded mutations of
 `test_input_fuzz`, and word-level damage to one line of each shape: a word
 dropped, repeated or cut short, a value swapped for a bad one, an unknown
 field. That damage reaches the rules whole-line mutations rarely do: a
-repeated field, a missing one, half of an all-or-none tail.
+repeated field, a missing one, half of an all-or-none tail. The three
+seed-1 bench scenarios and the histories their runs write, whole and under
+the same seeded mutations, add the genesis-heavy and batch-heavy files the
+built readers are fastest on.
 """
 import functools
 import random
@@ -16,7 +19,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from reference_formats import reference_read, shape
+from helpers import bench_generate
+from reference_formats import reference_parse_address, reference_read, shape
 from rollupsim import formats, lines
 from rollupsim.formats import parse_history, parse_report, parse_scenario, render_history, render_report
 from rollupsim.sequencer import ScenarioError, run
@@ -107,6 +111,36 @@ def test_corpus_files_read_the_same(suffix):
             assert compared >= len(list(formats._lines(text, table, header, **options))), name
 
 
+@functools.lru_cache(maxsize=None)
+def bench_files():
+    """{(workload, suffix): text} of each seed-1 bench scenario and the L1 history its run writes."""
+    generate, texts = bench_generate(), {}
+    for workload in generate.WORKLOADS:
+        texts[workload, ".scn"] = generate.generate(workload, 1)[0]
+        outcome = run(parse_scenario(texts[workload, ".scn"], default_name=workload))
+        texts[workload, ".l1"] = render_history(outcome.history)
+    return texts
+
+
+@pytest.mark.parametrize("workload, suffix", [(w, s) for w in bench_generate().WORKLOADS for s in (".scn", ".l1")])
+def test_bench_files_read_the_same(workload, suffix):
+    """A bench file whole, then under the mutations `test_input_fuzz` makes
+    of a corpus file, seeded by workload; some mutations are refused, and
+    both readers refuse each the same."""
+    text = bench_files()[workload, suffix]
+    found, compared = read_both_ways(text, suffix)
+    parse, table, header, options, seed = FILES[suffix]
+    assert not found and compared >= len(list(formats._lines(text, table, header, **options))), found[:3]
+    rng, refused = random.Random(seed + 100 + bench_generate().WORKLOADS.index(workload)), 0
+    rows = text.splitlines()
+    for case in range(CASES_PER_FILE):
+        mutated = "\n".join(mutate(rows, rng)) + "\n"
+        found, _ = read_both_ways(mutated, suffix)
+        assert not found, (case, found[:3])
+        refused += attempt(parse, mutated)[1] is not None
+    assert refused, "no mutation was refused"
+
+
 @pytest.mark.parametrize("suffix", FILES)
 def test_fuzzed_files_read_the_same(suffix):
     """The mutations `test_input_fuzz` sends through the command line, seed for seed."""
@@ -177,3 +211,18 @@ def test_each_rule_is_refused_the_same(text, message):
             parse_history(f"l1history v1\n{text}\n")
     assert not found and compared[0] == 2
     assert str(refused.value) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize("word", [
+    "0x" + "ab" * 20, "0x" + "AB" * 20, "0x0a", "0X" + "ab" * 20, "ab" * 21, "0x" + "zz" * 20, "0x" + "ab" * 21,
+    "0x" + "ab" * 19 + "  ", "0x" + "ab" * 19 + " a", "0x" + "ab" * 19 + "\t\n",
+])
+def test_an_address_reads_as_the_checked_reader_reads_it(word):
+    """`_parse_address` builds an address in C from the 20 bytes it has
+    counted; each word reads as the reader that builds through `Address`
+    reads it, or is refused the same. A 42-character word that `fromhex`
+    reads short, by skipping whitespace, is refused; no word of a line is
+    one, as whitespace splits words outside braces and `fromhex` refuses a
+    brace."""
+    got, want = attempt(lines._parse_address, word, 3), attempt(reference_parse_address, word, 3)
+    assert shape(got[0]) == shape(want[0]) and str(got[1]) == str(want[1])

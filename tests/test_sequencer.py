@@ -574,4 +574,4 @@ class TestSubmitCallCount:
         counted = python_calls(self.submit_all, seq, events, warm_up=False)
         assert len(seq.mempool.entries) == self.SUBMITS
         per_submit = (len(counted.calls) - 1) / self.SUBMITS  # less `submit_all` itself
-        assert per_submit <= 11, (per_submit, counted.names)  # 11.0
+        assert per_submit <= 10, (per_submit, counted.names)  # 10.0; 11.0 when `tx_hash` checked its digest's length
