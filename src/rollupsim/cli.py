@@ -6,9 +6,11 @@
     rollupsim quarantine REPORT show HASH
 
 Exit codes: 0 ok, 2 bad option, scenario error or an output `run` cannot
-write, 3 root mismatch, 4 derivation gap, 5 not found. A run whose execution
-carries a balance past 2^128-1 or a nonce past 2^64-1 exits 2, and a history
-whose replay does so exits 4, each naming the block and the account.
+write, 3 root mismatch, 4 derivation gap, 5 not found. `run` exits 2 before
+it runs when `--report` and `--l1-out` resolve to one file: the report
+would overwrite the history it names. A run whose execution carries a
+balance past 2^128-1 or a nonce past 2^64-1 exits 2, and a history whose
+replay does so exits 4, each naming the block and the account.
 `--expect-root` is 64 hex digits, with or without `0x`. `derive` exits 4 on
 a history the sequencer could not have written: an L1 block or deposit not
 at its place, an L1 block time before the previous one's, an L1 block whose
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import re
 import sys
 from itertools import zip_longest
@@ -60,6 +63,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     # The report names the history on one line, which must read back whole.
     if len(f"{args.l1_out}.".splitlines()) > 1:
         return _fail(EXIT_SCENARIO, f"--l1-out must not contain a line break, got {args.l1_out!r}")
+    if os.path.realpath(args.report) == os.path.realpath(args.l1_out):  # the report would overwrite the history
+        return _fail(EXIT_SCENARIO, f"--report and --l1-out name one file: {args.report!r}")
     path = Path(args.scenario)
     try:
         text = path.read_text(encoding="utf-8")

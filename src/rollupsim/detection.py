@@ -223,9 +223,10 @@ def _precondition_reads(tx: AnyTransaction, reason: str) -> FrozenSet[AccessKey]
     # A not-yet-executable tx depends on whatever made the check fail, when an
     # earlier candidate could plausibly repair it.
     if reason == PreconditionFailed.NONCE_TOO_HIGH:
-        return frozenset({AccessKey.nonce(tx.sender)})
+        return frozenset({_new_key(AccessKey, (AccessKind.NONCE, tx.sender, b""))})
     if reason == PreconditionFailed.INSUFFICIENT_BALANCE:
-        return frozenset({AccessKey.nonce(tx.sender), AccessKey.balance(tx.sender)})
+        nonce = _new_key(AccessKey, (AccessKind.NONCE, tx.sender, b""))
+        return frozenset({nonce, _new_key(AccessKey, (AccessKind.BALANCE, tx.sender, b""))})
     return frozenset()
 
 

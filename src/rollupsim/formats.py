@@ -73,7 +73,7 @@ TX_U64 = _int(None, None)._replace(least=0, top=U64_MAX)
 TX_U128 = TX_U64._replace(top=U128_MAX)
 TEXT = Codec(None, lambda text, *_: text)
 BYTES = Codec(_fmt_bytes, _parse_bytes)
-HASH = Codec(_fmt_bytes, lambda text, *_: TxHash.from_hex(text))
+HASH = Codec(_fmt_bytes, lambda text, lineno, *_: TxHash(_parse_bytes(text, lineno)))
 ROOT = Codec(_fmt_bytes, lambda text, lineno, *_: StateRoot(_parse_bytes(text, lineno)))
 RECIPIENT = Codec(
     lambda to: "create" if to is None else _fmt_bytes(to),

@@ -24,10 +24,6 @@ class L1Error(Exception):
     pass
 
 
-class BitmapTooShort(L1Error):
-    pass
-
-
 class BitmapMismatch(L1Error):
     pass
 
@@ -56,8 +52,8 @@ def encode_bitmap(flags: Sequence[bool]) -> List[int]:
 
 
 def decode_bitmap(words: Sequence[int], count: int) -> List[bool]:
-    if count > len(words) * WORD_BITS:
-        raise BitmapTooShort(f"{count} flags need {(count + WORD_BITS - 1) // WORD_BITS} words, got {len(words)}")
+    """The first `count` flags of `words`, which `bitmap_flags` has checked
+    hold exactly the words `count` needs."""
     return [bool(words[i // WORD_BITS] >> (i % WORD_BITS) & 1) for i in range(count)]
 
 

@@ -22,7 +22,7 @@ Contract code and invariant predicates use a small s-expression syntax:
     expressions (const X) (sload K) (balance A) (add|sub|mul|eq|lt|and|or L R)
                 (not E); sugar: (ge a b) (gt a b) (le a b) (ne a b); a bare
                 atom in expression position means (const atom)
-    statements  (require E) (set K V) (pay TO AMOUNT) (pause-guard K)
+    statements  (require E) (set K V) (pay TO AMOUNT)
 
 Its head words are declared once, in `vm.SYNTAX`, which `vm.expr_text`
 writes from; the reader's tables are built from it, and this module adds

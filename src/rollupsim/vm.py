@@ -202,17 +202,7 @@ class Pay(Record):
         self.amount = _expr(amount)
 
 
-class PauseGuard(Record):
-    """Sugar for REQUIRE(SLOAD(key) == 0)."""
-
-    _fields = ("key",)
-    __slots__ = _fields
-
-    def __init__(self, key: Expr) -> None:
-        self.key = _expr(key)
-
-
-Statement = Union[Require, SetSlot, Pay, PauseGuard]
+Statement = Union[Require, SetSlot, Pay]
 
 
 # The contract language's head words, each naming the node it builds: the
@@ -220,7 +210,7 @@ Statement = Union[Require, SetSlot, Pay, PauseGuard]
 SYNTAX = {
     "const": Const, "sload": SLoad, "balance": BalanceOf, "caller": Caller, "callvalue": CallValue,
     "calldata": CallData, "self": SelfAddr, **dict.fromkeys(BIN_OPS, Bin), "not": Not,
-    "require": Require, "set": SetSlot, "pay": Pay, "pause-guard": PauseGuard,
+    "require": Require, "set": SetSlot, "pay": Pay,
 }
 _HEADS = {cls: head for head, cls in SYNTAX.items() if cls is not Bin}
 
@@ -359,25 +349,13 @@ _new_key = tuple.__new__
 
 class AccessKey(NamedTuple):
     """A recorded state location: a tuple, so it hashes, compares and sorts
-    by (kind, addr, slot) in C."""
+    by (kind, addr, slot) in C. Every key is built as
+    `_new_key(AccessKey, (kind, addr, slot))`, which skips the generated
+    Python-level `__new__`."""
 
     kind: int
     addr: Address
     slot: bytes = b""
-
-    # The constructors skip the generated Python-level `__new__`, as the
-    # `Execution` accessors do by building their keys in place.
-    @staticmethod
-    def storage(addr: Address, slot: bytes) -> "AccessKey":
-        return _new_key(AccessKey, (AccessKind.STORAGE, addr, slot))
-
-    @staticmethod
-    def balance(addr: Address) -> "AccessKey":
-        return _new_key(AccessKey, (AccessKind.BALANCE, addr, b""))
-
-    @staticmethod
-    def nonce(addr: Address) -> "AccessKey":
-        return _new_key(AccessKey, (AccessKind.NONCE, addr, b""))
 
 
 class TxStatus(Enum):
@@ -562,9 +540,10 @@ class Replay(Execution):
     key, value replaced or None), which `execute_transaction` starts, with
     the call's value transfer, before the call's program runs.
 
-    Its base is always a `WorldState`, so its field views and accessors
-    read the base's account map directly, with no call to the base's
-    views."""
+    Its base is always a `WorldState`, so three field views (`balance_of`,
+    `nonce_of`, `code_of`) and its accessors read the base's account map
+    directly, with no call to the base's views. A replay never reads a
+    whole storage map, so `storage_of` is the one `Execution` defines."""
 
     def balance_of(self, addr: Address) -> int:
         balance = self.balances.get(addr)
@@ -573,10 +552,6 @@ class Replay(Execution):
     def nonce_of(self, addr: Address) -> int:
         nonce = self.nonces.get(addr)
         return self.base.accounts.get(addr, EMPTY_ACCOUNT).nonce if nonce is None else nonce
-
-    def storage_of(self, addr: Address) -> Mapping[bytes, bytes]:
-        slots = self.storage.get(addr)
-        return self.base.accounts.get(addr, EMPTY_ACCOUNT).storage if slots is None else slots
 
     def code_of(self, addr: Address) -> Optional[ContractCode]:
         return self.base.accounts.get(addr, EMPTY_ACCOUNT).code
@@ -717,8 +692,6 @@ class _Source:
         kind = type(stmt)
         if kind is Require:
             self.body.append(f"if not {self.word(stmt.cond)}: {revert}")
-        elif kind is PauseGuard:
-            self.body.append(f"if from_bytes(exe.read_slot(self_addr, {self.slot(stmt.key)}), 'big'): {revert}")
         elif kind is SetSlot:
             slot = self.slot(stmt.key)
             self.body.append(f"exe.write_slot(self_addr, {slot}, ({self.word(stmt.value)} % WORD).to_bytes(32, 'big'))")

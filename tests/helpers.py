@@ -27,7 +27,6 @@ from rollupsim.vm import (
     Expr,
     Not,
     Pay,
-    PauseGuard,
     PreconditionFailed,
     Require,
     SLoad,
@@ -41,7 +40,7 @@ from rollupsim.vm import (
 
 
 # Every node class of the contract language, expressions then statements.
-NODE_TYPES = (Const, SLoad, BalanceOf, Caller, CallValue, CallData, SelfAddr, Bin, Not, Require, SetSlot, Pay, PauseGuard)
+NODE_TYPES = (Const, SLoad, BalanceOf, Caller, CallValue, CallData, SelfAddr, Bin, Not, Require, SetSlot, Pay)
 
 
 def balance_deltas(pre: WorldState, post: WorldState) -> Dict[Address, int]:
@@ -86,7 +85,7 @@ def guard_only_vault(admin: Address = ADMIN) -> ContractCode:
     return ContractCode(
         admin=admin,
         statements=(
-            PauseGuard(Const(PAUSED)),
+            Require(Not(SLoad(Const(PAUSED)))),
             Pay(Caller(), BalanceOf(SelfAddr())),
         ),
     )

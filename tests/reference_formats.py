@@ -29,7 +29,7 @@ from functools import partial
 
 from rollupsim import formats, lines
 from rollupsim.vm import (
-    Account, BalanceOf, Bin, CallData, Caller, CallValue, Const, ContractCode, Not, Pay, PauseGuard, Require, SelfAddr,
+    Account, BalanceOf, Bin, CallData, Caller, CallValue, Const, ContractCode, Not, Pay, Require, SelfAddr,
     SetSlot, SLoad,
 )
 from rollupsim.core import U64_MAX, Address, Record, StateRoot, TxHash
@@ -73,8 +73,6 @@ def reference_statement_text(stmt) -> str:
         return f"(set {reference_expr_text(stmt.key)} {reference_expr_text(stmt.value)})"
     if isinstance(stmt, Pay):
         return f"(pay {reference_expr_text(stmt.to)} {reference_expr_text(stmt.amount)})"
-    if isinstance(stmt, PauseGuard):
-        return f"(pause-guard {reference_expr_text(stmt.key)})"
     raise TypeError(f"not a statement: {stmt!r}")
 
 
@@ -129,6 +127,7 @@ def reference_parse(codec):
     special = {
         formats.ADDRESS: reference_parse_address,
         formats.BYTES: reference_parse_bytes,
+        formats.HASH: lambda text, lineno, what, ctx: TxHash(reference_parse_bytes(text, lineno)),
         formats.ROOT: lambda text, lineno, what, ctx: StateRoot(reference_parse_bytes(text, lineno)),
         formats.TXREF: _reference_txref,
         formats.DEPOSITS: _reference_deposits,
@@ -151,7 +150,7 @@ def reference_parse(codec):
         )
     if codec.least is not None:
         return partial(lines._parse_int, minimum=codec.least, maximum=codec.top)
-    return codec.parse  # text, hashes, blobs, storage, code, expressions: read the one way they always were
+    return codec.parse  # text, blobs, storage, code, expressions: read the one way they always were
 
 
 def reference_read(line, words, lineno, ctx=None, **values):

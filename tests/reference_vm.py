@@ -49,7 +49,6 @@ from rollupsim.vm import (
     InvalidBlock,
     Not,
     Pay,
-    PauseGuard,
     PreconditionFailed,
     Require,
     SelfAddr,
@@ -251,9 +250,6 @@ def reference_run_statements(
         if isinstance(stmt, Require):
             if reference_eval_expr(stmt.cond, env) == 0:
                 raise _Revert()
-        elif isinstance(stmt, PauseGuard):
-            if slot_int(exe.read_slot(env.self_addr, slot_bytes(reference_eval_expr(stmt.key, env)))) != 0:
-                raise _Revert()
         elif isinstance(stmt, SetSlot):
             key = slot_bytes(reference_eval_expr(stmt.key, env))
             value = slot_bytes(reference_eval_expr(stmt.value, env))
@@ -278,7 +274,7 @@ def reference_interpret(state: WorldState, tx: AnyTransaction, ctx: BlockContext
 
 
 def read_nonce(exe: Execution, addr: Address) -> int:
-    exe.reads.add(AccessKey.nonce(addr))
+    exe.reads.add(AccessKey(AccessKind.NONCE, addr))
     nonce = exe.nonces.get(addr)
     if nonce is None:
         nonce = exe.nonces[addr] = exe.base.nonce_of(addr)
@@ -286,7 +282,7 @@ def read_nonce(exe: Execution, addr: Address) -> int:
 
 
 def write_nonce(exe: Execution, addr: Address, value: int) -> None:
-    exe.writes.add(AccessKey.nonce(addr))
+    exe.writes.add(AccessKey(AccessKind.NONCE, addr))
     exe.nonces[addr] = value
 
 

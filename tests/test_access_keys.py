@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import ATTACKER, VAULT, addr, ctx, exploit_tx, solvency_invariant, unpause_tx, vault_state
 from reference_vm import ReferenceAccessKey, ReferenceAccessKind
 from rollupsim.detection import CandidateSet, InvariantDetector, InvariantSet, hybrid_detect
-from rollupsim.vm import AccessKey, AccessKind, execute_transaction
+from rollupsim.vm import AccessKey, AccessKind, _new_key, execute_transaction
 
 ADDRS = [addr(n) for n in (1, 2, 3, 0xC3)]
 SLOTS = [b"", bytes(32), (1).to_bytes(32, "big"), (2).to_bytes(32, "big")]
@@ -50,9 +50,10 @@ class TestAccessKeyMatchesReference:
 
     @given(st.sampled_from(ADDRS), st.sampled_from(SLOTS))
     def test_constructors_match_reference(self, address, slot):
-        made = [
-            AccessKey.storage(address, slot), AccessKey.balance(address), AccessKey.nonce(address), AccessKey(AccessKind.CODE, address)
-        ]
+        """Keys built as `src/` builds them, from a whole tuple with no
+        Python-level `__new__`, match the reference's."""
+        kinds = (AccessKind.STORAGE, AccessKind.BALANCE, AccessKind.NONCE, AccessKind.CODE)
+        made = [_new_key(AccessKey, (kind, address, slot if kind == AccessKind.STORAGE else b"")) for kind in kinds]
         expected = [
             ReferenceAccessKey.storage(address, slot),
             ReferenceAccessKey.balance(address),
@@ -61,7 +62,7 @@ class TestAccessKeyMatchesReference:
         ]
         assert [fields(k) for k in made] == [fields(k) for k in expected]
         assert all(type(k) is AccessKey and type(k.kind) is int for k in made)
-        assert made[1] == AccessKey(AccessKind.BALANCE, address)
+        assert made == [AccessKey(AccessKind.STORAGE, address, slot), *(AccessKey(kind, address) for kind in kinds[1:])]
 
     def test_kind_values(self):
         assert (AccessKind.STORAGE, AccessKind.BALANCE, AccessKind.NONCE, AccessKind.CODE) == (0, 1, 2, 3)
@@ -111,8 +112,9 @@ def step_sets(keys):
     return st.frozensets(st.sampled_from(keys), max_size=4)
 
 
-KEYS = [AccessKey.balance(a) for a in ADDRS] + [AccessKey.storage(VAULT, s) for s in SLOTS[1:]] + [
-    AccessKey.nonce(ATTACKER)
+KEYS = [
+    *(AccessKey(AccessKind.BALANCE, a) for a in ADDRS), *(AccessKey(AccessKind.STORAGE, VAULT, s) for s in SLOTS[1:]),
+    AccessKey(AccessKind.NONCE, ATTACKER),
 ]
 
 

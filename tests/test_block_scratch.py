@@ -38,6 +38,7 @@ from rollupsim.formats import parse_scenario
 from rollupsim.sequencer import Sequencer
 from rollupsim.vm import (
     AccessKey,
+    AccessKind,
     Account,
     Bin,
     CallData,
@@ -196,7 +197,7 @@ class TestInPlaceByType:
         fold = Execution(self.world())
         child = execute_transaction(fold, tx(addr(1), 0, COUNTER), ctx())
         assert type(child) is Execution and child is not fold and child.base is fold
-        assert AccessKey.storage(COUNTER, slot_bytes(COUNT_KEY)) in child.reads & child.writes
+        assert AccessKey(AccessKind.STORAGE, COUNTER, slot_bytes(COUNT_KEY)) in child.reads & child.writes
         assert (fold.balances, fold.nonces, fold.storage, fold.reads, fold.writes) == ({}, {}, {}, set(), set())
 
 
@@ -271,9 +272,9 @@ class TestForgedAccessSets:
         fold = Execution(self.STATE)
         fold.absorb(execute_transaction(self.STATE, self.PAY_2, ctx()))
         spend = execute_transaction(self.STATE, self.SPEND_2, ctx())
-        honest = frozenset({AccessKey.balance(addr(3))})  # forged: claims it never read addr 2
+        honest = frozenset({AccessKey(AccessKind.BALANCE, addr(3))})  # forged: claims it never read addr 2
         _merge_validated(fold, honest, spend)
-        forged = frozenset({AccessKey.balance(addr(2))})
+        forged = frozenset({AccessKey(AccessKind.BALANCE, addr(2))})
         with pytest.raises(RuntimeError, match="diverged in block context"):
             _merge_validated(fold, forged, spend)
 
@@ -285,7 +286,7 @@ class TestForgedAccessSets:
         def hide_credit(state, t, context):
             result = real(state, t, context)
             if t == self.PAY_2:
-                result.writes.discard(AccessKey.balance(addr(2)))
+                result.writes.discard(AccessKey(AccessKind.BALANCE, addr(2)))
             return result
 
         monkeypatch.setattr(detection, "execute_transaction", hide_credit)

@@ -284,6 +284,21 @@ class TestQuarantineRejectsMalformedReport:
         assert code == 2
         assert "final_root" in err
 
+    @pytest.mark.parametrize("line, field", [
+        ("block", "parent="), ("block", "root="), ("block", "txs="), ("entry", "key="), ("audit", "entry="),
+        ("pool", "key="), ("final_root", "final_root "),
+    ])
+    def test_a_hash_without_0x_is_refused(self, tmp_path, capsys, line, field):
+        """Every 32-byte value of a report is read one way: 0x-hex, so a
+        hash field takes no bare hex a root field refuses."""
+        def edit(lines):
+            n = next(n for n, text in enumerate(lines) if text.startswith(line + " "))
+            return [*lines[:n], lines[n].replace(f"{field}0x", field, 1), *lines[n + 1:]]
+
+        code, err = self.list_exit(tmp_path, capsys, edit)
+        assert code == 2
+        assert re.fullmatch(r"error: unusable report: line \d+: byte string must be 0x-hex: '[0-9a-f]{64}'\n", err), err
+
 
 class TestScenarioConfigErrors:
     """Bad config values exit 2 with the config line's number, never a traceback."""
@@ -763,6 +778,21 @@ class TestUnwritableOutput:
         assert code == 2
         assert "Traceback" not in err and err.startswith("error: cannot write output: ")
         assert not report.exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "relative", "dotted", "symlink"])
+    def test_one_file_for_report_and_history_exits_2_before_running(self, tmp_path, capsys, monkeypatch, spelling):
+        """The report would overwrite the history it names, so both paths
+        resolving to one file are refused before the run writes either."""
+        monkeypatch.chdir(tmp_path)
+        l1_out = str(tmp_path / "out")
+        if spelling == "symlink":
+            (tmp_path / "alias").symlink_to("out")
+        report = {"same": l1_out, "relative": "out", "dotted": str(tmp_path / "." / "out"), "symlink": "alias"}[spelling]
+        capsys.readouterr()
+        code = main(["run", "--scenario", str(SCENARIOS / "single_transfer.scn"), "--report", report, "--l1-out", l1_out])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --report and --l1-out name one file: {report!r}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestOneRuleForEveryLine:

@@ -40,6 +40,7 @@ from rollupsim.detection import (
 )
 from rollupsim.vm import (
     AccessKey,
+    AccessKind,
     Account,
     Bin,
     CallData,
@@ -105,8 +106,9 @@ class TestDetect:
         own_reads = set(sim.reads)
         verdict, reads = detector.assess(sim, state, invariant_set(state, [low]))
         assert not verdict.malicious
-        assert set(reads) == {AccessKey.storage(COUNTER, slot_bytes(2)), AccessKey.balance(COUNTER)}
-        assert AccessKey.storage(COUNTER, slot_bytes(2)) not in own_reads and sim.reads == own_reads
+        counter_slot = AccessKey(AccessKind.STORAGE, COUNTER, slot_bytes(2))
+        assert set(reads) == {counter_slot, AccessKey(AccessKind.BALANCE, COUNTER)}
+        assert counter_slot not in own_reads and sim.reads == own_reads
         assert set(detector.assess(sim, state, InvariantSet())[1]) == set()
 
     def test_registration_requires_admin(self):

@@ -72,7 +72,6 @@ from rollupsim.vm import (
     Execution,
     Not,
     Pay,
-    PauseGuard,
     Replay,
     Require,
     SelfAddr,
@@ -124,7 +123,7 @@ EXPRS = st.recursive(
     max_leaves=10,
 )
 STATEMENTS = st.one_of(
-    st.builds(Require, EXPRS), st.builds(PauseGuard, EXPRS), st.builds(SetSlot, EXPRS, EXPRS), st.builds(Pay, EXPRS, EXPRS)
+    st.builds(Require, EXPRS), st.builds(SetSlot, EXPRS, EXPRS), st.builds(Pay, EXPRS, EXPRS)
 )
 
 
@@ -155,8 +154,8 @@ def test_an_expression_evaluates_as_the_tree_walk(expr, callvalue, calldata):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(STATEMENTS, min_size=1, max_size=6), st.sampled_from([0, 1, 60]), st.sampled_from(CALLDATA))
 @example([Pay(Const(1), Const(2**255))], 0, b"")  # overdrawn, to an account nothing else reads
-@example([PauseGuard(Const(1)), Pay(Caller(), Const(1))], 0, b"")  # paused: slot 1 holds 7
-@example([PauseGuard(Const(3)), Pay(Caller(), Const(1)), SetSlot(Const(3), CallValue())], 1, b"")
+@example([Require(Not(SLoad(Const(1)))), Pay(Caller(), Const(1))], 0, b"")  # paused: slot 1 holds 7
+@example([Require(Not(SLoad(Const(3)))), Pay(Caller(), Const(1)), SetSlot(Const(3), CallValue())], 1, b"")
 @example([SetSlot(Const(0), CallValue()), SetSlot(Const(2), Const(0)), SetSlot(Const(TOP), SLoad(Const(1)))], 1, b"")
 @example([Pay(Caller(), Const(101))], 0, b"")  # overdrawn: the contract holds 100
 @example([Pay(Caller(), BalanceOf(SelfAddr()))], 0, b"")  # paid, the whole balance
@@ -203,7 +202,7 @@ CODE_TEXTS = st.recursive(
 
 
 @settings(max_examples=200, deadline=None)
-@given(CODE_TEXTS, st.sampled_from(["(require {})", "(pause-guard {})", "(set {} 1)", "(pay caller {})"]))
+@given(CODE_TEXTS, st.sampled_from(["(require {})", "(set {} 1)", "(pay caller {})"]))
 def test_code_is_read_as_high_as_its_built_tree(text, statement):
     """The builders return each node's height as they build it; the walk
     over the built tree is the oracle."""
@@ -382,7 +381,7 @@ def test_a_bench_run_compiles_each_text_once_and_its_replica_none(table):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(STATEMENTS, min_size=1, max_size=6), st.sampled_from([0, 1, 60]), st.sampled_from(CALLDATA))
-@example([PauseGuard(Const(1)), Pay(Caller(), Const(1))], 0, b"")
+@example([Require(Not(SLoad(Const(1)))), Pay(Caller(), Const(1))], 0, b"")
 @example([SetSlot(Const(0), CallValue()), Require(Bin("eq", CallData(), Const(2)))], 1, bytes(31) + b"\x02")
 def test_a_shared_function_runs_as_a_fresh_one_and_as_the_tree_walk(statements, value, calldata):
     """A second code object of one text runs its first holder's function,

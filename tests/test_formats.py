@@ -75,7 +75,6 @@ class TestSexpr:
     def test_statement_round_trips(self):
         stmts = (
             vm.Require(vm.Const(1)),
-            vm.PauseGuard(vm.Const(7)),
             vm.SetSlot(vm.Const(1), vm.CallValue()),
             vm.Pay(vm.Caller(), vm.Const(3)),
         )
@@ -106,7 +105,7 @@ EXPRESSIONS = st.recursive(
     max_leaves=12,
 )
 STATEMENTS = st.one_of(
-    st.builds(vm.Require, EXPRESSIONS), st.builds(vm.PauseGuard, EXPRESSIONS),
+    st.builds(vm.Require, EXPRESSIONS),
     st.builds(vm.SetSlot, EXPRESSIONS, EXPRESSIONS), st.builds(vm.Pay, EXPRESSIONS, EXPRESSIONS),
 )
 # One node of each kind, each binary operator included.
@@ -116,7 +115,6 @@ ONE_OF_EACH = (
 )
 ONE_STATEMENT_OF_EACH = (
     vm.Require(vm.Const(1)), vm.SetSlot(vm.Const(3), vm.CallValue()), vm.Pay(vm.Caller(), vm.Const(5)),
-    vm.PauseGuard(vm.SLoad(vm.Const(7))),
 )
 
 
@@ -145,18 +143,25 @@ class TestOneWriter:
         """Each class is named by one head word, `Bin` by each of its
         operators, and holds its fields and nothing else: no memo slot."""
         named = Counter(vm.SYNTAX.values())
-        assert set(named) == set(NODE_TYPES) and len(NODE_TYPES) == 13
+        assert set(named) == set(NODE_TYPES) and len(NODE_TYPES) == 12
         assert {cls: count for cls, count in named.items() if count != 1} == {vm.Bin: len(vm.BIN_OPS)}
         assert [word for word, cls in vm.SYNTAX.items() if cls is vm.Bin] == list(vm.BIN_OPS)
         for cls in NODE_TYPES:
             assert cls.__slots__ == cls._fields, cls
+
+    def test_pause_guard_is_no_statement(self):
+        """`(pause-guard K)` left the language: it is `(require (not (sload
+        K)))`, which reads the same slot and costs the same gas."""
+        assert "pause-guard" not in vm.SYNTAX
+        with pytest.raises(ScenarioError, match="line 3: bad statement 'pause-guard'"):
+            parse_statements("(pause-guard 7) (pay caller 1)", 3)
 
     def test_the_reader_reads_back_one_node_of_each_kind(self):
         assert {type(node) for node in ONE_OF_EACH + ONE_STATEMENT_OF_EACH} == set(NODE_TYPES)
         for node in ONE_OF_EACH:
             assert parse_expr(expr_text(node)) == node, node
         text = " ".join(map(expr_text, ONE_STATEMENT_OF_EACH))
-        assert text == "(require (const 0x1)) (set (const 0x3) callvalue) (pay caller (const 0x5)) (pause-guard (sload (const 0x7)))"
+        assert text == "(require (const 0x1)) (set (const 0x3) callvalue) (pay caller (const 0x5))"
         assert parse_statements(text) == ONE_STATEMENT_OF_EACH
 
     @pytest.mark.parametrize("value", [42, "caller", (vm.Caller(),), ADMIN])

@@ -135,7 +135,7 @@ def test_sequencer_histories_keep_the_timing_relations():
     block's epoch head is in the inbox, and no epoch head is earlier than its
     L1 block."""
     histories = sequencer_histories()
-    assert len(histories) == 27 + 60
+    assert len(histories) == len(list(SCENARIOS.glob("*.scn"))) + 60
     for label, history in histories:
         times = [record.l2_timestamp for record in history.inbox]
         assert all(a < b for a, b in zip(times, times[1:])), label

@@ -7,7 +7,6 @@ from helpers import addr
 from rollupsim.core import DepositTransaction, deposit_id
 from rollupsim.l1da import (
     BitmapMismatch,
-    BitmapTooShort,
     DepositNotFound,
     DerivationGap,
     EscrowStatus,
@@ -43,10 +42,6 @@ class TestBitmapCodec:
     def test_empty(self):
         assert encode_bitmap([]) == []
         assert decode_bitmap([], 0) == []
-
-    def test_decode_too_short(self):
-        with pytest.raises(BitmapTooShort):
-            decode_bitmap([0], 257)
 
     @given(st.lists(st.booleans(), max_size=1024))
     def test_round_trip(self, flags):
@@ -93,10 +88,11 @@ class TestPostBatch:
         with pytest.raises(BitmapMismatch):
             l1.post_batch(record(0, 0, count=3, bitmap=encode_bitmap([True, False, True])))
 
-    def test_word_count_mismatch(self):
+    @pytest.mark.parametrize("bitmap", [(1, 0), ()], ids=["long", "short"])
+    def test_word_count_mismatch(self, bitmap):
         l1 = self.chain_with_deposits()
-        with pytest.raises(BitmapMismatch):
-            l1.post_batch(record(0, 0, count=2, bitmap=(1, 0)))
+        with pytest.raises(BitmapMismatch, match="bitmap has"):
+            l1.post_batch(record(0, 0, count=2, bitmap=bitmap))
 
     def test_zero_deposit_epoch_empty_bitmap_ok(self):
         l1 = L1Chain(1)

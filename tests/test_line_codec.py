@@ -58,7 +58,7 @@ exprs = st.recursive(
     max_leaves=4,
 )
 statements = st.one_of(
-    exprs.map(vm.Require), exprs.map(vm.PauseGuard), st.builds(vm.SetSlot, exprs, exprs),
+    exprs.map(vm.Require), st.builds(vm.SetSlot, exprs, exprs),
     st.builds(vm.Pay, exprs, exprs),
 )
 

@@ -3,7 +3,7 @@
 
 Every line read while parsing a file goes through both readers, which must
 give the same record (`reference_formats.shape`: equal values of the same
-types) or the same refusal (text and line number). The files are the 27
+types) or the same refusal (text and line number). The files are the
 corpus scenarios, their reports and L1 histories, the seeded mutations of
 `test_input_fuzz`, and word-level damage to one line of each shape: a word
 dropped, repeated or cut short, a value swapped for a bad one, an unknown

@@ -29,7 +29,6 @@ NODES_AND_OUTCOMES = [
     vm.Require(ONE),
     vm.SetSlot(ONE, TWO),
     vm.Pay(ONE, TWO),
-    vm.PauseGuard(ONE),
     Released(ONE),
     StillHeld(ONE),
     PendingApprovals(ONE),
@@ -56,13 +55,13 @@ class TestNodesAndOutcomes:
                 pairs += 1
                 assert a != b and b != a and not a == b
                 assert len({a, b}) == 2
-        assert pairs == 6 + 36 + 1  # 4 field-less nodes, 9 one-field records holding ONE, 2 two-field nodes
+        assert pairs == 6 + 28 + 1  # 4 field-less nodes, 8 one-field records holding ONE, 2 two-field nodes
 
     @pytest.mark.parametrize("build", [
-        vm.SLoad, vm.BalanceOf, vm.Not, vm.Require, vm.PauseGuard,
+        vm.SLoad, vm.BalanceOf, vm.Not, vm.Require,
         lambda child: vm.Bin("add", child, ONE), lambda child: vm.Bin("add", ONE, child),
         lambda child: vm.SetSlot(ONE, child), lambda child: vm.Pay(child, ONE),
-    ], ids=["SLoad", "BalanceOf", "Not", "Require", "PauseGuard", "Bin.left", "Bin.right", "SetSlot", "Pay"])
+    ], ids=["SLoad", "BalanceOf", "Not", "Require", "Bin.left", "Bin.right", "SetSlot", "Pay"])
     @pytest.mark.parametrize("child", [1, None, vm.Require(ONE), vm.Caller], ids=["int", "None", "statement", "class"])
     def test_a_node_refuses_a_child_that_is_no_expression(self, build, child):
         with pytest.raises(TypeError, match="not an expression"):

@@ -10,8 +10,8 @@ from rollupsim.derivation import DerivationGap, derive
 from rollupsim.detection import BENIGN_VERDICT, DetectionOutcome, InvariantDetector
 from rollupsim.formats import parse_scenario, render_report
 from rollupsim.l1da import EscrowStatus, L1Chain
-from rollupsim.mempool import Mempool, PoolStatus
-from rollupsim.quarantine import QuarantineStore, ReleasedRegistry
+from rollupsim.mempool import Mempool, PoolStatus, RejectReason
+from rollupsim.quarantine import PendingApprovals, QuarantineStore, Released, ReleasedRegistry, StillHeld
 from rollupsim.sequencer import Scenario, ScenarioError, Sequencer, SubmitEvent, run
 from rollupsim.vm import Account, PreconditionFailed, execute_transaction, make_state
 
@@ -74,6 +74,49 @@ class TestBuildBlock:
         seq = out.sequencer
         assert seq.store.ledger.locked == {}
         assert seq.store.ledger.available(ATTACKER) == 101
+
+    def test_the_pool_caps_bind(self):
+        """pool_caps: two pending and three queued entries. 0x04's nonce 2
+        evicts its cheaper nonce 1, and its nonce 3, the cheapest over the
+        cap, is refused. Once block 0 includes 0x01's run, the pending cut
+        walks across 0x02 and 0x03."""
+        seq = Sequencer(load("pool_caps"))
+        results, submit = [], seq.mempool.submit
+
+        def recorded(tx, now):
+            result = submit(tx, now)
+            results.append((tx.sender, tx.nonce, result.outcome, result.reason, [cause for _, cause in result.exits]))
+            return result
+
+        seq.mempool.submit = recorded
+        out = seq.run()
+        assert results[-2:] == [
+            (addr(4), 2, "accepted", None, ["evicted"]), (addr(4), 3, "rejected", RejectReason.POOL_FULL, []),
+        ]
+        assert [sorted((t.sender, t.nonce) for t in b.transactions) for b in seq.chain.blocks] == [
+            [(addr(1), 0), (addr(1), 1)], [(addr(2), 0), (addr(3), 0)], [],
+        ]
+        assert [(p.sender, p.nonce, p.status) for p in out.report.pool] == [(addr(4), 2, "queued")]
+
+    def test_a_refused_release_and_a_missing_approval_keep_the_drain_held(self):
+        """release_refused: the drain still works at the tip, so the failure
+        release is refused; it harms two watched contracts, so one admin's
+        approval is not enough, and the second releases it."""
+        seq = Sequencer(load("release_refused"))
+        store, outcomes = seq.store, []
+        for name in ("request_failure_release", "approve_release"):
+            def recorded(*args, _release=getattr(store, name)):
+                outcomes.append(_release(*args))
+                return outcomes[-1]
+
+            setattr(store, name, recorded)
+        out = seq.run()
+        treasury = addr(0xC4)
+        assert outcomes == [StillHeld(), PendingApprovals((treasury,)), Released("administrative")]
+        (entry,) = out.report.entries
+        assert entry.victims == (VAULT, treasury) and entry.violated == ("vault-solvent", "treasury-booked")
+        assert [a.detail for a in out.report.audit if a.kind == "held"] == ["criterion=failure"]
+        assert [block.tx_hashes for block in out.report.blocks] == [(), (), (), (entry.key,)]
 
     def test_a_fee_bump_of_a_released_tx_settles_its_lock(self):
         # The stake releases drain B and locks 100; the fee bump R replaces B

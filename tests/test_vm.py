@@ -24,6 +24,7 @@ from reference_vm import full_state_root
 from rollupsim.core import Block, DepositTransaction, StateRoot, tx_hash
 from rollupsim.vm import (
     AccessKey,
+    AccessKind,
     Account,
     AccountOverflow,
     Const,
@@ -107,7 +108,10 @@ class TestRevert:
     def test_revert_writes_limited_to_sender_and_fee_recipient(self):
         state = self.revert_contract_state()
         result = execute_transaction(state, tx(addr(1), 0, addr(9), gas_limit=30), ctx())
-        allowed = {AccessKey.nonce(addr(1)), AccessKey.balance(addr(1)), AccessKey.balance(FEE_SINK)}
+        allowed = {
+            AccessKey(AccessKind.NONCE, addr(1)), AccessKey(AccessKind.BALANCE, addr(1)),
+            AccessKey(AccessKind.BALANCE, FEE_SINK),
+        }
         assert result.writes <= allowed
 
     def test_out_of_gas_reverts_at_gas_limit(self):
@@ -137,7 +141,7 @@ class TestPauseFixture:
         state = vault_state(paused=True, code=guard_only_vault())
         result = execute_transaction(state, exploit_tx(gas_limit=30), ctx())
         assert result.status is TxStatus.REVERT
-        assert AccessKey.storage(VAULT, PAUSED_SLOT) in result.reads
+        assert AccessKey(AccessKind.STORAGE, VAULT, PAUSED_SLOT) in result.reads
         assert result.post_state().balance_of(VAULT) == 100
 
     def test_exploit_drains_once_unpaused(self):
@@ -163,7 +167,7 @@ class TestPauseFixture:
         state = vault_state(paused=True)
         a = execute_transaction(state, unpause_tx(gas_limit=30), ctx())
         b = execute_transaction(state, exploit_tx(gas_limit=30), ctx())
-        key = AccessKey.storage(VAULT, PAUSED_SLOT)
+        key = AccessKey(AccessKind.STORAGE, VAULT, PAUSED_SLOT)
         assert key in a.writes and key in b.reads
 
 
@@ -366,7 +370,7 @@ class TestProperties:
             state = self.random_world(rng)
             t = self.random_tx(rng, state)
             base = execute_transaction(state, t, ctx())
-            assert AccessKey.balance(untouched) not in base.reads | base.writes
+            assert AccessKey(AccessKind.BALANCE, untouched) not in base.reads | base.writes
             mutated = make_state({**state.accounts, untouched: Account(balance=123)})
             replay = execute_transaction(mutated, t, ctx())
             assert replay.status == base.status
