@@ -35,7 +35,6 @@ import io
 import os
 import re
 import sys
-from itertools import zip_longest
 from pathlib import Path
 
 from .core import EncodingError, ScenarioError, TxHash
@@ -87,21 +86,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _require_canonical(text: str, written: str) -> None:
-    """Refuse a history spelled otherwise than `render_history` writes it, at
-    its first differing line; the lines are walked only when the texts differ."""
-    if text == written:
-        return
-    for lineno, (line, form) in enumerate(zip_longest(text.splitlines(True), written.splitlines(True)), start=1):
-        if line != form:
-            expected = "the end of the file" if form is None else repr(form[:-1])
-            raise ScenarioError(f"not in canonical form, expected {expected}", line=lineno)
-
-
 def cmd_derive(args: argparse.Namespace) -> int:
     from .derivation import DerivationGap, derive
     from .l1da import L1Error
-    from .lines import parse_history, render_history
+    from .lines import parse_history
 
     if args.expect_root is not None and not re.fullmatch(r"(0x)?[0-9a-fA-F]{64}", args.expect_root):
         return _fail(EXIT_SCENARIO, f"--expect-root must be 64 hex digits, got {args.expect_root!r}")
@@ -110,9 +98,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         return _fail(EXIT_DERIVATION, f"cannot read history: {exc}")
     try:
-        history = parse_history(text)
-        _require_canonical(text, render_history(history))
-        chain = derive(history)
+        chain = derive(parse_history(text))  # which reads only the spelling `run` writes
     except DerivationGap as exc:
         return _fail(EXIT_DERIVATION, f"derivation gap: {exc}")
     except (ScenarioError, EncodingError, L1Error, ValueError) as exc:

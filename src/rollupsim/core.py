@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 U32_MAX = 2**32 - 1
 U64_MAX = 2**64 - 1
@@ -303,16 +303,33 @@ def encode_deposit(dep: DepositTransaction) -> bytes:
     ) + data
 
 
-def decode_deposit(blob: bytes) -> DepositTransaction:
-    if len(blob) < 80:
-        raise EncodingError(f"encoded deposit too short: {len(blob)} bytes")
-    l1_block, l1_index, sender, recipient, value, gas_limit, data_len = _DEPOSIT_HEAD.unpack_from(blob)
-    if len(blob) != 80 + data_len:
-        raise EncodingError(f"encoded deposit length mismatch: {len(blob)} != {80 + data_len}")
-    return DepositTransaction(
-        l1_block, l1_index, bytes.__new__(Address, sender), bytes.__new__(Address, recipient),
-        int.from_bytes(value, "big"), blob[80:], gas_limit,
-    )
+def decode_deposits(blobs: Iterable[bytes]) -> Tuple[DepositTransaction, ...]:
+    """Inverse of encode_deposit, for each blob in turn, with no call per
+    blob. `_DEPOSIT_HEAD` fixes every range `DepositTransaction.__init__`
+    checks (a u64 block, a u32 index, 20-byte addresses, a u128 value, a u64
+    gas limit), so only the intrinsic-gas check runs, inline, and
+    `_check_intrinsic_gas` is called only to word a refusal. Each deposit
+    and its addresses are built in C."""
+    deposits = []
+    for blob in blobs:
+        if len(blob) < 80:
+            raise EncodingError(f"encoded deposit too short: {len(blob)} bytes")
+        l1_block, l1_index, sender, recipient, value, gas_limit, data_len = _DEPOSIT_HEAD.unpack_from(blob)
+        if len(blob) != 80 + data_len:
+            raise EncodingError(f"encoded deposit length mismatch: {len(blob)} != {80 + data_len}")
+        if gas_limit < BASE_TX_GAS:  # `_check_intrinsic_gas`'s rule, inline
+            _check_intrinsic_gas(gas_limit)  # words the refusal
+        dep = object.__new__(DepositTransaction)
+        dep.l1_block = l1_block
+        dep.l1_index = l1_index
+        dep.sender = bytes.__new__(Address, sender)
+        dep.recipient = bytes.__new__(Address, recipient)
+        dep.value = int.from_bytes(value, "big")
+        dep.data = blob[80:]
+        dep.gas_limit = gas_limit
+        dep._id = None
+        deposits.append(dep)
+    return tuple(deposits)
 
 
 def tx_hash(tx: SignedTransaction) -> TxHash:

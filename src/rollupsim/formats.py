@@ -9,17 +9,19 @@ here from `lines`.
 """
 from __future__ import annotations
 
+import re
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
-    U64_MAX, U128_MAX, Address, DepositTransaction, ScenarioError, SignedTransaction, StateRoot, TxHash, tx_hash,
+    BASE_TX_GAS, U64_MAX, U128_MAX, Address, DepositTransaction, ScenarioError, SignedTransaction, StateRoot, TxHash,
+    tx_hash,
 )
 from .detection import Counters, Invariant
 from .lines import (  # parse_history, render_history and parse_statements are bound for the callers of `formats`
-    _ABSENT, _ACCOUNT, _CONTRACT, ADDRESS, POSITIVE, U64, U128, Codec, Line, _add_genesis, _braced, _fmt_bytes,
-    _Genesis, _int, _lines, _list, _parse_address, _parse_bytes, _split_fields, _table, _unbrace, parse_expr,
-    parse_history, parse_statements, render_history,
+    _ABSENT, _ACCOUNT, _CONTRACT, _NO_SLOTS, ADDRESS, POSITIVE, U64, U128, Codec, Line, _add_genesis, _braced,
+    _fmt_bytes, _Genesis, _int, _lines, _list, _new, _parse_address, _parse_bytes, _split_fields, _table, _unbrace,
+    parse_expr, parse_history, parse_statements, render_history,
 )
 from .mempool import PoolConfig
 from .quarantine import AuditEvent, QuarantineConfig
@@ -71,13 +73,14 @@ def _parse_deposits(text: str, lineno: int, what: str, ctx: Any) -> Tuple[Deposi
 # Transaction and deposit fields read any integer: those records check their own ranges.
 TX_U64 = _int(None, None)._replace(least=0, top=U64_MAX)
 TX_U128 = TX_U64._replace(top=U128_MAX)
-TEXT = Codec(None, lambda text, *_: text)
-BYTES = Codec(_fmt_bytes, _parse_bytes)
+TEXT = Codec(None, lambda text, *_: text, pattern=r"[^\s{}]+")  # one word, outside braces
+BYTES = Codec(_fmt_bytes, _parse_bytes, pattern="0x(?:[0-9a-f]{2})*")
 HASH = Codec(_fmt_bytes, lambda text, lineno, *_: TxHash(_parse_bytes(text, lineno)))
 ROOT = Codec(_fmt_bytes, lambda text, lineno, *_: StateRoot(_parse_bytes(text, lineno)))
 RECIPIENT = Codec(
     lambda to: "create" if to is None else _fmt_bytes(to),
     lambda text, lineno, *_: None if text == "create" else _parse_address(text, lineno),
+    pattern=f"create|{ADDRESS.pattern}",
 )
 TXREF = Codec(_fmt_bytes, _parse_txref)
 BUDGET = Codec(
@@ -129,7 +132,7 @@ _SUBMIT = _event(
     ("to", "event.tx.recipient", RECIPIENT), ("value", "event.tx.value", TX_U128, 0),
     ("data", "event.tx.data", BYTES, b""), ("max_fee", "event.tx.max_fee", TX_U64, 1),
     ("priority_fee", "event.tx.priority_fee", TX_U64, 0), ("gas_limit", "event.tx.gas_limit", TX_U64, 30),
-    ("as", "label", TEXT, _ABSENT), at="event.at", tail=9,
+    ("as", "label", TEXT, _ABSENT), at="event.at", tail=9, grows=True,
 )
 _L1_BLOCK = _event("l1_block", L1BlockEvent, ("deposits", DEPOSITS, ()))
 _DEPOSIT = Line(
@@ -183,9 +186,45 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
     invariants: List[Invariant] = []
     events: List[Event] = []
     l1_events: List[Tuple[int, L1BlockEvent]] = []  # with their line numbers
-    for lineno, line, words in _lines(text, _SCENARIO_FILE, _SCENARIO, comments=True):
-        extra = {"number": ctx.l1_blocks} if line is _L1_BLOCK else {}  # the L1 block's number, from its place
-        record = line.read(words, lineno, ctx, **extra)
+    for lineno, line, words in _lines(text, _SCENARIO_FILE, _SCENARIO, comments=True, fast=(_SUBMIT, _ACCOUNT)):
+        record = None
+        if type(words) is re.Match:  # a submit or genesis account line in its declared spelling: built in C
+            groups = words.groups()
+            if None in groups:  # a field left out reads as its default's text
+                groups = [blank if value is None else value for value, blank in zip(groups, line.blanks)]
+            try:
+                if line is _ACCOUNT:
+                    address, balance, nonce = groups
+                    balance, nonce = int(balance), int(nonce)
+                    if balance <= U128_MAX and nonce <= U64_MAX:  # U128 and U64
+                        address = bytes.__new__(Address, bytes.fromhex(address[2:]))
+                        record = _new(_Genesis, (address, _new(Account, (balance, nonce, None, _NO_SLOTS))))
+                else:
+                    at, sender, nonce, to, value, data, max_fee, priority_fee, gas_limit, label = groups
+                    at, nonce, value, max_fee = int(at), int(nonce), int(value), int(max_fee)
+                    priority_fee, gas_limit = int(priority_fee), int(gas_limit)
+                    # a U64 time; the ranges and the fee rules `SignedTransaction.__init__` checks (priority_fee
+                    # <= max_fee keeps it a u64 too), its 20-byte addresses fixed by the pattern
+                    if (max(at, nonce, max_fee, gas_limit) <= U64_MAX and value <= U128_MAX
+                            and priority_fee <= max_fee and gas_limit >= BASE_TX_GAS):
+                        tx = object.__new__(SignedTransaction)
+                        tx.sender = bytes.__new__(Address, bytes.fromhex(sender[2:]))
+                        tx.nonce = nonce
+                        tx.recipient = None if to == "create" else bytes.__new__(Address, bytes.fromhex(to[2:]))
+                        tx.value = value
+                        tx.data = bytes.fromhex(data[2:])
+                        tx.max_fee = max_fee
+                        tx.priority_fee = priority_fee
+                        tx.gas_limit = gas_limit
+                        tx._hash = tx._blob = None
+                        record = _new(_Submit, (_new(SubmitEvent, (at, tx)), label))
+            except ValueError:  # more digits than `int` reads from text
+                pass
+            if record is None:  # the generic reader words the refusal
+                words = _split_fields(words.string, lineno)
+        if record is None:
+            extra = {"number": ctx.l1_blocks} if line is _L1_BLOCK else {}  # the L1 block's number, from its place
+            record = line.read(words, lineno, ctx, **extra)
         if line is _SCENARIO:
             name = default_name if record is None else record
             if not _one_field(name):

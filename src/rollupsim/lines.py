@@ -2,7 +2,8 @@
 
 Every rollupsim text file has one shape: a versioned header line, then one
 record per line as `head key=value ...`. Values containing spaces or lists
-are wrapped in braces; blank lines are ignored.
+are wrapped in braces; blank lines are ignored, except in an L1 history,
+which is read only as `render_history` writes it.
 
 Each line kind is declared once, as a `Line`: the words that open it and
 its ordered `(key, attribute, codec)` fields, where a `Codec` is how one
@@ -45,13 +46,14 @@ from __future__ import annotations
 import math
 import re
 import sys
+from itertools import repeat, zip_longest
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .core import U64_MAX, U128_MAX, Address, ScenarioError, decode_deposit, encode_deposit
+from .core import U64_MAX, U128_MAX, Address, ScenarioError, decode_deposits, encode_deposit
 from .l1da import WORD_BITS, L1Block, L1History, L1Record
 from . import vm
-from .vm import EMPTY_ACCOUNT, Account, ContractCode, Expr, Statement, make_state
+from .vm import EMPTY_ACCOUNT, ZERO_SLOT, Account, ContractCode, Expr, Statement, WorldState, make_state
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +97,17 @@ def _parse_int(
     value: str, lineno: int, what: str = "integer", ctx: Any = None, minimum: Optional[int] = None,
     maximum: Optional[int] = None,
 ) -> int:
-    """The one integer reader of all three formats: decimal or 0x-hex. Like
-    the two hex readers below, it takes a codec's arguments (see `Codec`)."""
+    """The one integer reader of all three formats: ASCII decimal digits,
+    after a `-` that every range refuses, or `0x` and hex digits; no sign,
+    underscore, whitespace or other script's digits that `int` would take.
+    Like the two hex readers below, it takes a codec's arguments (see `Codec`)."""
+    hexadecimal = value.startswith("0x")
+    digits = value[2:] if hexadecimal else value[value.startswith("-"):]
+    if not (digits and digits.isascii() and (_HEX_RE.fullmatch(digits) if hexadecimal else digits.isdigit())):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}", line=lineno)
     try:
-        number = int(value, 16) if value.startswith("0x") else int(value)
-    except ValueError:
+        number = int(value, 16) if hexadecimal else int(value)
+    except ValueError:  # more digits than `int` reads from text
         raise ScenarioError(f"{what} must be an integer, got {value!r}", line=lineno) from None
     if minimum is not None and number < minimum:
         raise ScenarioError(f"{what} must be at least {minimum}, got {number}", line=lineno)
@@ -276,39 +284,54 @@ class Codec(NamedTuple):
     ctx)` reads it, `what` naming the field in messages and `ctx` being a
     scenario's context (None elsewhere). `render` writes it; None writes
     it as `str.format` does (integers in decimal, text as it is). An integer
-    codec reads `least..top`; a list codec names the codec of its `item`."""
+    codec reads `least..top`; a list codec names the codec of its `item`.
+    `pattern` is a regular expression, with no group of its own, that
+    matches exactly the spellings `render` writes (None: no line that is
+    read by a full match holds the codec)."""
 
     render: Optional[Callable[[Any], str]]
     parse: Callable[[str, int, str, Any], Any]
     least: Optional[int] = None
     top: Optional[int] = None
     item: Optional["Codec"] = None
+    pattern: Optional[str] = None
 
 
-def _int(least: Optional[int], top: Optional[int], render: Optional[Callable[[int], str]] = None) -> Codec:
+DECIMAL = "0|[1-9][0-9]*"  # how `str` writes a natural number
+# How a list of `bytes.hex` strings is written, `-` when empty: one class
+# for digits and commas, as a group per entry is slower to match, and
+# `bytes.fromhex` refuses an odd count of digits.
+HEX_LIST = "-|[0-9a-f,]*"
+
+
+def _int(
+    least: Optional[int], top: Optional[int], render: Optional[Callable[[int], str]] = None, pattern: str = DECIMAL,
+) -> Codec:
     """Integers in `least..top` (None: unbounded); `_parse_int` reads what
-    one `int` does not, and words every refusal."""
+    is not plain ASCII decimal, and words every refusal."""
     low, high = -math.inf if least is None else least, math.inf if top is None else top
 
     def parse(text: str, lineno: int, what: str, ctx: Any = None) -> int:
         try:
-            number = int(text)
-            if low <= number <= high:
-                return number
-        except ValueError:
+            if text.isdigit() and text.isascii():  # `int` also takes "+5", "1_000", " 5" and other scripts' digits
+                number = int(text)
+                if low <= number <= high:
+                    return number
+        except ValueError:  # more digits than `int` reads from text
             pass
         return _parse_int(text, lineno, what, ctx, least, top)
 
-    return Codec(render, parse, least, top)
+    return Codec(render, parse, least, top, pattern=pattern)
 
 
-def _list(item: Codec) -> Codec:
-    """A comma-separated list of one codec's values, `-` when empty."""
+def _list(item: Codec, pattern: Optional[str] = None) -> Codec:
+    """A comma-separated list of one codec's values, `-` when empty;
+    `pattern` may replace the one built from the item's."""
     render, parse = item.render or str, item.parse
     return Codec(
         lambda values: ",".join(map(render, values)) if values else "-",
         lambda text, lineno, what, ctx: tuple([parse(value, lineno, what, ctx) for value in _parse_list(text)]),
-        item=item,
+        item=item, pattern=pattern or item.pattern and f"-|(?:{item.pattern})(?:,(?:{item.pattern}))*",
     )
 
 
@@ -329,10 +352,10 @@ def _parse_storage(text: str, lineno: int, what: str, ctx: Any) -> Dict[bytes, b
 
 
 U64, U128, POSITIVE = _int(0, U64_MAX), _int(0, U128_MAX), _int(1, U64_MAX)
-ADDRESS = Codec(_fmt_bytes, _parse_address)
+ADDRESS = Codec(_fmt_bytes, _parse_address, pattern="0x[0-9a-f]{40}")
 BLOB = Codec(bytes.hex, lambda text, *_: bytes.fromhex(text))  # a posted batch entry: bare hex
-DEPOSIT_BLOB = Codec(lambda dep: encode_deposit(dep).hex(), lambda text, *_: decode_deposit(bytes.fromhex(text)))
-WORD = _int(0, 2**WORD_BITS - 1, hex)
+DEPOSIT_BLOB = Codec(lambda dep: encode_deposit(dep).hex(), lambda text, *_: decode_deposits((bytes.fromhex(text),))[0])
+WORD = _int(0, 2**WORD_BITS - 1, hex, "0x(?:0|[1-9a-f][0-9a-f]*)")  # how `hex` writes a natural number
 STORAGE = Codec(
     lambda storage: ",".join(f"{hex(vm.slot_int(k))}={hex(vm.slot_int(v))}" for k, v in sorted(storage.items())) or "-",
     _parse_storage,
@@ -363,14 +386,22 @@ class Line:
 
     `read(words, lineno, ctx=None, **values)`, built here from the fields'
     codecs, reads one line's words, the head's included; `values` holds what
-    the record takes from outside the line."""
+    the record takes from outside the line.
 
-    __slots__ = ("name", "head", "make", "fields", "once", "read", "_tail", "_words", "_template", "_tail_template",
-                 "_convert", "_get")
+    `grows` marks a line kind whose count grows with the size of a run. It
+    gets `pattern`, one compiled regular expression that full-matches the
+    line as `render` spells it, each field's value by its codec's `pattern`
+    in one group, in declaration order. A field with a default may be left
+    out, its group then None; `blanks` holds, per field, the text of its
+    default as `render` writes it (None for a field without one). The file
+    reader builds the record from the groups itself."""
+
+    __slots__ = ("name", "head", "make", "fields", "once", "read", "pattern", "blanks", "_tail", "_words", "_template",
+                 "_tail_template", "_convert", "_get")
 
     def __init__(
         self, name: str, make: Callable[..., Any], *fields: tuple, head: Optional[str] = None, once: bool = False,
-        tail: Optional[int] = None, default: Any = _REQUIRED,
+        tail: Optional[int] = None, default: Any = _REQUIRED, grows: bool = False,
     ) -> None:
         fields = tuple((f[0], f[0], *f[1:]) if isinstance(f[1], Codec) else f for f in fields)
         self.fields = fields = tuple((*f, default)[:4] for f in fields)
@@ -423,6 +454,18 @@ class Line:
         attrs = [attr for _key, attr, *_ in fields]
         get = attrgetter(*attrs) if attrs else lambda record: ()
         self._get = (lambda record: (get(record),)) if len(attrs) == 1 else get  # always a tuple
+        self.pattern = self.blanks = None
+        if grows:
+            self.blanks = tuple(
+                None if d is _REQUIRED or d is _ABSENT else (codec.render or str)(d) for _k, _a, codec, d in fields
+            )
+            values = iter(f"({codec.pattern})" for _key, _attr, codec, _d in fields)
+            text = " ".join(next(values) if word == "{}" else re.escape(word) for word in words)
+            for key, _attr, _codec, d in fields[n_slots:n_slots + cut]:
+                text += f" {key}={next(values)}" if d is _REQUIRED else f"(?: {key}={next(values)})?"
+            if tail is not None:  # all or none
+                text += "(?:" + "".join(f" {key}={next(values)}" for key, *_ in fields[tail:]) + ")?"
+            self.pattern = re.compile(text)
 
     def render(self, record: Any) -> str:
         values = list(self._get(record))
@@ -447,17 +490,29 @@ def _table(*lines: Line) -> Dict[str, Any]:
 
 
 def _lines(
-    text: str, table: Dict[str, Any], header: Line, comments: bool = False, verbatim: Optional[Line] = None
-) -> Iterator[Tuple[int, Line, List[str]]]:
+    text: str, table: Dict[str, Any], header: Line, comments: bool = False, verbatim: Optional[Line] = None,
+    fast: Tuple[Line, ...] = (),
+) -> Iterator[Tuple[int, Line, Any]]:
     """Each line of a file as (line number, declaration, words): the header
     first, then one per non-blank line. A `verbatim` line's one value is the
-    rest of the line after its head and one space or tab, as written."""
+    rest of the line after its head and one space or tab, as written. A
+    line of a `fast` kind that its `Line.pattern` full-matches comes with
+    that `re.Match` in place of its words."""
     lines = text.splitlines()
     seen = set()
     for lineno, raw in enumerate(lines, start=1):
         body = (raw.split("#", 1)[0] if comments else raw).strip()
         if not body:
             continue
+        if seen:
+            match = None
+            for line in fast:
+                match = line.pattern.fullmatch(body)
+                if match:
+                    break
+            if match:
+                yield lineno, line, match
+                continue
         rest = raw.lstrip()[len(verbatim.name):] if seen and verbatim and body.startswith(verbatim.name) else "-"
         if rest[:1] in ("", " ", "\t"):  # a verbatim line ("-" stands for any other)
             line, words = verbatim, [verbatim.name, rest[1:]] if rest[1:] else [verbatim.name]
@@ -495,7 +550,7 @@ _ACCOUNT = Line(
     "account",
     lambda address, balance, nonce: _new(_Genesis, (address, _new(Account, (balance, nonce, None, _NO_SLOTS)))),
     ("address", ADDRESS), ("balance", "account.balance", U128, 0), ("nonce", "account.nonce", U64, 0),
-    head="genesis account {}",
+    head="genesis account {}", grows=True,
 )
 _CONTRACT = Line(
     "contract",
@@ -514,10 +569,14 @@ _HISTORY_CONFIG = Line(
     "config", lambda fee_recipient, blocks_per_epoch: (fee_recipient, blocks_per_epoch),
     ("fee_recipient", ADDRESS), ("blocks_per_epoch", POSITIVE), once=True,
 )
-_L1BLOCK = Line("l1block", L1Block, ("number", U64), ("time", "timestamp", U64), ("deposits", _list(DEPOSIT_BLOB)))
+_L1BLOCK = Line(
+    "l1block", L1Block, ("number", U64), ("time", "timestamp", U64), ("deposits", _list(DEPOSIT_BLOB, HEX_LIST)),
+    grows=True,
+)
 _RECORD = Line(
     "record", L1Record, ("epoch", U64), ("l2_number", U64), ("l2_time", "l2_timestamp", U64), ("l2_base_fee", U64),
-    ("batch", _list(BLOB)), ("deposit_count", U64, _ABSENT), ("bitmap", _list(WORD), _ABSENT), tail=5,
+    ("batch", _list(BLOB, HEX_LIST)), ("deposit_count", U64, _ABSENT), ("bitmap", _list(WORD), _ABSENT), tail=5,
+    grows=True,
 )
 _HISTORY_FILE = _table(_HISTORY, _HISTORY_CONFIG, _ACCOUNT, _CONTRACT, _L1BLOCK, _RECORD)
 
@@ -544,6 +603,87 @@ def render_history(history: L1History) -> str:
 
 
 def parse_history(text: str) -> L1History:
+    """The history `text` holds, spelled exactly as `render_history` writes
+    it. A line of a growing kind (`genesis account`, `l1block`, `record`)
+    is read by one full match of its `Line.pattern` and built in C, each of
+    its fields' range checks inline; the header, `config` and `genesis
+    contract` lines are read by their generic reader and must equal their
+    own render. The order is checked as the lines are read: the header,
+    `config`, the genesis lines by ascending address, the L1 blocks, then
+    the records, each line ended by one `\\n`. A text that strays anywhere
+    is handed to `_reread`, which refuses it at its first fault."""
+    rows = text.split("\n")
+    if rows.pop() or len(rows) < 2 or rows[0] != _HISTORY.head or not rows[1].startswith("config "):
+        return _reread(text)  # no final newline, or not the header, then `config`
+    account, l1block, record = _ACCOUNT.pattern.fullmatch, _L1BLOCK.pattern.fullmatch, _RECORD.pattern.fullmatch
+    accounts: Dict[Address, Account] = {}
+    blocks: List[L1Block] = []
+    inbox: List[L1Record] = []
+    n, end, last = 2, len(rows), b""
+    try:
+        config = _HISTORY_CONFIG.read(_split_fields(rows[1], 2), 2)
+        while n < end:
+            row = rows[n]
+            match = account(row)
+            if match is not None:
+                address, balance, nonce = match.groups()
+                if balance is None or nonce is None:  # left out: `render` writes both
+                    return _reread(text)
+                address, balance, nonce = bytes.__new__(Address, bytes.fromhex(address[2:])), int(balance), int(nonce)
+                # U128 and U64; `make_state` drops an empty account, so none is written
+                if balance > U128_MAX or nonce > U64_MAX or not (balance or nonce):
+                    return _reread(text)
+                acct = _new(Account, (balance, nonce, None, _NO_SLOTS))
+            elif row.startswith("genesis contract "):
+                genesis = _CONTRACT.read(_split_fields(row, n + 1), n + 1)
+                address, acct = genesis
+                # its own render, with no zero slot, which `make_state` drops and so `render_history` never writes
+                if _CONTRACT.render(genesis) != row or ZERO_SLOT in acct.storage.values():
+                    return _reread(text)
+            else:  # the genesis ends
+                break
+            if address <= last:  # ascending, as `render_history` sorts them: no address twice
+                return _reread(text)
+            accounts[address] = acct
+            last = address
+            n += 1
+        while n < end and (match := l1block(rows[n])) is not None:
+            number, time, deposits = match.groups()
+            number, time = int(number), int(time)
+            if number > U64_MAX or time > U64_MAX:  # U64
+                return _reread(text)
+            deposits = () if deposits == "-" else decode_deposits(map(bytes.fromhex, deposits.split(",")))
+            blocks.append(_new(L1Block, (number, time, deposits)))
+            n += 1
+        while n < end and (match := record(rows[n])) is not None:
+            epoch, number, time, fee, batch, count, bitmap = match.groups()
+            epoch, number, time, fee = int(epoch), int(number), int(time), int(fee)
+            if count is None:  # not an epoch head
+                bitmap = ()
+            else:
+                count = int(count)
+                bitmap = () if bitmap == "-" else tuple(map(int, bitmap.split(","), repeat(16)))
+                if count > U64_MAX or max(bitmap, default=0) > WORD.top:  # U64; each bitmap word a WORD
+                    return _reread(text)
+            if max(epoch, number, time, fee) > U64_MAX:  # U64
+                return _reread(text)
+            batch = () if batch == "-" else tuple(map(bytes.fromhex, batch.split(",")))
+            inbox.append(_new(L1Record, (epoch, number, time, fee, batch, count, bitmap)))
+            n += 1
+    except (ScenarioError, ValueError):  # `_reread` words the refusal
+        return _reread(text)
+    history = L1History(*config, WorldState(accounts), tuple(blocks), tuple(inbox))
+    if n < end or _HISTORY_CONFIG.render(history) != rows[1]:  # a line out of place, or a config spelled otherwise
+        return _reread(text)
+    return history
+
+
+def _reread(text: str) -> L1History:
+    """`parse_history`'s error path: every line read by its generic reader,
+    the first it cannot read refused, then the render of what was read
+    compared with the text, the first line spelled otherwise refused with
+    the form expected. It returns the history only if `text` is written as
+    `render_history` writes it."""
     config = None
     accounts: Dict[Address, Account] = {}
     blocks: List[L1Block] = []
@@ -560,4 +700,10 @@ def parse_history(text: str) -> L1History:
             _add_genesis(accounts, record, lineno)
     if config is None:
         raise ScenarioError("history missing config line", line=1)
-    return L1History(*config, make_state(accounts), tuple(blocks), tuple(inbox))
+    history = L1History(*config, make_state(accounts), tuple(blocks), tuple(inbox))
+    written = render_history(history)
+    for lineno, (line, form) in enumerate(zip_longest(text.splitlines(True), written.splitlines(True)), start=1):
+        if line != form:
+            expected = "the end of the file" if form is None else repr(form[:-1])
+            raise ScenarioError(f"not in canonical form, expected {expected}", line=lineno)
+    return history

@@ -11,6 +11,14 @@ through their `NamedTuple` constructors, where `lines` builds them in C. It
 is slow but obviously right, and `test_reader_oracle.py` holds the built
 readers to it record for record and refusal for refusal.
 
+`reference_parse_history` is the rule `rollupsim derive` applied before
+`parse_history` checked a history's spelling as it reads it: read every
+line with the generic reader (`reference_read_history`, which skips blank
+lines and takes any line end), refusing the first it cannot read, then
+render what was read and refuse the first line of the text that differs,
+naming the form expected. `parse_history` must accept exactly what it
+accepts and refuse the rest at the same line with the same message.
+
 `tree_height` is the walk that enforced `lines.MAX_NESTING` on every built
 statement and predicate, a second pass over the tree, before the builders
 returned each node's height as they built it; they must agree with it.
@@ -26,6 +34,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from functools import partial
+from itertools import zip_longest
 
 from rollupsim import formats, lines
 from rollupsim.vm import (
@@ -33,6 +42,8 @@ from rollupsim.vm import (
     SetSlot, SLoad,
 )
 from rollupsim.core import U64_MAX, Address, Record, StateRoot, TxHash
+from rollupsim.l1da import L1History
+from rollupsim.vm import make_state
 from rollupsim.sequencer import ScenarioError
 
 _HEX_RE = re.compile(r"[0-9a-fA-F]*")
@@ -189,6 +200,38 @@ def reference_read(line, words, lineno, ctx=None, **values):
         return _MAKES.get(line, line.make)(**{**defaults, **values})
     except ValueError as exc:
         raise ScenarioError(f"bad {line.name}: {exc}", line=lineno) from None
+
+
+def reference_read_history(text):
+    """The history the generic reader reads from `text`, spelled any way it reads."""
+    config, accounts, blocks, inbox = None, {}, [], []
+    for lineno, line, words in lines._lines(text, lines._HISTORY_FILE, lines._HISTORY):
+        record = reference_read(line, words, lineno)
+        if line is lines._RECORD:
+            inbox.append(record)
+        elif line is lines._L1BLOCK:
+            blocks.append(record)
+        elif line is lines._HISTORY_CONFIG:
+            config = record
+        elif line is not lines._HISTORY:
+            if record.address in accounts:
+                raise ScenarioError(f"genesis address {record.address.hex0x()} declared twice", line=lineno)
+            accounts[record.address] = record.account
+    if config is None:
+        raise ScenarioError("history missing config line", line=1)
+    return L1History(*config, make_state(accounts), tuple(blocks), tuple(inbox))
+
+
+def reference_parse_history(text):
+    """`reference_read_history`, then the render of what it read compared
+    with `text` line by line."""
+    history = reference_read_history(text)
+    written = lines.render_history(history)
+    for lineno, (line, form) in enumerate(zip_longest(text.splitlines(True), written.splitlines(True)), start=1):
+        if line != form:
+            expected = "the end of the file" if form is None else repr(form[:-1])
+            raise ScenarioError(f"not in canonical form, expected {expected}", line=lineno)
+    return history
 
 
 def shape(value):

@@ -655,6 +655,54 @@ class TestOutOfRangeIntegers:
         assert "line 3" in err
 
 
+# Spellings `int` reads that are no integer of the formats: an underscore,
+# a sign, a digit of another script, an underscore after `0x`.
+NOT_INTEGERS = ["1_000", "+5", "\u0665", "0x_5"]
+
+
+class TestIntegerSpelling:
+    """An integer is ASCII decimal digits, or `0x` and hex digits, in every
+    scenario, report and history field and in every s-expression atom."""
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("line", [
+        "event 0 submit sender=0x01 nonce=0 to=0x02 value={}",
+        "event 0 submit sender=0x" + "01" * 20 + " to=0x" + "02" * 20 + " value={}",  # the match path's spelling
+        "genesis account 0x" + "b2" * 20 + " balance={}",
+        "genesis contract 0xc3 admin=0xa1 code={{(set (const {}) 1)}}",
+    ])
+    def test_a_scenario_value_exits_2_with_its_line(self, tmp_path, capsys, line, value):
+        capsys.readouterr()
+        code = run_text(tmp_path, f"scenario v1\nconfig fee_recipient=0xfe\n{line.format(value)}\nrun blocks=1\n")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: line 3: ") and f"must be an integer, got {value!r}" in err, err
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_a_report_value_exits_2_with_its_line(self, tmp_path, capsys, value):
+        _, report, _ = run_cli(tmp_path, "single_transfer")
+        rows = report.read_text().splitlines()
+        index = next(i for i, row in enumerate(rows) if row.startswith("block "))
+        rows[index] = re.sub(r" base_fee=\d+", f" base_fee={value}", rows[index])
+        report.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert main(["quarantine", str(report), "list"]) == 2
+        err = capsys.readouterr().err
+        assert f"line {index + 1}: " in err and f"must be an integer, got {value!r}" in err, err
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_a_history_value_exits_4_with_its_line(self, tmp_path, capsys, value):
+        _, _, l1 = run_cli(tmp_path, "single_transfer")
+        rows = l1.read_text().splitlines()
+        index = next(i for i, row in enumerate(rows) if row.startswith("record "))
+        rows[index] = re.sub(r" l2_time=\d+", f" l2_time={value}", rows[index])
+        l1.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert main(["derive", "--l1", str(l1)]) == 4
+        err = capsys.readouterr().err
+        assert f"line {index + 1}: " in err and f"must be an integer, got {value!r}" in err, err
+
+
 class TestConfigUpperBounds:
     """Config integers have a greatest value: 2**64-1 for anything hashed as
     8 bytes, and a thread count for workers."""

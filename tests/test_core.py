@@ -20,7 +20,7 @@ from rollupsim.core import (
     block_hash,
     canonical_decode,
     canonical_encode,
-    decode_deposit,
+    decode_deposits,
     deposit_id,
     duplicate_key,
     encode_block,
@@ -212,6 +212,11 @@ class TestCanonicalEncode:
             return
         assert canonical_encode(tx) == blob
         assert tx_hash(tx) == hashlib.sha256(blob).digest()
+
+
+def decode_deposit(blob):
+    """One blob through `decode_deposits`, which decodes a list of them."""
+    return decode_deposits((blob,))[0]
 
 
 def decoded(decode, blob):

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from helpers import bench_generate, python_calls
-from rollupsim import core, vm
+from rollupsim import core, lines, vm
 from rollupsim.core import encode_block
 from rollupsim.derivation import DerivationGap, DerivedChain, derive
 from rollupsim.formats import parse_history, parse_scenario, render_history
@@ -107,11 +107,26 @@ class TestDeriveCallCount:
         return render_history(run(parse_scenario(scenario, default_name="quarantine_flood")).history)
 
     def test_reading_the_history(self, text):
+        """A `genesis account` or `record` line is read by one full match and
+        built in C, with no codec call per field."""
         counted = python_calls(parse_history, text)
         assert core._FixedWidth.__new__.__code__ not in counted.calls, counted.names
         per_line = len(counted.calls) / len(text.splitlines())
-        assert per_line <= 10.63, counted.names  # 10.63; 12.82 when each address and genesis pair went through its constructor
+        assert per_line <= 3, counted.names  # 0.72; 10.63 when each line went through its `Line.read`
         assert len(python_calls(parse_history, text).calls) == len(counted.calls)
+
+    def test_reading_a_history_with_deposits(self):
+        """The seed-1 `contract_contention` history: its `l1block` lines'
+        deposits are decoded with no call per deposit, and its batch entries
+        read with no call per entry; the contract lines, read by their
+        generic reader, make most of the calls left."""
+        scenario, _ = bench_generate().generate("contract_contention", 1)
+        text = render_history(run(parse_scenario(scenario, default_name="contract_contention")).history)
+        counted = python_calls(parse_history, text)
+        codec_reads = {lines.BLOB.parse.__code__, lines.DEPOSIT_BLOB.parse.__code__}
+        assert "decode_deposits" in counted.names and not codec_reads & set(counted.calls), counted.names
+        per_line = len(counted.calls) / len(text.splitlines())
+        assert per_line <= 12, counted.names  # 5.52; 24.30 with a codec lambda per batch entry and deposit
 
     def test_deriving_the_chain(self, text):
         history = parse_history(text)

@@ -40,6 +40,7 @@ UNREACHED = {
     "cli._fail": "error path: every refusal of the command line prints through it",
     "core.ScenarioError.__init__": "error path: a refused scenario, report or history line, or scenario event",
     "l1da.DerivationGap.__init__": "error path: a history the sequencer could not have written",
+    "lines._reread": "error path: a history spelled otherwise than render_history writes it",
     "lines._too_deep": "error path: code nested deeper than MAX_NESTING",
     "vm.AccountOverflow.__init__": "error path: a balance or nonce wider than the state root encodes it",
     "vm.InvalidBlock.__init__": "error path: a replayed block whose transaction cannot execute",

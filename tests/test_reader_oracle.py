@@ -1,9 +1,14 @@
-"""The reader each `formats.Line` builds, held to the generic reader in
-`reference_formats`.
+"""The reader each `formats.Line` builds, and the match path of the growing
+line kinds, held to the generic reader in `reference_formats`.
 
 Every line read while parsing a file goes through both readers, which must
 give the same record (`reference_formats.shape`: equal values of the same
-types) or the same refusal (text and line number). The files are the
+types) or the same refusal (text and line number). A line of a growing kind
+that its `Line.pattern` matches is built from the match, by no `Line.read`:
+so each file is parsed a second time with no line read by a match and every
+line read by `reference_read` alone, and both parses must give the same
+result, or the same refusal. Every record the match path builds is in the
+result, so each is held to `reference_read` too. The files are the
 corpus scenarios, their reports and L1 histories, the seeded mutations of
 `test_input_fuzz`, and word-level damage to one line of each shape: a word
 dropped, repeated or cut short, a value swapped for a bad one, an unknown
@@ -15,6 +20,7 @@ built readers are fastest on.
 """
 import functools
 import random
+import re
 from contextlib import contextmanager
 
 import pytest
@@ -48,14 +54,16 @@ def attempt(read, *args, **values):
 @contextmanager
 def both_readers():
     """Every declared line reads through both readers while the block runs;
-    yields the list of disagreements and a count of the lines compared."""
-    found, compared = [], [0]
+    yields the list of disagreements and the set of (line number, words)
+    compared. A line may be read twice: a history that strays is read again
+    by the generic reader from its first line."""
+    found, compared = [], set()
 
     def checked(line, built):
         def read(words, lineno, ctx=None, **values):
             got = attempt(built, words, lineno, ctx, **values)
             want = attempt(reference_read, line, words, lineno, ctx, **values)
-            compared[0] += 1
+            compared.add((lineno, tuple(words)))
             if got[1] or want[1]:
                 agree = got[1] is not None and want[1] is not None and (str(got[1]), got[1].line) == (
                     str(want[1]), want[1].line)
@@ -79,14 +87,54 @@ def both_readers():
             line.read = built[line]
 
 
+NEVER = re.compile(r"(?!)")  # matches no text
+
+
+@contextmanager
+def reference_only():
+    """While the block runs, no line is read by a match (each growing line's
+    pattern matches nothing) and every line is read by `reference_read`;
+    yields a count of the lines it read."""
+    read = [0]
+
+    def reading(line):
+        def reference(words, lineno, ctx=None, **values):
+            read[0] += 1
+            return reference_read(line, words, lineno, ctx, **values)
+
+        return reference
+
+    saved = {line: (line.read, line.pattern) for line in DECLARED}
+    for line in DECLARED:
+        line.read, line.pattern = reading(line), line.pattern and NEVER
+    try:
+        yield read
+    finally:
+        for line, (built, pattern) in saved.items():
+            line.read, line.pattern = built, pattern
+
+
+def outcome(parse, text):
+    """What `parse` makes of `text`: (its result's shape, None) or (None, its refusal)."""
+    try:
+        return shape(parse(text)), None
+    except (ScenarioError, ValueError) as exc:
+        return None, (type(exc), str(exc), getattr(exc, "line", None))
+
+
 def read_both_ways(text, suffix):
-    """Parse `text` with both readers; the disagreements and the lines compared."""
-    with both_readers() as (found, compared):
-        try:
-            FILES[suffix][0](text)
-        except (ScenarioError, ValueError):
-            pass
-    return found, compared[0]
+    """Parse `text` as the parser does, each line a `Line.read` reads going
+    through both readers, then with every line read by `reference_read`
+    alone; the disagreements, a whole-file one included, and the lines the
+    reference read."""
+    parse = FILES[suffix][0]
+    with both_readers() as (found, _compared):
+        got = outcome(parse, text)
+    with reference_only() as read:
+        want = outcome(parse, text)
+    if got != want:
+        found.append(("whole file", None, text[:120], got, want))
+    return found, read[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,7 +257,7 @@ def test_each_rule_is_refused_the_same(text, message):
     with both_readers() as (found, compared):
         with pytest.raises(ScenarioError) as refused:
             parse_history(f"l1history v1\n{text}\n")
-    assert not found and compared[0] == 2
+    assert not found and {lineno for lineno, _words in compared} == {1, 2}
     assert str(refused.value) == f"line 2: {message}"
 
 

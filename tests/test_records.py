@@ -135,7 +135,7 @@ class TestValidatedRecords:
         expect_error(EncodingError, "priority_fee exceeds max_fee", lambda: core.canonical_decode(bytes(blob)))
         blob = bytearray(core.encode_deposit(DepositTransaction(**DEP_ARGS)))
         blob[68:76] = (20).to_bytes(8, "big")  # gas_limit below the intrinsic cost
-        expect_error(EncodingError, "gas_limit below intrinsic cost 21", lambda: core.decode_deposit(bytes(blob)))
+        expect_error(EncodingError, "gas_limit below intrinsic cost 21", lambda: core.decode_deposits((bytes(blob),)))
 
     def test_a_changed_copy_has_its_own_memo(self):
         t = tx(SENDER, 0, TO, value=3)
