@@ -55,7 +55,12 @@ class _FixedWidth(bytes):
 
     @classmethod
     def from_hex(cls, text: str):
-        return cls(bytes.fromhex(text[2:] if text.startswith("0x") else text))
+        """An optional `0x`, then exactly the hex digits: nothing else, not
+        even the whitespace `bytes.fromhex` skips."""
+        digits = text[2:] if text.startswith("0x") else text
+        if not (digits.isascii() and digits.isalnum()):  # `fromhex` refuses any other letter or digit
+            raise ValueError(f"not hex digits: {text!r}")
+        return cls(bytes.fromhex(digits))
 
     def hex0x(self) -> str:
         return "0x" + self.hex()

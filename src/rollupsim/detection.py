@@ -142,7 +142,8 @@ class InvariantDetector:
             damage += max(0, pre_state.balance_of(victim) - sim.balance_of(victim))
         shared = self._tuples.setdefault
         violated_ids, victim_addrs = tuple(violated), tuple(victims)
-        return Verdict(True, shared(violated_ids, violated_ids), shared(victim_addrs, victim_addrs), damage), reads
+        violated_ids, victim_addrs = shared(violated_ids, violated_ids), shared(victim_addrs, victim_addrs)
+        return _new_key(Verdict, (True, violated_ids, victim_addrs, damage)), reads  # built in C, as an access key is
 
 
 class CandidateSet(NamedTuple):

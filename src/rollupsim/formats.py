@@ -19,7 +19,7 @@ from .core import (
 )
 from .detection import Counters, Invariant
 from .lines import (  # parse_history, render_history and parse_statements are bound for the callers of `formats`
-    _ABSENT, _ACCOUNT, _CONTRACT, _NO_SLOTS, ADDRESS, POSITIVE, U64, U128, Codec, Line, _add_genesis, _braced,
+    _ABSENT, _ACCOUNT, _CONTRACT, _NO_SLOTS, ADDRESS, HEX_SPEC, POSITIVE, U64, U128, Codec, Line, _add_genesis, _braced,
     _fmt_bytes, _Genesis, _int, _lines, _list, _new, _parse_address, _parse_bytes, _split_fields, _table, _unbrace,
     parse_expr, parse_history, parse_statements, render_history,
 )
@@ -73,10 +73,10 @@ def _parse_deposits(text: str, lineno: int, what: str, ctx: Any) -> Tuple[Deposi
 # Transaction and deposit fields read any integer: those records check their own ranges.
 TX_U64 = _int(None, None)._replace(least=0, top=U64_MAX)
 TX_U128 = TX_U64._replace(top=U128_MAX)
-TEXT = Codec(None, lambda text, *_: text, pattern=r"[^\s{}]+")  # one word, outside braces
-BYTES = Codec(_fmt_bytes, _parse_bytes, pattern="0x(?:[0-9a-f]{2})*")
-HASH = Codec(_fmt_bytes, lambda text, lineno, *_: TxHash(_parse_bytes(text, lineno)))
-ROOT = Codec(_fmt_bytes, lambda text, lineno, *_: StateRoot(_parse_bytes(text, lineno)))
+TEXT = Codec(None, lambda text, *_: text, pattern=r"[^\s{}]+", spec=("%s", None))  # one word, outside braces
+BYTES = Codec(_fmt_bytes, _parse_bytes, pattern="0x(?:[0-9a-f]{2})*", spec=HEX_SPEC)
+HASH = Codec(_fmt_bytes, lambda text, lineno, *_: TxHash(_parse_bytes(text, lineno)), spec=HEX_SPEC)
+ROOT = Codec(_fmt_bytes, lambda text, lineno, *_: StateRoot(_parse_bytes(text, lineno)), spec=HEX_SPEC)
 RECIPIENT = Codec(
     lambda to: "create" if to is None else _fmt_bytes(to),
     lambda text, lineno, *_: None if text == "create" else _parse_address(text, lineno),
@@ -93,7 +93,7 @@ OPERATORS = Codec(
     lambda text, lineno, *_: frozenset(_parse_address(a, lineno) for a in text.split(",") if a),
 )
 EXPR = _braced(vm.expr_text, parse_expr)
-DETAIL = _braced(str, lambda text, lineno: text)
+DETAIL = _braced(str, lambda text, lineno: text)._replace(spec=("{%s}", None))
 DEPOSITS = Codec(lambda deps: "{" + "; ".join(map(_DEPOSIT.render, deps)) + "}" if deps else "-", _parse_deposits)
 
 
@@ -148,7 +148,8 @@ _SCENARIO_FILE = _table(
     _event("advance", AdvanceEvent, ("seconds", U64)),
 )
 
-# Report lines, in file order, each with the `RunReport` attribute it fills.
+# Report lines, in file order, each with the `RunReport` attribute it fills;
+# the four a report holds many of are written by their `Line.write`.
 # `l1_export` holds the rest of its line as written, so that a path may hold
 # spaces, tabs or braces.
 _REPORT = Line("report", RunReport, ("scenario", TEXT, "?"), head="report v1", once=True)
@@ -275,7 +276,7 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
 def render_report(report: RunReport) -> str:
     lines = [_REPORT.render(report)]
     for line, attr in _REPORT_BODY.items():
-        lines.extend([line.render(report)] if line.once else map(line.render, getattr(report, attr)))
+        lines.extend([line.render(report)] if line.once else line.write(getattr(report, attr)))
     return "\n".join(lines) + "\n"
 
 

@@ -7,7 +7,8 @@ which is read only as `render_history` writes it.
 
 Each line kind is declared once, as a `Line`: the words that open it and
 its ordered `(key, attribute, codec)` fields, where a `Codec` is how one
-value is written and read. `Line.render` serves every declared line, and
+value is written and read. `Line.render` serves every declared line,
+`Line.write` writes the lines of a kind a file holds many of in bulk, and
 each `Line` builds its reader once, from its fields' codecs, so the text
 form of a record lives in its declaration alone and every line keeps the
 same rules. A line is refused, with its number, when it:
@@ -48,7 +49,7 @@ import re
 import sys
 from itertools import repeat, zip_longest
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import U64_MAX, U128_MAX, Address, ScenarioError, decode_deposits, encode_deposit
 from .l1da import WORD_BITS, L1Block, L1History, L1Record
@@ -287,7 +288,11 @@ class Codec(NamedTuple):
     codec reads `least..top`; a list codec names the codec of its `item`.
     `pattern` is a regular expression, with no group of its own, that
     matches exactly the spellings `render` writes (None: no line that is
-    read by a full match holds the codec)."""
+    read by a full match holds the codec). `spec` is how `Line.write`
+    writes the value in a line's one `%` format: the text that holds it,
+    and the C function that turns the value into what that text takes
+    (None: the value as it is); a list is written by its item's spec
+    (None: no line that `write` writes holds the codec)."""
 
     render: Optional[Callable[[Any], str]]
     parse: Callable[[str, int, str, Any], Any]
@@ -295,6 +300,7 @@ class Codec(NamedTuple):
     top: Optional[int] = None
     item: Optional["Codec"] = None
     pattern: Optional[str] = None
+    spec: Optional[Tuple[str, Optional[Callable[[Any], Any]]]] = None
 
 
 DECIMAL = "0|[1-9][0-9]*"  # how `str` writes a natural number
@@ -302,13 +308,15 @@ DECIMAL = "0|[1-9][0-9]*"  # how `str` writes a natural number
 # for digits and commas, as a group per entry is slower to match, and
 # `bytes.fromhex` refuses an odd count of digits.
 HEX_LIST = "-|[0-9a-f,]*"
+HEX_SPEC = ("0x%s", bytes.hex)  # the spec of `_fmt_bytes`: `.hex()` behind a literal `0x`
 
 
 def _int(
     least: Optional[int], top: Optional[int], render: Optional[Callable[[int], str]] = None, pattern: str = DECIMAL,
 ) -> Codec:
     """Integers in `least..top` (None: unbounded); `_parse_int` reads what
-    is not plain ASCII decimal, and words every refusal."""
+    is not plain ASCII decimal, and words every refusal. A writer writes one
+    with `%d`, or through `render` when it has one."""
     low, high = -math.inf if least is None else least, math.inf if top is None else top
 
     def parse(text: str, lineno: int, what: str, ctx: Any = None) -> int:
@@ -321,12 +329,13 @@ def _int(
             pass
         return _parse_int(text, lineno, what, ctx, least, top)
 
-    return Codec(render, parse, least, top, pattern=pattern)
+    return Codec(render, parse, least, top, pattern=pattern, spec=("%d", None) if render is None else ("%s", render))
 
 
 def _list(item: Codec, pattern: Optional[str] = None) -> Codec:
     """A comma-separated list of one codec's values, `-` when empty;
-    `pattern` may replace the one built from the item's."""
+    `pattern` may replace the one built from the item's. A writer joins the
+    items once, so an item's spec must end in `%s`."""
     render, parse = item.render or str, item.parse
     return Codec(
         lambda values: ",".join(map(render, values)) if values else "-",
@@ -352,9 +361,10 @@ def _parse_storage(text: str, lineno: int, what: str, ctx: Any) -> Dict[bytes, b
 
 
 U64, U128, POSITIVE = _int(0, U64_MAX), _int(0, U128_MAX), _int(1, U64_MAX)
-ADDRESS = Codec(_fmt_bytes, _parse_address, pattern="0x[0-9a-f]{40}")
-BLOB = Codec(bytes.hex, lambda text, *_: bytes.fromhex(text))  # a posted batch entry: bare hex
+ADDRESS = Codec(_fmt_bytes, _parse_address, pattern="0x[0-9a-f]{40}", spec=HEX_SPEC)
+BLOB = Codec(bytes.hex, lambda text, *_: bytes.fromhex(text), spec=("%s", bytes.hex))  # a posted batch entry: bare hex
 DEPOSIT_BLOB = Codec(lambda dep: encode_deposit(dep).hex(), lambda text, *_: decode_deposits((bytes.fromhex(text),))[0])
+DEPOSIT_BLOB = DEPOSIT_BLOB._replace(spec=("%s", DEPOSIT_BLOB.render))  # a Python call per deposit: none encodes in C
 WORD = _int(0, 2**WORD_BITS - 1, hex, "0x(?:0|[1-9a-f][0-9a-f]*)")  # how `hex` writes a natural number
 STORAGE = Codec(
     lambda storage: ",".join(f"{hex(vm.slot_int(k))}={hex(vm.slot_int(v))}" for k, v in sorted(storage.items())) or "-",
@@ -388,6 +398,10 @@ class Line:
     codecs, reads one line's words, the head's included; `values` holds what
     the record takes from outside the line.
 
+    `render(record)` writes one line field by field. `write(records)`
+    writes the lines of a kind whose count grows with a run, each by one
+    `%` format (see `_writer`); every field's codec must have a `spec`.
+
     `grows` marks a line kind whose count grows with the size of a run. It
     gets `pattern`, one compiled regular expression that full-matches the
     line as `render` spells it, each field's value by its codec's `pattern`
@@ -397,7 +411,7 @@ class Line:
     reader builds the record from the groups itself."""
 
     __slots__ = ("name", "head", "make", "fields", "once", "read", "pattern", "blanks", "_tail", "_words", "_template",
-                 "_tail_template", "_convert", "_get")
+                 "_tail_template", "_convert", "_get", "_write")
 
     def __init__(
         self, name: str, make: Callable[..., Any], *fields: tuple, head: Optional[str] = None, once: bool = False,
@@ -454,6 +468,7 @@ class Line:
         attrs = [attr for _key, attr, *_ in fields]
         get = attrgetter(*attrs) if attrs else lambda record: ()
         self._get = (lambda record: (get(record),)) if len(attrs) == 1 else get  # always a tuple
+        self._write: Optional[Callable[..., List[str]]] = None  # compiled by the first `write`
         self.pattern = self.blanks = None
         if grows:
             self.blanks = tuple(
@@ -474,6 +489,51 @@ class Line:
             values[n] = render(values[n])
         text = self._template.format(*values)  # `format` leaves the tail's values unused
         return text + self._tail_template.format(*values[self._tail:]) if tail else text
+
+    def write(self, records: Iterable[Any]) -> List[str]:
+        """The lines of `records`, each spelled as `render` spells it. The
+        writer is compiled on the first call, as a contract program is on
+        its first run, so a command that writes nothing compiles none."""
+        write = self._write
+        if write is None:
+            write = self._write = _writer(self.name, self._words, self.fields, self._tail)
+        return write(records)
+
+
+def _writer(name: str, words: List[str], fields: Tuple[tuple, ...], tail: Optional[int]) -> Callable[..., List[str]]:
+    """A line's writer, compiled from its declaration: one list
+    comprehension whose every line is one `%` format, over each field read
+    off the record (`r.attribute`) and converted by its codec's spec, so a
+    line costs no Python-level call. A list is joined once, its item's text
+    before `%s` repeated after each comma, or written `-` when empty. With
+    a `tail`, a record whose first tail value is None is written by a
+    second format without the tail."""
+    namespace: Dict[str, Any] = {}
+    texts, values = [], []
+    for n, (_key, attr, codec, _default) in enumerate(fields):
+        value = f"r.{attr}"
+        text, convert = codec.spec if codec.item is None else codec.item.spec
+        if convert is not None:
+            namespace[f"c{n}"] = convert
+        if codec.item is not None:
+            prefix = text[:-2]  # what each item's `%s` follows
+            items = value if convert is None else f"map(c{n}, {value})"
+            text, value = "%s", f"({prefix!r} + {',' + prefix!r}.join({items}) if {value} else '-')"
+        elif convert is not None:
+            value = f"c{n}({value})"
+        texts.append(text)
+        values.append(value)
+    bare = iter(texts)
+    n_slots = words.count("{}")
+    head = " ".join(next(bare) if word == "{}" else word.replace("%", "%%") for word in words)
+    keyed = [f" {key.replace('%', '%%')}={text}" for (key, *_), text in zip(fields[n_slots:], texts[n_slots:])]
+    row = f"{head + ''.join(keyed)!r} % ({', '.join(values)},)"
+    if tail is not None:
+        short = f"{head + ''.join(keyed[:tail - n_slots])!r} % ({', '.join(values[:tail])},)"
+        row = f"({row} if r.{fields[tail][1]} is not None else {short})"
+    source = f"def write(records):\n    return [{row} for r in records]\n"
+    exec(compile(source, f"<rollupsim {name} writer>", "exec"), namespace)
+    return namespace["write"]
 
 
 def _table(*lines: Line) -> Dict[str, Any]:
@@ -592,13 +652,17 @@ def _add_genesis(accounts: Dict[Address, Account], record: _Genesis, lineno: int
 
 
 def render_history(history: L1History) -> str:
-    lines = [_HISTORY.render(history), _HISTORY_CONFIG.render(history)]
-    lines.extend(
-        (_ACCOUNT if account.code is None else _CONTRACT).render(_Genesis(address, account))
-        for address, account in sorted(history.genesis.accounts.items())
-    )
-    lines.extend(map(_L1BLOCK.render, history.blocks))
-    lines.extend(map(_RECORD.render, history.inbox))
+    """The history as text. Every genesis pair, built in C, is first
+    written as a `genesis account` line; then each contract's `Line.render`
+    takes its place, so an account costs no Python-level call."""
+    genesis = sorted(history.genesis.accounts.items())
+    accounts = _ACCOUNT.write(map(_new, repeat(_Genesis), genesis))
+    for n, (address, account) in enumerate(genesis):
+        if account.code is not None:
+            accounts[n] = _CONTRACT.render(_Genesis(address, account))
+    lines = [_HISTORY.render(history), _HISTORY_CONFIG.render(history), *accounts]
+    lines.extend(_L1BLOCK.write(history.blocks))
+    lines.extend(_RECORD.write(history.inbox))
     return "\n".join(lines) + "\n"
 
 

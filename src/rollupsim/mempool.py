@@ -32,8 +32,8 @@ import heapq
 from enum import Enum
 from typing import Collection, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from .core import Address, Record, SignedTransaction, TxHash, max_cost, tx_hash
-from .vm import WorldState, changed_since
+from .core import Address, Record, SignedTransaction, TxHash, tx_hash
+from .vm import EMPTY_ACCOUNT, WorldState, changed_since
 
 
 class PoolStatus(Enum):
@@ -130,13 +130,15 @@ class Mempool:
         queued entry is evicted, and if that is the incoming one, it is
         refused `POOL_FULL`.
         """
-        account = self.tip.account(tx.sender)
+        sender = tx.sender
+        account = self.tip.accounts.get(sender, EMPTY_ACCOUNT)
         if tx.nonce < account.nonce:
             return SubmitResult("rejected", RejectReason.NONCE_TOO_LOW)
-        if account.balance < max_cost(tx):
+        if account.balance < tx.value + tx.gas_limit * tx.max_fee:  # `max_cost`
             return SubmitResult("rejected", RejectReason.INSUFFICIENT_BALANCE)
 
-        old_hash = self.by_sender.get(tx.sender, {}).get(tx.nonce)
+        slots = self.by_sender.get(sender)
+        old_hash = None if slots is None else slots.get(tx.nonce)
         if old_hash is not None:
             old_fee = self.entries[old_hash].tx.max_fee
             bump = self.config.min_replacement_bump_percent
@@ -145,10 +147,12 @@ class Mempool:
             self._drop(old_hash)
 
         h = tx_hash(tx)
-        entry = self.entries[h] = PoolEntry(tx=tx, received_at=now, status=PoolStatus.QUEUED)
-        self.by_sender.setdefault(tx.sender, {})[tx.nonce] = h
+        entry = self.entries[h] = PoolEntry(tx, now, PoolStatus.QUEUED)
+        if not slots:  # none, or emptied and dropped by the `_drop` above
+            slots = self.by_sender[sender] = {}
+        slots[tx.nonce] = h
         heapq.heappush(self._arrivals, (now, h))
-        self._refresh_statuses([tx.sender])
+        self._refresh_statuses((sender,))
         if entry.status is PoolStatus.QUEUED:  # born queued: the refresh did not push it
             heapq.heappush(self._queued, (tx.max_fee, -now, h))
 
@@ -173,7 +177,7 @@ class Mempool:
         nonce. Runs are rebuilt only for senders marked since the last call
         (all of them when the base fee moved).
         """
-        items, runs, held, state = self._items, self._eligible, self._held, self.tip
+        items, runs, held, accounts = self._items, self._eligible, self._held, self.tip.accounts
         if base_fee != self._eligible_fee:
             items.clear()
             runs.clear()
@@ -187,7 +191,7 @@ class Mempool:
             if not slots:
                 continue
             run = []
-            nonce = state.nonce_of(sender)
+            nonce = accounts.get(sender, EMPTY_ACCOUNT).nonce
             while nonce in slots:
                 h = slots[nonce]
                 entry = self.entries[h]
@@ -231,10 +235,12 @@ class Mempool:
         stale = list(self.by_sender) if changed is None else self.by_sender.keys() & changed
         self.tip = state
         doomed: Dict[TxHash, str] = {}
+        entries = self.entries
         for sender in stale:
             account = state.account(sender)
             for nonce, h in self.by_sender[sender].items():
-                if nonce < account.nonce or account.balance < max_cost(self.entries[h].tx):
+                tx = entries[h].tx
+                if nonce < account.nonce or account.balance < tx.value + tx.gas_limit * tx.max_fee:  # `max_cost`
                     doomed[h] = "retired"
         senders = set(stale)
         deadline = now - self.config.tx_lifetime  # expired: received_at < deadline
@@ -281,11 +287,11 @@ class Mempool:
         max_pending over senders in address order: a sender before the cut
         has its whole run pending, the cut sender what the cap leaves, and
         a later sender none."""
-        runs, order, cap, state = self._runs, self._order, self.config.max_pending, self.tip
+        runs, order, cap, accounts = self._runs, self._order, self.config.max_pending, self.tip.accounts
         cut, before = self._cut, self._cut_before
         for sender in senders:
             slots = self.by_sender.get(sender, ())
-            start = state.nonce_of(sender)
+            start = accounts.get(sender, EMPTY_ACCOUNT).nonce
             run = 0
             while start + run in slots:
                 run += 1
@@ -316,7 +322,7 @@ class Mempool:
             if slots is None:
                 continue
             self._dirty.add(sender)
-            start = state.nonce_of(sender)
+            start = accounts.get(sender, EMPTY_ACCOUNT).nonce
             if cut is None or sender < cut:
                 end = start + runs.get(sender, 0)
             else:

@@ -42,7 +42,9 @@ from .core import (
 )
 from .detection import Verdict
 from .mempool import Mempool, PoolExit
-from .vm import BlockContext, PreconditionFailed, TxStatus, WorldState, changed_since, execute_transaction
+from .vm import (
+    EMPTY_ACCOUNT, BlockContext, PreconditionFailed, TxStatus, WorldState, changed_since, execute_transaction,
+)
 
 
 class QuarantineError(Exception):
@@ -79,21 +81,21 @@ NO_APPROVALS: FrozenSet[Address] = frozenset()  # every entry's approvals until 
 
 
 class QuarantineEntry:
-    __slots__ = ("tx", "verdict", "quarantined_at", "quarantined_block", "is_deposit", "approvals")
+    """A held transaction. Its `key` is its `tx_id`, computed once, at admission."""
+
+    __slots__ = ("key", "tx", "verdict", "quarantined_at", "quarantined_block", "is_deposit", "approvals")
 
     def __init__(
-        self, tx: AnyTransaction, verdict: Verdict, quarantined_at: int, quarantined_block: int, is_deposit: bool
+        self, key: TxHash, tx: AnyTransaction, verdict: Verdict, quarantined_at: int, quarantined_block: int,
+        is_deposit: bool,
     ) -> None:
+        self.key = key
         self.tx = tx
         self.verdict = verdict
         self.quarantined_at = quarantined_at
         self.quarantined_block = quarantined_block
         self.is_deposit = is_deposit
         self.approvals = NO_APPROVALS
-
-    @property
-    def key(self) -> TxHash:
-        return tx_id(self.tx)
 
 
 class AuditEvent(NamedTuple):
@@ -102,6 +104,9 @@ class AuditEvent(NamedTuple):
     kind: str
     actor: str = "-"
     detail: str = "-"
+
+
+_new = tuple.__new__  # an event whose fields are in hand is built in C, every field given
 
 
 # Release / hold outcomes for the trigger operations: `Record`s, so each is
@@ -210,13 +215,7 @@ class QuarantineStore:
         key = tx_id(tx)
         if key in self.active:
             raise AlreadyQuarantined(key.hex0x())
-        entry = QuarantineEntry(
-            tx=tx,
-            verdict=verdict,
-            quarantined_at=now,
-            quarantined_block=block_no,
-            is_deposit=isinstance(tx, DepositTransaction),
-        )
+        entry = QuarantineEntry(key, tx, verdict, now, block_no, isinstance(tx, DepositTransaction))
         self.active[key] = entry
         self._positions.setdefault(key, self._admissions)
         self._admissions += 1
@@ -225,7 +224,7 @@ class QuarantineStore:
             self._admitted.add(tx.sender)
             heapq.heappush(self._deadlines, (now + self.config.time_criterion_period, key))
             self.pool.on_held(key)
-        self.audit.append(AuditEvent(key, now, "admitted", detail=f"block={block_no}"))
+        self.audit.append(_new(AuditEvent, (key, now, "admitted", "-", f"block={block_no}")))
         return entry
 
     def entry(self, key: TxHash) -> QuarantineEntry:
@@ -247,9 +246,12 @@ class QuarantineStore:
             senders: Collection[Address] = self._by_sender.keys()
         else:
             senders = self._by_sender.keys() & (changed | self._admitted)
+        accounts, active = chain_state.accounts, self.active
         for sender in senders:
-            nonce = chain_state.nonce_of(sender)
-            dead.update(key for key in self._by_sender[sender] if self.active[key].tx.nonce < nonce)
+            nonce = accounts.get(sender, EMPTY_ACCOUNT).nonce
+            for key in self._by_sender[sender]:
+                if active[key].tx.nonce < nonce:
+                    dead.add(key)
         self._admitted.clear()
         self._state = chain_state
         due: Set[TxHash] = set()
@@ -261,7 +263,7 @@ class QuarantineStore:
         for key in sorted(dead | due, key=self._positions.__getitem__):
             if key in dead:
                 self._remove(key)
-                self.audit.append(AuditEvent(key, now, "retired", detail="criterion=nonce"))
+                self.audit.append(_new(AuditEvent, (key, now, "retired", "-", "criterion=nonce")))
             else:
                 self._release(self.active[key], now, "time", "-")
 
@@ -287,10 +289,10 @@ class QuarantineStore:
                 if key not in self.active:
                     continue
                 if cause == "replaced":
-                    self.audit.append(AuditEvent(key, now, "replaced", detail=f"new={tx_id(new_tx).hex0x()}"))
+                    self.audit.append(_new(AuditEvent, (key, now, "replaced", "-", f"new={tx_id(new_tx).hex0x()}")))
                 else:
                     self._remove(key)
-                    self.audit.append(AuditEvent(key, now, "retired", detail="criterion=mempool"))
+                    self.audit.append(_new(AuditEvent, (key, now, "retired", "-", "criterion=mempool")))
 
     # -- release triggers (pull-based; never run from maintenance) --
 
@@ -303,7 +305,7 @@ class QuarantineStore:
         except PreconditionFailed as exc:
             failed = exc.reason == PreconditionFailed.INSUFFICIENT_BALANCE
         if not failed:
-            self.audit.append(AuditEvent(key, now, "held", detail="criterion=failure"))
+            self.audit.append(_new(AuditEvent, (key, now, "held", "-", "criterion=failure")))
             return StillHeld()
         self._release(entry, now, "failure", "-")
         return Released("failure")
@@ -314,7 +316,7 @@ class QuarantineStore:
         none, so it is never approved."""
         entry = self._releasable(key)
         if approver in self.config.operators:
-            self.audit.append(AuditEvent(key, now, "approval", actor=approver.hex0x(), detail="role=operator"))
+            self.audit.append(_new(AuditEvent, (key, now, "approval", approver.hex0x(), "role=operator")))
             self._release(entry, now, "administrative", approver.hex0x())
             return Released("administrative")
         tip = self.pool.tip
@@ -323,7 +325,7 @@ class QuarantineStore:
         if approver not in admins.values():
             raise NotAuthorized(approver.hex0x())
         entry.approvals |= {approver}
-        self.audit.append(AuditEvent(key, now, "approval", actor=approver.hex0x(), detail="role=victim_admin"))
+        self.audit.append(_new(AuditEvent, (key, now, "approval", approver.hex0x(), "role=victim_admin")))
         missing = sorted(victim for victim in entry.verdict.victims if admins.get(victim) not in entry.approvals)
         if missing:
             return PendingApprovals(tuple(missing))
@@ -336,7 +338,7 @@ class QuarantineStore:
         damage = entry.verdict.damage_estimate
         sender = entry.tx.sender
         if self.ledger.available(sender) <= damage:
-            self.audit.append(AuditEvent(key, now, "held", detail=f"criterion=economic threshold={damage}"))
+            self.audit.append(_new(AuditEvent, (key, now, "held", "-", f"criterion=economic threshold={damage}")))
             return InsufficientCollateral(threshold=damage)
         self.ledger.lock(key, sender, damage)
         self._release(entry, now, "economic", sender.hex0x())
@@ -363,4 +365,4 @@ class QuarantineStore:
         self._remove(entry.key)
         if isinstance(entry.tx, SignedTransaction):
             self.registry.note(entry.tx)
-        self.audit.append(AuditEvent(entry.key, now, "released", actor=actor, detail=f"criterion={criterion}"))
+        self.audit.append(_new(AuditEvent, (entry.key, now, "released", actor, f"criterion={criterion}")))

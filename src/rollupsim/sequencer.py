@@ -191,32 +191,9 @@ class RunOutcome(NamedTuple):
     sequencer: "Sequencer"
 
 
-def summarize_block(block: Block) -> BlockSummary:
-    return BlockSummary(
-        number=block.number,
-        timestamp=block.timestamp,
-        base_fee=block.base_fee,
-        epoch=block.epoch,
-        parent_hash=block.parent_hash,
-        deposit_ids=tuple(deposit_id(d) for d in block.deposits),
-        tx_hashes=tuple(tx_hash(t) for t in block.transactions),
-        state_root=block.state_root,
-    )
-
-
-def summarize_entry(entry: QuarantineEntry) -> EntrySummary:
-    dep = isinstance(entry.tx, DepositTransaction)
-    return EntrySummary(
-        key=entry.key,
-        kind="deposit" if dep else "tx",
-        sender=entry.tx.sender,
-        sequence=entry.tx.l1_index if dep else entry.tx.nonce,
-        admitted_at=entry.quarantined_at,
-        admitted_block=entry.quarantined_block,
-        violated=entry.verdict.violated,
-        victims=entry.verdict.victims,
-        damage=entry.verdict.damage_estimate,
-    )
+# Records whose fields are in hand and already checked are built in C,
+# positionally, as the replica builds its values.
+_new = tuple.__new__
 
 
 class Sequencer:
@@ -236,15 +213,12 @@ class Sequencer:
         self.counters = Counters()
 
     # ------------------------------------------------------------------
-    def _ctx(self) -> BlockContext:
-        return BlockContext(base_fee=self.base_fee, fee_recipient=self.config.fee_recipient)
-
-    # ------------------------------------------------------------------
     def build_block(self, now: int) -> Block:
         """Assemble, classify, execute and post one block."""
         number = len(self.chain.blocks)
         epoch, offset = divmod(number, self.config.blocks_per_epoch)
         is_epoch_head = offset == 0
+        ctx = _new(BlockContext, (self.base_fee, self.config.fee_recipient))  # both rounds run in this block
 
         # Epoch head: vet the deposits L1 holds for the epoch; refused ones
         # are quarantined forever and reported to the batcher bitmap.
@@ -253,7 +227,7 @@ class Sequencer:
         deposit_flags: List[bool] = []
         state_after_deposits = self.chain.tip_state
         if epoch_deposits:
-            outcome = self._classify(epoch_deposits, state_after_deposits, None, now)
+            outcome = self._classify(epoch_deposits, state_after_deposits, None, ctx, now)
             if outcome.deferred:
                 raise RuntimeError("deposits can never be deferred")
             accepted, state_after_deposits = tuple(outcome.benign), outcome.final_state
@@ -277,7 +251,7 @@ class Sequencer:
             tx_hash(tx) for tx in candidates if registry.is_released_duplicate(tx)
         ) if registry.senders else frozenset()
         budget = self.config.detection_budget
-        outcome = self._classify(tuple(candidates), state_after_deposits, budget, now, preapproved)
+        outcome = self._classify(tuple(candidates), state_after_deposits, budget, ctx, now, preapproved)
 
         # The classifier's fold already applied the block: deposits, then the
         # benign candidates in order.
@@ -288,15 +262,10 @@ class Sequencer:
         # which settles the epoch's escrow. The block mints what L1 returns,
         # the same rule the replica follows, and the state holds what
         # detection accepted: the two must agree.
-        record = L1Record(
-            epoch=epoch,
-            l2_number=number,
-            l2_timestamp=now,
-            l2_base_fee=self.base_fee,
-            batch=tuple(canonical_encode(tx) for tx in transactions),
-            deposit_count=len(deposit_flags) if is_epoch_head else None,
-            bitmap=tuple(encode_bitmap(deposit_flags)) if is_epoch_head else (),
-        )
+        record = _new(L1Record, (
+            epoch, number, now, self.base_fee, tuple(map(canonical_encode, transactions)),
+            len(deposit_flags) if is_epoch_head else None, tuple(encode_bitmap(deposit_flags)) if is_epoch_head else (),
+        ))  # `post_batch` holds the rules on a record
         minted = self.l1.post_batch(record)
         if minted != accepted:
             unminted = [dep for dep in minted if dep not in accepted]
@@ -314,13 +283,13 @@ class Sequencer:
         return block
 
     def _classify(
-        self, txs: tuple, state: WorldState, budget: Optional[int], now: int,
+        self, txs: tuple, state: WorldState, budget: Optional[int], ctx: BlockContext, now: int,
         preapproved: FrozenSet[TxHash] = frozenset(),
     ) -> DetectionOutcome:
         """One classification round of the next block, at `state`: count it, and admit what it flags."""
         outcome = hybrid_detect(
-            CandidateSet(txs, state, budget=budget), self.invariants, self.detector, self._ctx(),
-            workers=self.config.workers, preapproved=preapproved,
+            _new(CandidateSet, (txs, state, budget)), self.invariants, self.detector, ctx, self.config.workers,
+            preapproved,
         )
         self.counters.add(outcome.stats)
         number = len(self.chain.blocks)
@@ -342,11 +311,15 @@ class Sequencer:
             while cursor < len(events) and events[cursor].at <= build_at:
                 event = events[cursor]
                 cursor += 1
-                if isinstance(event, AdvanceEvent):
-                    build_at += event.seconds
-                    continue
                 try:
-                    self._apply_event(event)
+                    if type(event) is SubmitEvent:  # the event a run holds most of
+                        exits = self.mempool.submit(event.tx, event.at).exits
+                        if exits:
+                            self.store.settle(exits, event.at, event.tx)
+                    elif type(event) is AdvanceEvent:
+                        build_at += event.seconds
+                    else:
+                        self._apply_event(event)
                 except QuarantineError as exc:
                     # A release asked of an entry that is not held, by someone
                     # not entitled to it, or of a deposit entry.
@@ -368,41 +341,42 @@ class Sequencer:
         if cursor < len(events):
             raise ScenarioError("event after the final block", at=events[cursor].at)
 
-        pool_dump = [
-            PoolSummary(
-                key=h,
-                sender=entry.tx.sender,
-                nonce=entry.tx.nonce,
-                status=entry.status.value,
-                received_at=entry.received_at,
-            )
+        blocks = [
+            _new(BlockSummary, (
+                b.number, b.timestamp, b.base_fee, b.epoch, b.parent_hash, tuple(map(deposit_id, b.deposits)),
+                tuple(map(tx_hash, b.transactions)), b.state_root,
+            ))
+            for b in self.chain.blocks
+        ]
+        entries = [  # a deposit's sequence is its place in its L1 block, a transaction's its nonce
+            _new(EntrySummary, (
+                e.key, "deposit" if e.is_deposit else "tx", e.tx.sender, e.tx.l1_index if e.is_deposit else e.tx.nonce,
+                e.quarantined_at, e.quarantined_block, e.verdict.violated, e.verdict.victims, e.verdict.damage_estimate,
+            ))
+            for e in self.records
+        ]
+        pool = [  # `_value_`, the member's value as a plain attribute: `value` is a Python-level property
+            _new(PoolSummary, (h, entry.tx.sender, entry.tx.nonce, entry.status._value_, entry.received_at))
             for h, entry in sorted(self.mempool.entries.items())
         ]
         report = RunReport(
-            scenario=scenario.name,
-            blocks=[summarize_block(b) for b in self.chain.blocks],
-            entries=[summarize_entry(e) for e in self.records],
-            audit=list(self.store.audit),
-            pool=pool_dump,
-            counters=self.counters,
-            final_root=state_root(self.chain.tip_state),
+            scenario.name, blocks, entries, list(self.store.audit), pool, self.counters,
+            state_root(self.chain.tip_state),
         )
         history = snapshot_history(self.l1, self.config.fee_recipient, scenario.genesis)
         return RunOutcome(report=report, history=history, sequencer=self)
 
     def _apply_event(self, event: Event) -> None:
-        if isinstance(event, SubmitEvent):
-            exits = self.mempool.submit(event.tx, event.at).exits
-            if exits:
-                self.store.settle(exits, event.at, event.tx)
-        elif isinstance(event, L1BlockEvent):
+        """Apply one event other than a submit or an advance, which `run` applies itself."""
+        if isinstance(event, L1BlockEvent):
             self.l1.add_block(event.number, event.at, event.deposits)
         elif isinstance(event, ApproveReleaseEvent):
             self.store.approve_release(event.key, event.approver, event.at)
         elif isinstance(event, StakeEvent):
             self.store.stake(event.account, event.amount, event.at)
         elif isinstance(event, FailureReleaseEvent):
-            self.store.request_failure_release(event.key, self._ctx(), event.at)
+            ctx = BlockContext(self.base_fee, self.config.fee_recipient)
+            self.store.request_failure_release(event.key, ctx, event.at)
             self.counters.release_sims += 1
         elif isinstance(event, SetBaseFeeEvent):
             self.base_fee = event.fee

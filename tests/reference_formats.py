@@ -23,6 +23,15 @@ accepts and refuse the rest at the same line with the same message.
 statement and predicate, a second pass over the tree, before the builders
 returned each node's height as they built it; they must agree with it.
 
+`reference_render` is the per-field writer every line had before each
+growing kind compiled its own `Line.write`: it reads each field off the
+record by its dotted attribute, writes it by its codec's `render` (`str`
+when it has none), puts each bare field in the head's `{}` and writes the
+others `key=value`, the tail only when its first value is not None.
+`reference_render_report` and `reference_render_history` write whole files
+through it, and `test_writer_oracle.py` holds `render_report`,
+`render_history` and every `Line.write` to them.
+
 `reference_expr_text` and `reference_statement_text` are the per-kind
 writers of contract code that `vm.expr_text` replaced, one branch per node
 kind with its head word spelled out. That text is hashed into every code
@@ -226,12 +235,45 @@ def reference_parse_history(text):
     """`reference_read_history`, then the render of what it read compared
     with `text` line by line."""
     history = reference_read_history(text)
-    written = lines.render_history(history)
+    written = reference_render_history(history)
     for lineno, (line, form) in enumerate(zip_longest(text.splitlines(True), written.splitlines(True)), start=1):
         if line != form:
             expected = "the end of the file" if form is None else repr(form[:-1])
             raise ScenarioError(f"not in canonical form, expected {expected}", line=lineno)
     return history
+
+
+def reference_render(line, record) -> str:
+    """One line of `record`, written field by field from `line`'s declaration."""
+    texts = []
+    for _key, attr, codec, _default in line.fields:
+        value = record
+        for name in attr.split("."):
+            value = getattr(value, name)
+        texts.append(None if value is None else (codec.render or str)(value))
+    bare, n_slots = iter(texts), line._words.count("{}")
+    words = [next(bare) if word == "{}" else word for word in line._words]
+    cut = len(texts) if line._tail is None or texts[line._tail] is not None else line._tail
+    words += [f"{key}={text}" for (key, *_), text in zip(line.fields[n_slots:cut], texts[n_slots:cut])]
+    return " ".join(words)
+
+
+def reference_render_report(report) -> str:
+    written = [reference_render(formats._REPORT, report)]
+    for line, attr in formats._REPORT_BODY.items():
+        records = [report] if line.once else getattr(report, attr)
+        written += [reference_render(line, record) for record in records]
+    return "\n".join(written) + "\n"
+
+
+def reference_render_history(history) -> str:
+    written = [reference_render(lines._HISTORY, history), reference_render(lines._HISTORY_CONFIG, history)]
+    for address, account in sorted(history.genesis.accounts.items()):
+        line = lines._ACCOUNT if account.code is None else lines._CONTRACT
+        written.append(reference_render(line, lines._Genesis(address, account)))
+    written += [reference_render(lines._L1BLOCK, block) for block in history.blocks]
+    written += [reference_render(lines._RECORD, record) for record in history.inbox]
+    return "\n".join(written) + "\n"
 
 
 def shape(value):

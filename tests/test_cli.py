@@ -150,6 +150,26 @@ class TestQuarantineInspector:
         _, report_path, _ = run_cli(tmp_path, "pause_exploit")
         assert main(["quarantine", str(report_path), "show", "0x" + "00" * 32]) == 5
 
+    @pytest.mark.parametrize("edit", [
+        lambda key: key[:10] + " " + key[10:],  # `bytes.fromhex` skips whitespace
+        lambda key: key[:10] + "\t" + key[10:],
+        lambda key: key + " ",
+        lambda key: " " + key,
+        lambda key: "0x " + key[2:],
+        lambda key: key[:10] + "g" + key[11:],
+        lambda key: "0x",
+        lambda key: key[:10] + "\u0665" + key[11:],  # a digit of another script
+    ], ids=["inner-space", "inner-tab", "trailing-space", "leading-space", "space-after-0x", "not-hex", "no-digits",
+            "other-script"])
+    def test_show_refuses_a_hash_with_anything_but_hex_digits(self, tmp_path, capsys, edit):
+        _, report_path, _ = run_cli(tmp_path, "pause_exploit")
+        key = parse_report(report_path.read_text()).entries[0].key.hex0x()
+        assert main(["quarantine", str(report_path), "show", key[2:]]) == 0  # bare hex is taken
+        capsys.readouterr()
+        assert main(["quarantine", str(report_path), "show", edit(key)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad hash" in captured.err
+
     def test_show_without_hash_exits_5(self, tmp_path):
         _, report_path, _ = run_cli(tmp_path, "pause_exploit")
         assert main(["quarantine", str(report_path), "show"]) == 5

@@ -249,20 +249,29 @@ class TestBuildBlock:
         settled, settle = [], seq.store.settle
         seq.store.settle = lambda exits, *rest: settled.extend(h for h, _ in exits) or settle(exits, *rest)
         queued_sizes = []
+        before = {}
+
+        def check(step: str) -> None:
+            """The entries that left the pool since the last step are the exits settled since."""
+            left = {h for h, e in before.items() if seq.mempool.entries.get(h) is not e}
+            assert left == set(settled) and len(settled) == len(left), step
+            queued_sizes.append(sum(e.status is PoolStatus.QUEUED for e in seq.mempool.entries.values()))
+            settled.clear()
+            before.clear()
+            before.update(seq.mempool.entries)
 
         def checked(step):
+            # `run` settles a submit's exits after `submit` returns, so each
+            # step is checked when the next one starts, and the last at the end.
             def run_step(*args):
-                before = dict(seq.mempool.entries)
-                settled.clear()
-                step(*args)
-                left = {h for h, e in before.items() if seq.mempool.entries.get(h) is not e}
-                assert left == set(settled) and len(settled) == len(left), step.__name__
-                queued_sizes.append(sum(e.status is PoolStatus.QUEUED for e in seq.mempool.entries.values()))
+                check(step.__name__)
+                return step(*args)
 
             return run_step
 
-        seq._apply_event, seq.build_block = checked(seq._apply_event), checked(seq.build_block)
+        seq.mempool.submit, seq.build_block = checked(seq.mempool.submit), checked(seq.build_block)
         seq.run()
+        check("the last step")
         assert max(queued_sizes) == 1
         assert [t.nonce for t in seq.chain.blocks[0].transactions] == [0]
         (kept,) = seq.mempool.entries.values()  # A's bump was refused for the richer queued C
@@ -595,26 +604,29 @@ class TestScreeningCallCount:
 
 class TestSubmitCallCount:
     """A count, not a timer: the Python-level calls one plain-transfer submit
-    makes through `Sequencer._apply_event`, from a new sender and with a
-    transaction not hashed before, after a warm-up on a twin sequencer. A
-    submit that removes nothing settles nothing."""
+    makes on the path `Sequencer.run` takes, from a new sender and with a
+    transaction not hashed before, after a warm-up on a twin sequencer: the
+    calls `run` makes before it builds its one block, less those of the same
+    run without the submits. A submit that removes nothing settles nothing."""
 
     SUBMITS = 20
 
-    def seeded(self):
+    def seeded(self, submits: int) -> Sequencer:
         senders = [addr(0x100 + i) for i in range(self.SUBMITS)]
-        seq = Sequencer(Scenario(name="transfers", genesis=make_state({s: Account(balance=1_000) for s in senders})))
-        return seq, [SubmitEvent(1, tx(s, 0, addr(0x200 + i), value=7, gas_limit=21)) for i, s in enumerate(senders)]
+        events = [SubmitEvent(1, tx(s, 0, addr(0x200 + i), value=7, gas_limit=21)) for i, s in enumerate(senders)]
+        genesis = make_state({s: Account(balance=1_000) for s in senders})
+        return Sequencer(Scenario(name="transfers", genesis=genesis, run_blocks=1, events=events[:submits]))
 
-    @staticmethod
-    def submit_all(seq, events):
-        for event in events:
-            seq._apply_event(event)
+    def before_the_block(self, submits: int):
+        counted = python_calls(self.seeded(submits).run, warm_up=False)
+        assert len(counted.result.report.blocks[0].tx_hashes) == submits  # each submit was taken
+        return counted.names[:counted.calls.index(Sequencer.build_block.__code__)]
 
     def test_a_plain_transfer_submit(self):
-        self.submit_all(*self.seeded())  # the warm-up
-        seq, events = self.seeded()
-        counted = python_calls(self.submit_all, seq, events, warm_up=False)
-        assert len(seq.mempool.entries) == self.SUBMITS
-        per_submit = (len(counted.calls) - 1) / self.SUBMITS  # less `submit_all` itself
-        assert per_submit <= 10, (per_submit, counted.names)  # 10.0; 11.0 when `tx_hash` checked its digest's length
+        self.seeded(self.SUBMITS).run()  # the warm-up
+        calls, baseline = self.before_the_block(self.SUBMITS), self.before_the_block(0)
+        per_submit = (len(calls) - len(baseline)) / self.SUBMITS
+        assert calls.count("submit") == self.SUBMITS and "settle" not in calls
+        # 5.0; 10.0 through `Sequencer._apply_event` with the tip's view methods and `max_cost`, 11.0 when
+        # `tx_hash` checked its digest's length
+        assert per_submit <= 5, (per_submit, calls)
