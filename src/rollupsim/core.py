@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Iterable, NamedTuple, Optional, Tuple, Union
+from collections import namedtuple
+from typing import Iterable, Optional, Tuple, Union
 
 U32_MAX = 2**32 - 1
 U64_MAX = 2**64 - 1
@@ -110,7 +111,7 @@ def _check_addresses(sender: bytes, recipient: Optional[bytes], create: bool) ->
 
 
 class Record:
-    """Base of the hand-written records a `NamedTuple` cannot express: ones
+    """Base of the hand-written records a named tuple cannot express: ones
     that validate their fields, keep a memo slot, or must be truthy and never
     equal a record of another type holding the same values.
 
@@ -216,24 +217,28 @@ class DepositTransaction(Record):
 AnyTransaction = Union[SignedTransaction, DepositTransaction]
 
 
-class DuplicateKey(NamedTuple):
-    """Gas-free transaction identity: unchanged by nonce or fee bumps."""
+# A record whose fields need no check is a `collections.namedtuple`, each
+# field's type in a comment; hot paths build one with `tuple.__new__`.
+# `typing.NamedTuple` builds the same class through a metaclass that also
+# evaluates every annotation, at twice the cost per import.
+DuplicateKey = namedtuple("DuplicateKey", (
+    "sender",  # Address
+    "recipient",  # Optional[Address]
+    "data",  # bytes
+    "value",  # int
+))
+DuplicateKey.__doc__ = """Gas-free transaction identity: unchanged by nonce or fee bumps."""
 
-    sender: Address
-    recipient: Optional[Address]
-    data: bytes
-    value: int
-
-
-class Block(NamedTuple):
-    number: int
-    parent_hash: bytes
-    timestamp: int
-    base_fee: int
-    epoch: int
-    deposits: Tuple[DepositTransaction, ...]
-    transactions: Tuple[SignedTransaction, ...]
-    state_root: StateRoot
+Block = namedtuple("Block", (
+    "number",  # int
+    "parent_hash",  # bytes
+    "timestamp",  # int
+    "base_fee",  # int
+    "epoch",  # int
+    "deposits",  # Tuple[DepositTransaction, ...]
+    "transactions",  # Tuple[SignedTransaction, ...]
+    "state_root",  # StateRoot
+))
 
 
 # The fixed heads of the three layouts, each declared once and packed, or
@@ -360,11 +365,6 @@ def deposit_id(dep: DepositTransaction) -> TxHash:
 
 def tx_id(tx: AnyTransaction) -> TxHash:
     return deposit_id(tx) if isinstance(tx, DepositTransaction) else tx_hash(tx)
-
-
-def max_cost(tx: SignedTransaction) -> int:
-    """The most a transaction can take from its sender: value + gas_limit * max_fee."""
-    return tx.value + tx.gas_limit * tx.max_fee
 
 
 def duplicate_key(tx: SignedTransaction) -> DuplicateKey:

@@ -14,22 +14,24 @@ head's bitmap settles all the escrow its L1 block holds.
 """
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from collections import namedtuple
+from typing import List
 
 from .core import Block, EncodingError, StateRoot, block_hash, canonical_decode
 from .l1da import DerivationGap, L1Chain, L1History, L1Record  # DerivationGap: also for callers
 from .vm import AccountOverflow, InvalidBlock, WorldState, apply_block, state_root
 
 
-class DerivedChain(NamedTuple):
-    blocks: Tuple[Block, ...]
-    final_root: StateRoot
+DerivedChain = namedtuple("DerivedChain", (
+    "blocks",  # Tuple[Block, ...]
+    "final_root",  # StateRoot
+))
 
 
 _UNSEALED = StateRoot(bytes(32))
 # A block is built in one C call from fields already in hand, each checked
 # where it entered: the record's by `L1Chain.post_batch`, the transactions
-# by their decoder or constructor, the root by `state_root`. A `NamedTuple`
+# by their decoder or constructor, the root by `state_root`. The generated
 # constructor would check nothing more.
 _new_block = tuple.__new__
 

@@ -29,11 +29,13 @@ set is merged in. The fold builds one post-state, at the end of the round.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import itemgetter
-from typing import AbstractSet, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from .core import ZERO_ADDRESS, Address, AnyTransaction, TxHash, tx_id
 from .vm import (
+    EMPTY_ACCOUNT,
     AccessKey,
     AccessKind,
     BlockContext,
@@ -59,11 +61,12 @@ class UnauthorizedInvariant(DetectionError):
     """Only the contract's admin may register an invariant for it."""
 
 
-class Invariant(NamedTuple):
-    id: str
-    contract: Address
-    predicate: Expr
-    registered_by: Address
+Invariant = namedtuple("Invariant", (
+    "id",  # str
+    "contract",  # Address
+    "predicate",  # Expr
+    "registered_by",  # Address
+))
 
 
 class InvariantSet:
@@ -87,11 +90,12 @@ class InvariantSet:
         watching.sort(key=itemgetter(0))
 
 
-class Verdict(NamedTuple):
-    malicious: bool
-    violated: Tuple[str, ...]
-    victims: Tuple[Address, ...]
-    damage_estimate: int
+Verdict = namedtuple("Verdict", (
+    "malicious",  # bool
+    "violated",  # Tuple[str, ...]
+    "victims",  # Tuple[Address, ...]
+    "damage_estimate",  # int
+))
 
 
 BENIGN_VERDICT = Verdict(malicious=False, violated=(), victims=(), damage_estimate=0)
@@ -137,19 +141,25 @@ class InvariantDetector:
         reads = probe.reads
         if not violated:
             return BENIGN_VERDICT, reads
+        # The damage bound reads as `execute_transaction` does: a `WorldState`
+        # through its account map, and `sim` through its own balances first.
         damage = 0
+        accounts = pre_state.accounts if type(pre_state) is WorldState else None
         for victim in victims:
-            damage += max(0, pre_state.balance_of(victim) - sim.balance_of(victim))
+            before = pre_state.balance_of(victim) if accounts is None else accounts.get(victim, EMPTY_ACCOUNT).balance
+            after = sim.balances.get(victim)
+            damage += max(0, before - (sim.balance_of(victim) if after is None else after))
         shared = self._tuples.setdefault
         violated_ids, victim_addrs = tuple(violated), tuple(victims)
         violated_ids, victim_addrs = shared(violated_ids, violated_ids), shared(victim_addrs, victim_addrs)
         return _new_key(Verdict, (True, violated_ids, victim_addrs, damage)), reads  # built in C, as an access key is
 
 
-class CandidateSet(NamedTuple):
-    txs: Tuple[AnyTransaction, ...]
-    tip_state: WorldState
-    budget: Optional[int] = None  # None = unlimited contextual re-simulations
+CandidateSet = namedtuple("CandidateSet", (
+    "txs",  # Tuple[AnyTransaction, ...]
+    "tip_state",  # WorldState
+    "budget",  # Optional[int]: None = unlimited contextual re-simulations
+), defaults=(None,))
 
 
 class Counters:

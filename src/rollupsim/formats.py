@@ -10,8 +10,9 @@ here from `lines`.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from .core import (
     BASE_TX_GAS, U64_MAX, U128_MAX, Address, DepositTransaction, ScenarioError, SignedTransaction, StateRoot, TxHash,
@@ -98,7 +99,10 @@ DEPOSITS = Codec(lambda deps: "{" + "; ".join(map(_DEPOSIT.render, deps)) + "}" 
 
 
 # The record of submit lines (`as=NAME` names one for `tx=@NAME`).
-_Submit = NamedTuple("_Submit", [("event", SubmitEvent), ("label", Optional[str])])
+_Submit = namedtuple("_Submit", (
+    "event",  # SubmitEvent
+    "label",  # Optional[str]
+))
 
 
 def _event(kind: str, make: Callable[..., Any], *fields: tuple, at: str = "at", **options: Any) -> Line:
@@ -190,20 +194,26 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
     for lineno, line, words in _lines(text, _SCENARIO_FILE, _SCENARIO, comments=True, fast=(_SUBMIT, _ACCOUNT)):
         record = None
         if type(words) is re.Match:  # a submit or genesis account line in its declared spelling: built in C
-            groups = words.groups()
-            if None in groups:  # a field left out reads as its default's text
-                groups = [blank if value is None else value for value, blank in zip(groups, line.blanks)]
-            try:
+            try:  # a field left out (its group None) takes its declared default
                 if line is _ACCOUNT:
-                    address, balance, nonce = groups
-                    balance, nonce = int(balance), int(nonce)
+                    address, balance, nonce = words.groups()
+                    _, default_balance, default_nonce = line.defaults
+                    balance = default_balance if balance is None else int(balance)
+                    nonce = default_nonce if nonce is None else int(nonce)
                     if balance <= U128_MAX and nonce <= U64_MAX:  # U128 and U64
                         address = bytes.__new__(Address, bytes.fromhex(address[2:]))
                         record = _new(_Genesis, (address, _new(Account, (balance, nonce, None, _NO_SLOTS))))
                 else:
-                    at, sender, nonce, to, value, data, max_fee, priority_fee, gas_limit, label = groups
-                    at, nonce, value, max_fee = int(at), int(nonce), int(value), int(max_fee)
-                    priority_fee, gas_limit = int(priority_fee), int(gas_limit)
+                    at, sender, nonce, to, value, data, max_fee, priority_fee, gas_limit, label = words.groups()
+                    (_, _, default_nonce, _, default_value, default_data, default_max_fee, default_priority_fee,
+                     default_gas_limit, _) = line.defaults
+                    at = int(at)
+                    nonce = default_nonce if nonce is None else int(nonce)
+                    value = default_value if value is None else int(value)
+                    data = default_data if data is None else bytes.fromhex(data[2:])
+                    max_fee = default_max_fee if max_fee is None else int(max_fee)
+                    priority_fee = default_priority_fee if priority_fee is None else int(priority_fee)
+                    gas_limit = default_gas_limit if gas_limit is None else int(gas_limit)
                     # a U64 time; the ranges and the fee rules `SignedTransaction.__init__` checks (priority_fee
                     # <= max_fee keeps it a u64 too), its 20-byte addresses fixed by the pattern
                     if (max(at, nonce, max_fee, gas_limit) <= U64_MAX and value <= U128_MAX
@@ -213,7 +223,7 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
                         tx.nonce = nonce
                         tx.recipient = None if to == "create" else bytes.__new__(Address, bytes.fromhex(to[2:]))
                         tx.value = value
-                        tx.data = bytes.fromhex(data[2:])
+                        tx.data = data
                         tx.max_fee = max_fee
                         tx.priority_fee = priority_fee
                         tx.gas_limit = gas_limit

@@ -11,8 +11,8 @@ could post is one the replica takes.
 """
 from __future__ import annotations
 
-from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import Dict, List, Sequence, Tuple
 
 from .core import Address, DepositTransaction, TxHash, deposit_id
 from .vm import WorldState
@@ -70,7 +70,9 @@ def bitmap_flags(record: L1Record, deposits: Sequence[DepositTransaction]) -> Li
     return decode_bitmap(record.bitmap, record.deposit_count)
 
 
-class EscrowStatus(Enum):
+class EscrowStatus:
+    """A deposit's escrow state, as plain strings, compared by identity."""
+
     PENDING = "pending"
     ACCEPTED = "accepted"
     REFUSED = "refused"
@@ -86,35 +88,31 @@ class EscrowEntry:
         self.refundable_at = refundable_at
 
 
-class L1Block(NamedTuple):
-    number: int
-    timestamp: int
-    deposits: Tuple[DepositTransaction, ...]
+L1Block = namedtuple("L1Block", (
+    "number",  # int
+    "timestamp",  # int
+    "deposits",  # Tuple[DepositTransaction, ...]
+))
 
+L1Record = namedtuple("L1Record", (
+    "epoch",  # int
+    "l2_number",  # int
+    "l2_timestamp",  # int
+    "l2_base_fee",  # int
+    "batch",  # Tuple[bytes, ...]
+    "deposit_count",  # Optional[int]
+    "bitmap",  # Tuple[int, ...]
+), defaults=(None, ()))
+L1Record.__doc__ = """One batch posting. Records for an epoch's first L2 block also carry the
+deposit acceptance bitmap (bitmap plus the count it covers)."""
+L1Record.has_bitmap = property(lambda record: record.deposit_count is not None)
 
-class L1Record(NamedTuple):
-    """One batch posting. Records for an epoch's first L2 block also carry the
-    deposit acceptance bitmap (bitmap plus the count it covers)."""
-
-    epoch: int
-    l2_number: int
-    l2_timestamp: int
-    l2_base_fee: int
-    batch: Tuple[bytes, ...]
-    deposit_count: Optional[int] = None
-    bitmap: Tuple[int, ...] = ()
-
-    @property
-    def has_bitmap(self) -> bool:
-        return self.deposit_count is not None
-
-
-class RefundResult(NamedTuple):
-    value: int
-
-
-class NotEligible(NamedTuple):
-    reason: str  # already_accepted | too_early | already_refunded
+RefundResult = namedtuple("RefundResult", (
+    "value",  # int
+))
+NotEligible = namedtuple("NotEligible", (
+    "reason",  # str: already_accepted | too_early | already_refunded
+))
 
 
 class L1Chain:
@@ -186,7 +184,7 @@ class L1Chain:
             entries = [self.escrow[deposit_id(dep)] for dep in deposits]
             for entry in entries:
                 if entry.status is not EscrowStatus.PENDING:
-                    raise L1Error(f"deposit {deposit_id(entry.deposit).hex0x()} is already {entry.status.value}")
+                    raise L1Error(f"deposit {deposit_id(entry.deposit).hex0x()} is already {entry.status}")
             flags = bitmap_flags(record, deposits)
             for entry, accepted in zip(entries, flags):
                 entry.status = EscrowStatus.ACCEPTED if accepted else EscrowStatus.REFUSED
@@ -213,14 +211,14 @@ class L1Chain:
         return RefundResult(value=entry.deposit.value)
 
 
-class L1History(NamedTuple):
-    """Everything a replica needs: chain config, genesis, deposits, inbox."""
-
-    fee_recipient: Address
-    blocks_per_epoch: int
-    genesis: WorldState
-    blocks: Tuple[L1Block, ...]
-    inbox: Tuple[L1Record, ...]
+L1History = namedtuple("L1History", (
+    "fee_recipient",  # Address
+    "blocks_per_epoch",  # int
+    "genesis",  # WorldState
+    "blocks",  # Tuple[L1Block, ...]
+    "inbox",  # Tuple[L1Record, ...]
+))
+L1History.__doc__ = """Everything a replica needs: chain config, genesis, deposits, inbox."""
 
 
 def snapshot_history(l1: L1Chain, fee_recipient: Address, genesis: WorldState) -> L1History:

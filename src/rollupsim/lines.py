@@ -47,9 +47,10 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections import namedtuple
 from itertools import repeat, zip_longest
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .core import U64_MAX, U128_MAX, Address, ScenarioError, decode_deposits, encode_deposit
 from .l1da import WORD_BITS, L1Block, L1History, L1Record
@@ -280,27 +281,27 @@ def parse_statements(text: str, lineno: int = 0) -> Tuple[Statement, ...]:
 # codecs: how one value is written and read
 # ---------------------------------------------------------------------------
 
-class Codec(NamedTuple):
-    """How one value is written and read back. `parse(text, lineno, what,
-    ctx)` reads it, `what` naming the field in messages and `ctx` being a
-    scenario's context (None elsewhere). `render` writes it; None writes
-    it as `str.format` does (integers in decimal, text as it is). An integer
-    codec reads `least..top`; a list codec names the codec of its `item`.
-    `pattern` is a regular expression, with no group of its own, that
-    matches exactly the spellings `render` writes (None: no line that is
-    read by a full match holds the codec). `spec` is how `Line.write`
-    writes the value in a line's one `%` format: the text that holds it,
-    and the C function that turns the value into what that text takes
-    (None: the value as it is); a list is written by its item's spec
-    (None: no line that `write` writes holds the codec)."""
-
-    render: Optional[Callable[[Any], str]]
-    parse: Callable[[str, int, str, Any], Any]
-    least: Optional[int] = None
-    top: Optional[int] = None
-    item: Optional["Codec"] = None
-    pattern: Optional[str] = None
-    spec: Optional[Tuple[str, Optional[Callable[[Any], Any]]]] = None
+Codec = namedtuple("Codec", (
+    "render",  # Optional[Callable[[Any], str]]
+    "parse",  # Callable[[str, int, str, Any], Any]
+    "least",  # Optional[int]
+    "top",  # Optional[int]
+    "item",  # Optional[Codec]
+    "pattern",  # Optional[str]
+    "spec",  # Optional[Tuple[str, Optional[Callable[[Any], Any]]]]
+), defaults=(None, None, None, None, None))
+Codec.__doc__ = """How one value is written and read back. `parse(text, lineno, what,
+ctx)` reads it, `what` naming the field in messages and `ctx` being a
+scenario's context (None elsewhere). `render` writes it; None writes
+it as `str.format` does (integers in decimal, text as it is). An integer
+codec reads `least..top`; a list codec names the codec of its `item`.
+`pattern` is a regular expression, with no group of its own, that
+matches exactly the spellings `render` writes (None: no line that is
+read by a full match holds the codec). `spec` is how `Line.write`
+writes the value in a line's one `%` format: the text that holds it,
+and the C function that turns the value into what that text takes
+(None: the value as it is); a list is written by its item's spec
+(None: no line that `write` writes holds the codec)."""
 
 
 DECIMAL = "0|[1-9][0-9]*"  # how `str` writes a natural number
@@ -406,11 +407,11 @@ class Line:
     gets `pattern`, one compiled regular expression that full-matches the
     line as `render` spells it, each field's value by its codec's `pattern`
     in one group, in declaration order. A field with a default may be left
-    out, its group then None; `blanks` holds, per field, the text of its
-    default as `render` writes it (None for a field without one). The file
-    reader builds the record from the groups itself."""
+    out, its group then None; `defaults` holds, per field, the value it
+    then takes (None for a field without one). The file reader builds the
+    record from the groups itself."""
 
-    __slots__ = ("name", "head", "make", "fields", "once", "read", "pattern", "blanks", "_tail", "_words", "_template",
+    __slots__ = ("name", "head", "make", "fields", "once", "read", "pattern", "defaults", "_tail", "_words", "_template",
                  "_tail_template", "_convert", "_get", "_write")
 
     def __init__(
@@ -469,11 +470,9 @@ class Line:
         get = attrgetter(*attrs) if attrs else lambda record: ()
         self._get = (lambda record: (get(record),)) if len(attrs) == 1 else get  # always a tuple
         self._write: Optional[Callable[..., List[str]]] = None  # compiled by the first `write`
-        self.pattern = self.blanks = None
+        self.pattern = self.defaults = None
         if grows:
-            self.blanks = tuple(
-                None if d is _REQUIRED or d is _ABSENT else (codec.render or str)(d) for _k, _a, codec, d in fields
-            )
+            self.defaults = tuple(None if d is _REQUIRED or d is _ABSENT else d for *_, d in fields)
             values = iter(f"({codec.pattern})" for _key, _attr, codec, _d in fields)
             text = " ".join(next(values) if word == "{}" else re.escape(word) for word in words)
             for key, _attr, _codec, d in fields[n_slots:n_slots + cut]:
@@ -603,7 +602,10 @@ def _lines(
 # Genesis lines, shared by scenarios and L1 histories, and the record they
 # read. Each field is checked by its codec, so the pair and its `Account`
 # are built in C, positionally, as `post_state` builds an account.
-_Genesis = NamedTuple("_Genesis", [("address", Address), ("account", Account)])
+_Genesis = namedtuple("_Genesis", (
+    "address",  # Address
+    "account",  # Account
+))
 _new = tuple.__new__
 _NO_SLOTS = EMPTY_ACCOUNT.storage
 _ACCOUNT = Line(

@@ -29,19 +29,23 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from enum import Enum
-from typing import Collection, Dict, List, NamedTuple, Optional, Set, Tuple
+from collections import namedtuple
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from .core import Address, Record, SignedTransaction, TxHash, tx_hash
 from .vm import EMPTY_ACCOUNT, WorldState, changed_since
 
 
-class PoolStatus(Enum):
+class PoolStatus:
+    """A pool entry's status, as plain strings, compared by identity."""
+
     QUEUED = "queued"
     PENDING = "pending"
 
 
-class RejectReason(Enum):
+class RejectReason:
+    """Why a submit was refused, as plain strings."""
+
     NONCE_TOO_LOW = "nonce_too_low"
     INSUFFICIENT_BALANCE = "insufficient_balance"
     UNDERPRICED_REPLACEMENT = "underpriced_replacement"
@@ -79,10 +83,11 @@ class PoolEntry:
 PoolExit = Tuple[TxHash, str]
 
 
-class SubmitResult(NamedTuple):
-    outcome: str  # accepted | replaced | rejected
-    reason: Optional[RejectReason] = None
-    exits: Tuple[PoolExit, ...] = ()  # the entries this submit removed
+SubmitResult = namedtuple("SubmitResult", (
+    "outcome",  # str: accepted | replaced | rejected
+    "reason",  # Optional[str]: a `RejectReason`
+    "exits",  # Tuple[PoolExit, ...]: the entries this submit removed
+), defaults=(None, ()))
 
 
 ACCEPTED = SubmitResult("accepted")

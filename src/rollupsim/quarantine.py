@@ -27,7 +27,8 @@ Deposit entries never leave through any release path.
 from __future__ import annotations
 
 import heapq
-from typing import Collection, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from collections import namedtuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .core import (
     Address,
@@ -98,12 +99,13 @@ class QuarantineEntry:
         self.approvals = NO_APPROVALS
 
 
-class AuditEvent(NamedTuple):
-    entry: TxHash
-    at: int
-    kind: str
-    actor: str = "-"
-    detail: str = "-"
+AuditEvent = namedtuple("AuditEvent", (
+    "entry",  # TxHash
+    "at",  # int
+    "kind",  # str
+    "actor",  # str
+    "detail",  # str
+), defaults=("-", "-"))
 
 
 _new = tuple.__new__  # an event whose fields are in hand is built in C, every field given

@@ -20,7 +20,8 @@ that removed something and once per block.
 """
 from __future__ import annotations
 
-from typing import FrozenSet, List, NamedTuple, Optional, Tuple, Union
+from collections import namedtuple
+from typing import FrozenSet, List, Optional, Tuple, Union
 
 from .core import (
     Address,
@@ -68,42 +69,43 @@ class SequencerConfig(Record):
 
 # -- scenario events (parsed form; tx references already resolved to hashes) --
 
-class SubmitEvent(NamedTuple):
-    at: int
-    tx: SignedTransaction
+SubmitEvent = namedtuple("SubmitEvent", (
+    "at",  # int
+    "tx",  # SignedTransaction
+))
 
+L1BlockEvent = namedtuple("L1BlockEvent", (
+    "at",  # int
+    "number",  # int
+    "deposits",  # Tuple[DepositTransaction, ...]
+))
 
-class L1BlockEvent(NamedTuple):
-    at: int
-    number: int
-    deposits: Tuple[DepositTransaction, ...]
+ApproveReleaseEvent = namedtuple("ApproveReleaseEvent", (
+    "at",  # int
+    "key",  # TxHash
+    "approver",  # Address
+))
 
+StakeEvent = namedtuple("StakeEvent", (
+    "at",  # int
+    "account",  # Address
+    "amount",  # int
+))
 
-class ApproveReleaseEvent(NamedTuple):
-    at: int
-    key: TxHash
-    approver: Address
+FailureReleaseEvent = namedtuple("FailureReleaseEvent", (
+    "at",  # int
+    "key",  # TxHash
+))
 
+SetBaseFeeEvent = namedtuple("SetBaseFeeEvent", (
+    "at",  # int
+    "fee",  # int
+))
 
-class StakeEvent(NamedTuple):
-    at: int
-    account: Address
-    amount: int
-
-
-class FailureReleaseEvent(NamedTuple):
-    at: int
-    key: TxHash
-
-
-class SetBaseFeeEvent(NamedTuple):
-    at: int
-    fee: int
-
-
-class AdvanceEvent(NamedTuple):
-    at: int
-    seconds: int
+AdvanceEvent = namedtuple("AdvanceEvent", (
+    "at",  # int
+    "seconds",  # int
+))
 
 
 Event = Union[
@@ -136,35 +138,36 @@ class Scenario:
 
 # -- run report --
 
-class BlockSummary(NamedTuple):
-    number: int
-    timestamp: int
-    base_fee: int
-    epoch: int
-    parent_hash: bytes
-    deposit_ids: Tuple[TxHash, ...]
-    tx_hashes: Tuple[TxHash, ...]
-    state_root: StateRoot
+BlockSummary = namedtuple("BlockSummary", (
+    "number",  # int
+    "timestamp",  # int
+    "base_fee",  # int
+    "epoch",  # int
+    "parent_hash",  # bytes
+    "deposit_ids",  # Tuple[TxHash, ...]
+    "tx_hashes",  # Tuple[TxHash, ...]
+    "state_root",  # StateRoot
+))
 
+EntrySummary = namedtuple("EntrySummary", (
+    "key",  # TxHash
+    "kind",  # str: "tx" | "deposit"
+    "sender",  # Address
+    "sequence",  # int: nonce for txs, l1_index for deposits
+    "admitted_at",  # int
+    "admitted_block",  # int
+    "violated",  # Tuple[str, ...]
+    "victims",  # Tuple[Address, ...]
+    "damage",  # int
+))
 
-class EntrySummary(NamedTuple):
-    key: TxHash
-    kind: str  # "tx" | "deposit"
-    sender: Address
-    sequence: int  # nonce for txs, l1_index for deposits
-    admitted_at: int
-    admitted_block: int
-    violated: Tuple[str, ...]
-    victims: Tuple[Address, ...]
-    damage: int
-
-
-class PoolSummary(NamedTuple):
-    key: TxHash
-    sender: Address
-    nonce: int
-    status: str
-    received_at: int
+PoolSummary = namedtuple("PoolSummary", (
+    "key",  # TxHash
+    "sender",  # Address
+    "nonce",  # int
+    "status",  # str: a `PoolStatus`
+    "received_at",  # int
+))
 
 
 class RunReport:
@@ -185,10 +188,11 @@ class RunReport:
         self.l1_export = l1_export
 
 
-class RunOutcome(NamedTuple):
-    report: RunReport
-    history: L1History
-    sequencer: "Sequencer"
+RunOutcome = namedtuple("RunOutcome", (
+    "report",  # RunReport
+    "history",  # L1History
+    "sequencer",  # Sequencer
+))
 
 
 # Records whose fields are in hand and already checked are built in C,
@@ -355,8 +359,8 @@ class Sequencer:
             ))
             for e in self.records
         ]
-        pool = [  # `_value_`, the member's value as a plain attribute: `value` is a Python-level property
-            _new(PoolSummary, (h, entry.tx.sender, entry.tx.nonce, entry.status._value_, entry.received_at))
+        pool = [
+            _new(PoolSummary, (h, entry.tx.sender, entry.tx.nonce, entry.status, entry.received_at))
             for h, entry in sorted(self.mempool.entries.items())
         ]
         report = RunReport(

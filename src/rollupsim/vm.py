@@ -53,9 +53,9 @@ from __future__ import annotations
 import hashlib
 import struct
 from bisect import bisect_left
-from enum import Enum
+from collections import namedtuple
 from types import MappingProxyType
-from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 from .core import (
     BASE_TX_GAS,
@@ -66,7 +66,6 @@ from .core import (
     Record,
     StateRoot,
     U64_MAX,
-    max_cost,
 )
 
 WORD = 2**256
@@ -76,8 +75,8 @@ WORD_MAX = WORD - 1
 # ---------------------------------------------------------------------------
 # Expressions and statements
 # ---------------------------------------------------------------------------
-# Nodes are `Record`s, not NamedTuples: a field-less NamedTuple is falsy and
-# equals (), and two NamedTuples of one arity compare equal across types. A
+# Nodes are `Record`s, not named tuples: a field-less named tuple is falsy and
+# equals (), and two named tuples of one arity compare equal across types. A
 # node holds its fields and builds nothing it runs: a contract program is
 # compiled on its first run, and a predicate when its invariant is registered
 # (see "Compiled programs" below).
@@ -256,14 +255,19 @@ class ContractCode(Record):
         self._program = None
 
 
-class Account(NamedTuple):
-    balance: int = 0
-    nonce: int = 0
-    code: Optional[ContractCode] = None
-    storage: Mapping[bytes, bytes] = MappingProxyType({})  # shared, so read-only
+Account = namedtuple("Account", (
+    "balance",  # int
+    "nonce",  # int
+    "code",  # Optional[ContractCode]
+    "storage",  # Mapping[bytes, bytes]
+), defaults=(0, 0, None, MappingProxyType({})))  # the default storage is shared, so read-only
 
-    def is_empty(self) -> bool:
-        return self.balance == 0 and self.nonce == 0 and self.code is None and not self.storage
+
+def _is_empty(self: Account) -> bool:
+    return self.balance == 0 and self.nonce == 0 and self.code is None and not self.storage
+
+
+Account.is_empty = _is_empty
 
 
 EMPTY_ACCOUNT = Account()
@@ -347,25 +351,28 @@ class AccessKind:
 _new_key = tuple.__new__
 
 
-class AccessKey(NamedTuple):
-    """A recorded state location: a tuple, so it hashes, compares and sorts
-    by (kind, addr, slot) in C. Every key is built as
-    `_new_key(AccessKey, (kind, addr, slot))`, which skips the generated
-    Python-level `__new__`."""
+AccessKey = namedtuple("AccessKey", (
+    "kind",  # int, an `AccessKind`
+    "addr",  # Address
+    "slot",  # bytes
+), defaults=(b"",))
+AccessKey.__doc__ = """A recorded state location: a tuple, so it hashes, compares and sorts
+by (kind, addr, slot) in C. Every key is built as
+`_new_key(AccessKey, (kind, addr, slot))`, which skips the generated
+Python-level `__new__`."""
 
-    kind: int
-    addr: Address
-    slot: bytes = b""
 
+class TxStatus:
+    """An execution's outcome, as plain strings, compared by identity."""
 
-class TxStatus(Enum):
     SUCCESS = "success"
     REVERT = "revert"
 
 
-class BlockContext(NamedTuple):
-    base_fee: int
-    fee_recipient: Address
+BlockContext = namedtuple("BlockContext", (
+    "base_fee",  # int
+    "fee_recipient",  # Address
+))
 
 
 class PreconditionFailed(Exception):
@@ -789,16 +796,24 @@ def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction,
     """
     sender, recipient, value = tx.sender, tx.recipient, tx.value
     deposit = isinstance(tx, DepositTransaction)
-    if deposit:
-        kept = state.balance_of(sender) + value  # the mint
+    # A `WorldState` base is read through its account map, one lookup each
+    # for the sender and the recipient; any other base through its views.
+    accounts = state.accounts if type(state) is WorldState else None
+    if accounts is not None:
+        account = accounts.get(sender, EMPTY_ACCOUNT)
+        kept, nonce = account.balance, account.nonce
     else:
-        nonce = state.nonce_of(sender)
+        kept = state.balance_of(sender)
+    if deposit:
+        kept += value  # the mint
+    else:
+        if accounts is None:
+            nonce = state.nonce_of(sender)
         if tx.nonce < nonce:
             raise PreconditionFailed(PreconditionFailed.NONCE_TOO_LOW, f"account nonce {nonce}")
         if tx.nonce > nonce:
             raise PreconditionFailed(PreconditionFailed.NONCE_TOO_HIGH, f"account nonce {nonce}")
-        cost = max_cost(tx)
-        kept = state.balance_of(sender)
+        cost = value + tx.gas_limit * tx.max_fee  # the most it can take: value and all its gas at `max_fee`
         if kept < cost:
             raise PreconditionFailed(PreconditionFailed.INSUFFICIENT_BALANCE, f"balance {kept} < {cost}")
         if tx.max_fee < ctx.base_fee:
@@ -824,7 +839,11 @@ def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction,
         writes.update((*kept_writes, recipient_balance))
     if not deposit:
         exe.nonces[sender] = nonce + 1
-    code = state.code_of(recipient)
+    if accounts is not None:
+        target = accounts.get(recipient, EMPTY_ACCOUNT)
+        code = target.code
+    else:
+        code = state.code_of(recipient)
     if in_place and code is not None:
         # The transfer's two writes. The sender's replaces the kept effect:
         # logged first, it is undone last, so a self-call ends on it too.
@@ -833,7 +852,7 @@ def execute_transaction(state: Union[WorldState, Execution], tx: AnyTransaction,
         balances[sender] = kept
     else:
         balances[sender] = kept - value
-        balances[recipient] = state.balance_of(recipient) + value
+        balances[recipient] = (state.balance_of(recipient) if accounts is None else target.balance) + value
     if code is not None:
         try:
             _run_statements(code, exe, recipient, sender, value, tx.data, tx.gas_limit)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from rollupsim.core import Address, SignedTransaction, TxHash, max_cost, tx_hash
+from rollupsim.core import Address, SignedTransaction, TxHash, tx_hash
 from rollupsim.mempool import (
     PoolConfig,
     PoolEntry,
@@ -27,6 +27,8 @@ from rollupsim.mempool import (
 )
 from rollupsim.quarantine import AuditEvent, QuarantineStore
 from rollupsim.vm import WorldState
+
+from reference_vm import max_cost
 
 
 class ReferenceMempool:

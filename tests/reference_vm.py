@@ -30,7 +30,7 @@ from typing import Dict, Sequence, Tuple
 from unittest import mock
 
 from rollupsim import vm
-from rollupsim.core import Address, AnyTransaction, Block, DepositTransaction, StateRoot, max_cost
+from rollupsim.core import Address, AnyTransaction, Block, DepositTransaction, SignedTransaction, StateRoot
 from rollupsim.vm import (
     WORD,
     AccessKey,
@@ -65,6 +65,11 @@ from rollupsim.vm import (
     slot_bytes,
     slot_int,
 )
+
+
+def max_cost(tx: SignedTransaction) -> int:
+    """The most a transaction can take from its sender: value + gas_limit * max_fee."""
+    return tx.value + tx.gas_limit * tx.max_fee
 
 
 def full_copy_post_state(exe: Execution) -> WorldState:

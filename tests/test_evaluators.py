@@ -247,9 +247,10 @@ def test_a_specialised_node_is_the_record_its_fields_define(cls, fields):
 class TestDrainCallCount:
     """A count, not a timer: the Python-level calls that one vault drain
     makes while it is executed, and while it is judged, once its program
-    and predicate are compiled. The envelope writes the scratch in one step,
-    and the program and the predicate each run as one function, so a call
-    made per access or per node shows here."""
+    and predicate are compiled. The envelope reads each account with one
+    map lookup and writes the scratch in one step, the damage bound reads
+    the base state's map, and the program and the predicate each run as one
+    function, so a call made per access or per node shows here."""
 
     def test_executing_and_judging_a_drain(self):
         state = vault_state(paused=False)
@@ -260,8 +261,8 @@ class TestDrainCallCount:
         judging = python_calls(InvariantDetector().assess, executing.result, state, invariants)
         verdict, _ = judging.result
         assert verdict.malicious and executing.names[0] == "execute_transaction"
-        assert len(executing.calls) <= 20, executing.names  # 69 when each node ran its own evaluator and the envelope its accessors
-        assert len(judging.calls) <= 8, judging.names  # 9 when each evaluation looked its predicate up on its root node; 18
+        assert len(executing.calls) <= 15, executing.names  # 20 when the envelope read a `WorldState` through its view methods and `max_cost`; 69 when each node ran its own evaluator and the envelope its accessors
+        assert len(judging.calls) <= 5, judging.names  # 7 when the damage bound read both states through `balance_of`; 9 when each evaluation looked its predicate up on its root node; 18
 
 
 class TestReplayCallCount:

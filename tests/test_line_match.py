@@ -10,7 +10,8 @@ as another character that ends a line, the final newline dropped or
 doubled. Both must give the same history, or refuse it at the same line
 with the same message. Every history `run` writes is read without the
 error path, `parse_scenario` makes a few calls per bench scenario line, and
-importing the package compiles a bounded number of regular expressions.
+importing the package compiles a bounded number of regular expressions and
+builds no class through `typing.NamedTuple` or `enum`.
 """
 import functools
 import os
@@ -29,6 +30,7 @@ from rollupsim.formats import parse_history, parse_scenario, render_history
 from rollupsim.sequencer import run
 from test_fuzz_pipeline import _spellings, sequencer_histories
 from test_input_fuzz import FIELD_VALUES
+from test_startup import startup
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -141,3 +143,16 @@ def test_import_compiles_few_regular_expressions():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
     assert int(out) <= 7  # 3 readers' expressions, and submit, genesis account, l1block and record
+
+
+def test_import_builds_no_class_through_typing_or_enum():
+    """A count, not a timer: a fresh interpreter imports what a bench child
+    imports (`tools/startup.py` counts it). A record is a
+    `collections.namedtuple` and a status a class of plain constants, so
+    no class is built by `typing.NamedTuple`, whose metaclass turns every
+    field's string annotation into a `typing.ForwardRef`, nor by
+    `enum.EnumType`: about 5 ms of every command's start-up when all 30
+    records and 4 statuses were built that way."""
+    counts = startup.counts(ROOT / "src")
+    assert counts["typing_named_tuples"] == 0 and counts["enum_classes"] == 0, counts  # 30 and 4
+    assert counts["forward_refs"] == 0, counts  # 108
